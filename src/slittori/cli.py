@@ -248,7 +248,7 @@ def cmd_simulate(args) -> int:
         stats = simulate(
             model,
             slope,
-            Fraction(int(float(args.T))),
+            Fraction(args.T),
             grid=args.grid,
             deck_window=args.deck,
             start=start,

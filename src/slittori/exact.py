@@ -37,6 +37,17 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return d0, f
 
 
+def negative(u: int, v: int, D: int) -> bool:
+    """Whether ``u + v*sqrt(D) < 0``, for ``v == 0`` or squarefree ``D >= 2``.
+
+    Only opposite signs need a comparison of ``u*u`` with ``v*v*D``, which
+    can never tie because ``sqrt(D)`` is irrational.
+    """
+    if v >= 0:
+        return u < 0 and (v == 0 or u * u > v * v * D)
+    return u <= 0 or v * v * D > u * u
+
+
 def _gcd3(a: int, b: int, c: int) -> int:
     from math import gcd
 
@@ -105,21 +116,9 @@ class ExactScalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        u, v, D = self.u, self.v, self.D
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare u^2 against v^2 D (equality impossible
-        # for squarefree D >= 2, kept for safety)
-        uu, vv = u * u, v * v * D
-        if u > 0:
-            return 1 if uu > vv else (-1 if uu < vv else 0)
-        return 1 if vv > uu else (-1 if vv < uu else 0)
+        if self.u == 0 and self.v == 0:
+            return 0
+        return -1 if negative(self.u, self.v, self.D) else 1
 
     # -- coercion -----------------------------------------------------
 

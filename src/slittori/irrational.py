@@ -19,23 +19,25 @@ whose exponents are found by four exact window searches:
      interval J.  The freedom in d is what makes distinct digit
      streams for the same parameter.
 
-Every window membership test is an exact comparison in the quadratic
-field, so no density or precision argument is needed.  A candidate
-block is accepted only if the direct trace certificate passes: the
-traced endpoint height lies in J and the traced homology action is a
-power of h- up to sign.  On certificate failure the search widens
-monotonically through further admissible candidates.
+Every window membership test is an exact sign test on the integer
+orbit lattice (:class:`~slittori.torus.Lattice`), so no density or
+precision argument is needed.  A candidate block is accepted only if
+the direct trace certificate passes: the traced endpoint height lies in
+J and the traced homology action is a power of h- up to sign.  On
+certificate failure the search widens monotonically through further
+admissible candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator, Sequence
 
-from .directions import BlockRecord, DirectionSpec
-from .exact import ExactScalar, mod_half_open, scalar
-from .torus import ActionTrace, TorusPoint, in_region_S, trace_word
+from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
+from .exact import ExactScalar, negative, scalar
+from .torus import ActionTrace, Coord, Lattice, TorusPoint, trace_word
 from .words import GenWord
 
 DEFAULT_J = (Fraction(1, 6), Fraction(1, 3))
@@ -83,79 +85,75 @@ class _Budget:
             )
 
 
-def _require_irrational(value: ExactScalar, what: str) -> None:
-    if value.is_rational:
+def _require_irrational(v: int, what: str) -> None:
+    """Fail on a coordinate whose sqrt(D) part ``v`` is zero."""
+    if v == 0:
         raise DerivationError(f"{what} is rational; window search cannot proceed")
 
 
-def _a_candidates(z: TorusPoint, a_min: int, budget: _Budget) -> Iterator[tuple[int, int, ExactScalar]]:
-    """Yield (a, a', x1) with the stage-a window and sign conditions."""
-    x, y = z.x, z.y
-    half = Fraction(1, 2)
-    window = min(y, ExactScalar(1, 0, 2) - y) * Fraction(1, 2)
-    cur = x
-    m = 0
-    j = 0
-    while True:
-        j += 1
+def _half_min(lat: Lattice, c: Coord) -> Coord:
+    """min(c, 1/2 - c) for 0 < c < 1/2; halved, it is a search window."""
+    other = (lat.half - c[0], -c[1])
+    return other if negative(other[0] - c[0], other[1] - c[1], lat.D) else c
+
+
+def _spend(steps: Iterator[tuple[int, int, int]], budget: _Budget) -> Iterator[tuple[int, int, Coord]]:
+    """Number the steps of a :meth:`Lattice.run` from 1, spending one unit
+    of budget before each; yields (j, m, coordinate)."""
+    for j in count(1):
         budget.spend()
-        cur = mod_half_open(cur - y)
-        m += 1 if in_region_S(TorusPoint(cur, y)) else -1
+        m, u, v = next(steps)
+        yield j, m, (u, v)
+
+
+def _a_candidates(
+    lat: Lattice, x: Coord, y: Coord, a_min: int, budget: _Budget
+) -> Iterator[tuple[int, int, Coord]]:
+    """Yield (a, a', x1) with the stage-a window and sign conditions."""
+    # eps1 = x1 + 1/2 must lie in (0, window), window = min(y, 1/2 - y)/2;
+    # in lattice units W * eps1 = eu + v sqrt(D) and 2W * window = wu + wv sqrt(D)
+    wu, wv = _half_min(lat, y)
+    for j, m, (u, v) in _spend(lat.run(x, y), budget):
         if j < a_min or m <= 0:
             continue
-        eps1 = cur + half
-        if ExactScalar(0) < eps1 < window:
-            yield (j, m, cur)
+        eu = u + lat.half
+        if negative(-eu, -v, lat.D) and negative(2 * eu - wu, 2 * v - wv, lat.D):
+            yield (j, m, (u, v))
 
 
-def _b_candidates(z3: TorusPoint, a_prime: int, budget: _Budget) -> Iterator[tuple[int, int, ExactScalar]]:
+def _b_candidates(
+    lat: Lattice, x3: Coord, y3: Coord, a_prime: int, budget: _Budget
+) -> Iterator[tuple[int, int, Coord]]:
     """Yield (b, b', y4) with the stage-b window and count conditions."""
-    x3, y3 = z3.x, z3.y
-    half = Fraction(1, 2)
-    ax3 = abs(x3)
-    window = min(ax3, ExactScalar(1, 0, 2) - ax3) * Fraction(1, 2)
-    cur = y3
-    m = 0
-    j = 0
-    while True:
-        j += 1
-        budget.spend()
-        cur = mod_half_open(cur - x3)
-        m += 1 if in_region_S(TorusPoint(x3, cur)) else -1
+    # eps2 = 1/2 - y4 must lie in (0, window), window = min(|x3|, 1/2 - |x3|)/2;
+    # in lattice units W * eps2 = eu - v sqrt(D) and 2W * window = wu + wv sqrt(D)
+    ax3 = (-x3[0], -x3[1]) if negative(*x3, lat.D) else x3
+    wu, wv = _half_min(lat, ax3)
+    for j, m, (u, v) in _spend(lat.run(y3, x3), budget):
         if m <= a_prime:
             continue
-        eps2 = half - cur
-        if ExactScalar(0) < eps2 < window:
-            yield (j, m, cur)
+        eu = lat.half - u
+        if negative(-eu, v, lat.D) and negative(2 * eu - wu, -2 * v - wv, lat.D):
+            yield (j, m, (u, v))
 
 
-def _c_candidates(z6: TorusPoint, target: int, budget: _Budget) -> Iterator[tuple[int, ExactScalar]]:
+def _c_candidates(
+    lat: Lattice, x6: Coord, y6: Coord, target: int, budget: _Budget
+) -> Iterator[tuple[int, Coord]]:
     """Yield (c, x7) where the running h+ count at z6 reaches ``target``."""
-    x6, y6 = z6.x, z6.y
-    cur = x6
-    m = 0
-    j = 0
-    while True:
-        j += 1
-        budget.spend()
-        cur = mod_half_open(cur - y6)
-        m += 1 if in_region_S(TorusPoint(cur, y6)) else -1
+    for j, m, x7 in _spend(lat.run(x6, y6), budget):
         if m == target:
-            yield (j, cur)
+            yield (j, x7)
 
 
-def _d_candidates(z7: TorusPoint, J, budget: _Budget) -> Iterator[tuple[int, ExactScalar]]:
+def _d_candidates(
+    lat: Lattice, x7: Coord, y7: Coord, J: tuple[Coord, Coord], budget: _Budget
+) -> Iterator[tuple[int, Coord]]:
     """Yield (d, y') with the endpoint height inside J."""
-    x7, y7 = z7.x, z7.y
-    lo, hi = J
-    cur = y7
-    j = 0
-    while True:
-        j += 1
-        budget.spend()
-        cur = mod_half_open(cur - x7)
-        if lo <= cur <= hi:
-            yield (j, cur)
+    (lu, lv), (hu, hv) = J
+    for j, _, (u, v) in _spend(lat.run(y7, x7), budget):
+        if not negative(u - lu, v - lv, lat.D) and not negative(hu - u, hv - v, lat.D):
+            yield (j, (u, v))
 
 
 def find_block(
@@ -171,61 +169,64 @@ def find_block(
     ``d_index`` selects the d_index-th admissible value of d instead of
     the smallest; everything else is searched smallest-first, widening
     monotonically if (contrary to the derivation) a candidate fails the
-    final trace certificate.
+    final trace certificate.  The searches step the orbit on the
+    integer lattice of z and J; the certificate is :func:`trace_word`.
     """
     J = (scalar(J[0]), scalar(J[1]))
     if not (ExactScalar(0) < J[0] <= J[1] < ExactScalar(1, 0, 2)):
         raise ValueError("target interval must sit inside (0, 1/2)")
     if d_index < 1:
         raise ValueError("d_index is 1-based")
-    y = z.y
-    _require_irrational(y, "height y")
-    if not (ExactScalar(0) < y < ExactScalar(1, 0, 2)):
-        raise ValueError(f"height {y} outside (0, 1/2)")
+    _require_irrational(z.y.v, "height y")
+    if not (ExactScalar(0) < z.y < ExactScalar(1, 0, 2)):
+        raise ValueError(f"height {z.y} outside (0, 1/2)")
+    lat = Lattice(z.x, z.y, *J)
+    y = lat.embed(z.y)
+    J_lat = (lat.embed(J[0]), lat.embed(J[1]))
     bud = _Budget(budget)
     widenings = 0
     d_tries_per_a = 3
 
-    for a, a_prime, x1 in _a_candidates(z, a_min, bud):
-        z1 = TorusPoint(x1, y)
-        eps1 = x1 + Fraction(1, 2)
+    def step(moving, fixed):
+        """One elementary step: the new coordinate, and whether the
+        post-step point lies in S."""
+        m, u, v = next(lat.run(moving, fixed))
+        return (u, v), m > 0
+
+    for a, a_prime, x1 in _a_candidates(lat, lat.embed(z.x), y, a_min, bud):
         # two single steps with the derivation's region cross-checks
-        z2 = TorusPoint(z1.x, mod_half_open(z1.y - z1.x))
-        if in_region_S(z2):
+        y2, in_S = step(y, x1)
+        if in_S:
             raise DerivationError("z2 unexpectedly in S")
-        z3 = TorusPoint(mod_half_open(z2.x - z2.y), z2.y)
-        if not in_region_S(z3):
+        x3, in_S = step(x1, y2)
+        if not in_S:
             raise DerivationError("z3 unexpectedly outside S")
-        if z3.x.sign() >= 0:
+        if not negative(*x3, lat.D):
             raise DerivationError("x3 should be negative")
-        _require_irrational(z3.x, "x3")
+        _require_irrational(x3[1], "x3")
 
-        b, b_prime, y4 = next(_b_candidates(z3, a_prime, bud))
-        z4 = TorusPoint(z3.x, y4)
-        eps2 = ExactScalar(1, 0, 2) - y4
-        z5 = TorusPoint(mod_half_open(z4.x - z4.y), z4.y)
-        if in_region_S(z5):
+        b, b_prime, y4 = next(_b_candidates(lat, x3, y2, a_prime, bud))
+        x5, in_S = step(x3, y4)
+        if in_S:
             raise DerivationError("z5 unexpectedly in S")
-        z6 = TorusPoint(z5.x, mod_half_open(z5.y - z5.x))
-        if not in_region_S(z6):
+        y6, in_S = step(y4, x5)
+        if not in_S:
             raise DerivationError("z6 unexpectedly outside S")
-        _require_irrational(z6.y, "y6")
+        _require_irrational(y6[1], "y6")
 
-        c, x7 = next(_c_candidates(z6, b_prime - a_prime, bud))
-        z7 = TorusPoint(x7, z6.y)
-        _require_irrational(z7.x, "x7")
+        c, x7 = next(_c_candidates(lat, x5, y6, b_prime - a_prime, bud))
+        _require_irrational(x7[1], "x7")
 
         seen_d = 0
         tried_here = 0
-        for d, y_out in _d_candidates(z7, J, bud):
+        for d, y_out in _d_candidates(lat, x7, y6, J_lat, bud):
             seen_d += 1
             if seen_d < d_index:
                 continue
             word = GenWord.from_digits((a, 1, 1, b, 1, 1, c, d))
             tr = trace_word(z, word, record_points=False)
-            z_out = TorusPoint(z7.x, y_out)
             certified = (
-                tr.final == z_out
+                tr.final == lat.point(x7, y_out)
                 and J[0] <= tr.final.y <= J[1]
                 and tr.action.fixes_beta
             )
@@ -233,7 +234,8 @@ def find_block(
                 return IrrationalBlockParams(
                     a=a, b=b, c=c, d=d,
                     trace=tr, z_out=tr.final,
-                    eps1=eps1, eps2=eps2,
+                    eps1=lat.scalar((x1[0] + lat.half, x1[1])),
+                    eps2=lat.scalar((lat.half - y4[0], -y4[1])),
                 )
             # Widen monotonically: a few more admissible d values, then
             # re-derive from the next admissible a.
@@ -266,9 +268,11 @@ class DChoiceRule:
             return 1
         if self.kind == "const":
             return self.params[0]
-        if n <= len(self.params):
-            return self.params[n - 1]
-        return 1  # list exhausted: fall back to the smallest admissible d
+        if n > len(self.params):
+            raise DigitStreamExhaustedError(
+                f"d-choice list has only {len(self.params)} entries"
+            )
+        return self.params[n - 1]
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "params": list(self.params)}

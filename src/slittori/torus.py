@@ -18,23 +18,29 @@ rank-2 anti-invariant homology, as an ordered product of per-step
 factors.  The action is only defined up to a global sign, which
 :class:`HomologyAction` canonicalizes away.
 
-Two engines implement the same stepping rule: an integer-lattice loop
-for rational points (all coordinates share one denominator, so the
-orbit is pure integer arithmetic) and a generic loop over
-:class:`~slittori.exact.ExactScalar` for quadratic-irrational points.
-They are cross-checked against each other in the test suite.
+One integer kernel, :class:`Lattice`, implements the stepping rule.  The
+shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
+so every orbit point is ((u_x + v_x sqrt(D))/W, (u_y + v_y sqrt(D))/W) with
+one even W and one radicand D for the whole orbit.  A step is an integer
+subtraction; one or two sign tests of u + v sqrt(D) wrap it back into
+[-1/2, 1/2), and the post-step point lies in S exactly when the step did
+not wrap.  Rational points are the case D = 0, where the wrap is an
+integer modulo.  :func:`trace_word`,
+:func:`m_sequence` and the window searches of :mod:`slittori.irrational`
+all step through it; the test suite checks it against a reference that
+steps :class:`~slittori.exact.ExactScalar` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from typing import Iterator
 
-from .exact import ExactScalar, mod_half_open, scalar
+from .exact import ExactScalar, FieldMismatchError, mod_half_open, negative, scalar
 from .words import GEN_MATRIX, IDENTITY, THETA, GenWord, IntMat2
-
-_HALF = Fraction(1, 2)
 
 EXCLUDED_POINTS = (
     (Fraction(0), Fraction(0)),
@@ -55,7 +61,9 @@ class TorusPoint:
 
     def __post_init__(self):
         for c in (self.x, self.y):
-            if not (ExactScalar(-1, 0, 2) <= c < ExactScalar(1, 0, 2)):
+            # -1/2 <= c < 1/2, as sign tests of 2c + 1 and 2c - 1
+            u, v = 2 * c.u, 2 * c.v
+            if negative(u + c.w, v, c.D) or not negative(u - c.w, v, c.D):
                 raise ValueError(f"coordinate {c} outside [-1/2, 1/2)")
         if self.x.is_rational and self.y.is_rational:
             pair = (self.x.as_fraction(), self.y.as_fraction())
@@ -167,60 +175,77 @@ class ActionTrace:
     action: HomologyAction
 
 
-def _wrap(t: int, half: int, full: int) -> int:
-    return (t + half) % full - half
+Coord = tuple[int, int]  # (u, v), the coordinate (u + v sqrt(D))/W of a Lattice
 
 
-def _trace_rational_core(ix, iy, full, word, collect):
-    half = full // 2
-    a, b, c, d = 1, 0, 0, 1
-    pts = [] if collect else None
-    for gen, exp in word.syllables:
-        if gen == "h+":
-            for _ in range(exp):
-                ix = (ix - iy + half) % full - half
-                if -half <= ix + iy < half:
-                    b, d = a + b, c + d  # right-multiply by h+
-                else:
-                    b, d = b - a, d - c  # ... by (h+)^-1
-                if collect:
-                    pts.append((ix, iy))
-        else:
-            for _ in range(exp):
-                iy = (iy - ix + half) % full - half
-                if -half <= ix + iy < half:
-                    a, c = a + b, c + d  # right-multiply by h-
-                else:
-                    a, c = a - b, c - d  # ... by (h-)^-1
-                if collect:
-                    pts.append((ix, iy))
-    return ix, iy, (a, b, c, d), pts
+class Lattice:
+    """The lattice (Z + Z sqrt(D))/W that holds a shear orbit.
 
+    ``W`` is the least common multiple of 2 and the denominators of the
+    scalars given, and ``D`` their common radicand (0 when all are
+    rational); scalars from two different quadratic fields raise
+    :class:`~slittori.exact.FieldMismatchError`.
+    """
 
-def _trace_quadratic_core(x, y, word, collect):
-    a, b, c, d = 1, 0, 0, 1
-    pts = [] if collect else None
-    lo, hi = ExactScalar(-1, 0, 2), ExactScalar(1, 0, 2)
-    for gen, exp in word.syllables:
-        if gen == "h+":
-            for _ in range(exp):
-                x = mod_half_open(x - y)
-                if lo <= x + y < hi:
-                    b, d = a + b, c + d
-                else:
-                    b, d = b - a, d - c
-                if collect:
-                    pts.append((x, y))
-        else:
-            for _ in range(exp):
-                y = mod_half_open(y - x)
-                if lo <= x + y < hi:
-                    a, c = a + b, c + d
-                else:
-                    a, c = a - b, c - d
-                if collect:
-                    pts.append((x, y))
-    return x, y, (a, b, c, d), pts
+    __slots__ = ("W", "half", "D")
+
+    def __init__(self, *scalars: ExactScalar):
+        W, D = 2, 0
+        for s in scalars:
+            W = lcm(W, s.w)
+            if s.v:
+                if D and s.D != D:
+                    raise FieldMismatchError(f"cannot combine sqrt({D}) with sqrt({s.D})")
+                D = s.D
+        self.W, self.half, self.D = W, W // 2, D
+
+    def embed(self, s: ExactScalar) -> Coord:
+        k, r = divmod(self.W, s.w)
+        if r or (s.v and s.D != self.D):
+            raise ValueError(f"{s} does not lie in this lattice")
+        return s.u * k, s.v * k
+
+    def scalar(self, c: Coord) -> ExactScalar:
+        return ExactScalar(c[0], c[1], self.W, self.D)
+
+    def point(self, x: Coord, y: Coord) -> TorusPoint:
+        return TorusPoint(self.scalar(x), self.scalar(y))
+
+    def run(self, moving: Coord, fixed: Coord) -> Iterator[tuple[int, int, int]]:
+        """The endless orbit of one generator.
+
+        Each step replaces ``moving`` by ``moving - fixed`` wrapped into
+        [-1/2, 1/2) -- (h+)^-1 moves x by y, (h-)^-1 moves y by x -- and
+        yields ``(m, u, v)``: the running count m, +1 for every post-step
+        point in S and -1 otherwise, and the new moving coordinate.
+
+        The post-step point lies in S exactly when the step did not wrap:
+        the literal sum (moving - fixed + k) + fixed = moving + k, for the
+        wrap k in {-1, 0, 1}, lies in [-1/2, 1/2) only for k = 0, because
+        moving already does.
+        """
+        W, half, D = self.W, self.half, self.D
+        mu, mv = moving
+        fu, fv = fixed
+        m = 0
+        if D == 0:  # every v is 0
+            while True:
+                t = mu - fu
+                mu = (t + half) % W - half
+                m += 1 if mu == t else -1
+                yield m, mu, 0
+        while True:
+            mu -= fu
+            mv -= fv
+            if negative(mu + half, mv, D):
+                mu += W
+                m -= 1
+            elif not negative(mu - half, mv, D):
+                mu -= W
+                m -= 1
+            else:
+                m += 1
+            yield m, mu, mv
 
 
 def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> ActionTrace:
@@ -228,24 +253,29 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> Acti
 
     The returned trace ends at ``word^-1 z`` and carries the homology
     action of ``word`` evaluated there, as the ordered product of
-    per-step factors at the post-step points.
+    per-step factors at the post-step points.  The factors of one
+    syllable are all powers of its generator, so they multiply to the
+    generator raised to the syllable's running count.
     """
-    if z.is_rational:
-        fx, fy = z.as_fractions()
-        full = lcm(fx.denominator, fy.denominator, 2)
-        ix = fx.numerator * (full // fx.denominator)
-        iy = fy.numerator * (full // fy.denominator)
-        ix, iy, mat, pts = _trace_rational_core(ix, iy, full, word, record_points)
-        final = TorusPoint.of(Fraction(ix, full), Fraction(iy, full))
-        points = tuple(
-            TorusPoint.of(Fraction(px, full), Fraction(py, full)) for px, py in (pts or ())
-        )
-    else:
-        x, y, mat, pts = _trace_quadratic_core(z.x, z.y, word, record_points)
-        final = TorusPoint(x, y)
-        points = tuple(TorusPoint(px, py) for px, py in (pts or ()))
-    action = HomologyAction(IntMat2(*mat))
-    return ActionTrace(start=z, word=word, points=points, final=final, action=action)
+    lat = Lattice(z.x, z.y)
+    x, y = lat.embed(z.x), lat.embed(z.y)
+    a, b, c, d = 1, 0, 0, 1
+    points = []
+    for gen, exp in word.syllables:
+        if gen == "h+":
+            for m, u, v in islice(lat.run(x, y), exp):
+                if record_points:
+                    points.append(lat.point((u, v), y))
+            x = (u, v)
+            b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
+        else:
+            for m, u, v in islice(lat.run(y, x), exp):
+                if record_points:
+                    points.append(lat.point(x, (u, v)))
+            y = (u, v)
+            a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
+    action = HomologyAction(IntMat2(a, b, c, d))
+    return ActionTrace(start=z, word=word, points=tuple(points), final=lat.point(x, y), action=action)
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:
@@ -253,14 +283,15 @@ def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:
     post-step point lies in S."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    out = []
-    m = 0
-    cur = z
-    for _ in range(n_max):
-        cur = apply_generator_inverse(cur, gen)
-        m += 1 if in_region_S(cur) else -1
-        out.append(m)
-    return out
+    lat = Lattice(z.x, z.y)
+    x, y = lat.embed(z.x), lat.embed(z.y)
+    if gen == "h+":
+        steps = lat.run(x, y)
+    elif gen == "h-":
+        steps = lat.run(y, x)
+    else:
+        raise ValueError(f"unknown generator {gen!r}")
+    return [m for m, _, _ in islice(steps, n_max)]
 
 
 def involution_theta(z: TorusPoint) -> TorusPoint:

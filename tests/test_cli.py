@@ -127,6 +127,20 @@ def test_simulate_slope_flag(capsys):
     assert json.loads(out)["slope"] == [1, 3]
 
 
+def test_simulate_T_parsed_exactly(capsys):
+    base = ["simulate", "--slope", "1/3", "--z", "0,1/4"]
+    code, out, _ = run(capsys, *base, "--T", "1.5")
+    assert code == 0
+    assert json.loads(out)["total_advance"] == "3/2"
+    code, out, _ = run(capsys, *base, "--T", "1e3")
+    assert code == 0
+    assert json.loads(out)["total_advance"] == "1000"
+    for bad in ("abc", "0", "-2", "inf"):
+        code, out, err = run(capsys, *base, "--T", bad)
+        assert code == 2 and out == "", bad
+        assert "error" in json.loads(err)
+
+
 def test_billiard_command(capsys):
     code, out, _ = run(
         capsys, "billiard", "--lambda", "1/4", "--x", "3/10", "--y", "1/10",

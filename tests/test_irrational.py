@@ -1,19 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from slittori.exact import ExactScalar
+import oracle_torus as oracle
+from slittori.exact import ExactScalar, FieldMismatchError
 from slittori.irrational import (
     DChoiceRule,
     SearchBudgetExceededError,
+    _a_candidates,
+    _b_candidates,
+    _Budget,
+    _c_candidates,
+    _d_candidates,
     direction_stream_irrational,
     find_block,
 )
-from slittori.torus import TorusPoint, in_region_S, trace_word
+from slittori.torus import Lattice, TorusPoint, in_region_S, trace_word
 from slittori.words import GenWord
 
 SQRT2_OVER_4 = ExactScalar(0, 1, 4, 2)
 J = (Fraction(1, 6), Fraction(1, 3))
+LAMBDAS = (SQRT2_OVER_4, ExactScalar(0, 1, 4, 3), ExactScalar(-1, 1, 3, 5))
 
 
 def test_rational_lambda_rejected():
@@ -103,3 +111,74 @@ def test_chained_blocks_heights_stay_in_J():
         assert J[0] <= y <= J[1]
         # digit inequality a_{n+1} >= 6 >= 2/(1-2y_n) since y_n <= 1/3
         assert (ExactScalar(1) - 2 * y) * 6 >= 2
+
+
+def _first(candidates, budget, n=3):
+    """The first n candidates, each with the budget spent to reach it."""
+    out = []
+    try:
+        for item in candidates:
+            out.append((item, budget.used))
+            if len(out) == n:
+                break
+    except SearchBudgetExceededError:
+        out.append(("exhausted", budget.used))
+    return out
+
+
+def test_window_searches_match_oracle():
+    rng = random.Random(53)
+    for lam in LAMBDAS:
+        D = lam.D
+        for trial in range(3):
+            if trial == 0:
+                z = TorusPoint(ExactScalar(0), lam)
+            else:
+                w = rng.randint(2, 30)
+                z = TorusPoint.of(ExactScalar(rng.randint(-w, w), rng.randint(1, w), w, D), lam)
+            x, y = z.x, z.y
+            J_exact = tuple(ExactScalar.from_fraction(j) for j in J)
+            lat = Lattice(x, y, *J_exact)
+            ex, ey = lat.embed(x), lat.embed(y)
+            lat_J = tuple(lat.embed(j) for j in J_exact)
+
+            def scalars(items):
+                return [
+                    (item if item == "exhausted" else item[:-1] + (lat.scalar(item[-1]),), used)
+                    for item, used in items
+                ]
+
+            searches = [
+                (lambda b: _a_candidates(lat, ex, ey, 6, b),
+                 lambda b: oracle.a_candidates(z, 6, b)),
+                (lambda b: _b_candidates(lat, ex, ey, 1, b),
+                 lambda b: oracle.b_candidates(z, 1, b)),
+                (lambda b: _c_candidates(lat, ex, ey, 2, b),
+                 lambda b: oracle.c_candidates(z, 2, b)),
+                (lambda b: _d_candidates(lat, ex, ey, lat_J, b),
+                 lambda b: oracle.d_candidates(z, J, b)),
+            ]
+            for new, old in searches:
+                new_budget, old_budget = _Budget(3000), _Budget(3000)
+                got = scalars(_first(new(new_budget), new_budget))
+                assert got == _first(old(old_budget), old_budget)
+
+
+def test_budget_boundary_matches_oracle():
+    for lam in LAMBDAS:
+        z = TorusPoint(ExactScalar(0), lam)
+        for d_index in (1, 2):
+            digits, z_out, eps1, eps2, used = oracle.find_block(z, d_index=d_index)
+            blk = find_block(z, d_index=d_index, budget=used)
+            assert (blk.a, blk.b, blk.c, blk.d) == digits
+            assert (blk.z_out, blk.eps1, blk.eps2) == (z_out, eps1, eps2)
+            with pytest.raises(SearchBudgetExceededError):
+                find_block(z, d_index=d_index, budget=used - 1)
+
+
+def test_mixed_fields_fail_closed_in_search():
+    z = TorusPoint(ExactScalar(0, 1, 8, 3), SQRT2_OVER_4)
+    with pytest.raises(FieldMismatchError):
+        find_block(z)
+    with pytest.raises(FieldMismatchError):
+        find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4), J=(ExactScalar(0, 1, 8, 3), J[1]))

@@ -1,9 +1,13 @@
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from slittori.cli import main
 from slittori.directions import DigitStreamExhaustedError
+from slittori.exact import ExactScalar
+from slittori.irrational import DChoiceRule, direction_stream_irrational
 from slittori.rational import (
     NkRule,
     NkRuleError,
@@ -159,6 +163,17 @@ def test_nk_list_exhaustion():
     assert spec.digits_prefix(16)[-1] == 2
     with pytest.raises(DigitStreamExhaustedError):
         spec.digits_prefix(24)
+
+
+def test_d_choice_list_exhaustion(capsys):
+    spec = direction_stream_irrational(ExactScalar(0, 1, 4, 2), DChoiceRule("list", (1, 2)))
+    assert len(spec.digits_prefix(16)) == 16
+    with pytest.raises(DigitStreamExhaustedError):
+        spec.digits_prefix(24)
+    code = main(["build", "--lambda", "0:1:4:2", "--d-choices", "list:1,2", "--blocks", "3"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "DigitStreamExhaustedError" in json.loads(out.err)["error"]
 
 
 def test_nk_rule_validation():

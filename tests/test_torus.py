@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from slittori.exact import ExactScalar
+import oracle_torus as oracle
+from slittori.exact import ExactScalar, FieldMismatchError
 from slittori.torus import (
     EXCLUDED_POINTS,
     ExcludedPointError,
@@ -19,7 +20,6 @@ from slittori.torus import (
     m_sequence,
     trace_word,
 )
-from slittori.torus import _trace_quadratic_core, _trace_rational_core
 from slittori.words import GenWord, H_PLUS, H_MINUS, IntMat2, THETA
 
 P = TorusPoint.of
@@ -192,28 +192,65 @@ def test_excluded_points_rejected_and_preserved():
         trace_word(z, w)  # constructing any excluded point would raise
 
 
-def test_engines_agree():
-    rng = random.Random(47)
-    for _ in range(200):
-        z = rand_point(rng)
-        w = rand_word(rng)
-        fx, fy = z.as_fractions()
-        from math import lcm
+def rand_kernel_point(rng, D, den_max=40):
+    """A point with coordinates in Q(sqrt(D)), reduced mod 1.
 
-        full = lcm(fx.denominator, fy.denominator, 2)
-        ix, iy, mat_i, pts_i = _trace_rational_core(
-            fx.numerator * full // fx.denominator,
-            fy.numerator * full // fy.denominator,
-            full,
-            w,
-            True,
-        )
-        x, y, mat_q, pts_q = _trace_quadratic_core(
-            ExactScalar.from_fraction(fx), ExactScalar.from_fraction(fy), w, True
-        )
-        assert mat_i == mat_q
-        assert ExactScalar(ix, 0, full) == x and ExactScalar(iy, 0, full) == y
-        assert len(pts_i) == len(pts_q)
+    Rational coordinates have even denominators too, including 0 and -1/2,
+    and some points have x - y = 1/2, so orbits land exactly on the
+    boundaries of S and of the wrap.
+    """
+    def coord(irrational):
+        w = rng.randint(1, den_max)
+        if irrational:
+            return ExactScalar(rng.randint(-w, w), rng.randint(-w, w) or 1, w, D)
+        return ExactScalar(rng.choice((0, -1, rng.randint(-w, w))), 0, 2 * w)
+
+    while True:
+        kinds = [rng.random() < 0.7 for _ in range(2)] if D else [False, False]
+        if D and not any(kinds):
+            continue
+        x = coord(kinds[0])
+        y = x - ExactScalar(1, 0, 2) if rng.random() < 0.2 else coord(kinds[1])
+        try:
+            return P(x, y)
+        except ExcludedPointError:
+            continue
+
+
+def test_kernel_matches_oracle():
+    """The integer kernel against ExactScalar stepping: endpoints, actions,
+    recorded points and running counts, on rational points and in three
+    quadratic fields, with long exponents."""
+    rng = random.Random(47)
+    for D in (0, 2, 3, 5):
+        for _ in range(40):
+            z = rand_kernel_point(rng, D)
+            w = rand_word(rng, max_syllables=6, max_exp=60)
+            for record in (True, False):
+                tr = trace_word(z, w, record_points=record)
+                final, points, action = oracle.trace_word(z, w, record_points=record)
+                assert tr.final == final and tr.action == action and tr.points == points
+            gen = rng.choice(["h+", "h-"])
+            assert m_sequence(z, gen, 80) == oracle.m_sequence(z, gen, 80)
+
+
+def test_mixed_fields_fail_closed():
+    z = TorusPoint(ExactScalar(0, 1, 8, 2), ExactScalar(0, 1, 8, 3))
+    for word in (GenWord(()), GenWord.from_digits((3, 2))):
+        for record in (True, False):
+            with pytest.raises(FieldMismatchError):
+                trace_word(z, word, record_points=record)
+    with pytest.raises(FieldMismatchError):
+        m_sequence(z, "h-", 4)
+
+
+def test_orbit_through_puncture_fails_closed():
+    # TorusPoint refuses a puncture, so forge one to start the orbit there
+    z = object.__new__(TorusPoint)
+    object.__setattr__(z, "x", ExactScalar(-1, 0, 2))
+    object.__setattr__(z, "y", ExactScalar(0))
+    with pytest.raises(ExcludedPointError):
+        trace_word(z, GenWord.from_digits((2, 1)), record_points=True)
 
 
 def test_homology_action_canonical_sign():
