@@ -35,7 +35,7 @@ from .flow import (
     simulate,
     slope_from_spec,
 )
-from .irrational import DChoiceRule, direction_stream_irrational
+from .irrational import DEFAULT_BUDGET, DChoiceRule, direction_stream_irrational
 from .rational import NkRule, RationalParam, direction_stream, fixing_word
 from .torus import TorusPoint, trace_word
 from .words import GenWord
@@ -45,6 +45,14 @@ FORMAT_VERSION = 1
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise CliError, so they exit 2 with a JSON message
+    like every other bad input (subparsers inherit this class)."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _emit(obj: dict, path: str | None = None) -> None:
@@ -131,6 +139,7 @@ def spec_from_provenance(prov: dict) -> DirectionSpec:
             lam,
             DChoiceRule.from_dict(prov["d_choices"]),
             a_min=prov.get("a_min", 6),
+            budget=prov.get("budget", DEFAULT_BUDGET),
         )
     raise CliError(f"unknown provenance type {prov['type']!r}")
 
@@ -177,7 +186,6 @@ def cmd_action(args) -> int:
             "is_identity": tr.action.is_identity,
             "fixes_beta": tr.action.fixes_beta,
             "orbit_length": len(tr.points),
-            "precision_bits": {"requested": args.precision, "used": "exact"},
         },
         args.output,
     )
@@ -203,9 +211,7 @@ def cmd_build(args) -> int:
             spec = direction_stream_irrational(lam, choices, budget=args.budget)
     else:
         raise CliError("one of --lambda / --z-rational is required")
-    doc = spec_to_dict(spec, args.blocks)
-    doc["precision_bits"] = {"requested": args.precision, "used": "exact"}
-    _emit(doc, args.output)
+    _emit(spec_to_dict(spec, args.blocks), args.output)
     return 0
 
 
@@ -223,9 +229,7 @@ def cmd_dimension(args) -> int:
     cert = dimension_certificate(
         problem, u_direct_cap=args.u_cap, u_numeric=args.u_numeric
     )
-    doc = cert.as_dict()
-    doc["precision_bits"] = {"requested": args.precision, "used": "exact"}
-    _emit(doc, args.output)
+    _emit(cert.as_dict(), args.output)
     return 0 if cert.exceeds_target else 1
 
 
@@ -302,7 +306,6 @@ def cmd_billiard(args) -> int:
             "round_trip_identical": (
                 back.x == b.x and back.y == b.y and back.vx == b.vx and back.vy == b.vy
             ),
-            "precision_bits": {"requested": args.precision, "used": "exact"},
         },
         args.output,
     )
@@ -310,7 +313,7 @@ def cmd_billiard(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="slittori", description=__doc__)
+    p = _Parser(prog="slittori", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("action", help="trace a word at a point")
@@ -318,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--word", help="word as h+:5,h-:1,...")
     pa.add_argument("--gz", help="fixing word of r,s,q")
     pa.add_argument("--gz-lambda", dest="gz_lambda", help="fixing word of lambda=p/q")
-    pa.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     pa.add_argument("-o", "--output")
     pa.set_defaults(func=cmd_action)
 
@@ -328,8 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--nk", default="const:1", help="free digits: const:M | arith:B,C | list:...")
     pb.add_argument("--d-choices", dest="d_choices", default="default")
     pb.add_argument("--blocks", type=int, default=3)
-    pb.add_argument("--budget", type=int, default=10**6)
-    pb.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    pb.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pb.add_argument("-o", "--output")
     pb.set_defaults(func=cmd_build)
 
@@ -345,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--prog", default="1,0", help="progression b,c")
     pd.add_argument("--u-cap", dest="u_cap", type=int, default=10**4)
     pd.add_argument("--u-numeric", dest="u_numeric", type=int, default=10**6)
-    pd.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     pd.add_argument("-o", "--output")
     pd.set_defaults(func=cmd_dimension)
 
@@ -369,16 +369,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--vx")
     pq.add_argument("--vy")
     pq.add_argument("--theta-deg", dest="theta_deg", type=float)
-    pq.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     pq.add_argument("-o", "--output")
     pq.set_defaults(func=cmd_billiard)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         return _fail(str(exc), 2)

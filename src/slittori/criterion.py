@@ -19,7 +19,8 @@ exactly or with certified rational intervals:
 
 The value alpha is never materialized as a float: every alpha-dependent
 check runs on an exact rational enclosure obtained by digit truncation,
-whose width the ``precision_bits`` knob controls (default 256).  When an
+whose width the ``precision_bits`` argument controls (default 256;
+``verify --precision`` on the command line).  When an
 enclosure is too wide to decide a comparison the verifier retries with
 a doubled precision a few times before recording the check as failed
 with an "inconclusive" note.

@@ -367,19 +367,6 @@ class OrbitStats:
         if not self.deck_counts:
             self.deck_counts = [0] * (2 * n + 1)
 
-    def record_sample(self, sheet: int, x, y, deck: int) -> None:
-        g = self.grid
-        i = math.floor((x + _HALF) * g)
-        j = math.floor((y + _HALF) * g)
-        i = min(max(i, 0), g - 1)
-        j = min(max(j, 0), g - 1)
-        self.cell_counts[sheet][i][j] += 1
-        if -self.deck_window <= deck <= self.deck_window:
-            self.deck_counts[deck + self.deck_window] += 1
-        else:
-            self.deck_overflow += 1
-        self.samples += 1
-
     def current_discrepancy(self) -> float:
         """Total-variation distance between the sampled cell distribution
         and the uniform one; 0 = equidistributed, 1 = fully concentrated."""

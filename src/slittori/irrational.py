@@ -325,6 +325,7 @@ def direction_stream_irrational(
         "lambda": list(lam.as_tuple()),
         "d_choices": choices.as_dict(),
         "a_min": a_min,
+        "budget": budget,
     }
     return DirectionSpec(
         z0=z0,

@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from slittori.cli import load_spec, main, spec_to_dict
+import pytest
+
+import oracle_torus as oracle
+from slittori.cli import load_spec, main, spec_from_provenance, spec_to_dict
 from slittori.criterion import verify
+from slittori.exact import ExactScalar
+from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational
 from slittori.rational import NkRule, RationalParam, direction_stream
 
 
@@ -56,6 +65,51 @@ def test_build_verify_roundtrip(tmp_path, capsys):
         RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
     )
     assert verify(load_spec(str(spec_path)), 3).as_dict() == verify(spec_mem, 3).as_dict()
+
+
+def test_budget_round_trips_through_spec_file(tmp_path):
+    # budget enough for blocks 1 and 2 of lambda = sqrt(2)/4, not for block 3
+    lam = ExactScalar(0, 1, 4, 2)
+    spec = direction_stream_irrational(lam)
+    budget = oracle.find_block(spec.block(1).endpoint)[4]
+    small = direction_stream_irrational(lam, budget=budget)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(spec_to_dict(small, 2)))
+    with pytest.raises(SearchBudgetExceededError):
+        small.block(3)
+
+    reloaded = load_spec(str(path))
+    assert reloaded.provenance["budget"] == budget
+    assert reloaded.block(2).endpoint == spec.block(2).endpoint
+    with pytest.raises(SearchBudgetExceededError):
+        reloaded.block(3)
+
+    # files written before the budget was recorded load with the default
+    prov = dict(reloaded.provenance)
+    del prov["budget"]
+    assert spec_from_provenance(prov).block(3).digits == spec.block(3).digits
+
+
+def test_argument_errors_exit_two_with_json(capsys):
+    for argv in (
+        ["verify", "x.json", "--horizon", "abc"],
+        ["action", "--z", "0,1/4", "--gz-lambda", "1/4", "--precision", "256"],
+        ["dimension"],
+        [],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "error" in json.loads(err), argv
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, slittori.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_build_deterministic_bytes(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from slittori.dimension import (
@@ -9,12 +11,44 @@ from slittori.dimension import (
     dimension_certificate,
     divergence_minorant,
     exact_sqrt_partial_sum,
+    moran_sum,
     solve_su,
     sqrt_contraction,
 )
 
 TOY = DimensionProblem((1, 1, 1), 1, 0)
 QUARTER = DimensionProblem((5, 1, 1, 7, 1, 1, 2), 1, 0)
+MORAN_PROBLEMS = (
+    TOY,
+    QUARTER,
+    DimensionProblem((2, 3, 2), 5, 7),
+    DimensionProblem((1, 1, 1), 3, 2),
+    DimensionProblem((9, 1, 3), 1, 0),
+)
+
+
+def _moran_coefficients(problem):
+    """(A, B) with d_{b l + c}^s = (A l + B)^(-2 s)."""
+    qm, qm1 = problem.continuants()
+    return problem.b * qm, qm * (problem.c + 1) + qm1
+
+
+def fsum_moran(problem, u, s):
+    """Reference Moran sum: every one of the u terms, correctly rounded sum."""
+    A, B = _moran_coefficients(problem)
+    return math.fsum(float(A * l + B) ** (-2 * s) for l in range(1, u + 1))
+
+
+def hurwitz_moran(problem, u, s):
+    """Reference Moran sum for large u through the Hurwitz zeta function:
+    A^(-p) [zeta(p, 1 + B/A) - zeta(p, u + 1 + B/A)], p = 2 s (digamma at p = 1)."""
+    A, B = _moran_coefficients(problem)
+    with mpmath.workdps(30):
+        p = 2 * mpmath.mpf(s)
+        a0, a1 = 1 + mpmath.mpf(B) / A, u + 1 + mpmath.mpf(B) / A
+        if p == 1:
+            return float((mpmath.digamma(a1) - mpmath.digamma(a0)) / A)
+        return float(mpmath.power(A, -p) * (mpmath.zeta(p, a0) - mpmath.zeta(p, a1)))
 
 
 def test_problem_validation():
@@ -58,6 +92,21 @@ def test_solve_su_residual_and_monotone():
         assert abs(total - 1.0) < 1e-7  # within 10x the bisection tolerance
     with pytest.raises(ValueError):
         solve_su(TOY, 1)
+
+
+@pytest.mark.parametrize(
+    "u, oracle",
+    [(u, fsum_moran) for u in (2, 3, 63, 64, 65, 100, 1000, 10**4)]
+    + [(u, hurwitz_moran) for u in (10**4, 10**6)],
+)
+def test_moran_sum_and_root_match_oracles(u, oracle):
+    tol = 1e-9
+    for problem in MORAN_PROBLEMS:
+        total = moran_sum(problem, u)
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0):  # s = 1/2 is the log-integral branch
+            assert total(s) == pytest.approx(oracle(problem, u, s), rel=1e-9, abs=0)
+        su = solve_su(problem, u, tol)
+        assert oracle(problem, u, su - tol) > 1.0 > oracle(problem, u, su + tol)
 
 
 def test_toy_certificate_direct_route():

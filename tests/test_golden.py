@@ -20,6 +20,7 @@ CASES = {
     "build_quarter.json": ["build", "--lambda", "1/4", "--nk", "const:1", "--blocks", "3"],
     "build_sqrt2.json": ["build", "--lambda", "0:1:4:2", "--blocks", "2"],
     "dimension_111.json": ["dimension", "--block", "1,1,1", "--prog", "1,0"],
+    "dimension_divergence.json": ["dimension", "--block", "5,1,1,7,1,1,2", "--prog", "1,0"],
     "verify_sqrt2_h4.json": [
         "verify", str(GOLDEN / "build_sqrt2.json"), "--horizon", "4",
     ],
