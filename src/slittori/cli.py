@@ -109,6 +109,15 @@ def _point_from_json(obj) -> TorusPoint:
 # spec files
 
 
+def _block_json(rec) -> dict:
+    return {
+        "index": rec.index,
+        "digits": list(rec.digits),
+        "endpoint": _point_json(rec.endpoint),
+        "meta": rec.meta,
+    }
+
+
 def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
     spec.block(blocks)
     return {
@@ -116,15 +125,7 @@ def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
         "provenance": spec.provenance,
         "z0": _point_json(spec.z0),
         "y_bounds": [_scalar_json(spec.y_bounds[0]), _scalar_json(spec.y_bounds[1])],
-        "blocks": [
-            {
-                "index": spec.block(n).index,
-                "digits": list(spec.block(n).digits),
-                "endpoint": _point_json(spec.block(n).endpoint),
-                "meta": spec.block(n).meta,
-            }
-            for n in range(1, blocks + 1)
-        ],
+        "blocks": [_block_json(spec.block(n)) for n in range(1, blocks + 1)],
         "digit_prefix": list(spec.cached_digits),
     }
 
@@ -150,12 +151,20 @@ def load_spec(path: str) -> DirectionSpec:
     if data.get("format_version") != FORMAT_VERSION:
         raise CliError("unsupported spec file version")
     spec = spec_from_provenance(data["provenance"])
-    # determinism cross-check: the rebuilt stream must reproduce the file
-    stored = data.get("digit_prefix", [])
-    if stored:
-        rebuilt = list(spec.digits_prefix(len(stored)))
-        if rebuilt != list(stored):
-            raise CliError("spec file digits disagree with deterministic rebuild")
+    # determinism cross-check: the rebuilt stream must reproduce every
+    # stored field (the blocks are pulled anyway to rebuild the digits)
+    n_digits = len(data.get("digit_prefix", []))
+    n_blocks = len(data.get("blocks", []))
+    rebuilt = {
+        "digit_prefix": list(spec.digits_prefix(n_digits)),
+        "blocks": [_block_json(spec.block(n)) for n in range(1, n_blocks + 1)],
+        "z0": _point_json(spec.z0),
+        "y_bounds": [_scalar_json(b) for b in spec.y_bounds],
+    }
+    for key, value in rebuilt.items():
+        if key in data and json.loads(json.dumps(value)) != data[key]:
+            name = "digits" if key == "digit_prefix" else key
+            raise CliError(f"spec file {name} disagree with deterministic rebuild")
     return spec
 
 

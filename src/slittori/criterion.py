@@ -92,32 +92,75 @@ def masur_entries(conv: Convergents, k: int, alpha: RatInterval) -> list[RatInte
     return [e1, e2, e3, e4]
 
 
+def wedge_threshold(y: ExactScalar, qk: int) -> ExactScalar:
+    return (ExactScalar(1) - 2 * y) / (2 * qk)
+
+
+def _sigma_at(spec: DirectionSpec, conv: Convergents, k: int, bits: int):
+    """(bounded, route) of the four matrix-entry bounds at enclosure ``bits``."""
+    alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
+    structural = masur_structural(conv, k, alpha)
+    try:
+        interval_ok = all(e.certified_abs_le(1) for e in masur_entries(conv, k, alpha))
+    except InconclusiveIntervalError:
+        if structural:
+            return True, "structural"
+        raise
+    if interval_ok:
+        return True, "interval+structural" if structural else "interval"
+    return structural, "structural" if structural else "none"
+
+
+def _wedge_at(spec: DirectionSpec, conv: Convergents, k: int, threshold,
+              digit_inequality: bool, bits: int):
+    """(bounded, route, |q_k alpha - p_k|) of the wedge bound at ``bits``."""
+    alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
+    wedge = abs(alpha * conv.q(k) - conv.p(k))
+    try:
+        direct = wedge.certified_le(threshold)
+    except InconclusiveIntervalError:
+        if digit_inequality:
+            # |q alpha - p| < 1/(a_{k+1} q) <= threshold
+            return True, "implied", wedge
+        raise
+    route = "direct+implied" if (direct and digit_inequality) else "direct"
+    return direct, route if direct else "none", wedge
+
+
+def _checkpoint_trace(spec: DirectionSpec, k: int):
+    """(word of digits 1..k, its trace from z0, digit inequality at k+1)."""
+    word = GenWord.from_digits(spec.digits_prefix(k))
+    tr = trace_word(spec.z0, word, record_points=False)
+    a_next = spec.digit(k + 1)
+    return word, tr, bool((ExactScalar(1) - 2 * tr.final.y) * a_next >= 2)
+
+
 def masur_sigma_check(
     spec: DirectionSpec, n: int, bits: int = DEFAULT_PRECISION_BITS
 ) -> bool:
-    """Certified |entry| <= 1 for all four entries at checkpoint n."""
+    """Certified |entry| <= 1 for all four entries at checkpoint n: the
+    ``sigma_bounded`` that ``verify`` records there at ``bits``."""
     k = spec.checkpoint_index(n)
     conv = spec.convergents(k)
-    alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-    interval_ok = all(e.certified_abs_le(1) for e in masur_entries(conv, k, alpha))
-    return interval_ok or masur_structural(conv, k, alpha)
-
-
-def wedge_threshold(y: ExactScalar, qk: int) -> ExactScalar:
-    return (ExactScalar(1) - 2 * y) / (2 * qk)
+    result, _, _ = _with_precision_retry(
+        lambda b: _sigma_at(spec, conv, k, b), bits
+    )
+    return result is not None and result[0]
 
 
 def wedge_check(
     spec: DirectionSpec, n: int, bits: int = DEFAULT_PRECISION_BITS
 ) -> bool:
-    """Certified |q_k alpha - p_k| <= (1 - 2 y_n)/(2 q_k) at checkpoint n."""
+    """Certified |q_k alpha - p_k| <= (1 - 2 y_n)/(2 q_k) at checkpoint n:
+    the ``wedge_bounded`` that ``verify`` records there at ``bits``."""
     k = spec.checkpoint_index(n)
     conv = spec.convergents(k)
-    alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-    word = GenWord.from_digits(spec.digits_prefix(k))
-    y = trace_word(spec.z0, word, record_points=False).final.y
-    wedge = abs(alpha * conv.q(k) - conv.p(k))
-    return wedge.certified_le(wedge_threshold(y, conv.q(k)))
+    _, tr, digit_inequality = _checkpoint_trace(spec, k)
+    threshold = wedge_threshold(tr.final.y, conv.q(k))
+    result, _, _ = _with_precision_retry(
+        lambda b: _wedge_at(spec, conv, k, threshold, digit_inequality, b), bits
+    )
+    return result is not None and result[0]
 
 
 @dataclass
@@ -220,8 +263,7 @@ def verify(
         k = spec.checkpoint_index(n)
         spec.ensure_digits(k + 1)
         conv = spec.convergents(k)
-        word = GenWord.from_digits(spec.digits_prefix(k))
-        tr = trace_word(spec.z0, word, record_points=False)
+        word, tr, digit_inequality = _checkpoint_trace(spec, k)
         z_n = tr.final
         y_n = z_n.y
         notes: list[str] = []
@@ -229,8 +271,6 @@ def verify(
         endpoint_consistent = z_n == spec.checkpoint_point(n)
         fixes_beta = tr.action.fixes_beta
         y_in_bounds = bool(y_lo <= y_n <= y_hi)
-        a_next = spec.digit(k + 1)
-        digit_inequality = bool((ExactScalar(1) - 2 * y_n) * a_next >= 2)
 
         # cross-check: the strip holonomy is the word matrix applied to (1,0)
         qk, pk = conv.q(k), conv.p(k)
@@ -238,22 +278,9 @@ def verify(
             notes.append("holonomy/convergent mismatch")
             endpoint_consistent = False
 
-        def sigma_at(bits: int) -> tuple[bool, str]:
-            alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-            structural = masur_structural(conv, k, alpha)
-            try:
-                interval_ok = all(
-                    e.certified_abs_le(1) for e in masur_entries(conv, k, alpha)
-                )
-            except InconclusiveIntervalError:
-                if structural:
-                    return True, "structural"
-                raise
-            if interval_ok:
-                return True, "interval+structural" if structural else "interval"
-            return structural, "structural" if structural else "none"
-
-        sigma_result, bits_sigma, note = _with_precision_retry(sigma_at, precision_bits)
+        sigma_result, bits_sigma, note = _with_precision_retry(
+            lambda b: _sigma_at(spec, conv, k, b), precision_bits
+        )
         bits_used = max(bits_used, bits_sigma)
         if sigma_result is None:
             sigma_ok, sigma_route = False, "inconclusive"
@@ -262,21 +289,10 @@ def verify(
             sigma_ok, sigma_route = sigma_result
 
         threshold = wedge_threshold(y_n, qk)
-
-        def wedge_at(bits: int) -> tuple[bool, str, RatInterval]:
-            alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-            wedge = abs(alpha * qk - pk)
-            try:
-                direct = wedge.certified_le(threshold)
-            except InconclusiveIntervalError:
-                if digit_inequality:
-                    # |q alpha - p| < 1/(a_{k+1} q) <= threshold
-                    return True, "implied", wedge
-                raise
-            route = "direct+implied" if (direct and digit_inequality) else "direct"
-            return direct, route if direct else "none", wedge
-
-        wedge_result, bits_wedge, note = _with_precision_retry(wedge_at, precision_bits)
+        wedge_result, bits_wedge, note = _with_precision_retry(
+            lambda b: _wedge_at(spec, conv, k, threshold, digit_inequality, b),
+            precision_bits,
+        )
         bits_used = max(bits_used, bits_wedge)
         if wedge_result is None:
             wedge_ok, wedge_route, wedge_ratio = False, "inconclusive", None

@@ -16,7 +16,10 @@ routes: the direct one (exact rational partial sums of sum d^{1/2}
 exceed 1, hence s_u > 1/2 for the achieved u), and the divergence one
 (termwise comparison of d^{1/2} against a divergent harmonic series,
 verified exactly on a prefix, plus the numerically solved s_u for the
-largest affordable truncation).
+largest affordable truncation).  The divergence route's verdict rests
+on an exact integer witness u* (see ``divergence_witness``): with
+d^{1/2}_{b l + c} = 1/(A l + B), the sum up to u* exceeds
+(1/A) ln((A (u* + 1) + B)/(A + B)) >= ln E > 1 for a rational E > e.
 
 ``solve_su`` finds s_u by float bisection.  Each evaluation of the Moran
 sum adds its first 64 terms directly and takes the rest from the
@@ -140,6 +143,39 @@ def solve_su(problem: DimensionProblem, u: int, tol: float = 1e-9) -> float:
     return (lo + hi) / 2.0
 
 
+# Rational bound above e used by the divergence witness.
+E_WITNESS = Fraction(27183, 10000)
+
+
+def e_upper_bound() -> Fraction:
+    """sum_{k<=12} 1/k! + 1/(12! 12), a rational strictly above e.
+
+    The omitted tail sum_{k>12} 1/k! is at most
+    1/13! (1 + 1/14 + 1/14**2 + ...) = 14/(13! 13) < 1/(12! 12).
+    """
+    head = sum(Fraction(1, math.factorial(k)) for k in range(13))
+    return head + Fraction(1, math.factorial(12) * 12)
+
+
+def divergence_witness(problem: DimensionProblem, E: Fraction) -> int:
+    """Least integer u* >= 1 with A (u* + 1) + B >= E**A (A + B).
+
+    Here A = b q_m and B = q_m (c + 1) + q_{m-1}, so that
+    d^{1/2}_{b l + c} = 1/(A l + B).  Each term exceeds the integral of
+    1/(A x + B) over [l, l + 1], hence
+    sum_{l<=u*} d^{1/2} > (1/A) ln((A (u* + 1) + B)/(A + B)) >= ln E,
+    which is > 1, i.e. s_{u*} > 1/2, whenever E > e.  Pure integer
+    arithmetic: E**A (A + B) is compared as num / den.
+    """
+    qm, qm1 = problem.continuants()
+    a = problem.b * qm
+    b0 = qm * (problem.c + 1) + qm1
+    num = E.numerator ** a * (a + b0)
+    den = E.denominator ** a
+    # A (u + 1) + B >= num / den  <=>  u + 1 >= ceil((num - B den) / (A den))
+    return max(1, -((b0 * den - num) // (a * den)) - 1)
+
+
 def exact_sqrt_partial_sum(problem: DimensionProblem, u: int) -> Fraction:
     """sum_{l=1..u} d^{1/2}_{b l + c} as an exact rational."""
     total = Fraction(0)
@@ -163,9 +199,10 @@ class DimensionCertificate:
     su_monotone_samples: list[tuple[int, float]]
     image_disjointness_checked: int
     divergence_note: str
+    witness: tuple[Fraction, int] | None = None  # (E, u*), divergence route only
 
     def as_dict(self) -> dict:
-        return {
+        d = {
             "block": list(self.problem.block),
             "progression": [self.problem.b, self.problem.c],
             "target": str(self.target),
@@ -184,6 +221,10 @@ class DimensionCertificate:
             "image_disjointness_checked": self.image_disjointness_checked,
             "divergence_note": self.divergence_note,
         }
+        if self.witness is not None:
+            E, u_star = self.witness
+            d["divergence_witness"] = {"E": str(E), "u": str(u_star)}
+        return d
 
 
 def _branch_image(problem: DimensionProblem, l: int, e_lo: Fraction, e_hi: Fraction):
@@ -300,13 +341,14 @@ def dimension_certificate(
             ),
         )
     su = solve_su(problem, u_numeric)
+    E = E_WITNESS
     return DimensionCertificate(
         problem=problem,
         target=target,
         route="divergence",
         achieved_su=su,
         u_used=u_numeric,
-        exceeds_target=True,
+        exceeds_target=E > e_upper_bound(),
         sqrt_sum_at_u=None,
         exact_prefix_u=prefix_u,
         exact_prefix_sum=prefix_sum,
@@ -318,4 +360,5 @@ def dimension_certificate(
             f"first exceeds 1 near u ~ exp({qm}); the bound > 1/2 rests on "
             f"the termwise-verified divergent minorant sum 1/({qm}(b(l+1)+c+1)+{qm1})"
         ),
+        witness=(E, divergence_witness(problem, E)),
     )

@@ -17,13 +17,17 @@ closed geodesics shift by 0, and every traced closed curve must agree
 with an independent geometric count of signed crossings through an
 explicit cycle representative).
 
-All positions, directions and event times are exact: Fractions when
-the parameter and slope are rational, quadratic-field scalars
-otherwise.  A direction stream is simulated through an exact convergent
-of its digit expansion, chosen so the enclosure of the true slope is
-narrower than ``2**-precision_bits``; the simulated orbit is then an
-exactly computed orbit of that nearby rational direction, with no
-positional drift at all.
+One event rule (``_event_rule``) finds the next edge, corner or slit
+event; ``step_flow``, the builder's closed-curve validation and
+``simulate`` all step through it.  Positions, directions and event
+times are exact.  Validation and ``step_flow`` accept a quadratic-field
+parameter (ExactScalar) as well as a rational one; ``simulate`` needs a
+rational parameter and a rational slope and runs on Fractions.  A
+direction stream is simulated through an exact convergent of its digit
+expansion, chosen so the enclosure of the true slope is narrower than
+``2**-precision_bits``; the simulated orbit is then an exactly computed
+orbit of that nearby rational direction, with no positional drift at
+all.
 """
 
 from __future__ import annotations
@@ -50,12 +54,6 @@ def _mod_cell(v):
     """Reduce into [-1/2, 1/2) for Fraction or ExactScalar."""
     n = math.floor(v + _HALF)
     return v - n if n else v
-
-
-def _sign(v) -> int:
-    if isinstance(v, ExactScalar):
-        return v.sign()
-    return (v > 0) - (v < 0)
 
 
 @dataclass(frozen=True)
@@ -118,61 +116,70 @@ class StepResult:
     event: str  # "right_edge" | "top_edge" | "corner" | "slit" | "partial"
 
 
-def _slit_crossing(model_zx, model_zy, x, y, dx, dy):
-    """Earliest s > 0 where (x,y) + s (dx,dy) meets {t z : -1 < t < 1}.
+def _event_rule(zx, zy, dx, dy):
+    """The next-event rule of the flow in direction (dx, dy), built once per ray.
 
-    Returns (s, t) or None; raises SingularOrbitError for a ray running
-    along the slit line or through an endpoint (t = +-1).
+    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
+    from the cell position (x, y) to the next right-edge, top-edge, corner
+    or slit event.  The slit crossing solves (x, y) + s (dx, dy) = t z:
+    with det = dy zx - dx zy, s = (zy x - zx y) / det and
+    t = (dy x - dx y) / det.  Whether |t| <= 1 (and whether t = +-1, a
+    cone point) is decided by comparing |dy x - dx y| with |det|, so t is
+    never divided out.  Works for Fraction and ExactScalar parameters.
     """
-    det = dx * model_zy - dy * model_zx
-    if _sign(det) == 0:
-        on_line = _sign(x * model_zy - y * model_zx) == 0
-        if on_line:
+    det = dy * zx - dx * zy
+    adet = abs(det)
+    nadet = -adet
+    crossing, det_pos = det != 0, det > 0
+    right, unit_dx, top = dx > 0, dx == 1, dy > 0  # simulate always has dx = 1
+
+    def next_event(x, y):
+        s = kind = None
+        if right:
+            s, kind = (_HALF - x if unit_dx else (_HALF - x) / dx), "right_edge"
+        if top:
+            s_t = (_HALF - y) / dy
+            if s is None or s_t < s:
+                s, kind = s_t, "top_edge"
+            elif s_t == s:
+                kind = "corner"
+        if crossing:
+            num = zy * x - zx * y
+            if (num > 0) if det_pos else (num < 0):  # s > 0
+                u = dy * x - dx * y
+                if nadet <= u <= adet:
+                    if u == adet or u == nadet:
+                        raise SingularOrbitError("orbit hits a cone point")
+                    s_c = num / det
+                    if s is None or s_c < s:
+                        return s_c, "slit"
+                    if s_c == s:
+                        raise SingularOrbitError(
+                            "slit crossing coincides with an edge event"
+                        )
+        elif x * zy == y * zx:
             raise SingularOrbitError("orbit runs along the slit line")
-        return None
-    t = (dx * y - dy * x) / det
-    s = (model_zx * y - model_zy * x) / det
-    if _sign(s) <= 0:
-        return None
-    if not (-1 <= t <= 1):
-        return None
-    if t == 1 or t == -1:
-        raise SingularOrbitError("orbit hits a cone point")
-    return (s, t)
+        if s is None:
+            raise SingularOrbitError("zero direction")
+        return s, kind
 
-
-def _next_event(model: SurfaceModel, state: CoverState, dx, dy):
-    """(s, kind) of the next event with s > 0."""
-    candidates = []
-    if _sign(dx) > 0:
-        candidates.append(((_HALF - state.x) / dx, "right_edge"))
-    if _sign(dy) > 0:
-        candidates.append(((_HALF - state.y) / dy, "top_edge"))
-    hit = _slit_crossing(model.zx, model.zy, state.x, state.y, dx, dy)
-    if hit is not None:
-        candidates.append((hit[0], "slit"))
-    if not candidates:
-        raise SingularOrbitError("zero direction")
-    s_min = min(c[0] for c in candidates)
-    kinds = [kind for s, kind in candidates if s == s_min]
-    if "slit" in kinds and len(kinds) > 1:
-        raise SingularOrbitError("slit crossing coincides with an edge event")
-    kind = "corner" if ("right_edge" in kinds and "top_edge" in kinds) else kinds[0]
-    return s_min, kind
+    return next_event
 
 
 def step_flow(
     model: SurfaceModel, state: CoverState, dx, dy, max_advance=None
 ) -> StepResult:
     """Advance to the next boundary/slit event (or by max_advance if sooner)."""
-    if _sign(dx) < 0 or _sign(dy) < 0 or (_sign(dx) == 0 and _sign(dy) == 0):
+    if dx < 0 or dy < 0 or (dx == 0 and dy == 0):
         raise ValueError("direction must be nonzero with nonnegative components")
-    s, kind = _next_event(model, state, dx, dy)
+    s, kind = _event_rule(model.zx, model.zy, dx, dy)(state.x, state.y)
     if max_advance is not None and max_advance < s:
         nx, ny = state.x + max_advance * dx, state.y + max_advance * dy
         return StepResult(
             CoverState(state.sheet, nx, ny, state.deck), max_advance, "partial"
         )
+    # every event lands back in [-1/2, 1/2)^2: an edge event resets its
+    # coordinate to -1/2, and the other one (or a slit point t z) is inside
     nx, ny = state.x + s * dx, state.y + s * dy
     sheet, deck = state.sheet, state.deck
     if kind == "slit":
@@ -183,7 +190,6 @@ def step_flow(
             deck += model.deck_weights[sheet]
         if kind in ("top_edge", "corner"):
             ny = -_HALF
-    nx, ny = _mod_cell(nx), _mod_cell(ny)
     return StepResult(CoverState(sheet, nx, ny, deck), s, kind)
 
 
@@ -251,7 +257,7 @@ def _cone_turns(zx, zy, at_plus: bool) -> int:
         # a + u (b - a) = t z, u in [0,1), t in [-1, 1]
         ux, uy = bx - ax, by - ay
         det = ux * zy - uy * zx
-        if _sign(det) == 0:
+        if det == 0:
             continue
         t = (ux * ay - uy * ax) / det
         u = (zx * ay - zy * ax) / det
@@ -275,7 +281,7 @@ def build_surface(z) -> SurfaceModel:
         zx = zx.as_fraction()
     if isinstance(zy, ExactScalar) and zy.is_rational:
         zy = zy.as_fraction()
-    if _sign(zx) == 0 and _sign(zy) == 0:
+    if zx == 0 and zy == 0:
         raise DegenerateSlitError("slit endpoints coincide")
     if not (-_HALF < zx < _HALF) or not (-_HALF < zy < _HALF):
         raise DegenerateSlitError(
@@ -306,9 +312,9 @@ def build_surface(z) -> SurfaceModel:
         ok &= v_shifts == [0, 0]
         # a loop that crosses the slit on both sheets must shift by 0
         cross_shift = None
-        if _sign(zy) != 0:
+        if zy != 0:
             y_s = zy / 2  # strictly inside the slit's height range, off-center
-            if _sign(y_s) == 0:
+            if y_s == 0:
                 y_s = zy * Fraction(1, 3)
             cross_shift, segs = _run_closed(probe, CoverState(0, -_HALF, y_s), 1, 0)
         else:
@@ -470,9 +476,8 @@ def _ceil_div(a: Fraction) -> int:
 
 def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     half = _HALF
-    zx, zy = model.zx, model.zy
+    next_event = _event_rule(model.zx, model.zy, 1, slope)
     w = model.deck_weights
-    det = slope * zx - zy  # negated determinant of the slit solve
     x, y = Fraction(start.x), Fraction(start.y)
     sheet, deck = start.sheet, start.deck
     s_done = Fraction(0)
@@ -488,36 +493,14 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
 
     try:
         while s_done < T:
-            # next event: right edge (dx = 1), top edge, slit crossing
-            s_adv = half - x
-            kind = "right_edge"
-            if slope > 0:
-                s_t = (half - y) / slope
-                if s_t < s_adv:
-                    s_adv, kind = s_t, "top_edge"
-                elif s_t == s_adv:
-                    kind = "corner"
-            if det != 0:
-                s_c = (zy * x - zx * y) / det
-                if 0 < s_c <= s_adv:
-                    t = (y - slope * x) / det
-                    if -1 <= t <= 1:
-                        if t == 1 or t == -1:
-                            raise SingularOrbitError("orbit hits a cone point")
-                        if s_c == s_adv:
-                            raise SingularOrbitError(
-                                "slit crossing coincides with an edge event"
-                            )
-                        s_adv, kind = s_c, "slit"
-            elif x * zy == y * zx:
-                raise SingularOrbitError("orbit runs along the slit line")
+            s_adv, kind = next_event(x, y)
             remaining = T - s_done
             if remaining <= s_adv:
                 s_adv, kind = remaining, "partial"
             s_end = s_done + s_adv
 
             # samples in (s_done, s_end] (plus t = 0 on the first segment)
-            hi = (s_end / ds).numerator // (s_end / ds).denominator
+            hi = math.floor(s_end / ds)
             if m <= hi:
                 x_f, y_f = float(x), float(y)
                 s_done_f = float(s_done)
@@ -602,12 +585,12 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     """
     if not (0 <= b.y <= _HALF):
         raise ValueError("billiard height outside [0, 1/2]")
-    if _sign(b.vx) == 0 and _sign(b.vy) == 0:
+    if b.vx == 0 and b.vy == 0:
         raise ValueError("zero direction")
     x_int = math.floor(b.x)
     if b.x == x_int and b.y < lam:
         raise ValueError("position on a barrier interior")
-    sheet = 0 if _sign(b.vx) >= 0 else 1
+    sheet = 0 if b.vx >= 0 else 1
     deck = math.floor(b.x + _HALF)
     if sheet == 0:
         cell = b.x - deck
@@ -615,7 +598,7 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
         cell = deck - b.x
         if cell == _HALF:  # sheet-1 convention is half-open on the other side
             cell, deck = -_HALF, deck - 1
-    yb = b.y if _sign(b.vy) >= 0 else -b.y
+    yb = b.y if b.vy >= 0 else -b.y
     state = CoverState(sheet, cell, _mod_cell(yb), deck)
     return state, (abs(b.vx), abs(b.vy))
 
@@ -623,12 +606,12 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
 def cover_to_billiard(state: CoverState, direction: tuple) -> BilliardState:
     """Inverse of the unfolding; exact round trip on interior states."""
     ddx, ddy = direction
-    if _sign(ddx) < 0 or _sign(ddy) < 0:
+    if ddx < 0 or ddy < 0:
         raise ValueError("canonical direction must have nonnegative components")
     if state.sheet == 0:
         x, vx = state.deck + state.x, ddx
     else:
         x, vx = state.deck - state.x, -ddx
     y = abs(state.y)
-    vy_sign = 1 if _sign(state.y) >= 0 else -1
+    vy_sign = 1 if state.y >= 0 else -1
     return BilliardState(x=x, y=y, vx=vx, vy=vy_sign * ddy)

@@ -144,6 +144,39 @@ def test_verify_failing_spec_exits_one(tmp_path, capsys):
     assert "disagree" in json.loads(err)["error"]
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, tamper",
+    [
+        ("build_sqrt2.json", lambda d: d["blocks"][1]["endpoint"][0].__setitem__(2, 8)),
+        ("build_quarter.json", lambda d: d["blocks"][0]["meta"].__setitem__("n_k", 2)),
+        ("build_quarter.json", lambda d: d["blocks"][2].__setitem__("index", 4)),
+        ("build_quarter.json", lambda d: d["z0"][0].__setitem__(0, 1)),
+        ("build_sqrt2.json", lambda d: d["y_bounds"][1].__setitem__(0, 2)),
+    ],
+)
+def test_load_spec_refuses_tampered_fields(tmp_path, capsys, golden, tamper):
+    doc = json.loads((GOLDEN / golden).read_text())
+    tamper(doc)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--horizon", "1")
+    assert code == 2 and out == ""
+    assert "disagree with deterministic rebuild" in json.loads(err)["error"]
+
+
+def test_load_spec_accepts_untampered_and_budgetless(tmp_path):
+    for golden in ("build_quarter.json", "build_sqrt2.json"):
+        load_spec(str(GOLDEN / golden))
+    doc = json.loads((GOLDEN / "build_sqrt2.json").read_text())
+    del doc["provenance"]["budget"]  # written before the budget was stored
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert load_spec(str(path)).block(2).digits == tuple(doc["blocks"][1]["digits"])
+
+
 def test_dimension_command(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code, out, _ = run(

@@ -149,3 +149,41 @@ def test_wedge_ratio_below_one(quarter_spec):
 def test_horizon_validation(quarter_spec):
     with pytest.raises(ValueError):
         verify(quarter_spec, 0)
+
+
+@pytest.mark.parametrize("inconclusive", [False, True])
+@pytest.mark.parametrize("bits", [1, 256])
+@pytest.mark.parametrize("stream", ["quarter", "sixth_arith", "sqrt2"])
+def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypatch):
+    """masur_sigma_check / wedge_check return the booleans verify records.
+
+    With ``inconclusive`` every certified interval comparison raises, as a
+    too-wide enclosure would, so the decision falls to verify's structural
+    and implied routes; the helpers must reach the same booleans.
+    """
+    from slittori.intervals import InconclusiveIntervalError, RatInterval
+    from slittori.irrational import direction_stream_irrational
+
+    def make():
+        if stream == "quarter":
+            return direction_stream(
+                RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+            )
+        if stream == "sixth_arith":
+            return direction_stream(
+                RationalParam.from_barrier_length(Fraction(1, 6)), NkRule("arith", (2, 1))
+            )
+        return direction_stream_irrational(ExactScalar(0, 1, 4, 2))
+
+    if inconclusive:
+        def undecided(self, bound):
+            raise InconclusiveIntervalError("forced")
+
+        monkeypatch.setattr(RatInterval, "certified_le", undecided)
+        monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
+    report = verify(make(), 3, precision_bits=bits)
+    for rec in report.records:
+        if inconclusive:
+            assert (rec.sigma_route, rec.wedge_route) == ("structural", "implied")
+        assert masur_sigma_check(make(), rec.n, bits) == rec.sigma_bounded
+        assert wedge_check(make(), rec.n, bits) == rec.wedge_bounded

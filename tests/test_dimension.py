@@ -153,3 +153,37 @@ def test_image_disjointness():
 def test_progression_changes_terms():
     shifted = DimensionProblem((1, 1, 1), 2, 1)
     assert sqrt_contraction(shifted, 1) == Fraction(1, 3 * 4 + 2)  # l -> 2*1+1 = 3
+
+
+def test_divergence_witness_integer_recheck():
+    """u* for the barrier block, rechecked with plain integers: A(u*+1)+B
+    reaches E^A (A+B) and A u* + B does not, and E exceeds a bound on e."""
+    from slittori.dimension import E_WITNESS, divergence_witness
+
+    a, b0 = 448, 625  # A = b q_m, B = q_m (c+1) + q_{m-1} for 5,1,1,7,1,1,2
+    assert QUARTER.continuants() == (448, 177)
+    u = divergence_witness(QUARTER, E_WITNESS)
+    num, den = 27183 ** a * (a + b0), 10000 ** a
+    assert (a * (u + 1) + b0) * den >= num
+    assert (a * u + b0) * den < num  # least such u
+    assert u.bit_length() == 648
+    # e < 2.71828183 < E: sum_{k<=15} 1/k! plus a generous tail bound
+    e_hi = sum(Fraction(1, math.factorial(k)) for k in range(16)) + Fraction(1, 10**12)
+    assert e_hi < Fraction(271828183, 10**8) < E_WITNESS
+    cert = dimension_certificate(QUARTER)
+    assert cert.route == "divergence" and cert.exceeds_target
+    assert cert.as_dict()["divergence_witness"] == {"E": "27183/10000", "u": str(u)}
+    assert "divergence_witness" not in dimension_certificate(TOY).as_dict()
+
+
+def test_divergence_witness_below_e_fails_closed(monkeypatch, capsys):
+    import slittori.dimension as dim
+    from slittori.cli import main
+
+    monkeypatch.setattr(dim, "E_WITNESS", Fraction(2718, 1000))  # below e
+    assert not dim.dimension_certificate(QUARTER).exceeds_target
+    assert main(["dimension", "--block", "5,1,1,7,1,1,2", "--prog", "1,0"]) == 1
+    assert '"exceeds_target": false' in capsys.readouterr().out
+    # E must clear the certified bound on e strictly, not just e itself
+    monkeypatch.setattr(dim, "E_WITNESS", dim.e_upper_bound())
+    assert not dim.dimension_certificate(QUARTER).exceeds_target

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -263,3 +264,89 @@ def test_event_log_dump(quarter_model, quarter_slope, tmp_path):
     kinds = {r[1] for r in rows}
     assert {"right_edge", "top_edge", "slit"} <= kinds
     assert rows[-1][1] == "partial"  # the final cut lands exactly on T
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SingularOrbitError as exc:
+        return str(exc)
+
+
+def test_event_rule_matches_oracle():
+    """One-per-ray event rule against the original list-based solver.
+
+    Every case must give the same (s, kind) or the same SingularOrbitError
+    message.  Small denominators make exact ties (corners, slit tips, rays
+    along the slit line, starts on the slit) frequent; the kinds tally at
+    the end checks that each of them was exercised.
+    """
+    from types import SimpleNamespace
+
+    import oracle_flow as oracle
+    from slittori.flow import _event_rule
+
+    rng = random.Random(404)
+    seen = {}
+
+    def check(zx, zy, x, y, dx, dy):
+        got = _outcome(lambda: _event_rule(zx, zy, dx, dy)(x, y))
+        want = _outcome(
+            lambda: oracle._next_event(
+                SimpleNamespace(zx=zx, zy=zy), SimpleNamespace(x=x, y=y), dx, dy
+            )
+        )
+        assert got == want, (zx, zy, x, y, dx, dy)
+        key = got if isinstance(got, str) else got[1]
+        seen[key] = seen.get(key, 0) + 1
+
+    def frac(den, lo=-H, hi=H):
+        return Fraction(rng.randint(math.ceil(lo * den), math.ceil(hi * den) - 1), den)
+
+    fixed = [(1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)), (0, 0)]
+    for _ in range(6000):
+        d = rng.randint(2, 12)
+        zx, zy = frac(d), frac(d)
+        if zx == 0 and zy == 0:
+            continue
+        x, y = frac(rng.randint(1, 24)), frac(rng.randint(1, 24))
+        if rng.random() < 0.5:
+            dx, dy = rng.choice(fixed)
+        else:
+            dx, dy = 1, Fraction(rng.randint(0, 12), rng.randint(1, 12))
+        check(zx, zy, x, y, dx, dy)
+        # exact hits: aim at a slit endpoint, or start on the slit line
+        s = Fraction(rng.randint(1, 4), 8)
+        sgn = rng.choice((1, -1))
+        if -H <= sgn * zx - s * dx < H and -H <= sgn * zy - s * dy < H:
+            check(zx, zy, sgn * zx - s * dx, sgn * zy - s * dy, dx, dy)
+        t = Fraction(rng.randint(-7, 7), 8)
+        check(zx, zy, t * zx, t * zy, dx, dy)
+        k = max(abs(zx), abs(zy))
+        if zx >= 0 and zy >= 0:
+            check(zx, zy, x * k, y * k, zx / k, zy / k)  # parallel to the slit
+        # slit parameters outside the cell reach the slit/edge coincidence
+        check(2 * zx, 2 * zy, x, y, dx, dy)
+
+    # quadratic parameters: z = (0, sqrt2/4) and (1/4, sqrt3/8)
+    for zx, zy in (
+        (ExactScalar(0), ExactScalar(0, 1, 4, 2)),
+        (ExactScalar(1, 0, 4), ExactScalar(0, 1, 8, 3)),
+    ):
+        for dx, dy in fixed + [(1, Fraction(1, 3)), (1, Fraction(5, 2)), (zx, zy)]:
+            for _ in range(40):
+                check(zx, zy, frac(rng.randint(1, 16)), frac(rng.randint(1, 16)), dx, dy)
+            for s in (Fraction(1, 16), Fraction(1, 8)):
+                for sgn in (1, -1):
+                    check(zx, zy, sgn * zx - s * dx, sgn * zy - s * dy, dx, dy)
+            for t in (Fraction(-1, 2), Fraction(0), Fraction(1, 3)):
+                check(zx, zy, t * zx, t * zy, dx, dy)
+
+    # a corner: (1/2 - x) = (1/2 - y) / slope
+    check(Fraction(1, 4), Fraction(1, 8), Fraction(-1, 2), Fraction(0), 1, 1)
+    expected = {
+        "right_edge", "top_edge", "corner", "slit", "orbit hits a cone point",
+        "orbit runs along the slit line", "zero direction",
+        "slit crossing coincides with an edge event",
+    }
+    assert expected <= set(seen), seen

@@ -32,3 +32,36 @@ CASES = {
 def test_golden_output(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_simulate(tmp_path, capsys):
+    """``simulate`` stdout, stats CSV, event dump and exit codes.
+
+    Regenerate from the repository root with
+
+        PYTHONPATH=src python -m slittori.cli simulate \\
+            tests/data/golden/build_quarter.json --T 200 --start 0,-1/2,1/83,0 \\
+            -o tests/data/golden/simulate_quarter.csv \\
+            --dump-events tests/data/golden/simulate_quarter_events.csv \\
+            > tests/data/golden/simulate_quarter.json
+        PYTHONPATH=src python -m slittori.cli simulate --slope 1/2 --z 0,1/4 \\
+            --T 1000 > tests/data/golden/simulate_cone.json   # exits 1
+    """
+    csv, events = tmp_path / "stats.csv", tmp_path / "events.csv"
+    argv = [
+        "simulate", str(GOLDEN / "build_quarter.json"), "--T", "200",
+        "--start", "0,-1/2,1/83,0", "-o", str(csv), "--dump-events", str(events),
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out.encode() == (GOLDEN / "simulate_quarter.json").read_bytes()
+    assert out.err == ""
+    assert csv.read_bytes() == (GOLDEN / "simulate_quarter.csv").read_bytes()
+    assert events.read_bytes() == (GOLDEN / "simulate_quarter_events.csv").read_bytes()
+
+    # a cone-point hit terminates the orbit: stats still printed, exit 1
+    assert main(["simulate", "--slope", "1/2", "--z", "0,1/4", "--T", "1000"]) == 1
+    out = capsys.readouterr()
+    assert out.out.encode() == (GOLDEN / "simulate_cone.json").read_bytes()
+    assert '"termination_reason": "orbit hits a cone point"' in out.out
+    assert out.err == ""
