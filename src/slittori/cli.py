@@ -68,6 +68,16 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> TorusPoint:
     parts = text.split(",")
     if len(parts) != 2:
@@ -254,7 +264,10 @@ def cmd_simulate(args) -> int:
         raise CliError("need a spec file, or --slope together with --z")
     start = None
     if args.start:
-        sheet, xs, ys, deck = args.start.split(",")
+        parts = args.start.split(",")
+        if len(parts) != 4:
+            raise CliError(f"--start expects sheet,x,y,deck got {args.start!r}")
+        sheet, xs, ys, deck = parts
         start = CoverState(int(sheet), Fraction(xs), Fraction(ys), int(deck))
     log_fh = open(args.dump_events, "w") if args.dump_events else None
     try:
@@ -346,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify criterion hypotheses")
     pv.add_argument("spec")
     pv.add_argument("--horizon", type=int, default=3)
-    pv.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
+    pv.add_argument("--precision", type=_nonnegative_int, default=DEFAULT_PRECISION_BITS)
     pv.add_argument("-o", "--output")
     pv.set_defaults(func=cmd_verify)
 
@@ -365,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--T", default="1e6")
     ps.add_argument("--grid", type=int, default=8)
     ps.add_argument("--deck", type=int, default=16)
-    ps.add_argument("--precision", type=int, default=32)
+    ps.add_argument("--precision", type=_nonnegative_int, default=32)
     ps.add_argument("--start", help="sheet,x,y,deck")
     ps.add_argument("--dump-events", dest="dump_events", help="event-point CSV path")
     ps.add_argument("-o", "--output", help="stats CSV path")

@@ -21,8 +21,12 @@ One event rule (``_event_rule``) finds the next edge, corner or slit
 event; ``step_flow``, the builder's closed-curve validation and
 ``simulate`` all step through it.  Positions, directions and event
 times are exact.  Validation and ``step_flow`` accept a quadratic-field
-parameter (ExactScalar) as well as a rational one; ``simulate`` needs a
-rational parameter and a rational slope and runs on Fractions.  A
+parameter (ExactScalar) as well as a rational one and run the rule on
+those scalars.  ``simulate`` needs a rational parameter and a rational
+slope, and runs the same rule on an integer lattice: one common
+denominator per ray turns every position and event time into an integer
+(``_simulate_loop`` gives the argument), and a division that leaves a
+remainder raises LatticeExactnessError instead of rounding.  A
 direction stream is simulated through an exact convergent of its digit
 expansion, chosen so the enclosure of the true slope is narrower than
 ``2**-precision_bits``; the simulated orbit is then an exactly computed
@@ -33,6 +37,7 @@ all.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,6 +53,11 @@ class SingularOrbitError(RuntimeError):
 
 class DegenerateSlitError(ValueError):
     pass
+
+
+class LatticeExactnessError(RuntimeError):
+    """An event time on the integer lattice of ``simulate`` is not an
+    integer: the common denominator does not cover the orbit."""
 
 
 def _mod_cell(v):
@@ -116,16 +126,18 @@ class StepResult:
     event: str  # "right_edge" | "top_edge" | "corner" | "slit" | "partial"
 
 
-def _event_rule(zx, zy, dx, dy):
+def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
     """The next-event rule of the flow in direction (dx, dy), built once per ray.
 
     Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
     from the cell position (x, y) to the next right-edge, top-edge, corner
-    or slit event.  The slit crossing solves (x, y) + s (dx, dy) = t z:
-    with det = dy zx - dx zy, s = (zy x - zx y) / det and
-    t = (dy x - dx y) / det.  Whether |t| <= 1 (and whether t = +-1, a
-    cone point) is decided by comparing |dy x - dx y| with |det|, so t is
-    never divided out.  Works for Fraction and ExactScalar parameters.
+    or slit event, in the cell [-hx, hx) x [-hy, hy).  The slit crossing
+    solves (x, y) + s (dx, dy) = t z: with det = dy zx - dx zy,
+    s = (zy x - zx y) / det and t = (dy x - dx y) / det.  Whether |t| <= 1
+    (and whether t = +-1, a cone point) is decided by comparing
+    |dy x - dx y| with |det|, so t is never divided out.  Every event time
+    is one ``div``: true division for Fraction and ExactScalar parameters
+    in the unit cell, ``_exact_div`` on the integer lattice of ``simulate``.
     """
     det = dy * zx - dx * zy
     adet = abs(det)
@@ -136,9 +148,9 @@ def _event_rule(zx, zy, dx, dy):
     def next_event(x, y):
         s = kind = None
         if right:
-            s, kind = (_HALF - x if unit_dx else (_HALF - x) / dx), "right_edge"
+            s, kind = (hx - x if unit_dx else div(hx - x, dx)), "right_edge"
         if top:
-            s_t = (_HALF - y) / dy
+            s_t = div(hy - y, dy)
             if s is None or s_t < s:
                 s, kind = s_t, "top_edge"
             elif s_t == s:
@@ -150,7 +162,7 @@ def _event_rule(zx, zy, dx, dy):
                 if nadet <= u <= adet:
                     if u == adet or u == nadet:
                         raise SingularOrbitError("orbit hits a cone point")
-                    s_c = num / det
+                    s_c = div(num, det)
                     if s is None or s_c < s:
                         return s_c, "slit"
                     if s_c == s:
@@ -445,10 +457,11 @@ def simulate(
     ``sample_spacing`` parameter units; grid occupation, deck histogram
     and returns to deck 0 are accumulated, and the grid discrepancy is
     snapshotted at T/4, T/2 and T.  Event times and positions are exact
-    Fractions end to end (the per-event advances sum to exactly T);
-    only the per-sample cell assignment is evaluated in floats,
-    re-anchored to the exact position at every event, which keeps the
-    statistics deterministic and drift-free.
+    integers on a lattice with one common denominator for the ray (the
+    per-event advances sum to exactly T); only the per-sample cell
+    assignment is evaluated in floats, re-anchored to the exact position
+    at every event, which keeps the statistics deterministic and
+    drift-free.
     """
     slope = Fraction(slope)
     if slope < 0:
@@ -474,15 +487,74 @@ def _ceil_div(a: Fraction) -> int:
     return -((-a.numerator) // a.denominator)
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers that must divide exactly; never floors."""
+    quot, rem = divmod(a, b)
+    if rem:
+        raise LatticeExactnessError(f"event time {a}/{b} is not a lattice integer")
+    return quot
+
+
+def _scale(v: Fraction, k: int) -> int:
+    """v * k, which must be an integer."""
+    return _exact_div(v.numerator * k, v.denominator)
+
+
+def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T) -> int:
+    """The common denominator L of a ``simulate`` ray (see ``_simulate_loop``).
+
+    With slope p/q, slit endpoint (zxn, zyn)/zd and detn = p zxn - q zyn,
+    L = lcm(2, den x0, den y0, den T, zd) * p * |detn|, taking 1 for p or
+    detn when it is 0.
+    """
+    p, q = slope.numerator, slope.denominator
+    zd = math.lcm(zx.denominator, zy.denominator)
+    detn = int((p * zx - q * zy) * zd)
+    base = math.lcm(2, x0.denominator, y0.denominator, T.denominator, zd)
+    return base * (p or 1) * (abs(detn) or 1)
+
+
 def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
-    half = _HALF
-    next_event = _event_rule(model.zx, model.zy, 1, slope)
+    """Run ``_event_rule`` on an integer lattice with one denominator per ray.
+
+    Scale x and the advance s by L (``_lattice_denominator``) and y by
+    L q.  The ray becomes (1, p), the cell [-L/2, L/2) x [-Lq/2, Lq/2)
+    and the slit endpoint (zx L, zy L q), all integers.  X and Y below
+    are the scaled x and y, and every advance (S) is scaled by L.  Every
+    event time is an integer:
+
+    * right edge: L/2 - X is an integer, as L is even;
+    * top edge: Lq/2 - Y stays a multiple of p.  Y starts as y0 L q, a
+      multiple of p because L is; it moves by S p, and resets to -Lq/2,
+      also a multiple of p;
+    * slit: with det = p zx L - zy L q = L detn / zd, the numerator
+      zy L q X - zx L Y starts as (L^2 q / zd)(zyn x0 - zxn y0), a
+      multiple of det because L / |detn| clears x0 and y0.  It changes by
+      -det S per advance, and edge resets (X by -L, Y by -Lq) change it
+      by multiples of det, because |detn| divides L;
+    * the final cut T L is an integer, because den T divides L.
+
+    ``_exact_div`` checks this at every event and raises
+    LatticeExactnessError rather than floor.  Samples read X / L,
+    Y / (L q) and S / L; Python's int true division is correctly
+    rounded, so these equal ``float`` of the Fractions bit for bit.  The
+    event log and ``total_advance`` are formatted from Fraction(S, L).
+    """
+    x0, y0 = Fraction(start.x), Fraction(start.y)
+    p, q = slope.numerator, slope.denominator
+    L = _lattice_denominator(slope, model.zx, model.zy, x0, y0, T)
+    Lq = L * q
+    hx, hy = L // 2, Lq // 2
+    next_event = _event_rule(
+        _scale(model.zx, L), _scale(model.zy, Lq), 1, p, hx, hy, _exact_div
+    )
     w = model.deck_weights
-    x, y = Fraction(start.x), Fraction(start.y)
+    X, Y = _scale(x0, L), _scale(y0, Lq)
     sheet, deck = start.sheet, start.deck
-    s_done = Fraction(0)
+    s_done, s_total = 0, _scale(T, L)
     slope_f = float(slope)
     ds_f = float(ds)
+    ds_den, ds_L = ds.denominator, ds.numerator * L  # ds L = ds_L / ds_den
     grid = stats.grid
     m = 0  # next sample index (sample times are m * ds, t = 0 included)
     snapshot_ms = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
@@ -492,18 +564,18 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     N = stats.deck_window
 
     try:
-        while s_done < T:
-            s_adv, kind = next_event(x, y)
-            remaining = T - s_done
+        while s_done < s_total:
+            s_adv, kind = next_event(X, Y)
+            remaining = s_total - s_done
             if remaining <= s_adv:
                 s_adv, kind = remaining, "partial"
             s_end = s_done + s_adv
 
             # samples in (s_done, s_end] (plus t = 0 on the first segment)
-            hi = math.floor(s_end / ds)
+            hi = s_end * ds_den // ds_L
             if m <= hi:
-                x_f, y_f = float(x), float(y)
-                s_done_f = float(s_done)
+                x_f, y_f = X / L, Y / Lq
+                s_done_f = s_done / L
                 while m <= hi:
                     seg = m * ds_f - s_done_f
                     xs = x_f + seg
@@ -530,21 +602,23 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
                         snap_i += 1
                     m += 1
 
-            # apply the event exactly
-            x = x + s_adv
-            y = y + s_adv * slope
+            X += s_adv
+            Y += s_adv * p
             if event_log is not None:
-                event_log.write(f"{s_end},{kind},{sheet},{x},{y},{deck}\n")
+                event_log.write(
+                    f"{Fraction(s_end, L)},{kind},{sheet},"
+                    f"{Fraction(X, L)},{Fraction(Y, Lq)},{deck}\n"
+                )
             if kind == "slit":
                 sheet = 1 - sheet
             elif kind != "partial":
                 if kind in ("right_edge", "corner"):
-                    x = -half
+                    X = -hx
                     deck += w[sheet]
                     if deck == 0:
                         stats.deck_zero_returns += 1
                 if kind in ("top_edge", "corner"):
-                    y = -half
+                    Y = -hy
             s_done = s_end
     except SingularOrbitError as exc:
         stats.terminated_early = True
@@ -552,7 +626,7 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     while len(stats.discrepancy) < 3:
         stats.discrepancy.append(stats.current_discrepancy())
         stats.snapshot_samples.append(stats.samples)
-    stats.total_advance = str(s_done)
+    stats.total_advance = str(Fraction(s_done, L))
 
 
 # ---------------------------------------------------------------------------

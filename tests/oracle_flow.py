@@ -1,17 +1,22 @@
-"""Reference flow event rule: the original list-based solver, kept as an oracle.
+"""Reference flow code, kept as oracles for ``tests/test_flow.py``.
 
 ``slittori.flow`` finds the next event with one precomputed rule per ray
-(``flow._event_rule``).  The code below is the earlier generic version,
-which builds a candidate list per call and divides to get the slit
-parameter t.  ``tests/test_flow.py`` checks the two against each other.
+(``flow._event_rule``).  ``_slit_crossing`` and ``_next_event`` below are
+the earlier generic version, which builds a candidate list per call and
+divides to get the slit parameter t.
+
+``_simulate_loop`` is the earlier ``simulate`` loop, which runs the event
+rule on Fractions; ``slittori.flow`` now runs it on a scaled integer
+lattice, and the two must produce identical statistics and event logs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from slittori.exact import ExactScalar
-from slittori.flow import SingularOrbitError
+from slittori.flow import SingularOrbitError, _ceil_div, _event_rule
 
 _HALF = Fraction(1, 2)
 
@@ -63,3 +68,84 @@ def _next_event(model, state, dx, dy):
         raise SingularOrbitError("slit crossing coincides with an edge event")
     kind = "corner" if ("right_edge" in kinds and "top_edge" in kinds) else kinds[0]
     return s_min, kind
+
+
+def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
+    half = _HALF
+    next_event = _event_rule(model.zx, model.zy, 1, slope)
+    w = model.deck_weights
+    x, y = Fraction(start.x), Fraction(start.y)
+    sheet, deck = start.sheet, start.deck
+    s_done = Fraction(0)
+    slope_f = float(slope)
+    ds_f = float(ds)
+    grid = stats.grid
+    m = 0  # next sample index (sample times are m * ds, t = 0 included)
+    snapshot_ms = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
+    snap_i = 0
+    cells = stats.cell_counts
+    deck_counts = stats.deck_counts
+    N = stats.deck_window
+
+    try:
+        while s_done < T:
+            s_adv, kind = next_event(x, y)
+            remaining = T - s_done
+            if remaining <= s_adv:
+                s_adv, kind = remaining, "partial"
+            s_end = s_done + s_adv
+
+            # samples in (s_done, s_end] (plus t = 0 on the first segment)
+            hi = math.floor(s_end / ds)
+            if m <= hi:
+                x_f, y_f = float(x), float(y)
+                s_done_f = float(s_done)
+                while m <= hi:
+                    seg = m * ds_f - s_done_f
+                    xs = x_f + seg
+                    ys = y_f + slope_f * seg
+                    i = int((xs + 0.5) * grid)
+                    j = int((ys + 0.5) * grid)
+                    if i > grid - 1:
+                        i = grid - 1
+                    elif i < 0:
+                        i = 0
+                    if j > grid - 1:
+                        j = grid - 1
+                    elif j < 0:
+                        j = 0
+                    cells[sheet][i][j] += 1
+                    if -N <= deck <= N:
+                        deck_counts[deck + N] += 1
+                    else:
+                        stats.deck_overflow += 1
+                    stats.samples += 1
+                    while snap_i < 3 and m >= snapshot_ms[snap_i]:
+                        stats.discrepancy.append(stats.current_discrepancy())
+                        stats.snapshot_samples.append(stats.samples)
+                        snap_i += 1
+                    m += 1
+
+            # apply the event exactly
+            x = x + s_adv
+            y = y + s_adv * slope
+            if event_log is not None:
+                event_log.write(f"{s_end},{kind},{sheet},{x},{y},{deck}\n")
+            if kind == "slit":
+                sheet = 1 - sheet
+            elif kind != "partial":
+                if kind in ("right_edge", "corner"):
+                    x = -half
+                    deck += w[sheet]
+                    if deck == 0:
+                        stats.deck_zero_returns += 1
+                if kind in ("top_edge", "corner"):
+                    y = -half
+            s_done = s_end
+    except SingularOrbitError as exc:
+        stats.terminated_early = True
+        stats.termination_reason = str(exc)
+    while len(stats.discrepancy) < 3:
+        stats.discrepancy.append(stats.current_discrepancy())
+        stats.snapshot_samples.append(stats.samples)
+    stats.total_advance = str(s_done)

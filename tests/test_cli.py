@@ -228,6 +228,48 @@ def test_simulate_T_parsed_exactly(capsys):
         assert "error" in json.loads(err)
 
 
+def test_simulate_start_needs_four_fields(capsys):
+    base = ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10"]
+    for bad in ("0,-1/2,1/8", "0,-1/2,1/8,0,1"):
+        code, out, err = run(capsys, *base, "--start", bad)
+        assert code == 2 and out == "", bad
+        assert "sheet,x,y,deck" in json.loads(err)["error"], bad
+
+
+def test_negative_precision_rejected(capsys):
+    spec = str(GOLDEN / "build_quarter.json")
+    for argv in (
+        ["verify", spec, "--precision", "-1"],
+        ["simulate", spec, "--T", "10", "--precision", "-1"],
+        ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10", "--precision", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "nonnegative" in json.loads(err)["error"], argv
+
+
+def test_simulate_needs_rational_parameter(capsys):
+    # build_sqrt2.json is the output of ``build --lambda 0:1:4:2 --blocks 2``
+    code, out, err = run(capsys, "simulate", str(GOLDEN / "build_sqrt2.json"), "--T", "10")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError: simulate needs a rational surface parameter"
+    }
+
+
+def test_lattice_exactness_error_exits_two(monkeypatch, capsys):
+    from slittori import flow
+
+    orig = flow._lattice_denominator
+    monkeypatch.setattr(flow, "_lattice_denominator", lambda *a: orig(*a) // 2)
+    code, out, err = run(
+        capsys, "simulate", "--slope", "2/3", "--z", "0,1/4", "--T", "10",
+        "--start", "0,-1/2,1/8,0",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("LatticeExactnessError: ")
+
+
 def test_billiard_command(capsys):
     code, out, _ = run(
         capsys, "billiard", "--lambda", "1/4", "--x", "3/10", "--y", "1/10",

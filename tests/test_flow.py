@@ -350,3 +350,134 @@ def test_event_rule_matches_oracle():
         "slit crossing coincides with an edge event",
     }
     assert expected <= set(seen), seen
+
+
+def test_simulate_matches_oracle():
+    """Integer-lattice ``simulate`` against the Fraction loop it replaced.
+
+    Seeded random rays on vertical (zx = 0) and oblique slits, slope 0,
+    convergent slopes of rational streams at 32 and 64 bits, starts inside
+    the cell, T = 7/2 and other fractional T, a small deck window (deck
+    overflow), and starts aimed at a cone point, along the slit line, and
+    (on a model whose slit leaves the cell) at a slit/edge coincidence.
+    ``summary()`` includes the termination reason.  The tallies at the end
+    check that each of these cases was exercised.
+    """
+    from types import SimpleNamespace
+
+    import oracle_flow as oracle
+    from slittori.flow import DEFAULT_SAMPLE_SPACING, OrbitStats, _mod_cell
+
+    rng = random.Random(505)
+    seen = {"overflow": 0, "slope0": 0, "kinds": set(), "reasons": set()}
+
+    def check(model, slope, T, start, grid=8, deck_window=16):
+        log, want_log = io.StringIO(), io.StringIO()
+        got = simulate(model, slope, T, grid=grid, deck_window=deck_window,
+                       start=start, event_log=log)
+        want = OrbitStats(
+            grid=grid, deck_window=deck_window, slope=(slope.numerator, slope.denominator),
+            start=(start.sheet, str(start.x), str(start.y), start.deck),
+        )
+        oracle._simulate_loop(model, slope, T, start, DEFAULT_SAMPLE_SPACING, want, want_log)
+        case = (model.zx, model.zy, slope, T, start)
+        assert got.summary() == want.summary(), case
+        assert got.cell_counts == want.cell_counts, case
+        assert got.deck_counts == want.deck_counts, case
+        assert log.getvalue() == want_log.getvalue(), case
+        seen["overflow"] += got.deck_overflow > 0
+        seen["slope0"] += slope == 0
+        seen["kinds"] |= {row.split(",")[1] for row in log.getvalue().splitlines()}
+        seen["reasons"].add(got.termination_reason)
+
+    def frac(den):  # in [-1/2, 1/2)
+        return Fraction(rng.randrange(-(den // 2), (den + 1) // 2), den)
+
+    def inner(den):  # in (-1/2, 1/2)
+        return Fraction(rng.randint(-((den - 1) // 2), (den - 1) // 2), den)
+
+    models = {}
+
+    def model_for(zx, zy):
+        if (zx, zy) not in models:
+            models[zx, zy] = build_surface((zx, zy))
+        return models[zx, zy]
+
+    def random_start():
+        x = frac(rng.randint(1, 30)) if rng.random() < 0.6 else -H
+        return CoverState(rng.randrange(2), x, frac(rng.randint(1, 40)), rng.randint(-3, 3))
+
+    streams = (
+        (Fraction(1, 4), NkRule("const", (1,))),
+        (Fraction(1, 6), NkRule("arith", (2, 1))),
+        (Fraction(3, 10), NkRule("const", (2,))),
+    )
+    convergents = [
+        slope_from_spec(direction_stream(RationalParam.from_barrier_length(lam), rule), bits)
+        for lam, rule in streams
+        for bits in (32, 64)
+    ]
+    for _ in range(300):
+        d = rng.randint(2, 10)
+        zx = Fraction(0) if rng.random() < 0.4 else inner(d)
+        zy = inner(d)
+        if zy == 0 and zx == 0:
+            zy = Fraction(1, d + 1)
+        model = model_for(zx, zy)
+        r = rng.random()
+        if r < 0.15:
+            slope = Fraction(0)
+        elif r < 0.35:
+            slope = rng.choice(convergents)
+        else:
+            slope = Fraction(rng.randint(0, 12), rng.randint(1, 12))
+        T = rng.choice((Fraction(7, 2), Fraction(rng.randint(1, 150), rng.randint(1, 4))))
+        check(model, slope, T, random_start(), grid=rng.choice((3, 8)),
+              deck_window=rng.choice((0, 1, 16)))
+
+        # aim at the slit endpoint +-z after n unit wraps: a cone point
+        n, sgn = rng.randint(0, 3), rng.choice((1, -1))
+        slope = Fraction(rng.randint(0, 7), rng.randint(1, 7))
+        y0 = _mod_cell(sgn * zy - (n + sgn * zx + H) * slope)
+        check(model, slope, Fraction(n + 2), CoverState(0, -H, y0, 0))
+        # parallel to the slit, starting on its line after n wraps
+        if zx != 0 and zy / zx >= 0:
+            slope = zy / zx
+            y0 = _mod_cell(-slope / 2 - n * slope)
+            check(model, slope, Fraction(n + 2), CoverState(1, -H, y0, 0))
+
+    # a slit leaving the cell reaches the slit/edge coincidence
+    wide = SimpleNamespace(zx=Fraction(3, 4), zy=Fraction(1, 4), deck_weights=(1, -1))
+    for y0 in (Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 6)):
+        for slope in (Fraction(1, 3), Fraction(0), Fraction(1, 2)):
+            check(wide, slope, Fraction(5), CoverState(0, -H, y0, 0))
+
+    assert seen["overflow"] and seen["slope0"], seen
+    assert {"right_edge", "top_edge", "corner", "slit", "partial"} <= seen["kinds"], seen
+    assert {
+        "", "orbit hits a cone point", "orbit runs along the slit line",
+        "slit crossing coincides with an edge event",
+    } <= seen["reasons"], seen
+
+
+def test_lattice_rule_fails_closed(monkeypatch):
+    """A wrong common denominator raises LatticeExactnessError, never floors."""
+    from slittori import flow
+
+    # the rule itself: (hy - y) / p = 7 / 2 is not an integer
+    rule = flow._event_rule(0, 4, 1, 2, 10, 7, flow._exact_div)
+    with pytest.raises(flow.LatticeExactnessError):
+        rule(0, 0)
+    assert issubclass(flow.LatticeExactnessError, RuntimeError)
+    assert not issubclass(flow.LatticeExactnessError, SingularOrbitError)
+
+    # simulate with L missing its factor p = 3 (top edge) or |detn| = 71
+    # (slit): z = (-7, 10)/35, slope 3/5, detn = 3 * -7 - 5 * 10
+    model = build_surface((Fraction(-1, 5), Fraction(2, 7)))
+    orig = flow._lattice_denominator
+    for factor in (3, 71):
+        monkeypatch.setattr(
+            flow, "_lattice_denominator", lambda *a, f=factor: orig(*a) // f
+        )
+        with pytest.raises(flow.LatticeExactnessError, match="not a lattice integer"):
+            simulate(model, Fraction(3, 5), 50, start=CoverState(0, -H, Fraction(1, 8), 0))
