@@ -29,10 +29,7 @@ from .torus import (
     ActionTrace,
     HomologyAction,
     TorusPoint,
-    apply_generator_inverse,
-    generator_homology_factor,
     in_region_E,
-    in_region_S,
     involution_minus_id,
     involution_theta,
     involution_theta_action,

@@ -193,7 +193,7 @@ def cmd_action(args) -> int:
         word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
     else:
         raise CliError("one of --word / --gz / --gz-lambda is required")
-    tr = trace_word(z, word)
+    tr = trace_word(z, word, record_points=False)
     _emit(
         {
             "z": _point_json(z),
@@ -204,7 +204,7 @@ def cmd_action(args) -> int:
             "action_str": str(tr.action),
             "is_identity": tr.action.is_identity,
             "fixes_beta": tr.action.fixes_beta,
-            "orbit_length": len(tr.points),
+            "orbit_length": word.step_count,
         },
         args.output,
     )
@@ -243,7 +243,10 @@ def cmd_verify(args) -> int:
 
 def cmd_dimension(args) -> int:
     block = tuple(int(v) for v in args.block.split(","))
-    b, c = (int(v) for v in args.prog.split(","))
+    prog = args.prog.split(",")
+    if len(prog) != 2:
+        raise CliError(f"--prog expects b,c got {args.prog!r}")
+    b, c = (int(v) for v in prog)
     problem = DimensionProblem(block, b, c)
     cert = dimension_certificate(
         problem, u_direct_cap=args.u_cap, u_numeric=args.u_numeric
@@ -366,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dimension", help="dimension lower-bound certificate")
     pd.add_argument("--block", required=True, help="digits, e.g. 1,1,1")
     pd.add_argument("--prog", default="1,0", help="progression b,c")
-    pd.add_argument("--u-cap", dest="u_cap", type=int, default=10**4)
+    pd.add_argument("--u-cap", dest="u_cap", type=_nonnegative_int, default=10**4)
     pd.add_argument("--u-numeric", dest="u_numeric", type=int, default=10**6)
     pd.add_argument("-o", "--output")
     pd.set_defaults(func=cmd_dimension)

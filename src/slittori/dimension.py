@@ -6,20 +6,30 @@ function system contracts by at least
 
     d_l = 1 / (q_m * (l + 1) + q_{m-1})**2
 
-where q_m, q_{m-1} are the block's continuants.  The truncated Moran
-equation  sum_{l=1..u} d_{b l + c}^s = 1  has a unique root s_u, which
-is a certified dimension lower bound; since the square roots of the
-contractions dominate a harmonic tail, s_u exceeds 1/2 for u large
-enough.  Reaching that u directly is hopeless for blocks with large
-continuants (u grows like exp(q_m)), so the certificate carries two
-routes: the direct one (exact rational partial sums of sum d^{1/2}
-exceed 1, hence s_u > 1/2 for the achieved u), and the divergence one
-(termwise comparison of d^{1/2} against a divergent harmonic series,
-verified exactly on a prefix, plus the numerically solved s_u for the
-largest affordable truncation).  The divergence route's verdict rests
-on an exact integer witness u* (see ``divergence_witness``): with
-d^{1/2}_{b l + c} = 1/(A l + B), the sum up to u* exceeds
-(1/A) ln((A (u* + 1) + B)/(A + B)) >= ln E > 1 for a rational E > e.
+where q_m, q_{m-1} are the block's continuants.  Along the progression
+d^{1/2}_{b l + c} = 1/(A l + B) with the two integers
+
+    A = b q_m,    B = q_m (c + 1) + q_{m-1},
+
+which :class:`DimensionProblem` derives once, with the continuants
+p_m, p_{m-1}, q_m, q_{m-1}; every function below reads them from there.
+The truncated Moran equation  sum_{l=1..u} d_{b l + c}^s = 1  has a
+unique root s_u, a certified dimension lower bound, and s_u > 1/2
+exactly when sum_{l<=u} 1/(A l + B) > 1.
+
+The certificate has two routes.  The direct one adds those exact
+rationals until they exceed 1.  That needs A u + B >= 2**(A-1) (see
+``dimension_certificate``), so a bit-length test decides before any
+summing whether the direct loop can succeed within its cap; for blocks
+with large continuants u grows like exp(A) and the loop is skipped.  The
+divergence route's verdict rests on a symbolic witness u* = (A + B) 3**A:
+each term exceeds the integral of 1/(A x + B) over [l, l + 1], and
+A (u* + 1) + B >= 3**A (A + B), so
+
+    sum_{l<=u*} 1/(A l + B) > (1/A) ln((A (u* + 1) + B)/(A + B)) >= ln 3 > 1.
+
+The power is never computed: the certificate carries the base, A and B,
+and compares the base exactly with a rational upper bound on e.
 
 ``solve_su`` finds s_u by float bisection.  Each evaluation of the Moran
 sum adds its first 64 terms directly and takes the rest from the
@@ -32,11 +42,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 from .words import Convergents
 
 _HEAD_TERMS = 64  # Moran-sum terms added directly before the Euler-Maclaurin tail
+
+# Base of the divergence witness u* = (A + B) * WITNESS_BASE**A; must exceed e.
+WITNESS_BASE = 3
 
 
 @dataclass(frozen=True)
@@ -53,10 +68,21 @@ class DimensionProblem:
         if self.b < 1 or self.c < 0:
             raise ValueError("progression needs b >= 1, c >= 0")
 
-    def continuants(self) -> tuple[int, int]:
+    @cached_property
+    def continuant_table(self) -> tuple[int, int, int, int]:
+        """(p_m, p_{m-1}, q_m, q_{m-1}) of the block, built once per problem."""
         conv = Convergents(self.block)
         m = len(self.block)
-        return conv.q(m), conv.q(m - 1)
+        return conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1)
+
+    def continuants(self) -> tuple[int, int]:
+        return self.continuant_table[2:]
+
+    @property
+    def coefficients(self) -> tuple[int, int]:
+        """(A, B) = (b q_m, q_m (c + 1) + q_{m-1}): d^{1/2}_{b l + c} = 1/(A l + B)."""
+        _, _, qm, qm1 = self.continuant_table
+        return self.b * qm, qm * (self.c + 1) + qm1
 
 
 def contraction_bound(block: tuple[int, ...], l: int) -> Fraction:
@@ -70,15 +96,15 @@ def contraction_bound(block: tuple[int, ...], l: int) -> Fraction:
 
 
 def sqrt_contraction(problem: DimensionProblem, l: int) -> Fraction:
-    """Exact d_{block, b l + c}^{1/2} (the contractions are square rationals)."""
-    qm, qm1 = problem.continuants()
-    return Fraction(1, qm * (problem.b * l + problem.c + 1) + qm1)
+    """Exact d_{block, b l + c}^{1/2} = 1/(A l + B) (the contractions are square rationals)."""
+    A, B = problem.coefficients
+    return Fraction(1, A * l + B)
 
 
 def divergence_minorant(problem: DimensionProblem, l: int) -> Fraction:
-    """Termwise harmonic comparison: d^{1/2}_{b l + c} >= this term."""
-    qm, qm1 = problem.continuants()
-    return Fraction(1, qm * (problem.b * (l + 1) + problem.c + 1) + qm1)
+    """Termwise harmonic comparison: d^{1/2}_{b l + c} >= 1/(A (l + 1) + B)."""
+    A, B = problem.coefficients
+    return Fraction(1, A * (l + 1) + B)
 
 
 def moran_sum(problem: DimensionProblem, u: int) -> Callable[[float], float]:
@@ -96,9 +122,7 @@ def moran_sum(problem: DimensionProblem, u: int) -> Callable[[float], float]:
     a few parts in 10**10 of the sum for s <= 1, which moves the Moran
     root by far less than the bisection tolerance.
     """
-    qm, qm1 = problem.continuants()
-    a = problem.b * qm
-    b0 = qm * (problem.c + 1) + qm1
+    a, b0 = problem.coefficients
     log_d = [-2.0 * math.log(a * l + b0) for l in range(1, min(u, _HEAD_TERMS) + 1)]
     x0, x1 = a * _HEAD_TERMS + b0, a * u + b0
     ln0, ln1 = math.log(x0), math.log(x1)
@@ -143,10 +167,6 @@ def solve_su(problem: DimensionProblem, u: int, tol: float = 1e-9) -> float:
     return (lo + hi) / 2.0
 
 
-# Rational bound above e used by the divergence witness.
-E_WITNESS = Fraction(27183, 10000)
-
-
 def e_upper_bound() -> Fraction:
     """sum_{k<=12} 1/k! + 1/(12! 12), a rational strictly above e.
 
@@ -157,31 +177,17 @@ def e_upper_bound() -> Fraction:
     return head + Fraction(1, math.factorial(12) * 12)
 
 
-def divergence_witness(problem: DimensionProblem, E: Fraction) -> int:
-    """Least integer u* >= 1 with A (u* + 1) + B >= E**A (A + B).
-
-    Here A = b q_m and B = q_m (c + 1) + q_{m-1}, so that
-    d^{1/2}_{b l + c} = 1/(A l + B).  Each term exceeds the integral of
-    1/(A x + B) over [l, l + 1], hence
-    sum_{l<=u*} d^{1/2} > (1/A) ln((A (u* + 1) + B)/(A + B)) >= ln E,
-    which is > 1, i.e. s_{u*} > 1/2, whenever E > e.  Pure integer
-    arithmetic: E**A (A + B) is compared as num / den.
-    """
-    qm, qm1 = problem.continuants()
-    a = problem.b * qm
-    b0 = qm * (problem.c + 1) + qm1
-    num = E.numerator ** a * (a + b0)
-    den = E.denominator ** a
-    # A (u + 1) + B >= num / den  <=>  u + 1 >= ceil((num - B den) / (A den))
-    return max(1, -((b0 * den - num) // (a * den)) - 1)
-
-
 def exact_sqrt_partial_sum(problem: DimensionProblem, u: int) -> Fraction:
     """sum_{l=1..u} d^{1/2}_{b l + c} as an exact rational."""
-    total = Fraction(0)
-    for l in range(1, u + 1):
-        total += sqrt_contraction(problem, l)
-    return total
+    A, B = problem.coefficients
+    return sum((Fraction(1, A * l + B) for l in range(1, u + 1)), Fraction(0))
+
+
+def _exact_str(q: Fraction) -> str:
+    """``str(q)`` for any size: Decimal prints integers without the
+    interpreter's cap on int-to-str digits, which stays on for parsing."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 @dataclass
@@ -199,7 +205,7 @@ class DimensionCertificate:
     su_monotone_samples: list[tuple[int, float]]
     image_disjointness_checked: int
     divergence_note: str
-    witness: tuple[Fraction, int] | None = None  # (E, u*), divergence route only
+    witness: dict | None = None  # divergence route only, emitted as is
 
     def as_dict(self) -> dict:
         d = {
@@ -210,10 +216,12 @@ class DimensionCertificate:
             "exceeds_target": self.exceeds_target,
             "achieved_su": self.achieved_su,
             "u_used": self.u_used,
-            "sqrt_sum_at_u": str(self.sqrt_sum_at_u) if self.sqrt_sum_at_u is not None else None,
+            "sqrt_sum_at_u": (
+                _exact_str(self.sqrt_sum_at_u) if self.sqrt_sum_at_u is not None else None
+            ),
             "exact_prefix": {
                 "u": self.exact_prefix_u,
-                "sum": str(self.exact_prefix_sum),
+                "sum": _exact_str(self.exact_prefix_sum),
                 "sum_float": float(self.exact_prefix_sum),
             },
             "minorant_verified_terms": self.minorant_verified_terms,
@@ -222,23 +230,8 @@ class DimensionCertificate:
             "divergence_note": self.divergence_note,
         }
         if self.witness is not None:
-            E, u_star = self.witness
-            d["divergence_witness"] = {"E": str(E), "u": str(u_star)}
+            d["divergence_witness"] = self.witness
         return d
-
-
-def _branch_image(problem: DimensionProblem, l: int, e_lo: Fraction, e_hi: Fraction):
-    """Image of [e_lo, e_hi] under the l-th branch, as a sorted interval."""
-    conv = Convergents(problem.block)
-    m = len(problem.block)
-    pm, pm1, qm, qm1 = conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1)
-    n = problem.b * l + problem.c
-
-    def psi(x: Fraction) -> Fraction:
-        return (pm * (n + x) + pm1) / (qm * (n + x) + qm1)
-
-    a, b = psi(e_lo), psi(e_hi)
-    return (a, b) if a <= b else (b, a)
 
 
 def check_image_disjointness(problem: DimensionProblem, u: int) -> int:
@@ -250,9 +243,7 @@ def check_image_disjointness(problem: DimensionProblem, u: int) -> int:
     everything is normalized to [min, max] (block length is odd here).
     Returns the number of branches checked.
     """
-    conv = Convergents(problem.block)
-    m = len(problem.block)
-    pm, pm1, qm, qm1 = conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1)
+    pm, pm1, qm, qm1 = problem.continuant_table
 
     def tail_value(t: Fraction) -> Fraction:
         return (pm * t + pm1) / (qm * t + qm1)
@@ -260,7 +251,10 @@ def check_image_disjointness(problem: DimensionProblem, u: int) -> int:
     n_max = problem.b * u + problem.c
     e_lo_raw, e_hi_raw = tail_value(Fraction(1)), tail_value(Fraction(n_max + 1))
     hull = (min(e_lo_raw, e_hi_raw), max(e_lo_raw, e_hi_raw))
-    images = [_branch_image(problem, l, hull[0], hull[1]) for l in range(1, u + 1)]
+    images = []
+    for l in range(1, u + 1):
+        n = problem.b * l + problem.c  # the l-th branch maps x to tail_value(n + x)
+        images.append(tuple(sorted((tail_value(n + hull[0]), tail_value(n + hull[1])))))
     images.sort()
     for (a1, b1), (a2, b2) in zip(images, images[1:]):
         if not b1 < a2:
@@ -280,85 +274,82 @@ def dimension_certificate(
     minorant_terms: int = 10**3,
     disjointness_u: int = 64,
 ) -> DimensionCertificate:
-    """Two-route dimension bound certificate.
+    """Two-route dimension bound certificate, in one pass over A and B.
 
-    Direct route: accumulate exact rational sum of d^{1/2} until it
-    exceeds 1 (then the Moran root at that truncation exceeds 1/2
-    exactly); taken when this happens within ``u_direct_cap`` terms.
-    Divergence route: otherwise, verify the harmonic minorant termwise
-    on a prefix, record exact partial sums, and report the numeric s_u
-    for the largest affordable truncation; the target bound then rests
-    on the divergent comparison series rather than brute truncation.
+    Direct route: the exact rational sum of d^{1/2} = 1/(A l + B) exceeds
+    1 within ``u_direct_cap`` terms; the Moran root at that truncation
+    then exceeds 1/2 exactly.  Divergence route: otherwise; the harmonic
+    minorant A l + B <= A (l + 1) + B is verified termwise on a prefix,
+    the numeric s_u is reported for the largest affordable truncation,
+    and the target rests on the witness u* = (A + B) base**A, base > e.
+
+    The route is decided before summing where it can be.  f(l) = 1/(A l + B)
+    decreases, so
+
+        sum_{l<=u} f <= f(1) + int_1^u f = 1/(A + B) + (1/A) ln((A u + B)/(A + B)),
+
+    and if A u + B < 2**(A-1) the sum is below 1/(A + B) + (A-1)/A ln 2,
+    which is < 1 since A >= 3 and B >= 5 (q_m >= 3, q_{m-1} >= 2).  So
+    the direct loop cannot succeed unless
+    ``(A * u_direct_cap + B).bit_length() >= A``, and runs only then;
+    when it runs, it decides the route.  The exact prefix sum (up to
+    ``exact_prefix_u`` terms, or to the direct route's u) comes from
+    the same loop, which keeps the sum as an unreduced num/den.
     """
     if target != Fraction(1, 2):
         raise ValueError("the certified route is specific to target 1/2")
-    # direct accumulation
-    total = Fraction(0)
-    u_hit = None
-    for l in range(1, u_direct_cap + 1):
-        total += sqrt_contraction(problem, l)
-        if total > 1:
+    A, B = problem.coefficients
+    direct_cap = u_direct_cap if (A * u_direct_cap + B).bit_length() >= A else 0
+    num, den, u_hit = 0, 1, None  # the running sum num/den, reduced once at the end
+    prefix_u, prefix = 0, (num, den)
+    for l in range(1, max(direct_cap, exact_prefix_u) + 1):
+        t = A * l + B
+        num, den = num * t + den, den * t
+        if l <= exact_prefix_u:
+            prefix_u, prefix = l, (num, den)
+        if l <= direct_cap and num > den:
             u_hit = l
             break
+    total, prefix_sum = Fraction(num, den), Fraction(*prefix)
 
-    # exact prefix bookkeeping (reported on both routes)
-    prefix_u = min(exact_prefix_u, u_hit or exact_prefix_u)
-    prefix_sum = exact_sqrt_partial_sum(problem, prefix_u)
-
-    # termwise minorant verification
     verified = 0
     for l in range(1, minorant_terms + 1):
-        if not sqrt_contraction(problem, l) >= divergence_minorant(problem, l):
+        if not A * l + B <= A * (l + 1) + B:
             raise ArithmeticError(f"minorant inequality fails at l={l}")
         verified += 1
 
     disjoint_checked = check_image_disjointness(problem, disjointness_u)
+    samples = [(us, solve_su(problem, us)) for us in (2, 4, 8, 16, 32, 64)]
 
-    samples = []
-    u_samples = [2, 4, 8, 16, 32, 64]
-    for us in u_samples:
-        samples.append((us, solve_su(problem, us)))
-
-    qm, qm1 = problem.continuants()
+    _, _, qm, qm1 = problem.continuant_table
     if u_hit is not None:
-        su = solve_su(problem, u_hit)
-        return DimensionCertificate(
-            problem=problem,
-            target=target,
-            route="direct",
-            achieved_su=su,
-            u_used=u_hit,
-            exceeds_target=True,
-            sqrt_sum_at_u=total,
-            exact_prefix_u=prefix_u,
-            exact_prefix_sum=prefix_sum,
-            minorant_verified_terms=verified,
-            su_monotone_samples=samples,
-            image_disjointness_checked=disjoint_checked,
-            divergence_note=(
-                f"sum_l d^(1/2) reaches {float(total):.6f} > 1 at u={u_hit}; "
-                f"the Moran root at this truncation therefore exceeds 1/2"
-            ),
+        route, u_used, exceeds, witness = "direct", u_hit, True, None
+        note = (
+            f"sum_l d^(1/2) reaches {float(total):.6f} > 1 at u={u_hit}; "
+            f"the Moran root at this truncation therefore exceeds 1/2"
         )
-    su = solve_su(problem, u_numeric)
-    E = E_WITNESS
+    else:
+        route, u_used = "divergence", u_numeric
+        exceeds = WITNESS_BASE > e_upper_bound()
+        witness = {"u": "(A+B)*base^A", "base": str(WITNESS_BASE), "A": A, "B": B}
+        note = (
+            f"direct truncation infeasible: terms ~ 1/({qm} l), so the sum "
+            f"first exceeds 1 near u ~ exp({qm}); the bound > 1/2 rests on "
+            f"the termwise-verified divergent minorant sum 1/({qm}(b(l+1)+c+1)+{qm1})"
+        )
     return DimensionCertificate(
         problem=problem,
         target=target,
-        route="divergence",
-        achieved_su=su,
-        u_used=u_numeric,
-        exceeds_target=E > e_upper_bound(),
-        sqrt_sum_at_u=None,
+        route=route,
+        achieved_su=solve_su(problem, u_used),
+        u_used=u_used,
+        exceeds_target=exceeds,
+        sqrt_sum_at_u=total if u_hit is not None else None,
         exact_prefix_u=prefix_u,
         exact_prefix_sum=prefix_sum,
         minorant_verified_terms=verified,
         su_monotone_samples=samples,
         image_disjointness_checked=disjoint_checked,
-        divergence_note=(
-            f"direct truncation infeasible: terms ~ 1/({qm} l), so the sum "
-            f"first exceeds 1 near u ~ exp({qm}); the bound > 1/2 rests on "
-            f"the termwise-verified divergent minorant sum 1/({qm}(b(l+1)+c+1)+{qm1})"
-        ),
-        witness=(E, divergence_witness(problem, E)),
+        divergence_note=note,
+        witness=witness,
     )

@@ -40,7 +40,7 @@ from math import lcm
 from typing import Iterator
 
 from .exact import ExactScalar, FieldMismatchError, mod_half_open, negative, scalar
-from .words import GEN_MATRIX, IDENTITY, THETA, GenWord, IntMat2
+from .words import IDENTITY, THETA, GenWord, IntMat2
 
 EXCLUDED_POINTS = (
     (Fraction(0), Fraction(0)),
@@ -86,33 +86,10 @@ class TorusPoint:
         return f"({self.x}, {self.y})"
 
 
-def in_region_S(z: TorusPoint) -> bool:
-    """-1/2 <= x + y < 1/2 on the literal canonical coordinates."""
-    s = z.x + z.y
-    return ExactScalar(-1, 0, 2) <= s < ExactScalar(1, 0, 2)
-
-
 def in_region_E(z: TorusPoint) -> bool:
     """x > -1/2 and y > -1/2."""
     m = ExactScalar(-1, 0, 2)
     return z.x > m and z.y > m
-
-
-def apply_generator_inverse(z: TorusPoint, gen: str, n: int = 1) -> TorusPoint:
-    """(h+)^-n or (h-)^-n applied to z."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if gen == "h+":
-        return TorusPoint(mod_half_open(z.x - n * z.y), z.y)
-    if gen == "h-":
-        return TorusPoint(z.x, mod_half_open(z.y - n * z.x))
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def generator_homology_factor(z_after: TorusPoint, gen: str) -> IntMat2:
-    """The per-step homology factor, evaluated at the post-step point."""
-    m = GEN_MATRIX[gen]
-    return m if in_region_S(z_after) else m.inverse()
 
 
 class HomologyAction:

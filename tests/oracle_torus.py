@@ -5,7 +5,8 @@ This is the slow, obviously correct stepping rule: every coordinate is an
 every region test is an ExactScalar comparison.  The library's integer
 kernel (:class:`slittori.torus.Lattice`) must agree with it step for step:
 endpoints, homology actions, recorded points, window-search candidates and
-the search budget spent.
+the search budget spent.  ``in_region_S``, ``apply_generator_inverse`` and
+``generator_homology_factor`` are the per-step rule it is built from.
 """
 
 from __future__ import annotations
@@ -23,8 +24,31 @@ from slittori.irrational import (
     SearchBudgetExceededError,
     _Budget,
 )
-from slittori.torus import HomologyAction, TorusPoint, apply_generator_inverse, in_region_S
-from slittori.words import GenWord, IntMat2
+from slittori.torus import HomologyAction, TorusPoint
+from slittori.words import GEN_MATRIX, GenWord, IntMat2
+
+
+def in_region_S(z: TorusPoint) -> bool:
+    """-1/2 <= x + y < 1/2 on the literal canonical coordinates."""
+    s = z.x + z.y
+    return ExactScalar(-1, 0, 2) <= s < ExactScalar(1, 0, 2)
+
+
+def apply_generator_inverse(z: TorusPoint, gen: str, n: int = 1) -> TorusPoint:
+    """(h+)^-n or (h-)^-n applied to z."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if gen == "h+":
+        return TorusPoint(mod_half_open(z.x - n * z.y), z.y)
+    if gen == "h-":
+        return TorusPoint(z.x, mod_half_open(z.y - n * z.x))
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+def generator_homology_factor(z_after: TorusPoint, gen: str) -> IntMat2:
+    """The per-step homology factor, evaluated at the post-step point."""
+    m = GEN_MATRIX[gen]
+    return m if in_region_S(z_after) else m.inverse()
 
 
 def trace_rational_core(ix, iy, full, word, collect):

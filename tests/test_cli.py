@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import oracle_torus as oracle
 from slittori.cli import load_spec, main, spec_from_provenance, spec_to_dict
 from slittori.criterion import verify
+from slittori.dimension import DimensionProblem, exact_sqrt_partial_sum
 from slittori.exact import ExactScalar
 from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational
 from slittori.rational import NkRule, RationalParam, direction_stream
@@ -95,11 +97,17 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["verify", "x.json", "--horizon", "abc"],
         ["action", "--z", "0,1/4", "--gz-lambda", "1/4", "--precision", "256"],
         ["dimension"],
+        ["dimension", "--block", "1,1,1", "--prog", "1"],
+        ["dimension", "--block", "1,1,1", "--u-cap", "-3"],
         [],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "error" in json.loads(err), argv
+    _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--prog", "1")
+    assert json.loads(err)["error"] == "--prog expects b,c got '1'"
+    _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--u-cap", "-3")
+    assert "expected a nonnegative integer" in json.loads(err)["error"]
 
 
 def test_import_does_not_load_numpy():
@@ -186,6 +194,30 @@ def test_dimension_command(tmp_path, capsys):
     cert = json.loads(out_path.read_text())
     assert cert["route"] == "direct"
     assert cert["achieved_su"] > 0.5
+
+
+@pytest.mark.parametrize(
+    "block, route, u", [("11,3,5,12,3,5,1", "divergence", 10**6), ("1,1,1,1,1", "direct", 6390)]
+)
+def test_dimension_prints_sums_past_the_int_digit_limit(capsys, block, route, u):
+    """Exact sums with more than 4300 digits (the interpreter's int-to-str
+    cap) are printed in full and read back to the same Fraction."""
+
+    def read_back(text):
+        num, _, den = text.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+    code, out, _ = run(capsys, "dimension", "--block", block)
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["route"] == route and cert["u_used"] == u
+    problem = DimensionProblem(tuple(int(d) for d in block.split(",")), 1, 0)
+    printed = {cert["exact_prefix"]["u"]: cert["exact_prefix"]["sum"]}
+    if route == "direct":
+        printed[u] = cert["sqrt_sum_at_u"]
+    assert max(len(text) for text in printed.values()) > 4300
+    for terms, text in printed.items():
+        assert read_back(text) == exact_sqrt_partial_sum(problem, terms)
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import json
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import oracle_dimension as oracle
 from slittori.dimension import (
     DimensionProblem,
     check_image_disjointness,
@@ -15,6 +18,7 @@ from slittori.dimension import (
     solve_su,
     sqrt_contraction,
 )
+from slittori.rational import RationalParam, block_for
 
 TOY = DimensionProblem((1, 1, 1), 1, 0)
 QUARTER = DimensionProblem((5, 1, 1, 7, 1, 1, 2), 1, 0)
@@ -156,23 +160,21 @@ def test_progression_changes_terms():
 
 
 def test_divergence_witness_integer_recheck():
-    """u* for the barrier block, rechecked with plain integers: A(u*+1)+B
-    reaches E^A (A+B) and A u* + B does not, and E exceeds a bound on e."""
-    from slittori.dimension import E_WITNESS, divergence_witness
-
+    """u* = (A+B) 3^A for the barrier block, rechecked with plain integers:
+    A(u*+1)+B reaches 3^A (A+B), and 3 exceeds a bound on e."""
     a, b0 = 448, 625  # A = b q_m, B = q_m (c+1) + q_{m-1} for 5,1,1,7,1,1,2
     assert QUARTER.continuants() == (448, 177)
-    u = divergence_witness(QUARTER, E_WITNESS)
-    num, den = 27183 ** a * (a + b0), 10000 ** a
-    assert (a * (u + 1) + b0) * den >= num
-    assert (a * u + b0) * den < num  # least such u
-    assert u.bit_length() == 648
-    # e < 2.71828183 < E: sum_{k<=15} 1/k! plus a generous tail bound
+    assert QUARTER.coefficients == (a, b0)
+    u = (a + b0) * 3**a
+    assert a * (u + 1) + b0 >= 3**a * (a + b0)
+    # e < 2.71828183 < 3: sum_{k<=15} 1/k! plus a generous tail bound
     e_hi = sum(Fraction(1, math.factorial(k)) for k in range(16)) + Fraction(1, 10**12)
-    assert e_hi < Fraction(271828183, 10**8) < E_WITNESS
+    assert e_hi < Fraction(271828183, 10**8) < 3
     cert = dimension_certificate(QUARTER)
     assert cert.route == "divergence" and cert.exceeds_target
-    assert cert.as_dict()["divergence_witness"] == {"E": "27183/10000", "u": str(u)}
+    assert cert.as_dict()["divergence_witness"] == {
+        "u": "(A+B)*base^A", "base": "3", "A": a, "B": b0,
+    }
     assert "divergence_witness" not in dimension_certificate(TOY).as_dict()
 
 
@@ -180,10 +182,63 @@ def test_divergence_witness_below_e_fails_closed(monkeypatch, capsys):
     import slittori.dimension as dim
     from slittori.cli import main
 
-    monkeypatch.setattr(dim, "E_WITNESS", Fraction(2718, 1000))  # below e
+    monkeypatch.setattr(dim, "WITNESS_BASE", 2)  # below e
     assert not dim.dimension_certificate(QUARTER).exceeds_target
     assert main(["dimension", "--block", "5,1,1,7,1,1,2", "--prog", "1,0"]) == 1
     assert '"exceeds_target": false' in capsys.readouterr().out
-    # E must clear the certified bound on e strictly, not just e itself
-    monkeypatch.setattr(dim, "E_WITNESS", dim.e_upper_bound())
+    # the base must clear the certified bound on e strictly, not just e itself
+    monkeypatch.setattr(dim, "WITNESS_BASE", dim.e_upper_bound())
     assert not dim.dimension_certificate(QUARTER).exceeds_target
+    assert main(["dimension", "--block", "5,1,1,7,1,1,2", "--prog", "1,0"]) == 1
+    assert '"exceeds_target": false' in capsys.readouterr().out
+
+
+# (problem, u_direct_cap): both routes, the toy and barrier blocks, a
+# direct loop that runs to u = 6390, and caps on both sides of the route
+# pre-test (A * cap + B).bit_length() >= A for 2,3,2 (A = 16, B = 23:
+# cap 2047 gives 32775, bit length 16; cap 2046 gives 32759, bit length 15).
+DIFFERENTIAL_CASES = [
+    (DimensionProblem(block, b, c), 10**4)
+    for block in ((1, 1, 1), (5, 1, 1, 7, 1, 1, 2), (1, 1, 1, 1, 1), (2, 3, 2))
+    for b, c in ((1, 0), (2, 1), (3, 2), (5, 7))
+] + [
+    (DimensionProblem((2, 3, 2), 1, 0), cap) for cap in (0, 1, 2046, 2047, 2048)
+] + [
+    (DimensionProblem((1, 1, 1), 1, 0), cap) for cap in (41, 42)
+]
+
+
+@pytest.mark.parametrize(
+    "problem, cap", DIFFERENTIAL_CASES,
+    ids=[f"{'.'.join(map(str, p.block))}-{p.b},{p.c}-cap{cap}" for p, cap in DIFFERENTIAL_CASES],
+)
+def test_certificate_matches_oracle(problem, cap):
+    """The one-pass certificate equals the earlier one (E**A witness) on
+    every key but ``divergence_witness``."""
+    new = dimension_certificate(problem, u_direct_cap=cap).as_dict()
+    old = oracle.dimension_certificate(problem, u_direct_cap=cap).as_dict()
+    assert ("divergence_witness" in new) == ("divergence_witness" in old) == (
+        new["route"] == "divergence"
+    )
+    new.pop("divergence_witness", None)
+    old.pop("divergence_witness", None)
+    assert new == old
+
+
+def test_rational_theorem_sweep():
+    """Every barrier lambda = p/q < 1/2 with q <= 50 gets a certificate of
+    dimension > 1/2 with 64 disjoint branch images and a JSON form.
+
+    Measured at 7 s on a shared 2-vCPU machine; the ceiling is 5x that."""
+    t0 = time.perf_counter()
+    lambdas = [
+        Fraction(p, q) for q in range(3, 51) for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1
+    ]
+    assert len(lambdas) == 386
+    for lam in lambdas:
+        digits = block_for(RationalParam.from_barrier_length(lam)).digits
+        cert = dimension_certificate(DimensionProblem(digits, 1, 0))
+        assert cert.exceeds_target, lam
+        assert cert.image_disjointness_checked == 64, lam
+        json.dumps(cert.as_dict())
+    assert time.perf_counter() - t0 < 35.0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_torus as oracle
+from oracle_torus import in_region_S
 from slittori.exact import ExactScalar, FieldMismatchError
 from slittori.irrational import (
     DChoiceRule,
@@ -16,7 +17,7 @@ from slittori.irrational import (
     direction_stream_irrational,
     find_block,
 )
-from slittori.torus import Lattice, TorusPoint, in_region_S, trace_word
+from slittori.torus import Lattice, TorusPoint, trace_word
 from slittori.words import GenWord
 
 SQRT2_OVER_4 = ExactScalar(0, 1, 4, 2)

