@@ -68,14 +68,28 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "positive")
+
+
+def _parse_param(text: str, flag: str) -> RationalParam:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise CliError(f"{flag} expects r,s,q got {text!r}")
+    return RationalParam(*(int(v) for v in parts))
 
 
 def _parse_point(text: str) -> TorusPoint:
@@ -187,8 +201,7 @@ def cmd_action(args) -> int:
     if args.word:
         word = _parse_word(args.word)
     elif args.gz:
-        r, s, q = (int(v) for v in args.gz.split(","))
-        word = fixing_word(RationalParam(r, s, q))
+        word = fixing_word(_parse_param(args.gz, "--gz"))
     elif args.gz_lambda:
         word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
     else:
@@ -213,8 +226,7 @@ def cmd_action(args) -> int:
 
 def cmd_build(args) -> int:
     if args.z_rational:
-        r, s, q = (int(v) for v in args.z_rational.split(","))
-        param = RationalParam(r, s, q)
+        param = _parse_param(args.z_rational, "--z-rational")
         spec = direction_stream(param, _parse_rule(args.nk, NkRule))
     elif args.lam:
         lam = parse_scalar(args.lam)
@@ -354,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--z-rational", dest="z_rational", help="parameter as r,s,q")
     pb.add_argument("--nk", default="const:1", help="free digits: const:M | arith:B,C | list:...")
     pb.add_argument("--d-choices", dest="d_choices", default="default")
-    pb.add_argument("--blocks", type=int, default=3)
+    pb.add_argument("--blocks", type=_positive_int, default=3)
     pb.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pb.add_argument("-o", "--output")
     pb.set_defaults(func=cmd_build)

@@ -8,11 +8,10 @@ coprime to ``q``, the seven-digit block
 
 spells an alternating h+-leading word g_z that fixes both the surface
 M(z) and, up to sign, the homology class beta.  The exponents a, b are
-the unique solutions of small congruences; we find them by brute scan,
-which doubles as an existence/uniqueness check.  Certification never
-trusts the construction: the word is traced step by step and the
-certificate records whether the endpoint returns to z and the traced
-action is +-identity.
+the least solutions of small linear congruences, found with one modular
+inverse each.  Certification never trusts the construction: the word is
+traced and the certificate records whether the endpoint returns to z and
+the traced action is +-identity.
 
 For the barrier picture itself z = (0, lambda) with lambda = p/2q, the
 odd case reduces to a = q, b = q-1, i.e. the block
@@ -27,7 +26,8 @@ from math import gcd
 from typing import Iterator
 
 from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
-from .torus import TorusPoint, trace_word
+from .exact import ExactScalar
+from .torus import Lattice, TorusPoint, _canonical, _trace_lattice
 from .words import GenWord
 
 
@@ -94,39 +94,46 @@ class CongruencePair:
 
 
 class CongruenceError(RuntimeError):
-    """No (or no unique) solution in range; impossible for valid input."""
+    """A congruence without solution; impossible for valid input."""
+
+
+def _least_solution(s: int, rhs: int, mod: int) -> int:
+    """The least a in 1..mod with a s = rhs (mod mod).
+
+    With g = gcd(s, mod) a solution exists exactly when g divides rhs, and
+    the solutions are one residue modulo mod/g, so the least one is that
+    residue's representative in 1..mod/g.
+    """
+    g = gcd(s, mod)
+    if rhs % g:
+        raise CongruenceError(f"{s} a = {rhs} (mod {mod}) has no solution")
+    step = mod // g
+    a = (rhs // g) * pow(s // g, -1, step) % step or step
+    if (a * s - rhs) % mod:
+        raise CongruenceError(f"{a} does not solve {s} a = {rhs} (mod {mod})")
+    return a
 
 
 def solve_congruences(param: RationalParam) -> CongruencePair:
-    """Brute-scan the defining congruences for the block exponents.
+    """The least positive solutions of the defining congruences.
 
     Odd case:  0 < a, b <= 2q,  r + a s = -q (mod 2q),  b s + s - q = r (mod 2q).
     Even case: b = |s|,  a s = q-1-r (mod 2q),  a2 s = q-1+r (mod 2q).
 
-    The scan doubles as an existence/multiplicity check.  The solution
-    is unique except when s is even (then gcd(s, 2q) = 2 gives exactly
-    two solutions in range); the smallest is taken, and any other
-    multiplicity than gcd(s, 2q) is an internal error.
+    The solution is unique in range when s is odd; for even s,
+    gcd(s, 2q) = 2 gives two solutions and the smaller is taken.  A
+    congruence without solution raises :class:`CongruenceError`.
     """
     param = param.reduced()
     r, s, q = param.r, param.s, param.q
     mod = 2 * q
-    expected = gcd(abs(s), mod)
     if param.parity_case == "odd":
-        sols_a = [a for a in range(1, mod + 1) if (r + a * s + q) % mod == 0]
-        sols_b = [b for b in range(1, mod + 1) if (b * s + s - q - r) % mod == 0]
-        if len(sols_a) != expected or len(sols_b) != expected:
-            raise CongruenceError(
-                f"odd-case congruences for {param} gave {sols_a}, {sols_b}"
-            )
-        return CongruencePair(sols_a[0], sols_b[0], "odd")
-    sols_a = [a for a in range(1, mod + 1) if (a * s - (q - 1 - r)) % mod == 0]
-    sols_a2 = [a for a in range(1, mod + 1) if (a * s - (q - 1 + r)) % mod == 0]
-    if len(sols_a) != expected or len(sols_a2) != expected:
-        raise CongruenceError(
-            f"even-case congruences for {param} gave {sols_a}, {sols_a2}"
+        return CongruencePair(
+            _least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod), "odd"
         )
-    return CongruencePair(sols_a[0], abs(s), "even", sols_a2[0])
+    return CongruencePair(
+        _least_solution(s, q - 1 - r, mod), s, "even", _least_solution(s, q - 1 + r, mod)
+    )
 
 
 @dataclass(frozen=True)
@@ -172,17 +179,20 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     Never raises on failure; a failing certificate is the caller's
     acceptance gate.  The h- period is 1 when r = 0 (the height is then
     invariant under every power) and 2q otherwise; the returned period
-    is itself re-verified by a trace.
+    is itself re-verified by a trace.  Both traces run on the lattice
+    Z/2q, where z is (r, s), one closed-form syllable at a time.
     """
-    z = param.point()
-    word = fixing_word(param)
-    tr = trace_word(z, word, record_points=False)
-    period = 1 if param.r == 0 else 2 * param.q
-    tr_h = trace_word(z, GenWord.power("h-", period), record_points=False)
-    period_ok = tr_h.final == z and tr_h.action.fixes_beta
+    r, s, q = param.r, param.s, param.q
+    lat = Lattice(ExactScalar(1, 0, 2 * q))
+    z = ((r, 0), (s, 0))
+    period = 1 if r == 0 else 2 * q
+    x, y, *action = _trace_lattice(lat, *z, fixing_word(param).syllables)
+    x_h, y_h, *action_h = _trace_lattice(lat, *z, (("h-", period),))
+    a, b, _, d = _canonical(*action_h)
+    period_ok = (x_h, y_h) == z and (a, b, d) == (1, 0, 1)  # fixes beta
     return FixingCertificate(
-        fixes_point=(tr.final == z) and period_ok,
-        action_is_identity=tr.action.is_identity,
+        fixes_point=(x, y) == z and period_ok,
+        action_is_identity=_canonical(*action) == (1, 0, 0, 1),
         h_minus_period=period,
     )
 

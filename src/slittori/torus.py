@@ -25,10 +25,23 @@ one even W and one radicand D for the whole orbit.  A step is an integer
 subtraction; one or two sign tests of u + v sqrt(D) wrap it back into
 [-1/2, 1/2), and the post-step point lies in S exactly when the step did
 not wrap.  Rational points are the case D = 0, where the wrap is an
-integer modulo.  :func:`trace_word`,
-:func:`m_sequence` and the window searches of :mod:`slittori.irrational`
-all step through it; the test suite checks it against a reference that
-steps :class:`~slittori.exact.ExactScalar` values.
+integer modulo.
+
+A whole syllable g^n has a closed form.  With moving coordinate t0 and
+fixed coordinate f in lattice units, every step moves by -f with
+|f| <= W/2, so it wraps at most once, and every wrap of the syllable
+goes the same way (by +W when f > 0, by -W when f < 0).  So with
+t = t0 - n f and k = -floor((t + W/2)/W) the syllable ends at t + k W
+after |k| wraps, and its running count is m = n - 2|k|.  The floor is
+``u // W`` for rational t and takes one ``isqrt(v*v*D)`` otherwise
+(:meth:`Lattice.syllable`).  :func:`_trace_lattice` applies it once per
+syllable; :func:`trace_word` without recorded points and
+:func:`slittori.rational.certify_fixing` trace through it.
+:meth:`Lattice.run` steps one unit at a time and stays the engine for
+``trace_word(record_points=True)``, :func:`m_sequence` and the window
+searches of :mod:`slittori.irrational`, which need every intermediate
+point.  The test suite checks both against each other and against a
+reference that steps :class:`~slittori.exact.ExactScalar` values.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterator
 
 from .exact import ExactScalar, FieldMismatchError, mod_half_open, negative, scalar
@@ -92,6 +105,17 @@ def in_region_E(z: TorusPoint) -> bool:
     return z.x > m and z.y > m
 
 
+def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The representative of +-[[a, b], [c, d]] whose first nonzero entry is
+    positive; a determinant other than +-1 raises ValueError."""
+    det = a * d - b * c
+    if abs(det) != 1:
+        raise ValueError(f"homology action must have det +-1, got {det}")
+    if (a or b or c) < 0:  # d cannot be the first nonzero entry when det != 0
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
 class HomologyAction:
     """An element of PGL(2,Z): a 2x2 integer matrix up to global sign.
 
@@ -101,14 +125,7 @@ class HomologyAction:
     __slots__ = ("m",)
 
     def __init__(self, m: IntMat2):
-        if abs(m.det()) != 1:
-            raise ValueError(f"homology action must have det +-1, got {m.det()}")
-        for e in m.entries():
-            if e != 0:
-                if e < 0:
-                    m = -m
-                break
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", IntMat2(*_canonical(m.a, m.b, m.c, m.d)))
 
     def __setattr__(self, *a):
         raise AttributeError("HomologyAction is immutable")
@@ -224,6 +241,42 @@ class Lattice:
                 m += 1
             yield m, mu, mv
 
+    def syllable(self, moving: Coord, fixed: Coord, n: int) -> tuple[Coord, int]:
+        """The first ``n`` steps of :meth:`run` in closed form: the moving
+        coordinate after them and their running count m.
+
+        With t = moving - n*fixed and k = -floor((t + W/2)/W) the steps end
+        at t + k W after |k| wraps, all the same way, so m = n - 2|k|.  For
+        v != 0, v sqrt(D) is irrational and lies strictly between s and s + 1
+        (v > 0) or -s - 1 and -s (v < 0), with s = isqrt(v*v*D); so
+        floor(t + W/2) is an integer that ``// W`` floors once more.
+        """
+        u, v = moving[0] - n * fixed[0], moving[1] - n * fixed[1]
+        h = u + self.half
+        if v > 0:
+            h += isqrt(v * v * self.D)
+        elif v < 0:
+            h -= isqrt(v * v * self.D) + 1
+        k = -(h // self.W)
+        return (u + k * self.W, v), n - 2 * abs(k)
+
+
+def _trace_lattice(
+    lat: Lattice, x: Coord, y: Coord, syllables
+) -> tuple[Coord, Coord, int, int, int, int]:
+    """Trace ``syllables`` from the lattice point (x, y), one closed-form
+    syllable at a time: the end point and the entries a, b, c, d of the
+    homology action, before sign canonicalisation."""
+    a, b, c, d = 1, 0, 0, 1
+    for gen, n in syllables:
+        if gen == "h+":
+            x, m = lat.syllable(x, y, n)
+            b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
+        else:
+            y, m = lat.syllable(y, x, n)
+            a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
+    return x, y, a, b, c, d
+
 
 def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> ActionTrace:
     """Trace a word through elementary inverse steps from ``z``.
@@ -232,23 +285,26 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> Acti
     action of ``word`` evaluated there, as the ordered product of
     per-step factors at the post-step points.  The factors of one
     syllable are all powers of its generator, so they multiply to the
-    generator raised to the syllable's running count.
+    generator raised to the syllable's running count.  Without recorded
+    points every syllable takes one closed-form step.
     """
     lat = Lattice(z.x, z.y)
     x, y = lat.embed(z.x), lat.embed(z.y)
+    if not record_points:
+        x, y, *mat = _trace_lattice(lat, x, y, word.syllables)
+        final, action = lat.point(x, y), HomologyAction(IntMat2(*mat))
+        return ActionTrace(start=z, word=word, points=(), final=final, action=action)
     a, b, c, d = 1, 0, 0, 1
     points = []
     for gen, exp in word.syllables:
         if gen == "h+":
             for m, u, v in islice(lat.run(x, y), exp):
-                if record_points:
-                    points.append(lat.point((u, v), y))
+                points.append(lat.point((u, v), y))
             x = (u, v)
             b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
         else:
             for m, u, v in islice(lat.run(y, x), exp):
-                if record_points:
-                    points.append(lat.point(x, (u, v)))
+                points.append(lat.point(x, (u, v)))
             y = (u, v)
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
     action = HomologyAction(IntMat2(a, b, c, d))

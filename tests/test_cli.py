@@ -99,6 +99,10 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["dimension"],
         ["dimension", "--block", "1,1,1", "--prog", "1"],
         ["dimension", "--block", "1,1,1", "--u-cap", "-3"],
+        ["build", "--lambda", "1/4", "--blocks", "0"],
+        ["build", "--lambda", "1/4", "--blocks", "-1"],
+        ["action", "--z", "0,1/4", "--gz", "1,2"],
+        ["build", "--z-rational", "1,2"],
         [],
     ):
         code, out, err = run(capsys, *argv)
@@ -108,6 +112,13 @@ def test_argument_errors_exit_two_with_json(capsys):
     assert json.loads(err)["error"] == "--prog expects b,c got '1'"
     _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--u-cap", "-3")
     assert "expected a nonnegative integer" in json.loads(err)["error"]
+    for blocks in ("0", "-1"):
+        _, _, err = run(capsys, "build", "--lambda", "1/4", "--blocks", blocks)
+        assert "expected a positive integer" in json.loads(err)["error"]
+    _, _, err = run(capsys, "action", "--z", "0,1/4", "--gz", "1,2")
+    assert json.loads(err)["error"] == "--gz expects r,s,q got '1,2'"
+    _, _, err = run(capsys, "build", "--z-rational", "1,2")
+    assert json.loads(err)["error"] == "--z-rational expects r,s,q got '1,2'"
 
 
 def test_import_does_not_load_numpy():

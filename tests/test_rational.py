@@ -4,11 +4,15 @@ from math import gcd
 
 import pytest
 
+import oracle_rational as oracle
+import slittori.rational as rational
 from slittori.cli import main
 from slittori.directions import DigitStreamExhaustedError
 from slittori.exact import ExactScalar
 from slittori.irrational import DChoiceRule, direction_stream_irrational
 from slittori.rational import (
+    Block,
+    CongruenceError,
     NkRule,
     NkRuleError,
     RationalParam,
@@ -60,6 +64,17 @@ def test_congruence_examples():
     assert (pair.a, pair.b) == (1, 2)
     pair = solve_congruences(RationalParam(0, 2, 3))
     assert (pair.a, pair.b, pair.parity_case) == (1, 2, "even")
+
+
+def test_congruences_match_scan():
+    for param in all_params(30):
+        assert solve_congruences(param) == oracle.solve_congruences(param), param
+
+
+def test_congruence_without_solution_fails_closed():
+    with pytest.raises(CongruenceError):
+        rational._least_solution(2, 1, 6)  # 2a = 1 (mod 6)
+    assert rational._least_solution(2, 4, 6) == 2  # least of 2 and 5
 
 
 def test_r_zero_odd_case_closed_form():
@@ -115,6 +130,22 @@ def test_certify_examples():
 def test_certify_exhaustive_small_q():
     for param in all_params(12):
         assert certify_fixing(param).ok, param
+
+
+def test_certificate_matches_oracle():
+    for param in all_params(20):
+        assert certify_fixing(param) == oracle.certify_fixing(param), param
+
+
+def test_perturbed_block_fails_both_certificates(monkeypatch):
+    for param in (barrier("1/4"), barrier("1/3"), RationalParam(1, 1, 2), RationalParam(-3, 5, 7)):
+        good = block_for(param).digits
+        for i in range(7):
+            digits = good[:i] + (good[i] + 1,) + good[i + 1:]
+            monkeypatch.setattr(rational, "block_for", lambda _, d=digits: Block(d))
+            new, old = certify_fixing(param), oracle.certify_fixing(param)
+            assert not new.ok and new == old, (param, digits)
+            monkeypatch.undo()
 
 
 def test_negative_s_reduction():

@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 
 import oracle_torus as oracle
 from oracle_torus import apply_generator_inverse, generator_homology_factor, in_region_S
-from slittori.exact import ExactScalar, FieldMismatchError
+from slittori.exact import ExactScalar, FieldMismatchError, mod_half_open
 from slittori.torus import (
     EXCLUDED_POINTS,
     ExcludedPointError,
     HomologyAction,
+    Lattice,
     TorusPoint,
+    _trace_lattice,
     in_region_E,
     involution_minus_id,
     involution_theta,
@@ -230,6 +234,74 @@ def test_kernel_matches_oracle():
                 assert tr.final == final and tr.action == action and tr.points == points
             gen = rng.choice(["h+", "h-"])
             assert m_sequence(z, gen, 80) == oracle.m_sequence(z, gen, 80)
+
+
+def syllable_by_steps(lat, moving, fixed, n):
+    m, u, v = next(islice(lat.run(moving, fixed), n - 1, None))
+    return (u, v), m
+
+
+def rand_coord(rng, lat, bits=0):
+    """A lattice coordinate in [-1/2, 1/2): rational when lat.D == 0, else
+    with a nonzero sqrt(D) part of at least ``bits`` bits."""
+    W, D = lat.W, lat.D
+    if not D:
+        return rng.randrange(W) - lat.half, 0
+    v = rng.choice((-1, 1)) * rng.randint(1 << bits, 1 << (bits + 8))
+    return lat.embed(mod_half_open(ExactScalar(rng.randrange(W), v, W, D)))
+
+
+def boundary_start(rng, lat, fixed, n):
+    """A moving coordinate whose n-step value t has t + W/2 within 1/W of a
+    multiple of W: exactly on it when rational, just above it when the
+    sqrt(D) part of t is positive and just below it when negative."""
+    W, D = lat.W, lat.D
+    v = rng.choice((-1, 1)) * rng.randint(1, 1 << rng.choice((4, 2048))) if D else 0
+    s = isqrt(v * v * D)
+    u = -lat.half + (s if v < 0 else -s) + W * rng.randint(-3, 3)
+    return lat.embed(mod_half_open(ExactScalar(u + n * fixed[0], v + n * fixed[1], W, D)))
+
+
+def test_syllable_closed_form_matches_stepping():
+    """One closed-form syllable against n steps of Lattice.run: exponents up
+    to 10^5, starts whose syllable ends on or next to the wrap boundary,
+    fixed coordinates 0 and -1/2, and quadratic coefficients of 2 kbit."""
+    rng = random.Random(53)
+    lattices = [Lattice(ExactScalar(1, 0, w)) for w in (2, 6, 40, 1001)]
+    lattices += [Lattice(ExactScalar(1, 0, w), ExactScalar(0, 1, 1, D)) for w, D in
+                 ((2, 2), (8, 2), (12, 3), (70, 5))]
+    for lat in lattices:
+        fixed_cases = [(0, 0), (-lat.half, 0)]
+        fixed_cases += [rand_coord(rng, lat, bits) for bits in (0, 0, 0, 2048)]
+        for fixed in fixed_cases:
+            for n in (1, 2, 3, rng.randint(4, 300), rng.choice((10**4, 10**5))):
+                starts = [rand_coord(rng, lat), boundary_start(rng, lat, fixed, n)]
+                if lat.D:
+                    starts.append(rand_coord(rng, lat, 2048))
+                for moving in starts:
+                    if n > 300 and max(map(abs, moving + fixed)).bit_length() > 64:
+                        continue  # 10^5 steps on 2-kbit values would take seconds
+                    assert lat.syllable(moving, fixed, n) == syllable_by_steps(
+                        lat, moving, fixed, n
+                    ), (lat.W, lat.D, moving, fixed, n)
+
+
+def test_closed_form_trace_matches_oracle_on_wide_coefficients():
+    """_trace_lattice against Lattice.run stepping and ExactScalar stepping
+    on quadratic starts with coefficients of 2 kbit and more."""
+    rng = random.Random(59)
+    for D in (2, 3, 5):
+        lat = Lattice(ExactScalar(1, 0, 8 * D), ExactScalar(0, 1, 1, D))
+        for _ in range(6):
+            x, y = rand_coord(rng, lat, 2048), rand_coord(rng, lat, rng.choice((0, 2048)))
+            z = lat.point(x, y)
+            w = rand_word(rng, max_syllables=6, max_exp=30)
+            stepped = trace_word(z, w, record_points=True)
+            x1, y1, *mat = _trace_lattice(lat, x, y, w.syllables)
+            assert lat.point(x1, y1) == stepped.final
+            assert HomologyAction(IntMat2(*mat)) == stepped.action
+            final, _, action = oracle.trace_word(z, w, record_points=False)
+            assert (final, action) == (stepped.final, stepped.action)
 
 
 def test_mixed_fields_fail_closed():
