@@ -26,8 +26,7 @@ from math import gcd
 from typing import Iterator
 
 from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
-from .exact import ExactScalar
-from .torus import Lattice, TorusPoint, _canonical, _trace_lattice
+from .torus import TorusPoint, trace_rational
 from .words import GenWord
 
 
@@ -183,16 +182,13 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     Z/2q, where z is (r, s), one closed-form syllable at a time.
     """
     r, s, q = param.r, param.s, param.q
-    lat = Lattice(ExactScalar(1, 0, 2 * q))
-    z = ((r, 0), (s, 0))
     period = 1 if r == 0 else 2 * q
-    x, y, *action = _trace_lattice(lat, *z, fixing_word(param).syllables)
-    x_h, y_h, *action_h = _trace_lattice(lat, *z, (("h-", period),))
-    a, b, _, d = _canonical(*action_h)
-    period_ok = (x_h, y_h) == z and (a, b, d) == (1, 0, 1)  # fixes beta
+    x, y, action = trace_rational(2 * q, r, s, fixing_word(param).syllables)
+    x_h, y_h, action_h = trace_rational(2 * q, r, s, (("h-", period),))
+    period_ok = (x_h, y_h) == (r, s) and action_h.fixes_beta
     return FixingCertificate(
-        fixes_point=(x, y) == z and period_ok,
-        action_is_identity=_canonical(*action) == (1, 0, 0, 1),
+        fixes_point=(x, y) == (r, s) and period_ok,
+        action_is_identity=action.is_identity,
         h_minus_period=period,
     )
 

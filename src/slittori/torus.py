@@ -35,8 +35,10 @@ t = t0 - n f and k = -floor((t + W/2)/W) the syllable ends at t + k W
 after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 ``u // W`` for rational t and takes one ``isqrt(v*v*D)`` otherwise
 (:meth:`Lattice.syllable`).  :func:`_trace_lattice` applies it once per
-syllable; :func:`trace_word` without recorded points and
-:func:`slittori.rational.certify_fixing` trace through it.
+syllable; :func:`trace_word` without recorded points traces through it,
+and so does :func:`trace_rational`, which takes integer numerators over
+an even W and builds no point -- the form
+:func:`slittori.rational.certify_fixing` uses on Z/2q.
 :meth:`Lattice.run` steps one unit at a time and stays the engine for
 ``trace_word(record_points=True)``, :func:`m_sequence` and the window
 searches of :mod:`slittori.irrational`, which need every intermediate
@@ -105,17 +107,6 @@ def in_region_E(z: TorusPoint) -> bool:
     return z.x > m and z.y > m
 
 
-def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """The representative of +-[[a, b], [c, d]] whose first nonzero entry is
-    positive; a determinant other than +-1 raises ValueError."""
-    det = a * d - b * c
-    if abs(det) != 1:
-        raise ValueError(f"homology action must have det +-1, got {det}")
-    if (a or b or c) < 0:  # d cannot be the first nonzero entry when det != 0
-        return -a, -b, -c, -d
-    return a, b, c, d
-
-
 class HomologyAction:
     """An element of PGL(2,Z): a 2x2 integer matrix up to global sign.
 
@@ -125,7 +116,11 @@ class HomologyAction:
     __slots__ = ("m",)
 
     def __init__(self, m: IntMat2):
-        object.__setattr__(self, "m", IntMat2(*_canonical(m.a, m.b, m.c, m.d)))
+        if abs(m.det()) != 1:
+            raise ValueError(f"homology action must have det +-1, got {m.det()}")
+        if (m.a or m.b or m.c) < 0:  # d cannot be the first nonzero entry when det != 0
+            m = -m
+        object.__setattr__(self, "m", m)
 
     def __setattr__(self, *a):
         raise AttributeError("HomologyAction is immutable")
@@ -276,6 +271,22 @@ def _trace_lattice(
             y, m = lat.syllable(y, x, n)
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
     return x, y, a, b, c, d
+
+
+def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, HomologyAction]:
+    """Trace ``syllables`` from the rational point (x/W, y/W), one
+    closed-form syllable at a time, without building a point: the end
+    point's numerators over W and the homology action there.
+
+    W is even and x, y lie in [-W/2, W/2).
+    """
+    half = W // 2
+    if W < 2 or W % 2 or not (-half <= x < half and -half <= y < half):
+        raise ValueError(f"({x}, {y})/{W} is not a point of [-1/2, 1/2)^2 over an even W")
+    lat = Lattice()
+    lat.W, lat.half = W, half
+    (x, _), (y, _), *mat = _trace_lattice(lat, (x, 0), (y, 0), syllables)
+    return x, y, HomologyAction(IntMat2(*mat))
 
 
 def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> ActionTrace:

@@ -20,6 +20,7 @@ from slittori.torus import (
     involution_theta,
     involution_theta_action,
     m_sequence,
+    trace_rational,
     trace_word,
 )
 from slittori.words import GenWord, H_PLUS, H_MINUS, IntMat2, THETA
@@ -304,6 +305,32 @@ def test_closed_form_trace_matches_oracle_on_wide_coefficients():
             assert (final, action) == (stepped.final, stepped.action)
 
 
+def test_trace_rational_matches_stepping():
+    """trace_rational on integer numerators against trace_word stepping one
+    unit at a time from the same rational point."""
+    rng = random.Random(61)
+    for W in (4, 6, 40, 2002):  # every point of Z/2 is a puncture
+        for _ in range(40):
+            while True:
+                x, y = rng.randrange(-W // 2, W // 2), rng.randrange(-W // 2, W // 2)
+                try:
+                    z = P(Fraction(x, W), Fraction(y, W))
+                    break
+                except ExcludedPointError:
+                    continue
+            w = rand_word(rng, max_syllables=7, max_exp=min(3 * W, 120))
+            stepped = trace_word(z, w, record_points=True)
+            x1, y1, action = trace_rational(W, x, y, w.syllables)
+            assert P(Fraction(x1, W), Fraction(y1, W)) == stepped.final
+            assert action == stepped.action
+
+
+def test_trace_rational_rejects_bad_lattices():
+    for W, x, y in ((3, 0, 1), (0, 0, 0), (6, 3, 0), (6, 0, -4)):
+        with pytest.raises(ValueError):
+            trace_rational(W, x, y, (("h+", 1),))
+
+
 def test_mixed_fields_fail_closed():
     z = TorusPoint(ExactScalar(0, 1, 8, 2), ExactScalar(0, 1, 8, 3))
     for word in (GenWord(()), GenWord.from_digits((3, 2))):
@@ -329,3 +356,7 @@ def test_homology_action_canonical_sign():
     assert a.fixes_beta and a.h_minus_exponent == 3
     assert HomologyAction(IntMat2(-1, 0, 0, -1)).is_identity
     assert not HomologyAction(IntMat2(1, 1, 0, 1)).fixes_beta
+    assert HomologyAction(IntMat2(0, -1, 1, 0)).m == IntMat2(0, 1, -1, 0)
+    assert HomologyAction(IntMat2(0, 1, -1, 3)).m == IntMat2(0, 1, -1, 3)
+    with pytest.raises(ValueError):
+        HomologyAction(IntMat2(2, 0, 0, 1))
