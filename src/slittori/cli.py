@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -49,7 +50,16 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors raise CliError, so they exit 2 with a JSON message
-    like every other bad input (subparsers inherit this class)."""
+    like every other bad input (subparsers inherit this class).
+
+    A value that starts with a minus sign and a digit, such as ``-3,5,7``,
+    ``-1/4,1/4``, ``-1:1:4:2`` or ``-3/10``, is read as an argument, not as
+    an option, so it may follow its flag after a space.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d[\d,/:.]*\Z")
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")

@@ -28,10 +28,8 @@ with an "inconclusive" note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .directions import DirectionSpec
-from .exact import ExactScalar
+from .exact import ExactScalar, Frozen
 from .intervals import InconclusiveIntervalError, RatInterval
 from .torus import TorusPoint, trace_word
 from .words import Convergents, GenWord
@@ -40,13 +38,15 @@ DEFAULT_PRECISION_BITS = 256
 _MAX_PRECISION_DOUBLINGS = 4
 
 
-@dataclass(frozen=True)
-class CylinderStrip:
+class CylinderStrip(Frozen):
     """Checkpoint strip data: |intersection with beta|, holonomy, area."""
 
-    k: int
-    v: tuple[int, int]
-    area: ExactScalar
+    __slots__ = ("k", "v", "area")
+
+    def __init__(self, k: int, v: tuple[int, int], area: ExactScalar):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "area", area)
 
     def as_dict(self) -> dict:
         return {
@@ -163,22 +163,44 @@ def wedge_check(
     return result is not None and result[0]
 
 
-@dataclass
 class CheckpointRecord:
-    n: int
-    k: int
-    z: TorusPoint
-    endpoint_consistent: bool
-    homology_fixes_beta: bool
-    y_in_bounds: bool
-    digit_inequality: bool
-    sigma_bounded: bool
-    sigma_route: str
-    wedge_bounded: bool
-    wedge_route: str
-    strip: CylinderStrip | None
-    wedge_ratio: RatInterval | None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = (
+        "n", "k", "z", "endpoint_consistent", "homology_fixes_beta", "y_in_bounds",
+        "digit_inequality", "sigma_bounded", "sigma_route", "wedge_bounded",
+        "wedge_route", "strip", "wedge_ratio", "notes",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        z: TorusPoint,
+        endpoint_consistent: bool,
+        homology_fixes_beta: bool,
+        y_in_bounds: bool,
+        digit_inequality: bool,
+        sigma_bounded: bool,
+        sigma_route: str,
+        wedge_bounded: bool,
+        wedge_route: str,
+        strip: CylinderStrip | None,
+        wedge_ratio: RatInterval | None,
+        notes: list[str] | None = None,
+    ):
+        self.n = n
+        self.k = k
+        self.z = z
+        self.endpoint_consistent = endpoint_consistent
+        self.homology_fixes_beta = homology_fixes_beta
+        self.y_in_bounds = y_in_bounds
+        self.digit_inequality = digit_inequality
+        self.sigma_bounded = sigma_bounded
+        self.sigma_route = sigma_route
+        self.wedge_bounded = wedge_bounded
+        self.wedge_route = wedge_route
+        self.strip = strip
+        self.wedge_ratio = wedge_ratio
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -211,12 +233,16 @@ class CheckpointRecord:
         }
 
 
-@dataclass
 class VerificationReport:
-    horizon: int
-    precision_bits: int
-    records: list[CheckpointRecord]
-    provenance: dict
+    __slots__ = ("horizon", "precision_bits", "records", "provenance")
+
+    def __init__(
+        self, horizon: int, precision_bits: int, records: list[CheckpointRecord], provenance: dict
+    ):
+        self.horizon = horizon
+        self.precision_bits = precision_bits
+        self.records = records
+        self.provenance = provenance
 
     @property
     def overall(self) -> bool:

@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 
+from .exact import Frozen
 from .words import Convergents
 
 _HEAD_TERMS = 64  # Moran-sum terms added directly before the Euler-Maclaurin tail
@@ -54,26 +53,30 @@ _HEAD_TERMS = 64  # Moran-sum terms added directly before the Euler-Maclaurin ta
 WITNESS_BASE = 3
 
 
-@dataclass(frozen=True)
-class DimensionProblem:
-    block: tuple[int, ...]
-    b: int = 1
-    c: int = 0
+class DimensionProblem(Frozen):
+    """A block and the progression b*l + c of free digits.
 
-    def __post_init__(self):
-        if len(self.block) < 3 or len(self.block) % 2 == 0:
+    ``continuant_table`` is (p_m, p_{m-1}, q_m, q_{m-1}) of the block,
+    built once, when the problem is.
+    """
+
+    __slots__ = ("block", "b", "c", "continuant_table")
+
+    def __init__(self, block: tuple[int, ...], b: int = 1, c: int = 0):
+        if len(block) < 3 or len(block) % 2 == 0:
             raise ValueError("block length must be odd and >= 3")
-        if any(d < 1 for d in self.block):
+        if any(d < 1 for d in block):
             raise ValueError("block digits must be positive")
-        if self.b < 1 or self.c < 0:
+        if b < 1 or c < 0:
             raise ValueError("progression needs b >= 1, c >= 0")
-
-    @cached_property
-    def continuant_table(self) -> tuple[int, int, int, int]:
-        """(p_m, p_{m-1}, q_m, q_{m-1}) of the block, built once per problem."""
-        conv = Convergents(self.block)
-        m = len(self.block)
-        return conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1)
+        conv = Convergents(block)
+        m = len(block)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(
+            self, "continuant_table", (conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1))
+        )
 
     def continuants(self) -> tuple[int, int]:
         return self.continuant_table[2:]
@@ -190,22 +193,44 @@ def _exact_str(q: Fraction) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-@dataclass
 class DimensionCertificate:
-    problem: DimensionProblem
-    target: Fraction
-    route: str  # "direct" | "divergence"
-    achieved_su: float
-    u_used: int
-    exceeds_target: bool
-    sqrt_sum_at_u: Fraction | None
-    exact_prefix_u: int
-    exact_prefix_sum: Fraction
-    minorant_verified_terms: int
-    su_monotone_samples: list[tuple[int, float]]
-    image_disjointness_checked: int
-    divergence_note: str
-    witness: dict | None = None  # divergence route only, emitted as is
+    __slots__ = (
+        "problem", "target", "route", "achieved_su", "u_used", "exceeds_target",
+        "sqrt_sum_at_u", "exact_prefix_u", "exact_prefix_sum", "minorant_verified_terms",
+        "su_monotone_samples", "image_disjointness_checked", "divergence_note", "witness",
+    )
+
+    def __init__(
+        self,
+        problem: DimensionProblem,
+        target: Fraction,
+        route: str,  # "direct" | "divergence"
+        achieved_su: float,
+        u_used: int,
+        exceeds_target: bool,
+        sqrt_sum_at_u: Fraction | None,
+        exact_prefix_u: int,
+        exact_prefix_sum: Fraction,
+        minorant_verified_terms: int,
+        su_monotone_samples: list[tuple[int, float]],
+        image_disjointness_checked: int,
+        divergence_note: str,
+        witness: dict | None = None,  # divergence route only, emitted as is
+    ):
+        self.problem = problem
+        self.target = target
+        self.route = route
+        self.achieved_su = achieved_su
+        self.u_used = u_used
+        self.exceeds_target = exceeds_target
+        self.sqrt_sum_at_u = sqrt_sum_at_u
+        self.exact_prefix_u = exact_prefix_u
+        self.exact_prefix_sum = exact_prefix_sum
+        self.minorant_verified_terms = minorant_verified_terms
+        self.su_monotone_samples = su_monotone_samples
+        self.image_disjointness_checked = image_disjointness_checked
+        self.divergence_note = divergence_note
+        self.witness = witness
 
     def as_dict(self) -> dict:
         d = {

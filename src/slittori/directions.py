@@ -12,11 +12,10 @@ records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
-from .exact import ExactScalar, scalar
+from .exact import ExactScalar, Frozen, scalar
 from .intervals import RatInterval
 from .torus import TorusPoint
 from .words import Convergents
@@ -28,20 +27,20 @@ class DigitStreamExhaustedError(RuntimeError):
     """A finite digit source cannot supply the requested digit."""
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(Frozen):
     """One emitted period: eight digits and the expected endpoint."""
 
-    index: int  # n >= 1
-    digits: tuple[int, ...]
-    endpoint: TorusPoint
-    meta: dict
+    __slots__ = ("index", "digits", "endpoint", "meta")
 
-    def __post_init__(self):
-        if len(self.digits) != PERIOD:
+    def __init__(self, index: int, digits: tuple[int, ...], endpoint: TorusPoint, meta: dict):
+        if len(digits) != PERIOD:
             raise ValueError(f"block must have {PERIOD} digits")
-        if any(d < 1 for d in self.digits):
+        if any(d < 1 for d in digits):
             raise ValueError("block digits must be positive")
+        object.__setattr__(self, "index", index)  # n >= 1
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "endpoint", endpoint)
+        object.__setattr__(self, "meta", meta)
 
 
 class DirectionSpec:

@@ -23,6 +23,23 @@ class FieldMismatchError(ValueError):
     """Raised when combining irrationals from different quadratic fields."""
 
 
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    Subclasses declare ``__slots__`` and set each field once, in
+    ``__init__``, with ``object.__setattr__``; any later assignment or
+    deletion raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return ``(d0, f)`` with ``d = f*f*d0`` and ``d0`` squarefree."""
     if d < 0:
@@ -54,7 +71,7 @@ def _gcd3(a: int, b: int, c: int) -> int:
     return gcd(gcd(abs(a), abs(b)), abs(c))
 
 
-class ExactScalar:
+class ExactScalar(Frozen):
     __slots__ = ("u", "v", "w", "D")
 
     def __init__(self, u, v: int = 0, w: int = 1, D: int = 0):
@@ -81,9 +98,6 @@ class ExactScalar:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "D", D)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("ExactScalar is immutable")
 
     # -- constructors -------------------------------------------------
 

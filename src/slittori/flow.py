@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .directions import DirectionSpec
-from .exact import ExactScalar
+from .exact import ExactScalar, Frozen
 
 _HALF = Fraction(1, 2)
 
@@ -66,29 +65,53 @@ def _mod_cell(v):
     return v - n if n else v
 
 
-@dataclass(frozen=True)
-class CoverState:
-    sheet: int
-    x: object  # Fraction or ExactScalar
-    y: object
-    deck: int = 0
+class CoverState(Frozen):
+    __slots__ = ("sheet", "x", "y", "deck")
 
-    def __post_init__(self):
-        if self.sheet not in (0, 1):
+    def __init__(self, sheet: int, x, y, deck: int = 0):  # x, y: Fraction or ExactScalar
+        if sheet not in (0, 1):
             raise ValueError("sheet must be 0 or 1")
-        if not (-_HALF <= self.x < _HALF) or not (-_HALF <= self.y < _HALF):
+        if not (-_HALF <= x < _HALF) or not (-_HALF <= y < _HALF):
             raise ValueError("cell position outside [-1/2, 1/2)^2")
+        object.__setattr__(self, "sheet", sheet)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "deck", deck)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sheet, self.x, self.y, self.deck) == (
+            other.sheet, other.x, other.y, other.deck
+        )
+
+    def __hash__(self):
+        return hash((self.sheet, self.x, self.y, self.deck))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    deck_weights: tuple[int, int]
-    horizontal_core_shifts: tuple[int, int]
-    vertical_shifts: tuple[int, int]
-    crossing_loop_shift: int
-    geometric_agreement: bool
-    cone_turns: tuple[int, int]
-    area: int
+class ValidationReport(Frozen):
+    __slots__ = (
+        "deck_weights", "horizontal_core_shifts", "vertical_shifts", "crossing_loop_shift",
+        "geometric_agreement", "cone_turns", "area",
+    )
+
+    def __init__(
+        self,
+        deck_weights: tuple[int, int],
+        horizontal_core_shifts: tuple[int, int],
+        vertical_shifts: tuple[int, int],
+        crossing_loop_shift: int,
+        geometric_agreement: bool,
+        cone_turns: tuple[int, int],
+        area: int,
+    ):
+        object.__setattr__(self, "deck_weights", deck_weights)
+        object.__setattr__(self, "horizontal_core_shifts", horizontal_core_shifts)
+        object.__setattr__(self, "vertical_shifts", vertical_shifts)
+        object.__setattr__(self, "crossing_loop_shift", crossing_loop_shift)
+        object.__setattr__(self, "geometric_agreement", geometric_agreement)
+        object.__setattr__(self, "cone_turns", cone_turns)
+        object.__setattr__(self, "area", area)
 
     def as_dict(self) -> dict:
         return {
@@ -102,13 +125,17 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    zx: object
-    zy: object
-    deck_weights: tuple[int, int]
-    beta_x: object  # x-position of the vertical cycle used for counting
-    validation: ValidationReport
+class SurfaceModel(Frozen):
+    __slots__ = ("zx", "zy", "deck_weights", "beta_x", "validation")
+
+    def __init__(
+        self, zx, zy, deck_weights: tuple[int, int], beta_x, validation: ValidationReport
+    ):  # beta_x: x-position of the vertical cycle used for counting
+        object.__setattr__(self, "zx", zx)
+        object.__setattr__(self, "zy", zy)
+        object.__setattr__(self, "deck_weights", deck_weights)
+        object.__setattr__(self, "beta_x", beta_x)
+        object.__setattr__(self, "validation", validation)
 
     @property
     def slit_endpoint(self):
@@ -119,11 +146,14 @@ class SurfaceModel:
 # event stepping
 
 
-@dataclass(frozen=True)
-class StepResult:
-    state: CoverState
-    advance: object  # parameter length of this step
-    event: str  # "right_edge" | "top_edge" | "corner" | "slit" | "partial"
+class StepResult(Frozen):
+    __slots__ = ("state", "advance", "event")
+
+    def __init__(self, state: CoverState, advance, event: str):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "advance", advance)  # parameter length of this step
+        # "right_edge" | "top_edge" | "corner" | "slit" | "partial"
+        object.__setattr__(self, "event", event)
 
 
 def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
@@ -361,29 +391,48 @@ def build_surface(z) -> SurfaceModel:
 # statistics
 
 
-@dataclass
 class OrbitStats:
-    grid: int
-    deck_window: int
-    slope: tuple[int, int]  # simulated slope as (num, den)
-    start: tuple[int, str, str, int]
-    samples: int = 0
-    cell_counts: list = field(default_factory=list)  # [sheet][i][j]
-    deck_counts: list = field(default_factory=list)
-    deck_overflow: int = 0
-    deck_zero_returns: int = 0
-    discrepancy: list = field(default_factory=list)
-    snapshot_samples: list = field(default_factory=list)
-    total_advance: str = "0"
-    terminated_early: bool = False
-    termination_reason: str = ""
+    """Sample counts of one simulated orbit.  An empty or omitted
+    ``cell_counts`` / ``deck_counts`` starts as zeros of the grid and deck
+    window; every omitted list is a new one."""
 
-    def __post_init__(self):
-        g, n = self.grid, self.deck_window
-        if not self.cell_counts:
-            self.cell_counts = [[[0] * g for _ in range(g)] for _ in range(2)]
-        if not self.deck_counts:
-            self.deck_counts = [0] * (2 * n + 1)
+    __slots__ = (
+        "grid", "deck_window", "slope", "start", "samples", "cell_counts", "deck_counts",
+        "deck_overflow", "deck_zero_returns", "discrepancy", "snapshot_samples",
+        "total_advance", "terminated_early", "termination_reason",
+    )
+
+    def __init__(
+        self,
+        grid: int,
+        deck_window: int,
+        slope: tuple[int, int],  # simulated slope as (num, den)
+        start: tuple[int, str, str, int],
+        samples: int = 0,
+        cell_counts: list | None = None,  # [sheet][i][j]
+        deck_counts: list | None = None,
+        deck_overflow: int = 0,
+        deck_zero_returns: int = 0,
+        discrepancy: list | None = None,
+        snapshot_samples: list | None = None,
+        total_advance: str = "0",
+        terminated_early: bool = False,
+        termination_reason: str = "",
+    ):
+        self.grid = grid
+        self.deck_window = deck_window
+        self.slope = slope
+        self.start = start
+        self.samples = samples
+        self.cell_counts = cell_counts or [[[0] * grid for _ in range(grid)] for _ in range(2)]
+        self.deck_counts = deck_counts or [0] * (2 * deck_window + 1)
+        self.deck_overflow = deck_overflow
+        self.deck_zero_returns = deck_zero_returns
+        self.discrepancy = [] if discrepancy is None else discrepancy
+        self.snapshot_samples = [] if snapshot_samples is None else snapshot_samples
+        self.total_advance = total_advance
+        self.terminated_early = terminated_early
+        self.termination_reason = termination_reason
 
     def current_discrepancy(self) -> float:
         """Total-variation distance between the sampled cell distribution
@@ -633,18 +682,28 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
 # billiard correspondence (z = (0, lambda) models)
 
 
-@dataclass(frozen=True)
-class BilliardState:
+class BilliardState(Frozen):
     """A point mass in the half-open strip with barriers at integer x.
 
     ``x`` is unbounded, ``0 <= y <= 1/2``; the direction (vx, vy) is any
     nonzero vector.
     """
 
-    x: object
-    y: object
-    vx: object
-    vy: object
+    __slots__ = ("x", "y", "vx", "vy")
+
+    def __init__(self, x, y, vx, vy):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "vx", vx)
+        object.__setattr__(self, "vy", vy)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.vx, self.vy) == (other.x, other.y, other.vx, other.vy)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.vx, self.vy))
 
 
 def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:

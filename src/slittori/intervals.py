@@ -12,22 +12,31 @@ width of that enclosure is what the ``precision_bits`` arguments of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .exact import Frozen
 
 
 class InconclusiveIntervalError(ArithmeticError):
     """The interval is too wide to certify the requested comparison."""
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    lo: Fraction
-    hi: Fraction
+class RatInterval(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, q) -> "RatInterval":

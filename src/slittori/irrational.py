@@ -30,13 +30,12 @@ admissible candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import count
-from typing import Iterator, Sequence
 
 from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
-from .exact import ExactScalar, negative, scalar
+from .exact import ExactScalar, Frozen, negative, scalar
 from .torus import ActionTrace, Coord, Lattice, TorusPoint, trace_word
 from .words import GenWord
 
@@ -53,16 +52,28 @@ class DerivationError(RuntimeError):
     """An intermediate invariant of the block derivation failed."""
 
 
-@dataclass(frozen=True)
-class IrrationalBlockParams:
-    a: int
-    b: int
-    c: int
-    d: int
-    trace: ActionTrace
-    z_out: TorusPoint
-    eps1: ExactScalar
-    eps2: ExactScalar
+class IrrationalBlockParams(Frozen):
+    __slots__ = ("a", "b", "c", "d", "trace", "z_out", "eps1", "eps2")
+
+    def __init__(
+        self,
+        a: int,
+        b: int,
+        c: int,
+        d: int,
+        trace: ActionTrace,
+        z_out: TorusPoint,
+        eps1: ExactScalar,
+        eps2: ExactScalar,
+    ):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "z_out", z_out)
+        object.__setattr__(self, "eps1", eps1)
+        object.__setattr__(self, "eps2", eps2)
 
     @property
     def digits(self) -> tuple[int, ...]:

@@ -20,33 +20,44 @@ odd case reduces to a = q, b = q-1, i.e. the block
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
+from .exact import Frozen
 from .torus import TorusPoint, trace_rational
 from .words import GenWord
 
 
-@dataclass(frozen=True)
-class RationalParam:
+class RationalParam(Frozen):
     """z = (r/2q, s/2q) with |r|, |s| < q, s nonzero and coprime to q."""
 
-    r: int
-    s: int
-    q: int
+    __slots__ = ("r", "s", "q")
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, r: int, s: int, q: int):
+        if q < 1:
             raise ValueError("q must be positive")
-        if not (abs(self.r) < self.q and abs(self.s) < self.q):
+        if not (abs(r) < q and abs(s) < q):
             raise ValueError("need |r| < q and |s| < q")
-        if self.s == 0:
+        if s == 0:
             raise ValueError("s must be nonzero")
-        if gcd(self.s, self.q) != 1:
+        if gcd(s, q) != 1:
             raise ValueError("s must be coprime with q")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.s, self.q) == (other.r, other.s, other.q)
+
+    def __hash__(self):
+        return hash((self.r, self.s, self.q))
+
+    def __repr__(self):
+        return f"RationalParam(r={self.r!r}, s={self.s!r}, q={self.q!r})"
 
     @classmethod
     def from_barrier_length(cls, lam: Fraction) -> "RationalParam":
@@ -75,8 +86,7 @@ class RationalParam:
         return RationalParam(-self.r, -self.s, self.q)
 
 
-@dataclass(frozen=True)
-class CongruencePair:
+class CongruencePair(Frozen):
     """Block exponents.
 
     Odd case: single pair (a, b); ``a2`` is None.
@@ -86,10 +96,23 @@ class CongruencePair:
     the only case the single-exponent textbook form covers.
     """
 
-    a: int
-    b: int
-    parity_case: str
-    a2: int | None = None
+    __slots__ = ("a", "b", "parity_case", "a2")
+
+    def __init__(self, a: int, b: int, parity_case: str, a2: int | None = None):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "parity_case", parity_case)
+        object.__setattr__(self, "a2", a2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.parity_case, self.a2) == (
+            other.a, other.b, other.parity_case, other.a2
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.parity_case, self.a2))
 
 
 class CongruenceError(RuntimeError):
@@ -135,15 +158,15 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
     )
 
 
-@dataclass(frozen=True)
-class Block:
-    digits: tuple[int, ...]
+class Block(Frozen):
+    __slots__ = ("digits",)
 
-    def __post_init__(self):
-        if len(self.digits) != 7:
+    def __init__(self, digits: tuple[int, ...]):
+        if len(digits) != 7:
             raise ValueError("block must have 7 digits")
-        if any(d < 1 for d in self.digits):
+        if any(d < 1 for d in digits):
             raise ValueError("block digits must be positive")
+        object.__setattr__(self, "digits", digits)
 
 
 def block_for(param: RationalParam) -> Block:
@@ -161,11 +184,30 @@ def fixing_word(param: RationalParam) -> GenWord:
     return GenWord.from_digits(block_for(param).digits)
 
 
-@dataclass(frozen=True)
-class FixingCertificate:
-    fixes_point: bool
-    action_is_identity: bool
-    h_minus_period: int
+class FixingCertificate(Frozen):
+    __slots__ = ("fixes_point", "action_is_identity", "h_minus_period")
+
+    def __init__(self, fixes_point: bool, action_is_identity: bool, h_minus_period: int):
+        object.__setattr__(self, "fixes_point", fixes_point)
+        object.__setattr__(self, "action_is_identity", action_is_identity)
+        object.__setattr__(self, "h_minus_period", h_minus_period)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fixes_point, self.action_is_identity, self.h_minus_period) == (
+            other.fixes_point, other.action_is_identity, other.h_minus_period
+        )
+
+    def __hash__(self):
+        return hash((self.fixes_point, self.action_is_identity, self.h_minus_period))
+
+    def __repr__(self):
+        return (
+            f"FixingCertificate(fixes_point={self.fixes_point!r}, "
+            f"action_is_identity={self.action_is_identity!r}, "
+            f"h_minus_period={self.h_minus_period!r})"
+        )
 
     @property
     def ok(self) -> bool:
@@ -197,12 +239,14 @@ class NkRuleError(ValueError):
     """A free digit violates the 2q-multiple constraint."""
 
 
-@dataclass(frozen=True)
-class NkRule:
+class NkRule(Frozen):
     """Rule for the free digits n_k: constant, arithmetic (b*k + c), or list."""
 
-    kind: str  # "const" | "arith" | "list"
-    params: tuple[int, ...]
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)  # "const" | "arith" | "list"
+        object.__setattr__(self, "params", params)
 
     def value(self, k: int) -> int:
         if self.kind == "const":

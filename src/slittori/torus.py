@@ -48,13 +48,12 @@ reference that steps :class:`~slittori.exact.ExactScalar` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
-from typing import Iterator
 
-from .exact import ExactScalar, FieldMismatchError, mod_half_open, negative, scalar
+from .exact import ExactScalar, FieldMismatchError, Frozen, mod_half_open, negative, scalar
 from .words import IDENTITY, THETA, GenWord, IntMat2
 
 EXCLUDED_POINTS = (
@@ -69,21 +68,29 @@ class ExcludedPointError(ValueError):
     """The point is one of the four punctures removed from the torus."""
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    x: ExactScalar
-    y: ExactScalar
+class TorusPoint(Frozen):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        for c in (self.x, self.y):
+    def __init__(self, x: ExactScalar, y: ExactScalar):
+        for c in (x, y):
             # -1/2 <= c < 1/2, as sign tests of 2c + 1 and 2c - 1
             u, v = 2 * c.u, 2 * c.v
             if negative(u + c.w, v, c.D) or not negative(u - c.w, v, c.D):
                 raise ValueError(f"coordinate {c} outside [-1/2, 1/2)")
-        if self.x.is_rational and self.y.is_rational:
-            pair = (self.x.as_fraction(), self.y.as_fraction())
+        if x.is_rational and y.is_rational:
+            pair = (x.as_fraction(), y.as_fraction())
             if pair in EXCLUDED_POINTS:
                 raise ExcludedPointError(f"{pair} is a puncture")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     @classmethod
     def of(cls, x, y) -> "TorusPoint":
@@ -107,7 +114,7 @@ def in_region_E(z: TorusPoint) -> bool:
     return z.x > m and z.y > m
 
 
-class HomologyAction:
+class HomologyAction(Frozen):
     """An element of PGL(2,Z): a 2x2 integer matrix up to global sign.
 
     The stored representative has its first nonzero entry positive.
@@ -121,9 +128,6 @@ class HomologyAction:
         if (m.a or m.b or m.c) < 0:  # d cannot be the first nonzero entry when det != 0
             m = -m
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HomologyAction is immutable")
 
     def __eq__(self, other):
         return isinstance(other, HomologyAction) and self.m == other.m
@@ -155,13 +159,22 @@ class HomologyAction:
         return f"HomologyAction({self.m!r})"
 
 
-@dataclass(frozen=True)
-class ActionTrace:
-    start: TorusPoint
-    word: GenWord
-    points: tuple[TorusPoint, ...]
-    final: TorusPoint
-    action: HomologyAction
+class ActionTrace(Frozen):
+    __slots__ = ("start", "word", "points", "final", "action")
+
+    def __init__(
+        self,
+        start: TorusPoint,
+        word: GenWord,
+        points: tuple[TorusPoint, ...],
+        final: TorusPoint,
+        action: HomologyAction,
+    ):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "action", action)
 
 
 Coord = tuple[int, int]  # (u, v), the coordinate (u + v sqrt(D))/W of a Lattice

@@ -14,19 +14,33 @@ convergents p_i/q_i of [0; a1, ..., ak].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
+
+from .exact import Frozen
 
 
-@dataclass(frozen=True)
-class IntMat2:
+class IntMat2(Frozen):
     """Row-major [[a, b], [c, d]] with integer entries."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"IntMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -107,19 +121,18 @@ def check_relations() -> tuple[bool, list[str]]:
 _OTHER = {"h+": "h-", "h-": "h+"}
 
 
-@dataclass(frozen=True)
-class GenWord:
+class GenWord(Frozen):
     """Alternating word in the generators h+ and h-.
 
     ``syllables`` is a tuple of (generator, exponent) pairs with
     positive exponents and strictly alternating generators.
     """
 
-    syllables: tuple[tuple[str, int], ...]
+    __slots__ = ("syllables",)
 
-    def __post_init__(self):
+    def __init__(self, syllables: tuple[tuple[str, int], ...]):
         prev = None
-        for gen, exp in self.syllables:
+        for gen, exp in syllables:
             if gen not in ("h+", "h-"):
                 raise ValueError(f"unknown generator {gen!r}")
             if exp < 1:
@@ -127,6 +140,7 @@ class GenWord:
             if gen == prev:
                 raise ValueError("syllables must alternate generators")
             prev = gen
+        object.__setattr__(self, "syllables", syllables)
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], leading: str = "h+") -> "GenWord":

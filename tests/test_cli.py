@@ -103,6 +103,8 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["build", "--lambda", "1/4", "--blocks", "-1"],
         ["action", "--z", "0,1/4", "--gz", "1,2"],
         ["build", "--z-rational", "1,2"],
+        ["action", "--z", "0,1/4", "--gz", "--word", "h+"],
+        ["action", "--z", "0,1/4", "--word", "h+", "-x"],
         [],
     ):
         code, out, err = run(capsys, *argv)
@@ -119,6 +121,43 @@ def test_argument_errors_exit_two_with_json(capsys):
     assert json.loads(err)["error"] == "--gz expects r,s,q got '1,2'"
     _, _, err = run(capsys, "build", "--z-rational", "1,2")
     assert json.loads(err)["error"] == "--z-rational expects r,s,q got '1,2'"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["action", "--z", "1/4,1/4", "--gz", "-3,5,7"],
+        ["action", "--z", "-1/4,1/4", "--word", "h+:3"],
+        ["build", "--z-rational", "-1,1,3", "--nk", "const:6"],
+        [
+            "billiard", "--lambda", "1/4", "--x", "-3/10", "--y", "1/10",
+            "--vx", "-7/10", "--vy", "2/5",
+        ],
+    ],
+)
+def test_negative_value_after_flag(capsys, argv):
+    joined = []  # the same command with each negative value attached by "="
+    for arg in argv:
+        if arg[0] == "-" and arg[1].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "", err
+    assert run(capsys, *joined) == (code, out, err)
+
+
+def test_import_path_loads_no_dataclasses_inspect_or_typing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, slittori.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_does_not_load_numpy():
