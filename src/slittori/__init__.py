@@ -36,7 +36,7 @@ from .torus import (
     m_sequence,
     trace_word,
 )
-from .directions import BlockRecord, DirectionSpec
+from .directions import BlockRecord, DigitRule, DirectionSpec
 from .rational import (
     Block,
     CongruencePair,
@@ -54,13 +54,7 @@ from .irrational import (
     direction_stream_irrational,
     find_block,
 )
-from .criterion import (
-    CylinderStrip,
-    VerificationReport,
-    masur_sigma_check,
-    verify,
-    wedge_check,
-)
+from .criterion import CylinderStrip, VerificationReport, verify
 from .dimension import (
     DimensionProblem,
     contraction_bound,

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .criterion import DEFAULT_PRECISION_BITS, verify
 from .dimension import DimensionProblem, dimension_certificate
-from .directions import DirectionSpec
+from .directions import DigitRule, DirectionSpec
 from .exact import ExactScalar, parse_scalar
 from .flow import (
     BilliardState,
@@ -36,8 +36,8 @@ from .flow import (
     simulate,
     slope_from_spec,
 )
-from .irrational import DEFAULT_BUDGET, DChoiceRule, direction_stream_irrational
-from .rational import NkRule, RationalParam, direction_stream, fixing_word
+from .irrational import DEFAULT_BUDGET, direction_stream_irrational
+from .rational import RationalParam, direction_stream, fixing_word
 from .torus import TorusPoint, trace_word
 from .words import GenWord
 
@@ -121,10 +121,9 @@ def _parse_word(text: str) -> GenWord:
     return GenWord(tuple(syllables))
 
 
-def _parse_rule(text: str, cls):
+def _parse_rule(text: str) -> DigitRule:
     kind, _, rest = text.partition(":")
-    params = tuple(int(v) for v in rest.split(",") if v != "")
-    return cls(kind, params)
+    return DigitRule(kind, (int(v) for v in rest.split(",") if v != ""))
 
 
 def _scalar_json(s: ExactScalar) -> list[int]:
@@ -133,10 +132,6 @@ def _scalar_json(s: ExactScalar) -> list[int]:
 
 def _point_json(p: TorusPoint) -> list[list[int]]:
     return [_scalar_json(p.x), _scalar_json(p.y)]
-
-
-def _point_from_json(obj) -> TorusPoint:
-    return TorusPoint(ExactScalar(*obj[0]), ExactScalar(*obj[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +159,41 @@ def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
     }
 
 
+def _object(value, keys: tuple[str, ...], what: str) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``."""
+    if not isinstance(value, dict):
+        raise CliError(f"{what} is not a JSON object")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise CliError(f"{what} lacks {', '.join(missing)}")
+    return value
+
+
+def _rule_from(prov: dict, key: str) -> DigitRule:
+    return DigitRule.from_dict(_object(prov[key], ("kind", "params"), key))
+
+
 def spec_from_provenance(prov: dict) -> DirectionSpec:
-    if prov["type"] == "rational":
+    kind = _object(prov, ("type",), "provenance")["type"]
+    if kind == "rational":
+        _object(prov, ("r", "s", "q", "nk_rule"), "rational provenance")
         param = RationalParam(prov["r"], prov["s"], prov["q"])
-        return direction_stream(param, NkRule.from_dict(prov["nk_rule"]))
-    if prov["type"] == "irrational":
-        lam = ExactScalar(*prov["lambda"])
+        return direction_stream(param, _rule_from(prov, "nk_rule"))
+    if kind == "irrational":
+        _object(prov, ("lambda", "d_choices"), "irrational provenance")
         return direction_stream_irrational(
-            lam,
-            DChoiceRule.from_dict(prov["d_choices"]),
+            ExactScalar(*prov["lambda"]),
+            _rule_from(prov, "d_choices"),
             a_min=prov.get("a_min", 6),
             budget=prov.get("budget", DEFAULT_BUDGET),
         )
-    raise CliError(f"unknown provenance type {prov['type']!r}")
+    raise CliError(f"unknown provenance type {kind!r}")
 
 
 def load_spec(path: str) -> DirectionSpec:
     with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format_version") != FORMAT_VERSION:
+        data = _object(json.load(fh), ("format_version", "provenance"), "spec file")
+    if data["format_version"] != FORMAT_VERSION:
         raise CliError("unsupported spec file version")
     spec = spec_from_provenance(data["provenance"])
     # determinism cross-check: the rebuilt stream must reproduce every
@@ -237,19 +248,16 @@ def cmd_action(args) -> int:
 def cmd_build(args) -> int:
     if args.z_rational:
         param = _parse_param(args.z_rational, "--z-rational")
-        spec = direction_stream(param, _parse_rule(args.nk, NkRule))
+        spec = direction_stream(param, _parse_rule(args.nk))
     elif args.lam:
         lam = parse_scalar(args.lam)
         if lam.is_rational:
             param = RationalParam.from_barrier_length(lam.as_fraction())
-            spec = direction_stream(param, _parse_rule(args.nk, NkRule))
+            spec = direction_stream(param, _parse_rule(args.nk))
         else:
-            choices = (
-                _parse_rule(args.d_choices, DChoiceRule)
-                if ":" in args.d_choices
-                else DChoiceRule(args.d_choices)
+            spec = direction_stream_irrational(
+                lam, _parse_rule(args.d_choices), budget=args.budget
             )
-            spec = direction_stream_irrational(lam, choices, budget=args.budget)
     else:
         raise CliError("one of --lambda / --z-rational is required")
     _emit(spec_to_dict(spec, args.blocks), args.output)

@@ -127,42 +127,6 @@ def _wedge_at(spec: DirectionSpec, conv: Convergents, k: int, threshold,
     return direct, route if direct else "none", wedge
 
 
-def _checkpoint_trace(spec: DirectionSpec, k: int):
-    """(word of digits 1..k, its trace from z0, digit inequality at k+1)."""
-    word = GenWord.from_digits(spec.digits_prefix(k))
-    tr = trace_word(spec.z0, word, record_points=False)
-    a_next = spec.digit(k + 1)
-    return word, tr, bool((ExactScalar(1) - 2 * tr.final.y) * a_next >= 2)
-
-
-def masur_sigma_check(
-    spec: DirectionSpec, n: int, bits: int = DEFAULT_PRECISION_BITS
-) -> bool:
-    """Certified |entry| <= 1 for all four entries at checkpoint n: the
-    ``sigma_bounded`` that ``verify`` records there at ``bits``."""
-    k = spec.checkpoint_index(n)
-    conv = spec.convergents(k)
-    result, _, _ = _with_precision_retry(
-        lambda b: _sigma_at(spec, conv, k, b), bits
-    )
-    return result is not None and result[0]
-
-
-def wedge_check(
-    spec: DirectionSpec, n: int, bits: int = DEFAULT_PRECISION_BITS
-) -> bool:
-    """Certified |q_k alpha - p_k| <= (1 - 2 y_n)/(2 q_k) at checkpoint n:
-    the ``wedge_bounded`` that ``verify`` records there at ``bits``."""
-    k = spec.checkpoint_index(n)
-    conv = spec.convergents(k)
-    _, tr, digit_inequality = _checkpoint_trace(spec, k)
-    threshold = wedge_threshold(tr.final.y, conv.q(k))
-    result, _, _ = _with_precision_retry(
-        lambda b: _wedge_at(spec, conv, k, threshold, digit_inequality, b), bits
-    )
-    return result is not None and result[0]
-
-
 class CheckpointRecord:
     __slots__ = (
         "n", "k", "z", "endpoint_consistent", "homology_fixes_beta", "y_in_bounds",
@@ -289,9 +253,11 @@ def verify(
         k = spec.checkpoint_index(n)
         spec.ensure_digits(k + 1)
         conv = spec.convergents(k)
-        word, tr, digit_inequality = _checkpoint_trace(spec, k)
+        word = GenWord.from_digits(spec.digits_prefix(k))
+        tr = trace_word(spec.z0, word, record_points=False)
         z_n = tr.final
         y_n = z_n.y
+        digit_inequality = bool((ExactScalar(1) - 2 * y_n) * spec.digit(k + 1) >= 2)
         notes: list[str] = []
 
         endpoint_consistent = z_n == spec.checkpoint_point(n)

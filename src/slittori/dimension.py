@@ -92,10 +92,7 @@ def contraction_bound(block: tuple[int, ...], l: int) -> Fraction:
     """Exact d_{block, l} = 1 / (q_m (l+1) + q_{m-1})^2."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    conv = Convergents(block)
-    m = len(block)
-    qm, qm1 = conv.q(m), conv.q(m - 1)
-    return Fraction(1, (qm * (l + 1) + qm1) ** 2)
+    return sqrt_contraction(DimensionProblem(block), l) ** 2
 
 
 def sqrt_contraction(problem: DimensionProblem, l: int) -> Fraction:

@@ -27,6 +27,55 @@ class DigitStreamExhaustedError(RuntimeError):
     """A finite digit source cannot supply the requested digit."""
 
 
+class DigitRule(Frozen):
+    """The free digit of block n, for either builder: the rational n_k
+    between fixing blocks, or the index of the admissible d in an
+    irrational block.
+
+    ``default`` is 1, ``const`` (M,) is M, ``arith`` (B, C) is B n + C and
+    ``list`` gives its n-th entry, raising
+    :class:`DigitStreamExhaustedError` past its end.  Every value is a
+    positive integer.
+    """
+
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str = "default", params: tuple[int, ...] = ()):
+        params = tuple(int(v) for v in params)
+        if kind == "default":
+            ok = not params
+        elif kind == "const":
+            ok = len(params) == 1 and params[0] >= 1
+        elif kind == "arith":
+            ok = len(params) == 2 and params[0] >= 1 and params[1] >= 0
+        elif kind == "list":
+            ok = bool(params) and min(params) >= 1
+        else:
+            raise ValueError(f"unknown digit rule {kind!r}")
+        if not ok:
+            raise ValueError(f"{kind} digit rule cannot take {list(params)}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+
+    def value(self, n: int) -> int:
+        """The digit of block n (1-based)."""
+        p = self.params
+        if self.kind == "arith":
+            return p[0] * n + p[1]
+        if self.kind == "list":
+            if n > len(p):
+                raise DigitStreamExhaustedError(f"digit list has only {len(p)} entries")
+            return p[n - 1]
+        return p[0] if p else 1
+
+    def as_dict(self) -> dict:
+        return {"kind": self.kind, "params": list(self.params)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DigitRule":
+        return cls(d["kind"], d["params"])
+
+
 class BlockRecord(Frozen):
     """One emitted period: eight digits and the expected endpoint."""
 
@@ -69,8 +118,6 @@ class DirectionSpec:
         self._blocks: list[BlockRecord] = []
         self._digits: list[int] = []
         self._conv = Convergents()
-
-    period = PERIOD
 
     # -- stream management --------------------------------------------
 

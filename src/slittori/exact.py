@@ -65,6 +65,16 @@ def negative(u: int, v: int, D: int) -> bool:
     return u <= 0 or v * v * D > u * u
 
 
+def floor_sqrt(v: int, D: int) -> int:
+    """floor(v * sqrt(D)) for ``v != 0`` and squarefree ``D >= 2``.
+
+    v sqrt(D) is irrational, so for v < 0 it lies strictly between
+    -isqrt(v*v*D) - 1 and -isqrt(v*v*D).
+    """
+    s = isqrt(v * v * D)
+    return s if v > 0 else -s - 1
+
+
 def _gcd3(a: int, b: int, c: int) -> int:
     from math import gcd
 
@@ -267,19 +277,10 @@ class ExactScalar(Frozen):
     # -- rounding -----------------------------------------------------
 
     def __floor__(self) -> int:
+        # floor((u + x)/w) = floor((u + floor(x))/w) for integer u and w > 0
         if self.v == 0:
             return self.u // self.w
-        s = isqrt(self.v * self.v * self.D)  # floor |v| sqrt(D)
-        if self.v > 0:
-            n = (self.u + s) // self.w
-        else:
-            n = (self.u - s - 1) // self.w
-        # correct the integer estimate with exact comparisons
-        while self._cmp(ExactScalar(n)) < 0:
-            n -= 1
-        while self._cmp(ExactScalar(n + 1)) >= 0:
-            n += 1
-        return n
+        return (self.u + floor_sqrt(self.v, self.D)) // self.w
 
     def enclosure(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, width <= 2**(1-bits)."""
@@ -287,14 +288,8 @@ class ExactScalar(Frozen):
             q = Fraction(self.u, self.w)
             return (q, q)
         scale = 1 << bits
-        s = isqrt(self.v * self.v * self.D * scale * scale)
-        lo = Fraction(self.u * scale + s, self.w * scale)
-        hi = Fraction(self.u * scale + s + 1, self.w * scale)
-        if self.v < 0:
-            lo, hi = Fraction(self.u * scale - s - 1, self.w * scale), Fraction(
-                self.u * scale - s, self.w * scale
-            )
-        return (lo, hi)
+        n = self.u * scale + floor_sqrt(self.v * scale, self.D)
+        return (Fraction(n, self.w * scale), Fraction(n + 1, self.w * scale))
 
     def __float__(self) -> float:
         lo, hi = self.enclosure(80)
@@ -314,10 +309,7 @@ class ExactScalar(Frozen):
         return f"({core})/{self.w}"
 
 
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
 HALF = ExactScalar(1, 0, 2)
-MINUS_HALF = ExactScalar(-1, 0, 2)
 
 
 def scalar(value) -> ExactScalar:

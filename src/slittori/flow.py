@@ -137,10 +137,6 @@ class SurfaceModel(Frozen):
         object.__setattr__(self, "beta_x", beta_x)
         object.__setattr__(self, "validation", validation)
 
-    @property
-    def slit_endpoint(self):
-        return (self.zx, self.zy)
-
 
 # ---------------------------------------------------------------------------
 # event stepping

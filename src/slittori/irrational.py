@@ -30,11 +30,11 @@ admissible candidates.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count
 
-from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
+from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import ExactScalar, Frozen, negative, scalar
 from .torus import ActionTrace, Coord, Lattice, TorusPoint, trace_word
 from .words import GenWord
@@ -201,8 +201,8 @@ def find_block(
     def step(moving, fixed):
         """One elementary step: the new coordinate, and whether the
         post-step point lies in S."""
-        m, u, v = next(lat.run(moving, fixed))
-        return (u, v), m > 0
+        moved, m = lat.syllable(moving, fixed, 1)
+        return moved, m > 0
 
     for a, a_prime, x1 in _a_candidates(lat, lat.embed(z.x), y, a_min, bud):
         # two single steps with the derivation's region cross-checks
@@ -261,61 +261,28 @@ def find_block(
     raise SearchBudgetExceededError("candidate generators exhausted")
 
 
-class DChoiceRule:
-    """Which admissible d to take in each block: default, constant, or list."""
-
-    def __init__(self, kind: str = "default", params: Sequence[int] = ()):  # noqa: D401
-        if kind not in ("default", "const", "list"):
-            raise ValueError(f"unknown d-choice rule {kind!r}")
-        self.kind = kind
-        self.params = tuple(int(v) for v in params)
-        if kind == "const" and (len(self.params) != 1 or self.params[0] < 1):
-            raise ValueError("const d-choice needs one positive index")
-        if kind == "list" and any(v < 1 for v in self.params):
-            raise ValueError("d-choice indices are 1-based positives")
-
-    def index(self, n: int) -> int:
-        if self.kind == "default":
-            return 1
-        if self.kind == "const":
-            return self.params[0]
-        if n > len(self.params):
-            raise DigitStreamExhaustedError(
-                f"d-choice list has only {len(self.params)} entries"
-            )
-        return self.params[n - 1]
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DChoiceRule":
-        return cls(d["kind"], d.get("params", ()))
+DChoiceRule = DigitRule
 
 
 def _irrational_blocks(
-    z0: TorusPoint, choices: DChoiceRule, a_min: int, budget: int
+    z0: TorusPoint, choices: DigitRule, a_min: int, budget: int
 ) -> Iterator[BlockRecord]:
     z = z0
-    n = 1
-    while True:
-        blk = find_block(z, DEFAULT_J, a_min=a_min, d_index=choices.index(n), budget=budget)
+    for n in count(1):
+        d_index = choices.value(n)
+        blk = find_block(z, DEFAULT_J, a_min=a_min, d_index=d_index, budget=budget)
         yield BlockRecord(
             index=n,
             digits=blk.digits,
             endpoint=blk.z_out,
-            meta={
-                "a": blk.a, "b": blk.b, "c": blk.c, "d": blk.d,
-                "d_index": choices.index(n),
-            },
+            meta={"a": blk.a, "b": blk.b, "c": blk.c, "d": blk.d, "d_index": d_index},
         )
         z = blk.z_out
-        n += 1
 
 
 def direction_stream_irrational(
     lam: ExactScalar,
-    d_choices: DChoiceRule | None = None,
+    d_choices: DigitRule | None = None,
     a_min: int = DEFAULT_A_MIN,
     budget: int = DEFAULT_BUDGET,
 ) -> DirectionSpec:
@@ -329,7 +296,7 @@ def direction_stream_irrational(
         raise ValueError("rational barrier length: use the rational builder")
     if not (ExactScalar(0) < lam < ExactScalar(1, 0, 2)):
         raise ValueError("barrier length ratio must lie in (0, 1/2)")
-    choices = d_choices or DChoiceRule()
+    choices = d_choices or DigitRule()
     z0 = TorusPoint(ExactScalar(0), lam)
     provenance = {
         "type": "irrational",

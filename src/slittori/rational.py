@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
-from .directions import BlockRecord, DigitStreamExhaustedError, DirectionSpec
+from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import Frozen
 from .torus import TorusPoint, trace_rational
 from .words import GenWord
@@ -239,77 +240,18 @@ class NkRuleError(ValueError):
     """A free digit violates the 2q-multiple constraint."""
 
 
-class NkRule(Frozen):
-    """Rule for the free digits n_k: constant, arithmetic (b*k + c), or list."""
-
-    __slots__ = ("kind", "params")
-
-    def __init__(self, kind: str, params: tuple[int, ...]):
-        object.__setattr__(self, "kind", kind)  # "const" | "arith" | "list"
-        object.__setattr__(self, "params", params)
-
-    def value(self, k: int) -> int:
-        if self.kind == "const":
-            return self.params[0]
-        if self.kind == "arith":
-            b, c = self.params
-            return b * k + c
-        if self.kind == "list":
-            if k > len(self.params):
-                raise DigitStreamExhaustedError(
-                    f"n_k list has only {len(self.params)} entries"
-                )
-            return self.params[k - 1]
-        raise ValueError(f"unknown n_k rule {self.kind!r}")
-
-    def validate(self) -> None:
-        if self.kind == "const":
-            if len(self.params) != 1 or self.params[0] < 1:
-                raise ValueError("const rule needs one positive value")
-        elif self.kind == "arith":
-            if len(self.params) != 2:
-                raise ValueError("arith rule needs (b, c)")
-            b, c = self.params
-            if b < 1 or c < 0 or b + c < 1:
-                raise ValueError("arith rule must produce positive values")
-        elif self.kind == "list":
-            if not self.params or any(v < 1 for v in self.params):
-                raise ValueError("list rule needs positive values")
-        else:
-            raise ValueError(f"unknown n_k rule {self.kind!r}")
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NkRule":
-        return cls(d["kind"], tuple(int(v) for v in d["params"]))
+NkRule = DigitRule
 
 
-
-def _rational_blocks(param: RationalParam, nk: NkRule) -> Iterator[BlockRecord]:
+def _rational_blocks(param: RationalParam, nk: DigitRule) -> Iterator[BlockRecord]:
     block = block_for(param).digits
     z = param.point()
-    modulus = 1 if param.r == 0 else 2 * param.q
-    k = 1
-    while True:
+    for k in count(1):
         n_k = nk.value(k)
-        if n_k < 1:
-            raise NkRuleError(f"n_{k} = {n_k} is not positive")
-        if n_k % modulus != 0:
-            raise NkRuleError(
-                f"n_{k} = {n_k} must be a positive multiple of {modulus} (r != 0)"
-            )
-        yield BlockRecord(
-            index=k,
-            digits=block + (n_k,),
-            endpoint=z,
-            meta={"n_k": n_k},
-        )
-        k += 1
+        yield BlockRecord(index=k, digits=block + (n_k,), endpoint=z, meta={"n_k": n_k})
 
 
-def direction_stream(param: RationalParam, nk: NkRule) -> DirectionSpec:
+def direction_stream(param: RationalParam, nk: DigitRule) -> DirectionSpec:
     """Assemble the lazily repeating digit stream [0; B(z), n_1, B(z), n_2, ...].
 
     Construction fails closed: the fixing certificate is re-run here and
@@ -317,18 +259,19 @@ def direction_stream(param: RationalParam, nk: NkRule) -> DirectionSpec:
     meaningless without it).  For s < 0 the parameter is reduced to -z
     first and all checkpoints refer to the reduced surface point.
     """
-    nk.validate()
     reduced = param.reduced()
     cert = certify_fixing(reduced)
     if not cert.ok:
         raise RuntimeError(f"fixing certificate failed for {reduced}: {cert}")
-    # eager constraint check for closed-form rules
+    # for r != 0 every n_k must be a multiple of 2q: the rule's values all
+    # are exactly when its parameters are (B n + C for every n >= 1 is a
+    # multiple only when B and C are), and the default value 1 never is
     modulus = 1 if reduced.r == 0 else 2 * reduced.q
-    if modulus > 1:
-        if nk.kind == "const" and nk.params[0] % modulus != 0:
-            raise NkRuleError(f"constant n_k = {nk.params[0]} not a multiple of {modulus}")
-        if nk.kind == "list" and any(v % modulus != 0 for v in nk.params):
-            raise NkRuleError(f"n_k list contains a non-multiple of {modulus}")
+    if modulus > 1 and (nk.kind == "default" or any(v % modulus for v in nk.params)):
+        raise NkRuleError(
+            f"{nk.kind} n_k rule {list(nk.params)} gives a digit that is not a "
+            f"multiple of {modulus} (r != 0)"
+        )
     y = Fraction(reduced.s, 2 * reduced.q)
     provenance = {
         "type": "rational",

@@ -33,12 +33,13 @@ fixed coordinate f in lattice units, every step moves by -f with
 goes the same way (by +W when f > 0, by -W when f < 0).  So with
 t = t0 - n f and k = -floor((t + W/2)/W) the syllable ends at t + k W
 after |k| wraps, and its running count is m = n - 2|k|.  The floor is
-``u // W`` for rational t and takes one ``isqrt(v*v*D)`` otherwise
-(:meth:`Lattice.syllable`).  :func:`_trace_lattice` applies it once per
-syllable; :func:`trace_word` without recorded points traces through it,
-and so does :func:`trace_rational`, which takes integer numerators over
-an even W and builds no point -- the form
-:func:`slittori.rational.certify_fixing` uses on Z/2q.
+``u // W`` for rational t and takes one
+:func:`~slittori.exact.floor_sqrt` otherwise (:meth:`Lattice.syllable`).
+:func:`_trace_lattice` applies it once per syllable; :func:`trace_word`
+without recorded points traces through it, and so does
+:func:`trace_rational`, which takes integer numerators over an even W and
+builds no point -- the form :func:`slittori.rational.certify_fixing` uses
+on Z/2q.
 :meth:`Lattice.run` steps one unit at a time and stays the engine for
 ``trace_word(record_points=True)``, :func:`m_sequence` and the window
 searches of :mod:`slittori.irrational`, which need every intermediate
@@ -51,9 +52,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, lcm
+from math import lcm
 
-from .exact import ExactScalar, FieldMismatchError, Frozen, mod_half_open, negative, scalar
+from .exact import (
+    ExactScalar, FieldMismatchError, Frozen, floor_sqrt, mod_half_open, negative, scalar,
+)
 from .words import IDENTITY, THETA, GenWord, IntMat2
 
 EXCLUDED_POINTS = (
@@ -254,17 +257,14 @@ class Lattice:
         coordinate after them and their running count m.
 
         With t = moving - n*fixed and k = -floor((t + W/2)/W) the steps end
-        at t + k W after |k| wraps, all the same way, so m = n - 2|k|.  For
-        v != 0, v sqrt(D) is irrational and lies strictly between s and s + 1
-        (v > 0) or -s - 1 and -s (v < 0), with s = isqrt(v*v*D); so
-        floor(t + W/2) is an integer that ``// W`` floors once more.
+        at t + k W after |k| wraps, all the same way, so m = n - 2|k|.  In
+        lattice units t + W/2 is u + W/2 + v sqrt(D), whose floor is the
+        integer u + W/2 + floor(v sqrt(D)); ``// W`` floors it once more.
         """
         u, v = moving[0] - n * fixed[0], moving[1] - n * fixed[1]
         h = u + self.half
-        if v > 0:
-            h += isqrt(v * v * self.D)
-        elif v < 0:
-            h -= isqrt(v * v * self.D) + 1
+        if v:
+            h += floor_sqrt(v, self.D)
         k = -(h // self.W)
         return (u + k * self.W, v), n - 2 * abs(k)
 

@@ -14,7 +14,7 @@ convergents p_i/q_i of [0; a1, ..., ak].
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .exact import Frozen
@@ -93,7 +93,6 @@ OMEGA = IntMat2(0, 1, -1, 0)
 THETA = IntMat2(0, 1, 1, 0)
 
 GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
-GEN_INVERSE = {"h+": H_PLUS.inverse(), "h-": H_MINUS.inverse()}
 
 
 def check_relations() -> tuple[bool, list[str]]:
@@ -188,11 +187,6 @@ class GenWord(Frozen):
     def theta_conjugate(self) -> "GenWord":
         """The word theta * w * theta^-1, i.e. h+ and h- exchanged."""
         return GenWord(tuple((_OTHER[g], e) for g, e in self.syllables))
-
-    def steps(self) -> Iterator[str]:
-        for gen, exp in self.syllables:
-            for _ in range(exp):
-                yield gen
 
     def __str__(self):
         return " ".join(f"{g}^{e}" if e > 1 else g for g, e in self.syllables)

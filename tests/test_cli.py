@@ -225,6 +225,66 @@ def test_load_spec_refuses_tampered_fields(tmp_path, capsys, golden, tamper):
     assert "disagree with deterministic rebuild" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"format_version": 1}, "spec file lacks provenance"),
+        ([1, 2], "spec file is not a JSON object"),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "rational", "r": 0, "q": 2,
+                    "nk_rule": {"kind": "const", "params": [1]},
+                },
+            },
+            "rational provenance lacks s",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_malformed_spec_file_exits_two(tmp_path, capsys, command, doc, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("rule", ["const:0", "arith:0,0", "list:", "nope:1"])
+@pytest.mark.parametrize(
+    "flag, source", [("--nk", ["--lambda", "1/4"]), ("--d-choices", ["--lambda", "0:1:4:2"])]
+)
+def test_bad_digit_rule_exits_two(capsys, rule, flag, source):
+    code, out, err = run(capsys, "build", *source, flag, rule, "--blocks", "1")
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_nk_multiple_checked_for_every_rule_kind(capsys):
+    # n_2 = 5 is not a multiple of 2q = 4; block 1 alone (n_1 = 4) must not hide it
+    code, out, err = run(
+        capsys, "build", "--z-rational", "1,1,2", "--nk", "arith:1,3", "--blocks", "1"
+    )
+    assert code == 2 and out == ""
+    assert "NkRuleError" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda", "1/4", "--nk", "default"],
+        ["--lambda", "0:1:4:2", "--d-choices", "arith:1,1"],
+    ],
+)
+def test_digit_rule_kinds_build_and_reload(tmp_path, capsys, argv):
+    path = tmp_path / "spec.json"
+    code, out, _ = run(capsys, "build", *argv, "--blocks", "2", "-o", str(path))
+    assert code == 0
+    spec = load_spec(str(path))
+    assert spec.digits_prefix(16) == tuple(json.loads(out)["digit_prefix"])
+
+
 def test_load_spec_accepts_untampered_and_budgetless(tmp_path):
     for golden in ("build_quarter.json", "build_sqrt2.json"):
         load_spec(str(GOLDEN / golden))

@@ -2,14 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from slittori.criterion import (
-    masur_entries,
-    masur_sigma_check,
-    masur_structural,
-    verify,
-    wedge_check,
-    wedge_threshold,
-)
+from slittori.criterion import masur_entries, masur_structural, verify, wedge_threshold
 from slittori.exact import ExactScalar
 from slittori.rational import NkRule, RationalParam, direction_stream
 from slittori.torus import TorusPoint
@@ -83,8 +76,7 @@ def test_masur_entries_quarter(quarter_spec):
     # |q8 (q7 a - p7)| = 625 |448 a - 81| is close to but below 1
     assert abs(entries[1]).lo > Fraction(8, 10)
     assert masur_structural(conv, 8, alpha)
-    assert masur_sigma_check(quarter_spec, 1)
-    assert masur_sigma_check(quarter_spec, 2)
+    assert all(rec.sigma_bounded for rec in verify(quarter_spec, 2).records)
 
 
 def test_masur_structural_rejects_odd_k(quarter_spec):
@@ -94,7 +86,7 @@ def test_masur_structural_rejects_odd_k(quarter_spec):
 
 
 def test_wedge_check_values(quarter_spec):
-    assert wedge_check(quarter_spec, 1)
+    assert verify(quarter_spec, 1).records[0].wedge_bounded
     conv = quarter_spec.convergents(8)
     alpha = quarter_spec.alpha_enclosure(256, min_digits=10)
     wedge = abs(alpha * conv.q(8) - conv.p(8))
@@ -155,11 +147,13 @@ def test_horizon_validation(quarter_spec):
 @pytest.mark.parametrize("bits", [1, 256])
 @pytest.mark.parametrize("stream", ["quarter", "sixth_arith", "sqrt2"])
 def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypatch):
-    """masur_sigma_check / wedge_check return the booleans verify records.
+    """verify bounds sigma and the wedge at every checkpoint, at any
+    starting precision.  (verify is the one check; the name is kept from
+    the standalone helpers it replaced.)
 
     With ``inconclusive`` every certified interval comparison raises, as a
     too-wide enclosure would, so the decision falls to verify's structural
-    and implied routes; the helpers must reach the same booleans.
+    and implied routes, which must still bound both.
     """
     from slittori.intervals import InconclusiveIntervalError, RatInterval
     from slittori.irrational import direction_stream_irrational
@@ -185,5 +179,4 @@ def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypa
     for rec in report.records:
         if inconclusive:
             assert (rec.sigma_route, rec.wedge_route) == ("structural", "implied")
-        assert masur_sigma_check(make(), rec.n, bits) == rec.sigma_bounded
-        assert wedge_check(make(), rec.n, bits) == rec.wedge_bounded
+        assert rec.sigma_bounded and rec.wedge_bounded

@@ -75,12 +75,51 @@ def test_order_against_mpmath():
         assert (a < b) == (mp_value(a) < mp_value(b))
 
 
+def mp_floor(s: ExactScalar) -> int:
+    """floor(s) in mpmath at a precision that resolves it: a nonzero
+    u + v sqrt(D) has norm at least 1, so it lies at least
+    1/(|u| + |v| sqrt(D)) from zero, and about twice the coefficients' bits
+    separate the value from every integer."""
+    bits = 4 * (abs(s.u).bit_length() + abs(s.v).bit_length() + s.w.bit_length()) + 64
+    with mpmath.workprec(bits):
+        return int(mpmath.floor((mpmath.mpf(s.u) + mpmath.mpf(s.v) * mpmath.sqrt(s.D)) / s.w))
+
+
+def pell_near_integers():
+    """(w n + j + sign (1 - sqrt 2)^k)/w for j in {-1, 0, 1}: within
+    2.4**-k of an integer or of an integer +- 1/w, on both sides, with
+    coefficients up to 2.2 kbit and both signs of v."""
+    a, b = 1, 0  # (1 + sqrt 2)^k = a + b sqrt 2, (1 - sqrt 2)^k = a - b sqrt 2
+    for k in range(1, 1800):
+        a, b = a + 2 * b, a + b
+        if k > 40 and k % 37:
+            continue
+        for w in (1, 2, 3, 7):
+            for sign in (1, -1):
+                for j in (-1, 0, 1):
+                    n = (-1) ** k * (k + w)
+                    yield ExactScalar(w * n + j + sign * a, -sign * b, w, 2)
+            for j in (1, -1):  # ((1 + sqrt 2)^k +- 1)/w
+                yield ExactScalar(a + j, b, w, 2)
+
+
+def big_scalars(rng, count, bits):
+    for _ in range(count):
+        u = rng.choice((-1, 1)) * rng.getrandbits(bits + rng.randrange(512))
+        v = rng.choice((-1, 1)) * rng.getrandbits(bits + rng.randrange(512))
+        yield ExactScalar(u, v, rng.getrandbits(64) or 1, rng.choice([2, 3, 5, 6, 7, 13]))
+
+
 def test_floor_against_mpmath():
     rng = random.Random(17)
     for _ in range(400):
         D = rng.choice([2, 3, 5])
         a = ExactScalar(rng.randint(-200, 200), rng.randint(-30, 30), rng.randint(1, 9), D)
         assert floor(a) == int(mpmath.floor(mp_value(a)))
+    cases = [*pell_near_integers(), *big_scalars(random.Random(19), 200, 2048)]
+    assert sum(c.v < 0 for c in cases) > 200 and max(c.v.bit_length() for c in cases) > 2048
+    for a in cases:
+        assert floor(a) == mp_floor(a), a
 
 
 def test_mixed_field_rejected():
@@ -101,6 +140,12 @@ def test_enclosure_width_and_containment():
     assert hi - lo <= Fraction(1, 2**79)
     v = mp_value(x)
     assert mpmath.mpf(lo.numerator) / lo.denominator <= v <= mpmath.mpf(hi.numerator) / hi.denominator
+    cases = [*pell_near_integers(), *big_scalars(random.Random(23), 100, 2048)]
+    for x in cases[::3]:
+        for bits in (1, 64, 256):
+            lo, hi = x.enclosure(bits)
+            assert hi - lo <= Fraction(1, 1 << bits)
+            assert lo < x < hi, (x, bits)  # exact comparisons
 
 
 def test_parse_scalar():

@@ -187,6 +187,10 @@ def test_nk_constraint_for_nonzero_r():
     assert spec.digits_prefix(8)[-1] == 4
     with pytest.raises(NkRuleError):
         direction_stream(param, NkRule("list", (4, 6)))
+    with pytest.raises(NkRuleError):  # n_1 = 4 but n_2 = 5
+        direction_stream(param, NkRule("arith", (1, 3)))
+    with pytest.raises(NkRuleError):  # the default digit 1
+        direction_stream(param, NkRule())
 
 
 def test_nk_list_exhaustion():
@@ -209,11 +213,11 @@ def test_d_choice_list_exhaustion(capsys):
 
 def test_nk_rule_validation():
     with pytest.raises(ValueError):
-        NkRule("const", (0,)).validate()
+        NkRule("const", (0,))
     with pytest.raises(ValueError):
-        NkRule("arith", (0, 0)).validate()
+        NkRule("arith", (0, 0))
     with pytest.raises(ValueError):
-        NkRule("nope", (1,)).validate()
+        NkRule("nope", (1,))
 
 
 def test_checkpoints_return_to_start():
