@@ -133,8 +133,13 @@ VALUES = {
 }
 
 
+# NkRule is now a second name of directions.DigitRule; its cases keep the
+# name under which the rational digit rule has always been checked.
+CASE_NAMES = {NkRule: "NkRule"}
+
+
 def ids(classes):
-    return [c.__name__ for c in classes]
+    return [CASE_NAMES.get(c, c.__name__) for c in classes]
 
 
 def test_every_record_is_covered():
