@@ -18,7 +18,6 @@ from .words import (
     GenWord,
     IntMat2,
     Convergents,
-    convergents,
     check_relations,
     H_MINUS,
     H_PLUS,

@@ -36,7 +36,7 @@ from .flow import (
     simulate,
     slope_from_spec,
 )
-from .irrational import DEFAULT_BUDGET, direction_stream_irrational
+from .irrational import DEFAULT_A_MIN, DEFAULT_BUDGET, direction_stream_irrational
 from .rational import RationalParam, direction_stream, fixing_word
 from .torus import TorusPoint, trace_word
 from .words import GenWord
@@ -159,40 +159,56 @@ def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
     }
 
 
-def _object(value, keys: tuple[str, ...], what: str) -> dict:
-    """``value`` if it is a JSON object holding every key in ``keys``."""
+def _is(value, typ) -> bool:
+    """Whether a JSON value has the type ``typ``: ``object`` (any value),
+    ``int`` (not a boolean), ``str``, ``list``, or ``[int]`` (a list of ints)."""
+    if typ == [int]:
+        return isinstance(value, list) and all(_is(v, int) for v in value)
+    return isinstance(value, typ) and not isinstance(value, bool)
+
+
+def _object(value, fields: dict, what: str, optional: tuple[str, ...] = ()) -> dict:
+    """``value`` if it is a JSON object holding every key of ``fields`` but
+    those in ``optional``, each with the type that ``fields`` gives it."""
     if not isinstance(value, dict):
         raise CliError(f"{what} is not a JSON object")
-    missing = [key for key in keys if key not in value]
+    missing = [key for key in fields if key not in value and key not in optional]
     if missing:
         raise CliError(f"{what} lacks {', '.join(missing)}")
+    wrong = [key for key, typ in fields.items() if key in value and not _is(value[key], typ)]
+    if wrong:
+        raise CliError(f"{what} has a wrong type of {', '.join(wrong)}")
     return value
 
 
 def _rule_from(prov: dict, key: str) -> DigitRule:
-    return DigitRule.from_dict(_object(prov[key], ("kind", "params"), key))
+    return DigitRule.from_dict(_object(prov[key], {"kind": str, "params": [int]}, key))
 
 
 def spec_from_provenance(prov: dict) -> DirectionSpec:
-    kind = _object(prov, ("type",), "provenance")["type"]
+    kind = _object(prov, {"type": object}, "provenance")["type"]
     if kind == "rational":
-        _object(prov, ("r", "s", "q", "nk_rule"), "rational provenance")
+        _object(prov, {"r": int, "s": int, "q": int, "nk_rule": object}, "rational provenance")
         param = RationalParam(prov["r"], prov["s"], prov["q"])
         return direction_stream(param, _rule_from(prov, "nk_rule"))
     if kind == "irrational":
-        _object(prov, ("lambda", "d_choices"), "irrational provenance")
+        fields = {"lambda": [int], "d_choices": object, "a_min": int, "budget": int}
+        _object(prov, fields, "irrational provenance", optional=("a_min", "budget"))
+        if len(prov["lambda"]) != 4:
+            raise CliError("irrational provenance lambda is not [u, v, w, D]")
         return direction_stream_irrational(
             ExactScalar(*prov["lambda"]),
             _rule_from(prov, "d_choices"),
-            a_min=prov.get("a_min", 6),
+            a_min=prov.get("a_min", DEFAULT_A_MIN),
             budget=prov.get("budget", DEFAULT_BUDGET),
         )
     raise CliError(f"unknown provenance type {kind!r}")
 
 
 def load_spec(path: str) -> DirectionSpec:
+    fields = {"format_version": object, "provenance": object, "blocks": list, "digit_prefix": list}
     with open(path) as fh:
-        data = _object(json.load(fh), ("format_version", "provenance"), "spec file")
+        data = _object(json.load(fh), fields, "spec file", optional=("blocks", "digit_prefix"))
     if data["format_version"] != FORMAT_VERSION:
         raise CliError("unsupported spec file version")
     spec = spec_from_provenance(data["provenance"])
@@ -246,18 +262,18 @@ def cmd_action(args) -> int:
 
 
 def cmd_build(args) -> int:
+    # both rule flags are parsed, so a malformed one fails whichever builder runs
+    nk, d_choices = _parse_rule(args.nk), _parse_rule(args.d_choices)
     if args.z_rational:
         param = _parse_param(args.z_rational, "--z-rational")
-        spec = direction_stream(param, _parse_rule(args.nk))
+        spec = direction_stream(param, nk)
     elif args.lam:
         lam = parse_scalar(args.lam)
         if lam.is_rational:
             param = RationalParam.from_barrier_length(lam.as_fraction())
-            spec = direction_stream(param, _parse_rule(args.nk))
+            spec = direction_stream(param, nk)
         else:
-            spec = direction_stream_irrational(
-                lam, _parse_rule(args.d_choices), budget=args.budget
-            )
+            spec = direction_stream_irrational(lam, d_choices, budget=args.budget)
     else:
         raise CliError("one of --lambda / --z-rational is required")
     _emit(spec_to_dict(spec, args.blocks), args.output)

@@ -52,6 +52,16 @@ _HEAD_TERMS = 64  # Moran-sum terms added directly before the Euler-Maclaurin ta
 # Base of the divergence witness u* = (A + B) * WITNESS_BASE**A; must exceed e.
 WITNESS_BASE = 3
 
+SU_TOL = 1e-9  # bisection width of solve_su
+
+# dimension_certificate: the bound it certifies (its routes are specific to
+# 1/2), the terms of the exact prefix sum it reports, the minorant terms it
+# checks and the branches whose images it checks for disjointness
+TARGET = Fraction(1, 2)
+EXACT_PREFIX_U = 10**3
+MINORANT_TERMS = 10**3
+DISJOINTNESS_U = 64
+
 
 class DimensionProblem(Frozen):
     """A block and the progression b*l + c of free digits.
@@ -143,8 +153,8 @@ def moran_sum(problem: DimensionProblem, u: int) -> Callable[[float], float]:
     return total
 
 
-def solve_su(problem: DimensionProblem, u: int, tol: float = 1e-9) -> float:
-    """Root of sum_{l=1..u} d_{b l + c}^s = 1 by bisection to |ds| <= tol.
+def solve_su(problem: DimensionProblem, u: int) -> float:
+    """Root of sum_{l=1..u} d_{b l + c}^s = 1 by bisection to |ds| <= SU_TOL.
 
     The sum is strictly decreasing in s and equals u > 1 at s = 0, so
     the root exists and is unique; u >= 2 is required.  The sum is
@@ -158,7 +168,7 @@ def solve_su(problem: DimensionProblem, u: int, tol: float = 1e-9) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise ArithmeticError("failed to bracket the Moran root")
-    while hi - lo > tol:
+    while hi - lo > SU_TOL:
         mid = (lo + hi) / 2.0
         if total(mid) > 1.0:
             lo = mid
@@ -289,21 +299,19 @@ def check_image_disjointness(problem: DimensionProblem, u: int) -> int:
 
 def dimension_certificate(
     problem: DimensionProblem,
-    target: Fraction = Fraction(1, 2),
     u_direct_cap: int = 10**4,
     u_numeric: int = 10**6,
-    exact_prefix_u: int = 10**3,
-    minorant_terms: int = 10**3,
-    disjointness_u: int = 64,
 ) -> DimensionCertificate:
-    """Two-route dimension bound certificate, in one pass over A and B.
+    """Two-route certificate that the dimension exceeds ``TARGET`` = 1/2,
+    in one pass over A and B.
 
     Direct route: the exact rational sum of d^{1/2} = 1/(A l + B) exceeds
     1 within ``u_direct_cap`` terms; the Moran root at that truncation
     then exceeds 1/2 exactly.  Divergence route: otherwise; the harmonic
-    minorant A l + B <= A (l + 1) + B is verified termwise on a prefix,
-    the numeric s_u is reported for the largest affordable truncation,
-    and the target rests on the witness u* = (A + B) base**A, base > e.
+    minorant A l + B <= A (l + 1) + B is verified termwise on its first
+    ``MINORANT_TERMS`` terms, the numeric s_u is reported for the largest
+    affordable truncation, and the target rests on the witness
+    u* = (A + B) base**A, base > e.
 
     The route is decided before summing where it can be.  f(l) = 1/(A l + B)
     decreases, so
@@ -315,19 +323,19 @@ def dimension_certificate(
     the direct loop cannot succeed unless
     ``(A * u_direct_cap + B).bit_length() >= A``, and runs only then;
     when it runs, it decides the route.  The exact prefix sum (up to
-    ``exact_prefix_u`` terms, or to the direct route's u) comes from
-    the same loop, which keeps the sum as an unreduced num/den.
+    ``EXACT_PREFIX_U`` terms, or to the direct route's u) comes from
+    the same loop, which keeps the sum as an unreduced num/den.  The
+    images of the first ``DISJOINTNESS_U`` branches are checked to be
+    disjoint.
     """
-    if target != Fraction(1, 2):
-        raise ValueError("the certified route is specific to target 1/2")
     A, B = problem.coefficients
     direct_cap = u_direct_cap if (A * u_direct_cap + B).bit_length() >= A else 0
     num, den, u_hit = 0, 1, None  # the running sum num/den, reduced once at the end
     prefix_u, prefix = 0, (num, den)
-    for l in range(1, max(direct_cap, exact_prefix_u) + 1):
+    for l in range(1, max(direct_cap, EXACT_PREFIX_U) + 1):
         t = A * l + B
         num, den = num * t + den, den * t
-        if l <= exact_prefix_u:
+        if l <= EXACT_PREFIX_U:
             prefix_u, prefix = l, (num, den)
         if l <= direct_cap and num > den:
             u_hit = l
@@ -335,12 +343,12 @@ def dimension_certificate(
     total, prefix_sum = Fraction(num, den), Fraction(*prefix)
 
     verified = 0
-    for l in range(1, minorant_terms + 1):
+    for l in range(1, MINORANT_TERMS + 1):
         if not A * l + B <= A * (l + 1) + B:
             raise ArithmeticError(f"minorant inequality fails at l={l}")
         verified += 1
 
-    disjoint_checked = check_image_disjointness(problem, disjointness_u)
+    disjoint_checked = check_image_disjointness(problem, DISJOINTNESS_U)
     samples = [(us, solve_su(problem, us)) for us in (2, 4, 8, 16, 32, 64)]
 
     _, _, qm, qm1 = problem.continuant_table
@@ -361,7 +369,7 @@ def dimension_certificate(
         )
     return DimensionCertificate(
         problem=problem,
-        target=target,
+        target=TARGET,
         route=route,
         achieved_su=solve_su(problem, u_used),
         u_used=u_used,

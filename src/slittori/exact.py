@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 
 class FieldMismatchError(ValueError):
@@ -28,10 +29,27 @@ class Frozen:
 
     Subclasses declare ``__slots__`` and set each field once, in
     ``__init__``, with ``object.__setattr__``; any later assignment or
-    deletion raises :class:`AttributeError`.
+    deletion raises :class:`AttributeError`.  A record compares and
+    hashes by the values of its own ``__slots__``, and only with a record
+    of its own class; its repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

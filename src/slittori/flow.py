@@ -78,17 +78,6 @@ class CoverState(Frozen):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "deck", deck)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sheet, self.x, self.y, self.deck) == (
-            other.sheet, other.x, other.y, other.deck
-        )
-
-    def __hash__(self):
-        return hash((self.sheet, self.x, self.y, self.deck))
-
-
 class ValidationReport(Frozen):
     __slots__ = (
         "deck_weights", "horizontal_core_shifts", "vertical_shifts", "crossing_loop_shift",
@@ -492,14 +481,13 @@ def simulate(
     grid: int = 8,
     deck_window: int = 16,
     start: CoverState | None = None,
-    sample_spacing: Fraction = DEFAULT_SAMPLE_SPACING,
     event_log=None,
 ) -> OrbitStats:
     """Deterministic orbit statistics for the direction (1, slope).
 
     ``T`` is the total advance in the flow parameter (the x-extent for
     non-vertical directions).  Samples are taken every
-    ``sample_spacing`` parameter units; grid occupation, deck histogram
+    ``DEFAULT_SAMPLE_SPACING`` parameter units; grid occupation, deck histogram
     and returns to deck 0 are accumulated, and the grid discrepancy is
     snapshotted at T/4, T/2 and T.  Event times and positions are exact
     integers on a lattice with one common denominator for the ray (the
@@ -524,7 +512,7 @@ def simulate(
         slope=(slope.numerator, slope.denominator),
         start=(start.sheet, str(start.x), str(start.y), start.deck),
     )
-    _simulate_loop(model, slope, T, start, sample_spacing, stats, event_log)
+    _simulate_loop(model, slope, T, start, DEFAULT_SAMPLE_SPACING, stats, event_log)
     return stats
 
 
@@ -692,15 +680,6 @@ class BilliardState(Frozen):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "vx", vx)
         object.__setattr__(self, "vy", vy)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y, self.vx, self.vy) == (other.x, other.y, other.vx, other.vy)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.vx, self.vy))
-
 
 def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     """Unfold a billiard state into (cover state, canonical direction).

@@ -30,14 +30,6 @@ class RatInterval(Frozen):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     @classmethod
     def point(cls, q) -> "RatInterval":
         q = Fraction(q)

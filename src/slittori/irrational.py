@@ -42,6 +42,8 @@ from .words import GenWord
 DEFAULT_J = (Fraction(1, 6), Fraction(1, 3))
 DEFAULT_A_MIN = 6
 DEFAULT_BUDGET = 10**6
+# certificate failures find_block tolerates before it gives up
+MAX_WIDENINGS = 8
 
 
 class SearchBudgetExceededError(RuntimeError):
@@ -173,7 +175,6 @@ def find_block(
     a_min: int = DEFAULT_A_MIN,
     d_index: int = 1,
     budget: int = DEFAULT_BUDGET,
-    max_widenings: int = 8,
 ) -> IrrationalBlockParams:
     """Search one certified block starting at z.
 
@@ -197,31 +198,25 @@ def find_block(
     bud = _Budget(budget)
     widenings = 0
     d_tries_per_a = 3
-
-    def step(moving, fixed):
-        """One elementary step: the new coordinate, and whether the
-        post-step point lies in S."""
-        moved, m = lat.syllable(moving, fixed, 1)
-        return moved, m > 0
-
     for a, a_prime, x1 in _a_candidates(lat, lat.embed(z.x), y, a_min, bud):
-        # two single steps with the derivation's region cross-checks
-        y2, in_S = step(y, x1)
-        if in_S:
+        # two single steps with the derivation's region cross-checks; the
+        # count m of one step is +1 when the post-step point lies in S, else -1
+        y2, m = lat.syllable(y, x1, 1)
+        if m > 0:
             raise DerivationError("z2 unexpectedly in S")
-        x3, in_S = step(x1, y2)
-        if not in_S:
+        x3, m = lat.syllable(x1, y2, 1)
+        if m < 0:
             raise DerivationError("z3 unexpectedly outside S")
         if not negative(*x3, lat.D):
             raise DerivationError("x3 should be negative")
         _require_irrational(x3[1], "x3")
 
         b, b_prime, y4 = next(_b_candidates(lat, x3, y2, a_prime, bud))
-        x5, in_S = step(x3, y4)
-        if in_S:
+        x5, m = lat.syllable(x3, y4, 1)
+        if m > 0:
             raise DerivationError("z5 unexpectedly in S")
-        y6, in_S = step(y4, x5)
-        if not in_S:
+        y6, m = lat.syllable(y4, x5, 1)
+        if m < 0:
             raise DerivationError("z6 unexpectedly outside S")
         _require_irrational(y6[1], "y6")
 
@@ -252,9 +247,9 @@ def find_block(
             # re-derive from the next admissible a.
             widenings += 1
             tried_here += 1
-            if widenings >= max_widenings:
+            if widenings >= MAX_WIDENINGS:
                 raise SearchBudgetExceededError(
-                    f"no certified block within {max_widenings} widenings"
+                    f"no certified block within {MAX_WIDENINGS} widenings"
                 )
             if tried_here >= d_tries_per_a:
                 break

@@ -49,17 +49,6 @@ class RationalParam(Frozen):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", q)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.s, self.q) == (other.r, other.s, other.q)
-
-    def __hash__(self):
-        return hash((self.r, self.s, self.q))
-
-    def __repr__(self):
-        return f"RationalParam(r={self.r!r}, s={self.s!r}, q={self.q!r})"
-
     @classmethod
     def from_barrier_length(cls, lam: Fraction) -> "RationalParam":
         """The billiard case z = (0, lambda) for lambda = p/2q in (0, 1/2)."""
@@ -104,17 +93,6 @@ class CongruencePair(Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "parity_case", parity_case)
         object.__setattr__(self, "a2", a2)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.parity_case, self.a2) == (
-            other.a, other.b, other.parity_case, other.a2
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.parity_case, self.a2))
-
 
 class CongruenceError(RuntimeError):
     """A congruence without solution; impossible for valid input."""
@@ -192,23 +170,6 @@ class FixingCertificate(Frozen):
         object.__setattr__(self, "fixes_point", fixes_point)
         object.__setattr__(self, "action_is_identity", action_is_identity)
         object.__setattr__(self, "h_minus_period", h_minus_period)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fixes_point, self.action_is_identity, self.h_minus_period) == (
-            other.fixes_point, other.action_is_identity, other.h_minus_period
-        )
-
-    def __hash__(self):
-        return hash((self.fixes_point, self.action_is_identity, self.h_minus_period))
-
-    def __repr__(self):
-        return (
-            f"FixingCertificate(fixes_point={self.fixes_point!r}, "
-            f"action_is_identity={self.action_is_identity!r}, "
-            f"h_minus_period={self.h_minus_period!r})"
-        )
 
     @property
     def ok(self) -> bool:

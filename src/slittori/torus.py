@@ -24,8 +24,7 @@ so every orbit point is ((u_x + v_x sqrt(D))/W, (u_y + v_y sqrt(D))/W) with
 one even W and one radicand D for the whole orbit.  A step is an integer
 subtraction; one or two sign tests of u + v sqrt(D) wrap it back into
 [-1/2, 1/2), and the post-step point lies in S exactly when the step did
-not wrap.  Rational points are the case D = 0, where the wrap is an
-integer modulo.
+not wrap.
 
 A whole syllable g^n has a closed form.  With moving coordinate t0 and
 fixed coordinate f in lattice units, every step moves by -f with
@@ -57,7 +56,7 @@ from math import lcm
 from .exact import (
     ExactScalar, FieldMismatchError, Frozen, floor_sqrt, mod_half_open, negative, scalar,
 )
-from .words import IDENTITY, THETA, GenWord, IntMat2
+from .words import THETA, GenWord, IntMat2
 
 EXCLUDED_POINTS = (
     (Fraction(0), Fraction(0)),
@@ -86,14 +85,6 @@ class TorusPoint(Frozen):
                 raise ExcludedPointError(f"{pair} is a puncture")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
 
     @classmethod
     def of(cls, x, y) -> "TorusPoint":
@@ -143,7 +134,8 @@ class HomologyAction(Frozen):
 
     @property
     def is_identity(self) -> bool:
-        return self.m == IDENTITY
+        m = self.m
+        return m.a == 1 and m.b == 0 and m.c == 0 and m.d == 1
 
     @property
     def fixes_beta(self) -> bool:
@@ -233,12 +225,6 @@ class Lattice:
         mu, mv = moving
         fu, fv = fixed
         m = 0
-        if D == 0:  # every v is 0
-            while True:
-                t = mu - fu
-                mu = (t + half) % W - half
-                m += 1 if mu == t else -1
-                yield m, mu, 0
         while True:
             mu -= fu
             mv -= fv

@@ -31,17 +31,6 @@ class IntMat2(Frozen):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"IntMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
@@ -192,10 +181,6 @@ class GenWord(Frozen):
         return " ".join(f"{g}^{e}" if e > 1 else g for g, e in self.syllables)
 
 
-def word_matrix(word: GenWord) -> IntMat2:
-    return word.matrix()
-
-
 class Convergents:
     """Continuant arrays p, q of a continued fraction [0; a1, a2, ...].
 
@@ -262,7 +247,3 @@ class Convergents:
             raise ValueError("bracket needs at least one digit")
         a, b = self.value(k - 1), self.value(k)
         return (a, b) if a <= b else (b, a)
-
-
-def convergents(digits: Iterable[int]) -> Convergents:
-    return Convergents(digits)

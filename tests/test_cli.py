@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracle_torus as oracle
-from slittori.cli import load_spec, main, spec_from_provenance, spec_to_dict
+from slittori.cli import _build_parser, load_spec, main, spec_from_provenance, spec_to_dict
 from slittori.criterion import verify
 from slittori.dimension import DimensionProblem, exact_sqrt_partial_sum
 from slittori.exact import ExactScalar
@@ -121,6 +122,38 @@ def test_argument_errors_exit_two_with_json(capsys):
     assert json.loads(err)["error"] == "--gz expects r,s,q got '1,2'"
     _, _, err = run(capsys, "build", "--z-rational", "1,2")
     assert json.loads(err)["error"] == "--z-rational expects r,s,q got '1,2'"
+
+
+# every subcommand's options: flags by their spellings, positionals by name
+CLI_OPTIONS = {
+    "action": ["--z", "--word", "--gz", "--gz-lambda", "-o/--output"],
+    "build": [
+        "--lambda", "--z-rational", "--nk", "--d-choices", "--blocks", "--budget", "-o/--output",
+    ],
+    "verify": ["spec", "--horizon", "--precision", "-o/--output"],
+    "dimension": ["--block", "--prog", "--u-cap", "--u-numeric", "-o/--output"],
+    "simulate": [
+        "spec", "--slope", "--z", "--T", "--grid", "--deck", "--precision", "--start",
+        "--dump-events", "-o/--output",
+    ],
+    "billiard": ["--lambda", "--x", "--y", "--vx", "--vy", "--theta-deg", "-o/--output"],
+}
+
+
+def test_cli_option_inventory():
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: [
+            "/".join(a.option_strings) or a.dest
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert found == CLI_OPTIONS
+    flags = [o for opts in found.values() for o in opts if o.startswith("-")]
+    assert (len(flags), sum(map(len, found.values())) - len(flags)) == (36, 2)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +273,57 @@ def test_load_spec_refuses_tampered_fields(tmp_path, capsys, golden, tamper):
             },
             "rational provenance lacks s",
         ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "rational", "r": "0", "s": 1, "q": 2,
+                    "nk_rule": {"kind": "const", "params": [1]},
+                },
+            },
+            "rational provenance has a wrong type of r",
+        ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "irrational", "lambda": 5,
+                    "d_choices": {"kind": "default", "params": []},
+                },
+            },
+            "irrational provenance has a wrong type of lambda",
+        ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "irrational", "lambda": [0, 1, 4, 2, 1],
+                    "d_choices": {"kind": "default", "params": []},
+                },
+            },
+            "irrational provenance lambda is not [u, v, w, D]",
+        ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "rational", "r": 0, "s": 1, "q": 2,
+                    "nk_rule": {"kind": "const", "params": [1]},
+                },
+                "blocks": 5,
+            },
+            "spec file has a wrong type of blocks",
+        ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "rational", "r": 0, "s": 1, "q": 2,
+                    "nk_rule": {"kind": "const", "params": "1"},
+                },
+            },
+            "nk_rule has a wrong type of params",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "simulate"])
@@ -253,7 +337,14 @@ def test_malformed_spec_file_exits_two(tmp_path, capsys, command, doc, error):
 
 @pytest.mark.parametrize("rule", ["const:0", "arith:0,0", "list:", "nope:1"])
 @pytest.mark.parametrize(
-    "flag, source", [("--nk", ["--lambda", "1/4"]), ("--d-choices", ["--lambda", "0:1:4:2"])]
+    "flag, source",
+    [
+        ("--nk", ["--lambda", "1/4"]),
+        ("--d-choices", ["--lambda", "0:1:4:2"]),
+        # the flag of the builder that does not run is parsed too
+        ("--d-choices", ["--lambda", "1/4"]),
+        ("--nk", ["--lambda", "0:1:4:2"]),
+    ],
 )
 def test_bad_digit_rule_exits_two(capsys, rule, flag, source):
     code, out, err = run(capsys, "build", *source, flag, rule, "--blocks", "1")

@@ -8,6 +8,7 @@ import pytest
 
 import oracle_dimension as oracle
 from slittori.dimension import (
+    SU_TOL,
     DimensionProblem,
     check_image_disjointness,
     contraction_bound,
@@ -104,12 +105,12 @@ def test_solve_su_residual_and_monotone():
     + [(u, hurwitz_moran) for u in (10**4, 10**6)],
 )
 def test_moran_sum_and_root_match_oracles(u, oracle):
-    tol = 1e-9
+    tol = SU_TOL
     for problem in MORAN_PROBLEMS:
         total = moran_sum(problem, u)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):  # s = 1/2 is the log-integral branch
             assert total(s) == pytest.approx(oracle(problem, u, s), rel=1e-9, abs=0)
-        su = solve_su(problem, u, tol)
+        su = solve_su(problem, u)
         assert oracle(problem, u, su - tol) > 1.0 > oracle(problem, u, su + tol)
 
 

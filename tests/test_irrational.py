@@ -5,6 +5,7 @@ import pytest
 
 import oracle_torus as oracle
 from oracle_torus import in_region_S
+from slittori import irrational
 from slittori.exact import ExactScalar, FieldMismatchError
 from slittori.irrational import (
     DChoiceRule,
@@ -17,8 +18,8 @@ from slittori.irrational import (
     direction_stream_irrational,
     find_block,
 )
-from slittori.torus import Lattice, TorusPoint, trace_word
-from slittori.words import GenWord
+from slittori.torus import ActionTrace, HomologyAction, Lattice, TorusPoint, trace_word
+from slittori.words import H_PLUS, GenWord
 
 SQRT2_OVER_4 = ExactScalar(0, 1, 4, 2)
 J = (Fraction(1, 6), Fraction(1, 3))
@@ -89,6 +90,41 @@ def test_d_choice_produces_distinct_streams():
     s3 = direction_stream_irrational(SQRT2_OVER_4, DChoiceRule("list", (1, 2)))
     assert s3.digits_prefix(8) == d1
     assert s3.digits_prefix(16) != s1.digits_prefix(16)
+
+
+def _fail_certificates(monkeypatch, failures):
+    """Make the first ``failures`` trace certificates of find_block fail,
+    by giving their traces an action that does not fix beta; returns the
+    list of traced words."""
+    words = []
+
+    def trace(z, word, record_points=True):
+        words.append(word)
+        tr = trace_word(z, word, record_points)
+        if len(words) > failures:
+            return tr
+        return ActionTrace(tr.start, tr.word, tr.points, tr.final, HomologyAction(H_PLUS))
+
+    monkeypatch.setattr(irrational, "trace_word", trace)
+    return words
+
+
+def test_failed_certificate_widens_to_next_d(monkeypatch):
+    z = TorusPoint(ExactScalar(0), SQRT2_OVER_4)
+    second = find_block(z, d_index=2)
+    words = _fail_certificates(monkeypatch, 1)
+    blk = find_block(z)
+    assert blk.digits == second.digits == (7, 1, 1, 12, 1, 1, 3, 4)
+    assert len(words) == 2
+
+
+def test_failed_certificates_stop_after_max_widenings(monkeypatch):
+    words = _fail_certificates(monkeypatch, float("inf"))
+    with pytest.raises(SearchBudgetExceededError, match="^no certified block within 8 widenings$"):
+        find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4))
+    assert len(words) == irrational.MAX_WIDENINGS == 8
+    # three values of d at each admissible a, then the next a
+    assert [w.digits()[0] for w in words] == [7, 7, 7, 24, 24, 24, 38, 38]
 
 
 def test_budget_exhaustion():

@@ -12,24 +12,23 @@ from slittori.words import (
     THETA,
     Convergents,
     check_relations,
-    convergents,
 )
 
 
 def test_convergents_basic():
-    c = convergents((1, 1))
+    c = Convergents((1, 1))
     assert (c.q(1), c.q(2)) == (1, 2)
     assert (c.p(1), c.p(2)) == (1, 1)
     assert c.value(2) == 0.5
 
 
 def test_convergents_block():
-    c = convergents((5, 1, 1, 7, 1, 1, 2))
+    c = Convergents((5, 1, 1, 7, 1, 1, 2))
     assert (c.q(7), c.q(6), c.p(7), c.p(6)) == (448, 177, 81, 32)
 
 
 def test_convergents_extended_block_and_det():
-    c = convergents((5, 1, 1, 7, 1, 1, 2, 1))
+    c = Convergents((5, 1, 1, 7, 1, 1, 2, 1))
     assert (c.q(8), c.p(8)) == (625, 113)
     assert 625 * 81 - 448 * 113 == 1
     assert c.determinant_identity_holds()
@@ -38,7 +37,7 @@ def test_convergents_extended_block_and_det():
 def test_convergent_recurrence_and_growth():
     rng = random.Random(3)
     digits = [rng.randint(1, 9) for _ in range(40)]
-    c = convergents(digits)
+    c = Convergents(digits)
     for k in range(1, 41):
         assert c.p(k) == digits[k - 1] * c.p(k - 1) + c.p(k - 2)
         assert c.q(k) == digits[k - 1] * c.q(k - 1) + c.q(k - 2)
@@ -47,9 +46,9 @@ def test_convergent_recurrence_and_growth():
 
 def test_bad_digits_rejected():
     with pytest.raises(ValueError):
-        convergents((1, 0, 2))
+        Convergents((1, 0, 2))
     with pytest.raises(ValueError):
-        convergents((-1,))
+        Convergents((-1,))
 
 
 def test_word_matrix_examples():
