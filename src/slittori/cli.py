@@ -93,6 +93,7 @@ def _int_at_least(low: int, kind: str):
 
 _nonnegative_int = _int_at_least(0, "nonnegative")
 _positive_int = _int_at_least(1, "positive")
+_truncation = _int_at_least(2, "truncation (>= 2)")  # solve_su needs u >= 2
 
 
 def _parse_param(text: str, flag: str) -> RationalParam:
@@ -401,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--nk", default="const:1", help="free digits: const:M | arith:B,C | list:...")
     pb.add_argument("--d-choices", dest="d_choices", default="default")
     pb.add_argument("--blocks", type=_positive_int, default=3)
-    pb.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pb.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     pb.add_argument("-o", "--output")
     pb.set_defaults(func=cmd_build)
 
@@ -416,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--block", required=True, help="digits, e.g. 1,1,1")
     pd.add_argument("--prog", default="1,0", help="progression b,c")
     pd.add_argument("--u-cap", dest="u_cap", type=_nonnegative_int, default=10**4)
-    pd.add_argument("--u-numeric", dest="u_numeric", type=int, default=10**6)
+    pd.add_argument("--u-numeric", dest="u_numeric", type=_truncation, default=10**6)
     pd.add_argument("-o", "--output")
     pd.set_defaults(func=cmd_dimension)
 

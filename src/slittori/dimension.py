@@ -18,10 +18,10 @@ unique root s_u, a certified dimension lower bound, and s_u > 1/2
 exactly when sum_{l<=u} 1/(A l + B) > 1.
 
 The certificate has two routes.  The direct one adds those exact
-rationals until they exceed 1.  That needs A u + B >= 2**(A-1) (see
-``dimension_certificate``), so a bit-length test decides before any
-summing whether the direct loop can succeed within its cap; for blocks
-with large continuants u grows like exp(A) and the loop is skipped.  The
+rationals until they exceed 1.  That needs (A u + B)/(A + B) >
+e**(A - A/(A + B)) (see ``dimension_certificate``), so two integer
+tests decide before any summing whether the direct loop can succeed
+within its cap; for blocks with large continuants the loop is skipped.  The
 divergence route's verdict rests on a symbolic witness u* = (A + B) 3**A:
 each term exceeds the integral of 1/(A x + B) over [l, l + 1], and
 A (u* + 1) + B >= 3**A (A + B), so
@@ -314,22 +314,26 @@ def dimension_certificate(
     u* = (A + B) base**A, base > e.
 
     The route is decided before summing where it can be.  f(l) = 1/(A l + B)
-    decreases, so
+    decreases, so with R = (A u + B)/(A + B)
 
-        sum_{l<=u} f <= f(1) + int_1^u f = 1/(A + B) + (1/A) ln((A u + B)/(A + B)),
+        sum_{l<=u} f <= f(1) + int_1^u f = 1/(A + B) + (1/A) ln R,
 
-    and if A u + B < 2**(A-1) the sum is below 1/(A + B) + (A-1)/A ln 2,
-    which is < 1 since A >= 3 and B >= 5 (q_m >= 3, q_{m-1} >= 2).  So
-    the direct loop cannot succeed unless
-    ``(A * u_direct_cap + B).bit_length() >= A``, and runs only then;
-    when it runs, it decides the route.  The exact prefix sum (up to
-    ``EXACT_PREFIX_U`` terms, or to the direct route's u) comes from
-    the same loop, which keeps the sum as an unreduced num/den.  The
-    images of the first ``DISJOINTNESS_U`` branches are checked to be
-    disjoint.
+    which exceeds 1 only if ln R > x = A - A/(A + B).  As (A-1) ln 2 < x,
+    that needs A u + B >= 2**(A-1); and with n = floor(2x) it needs
+    R > e**(n/2) > 1.648**n, because 1.648**2 = 2.715904 < e.  So the
+    direct loop runs only when ``(A * u_direct_cap + B).bit_length() >= A``,
+    which keeps A small, and ``(A * u_direct_cap + B) * 1000**n >=
+    (A + B) * 1648**n``; when it runs, it decides the route.  The exact
+    prefix sum (up to ``EXACT_PREFIX_U`` terms, or to the direct route's
+    u) comes from the same loop, which keeps the sum as an unreduced
+    num/den.  The images of the first ``DISJOINTNESS_U`` branches are
+    checked to be disjoint.
     """
     A, B = problem.coefficients
-    direct_cap = u_direct_cap if (A * u_direct_cap + B).bit_length() >= A else 0
+    top = A * u_direct_cap + B
+    n = 2 * A * (A + B - 1) // (A + B)  # floor(2x)
+    feasible = top.bit_length() >= A and top * 1000**n >= (A + B) * 1648**n
+    direct_cap = u_direct_cap if feasible else 0
     num, den, u_hit = 0, 1, None  # the running sum num/den, reduced once at the end
     prefix_u, prefix = 0, (num, den)
     for l in range(1, max(direct_cap, EXACT_PREFIX_U) + 1):

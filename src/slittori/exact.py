@@ -16,7 +16,7 @@ Values are immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 from operator import attrgetter
 
 
@@ -327,9 +327,6 @@ class ExactScalar(Frozen):
         return f"({core})/{self.w}"
 
 
-HALF = ExactScalar(1, 0, 2)
-
-
 def scalar(value) -> ExactScalar:
     """Coerce int / Fraction / ExactScalar to ExactScalar."""
     if isinstance(value, ExactScalar):
@@ -355,10 +352,11 @@ def parse_scalar(text: str) -> ExactScalar:
     return ExactScalar.from_fraction(Fraction(text))
 
 
-def mod_half_open(x) -> ExactScalar:
-    """Unique representative of ``x`` mod 1 in ``[-1/2, 1/2)``."""
-    x = scalar(x)
-    n = (x + HALF).__floor__()
-    if n == 0:
-        return x
-    return x - ExactScalar(n)
+def mod_half_open(x):
+    """Unique representative of ``x`` mod 1 in ``[-1/2, 1/2)``.
+
+    Type-preserving: an int, Fraction or ExactScalar comes back as the
+    same type (``x`` itself when it is already in range).
+    """
+    n = floor(x + Fraction(1, 2))
+    return x - n if n else x

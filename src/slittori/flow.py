@@ -10,12 +10,12 @@ sheet exchange is a translation automorphism fixing the marked points.
 The infinite cyclic cover that models the barrier billiard unwinds the
 horizontal direction with *opposite* orientation on the two sheets: a
 rightward wrap through the vertical edge shifts the deck index by +1 on
-sheet 0 and by -1 on sheet 1.  Rather than hard-coding that rule, the
-builder derives it by testing candidate weight assignments against
-closed-geodesic constraints (horizontal core shifts by +-1, vertical
-closed geodesics shift by 0, and every traced closed curve must agree
-with an independent geometric count of signed crossings through an
-explicit cycle representative).
+sheet 0 and by -1 on sheet 1.  That rule is the constant
+``DECK_WEIGHTS``, and the builder validates it against closed-geodesic
+constraints (horizontal core shifts by +-1, vertical closed geodesics
+shift by 0, and every traced closed curve must agree with an independent
+geometric count of signed crossings through an explicit cycle
+representative); a parameter that fails any of them is refused.
 
 One event rule (``_event_rule``) finds the next edge, corner or slit
 event; ``step_flow``, the builder's closed-curve validation and
@@ -41,9 +41,13 @@ import operator
 from fractions import Fraction
 
 from .directions import DirectionSpec
-from .exact import ExactScalar, Frozen
+from .exact import ExactScalar, Frozen, mod_half_open
 
 _HALF = Fraction(1, 2)
+# deck shift of a rightward vertical-edge crossing on sheet 0 and sheet 1
+DECK_WEIGHTS = (1, -1)
+# events _run_closed follows before it gives up on a closed orbit
+MAX_CLOSED_EVENTS = 10000
 
 
 class SingularOrbitError(RuntimeError):
@@ -57,12 +61,6 @@ class DegenerateSlitError(ValueError):
 class LatticeExactnessError(RuntimeError):
     """An event time on the integer lattice of ``simulate`` is not an
     integer: the common denominator does not cover the orbit."""
-
-
-def _mod_cell(v):
-    """Reduce into [-1/2, 1/2) for Fraction or ExactScalar."""
-    n = math.floor(v + _HALF)
-    return v - n if n else v
 
 
 class CoverState(Frozen):
@@ -220,7 +218,7 @@ def step_flow(
     return StepResult(CoverState(sheet, nx, ny, deck), s, kind)
 
 
-def _run_closed(model: SurfaceModel, state: CoverState, dx, dy, max_events=10000):
+def _run_closed(model: SurfaceModel, state: CoverState, dx, dy):
     """Flow until the (sheet, position) returns to the start.
 
     Returns (deck_shift, segments) where segments are
@@ -229,7 +227,7 @@ def _run_closed(model: SurfaceModel, state: CoverState, dx, dy, max_events=10000
     start = (state.sheet, state.x, state.y)
     segments = []
     cur = state
-    for _ in range(max_events):
+    for _ in range(MAX_CLOSED_EVENTS):
         res = step_flow(model, cur, dx, dy)
         segments.append(
             (cur.sheet, cur.x, cur.y, cur.x + res.advance * dx, cur.y + res.advance * dy)
@@ -296,9 +294,10 @@ def _cone_turns(zx, zy, at_plus: bool) -> int:
 def build_surface(z) -> SurfaceModel:
     """Validated surface model for a parameter z = (x, y).
 
-    ``z`` may be a TorusPoint or a pair of scalars.  The deck rule is
-    derived by checking candidate edge weights against the closed-curve
-    constraints; a model that fails any constraint is refused.
+    ``z`` may be a TorusPoint or a pair of scalars.  The deck rule
+    ``DECK_WEIGHTS`` is checked against the closed-curve constraints and
+    the cone angles are audited; a parameter that fails any check raises
+    DegenerateSlitError.
     """
     if hasattr(z, "x") and hasattr(z, "y"):
         zx, zy = z.x, z.y
@@ -315,61 +314,43 @@ def build_surface(z) -> SurfaceModel:
             "slit endpoint on the square edge is not supported by the simulator"
         )
 
-    beta_x = (abs(zx) + _HALF) / 2
+    beta_x = (abs(zx) + _HALF) / 2  # also clear of the slit's x-extent
     y_core = (abs(zy) + _HALF) / 2
-    x_vert = beta_x  # also clear of the slit's x-extent
-
-    for weights in ((1, -1), (-1, 1)):
-        probe = SurfaceModel(
-            zx=zx, zy=zy, deck_weights=weights, beta_x=beta_x,
-            validation=None,  # filled below
+    probe = SurfaceModel(zx=zx, zy=zy, deck_weights=DECK_WEIGHTS, beta_x=beta_x, validation=None)
+    # the horizontal core and a vertical loop on each sheet, which must shift
+    # by +1 / -1 (anti-invariant) and by 0, and a loop that crosses the slit
+    # on both sheets, which must shift by 0: at height zy/2, strictly inside
+    # the slit's height range and off-center (at x = zx/2 for a flat slit)
+    loops = [(CoverState(sheet, -_HALF, y_core), 1, 0) for sheet in (0, 1)]
+    loops += [(CoverState(sheet, beta_x, -_HALF), 0, 1) for sheet in (0, 1)]
+    if zy != 0:
+        loops.append((CoverState(0, -_HALF, zy / 2), 1, 0))
+    else:
+        loops.append((CoverState(0, zx / 2, -_HALF), 0, 1))
+    shifts, geo_ok = [], True
+    for start, dx, dy in loops:
+        shift, segs = _run_closed(probe, start, dx, dy)
+        shifts.append(shift)
+        geo_ok &= _beta_crossings(probe, segs) == shift
+    if shifts != [1, -1, 0, 0, 0] or not geo_ok:
+        raise DegenerateSlitError(f"deck rule {DECK_WEIGHTS} fails the closed-curve constraints")
+    turns_plus = _cone_turns(zx, zy, True)
+    turns_minus = _cone_turns(zx, zy, False)
+    if turns_plus != 1 or turns_minus != 1:
+        raise DegenerateSlitError(
+            f"cone-angle audit failed: {turns_plus}, {turns_minus} slit "
+            "crossings per circuit (expected 1 = angle 4*pi)"
         )
-        h_shifts = []
-        v_shifts = []
-        ok = True
-        geo_ok = True
-        for sheet in (0, 1):
-            shift, segs = _run_closed(probe, CoverState(sheet, -_HALF, y_core), 1, 0)
-            h_shifts.append(shift)
-            geo_ok &= _beta_crossings(probe, segs) == shift
-            vshift, segs = _run_closed(probe, CoverState(sheet, x_vert, -_HALF), 0, 1)
-            v_shifts.append(vshift)
-            geo_ok &= _beta_crossings(probe, segs) == vshift
-        ok &= h_shifts[0] == 1 and h_shifts[1] == -1  # core shifts +-1, anti-invariant
-        ok &= v_shifts == [0, 0]
-        # a loop that crosses the slit on both sheets must shift by 0
-        cross_shift = None
-        if zy != 0:
-            y_s = zy / 2  # strictly inside the slit's height range, off-center
-            if y_s == 0:
-                y_s = zy * Fraction(1, 3)
-            cross_shift, segs = _run_closed(probe, CoverState(0, -_HALF, y_s), 1, 0)
-        else:
-            x_s = zx / 2
-            cross_shift, segs = _run_closed(probe, CoverState(0, x_s, -_HALF), 0, 1)
-        ok &= cross_shift == 0
-        geo_ok &= _beta_crossings(probe, segs) == cross_shift
-        if ok and geo_ok:
-            turns_plus = _cone_turns(zx, zy, True)
-            turns_minus = _cone_turns(zx, zy, False)
-            if turns_plus != 1 or turns_minus != 1:
-                raise DegenerateSlitError(
-                    f"cone-angle audit failed: {turns_plus}, {turns_minus} slit "
-                    "crossings per circuit (expected 1 = angle 4*pi)"
-                )
-            report = ValidationReport(
-                deck_weights=weights,
-                horizontal_core_shifts=tuple(h_shifts),
-                vertical_shifts=tuple(v_shifts),
-                crossing_loop_shift=cross_shift,
-                geometric_agreement=geo_ok,
-                cone_turns=(turns_plus, turns_minus),
-                area=2,
-            )
-            return SurfaceModel(
-                zx=zx, zy=zy, deck_weights=weights, beta_x=beta_x, validation=report
-            )
-    raise DegenerateSlitError("no deck rule satisfies the closed-curve constraints")
+    report = ValidationReport(
+        deck_weights=DECK_WEIGHTS,
+        horizontal_core_shifts=tuple(shifts[:2]),
+        vertical_shifts=tuple(shifts[2:4]),
+        crossing_loop_shift=shifts[4],
+        geometric_agreement=geo_ok,
+        cone_turns=(turns_plus, turns_minus),
+        area=2,
+    )
+    return SurfaceModel(zx=zx, zy=zy, deck_weights=DECK_WEIGHTS, beta_x=beta_x, validation=report)
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +668,9 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     The canonical direction is (|vx|, |vy|); the sheet encodes the sign
     of vx, the sign of the cell height encodes the sign of vy, and the
     deck index is the barrier period containing the physical x.  The
-    deck generator translates sheet 0 by +1 and sheet 1 by -1 (the
-    unfolded coordinate there is -x), which is exactly the edge rule
-    the surface validation derives.
+    deck generator translates sheet ``s`` by ``DECK_WEIGHTS[s]`` (+1 on
+    sheet 0, -1 on sheet 1, where the unfolded coordinate is -x), the
+    edge rule the surface validation checks.
     """
     if not (0 <= b.y <= _HALF):
         raise ValueError("billiard height outside [0, 1/2]")
@@ -699,15 +680,13 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     if b.x == x_int and b.y < lam:
         raise ValueError("position on a barrier interior")
     sheet = 0 if b.vx >= 0 else 1
+    w = DECK_WEIGHTS[sheet]
     deck = math.floor(b.x + _HALF)
-    if sheet == 0:
-        cell = b.x - deck
-    else:
-        cell = deck - b.x
-        if cell == _HALF:  # sheet-1 convention is half-open on the other side
-            cell, deck = -_HALF, deck - 1
+    cell = w * (b.x - deck)
+    if cell == _HALF:  # only on sheet 1, whose cell is half-open on the other side
+        cell, deck = -_HALF, deck + w
     yb = b.y if b.vy >= 0 else -b.y
-    state = CoverState(sheet, cell, _mod_cell(yb), deck)
+    state = CoverState(sheet, cell, mod_half_open(yb), deck)
     return state, (abs(b.vx), abs(b.vy))
 
 
@@ -716,10 +695,8 @@ def cover_to_billiard(state: CoverState, direction: tuple) -> BilliardState:
     ddx, ddy = direction
     if ddx < 0 or ddy < 0:
         raise ValueError("canonical direction must have nonnegative components")
-    if state.sheet == 0:
-        x, vx = state.deck + state.x, ddx
-    else:
-        x, vx = state.deck - state.x, -ddx
+    w = DECK_WEIGHTS[state.sheet]
+    x, vx = state.deck + w * state.x, w * ddx
     y = abs(state.y)
     vy_sign = 1 if state.y >= 0 else -1
     return BilliardState(x=x, y=y, vx=vx, vy=vy_sign * ddy)

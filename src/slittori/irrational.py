@@ -21,18 +21,19 @@ whose exponents are found by four exact window searches:
 
 Every window membership test is an exact sign test on the integer
 orbit lattice (:class:`~slittori.torus.Lattice`), so no density or
-precision argument is needed.  A candidate block is accepted only if
-the direct trace certificate passes: the traced endpoint height lies in
-J and the traced homology action is a power of h- up to sign.  On
-certificate failure the search widens monotonically through further
-admissible candidates.
+precision argument is needed.  The derivation gives exactly one block
+per (z, d_index), and it is accepted only if the direct trace
+certificate passes: the traced endpoint matches the searched one, its
+height lies in J and the traced homology action is a power of h- up to
+sign.  A failed certificate fails closed with :class:`DerivationError`;
+no other candidate is tried.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import ExactScalar, Frozen, negative, scalar
@@ -42,8 +43,6 @@ from .words import GenWord
 DEFAULT_J = (Fraction(1, 6), Fraction(1, 3))
 DEFAULT_A_MIN = 6
 DEFAULT_BUDGET = 10**6
-# certificate failures find_block tolerates before it gives up
-MAX_WIDENINGS = 8
 
 
 class SearchBudgetExceededError(RuntimeError):
@@ -178,11 +177,11 @@ def find_block(
 ) -> IrrationalBlockParams:
     """Search one certified block starting at z.
 
-    ``d_index`` selects the d_index-th admissible value of d instead of
-    the smallest; everything else is searched smallest-first, widening
-    monotonically if (contrary to the derivation) a candidate fails the
-    final trace certificate.  The searches step the orbit on the
-    integer lattice of z and J; the certificate is :func:`trace_word`.
+    a, b and c are the smallest admissible values and d the d_index-th
+    one.  The searches step the orbit on the integer lattice of z and J;
+    the certificate is :func:`trace_word`, and a block that fails it
+    raises :class:`DerivationError` naming its digits.  A search that
+    runs out of ``budget`` raises :class:`SearchBudgetExceededError`.
     """
     J = (scalar(J[0]), scalar(J[1]))
     if not (ExactScalar(0) < J[0] <= J[1] < ExactScalar(1, 0, 2)):
@@ -196,64 +195,43 @@ def find_block(
     y = lat.embed(z.y)
     J_lat = (lat.embed(J[0]), lat.embed(J[1]))
     bud = _Budget(budget)
-    widenings = 0
-    d_tries_per_a = 3
-    for a, a_prime, x1 in _a_candidates(lat, lat.embed(z.x), y, a_min, bud):
-        # two single steps with the derivation's region cross-checks; the
-        # count m of one step is +1 when the post-step point lies in S, else -1
-        y2, m = lat.syllable(y, x1, 1)
-        if m > 0:
-            raise DerivationError("z2 unexpectedly in S")
-        x3, m = lat.syllable(x1, y2, 1)
-        if m < 0:
-            raise DerivationError("z3 unexpectedly outside S")
-        if not negative(*x3, lat.D):
-            raise DerivationError("x3 should be negative")
-        _require_irrational(x3[1], "x3")
+    a, a_prime, x1 = next(_a_candidates(lat, lat.embed(z.x), y, a_min, bud))
+    # two single steps with the derivation's region cross-checks; the
+    # count m of one step is +1 when the post-step point lies in S, else -1
+    y2, m = lat.syllable(y, x1, 1)
+    if m > 0:
+        raise DerivationError("z2 unexpectedly in S")
+    x3, m = lat.syllable(x1, y2, 1)
+    if m < 0:
+        raise DerivationError("z3 unexpectedly outside S")
+    if not negative(*x3, lat.D):
+        raise DerivationError("x3 should be negative")
+    _require_irrational(x3[1], "x3")
 
-        b, b_prime, y4 = next(_b_candidates(lat, x3, y2, a_prime, bud))
-        x5, m = lat.syllable(x3, y4, 1)
-        if m > 0:
-            raise DerivationError("z5 unexpectedly in S")
-        y6, m = lat.syllable(y4, x5, 1)
-        if m < 0:
-            raise DerivationError("z6 unexpectedly outside S")
-        _require_irrational(y6[1], "y6")
+    b, b_prime, y4 = next(_b_candidates(lat, x3, y2, a_prime, bud))
+    x5, m = lat.syllable(x3, y4, 1)
+    if m > 0:
+        raise DerivationError("z5 unexpectedly in S")
+    y6, m = lat.syllable(y4, x5, 1)
+    if m < 0:
+        raise DerivationError("z6 unexpectedly outside S")
+    _require_irrational(y6[1], "y6")
 
-        c, x7 = next(_c_candidates(lat, x5, y6, b_prime - a_prime, bud))
-        _require_irrational(x7[1], "x7")
+    c, x7 = next(_c_candidates(lat, x5, y6, b_prime - a_prime, bud))
+    _require_irrational(x7[1], "x7")
 
-        seen_d = 0
-        tried_here = 0
-        for d, y_out in _d_candidates(lat, x7, y6, J_lat, bud):
-            seen_d += 1
-            if seen_d < d_index:
-                continue
-            word = GenWord.from_digits((a, 1, 1, b, 1, 1, c, d))
-            tr = trace_word(z, word, record_points=False)
-            certified = (
-                tr.final == lat.point(x7, y_out)
-                and J[0] <= tr.final.y <= J[1]
-                and tr.action.fixes_beta
-            )
-            if certified:
-                return IrrationalBlockParams(
-                    a=a, b=b, c=c, d=d,
-                    trace=tr, z_out=tr.final,
-                    eps1=lat.scalar((x1[0] + lat.half, x1[1])),
-                    eps2=lat.scalar((lat.half - y4[0], -y4[1])),
-                )
-            # Widen monotonically: a few more admissible d values, then
-            # re-derive from the next admissible a.
-            widenings += 1
-            tried_here += 1
-            if widenings >= MAX_WIDENINGS:
-                raise SearchBudgetExceededError(
-                    f"no certified block within {MAX_WIDENINGS} widenings"
-                )
-            if tried_here >= d_tries_per_a:
-                break
-    raise SearchBudgetExceededError("candidate generators exhausted")
+    d, y_out = next(islice(_d_candidates(lat, x7, y6, J_lat, bud), d_index - 1, None))
+    digits = (a, 1, 1, b, 1, 1, c, d)
+    tr = trace_word(z, GenWord.from_digits(digits), record_points=False)
+    if not (tr.final == lat.point(x7, y_out) and J[0] <= tr.final.y <= J[1]
+            and tr.action.fixes_beta):
+        raise DerivationError(f"block {digits} fails its trace certificate")
+    return IrrationalBlockParams(
+        a=a, b=b, c=c, d=d,
+        trace=tr, z_out=tr.final,
+        eps1=lat.scalar((x1[0] + lat.half, x1[1])),
+        eps2=lat.scalar((lat.half - y4[0], -y4[1])),
+    )
 
 
 DChoiceRule = DigitRule

@@ -34,16 +34,17 @@ t = t0 - n f and k = -floor((t + W/2)/W) the syllable ends at t + k W
 after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 ``u // W`` for rational t and takes one
 :func:`~slittori.exact.floor_sqrt` otherwise (:meth:`Lattice.syllable`).
-:func:`_trace_lattice` applies it once per syllable; :func:`trace_word`
-without recorded points traces through it, and so does
-:func:`trace_rational`, which takes integer numerators over an even W and
-builds no point -- the form :func:`slittori.rational.certify_fixing` uses
-on Z/2q.
-:meth:`Lattice.run` steps one unit at a time and stays the engine for
-``trace_word(record_points=True)``, :func:`m_sequence` and the window
-searches of :mod:`slittori.irrational`, which need every intermediate
-point.  The test suite checks both against each other and against a
-reference that steps :class:`~slittori.exact.ExactScalar` values.
+:func:`_trace_lattice` applies it once per syllable and is the one place
+the homology action is multiplied out: :func:`trace_word` always takes
+its end point and action from it, and so does :func:`trace_rational`,
+which takes integer numerators over an even W and builds no point -- the
+form :func:`slittori.rational.certify_fixing` uses on Z/2q.
+:meth:`Lattice.run` steps one unit at a time and supplies the recorded
+points of ``trace_word(record_points=True)``, :func:`m_sequence` and the
+window searches of :mod:`slittori.irrational`, which need every
+intermediate point.  The test suite checks both against each other and
+against a reference that steps :class:`~slittori.exact.ExactScalar`
+values.
 """
 
 from __future__ import annotations
@@ -295,29 +296,27 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> Acti
     action of ``word`` evaluated there, as the ordered product of
     per-step factors at the post-step points.  The factors of one
     syllable are all powers of its generator, so they multiply to the
-    generator raised to the syllable's running count.  Without recorded
-    points every syllable takes one closed-form step.
+    generator raised to the syllable's running count.  The end point and
+    the action always come from :func:`_trace_lattice`, one closed-form
+    step per syllable; ``record_points`` only adds every intermediate
+    point, stepped one unit at a time by :meth:`Lattice.run`.
     """
     lat = Lattice(z.x, z.y)
     x, y = lat.embed(z.x), lat.embed(z.y)
-    if not record_points:
-        x, y, *mat = _trace_lattice(lat, x, y, word.syllables)
-        final, action = lat.point(x, y), HomologyAction(IntMat2(*mat))
-        return ActionTrace(start=z, word=word, points=(), final=final, action=action)
-    a, b, c, d = 1, 0, 0, 1
     points = []
-    for gen, exp in word.syllables:
-        if gen == "h+":
-            for m, u, v in islice(lat.run(x, y), exp):
-                points.append(lat.point((u, v), y))
-            x = (u, v)
-            b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
-        else:
-            for m, u, v in islice(lat.run(y, x), exp):
-                points.append(lat.point(x, (u, v)))
-            y = (u, v)
-            a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
-    action = HomologyAction(IntMat2(a, b, c, d))
+    if record_points:
+        px, py = x, y
+        for gen, exp in word.syllables:
+            if gen == "h+":
+                for _, u, v in islice(lat.run(px, py), exp):
+                    points.append(lat.point((u, v), py))
+                px = (u, v)
+            else:
+                for _, u, v in islice(lat.run(py, px), exp):
+                    points.append(lat.point(px, (u, v)))
+                py = (u, v)
+    x, y, *mat = _trace_lattice(lat, x, y, word.syllables)
+    action = HomologyAction(IntMat2(*mat))
     return ActionTrace(start=z, word=word, points=tuple(points), final=lat.point(x, y), action=action)
 
 

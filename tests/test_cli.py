@@ -102,6 +102,10 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["dimension", "--block", "1,1,1", "--u-cap", "-3"],
         ["build", "--lambda", "1/4", "--blocks", "0"],
         ["build", "--lambda", "1/4", "--blocks", "-1"],
+        ["dimension", "--block", "1,1,1", "--u-numeric", "-5"],
+        ["dimension", "--block", "1,1,1", "--u-numeric", "1"],
+        ["build", "--lambda", "1/4", "--budget", "-5"],
+        ["build", "--lambda", "1/4", "--budget", "0"],
         ["action", "--z", "0,1/4", "--gz", "1,2"],
         ["build", "--z-rational", "1,2"],
         ["action", "--z", "0,1/4", "--gz", "--word", "h+"],
@@ -118,6 +122,12 @@ def test_argument_errors_exit_two_with_json(capsys):
     for blocks in ("0", "-1"):
         _, _, err = run(capsys, "build", "--lambda", "1/4", "--blocks", blocks)
         assert "expected a positive integer" in json.loads(err)["error"]
+    for budget in ("0", "-5"):
+        _, _, err = run(capsys, "build", "--lambda", "1/4", "--budget", budget)
+        assert "expected a positive integer" in json.loads(err)["error"]
+    for u in ("1", "-5"):
+        _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--u-numeric", u)
+        assert "expected a truncation (>= 2) integer" in json.loads(err)["error"]
     _, _, err = run(capsys, "action", "--z", "0,1/4", "--gz", "1,2")
     assert json.loads(err)["error"] == "--gz expects r,s,q got '1,2'"
     _, _, err = run(capsys, "build", "--z-rational", "1,2")

@@ -195,9 +195,11 @@ def test_divergence_witness_below_e_fails_closed(monkeypatch, capsys):
 
 
 # (problem, u_direct_cap): both routes, the toy and barrier blocks, a
-# direct loop that runs to u = 6390, and caps on both sides of the route
-# pre-test (A * cap + B).bit_length() >= A for 2,3,2 (A = 16, B = 23:
-# cap 2047 gives 32775, bit length 16; cap 2046 gives 32759, bit length 15).
+# direct loop that runs to u = 6390, and caps on both sides of each route
+# pre-test: (A * cap + B).bit_length() >= A for 2,3,2 (A = 16, B = 23:
+# cap 2047 gives 32775, bit length 16; cap 2046 gives 32759, bit length 15),
+# and (A * cap + B) * 1000**n >= (A + B) * 1648**n for 1,1,1 (A = 3, B = 5,
+# n = 5: cap 31 passes, cap 30 does not; the loop first exceeds 1 at 42).
 DIFFERENTIAL_CASES = [
     (DimensionProblem(block, b, c), 10**4)
     for block in ((1, 1, 1), (5, 1, 1, 7, 1, 1, 2), (1, 1, 1, 1, 1), (2, 3, 2))
@@ -205,7 +207,7 @@ DIFFERENTIAL_CASES = [
 ] + [
     (DimensionProblem((2, 3, 2), 1, 0), cap) for cap in (0, 1, 2046, 2047, 2048)
 ] + [
-    (DimensionProblem((1, 1, 1), 1, 0), cap) for cap in (41, 42)
+    (DimensionProblem((1, 1, 1), 1, 0), cap) for cap in (30, 31, 41, 42)
 ]
 
 

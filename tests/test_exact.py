@@ -33,6 +33,17 @@ def test_mod_half_open_examples():
     assert mod_half_open(Fraction(-3, 4)) == ExactScalar(1, 0, 4)
     assert mod_half_open(Fraction(1, 2)) == ExactScalar(-1, 0, 2)
     assert mod_half_open(ExactScalar.sqrt(2)) == ExactScalar(-1, 1, 1, 2)
+    # the result has the type of the input
+    for x, want in (
+        (Fraction(-3, 4), Fraction(1, 4)),
+        (Fraction(1, 4), Fraction(1, 4)),
+        (7, 0),
+        (0, 0),
+        (ExactScalar(1, 0, 2), ExactScalar(-1, 0, 2)),
+        (ExactScalar.sqrt(2), ExactScalar(-1, 1, 1, 2)),
+    ):
+        got = mod_half_open(x)
+        assert type(got) is type(x) and got == want
 
 
 def test_mod_half_open_properties():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from slittori.exact import ExactScalar
+from slittori import flow
+from slittori.exact import ExactScalar, mod_half_open
 from slittori.flow import (
     BilliardState,
     CoverState,
@@ -68,6 +69,14 @@ def test_build_rejects_edge_and_degenerate():
         build_surface(TorusPoint.of(Fraction(-1, 2), Fraction(1, 4)))
     with pytest.raises(DegenerateSlitError):
         build_surface((Fraction(0), Fraction(0)))
+
+
+def test_build_refuses_the_opposite_deck_rule(monkeypatch):
+    # the closed-curve constraints, not the constant, decide the deck rule
+    monkeypatch.setattr(flow, "DECK_WEIGHTS", (-1, 1))
+    for z in (TorusPoint.of(0, Fraction(1, 4)), TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2))):
+        with pytest.raises(DegenerateSlitError, match=r"^deck rule \(-1, 1\) fails"):
+            build_surface(z)
 
 
 def test_horizontal_orbit_above_slit_closes(quarter_model):
@@ -366,7 +375,7 @@ def test_simulate_matches_oracle():
     from types import SimpleNamespace
 
     import oracle_flow as oracle
-    from slittori.flow import DEFAULT_SAMPLE_SPACING, OrbitStats, _mod_cell
+    from slittori.flow import DEFAULT_SAMPLE_SPACING, OrbitStats
 
     rng = random.Random(505)
     seen = {"overflow": 0, "slope0": 0, "kinds": set(), "reasons": set()}
@@ -438,12 +447,12 @@ def test_simulate_matches_oracle():
         # aim at the slit endpoint +-z after n unit wraps: a cone point
         n, sgn = rng.randint(0, 3), rng.choice((1, -1))
         slope = Fraction(rng.randint(0, 7), rng.randint(1, 7))
-        y0 = _mod_cell(sgn * zy - (n + sgn * zx + H) * slope)
+        y0 = mod_half_open(sgn * zy - (n + sgn * zx + H) * slope)
         check(model, slope, Fraction(n + 2), CoverState(0, -H, y0, 0))
         # parallel to the slit, starting on its line after n wraps
         if zx != 0 and zy / zx >= 0:
             slope = zy / zx
-            y0 = _mod_cell(-slope / 2 - n * slope)
+            y0 = mod_half_open(-slope / 2 - n * slope)
             check(model, slope, Fraction(n + 2), CoverState(1, -H, y0, 0))
 
     # a slit leaving the cell reaches the slit/edge coincidence

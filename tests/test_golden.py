@@ -25,6 +25,13 @@ CASES = {
         "verify", str(GOLDEN / "build_sqrt2.json"), "--horizon", "4",
     ],
     "action_quarter.json": ["action", "--z", "0,1/4", "--gz-lambda", "1/4"],
+    "build_sqrt3_d2.json": ["build", "--lambda=0:1:6:3", "--d-choices", "const:2"],
+    # sheet 1 and the half-open cell edge: a sign flipped in both unfolding
+    # maps would still round-trip, so the cover coordinates are pinned here
+    "billiard_sheet1.json": [
+        "billiard", "--lambda", "1/4", "--x", "3/10", "--y", "1/10", "--vx", "-7/10", "--vy", "2/5",
+    ],
+    "billiard_edge.json": ["billiard", "--lambda", "1/4", "--x=5/2", "--y=1/3", "--vx", "-3", "--vy", "2"],
 }
 
 

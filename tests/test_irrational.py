@@ -9,6 +9,7 @@ from slittori import irrational
 from slittori.exact import ExactScalar, FieldMismatchError
 from slittori.irrational import (
     DChoiceRule,
+    DerivationError,
     SearchBudgetExceededError,
     _a_candidates,
     _b_candidates,
@@ -92,39 +93,33 @@ def test_d_choice_produces_distinct_streams():
     assert s3.digits_prefix(16) != s1.digits_prefix(16)
 
 
-def _fail_certificates(monkeypatch, failures):
-    """Make the first ``failures`` trace certificates of find_block fail,
-    by giving their traces an action that does not fix beta; returns the
-    list of traced words."""
+def _fail_certificates(monkeypatch):
+    """Make every trace certificate of find_block fail, by giving its trace
+    an action that does not fix beta; returns the list of traced words."""
     words = []
 
     def trace(z, word, record_points=True):
         words.append(word)
         tr = trace_word(z, word, record_points)
-        if len(words) > failures:
-            return tr
         return ActionTrace(tr.start, tr.word, tr.points, tr.final, HomologyAction(H_PLUS))
 
     monkeypatch.setattr(irrational, "trace_word", trace)
     return words
 
 
-def test_failed_certificate_widens_to_next_d(monkeypatch):
+def test_failed_certificate_fails_closed(monkeypatch):
+    # one certificate per block: a failed one names the block's digits, and
+    # neither the next d nor the next a is tried
     z = TorusPoint(ExactScalar(0), SQRT2_OVER_4)
-    second = find_block(z, d_index=2)
-    words = _fail_certificates(monkeypatch, 1)
-    blk = find_block(z)
-    assert blk.digits == second.digits == (7, 1, 1, 12, 1, 1, 3, 4)
+    words = _fail_certificates(monkeypatch)
+    with pytest.raises(
+        DerivationError, match=r"^block \(7, 1, 1, 12, 1, 1, 3, 2\) fails its trace certificate$"
+    ):
+        find_block(z)
+    assert len(words) == 1
+    with pytest.raises(DerivationError, match=r"^block \(7, 1, 1, 12, 1, 1, 3, 4\) "):
+        find_block(z, d_index=2)
     assert len(words) == 2
-
-
-def test_failed_certificates_stop_after_max_widenings(monkeypatch):
-    words = _fail_certificates(monkeypatch, float("inf"))
-    with pytest.raises(SearchBudgetExceededError, match="^no certified block within 8 widenings$"):
-        find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4))
-    assert len(words) == irrational.MAX_WIDENINGS == 8
-    # three values of d at each admissible a, then the next a
-    assert [w.digits()[0] for w in words] == [7, 7, 7, 24, 24, 24, 38, 38]
 
 
 def test_budget_exhaustion():
