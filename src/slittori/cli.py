@@ -197,11 +197,14 @@ def spec_from_provenance(prov: dict) -> DirectionSpec:
         _object(prov, fields, "irrational provenance", optional=("a_min", "budget"))
         if len(prov["lambda"]) != 4:
             raise CliError("irrational provenance lambda is not [u, v, w, D]")
+        # the builder's search floor is a constant; a file may only repeat it
+        if prov.get("a_min", DEFAULT_A_MIN) != DEFAULT_A_MIN:
+            raise CliError(f"irrational provenance a_min must be {DEFAULT_A_MIN}")
+        budget = prov.get("budget", DEFAULT_BUDGET)
+        if budget < 1:
+            raise CliError("irrational provenance budget must be a positive integer")
         return direction_stream_irrational(
-            ExactScalar(*prov["lambda"]),
-            _rule_from(prov, "d_choices"),
-            a_min=prov.get("a_min", DEFAULT_A_MIN),
-            budget=prov.get("budget", DEFAULT_BUDGET),
+            ExactScalar(*prov["lambda"]), _rule_from(prov, "d_choices"), budget=budget
         )
     raise CliError(f"unknown provenance type {kind!r}")
 

@@ -11,11 +11,14 @@ The infinite cyclic cover that models the barrier billiard unwinds the
 horizontal direction with *opposite* orientation on the two sheets: a
 rightward wrap through the vertical edge shifts the deck index by +1 on
 sheet 0 and by -1 on sheet 1.  That rule is the constant
-``DECK_WEIGHTS``, and the builder validates it against closed-geodesic
-constraints (horizontal core shifts by +-1, vertical closed geodesics
-shift by 0, and every traced closed curve must agree with an independent
-geometric count of signed crossings through an explicit cycle
-representative); a parameter that fails any of them is refused.
+``DECK_WEIGHTS``, and every stepper and both billiard maps read it from
+there only; the surface model carries the slit, the counting cycle and
+the validation report.  The builder validates the rule against
+closed-geodesic constraints (horizontal core shifts by +-1, vertical
+closed geodesics shift by 0, and every traced closed curve must agree
+with an independent geometric count of signed crossings through an
+explicit cycle representative); a parameter that fails any of them is
+refused.
 
 One event rule (``_event_rule``) finds the next edge, corner or slit
 event; ``step_flow``, the builder's closed-curve validation and
@@ -40,7 +43,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .directions import DirectionSpec
+from .directions import PERIOD, DigitStreamExhaustedError, DirectionSpec
 from .exact import ExactScalar, Frozen, mod_half_open
 
 _HALF = Fraction(1, 2)
@@ -113,14 +116,12 @@ class ValidationReport(Frozen):
 
 
 class SurfaceModel(Frozen):
-    __slots__ = ("zx", "zy", "deck_weights", "beta_x", "validation")
+    __slots__ = ("zx", "zy", "beta_x", "validation")
 
-    def __init__(
-        self, zx, zy, deck_weights: tuple[int, int], beta_x, validation: ValidationReport
-    ):  # beta_x: x-position of the vertical cycle used for counting
+    def __init__(self, zx, zy, beta_x, validation: ValidationReport):
+        # beta_x: x-position of the vertical cycle used for counting
         object.__setattr__(self, "zx", zx)
         object.__setattr__(self, "zy", zy)
-        object.__setattr__(self, "deck_weights", deck_weights)
         object.__setattr__(self, "beta_x", beta_x)
         object.__setattr__(self, "validation", validation)
 
@@ -212,7 +213,7 @@ def step_flow(
     else:
         if kind in ("right_edge", "corner"):
             nx = -_HALF
-            deck += model.deck_weights[sheet]
+            deck += DECK_WEIGHTS[sheet]
         if kind in ("top_edge", "corner"):
             ny = -_HALF
     return StepResult(CoverState(sheet, nx, ny, deck), s, kind)
@@ -316,7 +317,7 @@ def build_surface(z) -> SurfaceModel:
 
     beta_x = (abs(zx) + _HALF) / 2  # also clear of the slit's x-extent
     y_core = (abs(zy) + _HALF) / 2
-    probe = SurfaceModel(zx=zx, zy=zy, deck_weights=DECK_WEIGHTS, beta_x=beta_x, validation=None)
+    probe = SurfaceModel(zx=zx, zy=zy, beta_x=beta_x, validation=None)
     # the horizontal core and a vertical loop on each sheet, which must shift
     # by +1 / -1 (anti-invariant) and by 0, and a loop that crosses the slit
     # on both sheets, which must shift by 0: at height zy/2, strictly inside
@@ -350,7 +351,7 @@ def build_surface(z) -> SurfaceModel:
         cone_turns=(turns_plus, turns_minus),
         area=2,
     )
-    return SurfaceModel(zx=zx, zy=zy, deck_weights=DECK_WEIGHTS, beta_x=beta_x, validation=report)
+    return SurfaceModel(zx=zx, zy=zy, beta_x=beta_x, validation=report)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +359,9 @@ def build_surface(z) -> SurfaceModel:
 
 
 class OrbitStats:
-    """Sample counts of one simulated orbit.  An empty or omitted
-    ``cell_counts`` / ``deck_counts`` starts as zeros of the grid and deck
-    window; every omitted list is a new one."""
+    """Sample counts of one simulated orbit, all starting at zero: the
+    cell and deck counts are zeros of the grid and deck window, and every
+    list is a new one."""
 
     __slots__ = (
         "grid", "deck_window", "slope", "start", "samples", "cell_counts", "deck_counts",
@@ -374,31 +375,21 @@ class OrbitStats:
         deck_window: int,
         slope: tuple[int, int],  # simulated slope as (num, den)
         start: tuple[int, str, str, int],
-        samples: int = 0,
-        cell_counts: list | None = None,  # [sheet][i][j]
-        deck_counts: list | None = None,
-        deck_overflow: int = 0,
-        deck_zero_returns: int = 0,
-        discrepancy: list | None = None,
-        snapshot_samples: list | None = None,
-        total_advance: str = "0",
-        terminated_early: bool = False,
-        termination_reason: str = "",
     ):
         self.grid = grid
         self.deck_window = deck_window
         self.slope = slope
         self.start = start
-        self.samples = samples
-        self.cell_counts = cell_counts or [[[0] * grid for _ in range(grid)] for _ in range(2)]
-        self.deck_counts = deck_counts or [0] * (2 * deck_window + 1)
-        self.deck_overflow = deck_overflow
-        self.deck_zero_returns = deck_zero_returns
-        self.discrepancy = [] if discrepancy is None else discrepancy
-        self.snapshot_samples = [] if snapshot_samples is None else snapshot_samples
-        self.total_advance = total_advance
-        self.terminated_early = terminated_early
-        self.termination_reason = termination_reason
+        self.samples = 0
+        self.cell_counts = [[[0] * grid for _ in range(grid)] for _ in range(2)]  # [sheet][i][j]
+        self.deck_counts = [0] * (2 * deck_window + 1)
+        self.deck_overflow = 0
+        self.deck_zero_returns = 0
+        self.discrepancy = []
+        self.snapshot_samples = []
+        self.total_advance = "0"
+        self.terminated_early = False
+        self.termination_reason = ""
 
     def current_discrepancy(self) -> float:
         """Total-variation distance between the sampled cell distribution
@@ -441,15 +432,19 @@ class OrbitStats:
 
 
 def slope_from_spec(spec: DirectionSpec, precision_bits: int = 32) -> Fraction:
-    """Exact convergent of the stream with enclosure width <= 2**-bits."""
-    target = Fraction(1, 1 << precision_bits)
-    k = 8
-    while True:
-        conv = spec.convergents(k)
-        lo, hi = conv.bracket(k)
-        if hi - lo <= target:
-            return conv.value(k)
-        k += 8
+    """Exact convergent of the stream with enclosure width <= 2**-bits.
+
+    The enclosure ends at a whole block, so its digit count k is even and
+    its lower end is the convergent p_k/q_k.  A finite stream that ends
+    before the enclosure is narrow enough raises
+    DigitStreamExhaustedError.
+    """
+    enc = spec.alpha_enclosure(precision_bits, min_digits=PERIOD)
+    if enc.hi - enc.lo > Fraction(1, 1 << precision_bits):
+        raise DigitStreamExhaustedError(
+            f"digit stream ends before its enclosure is within 2**-{precision_bits}"
+        )
+    return enc.lo
 
 
 DEFAULT_SAMPLE_SPACING = Fraction(1009, 1024)
@@ -493,7 +488,7 @@ def simulate(
         slope=(slope.numerator, slope.denominator),
         start=(start.sheet, str(start.x), str(start.y), start.deck),
     )
-    _simulate_loop(model, slope, T, start, DEFAULT_SAMPLE_SPACING, stats, event_log)
+    _simulate_loop(model, slope, T, start, stats, event_log)
     return stats
 
 
@@ -528,7 +523,7 @@ def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T)
     return base * (p or 1) * (abs(detn) or 1)
 
 
-def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
+def _simulate_loop(model, slope, T, start, stats, event_log=None):
     """Run ``_event_rule`` on an integer lattice with one denominator per ray.
 
     Scale x and the advance s by L (``_lattice_denominator``) and y by
@@ -562,11 +557,12 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     next_event = _event_rule(
         _scale(model.zx, L), _scale(model.zy, Lq), 1, p, hx, hy, _exact_div
     )
-    w = model.deck_weights
+    w = DECK_WEIGHTS
     X, Y = _scale(x0, L), _scale(y0, Lq)
     sheet, deck = start.sheet, start.deck
     s_done, s_total = 0, _scale(T, L)
     slope_f = float(slope)
+    ds = DEFAULT_SAMPLE_SPACING
     ds_f = float(ds)
     ds_den, ds_L = ds.denominator, ds.numerator * L  # ds L = ds_L / ds_den
     grid = stats.grid
@@ -672,6 +668,8 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     sheet 0, -1 on sheet 1, where the unfolded coordinate is -x), the
     edge rule the surface validation checks.
     """
+    if not (0 < lam < _HALF):
+        raise ValueError("barrier length ratio must lie in (0, 1/2)")
     if not (0 <= b.y <= _HALF):
         raise ValueError("billiard height outside [0, 1/2]")
     if b.vx == 0 and b.vy == 0:

@@ -7,17 +7,21 @@ one period of the direction stream is a word
 
 whose exponents are found by four exact window searches:
 
-  a: smallest admissible index >= a_min whose running sign count is
-     positive and which lands x - a y just right of -1/2 (margin
-     eps1 < min(y, 1/2 - y)/2);
+  a: smallest admissible index >= DEFAULT_A_MIN = 6 whose running sign
+     count is positive and which lands x - a y just right of -1/2
+     (margin eps1 < min(y, 1/2 - y)/2);
   b: after one h- and one h+ step, smallest index with running count
      exceeding the a-stage count and height just below 1/2 (margin
      eps2 < min(|x3|, 1/2 - |x3|)/2);
   c: smallest index whose running count cancels the accumulated
      shear exponent (b' - a');
   d: the d_index-th index landing the height inside the target
-     interval J.  The freedom in d is what makes distinct digit
-     streams for the same parameter.
+     interval J = DEFAULT_J = [1/6, 1/3].  The freedom in d is what
+     makes distinct digit streams for the same parameter.
+
+The floor a >= 6 and the window J are constants, not inputs: a spec
+file's provenance records ``"a_min": 6`` and may only repeat that
+value or leave it out.
 
 Every window membership test is an exact sign test on the integer
 orbit lattice (:class:`~slittori.torus.Lattice`), so no density or
@@ -32,15 +36,14 @@ no other candidate is tried.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import count, islice
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import ExactScalar, Frozen, negative, scalar
-from .torus import ActionTrace, Coord, Lattice, TorusPoint, trace_word
+from .torus import Coord, Lattice, TorusPoint, trace_word
 from .words import GenWord
 
-DEFAULT_J = (Fraction(1, 6), Fraction(1, 3))
+DEFAULT_J = (ExactScalar(1, 0, 6), ExactScalar(1, 0, 3))
 DEFAULT_A_MIN = 6
 DEFAULT_BUDGET = 10**6
 
@@ -54,7 +57,7 @@ class DerivationError(RuntimeError):
 
 
 class IrrationalBlockParams(Frozen):
-    __slots__ = ("a", "b", "c", "d", "trace", "z_out", "eps1", "eps2")
+    __slots__ = ("a", "b", "c", "d", "z_out", "eps1", "eps2")
 
     def __init__(
         self,
@@ -62,7 +65,6 @@ class IrrationalBlockParams(Frozen):
         b: int,
         c: int,
         d: int,
-        trace: ActionTrace,
         z_out: TorusPoint,
         eps1: ExactScalar,
         eps2: ExactScalar,
@@ -71,7 +73,6 @@ class IrrationalBlockParams(Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "z_out", z_out)
         object.__setattr__(self, "eps1", eps1)
         object.__setattr__(self, "eps2", eps2)
@@ -89,8 +90,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n: int = 1) -> None:
-        self.used += n
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise SearchBudgetExceededError(
                 f"budget of {self.limit} generator applications exhausted"
@@ -119,14 +120,14 @@ def _spend(steps: Iterator[tuple[int, int, int]], budget: _Budget) -> Iterator[t
 
 
 def _a_candidates(
-    lat: Lattice, x: Coord, y: Coord, a_min: int, budget: _Budget
+    lat: Lattice, x: Coord, y: Coord, budget: _Budget
 ) -> Iterator[tuple[int, int, Coord]]:
     """Yield (a, a', x1) with the stage-a window and sign conditions."""
     # eps1 = x1 + 1/2 must lie in (0, window), window = min(y, 1/2 - y)/2;
     # in lattice units W * eps1 = eu + v sqrt(D) and 2W * window = wu + wv sqrt(D)
     wu, wv = _half_min(lat, y)
     for j, m, (u, v) in _spend(lat.run(x, y), budget):
-        if j < a_min or m <= 0:
+        if j < DEFAULT_A_MIN or m <= 0:
             continue
         eu = u + lat.half
         if negative(-eu, -v, lat.D) and negative(2 * eu - wu, 2 * v - wv, lat.D):
@@ -169,33 +170,28 @@ def _d_candidates(
 
 
 def find_block(
-    z: TorusPoint,
-    J: tuple = DEFAULT_J,
-    a_min: int = DEFAULT_A_MIN,
-    d_index: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    z: TorusPoint, d_index: int = 1, budget: int = DEFAULT_BUDGET
 ) -> IrrationalBlockParams:
     """Search one certified block starting at z.
 
-    a, b and c are the smallest admissible values and d the d_index-th
-    one.  The searches step the orbit on the integer lattice of z and J;
-    the certificate is :func:`trace_word`, and a block that fails it
-    raises :class:`DerivationError` naming its digits.  A search that
+    a >= DEFAULT_A_MIN, b and c are the smallest admissible values and d
+    the d_index-th one whose height lands in J = DEFAULT_J; both bounds
+    are constants.  The searches step the orbit on the integer lattice of
+    z and J; the certificate is :func:`trace_word`, and a block that fails
+    it raises :class:`DerivationError` naming its digits.  A search that
     runs out of ``budget`` raises :class:`SearchBudgetExceededError`.
     """
-    J = (scalar(J[0]), scalar(J[1]))
-    if not (ExactScalar(0) < J[0] <= J[1] < ExactScalar(1, 0, 2)):
-        raise ValueError("target interval must sit inside (0, 1/2)")
     if d_index < 1:
         raise ValueError("d_index is 1-based")
     _require_irrational(z.y.v, "height y")
     if not (ExactScalar(0) < z.y < ExactScalar(1, 0, 2)):
         raise ValueError(f"height {z.y} outside (0, 1/2)")
-    lat = Lattice(z.x, z.y, *J)
+    lo, hi = DEFAULT_J
+    lat = Lattice(z.x, z.y, lo, hi)
     y = lat.embed(z.y)
-    J_lat = (lat.embed(J[0]), lat.embed(J[1]))
+    J_lat = (lat.embed(lo), lat.embed(hi))
     bud = _Budget(budget)
-    a, a_prime, x1 = next(_a_candidates(lat, lat.embed(z.x), y, a_min, bud))
+    a, a_prime, x1 = next(_a_candidates(lat, lat.embed(z.x), y, bud))
     # two single steps with the derivation's region cross-checks; the
     # count m of one step is +1 when the post-step point lies in S, else -1
     y2, m = lat.syllable(y, x1, 1)
@@ -223,12 +219,12 @@ def find_block(
     d, y_out = next(islice(_d_candidates(lat, x7, y6, J_lat, bud), d_index - 1, None))
     digits = (a, 1, 1, b, 1, 1, c, d)
     tr = trace_word(z, GenWord.from_digits(digits), record_points=False)
-    if not (tr.final == lat.point(x7, y_out) and J[0] <= tr.final.y <= J[1]
+    if not (tr.final == lat.point(x7, y_out) and lo <= tr.final.y <= hi
             and tr.action.fixes_beta):
         raise DerivationError(f"block {digits} fails its trace certificate")
     return IrrationalBlockParams(
         a=a, b=b, c=c, d=d,
-        trace=tr, z_out=tr.final,
+        z_out=tr.final,
         eps1=lat.scalar((x1[0] + lat.half, x1[1])),
         eps2=lat.scalar((lat.half - y4[0], -y4[1])),
     )
@@ -237,13 +233,11 @@ def find_block(
 DChoiceRule = DigitRule
 
 
-def _irrational_blocks(
-    z0: TorusPoint, choices: DigitRule, a_min: int, budget: int
-) -> Iterator[BlockRecord]:
+def _irrational_blocks(z0: TorusPoint, choices: DigitRule, budget: int) -> Iterator[BlockRecord]:
     z = z0
     for n in count(1):
         d_index = choices.value(n)
-        blk = find_block(z, DEFAULT_J, a_min=a_min, d_index=d_index, budget=budget)
+        blk = find_block(z, d_index=d_index, budget=budget)
         yield BlockRecord(
             index=n,
             digits=blk.digits,
@@ -256,7 +250,6 @@ def _irrational_blocks(
 def direction_stream_irrational(
     lam: ExactScalar,
     d_choices: DigitRule | None = None,
-    a_min: int = DEFAULT_A_MIN,
     budget: int = DEFAULT_BUDGET,
 ) -> DirectionSpec:
     """Digit stream [0; a1,1,1,b1,1,1,c1,d1, a2, ...] for z0 = (0, lambda).
@@ -275,12 +268,12 @@ def direction_stream_irrational(
         "type": "irrational",
         "lambda": list(lam.as_tuple()),
         "d_choices": choices.as_dict(),
-        "a_min": a_min,
+        "a_min": DEFAULT_A_MIN,
         "budget": budget,
     }
     return DirectionSpec(
         z0=z0,
         y_bounds=DEFAULT_J,
         provenance=provenance,
-        block_source=_irrational_blocks(z0, choices, a_min, budget),
+        block_source=_irrational_blocks(z0, choices, budget),
     )

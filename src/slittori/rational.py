@@ -79,6 +79,7 @@ class RationalParam(Frozen):
 class CongruencePair(Frozen):
     """Block exponents.
 
+    The parity case is the parameter's (``RationalParam.parity_case``).
     Odd case: single pair (a, b); ``a2`` is None.
     Even case: ``b = |s|`` plus two shear exponents, ``a`` entering as
     the rightmost syllable (a s = q-1-r mod 2q) and ``a2`` inside
@@ -86,12 +87,11 @@ class CongruencePair(Frozen):
     the only case the single-exponent textbook form covers.
     """
 
-    __slots__ = ("a", "b", "parity_case", "a2")
+    __slots__ = ("a", "b", "a2")
 
-    def __init__(self, a: int, b: int, parity_case: str, a2: int | None = None):
+    def __init__(self, a: int, b: int, a2: int | None = None):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "parity_case", parity_case)
         object.__setattr__(self, "a2", a2)
 
 class CongruenceError(RuntimeError):
@@ -129,11 +129,9 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
     r, s, q = param.r, param.s, param.q
     mod = 2 * q
     if param.parity_case == "odd":
-        return CongruencePair(
-            _least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod), "odd"
-        )
+        return CongruencePair(_least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod))
     return CongruencePair(
-        _least_solution(s, q - 1 - r, mod), s, "even", _least_solution(s, q - 1 + r, mod)
+        _least_solution(s, q - 1 - r, mod), s, _least_solution(s, q - 1 + r, mod)
     )
 
 
@@ -152,7 +150,7 @@ def block_for(param: RationalParam) -> Block:
     param = param.reduced()
     pair = solve_congruences(param)
     q, a, b = param.q, pair.a, pair.b
-    if pair.parity_case == "odd":
+    if param.parity_case == "odd":
         return Block((2 * q + b, 1, 1, 2 * q + a + b, 1, 1, a))
     a2 = pair.a2
     return Block((2 * q + a2, b - 1, b + 1, 2 * q + a + a2, b - 1, b + 1, a))

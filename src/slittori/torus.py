@@ -16,7 +16,9 @@ through its elementary steps therefore computes both the orbit
 z, g1^-1 z, g2^-1 g1^-1 z, ... and the induced map g_*(g^-1 z) on the
 rank-2 anti-invariant homology, as an ordered product of per-step
 factors.  The action is only defined up to a global sign, which
-:class:`HomologyAction` canonicalizes away.
+:class:`HomologyAction` canonicalizes away.  A trace is an
+:class:`ActionTrace` (points, final, action): the recorded intermediate
+points (empty unless asked for), the end point and the action.
 
 One integer kernel, :class:`Lattice`, implements the stepping rule.  The
 shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
@@ -156,18 +158,11 @@ class HomologyAction(Frozen):
 
 
 class ActionTrace(Frozen):
-    __slots__ = ("start", "word", "points", "final", "action")
+    __slots__ = ("points", "final", "action")
 
     def __init__(
-        self,
-        start: TorusPoint,
-        word: GenWord,
-        points: tuple[TorusPoint, ...],
-        final: TorusPoint,
-        action: HomologyAction,
+        self, points: tuple[TorusPoint, ...], final: TorusPoint, action: HomologyAction
     ):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "word", word)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "action", action)
@@ -317,7 +312,7 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> Acti
                 py = (u, v)
     x, y, *mat = _trace_lattice(lat, x, y, word.syllables)
     action = HomologyAction(IntMat2(*mat))
-    return ActionTrace(start=z, word=word, points=tuple(points), final=lat.point(x, y), action=action)
+    return ActionTrace(points=tuple(points), final=lat.point(x, y), action=action)
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:

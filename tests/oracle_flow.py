@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from slittori.exact import ExactScalar
-from slittori.flow import SingularOrbitError, _ceil_div, _event_rule
+from slittori.flow import DECK_WEIGHTS, SingularOrbitError, _ceil_div, _event_rule
 
 _HALF = Fraction(1, 2)
 
@@ -73,7 +73,7 @@ def _next_event(model, state, dx, dy):
 def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     half = _HALF
     next_event = _event_rule(model.zx, model.zy, 1, slope)
-    w = model.deck_weights
+    w = DECK_WEIGHTS
     x, y = Fraction(start.x), Fraction(start.y)
     sheet, deck = start.sheet, start.deck
     s_done = Fraction(0)

@@ -34,12 +34,12 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
         sols_b = [b for b in range(1, mod + 1) if (b * s + s - q - r) % mod == 0]
         if len(sols_a) != expected or len(sols_b) != expected:
             raise CongruenceError(f"odd-case congruences for {param} gave {sols_a}, {sols_b}")
-        return CongruencePair(sols_a[0], sols_b[0], "odd")
+        return CongruencePair(sols_a[0], sols_b[0])
     sols_a = [a for a in range(1, mod + 1) if (a * s - (q - 1 - r)) % mod == 0]
     sols_a2 = [a for a in range(1, mod + 1) if (a * s - (q - 1 + r)) % mod == 0]
     if len(sols_a) != expected or len(sols_a2) != expected:
         raise CongruenceError(f"even-case congruences for {param} gave {sols_a}, {sols_a2}")
-    return CongruencePair(sols_a[0], abs(s), "even", sols_a2[0])
+    return CongruencePair(sols_a[0], abs(s), sols_a2[0])
 
 
 def certify_fixing(param: RationalParam) -> FixingCertificate:

@@ -1,6 +1,9 @@
 import argparse
+import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -12,10 +15,12 @@ import pytest
 import oracle_torus as oracle
 from slittori.cli import _build_parser, load_spec, main, spec_from_provenance, spec_to_dict
 from slittori.criterion import verify
-from slittori.dimension import DimensionProblem, exact_sqrt_partial_sum
+from slittori.dimension import DimensionProblem, dimension_certificate, exact_sqrt_partial_sum
 from slittori.exact import ExactScalar
-from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational
+from slittori.flow import OrbitStats, simulate, slope_from_spec
+from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational, find_block
 from slittori.rational import NkRule, RationalParam, direction_stream
+from slittori.torus import trace_word
 
 
 def run(capsys, *argv):
@@ -111,6 +116,10 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["action", "--z", "0,1/4", "--gz", "--word", "h+"],
         ["action", "--z", "0,1/4", "--word", "h+", "-x"],
         [],
+        ["billiard", "--lambda=3/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+        ["billiard", "--lambda", "0", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+        ["billiard", "--lambda", "-1/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+        ["billiard", "--lambda", "1:1:2:2", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -164,6 +173,40 @@ def test_cli_option_inventory():
     assert found == CLI_OPTIONS
     flags = [o for opts in found.values() for o in opts if o.startswith("-")]
     assert (len(flags), sum(map(len, found.values())) - len(flags)) == (36, 2)
+
+
+# the parameters of the library's entry points, in signature order
+LIBRARY_OPTIONS = {
+    find_block: ["z", "d_index", "budget"],
+    direction_stream_irrational: ["lam", "d_choices", "budget"],
+    direction_stream: ["param", "nk"],
+    OrbitStats: ["grid", "deck_window", "slope", "start"],
+    simulate: ["model", "slope", "T", "grid", "deck_window", "start", "event_log"],
+    slope_from_spec: ["spec", "precision_bits"],
+    trace_word: ["z", "word", "record_points"],
+    verify: ["spec", "horizon", "precision_bits"],
+    dimension_certificate: ["problem", "u_direct_cap", "u_numeric"],
+}
+
+
+def test_library_option_inventory():
+    found = {f: list(inspect.signature(f).parameters) for f in LIBRARY_OPTIONS}
+    assert found == LIBRARY_OPTIONS
+
+
+def test_readme_commands_parse():
+    # every documented command line must still parse; nothing is executed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [
+        line.strip()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("slittori ")
+    ]
+    assert len(lines) == 13
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize(
@@ -396,6 +439,26 @@ def test_load_spec_accepts_untampered_and_budgetless(tmp_path):
     assert load_spec(str(path)).block(2).digits == tuple(doc["blocks"][1]["digits"])
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("a_min", 0, "irrational provenance a_min must be 6"),
+        ("a_min", -3, "irrational provenance a_min must be 6"),
+        ("a_min", 25, "irrational provenance a_min must be 6"),
+        ("budget", 0, "irrational provenance budget must be a positive integer"),
+        ("budget", -5, "irrational provenance budget must be a positive integer"),
+    ],
+)
+def test_spec_file_a_min_and_budget_fail_closed(tmp_path, capsys, key, value, error):
+    doc = json.loads((GOLDEN / "build_sqrt2.json").read_text())
+    doc["provenance"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error}
+
+
 def test_dimension_command(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code, out, _ = run(
@@ -489,6 +552,18 @@ def test_negative_precision_rejected(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "nonnegative" in json.loads(err)["error"], argv
+
+
+def test_simulate_finite_stream_exits_two(tmp_path, capsys):
+    # one block of [0; 5,1,1,7,1,1,2,1] leaves the enclosure wider than 2**-32
+    path = tmp_path / "one.json"
+    code, *_ = run(
+        capsys, "build", "--lambda", "1/4", "--nk", "list:1", "--blocks", "1", "-o", str(path)
+    )
+    assert code == 0
+    code, out, err = run(capsys, "simulate", str(path), "--T", "10")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("DigitStreamExhaustedError: ")
 
 
 def test_simulate_needs_rational_parameter(capsys):

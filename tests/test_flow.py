@@ -21,6 +21,7 @@ from slittori.flow import (
     _run_closed,
     _beta_crossings,
 )
+from slittori.irrational import direction_stream_irrational
 from slittori.rational import NkRule, RationalParam, direction_stream
 from slittori.torus import TorusPoint
 
@@ -197,6 +198,36 @@ def test_simulate_rejects_bad_inputs(quarter_model):
         simulate(quarter_model, Fraction(-1, 2), 100)
     with pytest.raises(ValueError):
         simulate(quarter_model, Fraction(1, 2), 0)
+
+
+def _reference_slope(spec, precision_bits):
+    """Reference for ``slope_from_spec``: a loop of its own over k = 8, 16, ..."""
+    target = Fraction(1, 1 << precision_bits)
+    k = 8
+    while True:
+        conv = spec.convergents(k)
+        lo, hi = conv.bracket(k)
+        if hi - lo <= target:
+            return conv.value(k)
+        k += 8
+
+
+@pytest.mark.parametrize("bits", [0, 1, 32, 64, 256])
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: direction_stream(
+            RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        ),
+        lambda: direction_stream(
+            RationalParam.from_barrier_length(Fraction(3, 10)), NkRule("arith", (2, 1))
+        ),
+        lambda: direction_stream_irrational(ExactScalar(0, 1, 4, 2)),
+    ],
+    ids=["quarter-const1", "three-tenths-arith21", "sqrt2-over-4"],
+)
+def test_slope_from_spec_matches_reference_loop(stream, bits):
+    assert slope_from_spec(stream(), bits) == _reference_slope(stream(), bits)
 
 
 def test_simulate_exact_bookkeeping(quarter_model, quarter_slope):
@@ -456,7 +487,7 @@ def test_simulate_matches_oracle():
             check(model, slope, Fraction(n + 2), CoverState(1, -H, y0, 0))
 
     # a slit leaving the cell reaches the slit/edge coincidence
-    wide = SimpleNamespace(zx=Fraction(3, 4), zy=Fraction(1, 4), deck_weights=(1, -1))
+    wide = SimpleNamespace(zx=Fraction(3, 4), zy=Fraction(1, 4))
     for y0 in (Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 6)):
         for slope in (Fraction(1, 3), Fraction(0), Fraction(1, 2)):
             check(wide, slope, Fraction(5), CoverState(0, -H, y0, 0))

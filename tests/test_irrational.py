@@ -77,11 +77,6 @@ def test_block_region_crosschecks():
     assert blk.eps2.sign() > 0
 
 
-def test_a_min_respected():
-    blk = find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4), a_min=25)
-    assert blk.a >= 25
-
-
 def test_d_choice_produces_distinct_streams():
     s1 = direction_stream_irrational(SQRT2_OVER_4)
     s2 = direction_stream_irrational(SQRT2_OVER_4, DChoiceRule("const", (2,)))
@@ -101,7 +96,7 @@ def _fail_certificates(monkeypatch):
     def trace(z, word, record_points=True):
         words.append(word)
         tr = trace_word(z, word, record_points)
-        return ActionTrace(tr.start, tr.word, tr.points, tr.final, HomologyAction(H_PLUS))
+        return ActionTrace(tr.points, tr.final, HomologyAction(H_PLUS))
 
     monkeypatch.setattr(irrational, "trace_word", trace)
     return words
@@ -181,7 +176,7 @@ def test_window_searches_match_oracle():
                 ]
 
             searches = [
-                (lambda b: _a_candidates(lat, ex, ey, 6, b),
+                (lambda b: _a_candidates(lat, ex, ey, b),
                  lambda b: oracle.a_candidates(z, 6, b)),
                 (lambda b: _b_candidates(lat, ex, ey, 1, b),
                  lambda b: oracle.b_candidates(z, 1, b)),
@@ -212,5 +207,3 @@ def test_mixed_fields_fail_closed_in_search():
     z = TorusPoint(ExactScalar(0, 1, 8, 3), SQRT2_OVER_4)
     with pytest.raises(FieldMismatchError):
         find_block(z)
-    with pytest.raises(FieldMismatchError):
-        find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4), J=(ExactScalar(0, 1, 8, 3), J[1]))

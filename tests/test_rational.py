@@ -59,11 +59,11 @@ def test_from_barrier_length():
 def test_congruence_examples():
     assert solve_congruences(RationalParam(0, 1, 2)) == solve_congruences(barrier("1/4"))
     pair = solve_congruences(RationalParam(0, 1, 2))
-    assert (pair.a, pair.b, pair.parity_case) == (2, 1, "odd")
+    assert (pair.a, pair.b, pair.a2) == (2, 1, None)
     pair = solve_congruences(RationalParam(1, 1, 2))
     assert (pair.a, pair.b) == (1, 2)
     pair = solve_congruences(RationalParam(0, 2, 3))
-    assert (pair.a, pair.b, pair.parity_case) == (1, 2, "even")
+    assert (pair.a, pair.b, pair.a2) == (1, 2, 1)
 
 
 def test_congruences_match_scan():
