@@ -239,14 +239,12 @@ def load_spec(path: str) -> DirectionSpec:
 
 def cmd_action(args) -> int:
     z = _parse_point(args.z)
-    if args.word:
+    if args.word is not None:
         word = _parse_word(args.word)
-    elif args.gz:
+    elif args.gz is not None:
         word = fixing_word(_parse_param(args.gz, "--gz"))
-    elif args.gz_lambda:
-        word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
     else:
-        raise CliError("one of --word / --gz / --gz-lambda is required")
+        word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
     tr = trace_word(z, word, record_points=False)
     _emit(
         {
@@ -268,18 +266,16 @@ def cmd_action(args) -> int:
 def cmd_build(args) -> int:
     # both rule flags are parsed, so a malformed one fails whichever builder runs
     nk, d_choices = _parse_rule(args.nk), _parse_rule(args.d_choices)
-    if args.z_rational:
+    if args.z_rational is not None:
         param = _parse_param(args.z_rational, "--z-rational")
         spec = direction_stream(param, nk)
-    elif args.lam:
+    else:
         lam = parse_scalar(args.lam)
         if lam.is_rational:
             param = RationalParam.from_barrier_length(lam.as_fraction())
             spec = direction_stream(param, nk)
         else:
             spec = direction_stream_irrational(lam, d_choices, budget=args.budget)
-    else:
-        raise CliError("one of --lambda / --z-rational is required")
     _emit(spec_to_dict(spec, args.blocks), args.output)
     return 0
 
@@ -306,15 +302,16 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.spec:
+    flags = (args.slope is not None, args.z is not None)
+    if args.spec is not None and flags == (False, False):
         spec = load_spec(args.spec)
         slope = slope_from_spec(spec, precision_bits=args.precision)
         model = build_surface(spec.z0)
-    elif args.slope and args.z:
+    elif args.spec is None and flags == (True, True):
         slope = Fraction(args.slope)
         model = build_surface(_parse_point(args.z))
     else:
-        raise CliError("need a spec file, or --slope together with --z")
+        raise CliError("need a spec file alone, or --slope together with --z")
     start = None
     if args.start:
         parts = args.start.split(",")
@@ -348,16 +345,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_billiard(args) -> int:
     lam = parse_scalar(args.lam)
-    if args.vx is not None and args.vy is not None:
+    given = (args.vx is not None, args.vy is not None, args.theta_deg is not None)
+    if given == (True, True, False):
         vx, vy = Fraction(args.vx), Fraction(args.vy)
-    elif args.theta_deg is not None:
+    elif given == (False, False, True):
         import math as _m
 
         theta = _m.radians(args.theta_deg)
         vx = Fraction(_m.cos(theta)).limit_denominator(10**12)
         vy = Fraction(_m.sin(theta)).limit_denominator(10**12)
     else:
-        raise CliError("need --vx/--vy or --theta-deg")
+        raise CliError("need --vx with --vy, or --theta-deg alone")
     b = BilliardState(Fraction(args.x), Fraction(args.y), vx, vy)
     lam_frac = lam.as_fraction() if lam.is_rational else lam
     state, direction = billiard_to_cover(b, lam_frac)
@@ -393,15 +391,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("action", help="trace a word at a point")
     pa.add_argument("--z", required=True, help="point as x,y")
-    pa.add_argument("--word", help="word as h+:5,h-:1,...")
-    pa.add_argument("--gz", help="fixing word of r,s,q")
-    pa.add_argument("--gz-lambda", dest="gz_lambda", help="fixing word of lambda=p/q")
+    word = pa.add_mutually_exclusive_group(required=True)
+    word.add_argument("--word", help="word as h+:5,h-:1,...")
+    word.add_argument("--gz", help="fixing word of r,s,q")
+    word.add_argument("--gz-lambda", dest="gz_lambda", help="fixing word of lambda=p/q")
     pa.add_argument("-o", "--output")
     pa.set_defaults(func=cmd_action)
 
     pb = sub.add_parser("build", help="build a direction spec")
-    pb.add_argument("--lambda", dest="lam", help="barrier ratio: p/q or u:v:w:D")
-    pb.add_argument("--z-rational", dest="z_rational", help="parameter as r,s,q")
+    param = pb.add_mutually_exclusive_group(required=True)
+    param.add_argument("--lambda", dest="lam", help="barrier ratio: p/q or u:v:w:D")
+    param.add_argument("--z-rational", dest="z_rational", help="parameter as r,s,q")
     pb.add_argument("--nk", default="const:1", help="free digits: const:M | arith:B,C | list:...")
     pb.add_argument("--d-choices", dest="d_choices", default="default")
     pb.add_argument("--blocks", type=_positive_int, default=3)

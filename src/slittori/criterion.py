@@ -29,9 +29,9 @@ with an "inconclusive" note.
 from __future__ import annotations
 
 from .directions import DirectionSpec
-from .exact import ExactScalar, Frozen
+from .exact import ExactScalar, Frozen, Record
 from .intervals import InconclusiveIntervalError, RatInterval
-from .torus import TorusPoint, trace_word
+from .torus import trace_word
 from .words import Convergents, GenWord
 
 DEFAULT_PRECISION_BITS = 256
@@ -41,12 +41,7 @@ _MAX_PRECISION_DOUBLINGS = 4
 class CylinderStrip(Frozen):
     """Checkpoint strip data: |intersection with beta|, holonomy, area."""
 
-    __slots__ = ("k", "v", "area")
-
-    def __init__(self, k: int, v: tuple[int, int], area: ExactScalar):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "area", area)
+    __slots__ = ("k", "v", "area")  # int, (q_k, p_k), ExactScalar
 
     def as_dict(self) -> dict:
         return {
@@ -127,44 +122,14 @@ def _wedge_at(spec: DirectionSpec, conv: Convergents, k: int, threshold,
     return direct, route if direct else "none", wedge
 
 
-class CheckpointRecord:
+class CheckpointRecord(Record):
+    # z: TorusPoint; *_route: str; strip: CylinderStrip or None;
+    # wedge_ratio: RatInterval or None; notes: list of str
     __slots__ = (
         "n", "k", "z", "endpoint_consistent", "homology_fixes_beta", "y_in_bounds",
         "digit_inequality", "sigma_bounded", "sigma_route", "wedge_bounded",
         "wedge_route", "strip", "wedge_ratio", "notes",
     )
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        z: TorusPoint,
-        endpoint_consistent: bool,
-        homology_fixes_beta: bool,
-        y_in_bounds: bool,
-        digit_inequality: bool,
-        sigma_bounded: bool,
-        sigma_route: str,
-        wedge_bounded: bool,
-        wedge_route: str,
-        strip: CylinderStrip | None,
-        wedge_ratio: RatInterval | None,
-        notes: list[str] | None = None,
-    ):
-        self.n = n
-        self.k = k
-        self.z = z
-        self.endpoint_consistent = endpoint_consistent
-        self.homology_fixes_beta = homology_fixes_beta
-        self.y_in_bounds = y_in_bounds
-        self.digit_inequality = digit_inequality
-        self.sigma_bounded = sigma_bounded
-        self.sigma_route = sigma_route
-        self.wedge_bounded = wedge_bounded
-        self.wedge_route = wedge_route
-        self.strip = strip
-        self.wedge_ratio = wedge_ratio
-        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -197,16 +162,8 @@ class CheckpointRecord:
         }
 
 
-class VerificationReport:
-    __slots__ = ("horizon", "precision_bits", "records", "provenance")
-
-    def __init__(
-        self, horizon: int, precision_bits: int, records: list[CheckpointRecord], provenance: dict
-    ):
-        self.horizon = horizon
-        self.precision_bits = precision_bits
-        self.records = records
-        self.provenance = provenance
+class VerificationReport(Record):
+    __slots__ = ("horizon", "precision_bits", "records", "provenance")  # records: CheckpointRecords
 
     @property
     def overall(self) -> bool:
@@ -223,14 +180,14 @@ class VerificationReport:
 
 
 def _with_precision_retry(fn, bits: int):
-    """Run fn(bits), doubling bits on inconclusive intervals."""
+    """Run fn(bits), doubling bits (0 steps to 1) on inconclusive intervals."""
     current = bits
     for _ in range(_MAX_PRECISION_DOUBLINGS):
         try:
             return fn(current), current, None
         except InconclusiveIntervalError as exc:
             note = str(exc)
-            current *= 2
+            current = 2 * current or 1
     return None, current, note
 
 

@@ -44,7 +44,7 @@ from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 
-from .exact import Frozen
+from .exact import Frozen, Record
 from .words import Convergents
 
 _HEAD_TERMS = 64  # Moran-sum terms added directly before the Euler-Maclaurin tail
@@ -79,14 +79,8 @@ class DimensionProblem(Frozen):
             raise ValueError("block digits must be positive")
         if b < 1 or c < 0:
             raise ValueError("progression needs b >= 1, c >= 0")
-        conv = Convergents(block)
-        m = len(block)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(
-            self, "continuant_table", (conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1))
-        )
+        conv, m = Convergents(block), len(block)
+        super().__init__(block, b, c, (conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1)))
 
     def continuants(self) -> tuple[int, int]:
         return self.continuant_table[2:]
@@ -200,44 +194,14 @@ def _exact_str(q: Fraction) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-class DimensionCertificate:
+class DimensionCertificate(Record):
+    # route: "direct" or "divergence"; witness: a dict on the divergence
+    # route only, emitted as is, and None on the direct route
     __slots__ = (
         "problem", "target", "route", "achieved_su", "u_used", "exceeds_target",
         "sqrt_sum_at_u", "exact_prefix_u", "exact_prefix_sum", "minorant_verified_terms",
         "su_monotone_samples", "image_disjointness_checked", "divergence_note", "witness",
     )
-
-    def __init__(
-        self,
-        problem: DimensionProblem,
-        target: Fraction,
-        route: str,  # "direct" | "divergence"
-        achieved_su: float,
-        u_used: int,
-        exceeds_target: bool,
-        sqrt_sum_at_u: Fraction | None,
-        exact_prefix_u: int,
-        exact_prefix_sum: Fraction,
-        minorant_verified_terms: int,
-        su_monotone_samples: list[tuple[int, float]],
-        image_disjointness_checked: int,
-        divergence_note: str,
-        witness: dict | None = None,  # divergence route only, emitted as is
-    ):
-        self.problem = problem
-        self.target = target
-        self.route = route
-        self.achieved_su = achieved_su
-        self.u_used = u_used
-        self.exceeds_target = exceeds_target
-        self.sqrt_sum_at_u = sqrt_sum_at_u
-        self.exact_prefix_u = exact_prefix_u
-        self.exact_prefix_sum = exact_prefix_sum
-        self.minorant_verified_terms = minorant_verified_terms
-        self.su_monotone_samples = su_monotone_samples
-        self.image_disjointness_checked = image_disjointness_checked
-        self.divergence_note = divergence_note
-        self.witness = witness
 
     def as_dict(self) -> dict:
         d = {

@@ -54,8 +54,7 @@ class DigitRule(Frozen):
             raise ValueError(f"unknown digit rule {kind!r}")
         if not ok:
             raise ValueError(f"{kind} digit rule cannot take {list(params)}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+        super().__init__(kind, params)
 
     def value(self, n: int) -> int:
         """The digit of block n (1-based)."""
@@ -79,17 +78,14 @@ class DigitRule(Frozen):
 class BlockRecord(Frozen):
     """One emitted period: eight digits and the expected endpoint."""
 
-    __slots__ = ("index", "digits", "endpoint", "meta")
+    __slots__ = ("index", "digits", "endpoint", "meta")  # index n >= 1
 
     def __init__(self, index: int, digits: tuple[int, ...], endpoint: TorusPoint, meta: dict):
         if len(digits) != PERIOD:
             raise ValueError(f"block must have {PERIOD} digits")
         if any(d < 1 for d in digits):
             raise ValueError("block digits must be positive")
-        object.__setattr__(self, "index", index)  # n >= 1
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "endpoint", endpoint)
-        object.__setattr__(self, "meta", meta)
+        super().__init__(index, digits, endpoint, meta)
 
 
 class DirectionSpec:

@@ -24,11 +24,51 @@ class FieldMismatchError(ValueError):
     """Raised when combining irrationals from different quadratic fields."""
 
 
-class Frozen:
+class Record:
+    """Base of the package's record classes.
+
+    A subclass declares its fields as ``__slots__``, in constructor order.
+    ``Name(*args, **kwargs)`` sets every field from the positional values
+    in that order, then from keywords; every field is required.  Too many
+    positional values, an unknown or repeated keyword, or a missing field
+    raise :class:`TypeError`.  A subclass that checks or normalises its
+    fields writes its own ``__init__``, which passes them on to this one
+    or, on a hot path, sets them with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the slot descriptors' setters, which bypass Frozen.__setattr__
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of ``cls(*args, **kwargs)``, in slot order."""
+        names, rest = cls.__slots__, cls.__slots__[len(args):]
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional, got {len(args)}")
+        for name in kwargs:
+            if name not in rest:
+                how = "twice" if name in names else "as an unknown field"
+                raise TypeError(f"{cls.__name__}() got {name!r} {how}")
+        missing = [name for name in rest if name not in kwargs]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing field(s) {', '.join(map(repr, missing))}")
+        return args + tuple(kwargs[name] for name in rest)
+
+
+class Frozen(Record):
     """Base of the package's immutable value classes.
 
-    Subclasses declare ``__slots__`` and set each field once, in
-    ``__init__``, with ``object.__setattr__``; any later assignment or
+    Each field is set once, by the constructor; any later assignment or
     deletion raises :class:`AttributeError`.  A record compares and
     hashes by the values of its own ``__slots__``, and only with a record
     of its own class; its repr is ``Name(field=value, ...)``.
@@ -37,6 +77,7 @@ class Frozen:
     __slots__ = ()
 
     def __init_subclass__(cls):
+        super().__init_subclass__()
         cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
@@ -58,10 +99,15 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+MAX_RADICAND = 2**32  # _squarefree_split's trial division up to sqrt(d) stays quick
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return ``(d0, f)`` with ``d = f*f*d0`` and ``d0`` squarefree."""
     if d < 0:
         raise ValueError("radicand must be non-negative")
+    if d > MAX_RADICAND:
+        raise ValueError(f"radicand {d} is above the limit 2**32")
     d0, f = d, 1
     p = 2
     while p * p <= d0:

@@ -44,7 +44,7 @@ import operator
 from fractions import Fraction
 
 from .directions import PERIOD, DigitStreamExhaustedError, DirectionSpec
-from .exact import ExactScalar, Frozen, mod_half_open
+from .exact import ExactScalar, Frozen, Record, mod_half_open
 
 _HALF = Fraction(1, 2)
 # deck shift of a rightward vertical-edge crossing on sheet 0 and sheet 1
@@ -85,24 +85,6 @@ class ValidationReport(Frozen):
         "geometric_agreement", "cone_turns", "area",
     )
 
-    def __init__(
-        self,
-        deck_weights: tuple[int, int],
-        horizontal_core_shifts: tuple[int, int],
-        vertical_shifts: tuple[int, int],
-        crossing_loop_shift: int,
-        geometric_agreement: bool,
-        cone_turns: tuple[int, int],
-        area: int,
-    ):
-        object.__setattr__(self, "deck_weights", deck_weights)
-        object.__setattr__(self, "horizontal_core_shifts", horizontal_core_shifts)
-        object.__setattr__(self, "vertical_shifts", vertical_shifts)
-        object.__setattr__(self, "crossing_loop_shift", crossing_loop_shift)
-        object.__setattr__(self, "geometric_agreement", geometric_agreement)
-        object.__setattr__(self, "cone_turns", cone_turns)
-        object.__setattr__(self, "area", area)
-
     def as_dict(self) -> dict:
         return {
             "deck_weights": list(self.deck_weights),
@@ -116,14 +98,8 @@ class ValidationReport(Frozen):
 
 
 class SurfaceModel(Frozen):
+    # beta_x: x-position of the vertical cycle used for counting
     __slots__ = ("zx", "zy", "beta_x", "validation")
-
-    def __init__(self, zx, zy, beta_x, validation: ValidationReport):
-        # beta_x: x-position of the vertical cycle used for counting
-        object.__setattr__(self, "zx", zx)
-        object.__setattr__(self, "zy", zy)
-        object.__setattr__(self, "beta_x", beta_x)
-        object.__setattr__(self, "validation", validation)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +107,9 @@ class SurfaceModel(Frozen):
 
 
 class StepResult(Frozen):
+    # advance: parameter length of this step;
+    # event: "right_edge" | "top_edge" | "corner" | "slit" | "partial"
     __slots__ = ("state", "advance", "event")
-
-    def __init__(self, state: CoverState, advance, event: str):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "advance", advance)  # parameter length of this step
-        # "right_edge" | "top_edge" | "corner" | "slit" | "partial"
-        object.__setattr__(self, "event", event)
 
 
 def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
@@ -358,7 +330,7 @@ def build_surface(z) -> SurfaceModel:
 # statistics
 
 
-class OrbitStats:
+class OrbitStats(Record):
     """Sample counts of one simulated orbit, all starting at zero: the
     cell and deck counts are zeros of the grid and deck window, and every
     list is a new one."""
@@ -652,11 +624,6 @@ class BilliardState(Frozen):
 
     __slots__ = ("x", "y", "vx", "vy")
 
-    def __init__(self, x, y, vx, vy):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "vx", vx)
-        object.__setattr__(self, "vy", vy)
 
 def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     """Unfold a billiard state into (cover state, canonical direction).

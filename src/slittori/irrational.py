@@ -57,25 +57,8 @@ class DerivationError(RuntimeError):
 
 
 class IrrationalBlockParams(Frozen):
+    # a, b, c, d: ints; z_out: TorusPoint; eps1, eps2: ExactScalar
     __slots__ = ("a", "b", "c", "d", "z_out", "eps1", "eps2")
-
-    def __init__(
-        self,
-        a: int,
-        b: int,
-        c: int,
-        d: int,
-        z_out: TorusPoint,
-        eps1: ExactScalar,
-        eps2: ExactScalar,
-    ):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "z_out", z_out)
-        object.__setattr__(self, "eps1", eps1)
-        object.__setattr__(self, "eps2", eps2)
 
     @property
     def digits(self) -> tuple[int, ...]:

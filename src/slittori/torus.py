@@ -126,12 +126,6 @@ class HomologyAction(Frozen):
             m = -m
         object.__setattr__(self, "m", m)
 
-    def __eq__(self, other):
-        return isinstance(other, HomologyAction) and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m.entries())
-
     def __mul__(self, other: "HomologyAction") -> "HomologyAction":
         return HomologyAction(self.m * other.m)
 
@@ -158,14 +152,7 @@ class HomologyAction(Frozen):
 
 
 class ActionTrace(Frozen):
-    __slots__ = ("points", "final", "action")
-
-    def __init__(
-        self, points: tuple[TorusPoint, ...], final: TorusPoint, action: HomologyAction
-    ):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "action", action)
+    __slots__ = ("points", "final", "action")  # TorusPoints, TorusPoint, HomologyAction
 
 
 Coord = tuple[int, int]  # (u, v), the coordinate (u + v sqrt(D))/W of a Lattice

@@ -152,6 +152,7 @@ def dimension_certificate(
                 f"sum_l d^(1/2) reaches {float(total):.6f} > 1 at u={u_hit}; "
                 f"the Moran root at this truncation therefore exceeds 1/2"
             ),
+            witness=None,
         )
     su = solve_su(problem, u_numeric)
     E = E_WITNESS

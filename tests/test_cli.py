@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -120,6 +121,14 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["billiard", "--lambda", "0", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
         ["billiard", "--lambda", "-1/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
         ["billiard", "--lambda", "1:1:2:2", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+        # conflicting inputs: neither one is silently ignored
+        ["action", "--z", "0,1/4", "--word", "h+:3", "--gz-lambda", "1/4"],
+        ["simulate", str(GOLDEN / "build_quarter.json"), "--slope", "1/3", "--z", "0,1/5"],
+        [
+            "billiard", "--lambda", "1/4", "--x", "3/10", "--y", "1/10",
+            "--vx", "1", "--vy", "1", "--theta-deg", "30",
+        ],
+        ["build", "--lambda", "1/4", "--z-rational", "0,1,4"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -157,6 +166,27 @@ CLI_OPTIONS = {
     ],
     "billiard": ["--lambda", "--x", "--y", "--vx", "--vy", "--theta-deg", "-o/--output"],
 }
+
+
+# far above exact.MAX_RADICAND: trial division up to its square root would run for years
+HUGE_D = 1000000000000000000000000000057
+
+
+def test_large_radicand_fails_closed(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "build_sqrt2.json").read_text())
+    doc["provenance"]["lambda"] = [0, 1, 4, HUGE_D]
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    for argv in (
+        ["action", "--z", f"0:1:4:{HUGE_D},0", "--word", "h+"],
+        ["build", "--lambda", f"0:1:4:{HUGE_D}"],
+        ["verify", str(spec)],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert "radicand" in json.loads(err)["error"], argv
 
 
 def test_cli_option_inventory():

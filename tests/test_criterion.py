@@ -180,3 +180,29 @@ def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypa
         if inconclusive:
             assert (rec.sigma_route, rec.wedge_route) == ("structural", "implied")
         assert rec.sigma_bounded and rec.wedge_bounded
+
+
+def test_precision_retry_grows_from_zero_bits(quarter_spec, monkeypatch):
+    """verify --precision 0 must not retry at 0 bits: an inconclusive
+    comparison steps 0 to 1, then doubles."""
+    from slittori import criterion
+    from slittori.directions import DirectionSpec
+    from slittori.intervals import InconclusiveIntervalError, RatInterval
+
+    asked = []
+    enclosure = DirectionSpec.alpha_enclosure
+
+    def recording(self, bits=256, min_digits=0):
+        asked.append(bits)
+        return enclosure(self, bits, min_digits)
+
+    def undecided(self, bound):
+        raise InconclusiveIntervalError("forced")
+
+    monkeypatch.setattr(DirectionSpec, "alpha_enclosure", recording)
+    monkeypatch.setattr(RatInterval, "certified_le", undecided)
+    monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
+    monkeypatch.setattr(criterion, "masur_structural", lambda conv, k, alpha: False)
+    (rec,) = verify(quarter_spec, 1, precision_bits=0).records
+    assert rec.sigma_route == "inconclusive"
+    assert asked[:4] == [0, 1, 2, 4]  # the sigma retries

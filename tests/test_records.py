@@ -1,19 +1,26 @@
 """Record semantics of the package's plain value classes.
 
-Each class keeps the constructor of the dataclass it replaced (field order,
-keyword names and defaults).  The frozen ones refuse assignment and
-deletion, compare and hash by their fields and print as the dataclass did;
-mutable defaults are new lists for every instance.
+Every record subclasses ``exact.Record``, whose one constructor binds the
+``__slots__`` in order from positional or keyword values and requires
+each of them.  Only the classes in ``OWN_INIT`` write their own
+``__init__``, to check or normalise fields, to give a default, or to
+start counters at zero; their field order and keyword names are those of
+the dataclasses they replaced.  The frozen records refuse assignment and
+deletion, compare and hash by their fields and print as the dataclass
+did; mutable defaults are new lists for every instance.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import slittori
 from slittori.criterion import CheckpointRecord, CylinderStrip, VerificationReport
 from slittori.dimension import DimensionCertificate, DimensionProblem
 from slittori.directions import BlockRecord
-from slittori.exact import ExactScalar
+from slittori.exact import ExactScalar, Frozen, Record
 from slittori.flow import (
     BilliardState,
     CoverState,
@@ -205,11 +212,11 @@ def test_defaults():
     problem = DimensionProblem((1, 1, 1))
     assert (problem.b, problem.c) == (1, 0)
     assert DimensionProblem(block=(1, 1, 1), b=1, c=0).continuant_table == problem.continuant_table
-    args = MUTABLE[DimensionCertificate][1]()[:-1]
-    assert DimensionCertificate(*args).witness is None
+    with pytest.raises(TypeError):  # witness has no default
+        DimensionCertificate(*MUTABLE[DimensionCertificate][1]()[:-1])
     assert CoverState(0, Fraction(0), Fraction(1, 8)).deck == 0
-    args = MUTABLE[CheckpointRecord][1]()[:-1]
-    assert CheckpointRecord(*args).notes == []
+    with pytest.raises(TypeError):  # notes has no default
+        CheckpointRecord(*MUTABLE[CheckpointRecord][1]()[:-1])
     stats = OrbitStats(grid=2, deck_window=1, slope=(1, 2), start=(0, "-1/2", "0", 0))
     assert stats.cell_counts == [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     assert stats.deck_counts == [0, 0, 0]
@@ -221,10 +228,9 @@ def test_defaults():
 
 
 def test_mutable_defaults_are_not_shared():
-    args = MUTABLE[CheckpointRecord][1]()[:-1]
-    r1, r2 = CheckpointRecord(*args), CheckpointRecord(*args)
-    r1.notes.append("only in r1")
-    assert r2.notes == []
+    fields, values = MUTABLE[CheckpointRecord]
+    with pytest.raises(TypeError):  # no shared default list: notes is required
+        CheckpointRecord(**dict(zip(fields[:-1], values())))
     s1, s2 = (OrbitStats(2, 1, (1, 2), (0, "-1/2", "0", 0)) for _ in range(2))
     for name in ("cell_counts", "deck_counts", "discrepancy", "snapshot_samples"):
         assert getattr(s1, name) is not getattr(s2, name), name
@@ -248,3 +254,66 @@ def test_reprs_keep_the_dataclass_format():
     assert repr(RatInterval(Fraction(1, 3), Fraction(1, 2))) == (
         "RatInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
     )
+
+
+# records that write their own __init__ -- to check or normalise fields, to
+# give a default that the package uses, to zero counters, or (IntMat2) to
+# stay cheap on every matrix product; every other record binds its
+# __slots__ through Record.__init__
+OWN_INIT = {
+    "ExactScalar", "TorusPoint", "HomologyAction", "GenWord", "RationalParam", "Block",
+    "BlockRecord", "DigitRule", "DimensionProblem", "RatInterval",
+    "CoverState", "CongruencePair", "OrbitStats", "IntMat2",
+}
+BOUND_BY_RECORD = {
+    "ActionTrace", "FixingCertificate", "IrrationalBlockParams", "CylinderStrip",
+    "ValidationReport", "SurfaceModel", "StepResult", "BilliardState",
+    "CheckpointRecord", "VerificationReport", "DimensionCertificate",
+}
+
+
+def _record_classes():
+    for info in pkgutil.iter_modules(slittori.__path__):
+        importlib.import_module(f"slittori.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("slittori.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_own_init_inventory():
+    classes = _record_classes() - {Frozen}
+    own = {c.__name__ for c in classes if "__init__" in vars(c)}
+    assert own == OWN_INIT
+    assert {c.__name__ for c in classes} - own == BOUND_BY_RECORD
+    assert set(RECORDS) <= classes
+
+
+BOUND = [FixingCertificate, VerificationReport]  # one frozen, one mutable
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=ids(BOUND))
+def test_record_constructor_refuses_bad_arguments(cls):
+    fields, values = RECORDS[cls]
+    args = values()
+    with pytest.raises(TypeError, match="positional"):
+        cls(*args, None)
+    with pytest.raises(TypeError, match="'nope' as an unknown field"):
+        cls(*args, nope=1)
+    with pytest.raises(TypeError, match=f"'{fields[0]}' twice"):
+        cls(*args[:1], **dict(zip(fields, args)))
+    with pytest.raises(TypeError, match=f"missing field\\(s\\) '{fields[-1]}'"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match=f"missing field\\(s\\) '{fields[0]}'"):
+        cls(**dict(zip(fields[1:], args[1:])))
+
+
+def test_homology_action_compares_and_hashes_by_its_matrix():
+    a = HomologyAction(IntMat2(1, 0, 2, 1))
+    b = HomologyAction(IntMat2(-1, 0, -2, -1))  # the same element of PGL(2,Z)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != HomologyAction(IntMat2(1, 0, 3, 1))
+    assert a != IntMat2(1, 0, 2, 1) and a != a.m.entries()
