@@ -180,15 +180,18 @@ class VerificationReport(Record):
 
 
 def _with_precision_retry(fn, bits: int):
-    """Run fn(bits), doubling bits (0 steps to 1) on inconclusive intervals."""
+    """Run fn(bits), doubling bits (0 steps to 1) on inconclusive intervals.
+
+    Returns the result (None when every attempt was inconclusive), the
+    last precision tried and the last inconclusive note."""
     current = bits
     for _ in range(_MAX_PRECISION_DOUBLINGS):
         try:
             return fn(current), current, None
         except InconclusiveIntervalError as exc:
-            note = str(exc)
+            tried, note = current, str(exc)
             current = 2 * current or 1
-    return None, current, note
+    return None, tried, note
 
 
 def verify(

@@ -16,6 +16,7 @@ Values are immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, isqrt
 from operator import attrgetter
 
@@ -102,8 +103,12 @@ class Frozen(Record):
 MAX_RADICAND = 2**32  # _squarefree_split's trial division up to sqrt(d) stays quick
 
 
+@lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return ``(d0, f)`` with ``d = f*f*d0`` and ``d0`` squarefree."""
+    """Return ``(d0, f)`` with ``d = f*f*d0`` and ``d0`` squarefree.
+
+    Memoised: every irrational scalar splits its radicand, and trial
+    division takes milliseconds for a radicand near ``MAX_RADICAND``."""
     if d < 0:
         raise ValueError("radicand must be non-negative")
     if d > MAX_RADICAND:

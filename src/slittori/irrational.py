@@ -93,6 +93,13 @@ def _half_min(lat: Lattice, c: Coord) -> Coord:
     return other if negative(other[0] - c[0], other[1] - c[1], lat.D) else c
 
 
+def _step(lat: Lattice, moving: Coord, fixed: Coord) -> tuple[Coord, int]:
+    """The first step of :meth:`Lattice.run`: the new moving coordinate and
+    its count m, +1 when the post-step point lies in S and -1 otherwise."""
+    m, u, v = next(lat.run(moving, fixed))
+    return (u, v), m
+
+
 def _spend(steps: Iterator[tuple[int, int, int]], budget: _Budget) -> Iterator[tuple[int, int, Coord]]:
     """Number the steps of a :meth:`Lattice.run` from 1, spending one unit
     of budget before each; yields (j, m, coordinate)."""
@@ -175,12 +182,11 @@ def find_block(
     J_lat = (lat.embed(lo), lat.embed(hi))
     bud = _Budget(budget)
     a, a_prime, x1 = next(_a_candidates(lat, lat.embed(z.x), y, bud))
-    # two single steps with the derivation's region cross-checks; the
-    # count m of one step is +1 when the post-step point lies in S, else -1
-    y2, m = lat.syllable(y, x1, 1)
+    # two single steps with the derivation's region cross-checks
+    y2, m = _step(lat, y, x1)
     if m > 0:
         raise DerivationError("z2 unexpectedly in S")
-    x3, m = lat.syllable(x1, y2, 1)
+    x3, m = _step(lat, x1, y2)
     if m < 0:
         raise DerivationError("z3 unexpectedly outside S")
     if not negative(*x3, lat.D):
@@ -188,10 +194,10 @@ def find_block(
     _require_irrational(x3[1], "x3")
 
     b, b_prime, y4 = next(_b_candidates(lat, x3, y2, a_prime, bud))
-    x5, m = lat.syllable(x3, y4, 1)
+    x5, m = _step(lat, x3, y4)
     if m > 0:
         raise DerivationError("z5 unexpectedly in S")
-    y6, m = lat.syllable(y4, x5, 1)
+    y6, m = _step(lat, y4, x5)
     if m < 0:
         raise DerivationError("z6 unexpectedly outside S")
     _require_irrational(y6[1], "y6")

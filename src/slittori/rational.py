@@ -147,18 +147,19 @@ class Block(Frozen):
 
 
 def block_for(param: RationalParam) -> Block:
-    param = param.reduced()
-    pair = solve_congruences(param)
-    q, a, b = param.q, pair.a, pair.b
-    if param.parity_case == "odd":
+    pair = solve_congruences(param)  # reduces the parameter; q is unchanged by it
+    q, a, b, a2 = param.q, pair.a, pair.b, pair.a2
+    if a2 is None:  # odd case
         return Block((2 * q + b, 1, 1, 2 * q + a + b, 1, 1, a))
-    a2 = pair.a2
     return Block((2 * q + a2, b - 1, b + 1, 2 * q + a + a2, b - 1, b + 1, a))
 
 
 def fixing_word(param: RationalParam) -> GenWord:
     """The alternating 7-syllable word with the block digits as exponents."""
     return GenWord.from_digits(block_for(param).digits)
+
+
+_BLOCK_GENERATORS = ("h+", "h-", "h+", "h-", "h+", "h-", "h+")  # of the 7 digits, in order
 
 
 class FixingCertificate(Frozen):
@@ -176,11 +177,14 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     acceptance gate.  The h- period is 1 when r = 0 (the height is then
     invariant under every power) and 2q otherwise; the returned period
     is itself re-verified by a trace.  Both traces run on the lattice
-    Z/2q, where z is (r, s), one closed-form syllable at a time.
+    Z/2q, where z is (r, s), one closed-form syllable at a time; the
+    block digits are the syllable exponents directly, with no
+    :class:`~slittori.words.GenWord` in between.
     """
     r, s, q = param.r, param.s, param.q
     period = 1 if r == 0 else 2 * q
-    x, y, action = trace_rational(2 * q, r, s, fixing_word(param).syllables)
+    word = zip(_BLOCK_GENERATORS, block_for(param).digits)
+    x, y, action = trace_rational(2 * q, r, s, word)
     x_h, y_h, action_h = trace_rational(2 * q, r, s, (("h-", period),))
     period_ok = (x_h, y_h) == (r, s) and action_h.fixes_beta
     # positional: the base constructor binds keywords at about twice the cost

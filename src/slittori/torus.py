@@ -35,15 +35,16 @@ goes the same way (by +W when f > 0, by -W when f < 0).  So with
 t = t0 - n f and k = -floor((t + W/2)/W) the syllable ends at t + k W
 after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 ``u // W`` for rational t and takes one
-:func:`~slittori.exact.floor_sqrt` otherwise (:meth:`Lattice.syllable`).
-:func:`_trace_lattice` applies it once per syllable and is the one place
-the homology action is multiplied out: :func:`trace_word` always takes
-its end point and action from it, and so does :func:`trace_rational`,
-which takes integer numerators over an even W and builds no point -- the
-form :func:`slittori.rational.certify_fixing` uses on Z/2q.
+:func:`~slittori.exact.floor_sqrt` otherwise.  :func:`_trace_lattice`,
+on the lattice's integers W and D, is the one place that applies it,
+once per syllable, and the one place the homology action is multiplied
+out: :func:`trace_word` always takes its end point and action from it,
+and so does :func:`trace_rational`, which takes integer numerators over
+an even W and builds neither a point nor a :class:`Lattice` -- the form
+:func:`slittori.rational.certify_fixing` uses on Z/2q.
 :meth:`Lattice.run` steps one unit at a time and supplies the recorded
 points of ``trace_word(record_points=True)``, :func:`m_sequence` and the
-window searches of :mod:`slittori.irrational`, which need every
+searches and single steps of :mod:`slittori.irrational`, which need every
 intermediate point.  The test suite checks both against each other and
 against a reference that steps :class:`~slittori.exact.ExactScalar`
 values.
@@ -221,38 +222,31 @@ class Lattice:
                 m += 1
             yield m, mu, mv
 
-    def syllable(self, moving: Coord, fixed: Coord, n: int) -> tuple[Coord, int]:
-        """The first ``n`` steps of :meth:`run` in closed form: the moving
-        coordinate after them and their running count m.
-
-        With t = moving - n*fixed and k = -floor((t + W/2)/W) the steps end
-        at t + k W after |k| wraps, all the same way, so m = n - 2|k|.  In
-        lattice units t + W/2 is u + W/2 + v sqrt(D), whose floor is the
-        integer u + W/2 + floor(v sqrt(D)); ``// W`` floors it once more.
-        """
-        u, v = moving[0] - n * fixed[0], moving[1] - n * fixed[1]
-        h = u + self.half
-        if v:
-            h += floor_sqrt(v, self.D)
-        k = -(h // self.W)
-        return (u + k * self.W, v), n - 2 * abs(k)
-
 
 def _trace_lattice(
-    lat: Lattice, x: Coord, y: Coord, syllables
+    W: int, D: int, x: Coord, y: Coord, syllables
 ) -> tuple[Coord, Coord, int, int, int, int]:
-    """Trace ``syllables`` from the lattice point (x, y), one closed-form
-    syllable at a time: the end point and the entries a, b, c, d of the
-    homology action, before sign canonicalisation."""
+    """Trace ``syllables`` from (x, y) on the lattice (Z + Z sqrt(D))/W, one
+    closed-form syllable at a time: the end point and the entries a, b, c, d
+    of the homology action, before sign canonicalisation.  The floor of
+    t + W/2 = u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D))."""
+    half = W // 2
+    (xu, xv), (yu, yv) = x, y
     a, b, c, d = 1, 0, 0, 1
     for gen, n in syllables:
         if gen == "h+":
-            x, m = lat.syllable(x, y, n)
+            xu, xv = xu - n * yu, xv - n * yv
+            k = -((xu + half + floor_sqrt(xv, D) if xv else xu + half) // W)
+            xu += k * W
+            m = n - 2 * abs(k)
             b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
         else:
-            y, m = lat.syllable(y, x, n)
+            yu, yv = yu - n * xu, yv - n * xv
+            k = -((yu + half + floor_sqrt(yv, D) if yv else yu + half) // W)
+            yu += k * W
+            m = n - 2 * abs(k)
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
-    return x, y, a, b, c, d
+    return (xu, xv), (yu, yv), a, b, c, d
 
 
 def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, HomologyAction]:
@@ -265,9 +259,7 @@ def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, Homolog
     half = W // 2
     if W < 2 or W % 2 or not (-half <= x < half and -half <= y < half):
         raise ValueError(f"({x}, {y})/{W} is not a point of [-1/2, 1/2)^2 over an even W")
-    lat = Lattice()
-    lat.W, lat.half = W, half
-    (x, _), (y, _), *mat = _trace_lattice(lat, (x, 0), (y, 0), syllables)
+    (x, _), (y, _), *mat = _trace_lattice(W, 0, (x, 0), (y, 0), syllables)
     return x, y, HomologyAction(IntMat2(*mat))
 
 
@@ -297,7 +289,7 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> Acti
                 for _, u, v in islice(lat.run(py, px), exp):
                     points.append(lat.point(px, (u, v)))
                 py = (u, v)
-    x, y, *mat = _trace_lattice(lat, x, y, word.syllables)
+    x, y, *mat = _trace_lattice(lat.W, lat.D, x, y, word.syllables)
     action = HomologyAction(IntMat2(*mat))
     return ActionTrace(points=tuple(points), final=lat.point(x, y), action=action)
 

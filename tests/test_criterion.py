@@ -182,9 +182,10 @@ def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypa
         assert rec.sigma_bounded and rec.wedge_bounded
 
 
-def test_precision_retry_grows_from_zero_bits(quarter_spec, monkeypatch):
-    """verify --precision 0 must not retry at 0 bits: an inconclusive
-    comparison steps 0 to 1, then doubles."""
+def _verify_forced_inconclusive(spec, monkeypatch, bits):
+    """verify(spec, 1, bits) with every certified comparison inconclusive
+    and the structural sigma route closed: the report and the precisions
+    alpha_enclosure was asked for, in order."""
     from slittori import criterion
     from slittori.directions import DirectionSpec
     from slittori.intervals import InconclusiveIntervalError, RatInterval
@@ -203,6 +204,24 @@ def test_precision_retry_grows_from_zero_bits(quarter_spec, monkeypatch):
     monkeypatch.setattr(RatInterval, "certified_le", undecided)
     monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
     monkeypatch.setattr(criterion, "masur_structural", lambda conv, k, alpha: False)
-    (rec,) = verify(quarter_spec, 1, precision_bits=0).records
+    return verify(spec, 1, precision_bits=bits), asked
+
+
+def test_precision_retry_grows_from_zero_bits(quarter_spec, monkeypatch):
+    """verify --precision 0 must not retry at 0 bits: an inconclusive
+    comparison steps 0 to 1, then doubles."""
+    report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch, 0)
+    (rec,) = report.records
     assert rec.sigma_route == "inconclusive"
-    assert asked[:4] == [0, 1, 2, 4]  # the sigma retries
+    sigma_asked, wedge_asked = asked[:4], asked[4:]
+    assert sigma_asked == [0, 1, 2, 4]  # the sigma retries
+    assert wedge_asked == [0]  # the wedge bound is implied at once
+    assert report.precision_bits == sigma_asked[-1]
+
+
+def test_precision_retry_reports_last_precision_tried(quarter_spec, monkeypatch):
+    """When every retry is inconclusive the report names the last precision
+    tried, 256 doubled three times, not one doubling more."""
+    report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch, 256)
+    assert asked == [256, 512, 1024, 2048, 256]  # four sigma tries, one wedge
+    assert report.precision_bits == 2048

@@ -177,3 +177,20 @@ def test_comparisons_with_fraction_and_int():
 def test_hash_consistent_with_eq():
     assert hash(ExactScalar(2, 0, 4)) == hash(Fraction(1, 2))
     assert len({ExactScalar(1, 1, 2, 2), ExactScalar(1, 1, 2, 2)}) == 1
+
+
+def test_radicand_is_split_once():
+    """Arithmetic in one field splits its radicand once: 100 additions at
+    D = 2**32 - 5, a prime just under MAX_RADICAND whose trial division
+    takes milliseconds, record one cache miss."""
+    from slittori import exact
+
+    D = 2**32 - 5
+    assert D <= exact.MAX_RADICAND
+    exact._squarefree_split.cache_clear()
+    step = ExactScalar(1, 1, 3, D)
+    total = ExactScalar(0)
+    for _ in range(100):
+        total = total + step
+    assert total == ExactScalar(100, 100, 3, D)
+    assert exact._squarefree_split.cache_info().misses == 1

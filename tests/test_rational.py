@@ -137,6 +137,30 @@ def test_certificate_matches_oracle():
         assert certify_fixing(param) == oracle.certify_fixing(param), param
 
 
+def test_certificate_builds_no_word_lattice_or_point(monkeypatch):
+    """certify_fixing works on integers alone: with the constructors of
+    GenWord, Lattice and TorusPoint made to raise, every certificate still
+    matches the oracle, and each solves its congruences exactly once."""
+    from slittori.torus import Lattice
+    from slittori.words import GenWord
+
+    params = list(all_params(8))
+    expected = [oracle.certify_fixing(param) for param in params]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built while certifying")
+
+    for cls in (GenWord, Lattice, TorusPoint):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    calls = []
+    solve = rational.solve_congruences
+    monkeypatch.setattr(rational, "solve_congruences", lambda p: calls.append(p) or solve(p))
+    for param, want in zip(params, expected):
+        calls.clear()
+        assert certify_fixing(param) == want, param
+        assert len(calls) == 1, param
+
+
 def test_perturbed_block_fails_both_certificates(monkeypatch):
     for param in (barrier("1/4"), barrier("1/3"), RationalParam(1, 1, 2), RationalParam(-3, 5, 7)):
         good = block_for(param).digits

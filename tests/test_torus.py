@@ -263,10 +263,23 @@ def boundary_start(rng, lat, fixed, n):
     return lat.embed(mod_half_open(ExactScalar(u + n * fixed[0], v + n * fixed[1], W, D)))
 
 
+def closed_form_syllable(lat, moving, fixed, n):
+    """The moving coordinate and running count of one syllable of n steps,
+    read from _trace_lattice on the one-syllable words (h+)^n and (h-)^n:
+    the action of g^n from the identity is the generator to the power m,
+    so m is its b entry for h+ and its c entry for h-."""
+    x, _, a, m, c, d = _trace_lattice(lat.W, lat.D, moving, fixed, (("h+", n),))
+    assert (a, c, d) == (1, 0, 1)
+    _, y, a, b, m_minus, d = _trace_lattice(lat.W, lat.D, fixed, moving, (("h-", n),))
+    assert (a, b, d) == (1, 0, 1) and (y, m_minus) == (x, m)
+    return x, m
+
+
 def test_syllable_closed_form_matches_stepping():
-    """One closed-form syllable against n steps of Lattice.run: exponents up
-    to 10^5, starts whose syllable ends on or next to the wrap boundary,
-    fixed coordinates 0 and -1/2, and quadratic coefficients of 2 kbit."""
+    """One closed-form syllable of _trace_lattice against n steps of
+    Lattice.run: exponents up to 10^5, starts whose syllable ends on or next
+    to the wrap boundary, fixed coordinates 0 and -1/2, and quadratic
+    coefficients of 2 kbit."""
     rng = random.Random(53)
     lattices = [Lattice(ExactScalar(1, 0, w)) for w in (2, 6, 40, 1001)]
     lattices += [Lattice(ExactScalar(1, 0, w), ExactScalar(0, 1, 1, D)) for w, D in
@@ -282,7 +295,7 @@ def test_syllable_closed_form_matches_stepping():
                 for moving in starts:
                     if n > 300 and max(map(abs, moving + fixed)).bit_length() > 64:
                         continue  # 10^5 steps on 2-kbit values would take seconds
-                    assert lat.syllable(moving, fixed, n) == syllable_by_steps(
+                    assert closed_form_syllable(lat, moving, fixed, n) == syllable_by_steps(
                         lat, moving, fixed, n
                     ), (lat.W, lat.D, moving, fixed, n)
 
@@ -298,7 +311,7 @@ def test_closed_form_trace_matches_oracle_on_wide_coefficients():
             z = lat.point(x, y)
             w = rand_word(rng, max_syllables=6, max_exp=30)
             stepped = trace_word(z, w, record_points=True)
-            x1, y1, *mat = _trace_lattice(lat, x, y, w.syllables)
+            x1, y1, *mat = _trace_lattice(lat.W, lat.D, x, y, w.syllables)
             assert lat.point(x1, y1) == stepped.final
             assert HomologyAction(IntMat2(*mat)) == stepped.action
             final, _, action = oracle.trace_word(z, w, record_points=False)
