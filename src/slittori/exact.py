@@ -34,7 +34,9 @@ class Record:
     positional values, an unknown or repeated keyword, or a missing field
     raise :class:`TypeError`.  A subclass that checks or normalises its
     fields writes its own ``__init__``, which passes them on to this one
-    or, on a hot path, sets them with ``object.__setattr__``.
+    or, on a hot path, sets them through the slot descriptors' setters in
+    ``cls._setters``, unpacked once per class at module level
+    (``_set_lo, _set_hi = RatInterval._setters``).
     """
 
     __slots__ = ()
@@ -173,10 +175,10 @@ class ExactScalar(Frozen):
         g = _gcd3(u, v, w)
         if g > 1:
             u, v, w = u // g, v // g, w // g
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "D", D)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_w(self, w)
+        _set_D(self, D)
 
     # -- constructors -------------------------------------------------
 
@@ -376,6 +378,9 @@ class ExactScalar(Frozen):
         if self.w == 1:
             return f"({core})"
         return f"({core})/{self.w}"
+
+
+_set_u, _set_v, _set_w, _set_D = ExactScalar._setters
 
 
 def scalar(value) -> ExactScalar:

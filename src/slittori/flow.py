@@ -74,10 +74,14 @@ class CoverState(Frozen):
             raise ValueError("sheet must be 0 or 1")
         if not (-_HALF <= x < _HALF) or not (-_HALF <= y < _HALF):
             raise ValueError("cell position outside [-1/2, 1/2)^2")
-        object.__setattr__(self, "sheet", sheet)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "deck", deck)
+        _set_sheet(self, sheet)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_deck(self, deck)
+
+
+_set_sheet, _set_x, _set_y, _set_deck = CoverState._setters
+
 
 class ValidationReport(Frozen):
     __slots__ = (

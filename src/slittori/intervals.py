@@ -27,8 +27,8 @@ class RatInterval(Frozen):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     @classmethod
     def point(cls, q) -> "RatInterval":
@@ -112,6 +112,9 @@ class RatInterval(Frozen):
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+_set_lo, _set_hi = RatInterval._setters
 
 
 def _as_interval(v) -> RatInterval:

@@ -45,9 +45,9 @@ class RationalParam(Frozen):
             raise ValueError("s must be nonzero")
         if gcd(s, q) != 1:
             raise ValueError("s must be coprime with q")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "q", q)
+        _set_r(self, r)
+        _set_s(self, s)
+        _set_q(self, q)
 
     @classmethod
     def from_barrier_length(cls, lam: Fraction) -> "RationalParam":
@@ -62,10 +62,6 @@ class RationalParam(Frozen):
             p, q = 2 * n, d
         return cls(0, p, q)
 
-    @property
-    def parity_case(self) -> str:
-        return "odd" if (self.r % 2 or self.s % 2) else "even"
-
     def point(self) -> TorusPoint:
         return TorusPoint.of(Fraction(self.r, 2 * self.q), Fraction(self.s, 2 * self.q))
 
@@ -76,10 +72,13 @@ class RationalParam(Frozen):
         return RationalParam(-self.r, -self.s, self.q)
 
 
+_set_r, _set_s, _set_q = RationalParam._setters
+
+
 class CongruencePair(Frozen):
     """Block exponents.
 
-    The parity case is the parameter's (``RationalParam.parity_case``).
+    The parity case is the parameter's: odd when r or s is odd, else even.
     Odd case: single pair (a, b); ``a2`` is None.
     Even case: ``b = |s|`` plus two shear exponents, ``a`` entering as
     the rightmost syllable (a s = q-1-r mod 2q) and ``a2`` inside
@@ -90,9 +89,13 @@ class CongruencePair(Frozen):
     __slots__ = ("a", "b", "a2")
 
     def __init__(self, a: int, b: int, a2: int | None = None):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a2", a2)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_a2(self, a2)
+
+
+_set_a, _set_b, _set_a2 = CongruencePair._setters
+
 
 class CongruenceError(RuntimeError):
     """A congruence without solution; impossible for valid input."""
@@ -123,12 +126,14 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
 
     The solution is unique in range when s is odd; for even s,
     gcd(s, 2q) = 2 gives two solutions and the smaller is taken.  A
-    congruence without solution raises :class:`CongruenceError`.
+    congruence without solution raises :class:`CongruenceError`.  For
+    s < 0 they are solved for the reduced parameter -z.
     """
-    param = param.reduced()
     r, s, q = param.r, param.s, param.q
+    if s < 0:
+        r, s = -r, -s
     mod = 2 * q
-    if param.parity_case == "odd":
+    if r % 2 or s % 2:  # odd case
         return CongruencePair(_least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod))
     return CongruencePair(
         _least_solution(s, q - 1 - r, mod), s, _least_solution(s, q - 1 + r, mod)
@@ -141,13 +146,16 @@ class Block(Frozen):
     def __init__(self, digits: tuple[int, ...]):
         if len(digits) != 7:
             raise ValueError("block must have 7 digits")
-        if any(d < 1 for d in digits):
+        if min(digits) < 1:
             raise ValueError("block digits must be positive")
-        object.__setattr__(self, "digits", digits)
+        _set_digits(self, digits)
+
+
+(_set_digits,) = Block._setters
 
 
 def block_for(param: RationalParam) -> Block:
-    pair = solve_congruences(param)  # reduces the parameter; q is unchanged by it
+    pair = solve_congruences(param)  # solved for the reduced parameter; q is unchanged by it
     q, a, b, a2 = param.q, pair.a, pair.b, pair.a2
     if a2 is None:  # odd case
         return Block((2 * q + b, 1, 1, 2 * q + a + b, 1, 1, a))

@@ -87,8 +87,8 @@ class TorusPoint(Frozen):
             pair = (x.as_fraction(), y.as_fraction())
             if pair in EXCLUDED_POINTS:
                 raise ExcludedPointError(f"{pair} is a puncture")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     @classmethod
     def of(cls, x, y) -> "TorusPoint":
@@ -106,6 +106,9 @@ class TorusPoint(Frozen):
         return f"({self.x}, {self.y})"
 
 
+_set_x, _set_y = TorusPoint._setters
+
+
 def in_region_E(z: TorusPoint) -> bool:
     """x > -1/2 and y > -1/2."""
     m = ExactScalar(-1, 0, 2)
@@ -121,11 +124,13 @@ class HomologyAction(Frozen):
     __slots__ = ("m",)
 
     def __init__(self, m: IntMat2):
-        if abs(m.det()) != 1:
-            raise ValueError(f"homology action must have det +-1, got {m.det()}")
-        if (m.a or m.b or m.c) < 0:  # d cannot be the first nonzero entry when det != 0
+        a, b, c, d = m.a, m.b, m.c, m.d
+        det = a * d - b * c
+        if abs(det) != 1:
+            raise ValueError(f"homology action must have det +-1, got {det}")
+        if (a or b or c) < 0:  # d cannot be the first nonzero entry when det != 0
             m = -m
-        object.__setattr__(self, "m", m)
+        _set_m(self, m)
 
     def __mul__(self, other: "HomologyAction") -> "HomologyAction":
         return HomologyAction(self.m * other.m)
@@ -150,6 +155,9 @@ class HomologyAction(Frozen):
 
     def __repr__(self):
         return f"HomologyAction({self.m!r})"
+
+
+(_set_m,) = HomologyAction._setters
 
 
 class ActionTrace(Frozen):
@@ -229,23 +237,29 @@ def _trace_lattice(
     """Trace ``syllables`` from (x, y) on the lattice (Z + Z sqrt(D))/W, one
     closed-form syllable at a time: the end point and the entries a, b, c, d
     of the homology action, before sign canonicalisation.  The floor of
-    t + W/2 = u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D))."""
+    t + W/2 = u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D)).
+    A generator other than h+ and h-, or an exponent below 1, raises
+    :class:`ValueError`."""
     half = W // 2
     (xu, xv), (yu, yv) = x, y
     a, b, c, d = 1, 0, 0, 1
     for gen, n in syllables:
+        if n < 1:
+            raise ValueError(f"exponent must be positive, got {n}")
         if gen == "h+":
             xu, xv = xu - n * yu, xv - n * yv
             k = -((xu + half + floor_sqrt(xv, D) if xv else xu + half) // W)
             xu += k * W
             m = n - 2 * abs(k)
             b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
-        else:
+        elif gen == "h-":
             yu, yv = yu - n * xu, yv - n * xv
             k = -((yu + half + floor_sqrt(yv, D) if yv else yu + half) // W)
             yu += k * W
             m = n - 2 * abs(k)
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
     return (xu, xv), (yu, yv), a, b, c, d
 
 
@@ -259,8 +273,8 @@ def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, Homolog
     half = W // 2
     if W < 2 or W % 2 or not (-half <= x < half and -half <= y < half):
         raise ValueError(f"({x}, {y})/{W} is not a point of [-1/2, 1/2)^2 over an even W")
-    (x, _), (y, _), *mat = _trace_lattice(W, 0, (x, 0), (y, 0), syllables)
-    return x, y, HomologyAction(IntMat2(*mat))
+    (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (x, 0), (y, 0), syllables)
+    return x, y, HomologyAction(IntMat2(a, b, c, d))
 
 
 def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> ActionTrace:

@@ -26,10 +26,10 @@ class IntMat2(Frozen):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -74,6 +74,8 @@ class IntMat2(Frozen):
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
+
+_set_a, _set_b, _set_c, _set_d = IntMat2._setters
 
 IDENTITY = IntMat2(1, 0, 0, 1)
 H_PLUS = IntMat2(1, 1, 0, 1)
@@ -128,7 +130,7 @@ class GenWord(Frozen):
             if gen == prev:
                 raise ValueError("syllables must alternate generators")
             prev = gen
-        object.__setattr__(self, "syllables", syllables)
+        _set_syllables(self, syllables)
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], leading: str = "h+") -> "GenWord":
@@ -181,6 +183,9 @@ class GenWord(Frozen):
         return " ".join(f"{g}^{e}" if e > 1 else g for g, e in self.syllables)
 
 
+(_set_syllables,) = GenWord._setters
+
+
 class Convergents:
     """Continuant arrays p, q of a continued fraction [0; a1, a2, ...].
 
@@ -194,6 +199,7 @@ class Convergents:
         self._digits: list[int] = []
         self._p: list[int] = [1, 0]  # p_{-1}, p_0, p_1, ...
         self._q: list[int] = [0, 1]
+        self._det_checked = -1  # the determinant identity holds at 0.._det_checked
         self.extend(digits)
 
     def extend(self, digits: Iterable[int]) -> None:
@@ -228,11 +234,15 @@ class Convergents:
         return Fraction(self.p(k), self.q(k))
 
     def determinant_identity_holds(self) -> bool:
-        """p_{k-1} q_k - p_k q_{k-1} == (-1)^k at every filled index."""
-        for k in range(0, len(self._digits) + 1):
-            lhs = self.p(k - 1) * self.q(k) - self.p(k) * self.q(k - 1)
-            if lhs != (-1) ** k:
+        """p_{k-1} q_k - p_k q_{k-1} == (-1)^k at every filled index.
+
+        The table only grows, so each call checks just the indices filled
+        since the last index that held."""
+        p, q = self._p, self._q
+        for k in range(self._det_checked + 1, len(self._digits) + 1):
+            if p[k] * q[k + 1] - p[k + 1] * q[k] != (-1) ** k:
                 return False
+            self._det_checked = k
         return True
 
     def matrix(self, k: int) -> IntMat2:

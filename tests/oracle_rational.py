@@ -1,7 +1,8 @@
 """Reference congruence scan and fixing certificate, for differential tests.
 
-``solve_congruences`` scans 1..2q for every block exponent and checks that
-each congruence has exactly gcd(s, 2q) solutions there.  ``certify_fixing``
+``solve_congruences`` reduces the parameter with ``reduced()``, takes the
+parity case from r and s, scans 1..2q for every block exponent and checks
+that each congruence has exactly gcd(s, 2q) solutions there.  ``certify_fixing``
 traces the fixing word and the h- period step by step with the reference
 tracer of ``oracle_torus`` and compares ``TorusPoint`` endpoints and
 ``HomologyAction`` values.  The library's closed-form congruences and
@@ -29,7 +30,7 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
     r, s, q = param.r, param.s, param.q
     mod = 2 * q
     expected = gcd(abs(s), mod)
-    if param.parity_case == "odd":
+    if r % 2 or s % 2:  # odd case
         sols_a = [a for a in range(1, mod + 1) if (r + a * s + q) % mod == 0]
         sols_b = [b for b in range(1, mod + 1) if (b * s + s - q - r) % mod == 0]
         if len(sols_a) != expected or len(sols_b) != expected:

@@ -71,6 +71,22 @@ def test_congruences_match_scan():
         assert solve_congruences(param) == oracle.solve_congruences(param), param
 
 
+def test_congruences_build_no_second_param(monkeypatch):
+    """solve_congruences normalises s < 0 on the integers: with the
+    RationalParam constructor made to raise, it still equals the oracle's
+    scan on every parameter with q <= 12, those with s < 0 included."""
+    params = list(all_params(12))
+    assert any(p.s < 0 for p in params)
+    expected = [oracle.solve_congruences(param) for param in params]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("RationalParam built while solving")
+
+    monkeypatch.setattr(RationalParam, "__init__", refuse)
+    for param, want in zip(params, expected):
+        assert solve_congruences(param) == want, param
+
+
 def test_congruence_without_solution_fails_closed():
     with pytest.raises(CongruenceError):
         rational._least_solution(2, 1, 6)  # 2a = 1 (mod 6)

@@ -13,6 +13,7 @@ did; mutable defaults are new lists for every instance.
 import importlib
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,9 +169,17 @@ def test_positional_and_keyword_construction_agree(cls):
             assert getattr(obj, name) == value, name
 
 
-@pytest.mark.parametrize("cls", list(FROZEN), ids=ids(FROZEN))
+# frozen records with their own __init__ that FROZEN does not list
+OWN_INIT_CASES = {
+    ExactScalar: (("u", "v", "w", "D"), lambda: (1, 2, 3, 5)),
+    HomologyAction: (("m",), lambda: (IntMat2(1, 0, 2, 1),)),
+}
+FROZEN_CASES = {**FROZEN, **OWN_INIT_CASES}
+
+
+@pytest.mark.parametrize("cls", list(FROZEN_CASES), ids=ids(FROZEN_CASES))
 def test_frozen_record_refuses_assignment_and_deletion(cls):
-    fields, values = FROZEN[cls]
+    fields, values = FROZEN_CASES[cls]
     args = values()
     obj = cls(*args)
     for name, value in zip(fields, args):
@@ -317,3 +326,21 @@ def test_homology_action_compares_and_hashes_by_its_matrix():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != HomologyAction(IntMat2(1, 0, 3, 1))
     assert a != IntMat2(1, 0, 2, 1) and a != a.m.entries()
+
+
+def test_package_sets_no_field_through_object_setattr():
+    """Own constructors set their fields through the slot setters in
+    ``cls._setters``; no module calls ``object.__setattr__``."""
+    sources = sorted(Path(slittori.__file__).parent.rglob("*.py"))
+    assert len(sources) > 10
+    assert [p.name for p in sources if "object.__setattr__" in p.read_text()] == []
+
+
+def test_every_own_init_frozen_record_is_checked_for_immutability():
+    """Own constructors set their fields through the slot setters, which
+    bypass Frozen.__setattr__; every frozen one is a case of
+    test_frozen_record_refuses_assignment_and_deletion.  OrbitStats is the
+    one mutable record with its own __init__."""
+    frozen = {c.__name__ for c in _record_classes() if issubclass(c, Frozen)}
+    assert OWN_INIT - frozen == {"OrbitStats"}
+    assert OWN_INIT & frozen <= {c.__name__ for c in FROZEN_CASES}

@@ -344,6 +344,15 @@ def test_trace_rational_rejects_bad_lattices():
             trace_rational(W, x, y, (("h+", 1),))
 
 
+@pytest.mark.parametrize("syllable", [("hx", 3), ("h+", -2), ("h-", 0)])
+def test_trace_rational_rejects_bad_syllables(syllable):
+    """An unknown generator or an exponent below 1 fails closed, alone and
+    after a valid syllable, instead of tracing as h- or a negative count."""
+    for word in ((syllable,), (("h+", 1), syllable)):
+        with pytest.raises(ValueError):
+            trace_rational(6, 1, 2, word)
+
+
 def test_mixed_fields_fail_closed():
     z = TorusPoint(ExactScalar(0, 1, 8, 2), ExactScalar(0, 1, 8, 3))
     for word in (GenWord(()), GenWord.from_digits((3, 2))):
@@ -371,5 +380,6 @@ def test_homology_action_canonical_sign():
     assert not HomologyAction(IntMat2(1, 1, 0, 1)).fixes_beta
     assert HomologyAction(IntMat2(0, -1, 1, 0)).m == IntMat2(0, 1, -1, 0)
     assert HomologyAction(IntMat2(0, 1, -1, 3)).m == IntMat2(0, 1, -1, 3)
-    with pytest.raises(ValueError):
-        HomologyAction(IntMat2(2, 0, 0, 1))
+    for det_not_unit in ((2, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0), (-1, 2, 1, 0)):
+        with pytest.raises(ValueError):
+            HomologyAction(IntMat2(*det_not_unit))

@@ -34,6 +34,40 @@ def test_convergents_extended_block_and_det():
     assert c.determinant_identity_holds()
 
 
+def _identity_at_every_index(c):
+    return all(
+        c.p(k - 1) * c.q(k) - c.p(k) * c.q(k - 1) == (-1) ** k for k in range(len(c) + 1)
+    )
+
+
+def test_determinant_identity_incremental_matches_full_check():
+    """Checking only the indices filled since the last call gives the full
+    check's answer on random digit streams, with entries corrupted at
+    indices not yet checked."""
+    rng = random.Random(71)
+    for _ in range(60):
+        c, checked = Convergents(), -1
+        for _ in range(rng.randint(1, 8)):
+            c.extend(rng.randint(1, 10**rng.randint(1, 12)) for _ in range(rng.randint(0, 6)))
+            if rng.random() < 0.15 and len(c) > checked:
+                k = rng.randint(checked + 1, len(c))
+                table = rng.choice((c._p, c._q))
+                table[k + rng.randint(0, 1)] += rng.choice((-1, 1))
+            holds = c.determinant_identity_holds()
+            assert holds == _identity_at_every_index(c)
+            if holds:
+                checked = len(c)
+
+
+def test_determinant_identity_catches_a_new_corrupted_entry():
+    c = Convergents((5, 1, 1, 7, 1, 1, 2, 1))
+    assert c.determinant_identity_holds()
+    c.extend((3, 1, 4, 1, 5))
+    c._q[-3] += 1  # q_11, filled after the last check
+    assert not c.determinant_identity_holds()
+    assert not c.determinant_identity_holds()  # and stays caught
+
+
 def test_convergent_recurrence_and_growth():
     rng = random.Random(3)
     digits = [rng.randint(1, 9) for _ in range(40)]
