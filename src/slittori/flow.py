@@ -21,15 +21,22 @@ explicit cycle representative); a parameter that fails any of them is
 refused.
 
 One event rule (``_event_rule``) finds the next edge, corner or slit
-event; ``step_flow``, the builder's closed-curve validation and
-``simulate`` all step through it.  Positions, directions and event
-times are exact.  Validation and ``step_flow`` accept a quadratic-field
-parameter (ExactScalar) as well as a rational one and run the rule on
-those scalars.  ``simulate`` needs a rational parameter and a rational
-slope, and runs the same rule on an integer lattice: one common
-denominator per ray turns every position and event time into an integer
-(``_simulate_loop`` gives the argument), and a division that leaves a
-remainder raises LatticeExactnessError instead of rounding.  A
+event; ``step_flow`` and the builder's closed-curve validation step
+through it, and its slit half (``_slit_rule``, with the cone-point,
+along-the-line and coincidence checks) is the one slit solve, which
+``simulate`` calls too.  Positions, directions and event times are
+exact.  Validation and ``step_flow`` accept a quadratic-field parameter
+(ExactScalar) as well as a rational one and run the rule on those
+scalars.  ``simulate`` needs a rational parameter and a rational slope,
+and runs on an integer lattice: one common denominator per ray turns
+every position and event time into an integer (``_simulate_loop`` gives
+the argument), and a division that leaves a remainder raises
+LatticeExactnessError instead of rounding.  On the lattice the edge
+events are two clocks with integral periods, L for the right edge and
+Lq/p for the top edge; the slit is solved only after an edge reset,
+because one straight piece meets the slit segment at most once, and the
+samples of an event segment (s, e] are those with
+m ds_num L <= e ds_den, bracketed by a running sample clock.  A
 direction stream is simulated through an exact convergent of its digit
 expansion, chosen so the enclosure of the true slope is narrower than
 ``2**-precision_bits``; the simulated orbit is then an exactly computed
@@ -116,24 +123,59 @@ class StepResult(Frozen):
     __slots__ = ("state", "advance", "event")
 
 
-def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
-    """The next-event rule of the flow in direction (dx, dy), built once per ray.
+def _slit_rule(zx, zy, dx, dy, div=operator.truediv):
+    """The slit half of the next-event rule in direction (dx, dy), built once per ray.
 
-    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
-    from the cell position (x, y) to the next right-edge, top-edge, corner
-    or slit event, in the cell [-hx, hx) x [-hy, hy).  The slit crossing
+    Returns ``slit_time(x, y, s)``: the parameter length from the cell
+    position (x, y) to the slit crossing when it comes strictly before the
+    edge event at length s (None: no edge event), else None.  The crossing
     solves (x, y) + s (dx, dy) = t z: with det = dy zx - dx zy,
     s = (zy x - zx y) / det and t = (dy x - dx y) / det.  Whether |t| <= 1
     (and whether t = +-1, a cone point) is decided by comparing
-    |dy x - dx y| with |det|, so t is never divided out.  Every event time
-    is one ``div``: true division for Fraction and ExactScalar parameters
-    in the unit cell, ``_exact_div`` on the integer lattice of ``simulate``.
+    |dy x - dx y| with |det|, so t is never divided out.  The crossing
+    time is one ``div``: true division for Fraction and ExactScalar
+    parameters in the unit cell, ``_exact_div`` on the integer lattice of
+    ``simulate``.  A ray through a cone point, along the slit line or
+    crossing the slit exactly at the edge event raises SingularOrbitError.
     """
     det = dy * zx - dx * zy
     adet = abs(det)
     nadet = -adet
     crossing, det_pos = det != 0, det > 0
-    right, unit_dx, top = dx > 0, dx == 1, dy > 0  # simulate always has dx = 1
+
+    def slit_time(x, y, s):
+        if crossing:
+            num = zy * x - zx * y
+            if (num > 0) if det_pos else (num < 0):  # s > 0
+                u = dy * x - dx * y
+                if nadet <= u <= adet:
+                    if u == adet or u == nadet:
+                        raise SingularOrbitError("orbit hits a cone point")
+                    s_c = div(num, det)
+                    if s is None or s_c < s:
+                        return s_c
+                    if s_c == s:
+                        raise SingularOrbitError(
+                            "slit crossing coincides with an edge event"
+                        )
+        elif x * zy == y * zx:
+            raise SingularOrbitError("orbit runs along the slit line")
+        return None
+
+    return slit_time
+
+
+def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
+    """The next-event rule of the flow in direction (dx, dy), built once per ray.
+
+    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
+    from the cell position (x, y) to the next right-edge, top-edge, corner
+    or slit event, in the cell [-hx, hx) x [-hy, hy).  The edge times are
+    (hx - x) / dx and (hy - y) / dy, each one ``div`` (none for dx = 1);
+    the slit time is ``_slit_rule``'s.
+    """
+    slit_time = _slit_rule(zx, zy, dx, dy, div)
+    right, unit_dx, top = dx > 0, dx == 1, dy > 0
 
     def next_event(x, y):
         s = kind = None
@@ -145,27 +187,30 @@ def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
                 s, kind = s_t, "top_edge"
             elif s_t == s:
                 kind = "corner"
-        if crossing:
-            num = zy * x - zx * y
-            if (num > 0) if det_pos else (num < 0):  # s > 0
-                u = dy * x - dx * y
-                if nadet <= u <= adet:
-                    if u == adet or u == nadet:
-                        raise SingularOrbitError("orbit hits a cone point")
-                    s_c = div(num, det)
-                    if s is None or s_c < s:
-                        return s_c, "slit"
-                    if s_c == s:
-                        raise SingularOrbitError(
-                            "slit crossing coincides with an edge event"
-                        )
-        elif x * zy == y * zx:
-            raise SingularOrbitError("orbit runs along the slit line")
+        s_c = slit_time(x, y, s)
+        if s_c is not None:
+            return s_c, "slit"
         if s is None:
             raise SingularOrbitError("zero direction")
         return s, kind
 
     return next_event
+
+
+def _land(kind, sheet, x, y, deck):
+    """(sheet, x, y, deck) after the event ``kind`` at the cell point (x, y).
+
+    Every event lands back in [-1/2, 1/2)^2: an edge event resets its
+    coordinate to -1/2, and the other one (or a slit point t z) is inside.
+    """
+    if kind == "slit":
+        return 1 - sheet, x, y, deck
+    if kind in ("right_edge", "corner"):
+        x = -_HALF
+        deck += DECK_WEIGHTS[sheet]
+    if kind in ("top_edge", "corner"):
+        y = -_HALF
+    return sheet, x, y, deck
 
 
 def step_flow(
@@ -180,19 +225,8 @@ def step_flow(
         return StepResult(
             CoverState(state.sheet, nx, ny, state.deck), max_advance, "partial"
         )
-    # every event lands back in [-1/2, 1/2)^2: an edge event resets its
-    # coordinate to -1/2, and the other one (or a slit point t z) is inside
-    nx, ny = state.x + s * dx, state.y + s * dy
-    sheet, deck = state.sheet, state.deck
-    if kind == "slit":
-        sheet = 1 - sheet
-    else:
-        if kind in ("right_edge", "corner"):
-            nx = -_HALF
-            deck += DECK_WEIGHTS[sheet]
-        if kind in ("top_edge", "corner"):
-            ny = -_HALF
-    return StepResult(CoverState(sheet, nx, ny, deck), s, kind)
+    landed = _land(kind, state.sheet, state.x + s * dx, state.y + s * dy, state.deck)
+    return StepResult(CoverState(*landed), s, kind)
 
 
 def _run_closed(model: SurfaceModel, state: CoverState, dx, dy):
@@ -200,18 +234,19 @@ def _run_closed(model: SurfaceModel, state: CoverState, dx, dy):
 
     Returns (deck_shift, segments) where segments are
     (sheet, x0, y0, x1, y1) pieces of the orbit in cell coordinates.
+    The event rule is built once for the whole loop.
     """
-    start = (state.sheet, state.x, state.y)
+    next_event = _event_rule(model.zx, model.zy, dx, dy)
+    sheet, x, y, deck = state.sheet, state.x, state.y, state.deck
+    start = (sheet, x, y)
     segments = []
-    cur = state
     for _ in range(MAX_CLOSED_EVENTS):
-        res = step_flow(model, cur, dx, dy)
-        segments.append(
-            (cur.sheet, cur.x, cur.y, cur.x + res.advance * dx, cur.y + res.advance * dy)
-        )
-        cur = res.state
-        if (cur.sheet, cur.x, cur.y) == start:
-            return cur.deck - state.deck, segments
+        s, kind = next_event(x, y)
+        x1, y1 = x + s * dx, y + s * dy
+        segments.append((sheet, x, y, x1, y1))
+        sheet, x, y, deck = _land(kind, sheet, x1, y1, deck)
+        if (sheet, x, y) == start:
+            return deck - state.deck, segments
     raise RuntimeError("orbit did not close within the event budget")
 
 
@@ -424,6 +459,10 @@ def slope_from_spec(spec: DirectionSpec, precision_bits: int = 32) -> Fraction:
 
 
 DEFAULT_SAMPLE_SPACING = Fraction(1009, 1024)
+# largest grid side and deck window ``simulate`` allocates counters for:
+# 2 grid^2 cell counters and 2 deck_window + 1 deck bins
+MAX_GRID = 1024
+MAX_DECK_WINDOW = 1 << 20
 
 
 def simulate(
@@ -443,10 +482,12 @@ def simulate(
     and returns to deck 0 are accumulated, and the grid discrepancy is
     snapshotted at T/4, T/2 and T.  Event times and positions are exact
     integers on a lattice with one common denominator for the ray (the
-    per-event advances sum to exactly T); only the per-sample cell
+    per-event advances sum to exactly T), kept by edge, slit and sample
+    clocks (``_simulate_loop``); only the per-sample cell
     assignment is evaluated in floats, re-anchored to the exact position
     at every event, which keeps the statistics deterministic and
-    drift-free.
+    drift-free.  ``grid`` above ``MAX_GRID`` or ``deck_window`` above
+    ``MAX_DECK_WINDOW`` raises ValueError before any counter is allocated.
     """
     slope = Fraction(slope)
     if slope < 0:
@@ -454,6 +495,10 @@ def simulate(
     T = Fraction(T)
     if T <= 0 or grid < 1 or deck_window < 0:
         raise ValueError("T, grid, deck window must be positive")
+    if grid > MAX_GRID or deck_window > MAX_DECK_WINDOW:
+        raise ValueError(
+            f"grid above {MAX_GRID} or deck window above {MAX_DECK_WINDOW} is refused"
+        )
     if start is None:
         start = CoverState(0, -_HALF, Fraction(0), 0)
     if not isinstance(model.zx, Fraction) or not isinstance(model.zy, Fraction):
@@ -500,13 +545,15 @@ def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T)
 
 
 def _simulate_loop(model, slope, T, start, stats, event_log=None):
-    """Run ``_event_rule`` on an integer lattice with one denominator per ray.
+    """Run the flow on an integer lattice with one denominator per ray,
+    driven by three absolute clocks.
 
     Scale x and the advance s by L (``_lattice_denominator``) and y by
     L q.  The ray becomes (1, p), the cell [-L/2, L/2) x [-Lq/2, Lq/2)
     and the slit endpoint (zx L, zy L q), all integers.  X and Y below
-    are the scaled x and y, and every advance (S) is scaled by L.  Every
-    event time is an integer:
+    are the scaled x and y, and s, e and every clock are lattice times
+    (advances scaled by L) counted from the start.  Every event time is an
+    integer:
 
     * right edge: L/2 - X is an integer, as L is even;
     * top edge: Lq/2 - Y stays a multiple of p.  Y starts as y0 L q, a
@@ -519,100 +566,148 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
       by multiples of det, because |detn| divides L;
     * the final cut T L is an integer, because den T divides L.
 
-    ``_exact_div`` checks this at every event and raises
-    LatticeExactnessError rather than floor.  Samples read X / L,
-    Y / (L q) and S / L; Python's int true division is correctly
+    So the edge events need no solving after the first: the right-edge
+    clock ``t_right`` advances by its period L at each right-edge or
+    corner event, and the top-edge clock ``t_top`` by its period Lq/p at
+    each top-edge or corner event; ``_exact_div`` checks the first top
+    time at the start and the period at the first top reset.  A straight
+    piece between two edge resets meets the slit segment at most once, so
+    the slit clock ``t_slit`` is solved by ``_slit_rule`` (with its
+    cone-point, along-the-line and coincidence checks) only at the start
+    and after an edge reset, and cleared by the crossing.  Every slit time
+    is an ``_exact_div``, which raises LatticeExactnessError rather than
+    floor.
+
+    Sample m sits at time m ds, which is the lattice time m ds_num L /
+    ds_den; a segment (s, e] holds the samples with
+    m ds_num L <= e ds_den, so the sample clock m ds_num L runs as a sum
+    and no floor division is needed (t = 0 falls in the first segment).
+    Samples read X / L, Y / (L q) and s / L at the segment start (-0.5
+    at a reset coordinate); Python's int true division is correctly
     rounded, so these equal ``float`` of the Fractions bit for bit.  The
-    event log and ``total_advance`` are formatted from Fraction(S, L).
+    event log and ``total_advance`` are formatted from Fraction(s, L).
     """
     x0, y0 = Fraction(start.x), Fraction(start.y)
     p, q = slope.numerator, slope.denominator
     L = _lattice_denominator(slope, model.zx, model.zy, x0, y0, T)
     Lq = L * q
     hx, hy = L // 2, Lq // 2
-    next_event = _event_rule(
-        _scale(model.zx, L), _scale(model.zy, Lq), 1, p, hx, hy, _exact_div
-    )
+    x_reset, y_reset = -hx, -hy  # the left and bottom edge
+    slit_time = _slit_rule(_scale(model.zx, L), _scale(model.zy, Lq), 1, p, _exact_div)
     w = DECK_WEIGHTS
     X, Y = _scale(x0, L), _scale(y0, Lq)
     sheet, deck = start.sheet, start.deck
-    s_done, s_total = 0, _scale(T, L)
+    s, s_total = 0, _scale(T, L)
+    t_right = hx - X
+    # with p = 0 there is no top edge: a time past every right-edge time
+    t_top = _exact_div(hy - Y, p) if p else s_total + L
+    top_period = None
+    t_slit = None
+    solve = True  # the start, or (X, Y) moved by an edge reset
     slope_f = float(slope)
     ds = DEFAULT_SAMPLE_SPACING
     ds_f = float(ds)
-    ds_den, ds_L = ds.denominator, ds.numerator * L  # ds L = ds_L / ds_den
+    ds_den, ds_L = ds.denominator, ds.numerator * L
     grid = stats.grid
+    top_cell = grid - 1
     m = 0  # next sample index (sample times are m * ds, t = 0 included)
-    snapshot_ms = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
-    snap_i = 0
+    m_clock = 0  # m * ds_L
+    # sample indices of the T/4, T/2 and T snapshots, then one past every sample
+    snaps = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
+    snaps.append(snaps[-1] + 1)
+    next_snap = snaps[0]
     cells = stats.cell_counts
     deck_counts = stats.deck_counts
     N = stats.deck_window
+    overflow = zero_returns = 0
 
     try:
-        while s_done < s_total:
-            s_adv, kind = next_event(X, Y)
-            remaining = s_total - s_done
-            if remaining <= s_adv:
-                s_adv, kind = remaining, "partial"
-            s_end = s_done + s_adv
+        while s < s_total:
+            if t_right < t_top:
+                e, kind = t_right, "right_edge"
+            elif t_top < t_right:
+                e, kind = t_top, "top_edge"
+            else:
+                e, kind = t_right, "corner"
+            if solve:
+                c = slit_time(X, Y, e - s)
+                t_slit = None if c is None else s + c
+                solve = False
+            if t_slit is not None:
+                e, kind = t_slit, "slit"
+            if e >= s_total:
+                e, kind = s_total, "partial"
 
-            # samples in (s_done, s_end] (plus t = 0 on the first segment)
-            hi = s_end * ds_den // ds_L
-            if m <= hi:
-                x_f, y_f = X / L, Y / Lq
-                s_done_f = s_done / L
-                while m <= hi:
-                    seg = m * ds_f - s_done_f
-                    xs = x_f + seg
-                    ys = y_f + slope_f * seg
-                    i = int((xs + 0.5) * grid)
-                    j = int((ys + 0.5) * grid)
-                    if i > grid - 1:
-                        i = grid - 1
+            # samples in (s, e]
+            e_clock = e * ds_den
+            if m_clock <= e_clock:
+                x_f = -0.5 if X == x_reset else X / L
+                y_f = -0.5 if Y == y_reset else Y / Lq
+                s_f = s / L
+                rows = cells[sheet]
+                m_seg = m
+                while m_clock <= e_clock:
+                    seg = m * ds_f - s_f
+                    i = int((x_f + seg + 0.5) * grid)
+                    j = int((y_f + slope_f * seg + 0.5) * grid)
+                    if i > top_cell:
+                        i = top_cell
                     elif i < 0:
                         i = 0
-                    if j > grid - 1:
-                        j = grid - 1
+                    if j > top_cell:
+                        j = top_cell
                     elif j < 0:
                         j = 0
-                    cells[sheet][i][j] += 1
-                    if -N <= deck <= N:
-                        deck_counts[deck + N] += 1
-                    else:
-                        stats.deck_overflow += 1
-                    stats.samples += 1
-                    while snap_i < 3 and m >= snapshot_ms[snap_i]:
-                        stats.discrepancy.append(stats.current_discrepancy())
-                        stats.snapshot_samples.append(stats.samples)
-                        snap_i += 1
+                    rows[i][j] += 1
+                    if m >= next_snap:
+                        stats.samples = m + 1
+                        while m >= snaps[0]:
+                            del snaps[0]
+                            stats.discrepancy.append(stats.current_discrepancy())
+                            stats.snapshot_samples.append(m + 1)
+                        next_snap = snaps[0]
                     m += 1
+                    m_clock += ds_L
+                if -N <= deck <= N:
+                    deck_counts[deck + N] += m - m_seg
+                else:
+                    overflow += m - m_seg
 
-            X += s_adv
-            Y += s_adv * p
+            d = e - s
+            X += d
+            Y += d * p
             if event_log is not None:
                 event_log.write(
-                    f"{Fraction(s_end, L)},{kind},{sheet},"
+                    f"{Fraction(e, L)},{kind},{sheet},"
                     f"{Fraction(X, L)},{Fraction(Y, Lq)},{deck}\n"
                 )
+            s = e
             if kind == "slit":
                 sheet = 1 - sheet
+                t_slit = None
             elif kind != "partial":
-                if kind in ("right_edge", "corner"):
-                    X = -hx
+                solve = True
+                if kind != "top_edge":  # right edge or corner
+                    X = x_reset
+                    t_right += L
                     deck += w[sheet]
                     if deck == 0:
-                        stats.deck_zero_returns += 1
-                if kind in ("top_edge", "corner"):
-                    Y = -hy
-            s_done = s_end
+                        zero_returns += 1
+                if kind != "right_edge":  # top edge or corner
+                    Y = y_reset
+                    if top_period is None:
+                        top_period = _exact_div(Lq, p)
+                    t_top += top_period
     except SingularOrbitError as exc:
         stats.terminated_early = True
         stats.termination_reason = str(exc)
+    stats.samples = m
+    stats.deck_overflow = overflow
+    stats.deck_zero_returns = zero_returns
     while len(stats.discrepancy) < 3:
         stats.discrepancy.append(stats.current_discrepancy())
-        stats.snapshot_samples.append(stats.samples)
-    stats.total_advance = str(Fraction(s_done, L))
+        stats.snapshot_samples.append(m)
+    stats.total_advance = str(Fraction(s, L))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ divides to get the slit parameter t.
 ``_simulate_loop`` is the earlier ``simulate`` loop, which runs the event
 rule on Fractions; ``slittori.flow`` now runs it on a scaled integer
 lattice, and the two must produce identical statistics and event logs.
+
+``_lattice_simulate_loop`` is the earlier lattice loop, which calls the
+whole event rule at every event and finds each event's samples by a floor
+division; ``slittori.flow`` now drives the lattice by edge and slit clocks
+and a running sample clock, and the two must agree exactly as well.
+
+``_run_closed_by_steps`` is the earlier closed-orbit loop of the surface
+validation, which calls ``step_flow`` (a new event rule and state records)
+at every event; ``flow._run_closed`` builds the rule once per loop.
 """
 
 from __future__ import annotations
@@ -16,7 +25,18 @@ import math
 from fractions import Fraction
 
 from slittori.exact import ExactScalar
-from slittori.flow import DECK_WEIGHTS, SingularOrbitError, _ceil_div, _event_rule
+from slittori.flow import (
+    DECK_WEIGHTS,
+    DEFAULT_SAMPLE_SPACING,
+    MAX_CLOSED_EVENTS,
+    SingularOrbitError,
+    _ceil_div,
+    _event_rule,
+    _exact_div,
+    _lattice_denominator,
+    _scale,
+    step_flow,
+)
 
 _HALF = Fraction(1, 2)
 
@@ -149,3 +169,134 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
         stats.discrepancy.append(stats.current_discrepancy())
         stats.snapshot_samples.append(stats.samples)
     stats.total_advance = str(s_done)
+
+
+def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
+    """Run ``_event_rule`` on an integer lattice with one denominator per ray.
+
+    Scale x and the advance s by L (``_lattice_denominator``) and y by
+    L q.  The ray becomes (1, p), the cell [-L/2, L/2) x [-Lq/2, Lq/2)
+    and the slit endpoint (zx L, zy L q), all integers.  X and Y below
+    are the scaled x and y, and every advance (S) is scaled by L.  Every
+    event time is an integer:
+
+    * right edge: L/2 - X is an integer, as L is even;
+    * top edge: Lq/2 - Y stays a multiple of p.  Y starts as y0 L q, a
+      multiple of p because L is; it moves by S p, and resets to -Lq/2,
+      also a multiple of p;
+    * slit: with det = p zx L - zy L q = L detn / zd, the numerator
+      zy L q X - zx L Y starts as (L^2 q / zd)(zyn x0 - zxn y0), a
+      multiple of det because L / |detn| clears x0 and y0.  It changes by
+      -det S per advance, and edge resets (X by -L, Y by -Lq) change it
+      by multiples of det, because |detn| divides L;
+    * the final cut T L is an integer, because den T divides L.
+
+    ``_exact_div`` checks this at every event and raises
+    LatticeExactnessError rather than floor.  Samples read X / L,
+    Y / (L q) and S / L; Python's int true division is correctly
+    rounded, so these equal ``float`` of the Fractions bit for bit.  The
+    event log and ``total_advance`` are formatted from Fraction(S, L).
+    """
+    x0, y0 = Fraction(start.x), Fraction(start.y)
+    p, q = slope.numerator, slope.denominator
+    L = _lattice_denominator(slope, model.zx, model.zy, x0, y0, T)
+    Lq = L * q
+    hx, hy = L // 2, Lq // 2
+    next_event = _event_rule(
+        _scale(model.zx, L), _scale(model.zy, Lq), 1, p, hx, hy, _exact_div
+    )
+    w = DECK_WEIGHTS
+    X, Y = _scale(x0, L), _scale(y0, Lq)
+    sheet, deck = start.sheet, start.deck
+    s_done, s_total = 0, _scale(T, L)
+    slope_f = float(slope)
+    ds = DEFAULT_SAMPLE_SPACING
+    ds_f = float(ds)
+    ds_den, ds_L = ds.denominator, ds.numerator * L  # ds L = ds_L / ds_den
+    grid = stats.grid
+    m = 0  # next sample index (sample times are m * ds, t = 0 included)
+    snapshot_ms = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
+    snap_i = 0
+    cells = stats.cell_counts
+    deck_counts = stats.deck_counts
+    N = stats.deck_window
+
+    try:
+        while s_done < s_total:
+            s_adv, kind = next_event(X, Y)
+            remaining = s_total - s_done
+            if remaining <= s_adv:
+                s_adv, kind = remaining, "partial"
+            s_end = s_done + s_adv
+
+            # samples in (s_done, s_end] (plus t = 0 on the first segment)
+            hi = s_end * ds_den // ds_L
+            if m <= hi:
+                x_f, y_f = X / L, Y / Lq
+                s_done_f = s_done / L
+                while m <= hi:
+                    seg = m * ds_f - s_done_f
+                    xs = x_f + seg
+                    ys = y_f + slope_f * seg
+                    i = int((xs + 0.5) * grid)
+                    j = int((ys + 0.5) * grid)
+                    if i > grid - 1:
+                        i = grid - 1
+                    elif i < 0:
+                        i = 0
+                    if j > grid - 1:
+                        j = grid - 1
+                    elif j < 0:
+                        j = 0
+                    cells[sheet][i][j] += 1
+                    if -N <= deck <= N:
+                        deck_counts[deck + N] += 1
+                    else:
+                        stats.deck_overflow += 1
+                    stats.samples += 1
+                    while snap_i < 3 and m >= snapshot_ms[snap_i]:
+                        stats.discrepancy.append(stats.current_discrepancy())
+                        stats.snapshot_samples.append(stats.samples)
+                        snap_i += 1
+                    m += 1
+
+            X += s_adv
+            Y += s_adv * p
+            if event_log is not None:
+                event_log.write(
+                    f"{Fraction(s_end, L)},{kind},{sheet},"
+                    f"{Fraction(X, L)},{Fraction(Y, Lq)},{deck}\n"
+                )
+            if kind == "slit":
+                sheet = 1 - sheet
+            elif kind != "partial":
+                if kind in ("right_edge", "corner"):
+                    X = -hx
+                    deck += w[sheet]
+                    if deck == 0:
+                        stats.deck_zero_returns += 1
+                if kind in ("top_edge", "corner"):
+                    Y = -hy
+            s_done = s_end
+    except SingularOrbitError as exc:
+        stats.terminated_early = True
+        stats.termination_reason = str(exc)
+    while len(stats.discrepancy) < 3:
+        stats.discrepancy.append(stats.current_discrepancy())
+        stats.snapshot_samples.append(stats.samples)
+    stats.total_advance = str(Fraction(s_done, L))
+
+
+def _run_closed_by_steps(model, state, dx, dy):
+    start = (state.sheet, state.x, state.y)
+    segments = []
+    cur = state
+    for _ in range(MAX_CLOSED_EVENTS):
+        res = step_flow(model, cur, dx, dy)
+        segments.append(
+            (cur.sheet, cur.x, cur.y, cur.x + res.advance * dx, cur.y + res.advance * dy)
+        )
+        cur = res.state
+        if (cur.sheet, cur.x, cur.y) == start:
+            return cur.deck - state.deck, segments
+    raise RuntimeError("orbit did not close within the event budget")

@@ -596,6 +596,16 @@ def test_simulate_finite_stream_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"].startswith("DigitStreamExhaustedError: ")
 
 
+def test_simulate_grid_and_deck_caps_exit_two(capsys):
+    from slittori.flow import MAX_DECK_WINDOW, MAX_GRID
+
+    base = ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10"]
+    for flag, value in (("--grid", MAX_GRID + 1), ("--deck", MAX_DECK_WINDOW + 1)):
+        code, out, err = run(capsys, *base, flag, str(value))
+        assert code == 2 and out == "", flag
+        assert json.loads(err)["error"].startswith("ValueError: grid above "), flag
+
+
 def test_simulate_needs_rational_parameter(capsys):
     # build_sqrt2.json is the output of ``build --lambda 0:1:4:2 --blocks 2``
     code, out, err = run(capsys, "simulate", str(GOLDEN / "build_sqrt2.json"), "--T", "10")

@@ -122,6 +122,42 @@ def test_deck_anti_invariance(quarter_model):
     assert _beta_crossings(quarter_model, segs1) == -1
 
 
+def test_run_closed_matches_stepping_oracle(monkeypatch):
+    """``_run_closed`` builds the event rule once per loop and gives the
+    same deck shift and segments as the loop over ``step_flow`` it
+    replaced, on every validation loop of rational and quadratic slits."""
+    import oracle_flow as oracle
+
+    models = [
+        build_surface(TorusPoint.of(0, Fraction(1, 4))),
+        build_surface(TorusPoint.of(Fraction(1, 4), Fraction(1, 4))),
+        build_surface((Fraction(-1, 5), Fraction(2, 7))),
+        build_surface((Fraction(1, 3), Fraction(0))),
+        build_surface(TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2))),
+        build_surface(TorusPoint(ExactScalar(1, 0, 4), ExactScalar(0, 1, 8, 3))),
+    ]
+    built = []
+    rule = flow._event_rule
+    monkeypatch.setattr(flow, "_event_rule", lambda *a: built.append(a) or rule(*a))
+    loops = 0
+    for model in models:
+        y_core = (abs(model.zy) + H) / 2
+        starts = [(CoverState(sheet, -H, y_core), 1, 0) for sheet in (0, 1)]
+        starts += [(CoverState(sheet, model.beta_x, -H), 0, 1) for sheet in (0, 1)]
+        if model.zy != 0:
+            starts.append((CoverState(0, -H, model.zy / 2), 1, 0))
+        else:
+            starts.append((CoverState(0, model.zx / 2, -H), 0, 1))
+        starts.append((CoverState(1, -H, Fraction(1, 7)), 1, Fraction(2, 3)))
+        for start, dx, dy in starts:
+            before = len(built)
+            got = _run_closed(model, start, dx, dy)
+            assert len(built) == before + 1
+            assert got == oracle._run_closed_by_steps(model, start, dx, dy), (model, start)
+            loops += 1
+    assert loops == 36
+
+
 def test_partial_advance(quarter_model):
     st = CoverState(0, -H, Fraction(3, 8))
     res = step_flow(quarter_model, st, 1, 0, max_advance=Fraction(1, 4))
@@ -198,6 +234,17 @@ def test_simulate_rejects_bad_inputs(quarter_model):
         simulate(quarter_model, Fraction(-1, 2), 100)
     with pytest.raises(ValueError):
         simulate(quarter_model, Fraction(1, 2), 0)
+
+
+def test_simulate_refuses_grid_and_deck_above_cap(quarter_model, monkeypatch):
+    # refused before any counter is allocated
+    def no_stats(*a, **k):
+        raise AssertionError("OrbitStats allocated")
+
+    monkeypatch.setattr(flow, "OrbitStats", no_stats)
+    for kwargs in ({"grid": flow.MAX_GRID + 1}, {"deck_window": flow.MAX_DECK_WINDOW + 1}):
+        with pytest.raises(ValueError, match="is refused"):
+            simulate(quarter_model, Fraction(1, 3), 10, **kwargs)
 
 
 def _reference_slope(spec, precision_bits):
@@ -304,6 +351,28 @@ def test_event_log_dump(quarter_model, quarter_slope, tmp_path):
     kinds = {r[1] for r in rows}
     assert {"right_edge", "top_edge", "slit"} <= kinds
     assert rows[-1][1] == "partial"  # the final cut lands exactly on T
+
+
+def test_event_times_strictly_increase(quarter_model, quarter_slope):
+    """Each event advances the time: the sink fails at the first event that
+    does not, so a loop that repeats an event stops at once."""
+
+    class IncreasingTimes:
+        last = Fraction(-1)
+
+        def write(self, row):
+            t = Fraction(row.split(",", 1)[0])
+            assert t > self.last, row
+            self.last = t
+
+    for slope, start in (
+        (quarter_slope, CoverState(0, -H, Fraction(1, 3), 0)),
+        (Fraction(1, 2), CoverState(0, -H, Fraction(1, 32), 0)),
+        (Fraction(1), CoverState(1, Fraction(1, 5), Fraction(1, 7), 0)),
+    ):
+        sink = IncreasingTimes()
+        stats = simulate(quarter_model, slope, 300, start=start, event_log=sink)
+        assert sink.last == 300 and not stats.terminated_early
 
 
 def _outcome(fn):
@@ -521,3 +590,48 @@ def test_lattice_rule_fails_closed(monkeypatch):
         )
         with pytest.raises(flow.LatticeExactnessError, match="not a lattice integer"):
             simulate(model, Fraction(3, 5), 50, start=CoverState(0, -H, Fraction(1, 8), 0))
+
+
+def test_simulate_matches_lattice_oracle():
+    """Clock-driven ``simulate`` against the per-event lattice loop it replaced.
+
+    The slopes are those of the four flow-cli specs (lambda = 1/4, 1/6,
+    1/3, 3/10, default digit rule, 32-bit convergent), at T near 8000,
+    from seeded starts on the left edge at heights with denominator
+    1,000,003.  Starting on the left edge puts right-edge events at whole
+    times, so the sample at t = 1009 (m = 1024) falls exactly on an event
+    and must be counted in the segment that ends there.
+    """
+    import oracle_flow as oracle
+    from slittori.directions import DigitRule
+    from slittori.flow import OrbitStats
+
+    rng = random.Random(16)
+    for lam in ("1/4", "1/6", "1/3", "3/10"):
+        spec = direction_stream(RationalParam.from_barrier_length(Fraction(lam)), DigitRule())
+        slope = slope_from_spec(spec, 32)
+        model = build_surface(spec.z0)
+        for _ in range(2):
+            T = 8000 + rng.randrange(200)
+            y0 = Fraction(rng.randrange(1, 1_000_003), 1_000_003) - H
+            start = CoverState(rng.randrange(2), -H, y0, rng.randrange(-3, 4))
+            log, want_log = io.StringIO(), io.StringIO()
+            got = simulate(model, slope, T, start=start, event_log=log)
+            want = OrbitStats(
+                grid=8, deck_window=16, slope=(slope.numerator, slope.denominator),
+                start=(start.sheet, str(start.x), str(start.y), start.deck),
+            )
+            oracle._lattice_simulate_loop(model, slope, Fraction(T), start, want, want_log)
+            case = (lam, T, start)
+            assert got.summary() == want.summary(), case
+            assert got.cell_counts == want.cell_counts, case
+            assert got.deck_counts == want.deck_counts, case
+            # the first differing row, not a diff of two 14k-row logs
+            rows, want_rows = log.getvalue().splitlines(), want_log.getvalue().splitlines()
+            diff = next(
+                (k for k, pair in enumerate(zip(rows, want_rows)) if pair[0] != pair[1]),
+                None if len(rows) == len(want_rows) else min(len(rows), len(want_rows)),
+            )
+            assert diff is None, (case, diff, rows[diff:diff + 1], want_rows[diff:diff + 1])
+            assert not got.terminated_early, case
+            assert "\n1009," in log.getvalue(), case
