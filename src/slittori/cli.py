@@ -245,7 +245,7 @@ def cmd_action(args) -> int:
         word = fixing_word(_parse_param(args.gz, "--gz"))
     else:
         word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
-    tr = trace_word(z, word, record_points=False)
+    tr = trace_word(z, word)
     _emit(
         {
             "z": _point_json(z),

@@ -1,11 +1,21 @@
 """Hypothesis verification for a direction stream.
 
-For each checkpoint ``k_n = 8 n`` the verifier replays the first k_n
-digits as a word, traces it from the surface parameter and checks,
-exactly or with certified rational intervals:
+The verifier carries its own orbit from checkpoint to checkpoint.  It
+starts at the surface parameter ``spec.z0`` with the identity action and
+the identity word matrix; at checkpoint ``k_n = 8 n`` it traces block n,
+the eight digits a_{k_{n-1}+1} .. a_{k_n}, from the point it reached at
+checkpoint n - 1 and folds the block's homology action and word matrix
+into the running products.  Every block has eight digits, an even
+number, so each block word starts with h+ and ends with h-: the word of
+the first k_n digits is the product of the block words, with no seam
+syllable merged, and by the composition law the running products are
+the action and matrix of that whole word.  So each digit is traced once.
+At every checkpoint it checks, exactly or with certified rational
+intervals:
 
   * the traced homology action fixes beta up to sign (a power of h-);
   * the traced endpoint equals the builder's recorded checkpoint;
+  * the word matrix maps (1, 0) to the holonomy (q_k, p_k);
   * the endpoint height lies inside the declared bounds;
   * the next digit a_{k_n+1} satisfies a_{k_n+1} >= 2 / (1 - 2 y_n);
   * the four renormalization-matrix entries
@@ -31,8 +41,8 @@ from __future__ import annotations
 from .directions import DirectionSpec
 from .exact import ExactScalar, Frozen, Record
 from .intervals import InconclusiveIntervalError, RatInterval
-from .torus import trace_word
-from .words import Convergents, GenWord
+from .torus import HomologyAction, trace_word
+from .words import IDENTITY, Convergents, GenWord
 
 DEFAULT_PRECISION_BITS = 256
 _MAX_PRECISION_DOUBLINGS = 4
@@ -209,24 +219,25 @@ def verify(
     records: list[CheckpointRecord] = []
     y_lo, y_hi = spec.y_bounds
     bits_used = precision_bits
+    z_n, action, matrix = spec.z0, HomologyAction(IDENTITY), IDENTITY
     for n in range(1, horizon + 1):
         k = spec.checkpoint_index(n)
         spec.ensure_digits(k + 1)
         conv = spec.convergents(k)
-        word = GenWord.from_digits(spec.digits_prefix(k))
-        tr = trace_word(spec.z0, word, record_points=False)
-        z_n = tr.final
+        block = GenWord.from_digits(spec.block(n).digits)
+        tr = trace_word(z_n, block)
+        z_n, action, matrix = tr.final, action * tr.action, matrix * block.matrix()
         y_n = z_n.y
         digit_inequality = bool((ExactScalar(1) - 2 * y_n) * spec.digit(k + 1) >= 2)
         notes: list[str] = []
 
         endpoint_consistent = z_n == spec.checkpoint_point(n)
-        fixes_beta = tr.action.fixes_beta
+        fixes_beta = action.fixes_beta
         y_in_bounds = bool(y_lo <= y_n <= y_hi)
 
         # cross-check: the strip holonomy is the word matrix applied to (1,0)
         qk, pk = conv.q(k), conv.p(k)
-        if word.matrix().apply(1, 0) != (qk, pk):
+        if (matrix.a, matrix.c) != (qk, pk):
             notes.append("holonomy/convergent mismatch")
             endpoint_consistent = False
 

@@ -64,9 +64,6 @@ class IrrationalBlockParams(Frozen):
     def digits(self) -> tuple[int, ...]:
         return (self.a, 1, 1, self.b, 1, 1, self.c, self.d)
 
-    def word(self) -> GenWord:
-        return GenWord.from_digits(self.digits)
-
 
 class _Budget:
     def __init__(self, limit: int):
@@ -207,7 +204,7 @@ def find_block(
 
     d, y_out = next(islice(_d_candidates(lat, x7, y6, J_lat, bud), d_index - 1, None))
     digits = (a, 1, 1, b, 1, 1, c, d)
-    tr = trace_word(z, GenWord.from_digits(digits), record_points=False)
+    tr = trace_word(z, GenWord.from_digits(digits))
     if not (tr.final == lat.point(x7, y_out) and lo <= tr.final.y <= hi
             and tr.action.fixes_beta):
         raise DerivationError(f"block {digits} fails its trace certificate")

@@ -17,8 +17,7 @@ z, g1^-1 z, g2^-1 g1^-1 z, ... and the induced map g_*(g^-1 z) on the
 rank-2 anti-invariant homology, as an ordered product of per-step
 factors.  The action is only defined up to a global sign, which
 :class:`HomologyAction` canonicalizes away.  A trace is an
-:class:`ActionTrace` (points, final, action): the recorded intermediate
-points (empty unless asked for), the end point and the action.
+:class:`ActionTrace` (final, action): the end point and the action.
 
 One integer kernel, :class:`Lattice`, implements the stepping rule.  The
 shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
@@ -38,16 +37,15 @@ after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 :func:`~slittori.exact.floor_sqrt` otherwise.  :func:`_trace_lattice`,
 on the lattice's integers W and D, is the one place that applies it,
 once per syllable, and the one place the homology action is multiplied
-out: :func:`trace_word` always takes its end point and action from it,
+out: :func:`trace_word` takes its end point and action from it,
 and so does :func:`trace_rational`, which takes integer numerators over
 an even W and builds neither a point nor a :class:`Lattice` -- the form
 :func:`slittori.rational.certify_fixing` uses on Z/2q.
-:meth:`Lattice.run` steps one unit at a time and supplies the recorded
-points of ``trace_word(record_points=True)``, :func:`m_sequence` and the
-searches and single steps of :mod:`slittori.irrational`, which need every
-intermediate point.  The test suite checks both against each other and
-against a reference that steps :class:`~slittori.exact.ExactScalar`
-values.
+:meth:`Lattice.run` steps one unit at a time and supplies
+:func:`m_sequence` and the searches and single steps of
+:mod:`slittori.irrational`, which need every intermediate point.  The
+test suite checks both against each other and against a reference that
+steps :class:`~slittori.exact.ExactScalar` values.
 """
 
 from __future__ import annotations
@@ -161,7 +159,7 @@ class HomologyAction(Frozen):
 
 
 class ActionTrace(Frozen):
-    __slots__ = ("points", "final", "action")  # TorusPoints, TorusPoint, HomologyAction
+    __slots__ = ("final", "action")  # TorusPoint, HomologyAction
 
 
 Coord = tuple[int, int]  # (u, v), the coordinate (u + v sqrt(D))/W of a Lattice
@@ -277,7 +275,7 @@ def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, Homolog
     return x, y, HomologyAction(IntMat2(a, b, c, d))
 
 
-def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> ActionTrace:
+def trace_word(z: TorusPoint, word: GenWord) -> ActionTrace:
     """Trace a word through elementary inverse steps from ``z``.
 
     The returned trace ends at ``word^-1 z`` and carries the homology
@@ -285,27 +283,12 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True) -> Acti
     per-step factors at the post-step points.  The factors of one
     syllable are all powers of its generator, so they multiply to the
     generator raised to the syllable's running count.  The end point and
-    the action always come from :func:`_trace_lattice`, one closed-form
-    step per syllable; ``record_points`` only adds every intermediate
-    point, stepped one unit at a time by :meth:`Lattice.run`.
+    the action come from :func:`_trace_lattice`, one closed-form step
+    per syllable.
     """
     lat = Lattice(z.x, z.y)
-    x, y = lat.embed(z.x), lat.embed(z.y)
-    points = []
-    if record_points:
-        px, py = x, y
-        for gen, exp in word.syllables:
-            if gen == "h+":
-                for _, u, v in islice(lat.run(px, py), exp):
-                    points.append(lat.point((u, v), py))
-                px = (u, v)
-            else:
-                for _, u, v in islice(lat.run(py, px), exp):
-                    points.append(lat.point(px, (u, v)))
-                py = (u, v)
-    x, y, *mat = _trace_lattice(lat.W, lat.D, x, y, word.syllables)
-    action = HomologyAction(IntMat2(*mat))
-    return ActionTrace(points=tuple(points), final=lat.point(x, y), action=action)
+    x, y, *mat = _trace_lattice(lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), word.syllables)
+    return ActionTrace(final=lat.point(x, y), action=HomologyAction(IntMat2(*mat)))
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:

@@ -53,21 +53,6 @@ class IntMat2(Frozen):
             return IntMat2(-self.d, self.b, self.c, -self.a)
         raise ValueError(f"matrix with det {det} is not invertible over Z")
 
-    def __pow__(self, n: int) -> "IntMat2":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = IDENTITY
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def apply(self, x, y):
-        """Column-vector action: (x, y) -> (a x + b y, c x + d y)."""
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -82,8 +67,6 @@ H_PLUS = IntMat2(1, 1, 0, 1)
 H_MINUS = IntMat2(1, 0, 1, 1)
 OMEGA = IntMat2(0, 1, -1, 0)
 THETA = IntMat2(0, 1, 1, 0)
-
-GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
 
 
 def check_relations() -> tuple[bool, list[str]]:
@@ -170,10 +153,13 @@ class GenWord(Frozen):
         return GenWord(tuple(left + right))
 
     def matrix(self) -> IntMat2:
-        m = IDENTITY
-        for gen, exp in self.syllables:
-            m = m * (GEN_MATRIX[gen] ** exp)
-        return m
+        a, b, c, d = 1, 0, 0, 1
+        for gen, n in self.syllables:
+            if gen == "h+":
+                b, d = b + n * a, d + n * c  # right-multiply by (h+)^n
+            else:
+                a, c = a + n * b, c + n * d  # right-multiply by (h-)^n
+        return IntMat2(a, b, c, d)
 
     def theta_conjugate(self) -> "GenWord":
         """The word theta * w * theta^-1, i.e. h+ and h- exchanged."""
@@ -244,11 +230,6 @@ class Convergents:
                 return False
             self._det_checked = k
         return True
-
-    def matrix(self, k: int) -> IntMat2:
-        """[[q_k, q_{k-1}], [p_k, p_{k-1}]]; equals the k-digit word matrix
-        for even k."""
-        return IntMat2(self.q(k), self.q(k - 1), self.p(k), self.p(k - 1))
 
     def bracket(self, k: int) -> tuple[Fraction, Fraction]:
         """Closed rational interval containing every extension of the

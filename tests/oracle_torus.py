@@ -7,6 +7,8 @@ kernel (:class:`slittori.torus.Lattice`) must agree with it step for step:
 endpoints, homology actions, recorded points, window-search candidates and
 the search budget spent.  ``in_region_S``, ``apply_generator_inverse`` and
 ``generator_homology_factor`` are the per-step rule it is built from.
+``word_matrix`` multiplies a word's matrix out of generator powers, the
+reference for the closed-form :meth:`~slittori.words.GenWord.matrix`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,30 @@ from slittori.irrational import (
     _Budget,
 )
 from slittori.torus import HomologyAction, TorusPoint
-from slittori.words import GEN_MATRIX, GenWord, IntMat2
+from slittori.words import H_MINUS, H_PLUS, IDENTITY, GenWord, IntMat2
+
+GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
+
+
+def matrix_power(m: IntMat2, n: int) -> IntMat2:
+    """m**n by repeated squaring; a negative n powers the inverse."""
+    base = m if n >= 0 else m.inverse()
+    n = abs(n)
+    result = IDENTITY
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def word_matrix(word: GenWord) -> IntMat2:
+    """The word's matrix as the product of its syllables' generator powers."""
+    m = IDENTITY
+    for gen, exp in word.syllables:
+        m = m * matrix_power(GEN_MATRIX[gen], exp)
+    return m
 
 
 def in_region_S(z: TorusPoint) -> bool:

@@ -213,7 +213,7 @@ LIBRARY_OPTIONS = {
     OrbitStats: ["grid", "deck_window", "slope", "start"],
     simulate: ["model", "slope", "T", "grid", "deck_window", "start", "event_log"],
     slope_from_spec: ["spec", "precision_bits"],
-    trace_word: ["z", "word", "record_points"],
+    trace_word: ["z", "word"],
     verify: ["spec", "horizon", "precision_bits"],
     dimension_certificate: ["problem", "u_direct_cap", "u_numeric"],
 }

@@ -225,3 +225,122 @@ def test_precision_retry_reports_last_precision_tried(quarter_spec, monkeypatch)
     report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch, 256)
     assert asked == [256, 512, 1024, 2048, 256]  # four sigma tries, one wedge
     assert report.precision_bits == 2048
+
+
+def _stream(name):
+    """A fresh spec for a differential or trace-count case."""
+    from slittori.directions import DigitRule
+    from slittori.irrational import direction_stream_irrational
+
+    if name == "quarter":
+        return direction_stream(
+            RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        )
+    if name == "sixth_arith":
+        return direction_stream(
+            RationalParam.from_barrier_length(Fraction(1, 6)), NkRule("arith", (2, 1))
+        )
+    if name == "sqrt2":
+        return direction_stream_irrational(ExactScalar(0, 1, 4, 2))
+    if name == "sqrt3_d2":
+        return direction_stream_irrational(ExactScalar(0, 1, 6, 3), DigitRule("const", (2,)))
+    if name == "mut_digit":
+        return explicit_spec(Z14(), Y14, [QUARTER_BLOCK, (3,) + QUARTER_BLOCK[1:]])
+    if name == "mut_y":
+        return explicit_spec(Z14(), (Fraction(3, 8), Fraction(3, 8)), [QUARTER_BLOCK] * 2)
+    if name == "mut_endpoint":
+        # block 2 claims to end at (1/8, 1/4); every block really returns to z0
+        forged = TorusPoint.of(Fraction(1, 8), Fraction(1, 4))
+        return explicit_spec(Z14(), Y14, [QUARTER_BLOCK] * 4, [Z14(), forged, Z14(), Z14()])
+    if name == "mut_action":
+        # block 1's action does not fix beta; each later block's own action
+        # does, but the running product never does
+        return explicit_spec(Z14(), Y14, [(6, 4, 2, 1, 4, 1, 4, 4)] + [QUARTER_BLOCK] * 3)
+    raise ValueError(name)
+
+
+def test_forged_endpoint_fails_only_its_checkpoint():
+    """verify traces from its own point, never from the builder's claimed
+    endpoint: a forged block-2 endpoint fails checkpoint 2 and no other."""
+    report = verify(_stream("mut_endpoint"), 3)
+    assert [rec.ok for rec in report.records] == [True, False, True]
+    rec = report.records[1]
+    assert not rec.endpoint_consistent and rec.notes == []
+    assert rec.homology_fixes_beta and rec.y_in_bounds and rec.digit_inequality
+    assert not report.overall
+
+
+def test_fixes_beta_reads_the_running_action():
+    """The action checked at checkpoint n is that of digits 1..k_n, not
+    that of block n alone."""
+    from slittori.torus import trace_word
+    from slittori.words import GenWord
+
+    spec = _stream("mut_action")
+    report = verify(spec, 3)
+    assert [rec.homology_fixes_beta for rec in report.records] == [False, False, False]
+    z, alone = spec.z0, []
+    for n in (1, 2, 3):
+        tr = trace_word(z, GenWord.from_digits(spec.block(n).digits))
+        alone.append(tr.action.fixes_beta)
+        z = tr.final
+    assert alone == [False, True, True]
+
+
+def test_word_matrix_mismatch_is_noted(quarter_spec, monkeypatch):
+    """A word matrix whose first column is not (q_k, p_k) fails the
+    holonomy cross-check at every checkpoint, and only that check."""
+    from slittori.words import GenWord, IntMat2
+
+    monkeypatch.setattr(GenWord, "matrix", lambda self: IntMat2(1, 0, 0, 1))
+    for rec in verify(quarter_spec, 2).records:
+        assert rec.notes == ["holonomy/convergent mismatch"]
+        assert not rec.endpoint_consistent and not rec.ok
+        assert rec.homology_fixes_beta and rec.y_in_bounds and rec.digit_inequality
+        assert rec.sigma_bounded and rec.wedge_bounded
+
+
+@pytest.mark.parametrize("stream, horizon", [("quarter", 10), ("sqrt2", 12)])
+def test_trace_work_is_linear_in_horizon(stream, horizon, monkeypatch):
+    """verify traces each digit once: one block word per checkpoint, and
+    the traced steps sum to the digits a_1 + ... + a_{8H}."""
+    from slittori import criterion
+
+    traced = []
+    trace = criterion.trace_word
+
+    def counted(z, word):
+        traced.append(word)
+        return trace(z, word)
+
+    monkeypatch.setattr(criterion, "trace_word", counted)
+    spec = _stream(stream)
+    assert verify(spec, horizon).overall
+    assert [len(word) for word in traced] == [8] * horizon
+    assert sum(word.step_count for word in traced) == sum(spec.digits_prefix(8 * horizon))
+
+
+@pytest.mark.parametrize(
+    "stream, horizon",
+    [
+        ("quarter", 10),
+        ("sixth_arith", 16),
+        ("sqrt2", 4),
+        ("sqrt2", 16),
+        ("sqrt2", 40),
+        ("sqrt3_d2", 16),
+        ("mut_digit", 1),
+        ("mut_y", 1),
+        ("mut_endpoint", 3),
+        ("mut_action", 3),
+    ],
+)
+def test_verify_matches_oracle(stream, horizon):
+    """The block-by-block verifier against the reference that re-traces
+    the whole prefix at every checkpoint and multiplies the word matrix
+    out of generator powers."""
+    import oracle_criterion
+
+    spec = _stream(stream)
+    expected = oracle_criterion.verify(_stream(stream), horizon).as_dict()
+    assert verify(spec, horizon).as_dict() == expected

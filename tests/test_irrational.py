@@ -49,7 +49,7 @@ def test_block_certificates():
         blk = spec.block(n)
         assert blk.digits[0] >= 6
         assert blk.digits[1:3] == (1, 1) and blk.digits[4:6] == (1, 1)
-        tr = trace_word(z, GenWord.from_digits(blk.digits), record_points=False)
+        tr = trace_word(z, GenWord.from_digits(blk.digits))
         assert tr.final == blk.endpoint
         assert J[0] <= tr.final.y <= J[1]
         assert tr.action.fixes_beta
@@ -60,10 +60,10 @@ def test_block_region_crosschecks():
     # the traced orbit must visit the regions the window search promises:
     # after the first long shear run the next four single steps alternate
     # outside/inside S, and every traced coordinate is irrational
-    blk = find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4))
+    z = TorusPoint(ExactScalar(0), SQRT2_OVER_4)
+    blk = find_block(z)
     a, b = blk.a, blk.b
-    tr = trace_word(TorusPoint(ExactScalar(0), SQRT2_OVER_4), blk.word())
-    pts = tr.points
+    _, pts, _ = oracle.trace_word(z, GenWord.from_digits(blk.digits))
     z2, z3 = pts[a], pts[a + 1]
     z5, z6 = pts[a + 2 + b], pts[a + 3 + b]
     assert not in_region_S(z2)
@@ -93,10 +93,9 @@ def _fail_certificates(monkeypatch):
     an action that does not fix beta; returns the list of traced words."""
     words = []
 
-    def trace(z, word, record_points=True):
+    def trace(z, word):
         words.append(word)
-        tr = trace_word(z, word, record_points)
-        return ActionTrace(tr.points, tr.final, HomologyAction(H_PLUS))
+        return ActionTrace(trace_word(z, word).final, HomologyAction(H_PLUS))
 
     monkeypatch.setattr(irrational, "trace_word", trace)
     return words
@@ -127,7 +126,7 @@ def test_other_quadratic_fields():
         assert ExactScalar(0) < lam < ExactScalar(1, 0, 2)
         spec = direction_stream_irrational(lam)
         blk = spec.block(1)
-        tr = trace_word(spec.z0, GenWord.from_digits(blk.digits), record_points=False)
+        tr = trace_word(spec.z0, GenWord.from_digits(blk.digits))
         assert tr.action.fixes_beta and J[0] <= tr.final.y <= J[1]
 
 

@@ -194,7 +194,7 @@ def test_negative_s_reduction():
     assert certify_fixing(p).ok
     # the word certifies at the original point too
     z = p.point()
-    tr = trace_word(z, fixing_word(p), record_points=False)
+    tr = trace_word(z, fixing_word(p))
     assert tr.final == z and tr.action.is_identity
 
 
@@ -271,6 +271,7 @@ def test_fixing_word_matrix_sanity():
     w = fixing_word(barrier("1/4"))
     m = w.matrix()
     assert m.entries() == (177, 448, 32, 81) and m.det() == 1
-    x, y = m.apply(Fraction(0), Fraction(1, 4))
+    x, y = Fraction(0), Fraction(1, 4)
+    x, y = m.a * x + m.b * y, m.c * x + m.d * y
     assert (x, y) == (112, Fraction(81, 4))
     assert (x - 0) % 1 == 0 and (y - Fraction(1, 4)) % 1 == 0

@@ -44,10 +44,7 @@ FROZEN = {
     IntMat2: (("a", "b", "c", "d"), lambda: (1, 2, 3, 5)),
     GenWord: (("syllables",), lambda: ((("h+", 2), ("h-", 1)),)),
     TorusPoint: (("x", "y"), lambda: (ExactScalar(1, 0, 4), ExactScalar(1, 0, 3))),
-    ActionTrace: (
-        ("points", "final", "action"),
-        lambda: ((P,), P, HomologyAction(IntMat2(1, 0, 2, 1))),
-    ),
+    ActionTrace: (("final", "action"), lambda: (P, HomologyAction(IntMat2(1, 0, 2, 1)))),
     BlockRecord: (("index", "digits", "endpoint", "meta"), lambda: (1, (1,) * 8, P, {"n_k": 1})),
     RatInterval: (("lo", "hi"), lambda: (Fraction(1, 3), Fraction(1, 2))),
     RationalParam: (("r", "s", "q"), lambda: (1, 3, 4)),
@@ -123,7 +120,7 @@ VALUES = {
     IntMat2: (1, 2, 3, 6),
     GenWord: ((("h+", 2), ("h-", 2)),),
     TorusPoint: (ExactScalar(1, 0, 4), ExactScalar(-1, 0, 3)),
-    ActionTrace: ((P,), P, HomologyAction(IntMat2(1, 0, 3, 1))),
+    ActionTrace: (P, HomologyAction(IntMat2(1, 0, 3, 1))),
     BlockRecord: (1, (1,) * 8, P, {"n_k": 2}),
     RatInterval: (Fraction(1, 3), Fraction(2, 3)),
     RationalParam: (1, 3, 5),

@@ -73,8 +73,10 @@ def test_generator_factor_examples():
 
 
 def test_trace_h_plus_cubed():
-    tr = trace_word(P(0, Fraction(1, 4)), GenWord.from_digits((3,)))
-    assert [p.as_fractions() for p in tr.points] == [
+    z, w = P(0, Fraction(1, 4)), GenWord.from_digits((3,))
+    tr = trace_word(z, w)
+    _, points, _ = oracle.trace_word(z, w)
+    assert [p.as_fractions() for p in points] == [
         (Fraction(-1, 4), Fraction(1, 4)),
         (Fraction(-1, 2), Fraction(1, 4)),
         (Fraction(1, 4), Fraction(1, 4)),
@@ -86,7 +88,7 @@ def test_trace_h_plus_cubed():
 def test_trace_empty_word():
     z = P(0, Fraction(1, 4))
     tr = trace_word(z, GenWord(()))
-    assert tr.final == z and tr.points == () and tr.action.is_identity
+    assert tr.final == z and tr.action.is_identity
 
 
 def test_m_sequence_examples():
@@ -123,7 +125,7 @@ def test_trace_matches_m_sequence():
         tr = trace_word(z, GenWord.power(gen, n))
         m = m_sequence(z, gen, n)[-1]
         base = H_PLUS if gen == "h+" else H_MINUS
-        assert tr.action == HomologyAction(base**m)
+        assert tr.action == HomologyAction(oracle.matrix_power(base, m))
 
 
 def test_composition_law():
@@ -131,9 +133,9 @@ def test_composition_law():
     for _ in range(1000):
         z = rand_point(rng)
         w1, w2 = rand_word(rng), rand_word(rng)
-        t_all = trace_word(z, w1 * w2, record_points=False)
-        t1 = trace_word(z, w1, record_points=False)
-        t2 = trace_word(t1.final, w2, record_points=False)
+        t_all = trace_word(z, w1 * w2)
+        t1 = trace_word(z, w1)
+        t2 = trace_word(t1.final, w2)
         assert t_all.action == t1.action * t2.action
         assert t_all.final == t2.final
 
@@ -143,8 +145,8 @@ def test_theta_conjugation():
     for _ in range(1000):
         z = rand_point(rng)
         w = rand_word(rng)
-        lhs = trace_word(involution_theta(z), w.theta_conjugate(), record_points=False)
-        rhs = trace_word(z, w, record_points=False)
+        lhs = trace_word(involution_theta(z), w.theta_conjugate())
+        rhs = trace_word(z, w)
         assert lhs.action == HomologyAction(THETA * rhs.action.m * THETA)
 
 
@@ -159,7 +161,7 @@ def test_minus_id_symmetry():
         t = trace_word(z, w)
         zm = involution_minus_id(z)
         tm = trace_word(zm, w)
-        pts = (z,) + t.points + (zm,) + tm.points
+        pts = (z,) + oracle.trace_word(z, w)[1] + (zm,) + oracle.trace_word(zm, w)[1]
         generic = all(
             in_region_E(p) and abs(p.x + p.y) != ExactScalar(1, 0, 2) for p in pts
         )
@@ -220,19 +222,37 @@ def rand_kernel_point(rng, D, den_max=40):
             continue
 
 
+def lattice_points(z, word):
+    """Every intermediate point of ``word`` traced from z, stepped one unit
+    at a time by Lattice.run."""
+    lat = Lattice(z.x, z.y)
+    x, y = lat.embed(z.x), lat.embed(z.y)
+    points = []
+    for gen, exp in word.syllables:
+        if gen == "h+":
+            for _, u, v in islice(lat.run(x, y), exp):
+                points.append(lat.point((u, v), y))
+            x = (u, v)
+        else:
+            for _, u, v in islice(lat.run(y, x), exp):
+                points.append(lat.point(x, (u, v)))
+            y = (u, v)
+    return tuple(points)
+
+
 def test_kernel_matches_oracle():
     """The integer kernel against ExactScalar stepping: endpoints, actions,
-    recorded points and running counts, on rational points and in three
-    quadratic fields, with long exponents."""
+    the points of Lattice.run and running counts, on rational points and in
+    three quadratic fields, with long exponents."""
     rng = random.Random(47)
     for D in (0, 2, 3, 5):
         for _ in range(40):
             z = rand_kernel_point(rng, D)
             w = rand_word(rng, max_syllables=6, max_exp=60)
-            for record in (True, False):
-                tr = trace_word(z, w, record_points=record)
-                final, points, action = oracle.trace_word(z, w, record_points=record)
-                assert tr.final == final and tr.action == action and tr.points == points
+            tr = trace_word(z, w)
+            final, points, action = oracle.trace_word(z, w)
+            assert tr.final == final and tr.action == action
+            assert lattice_points(z, w) == points
             gen = rng.choice(["h+", "h-"])
             assert m_sequence(z, gen, 80) == oracle.m_sequence(z, gen, 80)
 
@@ -310,17 +330,15 @@ def test_closed_form_trace_matches_oracle_on_wide_coefficients():
             x, y = rand_coord(rng, lat, 2048), rand_coord(rng, lat, rng.choice((0, 2048)))
             z = lat.point(x, y)
             w = rand_word(rng, max_syllables=6, max_exp=30)
-            stepped = trace_word(z, w, record_points=True)
+            final, points, action = oracle.trace_word(z, w)
             x1, y1, *mat = _trace_lattice(lat.W, lat.D, x, y, w.syllables)
-            assert lat.point(x1, y1) == stepped.final
-            assert HomologyAction(IntMat2(*mat)) == stepped.action
-            final, _, action = oracle.trace_word(z, w, record_points=False)
-            assert (final, action) == (stepped.final, stepped.action)
+            assert lat.point(x1, y1) == final == lattice_points(z, w)[-1] == points[-1]
+            assert HomologyAction(IntMat2(*mat)) == action
 
 
 def test_trace_rational_matches_stepping():
-    """trace_rational on integer numerators against trace_word stepping one
-    unit at a time from the same rational point."""
+    """trace_rational on integer numerators against the reference stepping
+    one unit at a time from the same rational point."""
     rng = random.Random(61)
     for W in (4, 6, 40, 2002):  # every point of Z/2 is a puncture
         for _ in range(40):
@@ -332,10 +350,10 @@ def test_trace_rational_matches_stepping():
                 except ExcludedPointError:
                     continue
             w = rand_word(rng, max_syllables=7, max_exp=min(3 * W, 120))
-            stepped = trace_word(z, w, record_points=True)
-            x1, y1, action = trace_rational(W, x, y, w.syllables)
-            assert P(Fraction(x1, W), Fraction(y1, W)) == stepped.final
-            assert action == stepped.action
+            final, _, action = oracle.trace_word(z, w, record_points=False)
+            x1, y1, traced = trace_rational(W, x, y, w.syllables)
+            assert P(Fraction(x1, W), Fraction(y1, W)) == final
+            assert traced == action
 
 
 def test_trace_rational_rejects_bad_lattices():
@@ -356,9 +374,8 @@ def test_trace_rational_rejects_bad_syllables(syllable):
 def test_mixed_fields_fail_closed():
     z = TorusPoint(ExactScalar(0, 1, 8, 2), ExactScalar(0, 1, 8, 3))
     for word in (GenWord(()), GenWord.from_digits((3, 2))):
-        for record in (True, False):
-            with pytest.raises(FieldMismatchError):
-                trace_word(z, word, record_points=record)
+        with pytest.raises(FieldMismatchError):
+            trace_word(z, word)
     with pytest.raises(FieldMismatchError):
         m_sequence(z, "h-", 4)
 
@@ -369,7 +386,7 @@ def test_orbit_through_puncture_fails_closed():
     object.__setattr__(z, "x", ExactScalar(-1, 0, 2))
     object.__setattr__(z, "y", ExactScalar(0))
     with pytest.raises(ExcludedPointError):
-        trace_word(z, GenWord.from_digits((2, 1)), record_points=True)
+        trace_word(z, GenWord.from_digits((2, 1)))
 
 
 def test_homology_action_canonical_sign():

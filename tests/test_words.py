@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracle_torus import word_matrix
 from slittori.words import (
     GenWord,
     H_MINUS,
@@ -98,7 +99,19 @@ def test_even_words_match_convergent_matrices():
         k = 2 * rng.randint(1, 5)
         digits = tuple(rng.randint(1, 9) for _ in range(k))
         w = GenWord.from_digits(digits)
-        assert w.matrix() == Convergents(digits).matrix(k)
+        c = Convergents(digits)
+        assert w.matrix() == IntMat2(c.q(k), c.q(k - 1), c.p(k), c.p(k - 1))
+
+
+def test_word_matrix_matches_generator_powers():
+    """The closed-form shear loop against the product of generator powers,
+    on words of either leading generator with exponents up to 10^6."""
+    rng = random.Random(7)
+    for _ in range(500):
+        k = rng.randint(0, 9)
+        digits = tuple(rng.randint(1, rng.choice((9, 10**6))) for _ in range(k))
+        w = GenWord.from_digits(digits, leading=rng.choice(["h+", "h-"]))
+        assert w.matrix() == word_matrix(w)
 
 
 def test_word_determinant_always_one():
@@ -116,8 +129,8 @@ def test_check_relations():
 
 
 def test_omega_order_four():
-    assert OMEGA**4 == IDENTITY
-    assert OMEGA**2 == IntMat2(-1, 0, 0, -1)
+    assert OMEGA * OMEGA * OMEGA * OMEGA == IDENTITY
+    assert OMEGA * OMEGA == IntMat2(-1, 0, 0, -1)
 
 
 def test_mutated_generator_breaks_relations():
@@ -150,8 +163,9 @@ def test_theta_conjugate():
 
 
 def test_matrix_pow_and_inverse():
-    assert H_PLUS**5 == IntMat2(1, 5, 0, 1)
-    assert H_MINUS**-2 == IntMat2(1, 0, -2, 1)
+    assert GenWord.power("h+", 5).matrix() == IntMat2(1, 5, 0, 1)
+    assert (H_MINUS * H_MINUS).inverse() == IntMat2(1, 0, -2, 1)
+    assert H_PLUS * H_PLUS.inverse() == IDENTITY
     m = IntMat2(2, 1, 1, 1)
     assert m * m.inverse() == IDENTITY
     with pytest.raises(ValueError):
