@@ -23,11 +23,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .criterion import DEFAULT_PRECISION_BITS, verify
+from .criterion import verify
 from .dimension import DimensionProblem, dimension_certificate
 from .directions import DigitRule, DirectionSpec
 from .exact import ExactScalar, parse_scalar
 from .flow import (
+    SLOPE_PRECISION_BITS,
     BilliardState,
     CoverState,
     billiard_to_cover,
@@ -78,22 +79,14 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _int_at_least(low: int, kind: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
-        return value
-
-    return parse
-
-
-_nonnegative_int = _int_at_least(0, "nonnegative")
-_positive_int = _int_at_least(1, "positive")
-_truncation = _int_at_least(2, "truncation (>= 2)")  # solve_su needs u >= 2
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_param(text: str, flag: str) -> RationalParam:
@@ -127,14 +120,6 @@ def _parse_rule(text: str) -> DigitRule:
     return DigitRule(kind, (int(v) for v in rest.split(",") if v != ""))
 
 
-def _scalar_json(s: ExactScalar) -> list[int]:
-    return list(s.as_tuple())
-
-
-def _point_json(p: TorusPoint) -> list[list[int]]:
-    return [_scalar_json(p.x), _scalar_json(p.y)]
-
-
 # ---------------------------------------------------------------------------
 # spec files
 
@@ -143,7 +128,7 @@ def _block_json(rec) -> dict:
     return {
         "index": rec.index,
         "digits": list(rec.digits),
-        "endpoint": _point_json(rec.endpoint),
+        "endpoint": rec.endpoint.as_json(),
         "meta": rec.meta,
     }
 
@@ -153,8 +138,8 @@ def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "provenance": spec.provenance,
-        "z0": _point_json(spec.z0),
-        "y_bounds": [_scalar_json(spec.y_bounds[0]), _scalar_json(spec.y_bounds[1])],
+        "z0": spec.z0.as_json(),
+        "y_bounds": [b.as_json() for b in spec.y_bounds],
         "blocks": [_block_json(spec.block(n)) for n in range(1, blocks + 1)],
         "digit_prefix": list(spec.cached_digits),
     }
@@ -209,26 +194,37 @@ def spec_from_provenance(prov: dict) -> DirectionSpec:
     raise CliError(f"unknown provenance type {kind!r}")
 
 
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
 def load_spec(path: str) -> DirectionSpec:
-    fields = {"format_version": object, "provenance": object, "blocks": list, "digit_prefix": list}
+    fields = {"format_version": int, "provenance": object, "blocks": list, "digit_prefix": list}
     with open(path) as fh:
         data = _object(json.load(fh), fields, "spec file", optional=("blocks", "digit_prefix"))
     if data["format_version"] != FORMAT_VERSION:
         raise CliError("unsupported spec file version")
-    spec = spec_from_provenance(data["provenance"])
+    stored = data["provenance"]
+    spec = spec_from_provenance(stored)
+    unknown = [key for key in stored if key not in spec.provenance]
+    if unknown:
+        raise CliError(f"spec file provenance has unknown keys {', '.join(unknown)}")
     # determinism cross-check: the rebuilt stream must reproduce every
-    # stored field (the blocks are pulled anyway to rebuild the digits)
+    # stored field, compared as JSON text, where 1.0 differs from 1 and 0
+    # from false (the blocks are pulled anyway to rebuild the digits); a
+    # provenance may leave out the keys that have defaults
     n_digits = len(data.get("digit_prefix", []))
     n_blocks = len(data.get("blocks", []))
     rebuilt = {
+        "provenance": {key: spec.provenance[key] for key in stored},
         "digit_prefix": list(spec.digits_prefix(n_digits)),
         "blocks": [_block_json(spec.block(n)) for n in range(1, n_blocks + 1)],
-        "z0": _point_json(spec.z0),
-        "y_bounds": [_scalar_json(b) for b in spec.y_bounds],
+        "z0": spec.z0.as_json(),
+        "y_bounds": [b.as_json() for b in spec.y_bounds],
     }
     for key, value in rebuilt.items():
-        if key in data and json.loads(json.dumps(value)) != data[key]:
-            name = "digits" if key == "digit_prefix" else key
+        if key in data and _json_text(value) != _json_text(data[key]):
+            name = {"digit_prefix": "digits", "provenance": "provenance fields"}.get(key, key)
             raise CliError(f"spec file {name} disagree with deterministic rebuild")
     return spec
 
@@ -248,9 +244,9 @@ def cmd_action(args) -> int:
     tr = trace_word(z, word)
     _emit(
         {
-            "z": _point_json(z),
+            "z": z.as_json(),
             "word_digits": list(word.digits()),
-            "final": _point_json(tr.final),
+            "final": tr.final.as_json(),
             "final_str": str(tr.final),
             "action": list(tr.action.m.entries()),
             "action_str": str(tr.action),
@@ -282,7 +278,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
-    report = verify(spec, args.horizon, precision_bits=args.precision)
+    report = verify(spec, args.horizon)
     _emit(report.as_dict(), args.output)
     return 0 if report.overall else 1
 
@@ -294,9 +290,7 @@ def cmd_dimension(args) -> int:
         raise CliError(f"--prog expects b,c got {args.prog!r}")
     b, c = (int(v) for v in prog)
     problem = DimensionProblem(block, b, c)
-    cert = dimension_certificate(
-        problem, u_direct_cap=args.u_cap, u_numeric=args.u_numeric
-    )
+    cert = dimension_certificate(problem)
     _emit(cert.as_dict(), args.output)
     return 0 if cert.exceeds_target else 1
 
@@ -305,7 +299,7 @@ def cmd_simulate(args) -> int:
     flags = (args.slope is not None, args.z is not None)
     if args.spec is not None and flags == (False, False):
         spec = load_spec(args.spec)
-        slope = slope_from_spec(spec, precision_bits=args.precision)
+        slope = slope_from_spec(spec)
         model = build_surface(spec.z0)
     elif args.spec is None and flags == (True, True):
         slope = Fraction(args.slope)
@@ -337,7 +331,7 @@ def cmd_simulate(args) -> int:
         with open(args.output, "w") as fh:
             stats.write_csv(fh)
     summary = stats.summary()
-    summary["precision_bits"] = args.precision
+    summary["precision_bits"] = SLOPE_PRECISION_BITS
     summary["deck_rule"] = model.validation.as_dict()
     _emit(summary)
     return 0 if not stats.terminated_early else 1
@@ -412,15 +406,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify criterion hypotheses")
     pv.add_argument("spec")
     pv.add_argument("--horizon", type=int, default=3)
-    pv.add_argument("--precision", type=_nonnegative_int, default=DEFAULT_PRECISION_BITS)
     pv.add_argument("-o", "--output")
     pv.set_defaults(func=cmd_verify)
 
     pd = sub.add_parser("dimension", help="dimension lower-bound certificate")
     pd.add_argument("--block", required=True, help="digits, e.g. 1,1,1")
     pd.add_argument("--prog", default="1,0", help="progression b,c")
-    pd.add_argument("--u-cap", dest="u_cap", type=_nonnegative_int, default=10**4)
-    pd.add_argument("--u-numeric", dest="u_numeric", type=_truncation, default=10**6)
     pd.add_argument("-o", "--output")
     pd.set_defaults(func=cmd_dimension)
 
@@ -431,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--T", default="1e6")
     ps.add_argument("--grid", type=int, default=8)
     ps.add_argument("--deck", type=int, default=16)
-    ps.add_argument("--precision", type=_nonnegative_int, default=32)
     ps.add_argument("--start", help="sheet,x,y,deck")
     ps.add_argument("--dump-events", dest="dump_events", help="event-point CSV path")
     ps.add_argument("-o", "--output", help="stats CSV path")

@@ -29,11 +29,10 @@ intervals:
 
 The value alpha is never materialized as a float: every alpha-dependent
 check runs on an exact rational enclosure obtained by digit truncation,
-whose width the ``precision_bits`` argument controls (default 256;
-``verify --precision`` on the command line).  When an
-enclosure is too wide to decide a comparison the verifier retries with
-a doubled precision a few times before recording the check as failed
-with an "inconclusive" note.
+first of width at most 2**-``PRECISION_BITS``.  When an enclosure is too
+wide to decide a comparison the verifier retries with a doubled
+precision a few times before recording the check as failed with an
+"inconclusive" note; the report gives the largest precision it used.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .intervals import InconclusiveIntervalError, RatInterval
 from .torus import HomologyAction, trace_word
 from .words import IDENTITY, Convergents, GenWord
 
-DEFAULT_PRECISION_BITS = 256
+PRECISION_BITS = 256  # starting width 2**-256 of every alpha enclosure
 _MAX_PRECISION_DOUBLINGS = 4
 
 
@@ -57,13 +56,9 @@ class CylinderStrip(Frozen):
         return {
             "k": self.k,
             "v": [self.v[0], self.v[1]],
-            "area": list(self.area.as_tuple()),
+            "area": self.area.as_json(),
             "area_float": float(self.area),
         }
-
-
-def _scalar_json(x: ExactScalar) -> list[int]:
-    return list(x.as_tuple())
 
 
 def _interval_json(iv: RatInterval) -> list[str]:
@@ -156,7 +151,7 @@ class CheckpointRecord(Record):
         return {
             "n": self.n,
             "k": self.k,
-            "z": [_scalar_json(self.z.x), _scalar_json(self.z.y)],
+            "z": self.z.as_json(),
             "endpoint_consistent": self.endpoint_consistent,
             "homology_fixes_beta": self.homology_fixes_beta,
             "y_in_bounds": self.y_in_bounds,
@@ -190,7 +185,7 @@ class VerificationReport(Record):
 
 
 def _with_precision_retry(fn, bits: int):
-    """Run fn(bits), doubling bits (0 steps to 1) on inconclusive intervals.
+    """Run fn(bits), doubling bits on inconclusive intervals.
 
     Returns the result (None when every attempt was inconclusive), the
     last precision tried and the last inconclusive note."""
@@ -200,15 +195,11 @@ def _with_precision_retry(fn, bits: int):
             return fn(current), current, None
         except InconclusiveIntervalError as exc:
             tried, note = current, str(exc)
-            current = 2 * current or 1
+            current *= 2
     return None, tried, note
 
 
-def verify(
-    spec: DirectionSpec,
-    horizon: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> VerificationReport:
+def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
     """Check every hypothesis at checkpoints 1..horizon.
 
     Failures never raise; they are recorded per checkpoint and folded
@@ -218,7 +209,7 @@ def verify(
         raise ValueError("horizon must be >= 1")
     records: list[CheckpointRecord] = []
     y_lo, y_hi = spec.y_bounds
-    bits_used = precision_bits
+    bits_used = PRECISION_BITS
     z_n, action, matrix = spec.z0, HomologyAction(IDENTITY), IDENTITY
     for n in range(1, horizon + 1):
         k = spec.checkpoint_index(n)
@@ -242,7 +233,7 @@ def verify(
             endpoint_consistent = False
 
         sigma_result, bits_sigma, note = _with_precision_retry(
-            lambda b: _sigma_at(spec, conv, k, b), precision_bits
+            lambda b: _sigma_at(spec, conv, k, b), PRECISION_BITS
         )
         bits_used = max(bits_used, bits_sigma)
         if sigma_result is None:
@@ -254,7 +245,7 @@ def verify(
         threshold = wedge_threshold(y_n, qk)
         wedge_result, bits_wedge, note = _with_precision_retry(
             lambda b: _wedge_at(spec, conv, k, threshold, digit_inequality, b),
-            precision_bits,
+            PRECISION_BITS,
         )
         bits_used = max(bits_used, bits_wedge)
         if wedge_result is None:
@@ -262,7 +253,7 @@ def verify(
             notes.append(f"wedge inconclusive: {note}")
         else:
             wedge_ok, wedge_route, wedge_iv = wedge_result
-            thr_iv = RatInterval(*threshold.enclosure(max(64, precision_bits)))
+            thr_iv = RatInterval(*threshold.enclosure(PRECISION_BITS))
             wedge_ratio = wedge_iv / thr_iv
 
         strip = (

@@ -56,11 +56,15 @@ SU_TOL = 1e-9  # bisection width of solve_su
 
 # dimension_certificate: the bound it certifies (its routes are specific to
 # 1/2), the terms of the exact prefix sum it reports, the minorant terms it
-# checks and the branches whose images it checks for disjointness
+# certifies, the branches whose images it checks for disjointness, the most
+# terms the direct route may add and the truncation of the Moran root it
+# reports on the divergence route
 TARGET = Fraction(1, 2)
 EXACT_PREFIX_U = 10**3
 MINORANT_TERMS = 10**3
 DISJOINTNESS_U = 64
+U_DIRECT_CAP = 10**4
+U_NUMERIC = 10**6
 
 
 class DimensionProblem(Frozen):
@@ -261,21 +265,19 @@ def check_image_disjointness(problem: DimensionProblem, u: int) -> int:
     return u
 
 
-def dimension_certificate(
-    problem: DimensionProblem,
-    u_direct_cap: int = 10**4,
-    u_numeric: int = 10**6,
-) -> DimensionCertificate:
+def dimension_certificate(problem: DimensionProblem) -> DimensionCertificate:
     """Two-route certificate that the dimension exceeds ``TARGET`` = 1/2,
     in one pass over A and B.
 
     Direct route: the exact rational sum of d^{1/2} = 1/(A l + B) exceeds
-    1 within ``u_direct_cap`` terms; the Moran root at that truncation
-    then exceeds 1/2 exactly.  Divergence route: otherwise; the harmonic
-    minorant A l + B <= A (l + 1) + B is verified termwise on its first
-    ``MINORANT_TERMS`` terms, the numeric s_u is reported for the largest
-    affordable truncation, and the target rests on the witness
-    u* = (A + B) base**A, base > e.
+    1 within ``U_DIRECT_CAP`` terms; the Moran root at that truncation
+    then exceeds 1/2 exactly.  Divergence route: otherwise; the numeric
+    s_u is reported at the truncation ``U_NUMERIC``, and the target rests
+    on the witness u* = (A + B) base**A, base > e.  On either route the
+    harmonic minorant A l + B <= A (l + 1) + B holds for every l exactly
+    when A >= 0; ``DimensionProblem`` makes A = b q_m >= 1, which is
+    checked once, and the certificate reports its first
+    ``MINORANT_TERMS`` terms as verified.
 
     The route is decided before summing where it can be.  f(l) = 1/(A l + B)
     decreases, so with R = (A u + B)/(A + B)
@@ -285,8 +287,8 @@ def dimension_certificate(
     which exceeds 1 only if ln R > x = A - A/(A + B).  As (A-1) ln 2 < x,
     that needs A u + B >= 2**(A-1); and with n = floor(2x) it needs
     R > e**(n/2) > 1.648**n, because 1.648**2 = 2.715904 < e.  So the
-    direct loop runs only when ``(A * u_direct_cap + B).bit_length() >= A``,
-    which keeps A small, and ``(A * u_direct_cap + B) * 1000**n >=
+    direct loop runs only when ``(A * U_DIRECT_CAP + B).bit_length() >= A``,
+    which keeps A small, and ``(A * U_DIRECT_CAP + B) * 1000**n >=
     (A + B) * 1648**n``; when it runs, it decides the route.  The exact
     prefix sum (up to ``EXACT_PREFIX_U`` terms, or to the direct route's
     u) comes from the same loop, which keeps the sum as an unreduced
@@ -294,10 +296,12 @@ def dimension_certificate(
     checked to be disjoint.
     """
     A, B = problem.coefficients
-    top = A * u_direct_cap + B
+    if A < 1:
+        raise ArithmeticError(f"minorant needs A >= 1, got A={A}")
+    top = A * U_DIRECT_CAP + B
     n = 2 * A * (A + B - 1) // (A + B)  # floor(2x)
     feasible = top.bit_length() >= A and top * 1000**n >= (A + B) * 1648**n
-    direct_cap = u_direct_cap if feasible else 0
+    direct_cap = U_DIRECT_CAP if feasible else 0
     num, den, u_hit = 0, 1, None  # the running sum num/den, reduced once at the end
     prefix_u, prefix = 0, (num, den)
     for l in range(1, max(direct_cap, EXACT_PREFIX_U) + 1):
@@ -310,12 +314,6 @@ def dimension_certificate(
             break
     total, prefix_sum = Fraction(num, den), Fraction(*prefix)
 
-    verified = 0
-    for l in range(1, MINORANT_TERMS + 1):
-        if not A * l + B <= A * (l + 1) + B:
-            raise ArithmeticError(f"minorant inequality fails at l={l}")
-        verified += 1
-
     disjoint_checked = check_image_disjointness(problem, DISJOINTNESS_U)
     samples = [(us, solve_su(problem, us)) for us in (2, 4, 8, 16, 32, 64)]
 
@@ -327,7 +325,7 @@ def dimension_certificate(
             f"the Moran root at this truncation therefore exceeds 1/2"
         )
     else:
-        route, u_used = "divergence", u_numeric
+        route, u_used = "divergence", U_NUMERIC
         exceeds = WITNESS_BASE > e_upper_bound()
         witness = {"u": "(A+B)*base^A", "base": str(WITNESS_BASE), "A": A, "B": B}
         note = (
@@ -345,7 +343,7 @@ def dimension_certificate(
         sqrt_sum_at_u=total if u_hit is not None else None,
         exact_prefix_u=prefix_u,
         exact_prefix_sum=prefix_sum,
-        minorant_verified_terms=verified,
+        minorant_verified_terms=MINORANT_TERMS,
         su_monotone_samples=samples,
         image_disjointness_checked=disjoint_checked,
         divergence_note=note,

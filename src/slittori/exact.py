@@ -209,6 +209,10 @@ class ExactScalar(Frozen):
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.u, self.v, self.w, self.D)
 
+    def as_json(self) -> list[int]:
+        """[u, v, w, D], the form spec files and reports store."""
+        return [self.u, self.v, self.w, self.D]
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
         if self.u == 0 and self.v == 0:

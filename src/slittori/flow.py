@@ -39,7 +39,7 @@ samples of an event segment (s, e] are those with
 m ds_num L <= e ds_den, bracketed by a running sample clock.  A
 direction stream is simulated through an exact convergent of its digit
 expansion, chosen so the enclosure of the true slope is narrower than
-``2**-precision_bits``; the simulated orbit is then an exactly computed
+``2**-SLOPE_PRECISION_BITS``; the simulated orbit is then an exactly computed
 orbit of that nearby rational direction, with no positional drift at
 all.
 """
@@ -58,6 +58,8 @@ _HALF = Fraction(1, 2)
 DECK_WEIGHTS = (1, -1)
 # events _run_closed follows before it gives up on a closed orbit
 MAX_CLOSED_EVENTS = 10000
+# a spec's slope is its convergent within 2**-SLOPE_PRECISION_BITS
+SLOPE_PRECISION_BITS = 32
 
 
 class SingularOrbitError(RuntimeError):
@@ -442,18 +444,20 @@ class OrbitStats(Record):
             fh.write(f"deck,{idx - self.deck_window},0,0,{count}\n")
 
 
-def slope_from_spec(spec: DirectionSpec, precision_bits: int = 32) -> Fraction:
-    """Exact convergent of the stream with enclosure width <= 2**-bits.
+def slope_from_spec(spec: DirectionSpec) -> Fraction:
+    """Exact convergent of the stream with enclosure width
+    <= 2**-``SLOPE_PRECISION_BITS``.
 
     The enclosure ends at a whole block, so its digit count k is even and
     its lower end is the convergent p_k/q_k.  A finite stream that ends
     before the enclosure is narrow enough raises
     DigitStreamExhaustedError.
     """
-    enc = spec.alpha_enclosure(precision_bits, min_digits=PERIOD)
-    if enc.hi - enc.lo > Fraction(1, 1 << precision_bits):
+    bits = SLOPE_PRECISION_BITS
+    enc = spec.alpha_enclosure(bits, min_digits=PERIOD)
+    if enc.hi - enc.lo > Fraction(1, 1 << bits):
         raise DigitStreamExhaustedError(
-            f"digit stream ends before its enclosure is within 2**-{precision_bits}"
+            f"digit stream ends before its enclosure is within 2**-{bits}"
         )
     return enc.lo
 

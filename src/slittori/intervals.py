@@ -5,9 +5,8 @@ and the outward-rounding contract is satisfied trivially: the true
 value of any expression is contained in the computed interval, with no
 rounding step that could lose containment.  "Precision" enters only
 when an interval is first created by truncating a digit stream; the
-width of that enclosure is what the ``precision_bits`` arguments of
-``criterion.verify`` and ``flow.slope_from_spec`` control (``verify
---precision`` and ``simulate --precision`` on the command line).
+width of that enclosure starts at the constants
+``criterion.PRECISION_BITS`` and ``flow.SLOPE_PRECISION_BITS``.
 """
 
 from __future__ import annotations

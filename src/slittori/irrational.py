@@ -252,7 +252,7 @@ def direction_stream_irrational(
     z0 = TorusPoint(ExactScalar(0), lam)
     provenance = {
         "type": "irrational",
-        "lambda": list(lam.as_tuple()),
+        "lambda": lam.as_json(),
         "d_choices": choices.as_dict(),
         "a_min": DEFAULT_A_MIN,
         "budget": budget,

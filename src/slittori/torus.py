@@ -100,6 +100,9 @@ class TorusPoint(Frozen):
     def as_fractions(self) -> tuple[Fraction, Fraction]:
         return (self.x.as_fraction(), self.y.as_fraction())
 
+    def as_json(self) -> list[list[int]]:
+        return [self.x.as_json(), self.y.as_json()]
+
     def __str__(self):
         return f"({self.x}, {self.y})"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from oracle_torus import word_matrix
 from slittori.criterion import (
-    DEFAULT_PRECISION_BITS,
+    PRECISION_BITS,
     CheckpointRecord,
     CylinderStrip,
     VerificationReport,
@@ -33,7 +33,7 @@ from slittori.words import GenWord
 def verify(
     spec: DirectionSpec,
     horizon: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    precision_bits: int = PRECISION_BITS,
 ) -> VerificationReport:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -100,7 +100,7 @@ def test_criterion_3_verification_and_faults():
     spec = direction_stream(
         RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
     )
-    report = verify(spec, 10, precision_bits=256)
+    report = verify(spec, 10)
     assert report.overall
     for rec in report.records:
         assert rec.homology_fixes_beta and rec.y_in_bounds
@@ -159,7 +159,7 @@ def test_criterion_5_dimension_bound():
     assert toy.sqrt_sum_at_u > 1  # exact rational certificate for s_u > 1/2
 
     quarter = DimensionProblem((5, 1, 1, 7, 1, 1, 2), 1, 0)
-    cert = dimension_certificate(quarter, u_numeric=10**6)
+    cert = dimension_certificate(quarter)
     assert cert.route == "divergence" and cert.exceeds_target
     for l in range(1, 1001):
         assert sqrt_contraction(quarter, l) >= divergence_minorant(quarter, l)
@@ -256,7 +256,7 @@ def test_criterion_7_simulator_validation():
     spec = direction_stream(
         RationalParam.from_barrier_length(lam), NkRule("const", (1,))
     )
-    slope = slope_from_spec(spec, 32)
+    slope = slope_from_spec(spec)
     stats = simulate(model, slope, 10**6)
     assert stats.total_advance == str(10**6)  # exact bookkeeping
     assert not stats.terminated_early
@@ -291,7 +291,7 @@ def test_criterion_8_determinism(tmp_path):
     spec = direction_stream(
         RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
     )
-    slope = slope_from_spec(spec, 32)
+    slope = slope_from_spec(spec)
     outs = []
     for _ in range(2):
         buf = io.StringIO()

@@ -105,11 +105,8 @@ def test_argument_errors_exit_two_with_json(capsys):
         ["action", "--z", "0,1/4", "--gz-lambda", "1/4", "--precision", "256"],
         ["dimension"],
         ["dimension", "--block", "1,1,1", "--prog", "1"],
-        ["dimension", "--block", "1,1,1", "--u-cap", "-3"],
         ["build", "--lambda", "1/4", "--blocks", "0"],
         ["build", "--lambda", "1/4", "--blocks", "-1"],
-        ["dimension", "--block", "1,1,1", "--u-numeric", "-5"],
-        ["dimension", "--block", "1,1,1", "--u-numeric", "1"],
         ["build", "--lambda", "1/4", "--budget", "-5"],
         ["build", "--lambda", "1/4", "--budget", "0"],
         ["action", "--z", "0,1/4", "--gz", "1,2"],
@@ -135,17 +132,12 @@ def test_argument_errors_exit_two_with_json(capsys):
         assert "error" in json.loads(err), argv
     _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--prog", "1")
     assert json.loads(err)["error"] == "--prog expects b,c got '1'"
-    _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--u-cap", "-3")
-    assert "expected a nonnegative integer" in json.loads(err)["error"]
     for blocks in ("0", "-1"):
         _, _, err = run(capsys, "build", "--lambda", "1/4", "--blocks", blocks)
         assert "expected a positive integer" in json.loads(err)["error"]
     for budget in ("0", "-5"):
         _, _, err = run(capsys, "build", "--lambda", "1/4", "--budget", budget)
         assert "expected a positive integer" in json.loads(err)["error"]
-    for u in ("1", "-5"):
-        _, _, err = run(capsys, "dimension", "--block", "1,1,1", "--u-numeric", u)
-        assert "expected a truncation (>= 2) integer" in json.loads(err)["error"]
     _, _, err = run(capsys, "action", "--z", "0,1/4", "--gz", "1,2")
     assert json.loads(err)["error"] == "--gz expects r,s,q got '1,2'"
     _, _, err = run(capsys, "build", "--z-rational", "1,2")
@@ -158,11 +150,11 @@ CLI_OPTIONS = {
     "build": [
         "--lambda", "--z-rational", "--nk", "--d-choices", "--blocks", "--budget", "-o/--output",
     ],
-    "verify": ["spec", "--horizon", "--precision", "-o/--output"],
-    "dimension": ["--block", "--prog", "--u-cap", "--u-numeric", "-o/--output"],
+    "verify": ["spec", "--horizon", "-o/--output"],
+    "dimension": ["--block", "--prog", "-o/--output"],
     "simulate": [
-        "spec", "--slope", "--z", "--T", "--grid", "--deck", "--precision", "--start",
-        "--dump-events", "-o/--output",
+        "spec", "--slope", "--z", "--T", "--grid", "--deck", "--start", "--dump-events",
+        "-o/--output",
     ],
     "billiard": ["--lambda", "--x", "--y", "--vx", "--vy", "--theta-deg", "-o/--output"],
 }
@@ -189,20 +181,24 @@ def test_large_radicand_fails_closed(tmp_path, capsys):
         assert "radicand" in json.loads(err)["error"], argv
 
 
-def test_cli_option_inventory():
+def _subparsers() -> dict:
     parser = _build_parser()
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def test_cli_option_inventory():
     found = {
         name: [
             "/".join(a.option_strings) or a.dest
             for a in sub._actions
             if not isinstance(a, argparse._HelpAction)
         ]
-        for name, sub in commands.choices.items()
+        for name, sub in _subparsers().items()
     }
     assert found == CLI_OPTIONS
     flags = [o for opts in found.values() for o in opts if o.startswith("-")]
-    assert (len(flags), sum(map(len, found.values())) - len(flags)) == (36, 2)
+    assert (len(flags), sum(map(len, found.values())) - len(flags)) == (32, 2)
 
 
 # the parameters of the library's entry points, in signature order
@@ -212,10 +208,10 @@ LIBRARY_OPTIONS = {
     direction_stream: ["param", "nk"],
     OrbitStats: ["grid", "deck_window", "slope", "start"],
     simulate: ["model", "slope", "T", "grid", "deck_window", "start", "event_log"],
-    slope_from_spec: ["spec", "precision_bits"],
+    slope_from_spec: ["spec"],
     trace_word: ["z", "word"],
-    verify: ["spec", "horizon", "precision_bits"],
-    dimension_certificate: ["problem", "u_direct_cap", "u_numeric"],
+    verify: ["spec", "horizon"],
+    dimension_certificate: ["problem"],
 }
 
 
@@ -224,9 +220,12 @@ def test_library_option_inventory():
     assert found == LIBRARY_OPTIONS
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_commands_parse():
     # every documented command line must still parse; nothing is executed
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     lines = [
         line.strip()
         for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
@@ -237,6 +236,25 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_prose_names_only_existing_flags():
+    """Every flag that README.md names in inline code exists: in the named
+    subcommand's parser for `<command> --flag`, in some subcommand's
+    parser for a bare `--flag`."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    flags = {
+        name: {o for a in sub._actions for o in a.option_strings}
+        for name, sub in _subparsers().items()
+    }
+    every = set().union(*flags.values())
+    named = 0
+    for span in re.findall(r"`([^`\n]*--[^`\n]*)`", prose):
+        known = flags.get(span.split()[0], every)
+        for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", span):
+            assert flag in known, span
+            named += 1
+    assert named >= 20  # the prose names flags; the pattern found them
 
 
 @pytest.mark.parametrize(
@@ -329,6 +347,11 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
         ("build_quarter.json", lambda d: d["blocks"][2].__setitem__("index", 4)),
         ("build_quarter.json", lambda d: d["z0"][0].__setitem__(0, 1)),
         ("build_sqrt2.json", lambda d: d["y_bounds"][1].__setitem__(0, 2)),
+        # compared as JSON text: 0 is not false, 7.0 is not 7
+        ("build_quarter.json", lambda d: d["provenance"].__setitem__("reduced", "banana")),
+        ("build_quarter.json", lambda d: d["provenance"].__setitem__("reduced", 0)),
+        ("build_sqrt2.json", lambda d: d["provenance"].__setitem__("lambda", [0, 2, 8, 2])),
+        ("build_sqrt2.json", lambda d: d["digit_prefix"].__setitem__(0, 7.0)),
     ],
 )
 def test_load_spec_refuses_tampered_fields(tmp_path, capsys, golden, tamper):
@@ -407,6 +430,26 @@ def test_load_spec_refuses_tampered_fields(tmp_path, capsys, golden, tamper):
             },
             "nk_rule has a wrong type of params",
         ),
+        (
+            {
+                "format_version": 1.0,  # equal to 1 in Python, not in the file
+                "provenance": {
+                    "type": "rational", "r": 0, "s": 1, "q": 2,
+                    "nk_rule": {"kind": "const", "params": [1]},
+                },
+            },
+            "spec file has a wrong type of format_version",
+        ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "rational", "r": 0, "s": 1, "q": 2,
+                    "nk_rule": {"kind": "const", "params": [1]}, "extra": 5,
+                },
+            },
+            "spec file provenance has unknown keys extra",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "simulate"])
@@ -467,6 +510,14 @@ def test_load_spec_accepts_untampered_and_budgetless(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
     assert load_spec(str(path)).block(2).digits == tuple(doc["blocks"][1]["digits"])
+
+
+def test_load_spec_accepts_provenance_without_a_min(tmp_path):
+    doc = json.loads((GOLDEN / "build_sqrt2.json").read_text())
+    del doc["provenance"]["a_min"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert load_spec(str(path)).provenance["a_min"] == 6
 
 
 @pytest.mark.parametrize(
@@ -572,16 +623,19 @@ def test_simulate_start_needs_four_fields(capsys):
         assert "sheet,x,y,deck" in json.loads(err)["error"], bad
 
 
-def test_negative_precision_rejected(capsys):
-    spec = str(GOLDEN / "build_quarter.json")
+def test_removed_numeric_flags_exit_two(capsys):
+    """The enclosure precisions and the dimension truncations are module
+    constants; their former flags are unknown arguments."""
     for argv in (
-        ["verify", spec, "--precision", "-1"],
-        ["simulate", spec, "--T", "10", "--precision", "-1"],
-        ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10", "--precision", "-1"],
+        ["verify", str(GOLDEN / "build_quarter.json"), "--precision", "256"],
+        ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10", "--precision", "32"],
+        ["dimension", "--block", "1,1,1", "--u-cap", "10000"],
+        ["dimension", "--block", "1,1,1", "--u-numeric", "1000000"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert "nonnegative" in json.loads(err)["error"], argv
+        error = json.loads(err)["error"]
+        assert error.startswith("slittori: unrecognized arguments: " + argv[-2]), argv
 
 
 def test_simulate_finite_stream_exits_two(tmp_path, capsys):

@@ -148,13 +148,14 @@ def test_horizon_validation(quarter_spec):
 @pytest.mark.parametrize("stream", ["quarter", "sixth_arith", "sqrt2"])
 def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypatch):
     """verify bounds sigma and the wedge at every checkpoint, at any
-    starting precision.  (verify is the one check; the name is kept from
-    the standalone helpers it replaced.)
+    starting precision ``criterion.PRECISION_BITS``.  (verify is the one
+    check; the name is kept from the standalone helpers it replaced.)
 
     With ``inconclusive`` every certified interval comparison raises, as a
     too-wide enclosure would, so the decision falls to verify's structural
     and implied routes, which must still bound both.
     """
+    from slittori import criterion
     from slittori.intervals import InconclusiveIntervalError, RatInterval
     from slittori.irrational import direction_stream_irrational
 
@@ -175,15 +176,37 @@ def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypa
 
         monkeypatch.setattr(RatInterval, "certified_le", undecided)
         monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
-    report = verify(make(), 3, precision_bits=bits)
+    monkeypatch.setattr(criterion, "PRECISION_BITS", bits)
+    report = verify(make(), 3)
     for rec in report.records:
         if inconclusive:
             assert (rec.sigma_route, rec.wedge_route) == ("structural", "implied")
         assert rec.sigma_bounded and rec.wedge_bounded
 
 
-def _verify_forced_inconclusive(spec, monkeypatch, bits):
-    """verify(spec, 1, bits) with every certified comparison inconclusive
+@pytest.mark.parametrize("stream", ["quarter", "sixth_arith", "sqrt2"])
+def test_verdicts_do_not_depend_on_starting_precision(stream, monkeypatch):
+    """Every per-record boolean is the same at starting precisions 1, 64,
+    256 and 1024: the precision only decides how many doublings a
+    comparison takes, which is why it is a constant and not an option."""
+    from slittori import criterion
+
+    verdicts = set()
+    for bits in (1, 64, 256, 1024):
+        monkeypatch.setattr(criterion, "PRECISION_BITS", bits)
+        report = verify(_stream(stream), 3)
+        verdicts.add(tuple(
+            (r.endpoint_consistent, r.homology_fixes_beta, r.y_in_bounds,
+             r.digit_inequality, r.sigma_bounded, r.wedge_bounded, r.ok)
+            for r in report.records
+        ))
+    assert len(verdicts) == 1
+    (records,) = verdicts
+    assert len(records) == 3 and all(ok for *_, ok in records)
+
+
+def _verify_forced_inconclusive(spec, monkeypatch):
+    """verify(spec, 1) with every certified comparison inconclusive
     and the structural sigma route closed: the report and the precisions
     alpha_enclosure was asked for, in order."""
     from slittori import criterion
@@ -204,25 +227,13 @@ def _verify_forced_inconclusive(spec, monkeypatch, bits):
     monkeypatch.setattr(RatInterval, "certified_le", undecided)
     monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
     monkeypatch.setattr(criterion, "masur_structural", lambda conv, k, alpha: False)
-    return verify(spec, 1, precision_bits=bits), asked
-
-
-def test_precision_retry_grows_from_zero_bits(quarter_spec, monkeypatch):
-    """verify --precision 0 must not retry at 0 bits: an inconclusive
-    comparison steps 0 to 1, then doubles."""
-    report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch, 0)
-    (rec,) = report.records
-    assert rec.sigma_route == "inconclusive"
-    sigma_asked, wedge_asked = asked[:4], asked[4:]
-    assert sigma_asked == [0, 1, 2, 4]  # the sigma retries
-    assert wedge_asked == [0]  # the wedge bound is implied at once
-    assert report.precision_bits == sigma_asked[-1]
+    return verify(spec, 1), asked
 
 
 def test_precision_retry_reports_last_precision_tried(quarter_spec, monkeypatch):
     """When every retry is inconclusive the report names the last precision
     tried, 256 doubled three times, not one doubling more."""
-    report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch, 256)
+    report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch)
     assert asked == [256, 512, 1024, 2048, 256]  # four sigma tries, one wedge
     assert report.precision_bits == 2048
 

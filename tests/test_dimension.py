@@ -9,6 +9,8 @@ import pytest
 import oracle_dimension as oracle
 from slittori.dimension import (
     SU_TOL,
+    U_DIRECT_CAP,
+    U_NUMERIC,
     DimensionProblem,
     check_image_disjointness,
     contraction_bound,
@@ -124,8 +126,8 @@ def test_toy_certificate_direct_route():
 
 
 def test_quarter_certificate_divergence_route():
-    cert = dimension_certificate(QUARTER, u_numeric=10**5)
-    assert cert.route == "divergence"
+    cert = dimension_certificate(QUARTER)
+    assert cert.route == "divergence" and cert.u_used == U_NUMERIC
     assert cert.exceeds_target
     assert cert.achieved_su < 0.5  # direct truncation cannot reach 1/2 here
     assert cert.minorant_verified_terms == 1000
@@ -194,14 +196,14 @@ def test_divergence_witness_below_e_fails_closed(monkeypatch, capsys):
     assert '"exceeds_target": false' in capsys.readouterr().out
 
 
-# (problem, u_direct_cap): both routes, the toy and barrier blocks, a
+# (problem, U_DIRECT_CAP): both routes, the toy and barrier blocks, a
 # direct loop that runs to u = 6390, and caps on both sides of each route
 # pre-test: (A * cap + B).bit_length() >= A for 2,3,2 (A = 16, B = 23:
 # cap 2047 gives 32775, bit length 16; cap 2046 gives 32759, bit length 15),
 # and (A * cap + B) * 1000**n >= (A + B) * 1648**n for 1,1,1 (A = 3, B = 5,
 # n = 5: cap 31 passes, cap 30 does not; the loop first exceeds 1 at 42).
 DIFFERENTIAL_CASES = [
-    (DimensionProblem(block, b, c), 10**4)
+    (DimensionProblem(block, b, c), U_DIRECT_CAP)
     for block in ((1, 1, 1), (5, 1, 1, 7, 1, 1, 2), (1, 1, 1, 1, 1), (2, 3, 2))
     for b, c in ((1, 0), (2, 1), (3, 2), (5, 7))
 ] + [
@@ -215,10 +217,14 @@ DIFFERENTIAL_CASES = [
     "problem, cap", DIFFERENTIAL_CASES,
     ids=[f"{'.'.join(map(str, p.block))}-{p.b},{p.c}-cap{cap}" for p, cap in DIFFERENTIAL_CASES],
 )
-def test_certificate_matches_oracle(problem, cap):
+def test_certificate_matches_oracle(problem, cap, monkeypatch):
     """The one-pass certificate equals the earlier one (E**A witness) on
-    every key but ``divergence_witness``."""
-    new = dimension_certificate(problem, u_direct_cap=cap).as_dict()
+    every key but ``divergence_witness``, at the direct route's cap
+    ``U_DIRECT_CAP`` and at caps on both sides of each pre-test."""
+    import slittori.dimension as dim
+
+    monkeypatch.setattr(dim, "U_DIRECT_CAP", cap)
+    new = dimension_certificate(problem).as_dict()
     old = oracle.dimension_certificate(problem, u_direct_cap=cap).as_dict()
     assert ("divergence_witness" in new) == ("divergence_witness" in old) == (
         new["route"] == "divergence"

@@ -38,7 +38,7 @@ def quarter_slope():
     spec = direction_stream(
         RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
     )
-    return slope_from_spec(spec, 32)
+    return slope_from_spec(spec)
 
 
 def test_build_validation_vertical_slit(quarter_model):
@@ -273,8 +273,9 @@ def _reference_slope(spec, precision_bits):
     ],
     ids=["quarter-const1", "three-tenths-arith21", "sqrt2-over-4"],
 )
-def test_slope_from_spec_matches_reference_loop(stream, bits):
-    assert slope_from_spec(stream(), bits) == _reference_slope(stream(), bits)
+def test_slope_from_spec_matches_reference_loop(stream, bits, monkeypatch):
+    monkeypatch.setattr(flow, "SLOPE_PRECISION_BITS", bits)
+    assert slope_from_spec(stream()) == _reference_slope(stream(), bits)
 
 
 def test_simulate_exact_bookkeeping(quarter_model, quarter_slope):
@@ -522,7 +523,7 @@ def test_simulate_matches_oracle():
         (Fraction(3, 10), NkRule("const", (2,))),
     )
     convergents = [
-        slope_from_spec(direction_stream(RationalParam.from_barrier_length(lam), rule), bits)
+        _reference_slope(direction_stream(RationalParam.from_barrier_length(lam), rule), bits)
         for lam, rule in streams
         for bits in (32, 64)
     ]
@@ -609,7 +610,7 @@ def test_simulate_matches_lattice_oracle():
     rng = random.Random(16)
     for lam in ("1/4", "1/6", "1/3", "3/10"):
         spec = direction_stream(RationalParam.from_barrier_length(Fraction(lam)), DigitRule())
-        slope = slope_from_spec(spec, 32)
+        slope = slope_from_spec(spec)
         model = build_surface(spec.z0)
         for _ in range(2):
             T = 8000 + rng.randrange(200)
