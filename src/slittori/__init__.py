@@ -39,7 +39,6 @@ from .directions import BlockRecord, DigitRule, DirectionSpec
 from .rational import (
     Block,
     CongruencePair,
-    NkRule,
     RationalParam,
     block_for,
     certify_fixing,
@@ -48,7 +47,6 @@ from .rational import (
     solve_congruences,
 )
 from .irrational import (
-    DChoiceRule,
     IrrationalBlockParams,
     direction_stream_irrational,
     find_block,

@@ -199,9 +199,14 @@ def _json_text(value) -> str:
 
 
 def load_spec(path: str) -> DirectionSpec:
-    fields = {"format_version": int, "provenance": object, "blocks": list, "digit_prefix": list}
+    # the stored keys are format_version and the keys of the rebuild below
+    optional = {"blocks": list, "digit_prefix": list, "z0": object, "y_bounds": object}
+    fields = {"format_version": int, "provenance": object, **optional}
     with open(path) as fh:
-        data = _object(json.load(fh), fields, "spec file", optional=("blocks", "digit_prefix"))
+        data = _object(json.load(fh), fields, "spec file", optional=tuple(optional))
+    unknown = [key for key in data if key not in fields]
+    if unknown:
+        raise CliError(f"spec file has unknown keys {', '.join(unknown)}")
     if data["format_version"] != FORMAT_VERSION:
         raise CliError("unsupported spec file version")
     stored = data["provenance"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 from operator import attrgetter
 
 
@@ -146,12 +146,6 @@ def floor_sqrt(v: int, D: int) -> int:
     return s if v > 0 else -s - 1
 
 
-def _gcd3(a: int, b: int, c: int) -> int:
-    from math import gcd
-
-    return gcd(gcd(abs(a), abs(b)), abs(c))
-
-
 class ExactScalar(Frozen):
     __slots__ = ("u", "v", "w", "D")
 
@@ -172,7 +166,7 @@ class ExactScalar(Frozen):
             v, D = 0, 0
         if D == 1:  # sqrt(1) folds into the rational part
             u, v, D = u + v, 0, 0
-        g = _gcd3(u, v, w)
+        g = gcd(u, v, w)
         if g > 1:
             u, v, w = u // g, v // g, w // g
         _set_u(self, u)

@@ -19,6 +19,11 @@ whose exponents are found by four exact window searches:
      interval J = DEFAULT_J = [1/6, 1/3].  The freedom in d is what
      makes distinct digit streams for the same parameter.
 
+Each search is one :func:`_search` along a :meth:`Lattice.run` orbit and
+spends one unit of the budget per step, up to the step it returns; the
+four single steps between the searches are free.  A block therefore
+spends exactly a + b + c + d, and the budget caps that digit sum.
+
 The floor a >= 6 and the window J are constants, not inputs: a spec
 file's provenance records ``"a_min": 6`` and may only repeat that
 value or leave it out.
@@ -36,7 +41,7 @@ no other candidate is tried.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import count, islice
+from itertools import count
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import ExactScalar, Frozen, negative, scalar
@@ -65,19 +70,6 @@ class IrrationalBlockParams(Frozen):
         return (self.a, 1, 1, self.b, 1, 1, self.c, self.d)
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise SearchBudgetExceededError(
-                f"budget of {self.limit} generator applications exhausted"
-            )
-
-
 def _require_irrational(v: int, what: str) -> None:
     """Fail on a coordinate whose sqrt(D) part ``v`` is zero."""
     if v == 0:
@@ -97,63 +89,20 @@ def _step(lat: Lattice, moving: Coord, fixed: Coord) -> tuple[Coord, int]:
     return (u, v), m
 
 
-def _spend(steps: Iterator[tuple[int, int, int]], budget: _Budget) -> Iterator[tuple[int, int, Coord]]:
-    """Number the steps of a :meth:`Lattice.run` from 1, spending one unit
-    of budget before each; yields (j, m, coordinate)."""
-    for j in count(1):
-        budget.spend()
-        m, u, v = next(steps)
-        yield j, m, (u, v)
-
-
-def _a_candidates(
-    lat: Lattice, x: Coord, y: Coord, budget: _Budget
-) -> Iterator[tuple[int, int, Coord]]:
-    """Yield (a, a', x1) with the stage-a window and sign conditions."""
-    # eps1 = x1 + 1/2 must lie in (0, window), window = min(y, 1/2 - y)/2;
-    # in lattice units W * eps1 = eu + v sqrt(D) and 2W * window = wu + wv sqrt(D)
-    wu, wv = _half_min(lat, y)
-    for j, m, (u, v) in _spend(lat.run(x, y), budget):
-        if j < DEFAULT_A_MIN or m <= 0:
-            continue
-        eu = u + lat.half
-        if negative(-eu, -v, lat.D) and negative(2 * eu - wu, 2 * v - wv, lat.D):
-            yield (j, m, (u, v))
-
-
-def _b_candidates(
-    lat: Lattice, x3: Coord, y3: Coord, a_prime: int, budget: _Budget
-) -> Iterator[tuple[int, int, Coord]]:
-    """Yield (b, b', y4) with the stage-b window and count conditions."""
-    # eps2 = 1/2 - y4 must lie in (0, window), window = min(|x3|, 1/2 - |x3|)/2;
-    # in lattice units W * eps2 = eu - v sqrt(D) and 2W * window = wu + wv sqrt(D)
-    ax3 = (-x3[0], -x3[1]) if negative(*x3, lat.D) else x3
-    wu, wv = _half_min(lat, ax3)
-    for j, m, (u, v) in _spend(lat.run(y3, x3), budget):
-        if m <= a_prime:
-            continue
-        eu = lat.half - u
-        if negative(-eu, v, lat.D) and negative(2 * eu - wu, -2 * v - wv, lat.D):
-            yield (j, m, (u, v))
-
-
-def _c_candidates(
-    lat: Lattice, x6: Coord, y6: Coord, target: int, budget: _Budget
-) -> Iterator[tuple[int, Coord]]:
-    """Yield (c, x7) where the running h+ count at z6 reaches ``target``."""
-    for j, m, x7 in _spend(lat.run(x6, y6), budget):
-        if m == target:
-            yield (j, x7)
-
-
-def _d_candidates(
-    lat: Lattice, x7: Coord, y7: Coord, J: tuple[Coord, Coord], budget: _Budget
-) -> Iterator[tuple[int, Coord]]:
-    """Yield (d, y') with the endpoint height inside J."""
-    (lu, lv), (hu, hv) = J
-    for j, _, (u, v) in _spend(lat.run(y7, x7), budget):
-        if not negative(u - lu, v - lv, lat.D) and not negative(hu - u, hv - v, lat.D):
-            yield (j, (u, v))
+def _search(
+    lat: Lattice, moving: Coord, fixed: Coord, left: int, hit, nth: int = 1
+) -> tuple[int, int, Coord]:
+    """Step ``lat.run(moving, fixed)``, numbering the steps j from 1, and
+    return (j, m, coordinate) at the ``nth`` step where ``hit(j, m, u, v)``
+    holds.  A search that would take more than ``left`` steps raises
+    :class:`SearchBudgetExceededError`."""
+    for j, (m, u, v) in enumerate(lat.run(moving, fixed), 1):
+        if j > left:
+            raise SearchBudgetExceededError
+        if hit(j, m, u, v):
+            nth -= 1
+            if not nth:
+                return j, m, (u, v)
 
 
 def find_block(
@@ -163,10 +112,12 @@ def find_block(
 
     a >= DEFAULT_A_MIN, b and c are the smallest admissible values and d
     the d_index-th one whose height lands in J = DEFAULT_J; both bounds
-    are constants.  The searches step the orbit on the integer lattice of
-    z and J; the certificate is :func:`trace_word`, and a block that fails
-    it raises :class:`DerivationError` naming its digits.  A search that
-    runs out of ``budget`` raises :class:`SearchBudgetExceededError`.
+    are constants.  Each search steps the orbit on the integer lattice of
+    z and J with :func:`_search`, one unit of ``budget`` per step, so a
+    block spends exactly a + b + c + d and ``budget`` caps that sum; past
+    it the search raises :class:`SearchBudgetExceededError`.  The
+    certificate is :func:`trace_word`, and a block that fails it raises
+    :class:`DerivationError` naming its digits.
     """
     if d_index < 1:
         raise ValueError("d_index is 1-based")
@@ -175,34 +126,67 @@ def find_block(
         raise ValueError(f"height {z.y} outside (0, 1/2)")
     lo, hi = DEFAULT_J
     lat = Lattice(z.x, z.y, lo, hi)
+    half, D = lat.half, lat.D
     y = lat.embed(z.y)
-    J_lat = (lat.embed(lo), lat.embed(hi))
-    bud = _Budget(budget)
-    a, a_prime, x1 = next(_a_candidates(lat, lat.embed(z.x), y, bud))
-    # two single steps with the derivation's region cross-checks
-    y2, m = _step(lat, y, x1)
-    if m > 0:
-        raise DerivationError("z2 unexpectedly in S")
-    x3, m = _step(lat, x1, y2)
-    if m < 0:
-        raise DerivationError("z3 unexpectedly outside S")
-    if not negative(*x3, lat.D):
-        raise DerivationError("x3 should be negative")
-    _require_irrational(x3[1], "x3")
+    (lu, lv), (hu, hv) = lat.embed(lo), lat.embed(hi)
+    try:
+        # a: eps1 = x1 + 1/2 must lie in (0, window), window = min(y, 1/2 - y)/2;
+        # in lattice units W * eps1 = eu + v sqrt(D) and 2W * window = w1u + w1v sqrt(D);
+        # m > 0 is the paper's condition, implied here: j steps wrap at most
+        # eps1 + j y < j/2 times
+        w1u, w1v = _half_min(lat, y)
 
-    b, b_prime, y4 = next(_b_candidates(lat, x3, y2, a_prime, bud))
-    x5, m = _step(lat, x3, y4)
-    if m > 0:
-        raise DerivationError("z5 unexpectedly in S")
-    y6, m = _step(lat, y4, x5)
-    if m < 0:
-        raise DerivationError("z6 unexpectedly outside S")
-    _require_irrational(y6[1], "y6")
+        def in_a(j, m, u, v):
+            eu = u + half
+            return (j >= DEFAULT_A_MIN and m > 0 and negative(-eu, -v, D)
+                    and negative(2 * eu - w1u, 2 * v - w1v, D))
 
-    c, x7 = next(_c_candidates(lat, x5, y6, b_prime - a_prime, bud))
-    _require_irrational(x7[1], "x7")
+        a, a_prime, x1 = _search(lat, lat.embed(z.x), y, budget, in_a)
+        # two single steps with the derivation's region cross-checks
+        y2, m = _step(lat, y, x1)
+        if m > 0:
+            raise DerivationError("z2 unexpectedly in S")
+        x3, m = _step(lat, x1, y2)
+        if m < 0:
+            raise DerivationError("z3 unexpectedly outside S")
+        if not negative(*x3, D):
+            raise DerivationError("x3 should be negative")
+        _require_irrational(x3[1], "x3")
 
-    d, y_out = next(islice(_d_candidates(lat, x7, y6, J_lat, bud), d_index - 1, None))
+        # b: eps2 = 1/2 - y4 must lie in (0, window), window = min(-x3, 1/2 + x3)/2;
+        # in lattice units W * eps2 = eu - v sqrt(D) and 2W * window = w2u + w2v sqrt(D)
+        w2u, w2v = _half_min(lat, (-x3[0], -x3[1]))
+
+        def in_b(j, m, u, v):
+            eu = half - u
+            return (m > a_prime and negative(-eu, v, D)
+                    and negative(2 * eu - w2u, -2 * v - w2v, D))
+
+        b, b_prime, y4 = _search(lat, y2, x3, budget - a, in_b)
+        x5, m = _step(lat, x3, y4)
+        if m > 0:
+            raise DerivationError("z5 unexpectedly in S")
+        y6, m = _step(lat, y4, x5)
+        if m < 0:
+            raise DerivationError("z6 unexpectedly outside S")
+        _require_irrational(y6[1], "y6")
+
+        # c: the running count cancels the accumulated shear exponent b' - a'
+        def in_c(j, m, u, v):
+            return m == b_prime - a_prime
+
+        c, _, x7 = _search(lat, x5, y6, budget - a - b, in_c)
+        _require_irrational(x7[1], "x7")
+
+        # d: the height lands in the closed interval J
+        def in_d(j, m, u, v):
+            return not negative(u - lu, v - lv, D) and not negative(hu - u, hv - v, D)
+
+        d, _, y_out = _search(lat, y6, x7, budget - a - b - c, in_d, d_index)
+    except SearchBudgetExceededError:
+        raise SearchBudgetExceededError(
+            f"budget of {budget} generator applications exhausted"
+        ) from None
     digits = (a, 1, 1, b, 1, 1, c, d)
     tr = trace_word(z, GenWord.from_digits(digits))
     if not (tr.final == lat.point(x7, y_out) and lo <= tr.final.y <= hi
@@ -211,12 +195,9 @@ def find_block(
     return IrrationalBlockParams(
         a=a, b=b, c=c, d=d,
         z_out=tr.final,
-        eps1=lat.scalar((x1[0] + lat.half, x1[1])),
-        eps2=lat.scalar((lat.half - y4[0], -y4[1])),
+        eps1=lat.scalar((x1[0] + half, x1[1])),
+        eps2=lat.scalar((half - y4[0], -y4[1])),
     )
-
-
-DChoiceRule = DigitRule
 
 
 def _irrational_blocks(z0: TorusPoint, choices: DigitRule, budget: int) -> Iterator[BlockRecord]:

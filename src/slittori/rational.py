@@ -203,8 +203,6 @@ class NkRuleError(ValueError):
     """A free digit violates the 2q-multiple constraint."""
 
 
-NkRule = DigitRule
-
 
 def _rational_blocks(param: RationalParam, nk: DigitRule) -> Iterator[BlockRecord]:
     block = block_for(param).digits

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from slittori.directions import BlockRecord, DirectionSpec
+from slittori.directions import BlockRecord, DigitRule, DirectionSpec
 from slittori.exact import ExactScalar
-from slittori.rational import NkRule, RationalParam, direction_stream
+from slittori.rational import RationalParam, direction_stream
 
 
 def explicit_spec(z0, y_bounds, block_digit_lists, endpoints=None):
@@ -25,7 +25,7 @@ def explicit_spec(z0, y_bounds, block_digit_lists, endpoints=None):
 @pytest.fixture
 def quarter_spec():
     return direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
 
 

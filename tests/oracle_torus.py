@@ -24,12 +24,27 @@ from slittori.irrational import (
     DEFAULT_J,
     DerivationError,
     SearchBudgetExceededError,
-    _Budget,
 )
 from slittori.torus import HomologyAction, TorusPoint
 from slittori.words import H_MINUS, H_PLUS, IDENTITY, GenWord, IntMat2
 
 GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
+
+
+class Budget:
+    """The reference searches' own count of generator applications: one
+    unit before each step, exhausted past ``limit``."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise SearchBudgetExceededError(
+                f"budget of {self.limit} generator applications exhausted"
+            )
 
 
 def matrix_power(m: IntMat2, n: int) -> IntMat2:
@@ -158,7 +173,7 @@ def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:
     return out
 
 
-def a_candidates(z: TorusPoint, a_min: int, budget: _Budget) -> Iterator[tuple[int, int, ExactScalar]]:
+def a_candidates(z: TorusPoint, a_min: int, budget: Budget) -> Iterator[tuple[int, int, ExactScalar]]:
     x, y = z.x, z.y
     half = Fraction(1, 2)
     window = min(y, ExactScalar(1, 0, 2) - y) * Fraction(1, 2)
@@ -177,7 +192,7 @@ def a_candidates(z: TorusPoint, a_min: int, budget: _Budget) -> Iterator[tuple[i
             yield (j, m, cur)
 
 
-def b_candidates(z3: TorusPoint, a_prime: int, budget: _Budget) -> Iterator[tuple[int, int, ExactScalar]]:
+def b_candidates(z3: TorusPoint, a_prime: int, budget: Budget) -> Iterator[tuple[int, int, ExactScalar]]:
     x3, y3 = z3.x, z3.y
     half = Fraction(1, 2)
     ax3 = abs(x3)
@@ -197,7 +212,7 @@ def b_candidates(z3: TorusPoint, a_prime: int, budget: _Budget) -> Iterator[tupl
             yield (j, m, cur)
 
 
-def c_candidates(z6: TorusPoint, target: int, budget: _Budget) -> Iterator[tuple[int, ExactScalar]]:
+def c_candidates(z6: TorusPoint, target: int, budget: Budget) -> Iterator[tuple[int, ExactScalar]]:
     x6, y6 = z6.x, z6.y
     cur = x6
     m = 0
@@ -211,7 +226,7 @@ def c_candidates(z6: TorusPoint, target: int, budget: _Budget) -> Iterator[tuple
             yield (j, cur)
 
 
-def d_candidates(z7: TorusPoint, J, budget: _Budget) -> Iterator[tuple[int, ExactScalar]]:
+def d_candidates(z7: TorusPoint, J, budget: Budget) -> Iterator[tuple[int, ExactScalar]]:
     x7, y7 = z7.x, z7.y
     lo, hi = J
     cur = y7
@@ -235,7 +250,7 @@ def find_block(
     """((a, b, c, d), z_out, eps1, eps2, budget used) of the first certified block."""
     J = (scalar(J[0]), scalar(J[1]))
     y = z.y
-    bud = _Budget(budget)
+    bud = Budget(budget)
     widenings = 0
     for a, a_prime, x1 in a_candidates(z, a_min, bud):
         eps1 = x1 + Fraction(1, 2)

@@ -20,6 +20,7 @@ from slittori.dimension import (
     solve_su,
     sqrt_contraction,
 )
+from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
 from slittori.flow import (
     BilliardState,
@@ -32,9 +33,8 @@ from slittori.flow import (
     _beta_crossings,
     _run_closed,
 )
-from slittori.irrational import DChoiceRule, direction_stream_irrational
+from slittori.irrational import direction_stream_irrational
 from slittori.rational import (
-    NkRule,
     RationalParam,
     block_for,
     certify_fixing,
@@ -98,7 +98,7 @@ def test_criterion_2_fixing_certification_exhaustive():
 def test_criterion_3_verification_and_faults():
     b = Budget("3 (criterion verification)", 10.0)
     spec = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
     report = verify(spec, 10)
     assert report.overall
@@ -145,7 +145,7 @@ def test_criterion_4_irrational_construction():
         assert lo <= tr.final.y <= hi
         assert tr.action.fixes_beta
         z = blk.endpoint
-    other = direction_stream_irrational(lam, DChoiceRule("const", (2,)))
+    other = direction_stream_irrational(lam, DigitRule("const", (2,)))
     assert spec.digits_prefix(8) != other.digits_prefix(8)
     b.done("3 certified blocks; distinct d-choices diverge")
 
@@ -254,7 +254,7 @@ def test_criterion_7_simulator_validation():
 
     # equidistribution proxy at T = 1e6 (snapshots at T/4, T/2, T)
     spec = direction_stream(
-        RationalParam.from_barrier_length(lam), NkRule("const", (1,))
+        RationalParam.from_barrier_length(lam), DigitRule("const", (1,))
     )
     slope = slope_from_spec(spec)
     stats = simulate(model, slope, 10**6)
@@ -289,7 +289,7 @@ def test_criterion_8_determinism(tmp_path):
 
     model = build_surface(TorusPoint.of(0, Fraction(1, 4)))
     spec = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
     slope = slope_from_spec(spec)
     outs = []

@@ -17,10 +17,11 @@ import oracle_torus as oracle
 from slittori.cli import _build_parser, load_spec, main, spec_from_provenance, spec_to_dict
 from slittori.criterion import verify
 from slittori.dimension import DimensionProblem, dimension_certificate, exact_sqrt_partial_sum
+from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
 from slittori.flow import OrbitStats, simulate, slope_from_spec
 from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational, find_block
-from slittori.rational import NkRule, RationalParam, direction_stream
+from slittori.rational import RationalParam, direction_stream
 from slittori.torus import trace_word
 
 
@@ -71,7 +72,7 @@ def test_build_verify_roundtrip(tmp_path, capsys):
 
     # file-loaded verification equals in-memory verification
     spec_mem = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
     assert verify(load_spec(str(spec_path)), 3).as_dict() == verify(spec_mem, 3).as_dict()
 
@@ -450,6 +451,17 @@ def test_load_spec_refuses_tampered_fields(tmp_path, capsys, golden, tamper):
             },
             "spec file provenance has unknown keys extra",
         ),
+        (
+            {
+                "format_version": 1,
+                "provenance": {
+                    "type": "rational", "r": 0, "s": 1, "q": 2,
+                    "nk_rule": {"kind": "const", "params": [1]},
+                },
+                "extra": 5,
+            },
+            "spec file has unknown keys extra",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "simulate"])
@@ -706,7 +718,7 @@ def test_billiard_theta_degrees(capsys):
 
 def test_spec_file_shape(tmp_path, capsys):
     spec = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 6)), NkRule("arith", (6, 0))
+        RationalParam.from_barrier_length(Fraction(1, 6)), DigitRule("arith", (6, 0))
     )
     doc = spec_to_dict(spec, 2)
     assert doc["format_version"] == 1

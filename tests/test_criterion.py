@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from slittori.criterion import masur_entries, masur_structural, verify, wedge_threshold
+from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
-from slittori.rational import NkRule, RationalParam, direction_stream
+from slittori.rational import RationalParam, direction_stream
 from slittori.torus import TorusPoint
 
 from conftest import explicit_spec
@@ -28,7 +29,7 @@ def test_verify_quarter_horizon3(quarter_spec):
 
 
 def test_strip_area_equals_one_minus_height():
-    spec = direction_stream(RationalParam(0, 2, 5), NkRule("const", (1,)))
+    spec = direction_stream(RationalParam(0, 2, 5), DigitRule("const", (1,)))
     report = verify(spec, 2)
     assert report.overall
     # area = (q - s)/q exactly
@@ -162,11 +163,11 @@ def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypa
     def make():
         if stream == "quarter":
             return direction_stream(
-                RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+                RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
             )
         if stream == "sixth_arith":
             return direction_stream(
-                RationalParam.from_barrier_length(Fraction(1, 6)), NkRule("arith", (2, 1))
+                RationalParam.from_barrier_length(Fraction(1, 6)), DigitRule("arith", (2, 1))
             )
         return direction_stream_irrational(ExactScalar(0, 1, 4, 2))
 
@@ -240,16 +241,15 @@ def test_precision_retry_reports_last_precision_tried(quarter_spec, monkeypatch)
 
 def _stream(name):
     """A fresh spec for a differential or trace-count case."""
-    from slittori.directions import DigitRule
     from slittori.irrational import direction_stream_irrational
 
     if name == "quarter":
         return direction_stream(
-            RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+            RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
         )
     if name == "sixth_arith":
         return direction_stream(
-            RationalParam.from_barrier_length(Fraction(1, 6)), NkRule("arith", (2, 1))
+            RationalParam.from_barrier_length(Fraction(1, 6)), DigitRule("arith", (2, 1))
         )
     if name == "sqrt2":
         return direction_stream_irrational(ExactScalar(0, 1, 4, 2))

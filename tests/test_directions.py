@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from slittori.directions import BlockRecord, DigitRule, DigitStreamExhaustedError, DirectionSpec
-from slittori.irrational import DChoiceRule
-from slittori.rational import NkRule, RationalParam, direction_stream
+from slittori.rational import RationalParam, direction_stream
 from slittori.torus import TorusPoint
 
 
@@ -26,7 +25,7 @@ def test_y_bounds_validation():
 
 def test_digit_indexing_and_caching():
     spec = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (2,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (2,))
     )
     assert spec.digit(8) == 2
     assert spec.cached_blocks == 1
@@ -39,7 +38,7 @@ def test_digit_indexing_and_caching():
 
 def test_alpha_enclosure_tightens():
     spec = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
     wide = spec.alpha_enclosure(16)
     tight = spec.alpha_enclosure(256)
@@ -48,7 +47,6 @@ def test_alpha_enclosure_tightens():
 
 
 def test_one_digit_rule_for_both_builders():
-    assert NkRule is DChoiceRule is DigitRule
     rules = [
         (DigitRule(), [1, 1, 1]),
         (DigitRule("const", (4,)), [4, 4, 4]),

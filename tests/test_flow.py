@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from slittori import flow
+from slittori.directions import DigitRule
 from slittori.exact import ExactScalar, mod_half_open
 from slittori.flow import (
     BilliardState,
@@ -22,7 +23,7 @@ from slittori.flow import (
     _beta_crossings,
 )
 from slittori.irrational import direction_stream_irrational
-from slittori.rational import NkRule, RationalParam, direction_stream
+from slittori.rational import RationalParam, direction_stream
 from slittori.torus import TorusPoint
 
 H = Fraction(1, 2)
@@ -36,7 +37,7 @@ def quarter_model():
 @pytest.fixture(scope="module")
 def quarter_slope():
     spec = direction_stream(
-        RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+        RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
     return slope_from_spec(spec)
 
@@ -264,10 +265,10 @@ def _reference_slope(spec, precision_bits):
     "stream",
     [
         lambda: direction_stream(
-            RationalParam.from_barrier_length(Fraction(1, 4)), NkRule("const", (1,))
+            RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
         ),
         lambda: direction_stream(
-            RationalParam.from_barrier_length(Fraction(3, 10)), NkRule("arith", (2, 1))
+            RationalParam.from_barrier_length(Fraction(3, 10)), DigitRule("arith", (2, 1))
         ),
         lambda: direction_stream_irrational(ExactScalar(0, 1, 4, 2)),
     ],
@@ -518,9 +519,9 @@ def test_simulate_matches_oracle():
         return CoverState(rng.randrange(2), x, frac(rng.randint(1, 40)), rng.randint(-3, 3))
 
     streams = (
-        (Fraction(1, 4), NkRule("const", (1,))),
-        (Fraction(1, 6), NkRule("arith", (2, 1))),
-        (Fraction(3, 10), NkRule("const", (2,))),
+        (Fraction(1, 4), DigitRule("const", (1,))),
+        (Fraction(1, 6), DigitRule("arith", (2, 1))),
+        (Fraction(3, 10), DigitRule("const", (2,))),
     )
     convergents = [
         _reference_slope(direction_stream(RationalParam.from_barrier_length(lam), rule), bits)
@@ -604,7 +605,6 @@ def test_simulate_matches_lattice_oracle():
     and must be counted in the segment that ends there.
     """
     import oracle_flow as oracle
-    from slittori.directions import DigitRule
     from slittori.flow import OrbitStats
 
     rng = random.Random(16)

@@ -6,25 +6,21 @@ import pytest
 import oracle_torus as oracle
 from oracle_torus import in_region_S
 from slittori import irrational
-from slittori.exact import ExactScalar, FieldMismatchError
+from slittori.directions import DigitRule
+from slittori.exact import ExactScalar, FieldMismatchError, mod_half_open
 from slittori.irrational import (
-    DChoiceRule,
     DerivationError,
     SearchBudgetExceededError,
-    _a_candidates,
-    _b_candidates,
-    _Budget,
-    _c_candidates,
-    _d_candidates,
     direction_stream_irrational,
     find_block,
 )
-from slittori.torus import ActionTrace, HomologyAction, Lattice, TorusPoint, trace_word
+from slittori.torus import ActionTrace, HomologyAction, TorusPoint, trace_word
 from slittori.words import H_PLUS, GenWord
 
 SQRT2_OVER_4 = ExactScalar(0, 1, 4, 2)
 J = (Fraction(1, 6), Fraction(1, 3))
 LAMBDAS = (SQRT2_OVER_4, ExactScalar(0, 1, 4, 3), ExactScalar(-1, 1, 3, 5))
+SEARCH_CAP = 3000  # steps per search in the differential window test
 
 
 def test_rational_lambda_rejected():
@@ -79,11 +75,11 @@ def test_block_region_crosschecks():
 
 def test_d_choice_produces_distinct_streams():
     s1 = direction_stream_irrational(SQRT2_OVER_4)
-    s2 = direction_stream_irrational(SQRT2_OVER_4, DChoiceRule("const", (2,)))
+    s2 = direction_stream_irrational(SQRT2_OVER_4, DigitRule("const", (2,)))
     d1, d2 = s1.digits_prefix(8), s2.digits_prefix(8)
     assert d1[:7] == d2[:7]
     assert d1[7] != d2[7]
-    s3 = direction_stream_irrational(SQRT2_OVER_4, DChoiceRule("list", (1, 2)))
+    s3 = direction_stream_irrational(SQRT2_OVER_4, DigitRule("list", (1, 2)))
     assert s3.digits_prefix(8) == d1
     assert s3.digits_prefix(16) != s1.digits_prefix(16)
 
@@ -152,42 +148,103 @@ def _first(candidates, budget, n=3):
     return out
 
 
-def test_window_searches_match_oracle():
-    rng = random.Random(53)
+def _starts(rng, per_lambda=2):
+    """For each lambda of LAMBDAS: (0, lambda) and ``per_lambda`` seeded
+    starts (x, lambda) with x in the lambda's field."""
+    starts = []
     for lam in LAMBDAS:
-        D = lam.D
-        for trial in range(3):
-            if trial == 0:
-                z = TorusPoint(ExactScalar(0), lam)
-            else:
-                w = rng.randint(2, 30)
-                z = TorusPoint.of(ExactScalar(rng.randint(-w, w), rng.randint(1, w), w, D), lam)
-            x, y = z.x, z.y
-            J_exact = tuple(ExactScalar.from_fraction(j) for j in J)
-            lat = Lattice(x, y, *J_exact)
-            ex, ey = lat.embed(x), lat.embed(y)
-            lat_J = tuple(lat.embed(j) for j in J_exact)
+        starts.append(TorusPoint(ExactScalar(0), lam))
+        for _ in range(per_lambda):
+            w = rng.randint(2, 30)
+            x = ExactScalar(rng.randint(-w, w), rng.randint(1, w), w, lam.D)
+            starts.append(TorusPoint.of(x, lam))
+    return starts
 
-            def scalars(items):
-                return [
-                    (item if item == "exhausted" else item[:-1] + (lat.scalar(item[-1]),), used)
-                    for item, used in items
-                ]
 
-            searches = [
-                (lambda b: _a_candidates(lat, ex, ey, b),
-                 lambda b: oracle.a_candidates(z, 6, b)),
-                (lambda b: _b_candidates(lat, ex, ey, 1, b),
-                 lambda b: oracle.b_candidates(z, 1, b)),
-                (lambda b: _c_candidates(lat, ex, ey, 2, b),
-                 lambda b: oracle.c_candidates(z, 2, b)),
-                (lambda b: _d_candidates(lat, ex, ey, lat_J, b),
-                 lambda b: oracle.d_candidates(z, J, b)),
+def _spy_searches(monkeypatch, starts):
+    """Run find_block from each start with a spy on ``irrational._search``;
+    per block, its four searches as (lat, moving, fixed, left, hit, found)."""
+    calls = []
+    search = irrational._search
+
+    def spy(lat, moving, fixed, left, hit, nth=1):
+        found = search(lat, moving, fixed, left, hit, nth)
+        calls.append((lat, moving, fixed, left, hit, found))
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(irrational, "_search", spy)
+        for z in starts:
+            find_block(z)
+    assert len(calls) == 4 * len(starts)
+    return [calls[i:i + 4] for i in range(0, len(calls), 4)]
+
+
+def _landing(lat, fixed, point, k):
+    """The start whose k-th step against ``fixed`` lands on ``point``."""
+    return lat.embed(mod_half_open(lat.scalar(point) + lat.scalar(fixed) * k))
+
+
+def _search_hits(lat, moving, fixed, hit, with_m, left=SEARCH_CAP, n=3):
+    """The first n hits of ``_search``, each with the budget spent to reach
+    it, which is its step j, in the form of ``_first`` on the oracle."""
+    out = []
+    for nth in range(1, n + 1):
+        try:
+            j, m, c = irrational._search(lat, moving, fixed, left, hit, nth)
+        except SearchBudgetExceededError:
+            return out + [("exhausted", left + 1)]
+        out.append(((j, m, lat.scalar(c)) if with_m else (j, lat.scalar(c)), j))
+    return out
+
+
+def test_window_searches_match_oracle(monkeypatch):
+    # every search of find_block is re-run with its own window test, from
+    # its own start and from starts whose k-th step lands on its hit (a, b)
+    # or on either end of J (d); each must give the first three candidates
+    # of the oracle's search and the budget spent on each
+    rng = random.Random(53)
+    budget = irrational.DEFAULT_BUDGET
+    for block in _spy_searches(monkeypatch, _starts(rng)):
+        (a, a_prime, x1), (b, b_prime, y4), (c, _, _), _ = (call[-1] for call in block)
+        lat = block[0][0]
+        assert [call[3] for call in block] == [
+            budget, budget - a, budget - a - b, budget - a - b - c
+        ]
+        searches = [
+            # (oracle search from (moving, fixed), whether it reports m, landing points)
+            (lambda mv, fx, bud: oracle.a_candidates(TorusPoint(mv, fx), 6, bud), True, [x1]),
+            (lambda mv, fx, bud: oracle.b_candidates(TorusPoint(fx, mv), a_prime, bud),
+             True, [y4]),
+            (lambda mv, fx, bud: oracle.c_candidates(TorusPoint(mv, fx), b_prime - a_prime, bud),
+             False, []),
+            (lambda mv, fx, bud: oracle.d_candidates(TorusPoint(fx, mv), J, bud),
+             False, [lat.embed(ExactScalar.from_fraction(j)) for j in J]),
+        ]
+        for (_, moving, fixed, _, hit, _), (old, with_m, points) in zip(block, searches):
+            starts = [moving] + [
+                _landing(lat, fixed, p, k) for p in points for k in range(1, 13)
             ]
-            for new, old in searches:
-                new_budget, old_budget = _Budget(3000), _Budget(3000)
-                got = scalars(_first(new(new_budget), new_budget))
-                assert got == _first(old(old_budget), old_budget)
+            for start in starts:
+                got = _search_hits(lat, start, fixed, hit, with_m)
+                old_budget = oracle.Budget(SEARCH_CAP)
+                mv, fx = lat.scalar(start), lat.scalar(fixed)
+                assert got == _first(old(mv, fx, old_budget), old_budget)
+
+
+def test_budget_is_the_digit_sum():
+    # one unit per search step, up to the step each search returns, and the
+    # four single steps are free: a block needs exactly a + b + c + d
+    for z in _starts(random.Random(71)):
+        for d_index in (1, 2, 3):
+            blk = find_block(z, d_index)
+            spent = blk.a + blk.b + blk.c + blk.d
+            assert find_block(z, d_index, budget=spent) == blk
+            with pytest.raises(
+                SearchBudgetExceededError,
+                match=f"^budget of {spent - 1} generator applications exhausted$",
+            ):
+                find_block(z, d_index, budget=spent - 1)
 
 
 def test_budget_boundary_matches_oracle():

@@ -7,13 +7,12 @@ import pytest
 import oracle_rational as oracle
 import slittori.rational as rational
 from slittori.cli import main
-from slittori.directions import DigitStreamExhaustedError
+from slittori.directions import DigitRule, DigitStreamExhaustedError
 from slittori.exact import ExactScalar
-from slittori.irrational import DChoiceRule, direction_stream_irrational
+from slittori.irrational import direction_stream_irrational
 from slittori.rational import (
     Block,
     CongruenceError,
-    NkRule,
     NkRuleError,
     RationalParam,
     block_for,
@@ -211,37 +210,37 @@ def test_first_digit_dominates_height():
 
 
 def test_direction_stream_digits():
-    spec = direction_stream(barrier("1/4"), NkRule("const", (1,)))
+    spec = direction_stream(barrier("1/4"), DigitRule("const", (1,)))
     assert spec.digits_prefix(16) == (5, 1, 1, 7, 1, 1, 2, 1) * 2
     assert spec.z0 == TorusPoint.of(0, Fraction(1, 4))
     assert spec.y_bounds[0] == spec.y_bounds[1] == Fraction(1, 4)
-    spec6 = direction_stream(barrier("1/6"), NkRule("arith", (6, 0)))
+    spec6 = direction_stream(barrier("1/6"), DigitRule("arith", (6, 0)))
     assert spec6.digits_prefix(16) == (8, 1, 1, 11, 1, 1, 3, 6, 8, 1, 1, 11, 1, 1, 3, 12)
 
 
 def test_nk_constraint_for_nonzero_r():
     param = RationalParam(1, 1, 2)  # z = (1/4, 1/4), period 2q = 4
     with pytest.raises(NkRuleError):
-        direction_stream(param, NkRule("const", (3,)))
-    spec = direction_stream(param, NkRule("const", (4,)))
+        direction_stream(param, DigitRule("const", (3,)))
+    spec = direction_stream(param, DigitRule("const", (4,)))
     assert spec.digits_prefix(8)[-1] == 4
     with pytest.raises(NkRuleError):
-        direction_stream(param, NkRule("list", (4, 6)))
+        direction_stream(param, DigitRule("list", (4, 6)))
     with pytest.raises(NkRuleError):  # n_1 = 4 but n_2 = 5
-        direction_stream(param, NkRule("arith", (1, 3)))
+        direction_stream(param, DigitRule("arith", (1, 3)))
     with pytest.raises(NkRuleError):  # the default digit 1
-        direction_stream(param, NkRule())
+        direction_stream(param, DigitRule())
 
 
 def test_nk_list_exhaustion():
-    spec = direction_stream(barrier("1/4"), NkRule("list", (1, 2)))
+    spec = direction_stream(barrier("1/4"), DigitRule("list", (1, 2)))
     assert spec.digits_prefix(16)[-1] == 2
     with pytest.raises(DigitStreamExhaustedError):
         spec.digits_prefix(24)
 
 
 def test_d_choice_list_exhaustion(capsys):
-    spec = direction_stream_irrational(ExactScalar(0, 1, 4, 2), DChoiceRule("list", (1, 2)))
+    spec = direction_stream_irrational(ExactScalar(0, 1, 4, 2), DigitRule("list", (1, 2)))
     assert len(spec.digits_prefix(16)) == 16
     with pytest.raises(DigitStreamExhaustedError):
         spec.digits_prefix(24)
@@ -253,15 +252,15 @@ def test_d_choice_list_exhaustion(capsys):
 
 def test_nk_rule_validation():
     with pytest.raises(ValueError):
-        NkRule("const", (0,))
+        DigitRule("const", (0,))
     with pytest.raises(ValueError):
-        NkRule("arith", (0, 0))
+        DigitRule("arith", (0, 0))
     with pytest.raises(ValueError):
-        NkRule("nope", (1,))
+        DigitRule("nope", (1,))
 
 
 def test_checkpoints_return_to_start():
-    spec = direction_stream(barrier("1/4"), NkRule("const", (1,)))
+    spec = direction_stream(barrier("1/4"), DigitRule("const", (1,)))
     for n in (1, 2, 3):
         assert spec.checkpoint_point(n) == spec.z0
 

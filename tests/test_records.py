@@ -20,7 +20,7 @@ import pytest
 import slittori
 from slittori.criterion import CheckpointRecord, CylinderStrip, VerificationReport
 from slittori.dimension import DimensionCertificate, DimensionProblem
-from slittori.directions import BlockRecord
+from slittori.directions import BlockRecord, DigitRule
 from slittori.exact import ExactScalar, Frozen, Record
 from slittori.flow import (
     BilliardState,
@@ -32,7 +32,7 @@ from slittori.flow import (
 )
 from slittori.intervals import RatInterval
 from slittori.irrational import IrrationalBlockParams
-from slittori.rational import Block, CongruencePair, FixingCertificate, NkRule, RationalParam
+from slittori.rational import Block, CongruencePair, FixingCertificate, RationalParam
 from slittori.torus import ActionTrace, HomologyAction, TorusPoint
 from slittori.words import GenWord, IntMat2
 
@@ -54,7 +54,7 @@ FROZEN = {
         ("fixes_point", "action_is_identity", "h_minus_period"),
         lambda: (True, False, 6),
     ),
-    NkRule: (("kind", "params"), lambda: ("arith", (2, 1))),
+    DigitRule: (("kind", "params"), lambda: ("arith", (2, 1))),
     IrrationalBlockParams: (
         ("a", "b", "c", "d", "z_out", "eps1", "eps2"),
         lambda: (7, 3, 2, 5, P, ExactScalar(1, 0, 10), ExactScalar(1, 0, 20)),
@@ -127,7 +127,7 @@ VALUES = {
     CongruencePair: (1, 2, None),
     Block: ((2, 1, 1, 3, 1, 1, 3),),
     FixingCertificate: (True, False, 1),
-    NkRule: ("arith", (2, 2)),
+    DigitRule: ("arith", (2, 2)),
     IrrationalBlockParams: (7, 3, 2, 5, P, ExactScalar(1, 0, 10), ExactScalar(1, 0, 30)),
     CylinderStrip: (1, (2, 3), ExactScalar(1, 0, 3)),
     DimensionProblem: ((1, 2, 1), 2, 2),
@@ -142,13 +142,8 @@ VALUES = {
 }
 
 
-# NkRule is now a second name of directions.DigitRule; its cases keep the
-# name under which the rational digit rule has always been checked.
-CASE_NAMES = {NkRule: "NkRule"}
-
-
 def ids(classes):
-    return [CASE_NAMES.get(c, c.__name__) for c in classes]
+    return [c.__name__ for c in classes]
 
 
 def test_every_record_is_covered():
@@ -256,7 +251,7 @@ def test_reprs_keep_the_dataclass_format():
     assert repr(HomologyAction(IntMat2(1, 0, 2, 1))) == (
         "HomologyAction(IntMat2(a=1, b=0, c=2, d=1))"
     )
-    assert repr(NkRule("arith", (2, 1))) == "DigitRule(kind='arith', params=(2, 1))"
+    assert repr(DigitRule("arith", (2, 1))) == "DigitRule(kind='arith', params=(2, 1))"
     assert repr(RatInterval(Fraction(1, 3), Fraction(1, 2))) == (
         "RatInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
     )
