@@ -29,18 +29,18 @@ class RatInterval(Frozen):
         _set_lo(self, lo)
         _set_hi(self, hi)
 
-    @classmethod
-    def point(cls, q) -> "RatInterval":
-        q = Fraction(q)
-        return cls(q, q)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
+    # A scalar operand (int or Fraction) enters each endpoint directly; a
+    # product by k takes two products, in the order the sign of k gives.
+
     def __add__(self, other):
-        o = _as_interval(other)
-        return RatInterval(self.lo + o.lo, self.hi + o.hi)
+        if isinstance(other, RatInterval):
+            return RatInterval(self.lo + other.lo, self.hi + other.hi)
+        k = _scalar(other)
+        return RatInterval(self.lo + k, self.hi + k)
 
     __radd__ = __add__
 
@@ -48,15 +48,23 @@ class RatInterval(Frozen):
         return RatInterval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        return self + (-_as_interval(other))
+        if isinstance(other, RatInterval):
+            return RatInterval(self.lo - other.hi, self.hi - other.lo)
+        k = _scalar(other)
+        return RatInterval(self.lo - k, self.hi - k)
 
     def __rsub__(self, other):
-        return _as_interval(other) + (-self)
+        k = _scalar(other)
+        return RatInterval(k - self.hi, k - self.lo)
 
     def __mul__(self, other):
-        o = _as_interval(other)
-        cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RatInterval(min(cands), max(cands))
+        if isinstance(other, RatInterval):
+            cands = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+            return RatInterval(min(cands), max(cands))
+        k = _scalar(other)
+        if k < 0:
+            return RatInterval(self.hi * k, self.lo * k)
+        return RatInterval(self.lo * k, self.hi * k)
 
     __rmul__ = __mul__
 
@@ -66,10 +74,12 @@ class RatInterval(Frozen):
         return RatInterval(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other):
-        return self * _as_interval(other).reciprocal()
+        if isinstance(other, RatInterval):
+            return self * other.reciprocal()
+        return self * Fraction(1, _scalar(other))
 
     def __rtruediv__(self, other):
-        return _as_interval(other) * self.reciprocal()
+        return self.reciprocal() * _scalar(other)
 
     def __abs__(self):
         if self.lo >= 0:
@@ -116,9 +126,7 @@ class RatInterval(Frozen):
 _set_lo, _set_hi = RatInterval._setters
 
 
-def _as_interval(v) -> RatInterval:
-    if isinstance(v, RatInterval):
-        return v
+def _scalar(v) -> int | Fraction:
     if isinstance(v, (int, Fraction)):
-        return RatInterval.point(v)
+        return v
     raise TypeError(f"cannot interpret {type(v).__name__} as interval")

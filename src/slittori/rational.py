@@ -27,7 +27,7 @@ from math import gcd
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import Frozen
-from .torus import TorusPoint, trace_rational
+from .torus import TorusPoint, entries_are_identity, entries_fix_beta, trace_rational
 from .words import GenWord
 
 
@@ -171,11 +171,19 @@ _BLOCK_GENERATORS = ("h+", "h-", "h+", "h-", "h+", "h-", "h+")  # of the 7 digit
 
 
 class FixingCertificate(Frozen):
-    __slots__ = ("fixes_point", "action_is_identity", "h_minus_period")  # bool, bool, int
+    __slots__ = ("fixes_point", "action_is_identity", "h_minus_period")
+
+    def __init__(self, fixes_point: bool, action_is_identity: bool, h_minus_period: int):
+        _set_fixes_point(self, fixes_point)
+        _set_action_is_identity(self, action_is_identity)
+        _set_h_minus_period(self, h_minus_period)
 
     @property
     def ok(self) -> bool:
         return self.fixes_point and self.action_is_identity
+
+
+_set_fixes_point, _set_action_is_identity, _set_h_minus_period = FixingCertificate._setters
 
 
 def certify_fixing(param: RationalParam) -> FixingCertificate:
@@ -187,16 +195,17 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     is itself re-verified by a trace.  Both traces run on the lattice
     Z/2q, where z is (r, s), one closed-form syllable at a time; the
     block digits are the syllable exponents directly, with no
-    :class:`~slittori.words.GenWord` in between.
+    :class:`~slittori.words.GenWord` in between, and the verdicts are
+    read from the canonical action entries, with no matrix or
+    :class:`~slittori.torus.HomologyAction` built.
     """
     r, s, q = param.r, param.s, param.q
     period = 1 if r == 0 else 2 * q
     word = zip(_BLOCK_GENERATORS, block_for(param).digits)
     x, y, action = trace_rational(2 * q, r, s, word)
     x_h, y_h, action_h = trace_rational(2 * q, r, s, (("h-", period),))
-    period_ok = (x_h, y_h) == (r, s) and action_h.fixes_beta
-    # positional: the base constructor binds keywords at about twice the cost
-    return FixingCertificate((x, y) == (r, s) and period_ok, action.is_identity, period)
+    period_ok = (x_h, y_h) == (r, s) and entries_fix_beta(*action_h)
+    return FixingCertificate((x, y) == (r, s) and period_ok, entries_are_identity(*action), period)
 
 
 class NkRuleError(ValueError):

@@ -15,9 +15,15 @@ and the generator's inverse otherwise.  Tracing a word g = g1 g2 ... gN
 through its elementary steps therefore computes both the orbit
 z, g1^-1 z, g2^-1 g1^-1 z, ... and the induced map g_*(g^-1 z) on the
 rank-2 anti-invariant homology, as an ordered product of per-step
-factors.  The action is only defined up to a global sign, which
-:class:`HomologyAction` canonicalizes away.  A trace is an
-:class:`ActionTrace` (final, action): the end point and the action.
+factors.  The action is only defined up to a global sign.  The rules on
+its four entries a, b, c, d are stated once, as functions:
+:func:`canonical_entries` (|det| = 1, and the sign that makes the first
+nonzero entry positive), :func:`entries_are_identity` and
+:func:`entries_fix_beta`.  :class:`HomologyAction` applies them to its
+matrix; a rational fixing certificate reads its verdicts from the entries
+:func:`trace_rational` hands back, with no matrix or action record built.
+A trace is an :class:`ActionTrace` (final, action): the end point and the
+action.
 
 One integer kernel, :class:`Lattice`, implements the stepping rule.  The
 shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
@@ -39,8 +45,8 @@ on the lattice's integers W and D, is the one place that applies it,
 once per syllable, and the one place the homology action is multiplied
 out: :func:`trace_word` takes its end point and action from it,
 and so does :func:`trace_rational`, which takes integer numerators over
-an even W and builds neither a point nor a :class:`Lattice` -- the form
-:func:`slittori.rational.certify_fixing` uses on Z/2q.
+an even W and builds neither a point, a :class:`Lattice` nor a matrix --
+the form :func:`slittori.rational.certify_fixing` uses on Z/2q.
 :meth:`Lattice.run` steps one unit at a time and supplies
 :func:`m_sequence` and the searches and single steps of
 :mod:`slittori.irrational`, which need every intermediate point.  The
@@ -116,36 +122,58 @@ def in_region_E(z: TorusPoint) -> bool:
     return z.x > m and z.y > m
 
 
+def canonical_entries(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The entries of +-[[a, b], [c, d]] with the first nonzero entry positive.
+
+    A determinant other than +-1 raises :class:`ValueError`.
+    """
+    det = a * d - b * c
+    if det != 1 and det != -1:
+        raise ValueError(f"homology action must have det +-1, got {det}")
+    if (a or b or c) < 0:  # d cannot be the first nonzero entry when det != 0
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+def entries_are_identity(a: int, b: int, c: int, d: int) -> bool:
+    """True when the unimodular entries are +-I, the identity of PGL(2,Z)."""
+    return b == 0 and c == 0 and a == d
+
+
+def entries_fix_beta(a: int, b: int, c: int, d: int) -> bool:
+    """True when the unimodular entries are +-(h-)^k, i.e. map beta to +-beta.
+
+    With b = 0 the determinant is a d = +-1, so a = d leaves only +-1 on
+    the diagonal.
+    """
+    return b == 0 and a == d
+
+
 class HomologyAction(Frozen):
     """An element of PGL(2,Z): a 2x2 integer matrix up to global sign.
 
-    The stored representative has its first nonzero entry positive.
+    The stored representative has its first nonzero entry positive, as
+    :func:`canonical_entries` gives it.
     """
 
     __slots__ = ("m",)
 
     def __init__(self, m: IntMat2):
-        a, b, c, d = m.a, m.b, m.c, m.d
-        det = a * d - b * c
-        if abs(det) != 1:
-            raise ValueError(f"homology action must have det +-1, got {det}")
-        if (a or b or c) < 0:  # d cannot be the first nonzero entry when det != 0
-            m = -m
-        _set_m(self, m)
+        entries = m.entries()
+        canonical = canonical_entries(*entries)
+        _set_m(self, m if canonical == entries else IntMat2(*canonical))
 
     def __mul__(self, other: "HomologyAction") -> "HomologyAction":
         return HomologyAction(self.m * other.m)
 
     @property
     def is_identity(self) -> bool:
-        m = self.m
-        return m.a == 1 and m.b == 0 and m.c == 0 and m.d == 1
+        return entries_are_identity(*self.m.entries())
 
     @property
     def fixes_beta(self) -> bool:
         """True when the action is +-(h-)^k, i.e. maps beta to +-beta."""
-        m = self.m
-        return m.b == 0 and m.a == 1 and m.d == 1
+        return entries_fix_beta(*self.m.entries())
 
     @property
     def h_minus_exponent(self) -> int | None:
@@ -264,10 +292,13 @@ def _trace_lattice(
     return (xu, xv), (yu, yv), a, b, c, d
 
 
-def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, HomologyAction]:
+def trace_rational(
+    W: int, x: int, y: int, syllables
+) -> tuple[int, int, tuple[int, int, int, int]]:
     """Trace ``syllables`` from the rational point (x/W, y/W), one
-    closed-form syllable at a time, without building a point: the end
-    point's numerators over W and the homology action there.
+    closed-form syllable at a time, without building a point or a matrix:
+    the end point's numerators over W and the entries of the homology
+    action there, as :func:`canonical_entries` gives them.
 
     W is even and x, y lie in [-W/2, W/2).
     """
@@ -275,7 +306,7 @@ def trace_rational(W: int, x: int, y: int, syllables) -> tuple[int, int, Homolog
     if W < 2 or W % 2 or not (-half <= x < half and -half <= y < half):
         raise ValueError(f"({x}, {y})/{W} is not a point of [-1/2, 1/2)^2 over an even W")
     (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (x, 0), (y, 0), syllables)
-    return x, y, HomologyAction(IntMat2(a, b, c, d))
+    return x, y, canonical_entries(a, b, c, d)
 
 
 def trace_word(z: TorusPoint, word: GenWord) -> ActionTrace:

@@ -1,0 +1,136 @@
+"""Mutation catalogue: each entry breaks one rule of ``src/`` on purpose,
+and the tests it names must fail on the broken copy.
+
+Run from the repository root::
+
+    python tests/mutants.py                # every entry
+    python tests/mutants.py NAME [NAME...] # some entries
+
+First the named tests must pass on the unmutated ``src/``.  Then, for each
+entry, the runner copies ``src/`` to a temporary directory, replaces the
+entry's old text (which must occur exactly once in its file) with the new
+text there, and runs the entry's tests with ``PYTHONPATH`` set to the
+copy.  It prints one ``killed`` or ``survived`` line per entry and exits 1
+when a mutant survives or cannot be applied.  The file name keeps pytest
+from collecting it, so it is not part of the test suite.
+
+A change that breaks a rule in a scratch copy to check its tests adds the
+mutation here instead (DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 1978).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# file is relative to src/slittori; tests are pytest node ids from the root,
+# each of which fails on the mutant by itself
+Mutant = namedtuple("Mutant", "name file old new tests")
+
+TORUS_RULES = "tests/test_torus.py::test_action_rules_on_identity_and_h_minus_powers"
+TORUS_AGREE = "tests/test_torus.py::test_homology_action_agrees_with_the_rules"
+TORUS_DET = "tests/test_torus.py::test_homology_action_canonical_sign"
+SCALAR_OPS = "tests/test_intervals.py::test_scalar_operands_match_point_intervals"
+WINDOWS = "tests/test_irrational.py::test_window_searches_match_oracle"
+DIGIT_SUM = "tests/test_irrational.py::test_budget_is_the_digit_sum"
+BOUNDARY = "tests/test_irrational.py::test_budget_boundary_matches_oracle"
+
+CATALOGUE = (
+    Mutant(
+        "det-check-dropped", "torus.py",
+        "if det != 1 and det != -1:", "if False:",
+        (TORUS_DET,),
+    ),
+    Mutant(
+        "sign-flip-dropped", "torus.py",
+        "if (a or b or c) < 0:", "if False:",
+        (TORUS_RULES, TORUS_AGREE),
+    ),
+    Mutant(
+        "fixes-beta-reads-c", "torus.py",
+        "return b == 0 and a == d", "return c == 0 and a == d",
+        (TORUS_RULES, TORUS_AGREE),
+    ),
+    Mutant(
+        "identity-without-a-equals-d", "torus.py",
+        "return b == 0 and c == 0 and a == d", "return b == 0 and c == 0",
+        (TORUS_RULES, TORUS_AGREE),
+    ),
+    Mutant(
+        "negative-scalar-product-endpoints", "intervals.py",
+        "return RatInterval(self.hi * k, self.lo * k)",
+        "return RatInterval(self.lo * k, self.hi * k)",
+        (SCALAR_OPS,),
+    ),
+    # the window searches of irrational.find_block
+    Mutant(
+        "a-window-open-at-a-min", "irrational.py",
+        "j >= DEFAULT_A_MIN and", "j > DEFAULT_A_MIN and",
+        (WINDOWS, BOUNDARY),
+    ),
+    Mutant(
+        "b-window-closed-at-a-prime", "irrational.py",
+        "m > a_prime and", "m >= a_prime and",
+        (WINDOWS,),
+    ),
+    Mutant(
+        "budget-one-step-short", "irrational.py",
+        "if j > left:", "if j >= left:",
+        (DIGIT_SUM,),
+    ),
+)
+
+
+def pytest_exit(src: Path, tests) -> int:
+    """The exit code of pytest running ``tests`` against the package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def outcome(mutant: Mutant) -> str:
+    """killed, survived, or why the mutant could not be run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "slittori" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return f"not applied: old text occurs {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        code = pytest_exit(src, mutant.tests)
+    if code == 1:
+        return "killed"
+    return "survived" if code == 0 else f"not run: pytest exit {code}"
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in CATALOGUE}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[n] for n in names] or list(CATALOGUE)
+    tests = sorted({t for m in chosen for t in m.tests})
+    if pytest_exit(ROOT / "src", tests):
+        print("the named tests fail on the unmutated source", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in chosen:
+        result = outcome(mutant)
+        failed += result != "killed"
+        print(f"{result:10} {mutant.name}", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

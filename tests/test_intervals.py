@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,3 +48,49 @@ def test_certified_comparisons():
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         iv(2, 1)
+
+
+def _point(k):
+    return RatInterval(Fraction(k), Fraction(k))
+
+
+def _four_product(a, b):
+    """The reference product of two intervals: min and max of the four
+    endpoint products."""
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return RatInterval(min(cands), max(cands))
+
+
+def test_scalar_operands_match_point_intervals():
+    """A scalar operand enters the endpoints directly; on seeded intervals
+    and negative, zero and positive int and Fraction scalars every result
+    equals the one of the scalar's point interval, endpoint for endpoint."""
+    rng = random.Random(20)
+    scalars = [0, 1, -1, Fraction(0), Fraction(-3, 7), Fraction(5, 2)]
+    scalars += [rng.randint(-10**30, 10**30) for _ in range(20)]
+    scalars += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(20)]
+    for k in scalars:
+        p = _point(k)
+        for _ in range(10):
+            lo = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+            a = RatInterval(lo, lo + Fraction(rng.randint(0, 10**9), rng.randint(1, 10**9)))
+            for got, want in (
+                (a * k, _four_product(a, p)), (k * a, _four_product(p, a)),
+                (a + k, a + p), (k + a, p + a), (a - k, a - p), (k - a, p - a),
+            ):
+                assert (got.lo, got.hi) == (want.lo, want.hi), (a, k)
+                assert type(got.lo) is type(got.hi) is Fraction
+            if k:
+                got, want = a / k, _four_product(a, _point(1 / Fraction(k)))
+                assert (got.lo, got.hi) == (want.lo, want.hi), (a, k)
+    assert iv(-2, 3) * 0 == iv(0, 0)
+    assert iv(-2, 3) * -2 == iv(-6, 4)
+
+
+def test_scalar_operand_types():
+    with pytest.raises(TypeError):
+        iv(0, 1) * 0.5
+    with pytest.raises(TypeError):
+        0.5 - iv(0, 1)
+    with pytest.raises(ZeroDivisionError):
+        iv(0, 1) / 0

@@ -154,10 +154,11 @@ def test_certificate_matches_oracle():
 
 def test_certificate_builds_no_word_lattice_or_point(monkeypatch):
     """certify_fixing works on integers alone: with the constructors of
-    GenWord, Lattice and TorusPoint made to raise, every certificate still
-    matches the oracle, and each solves its congruences exactly once."""
-    from slittori.torus import Lattice
-    from slittori.words import GenWord
+    GenWord, Lattice, TorusPoint, IntMat2 and HomologyAction made to raise,
+    every certificate still matches the oracle, and each solves its
+    congruences exactly once."""
+    from slittori.torus import HomologyAction, Lattice
+    from slittori.words import GenWord, IntMat2
 
     params = list(all_params(8))
     expected = [oracle.certify_fixing(param) for param in params]
@@ -165,7 +166,7 @@ def test_certificate_builds_no_word_lattice_or_point(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built while certifying")
 
-    for cls in (GenWord, Lattice, TorusPoint):
+    for cls in (GenWord, Lattice, TorusPoint, IntMat2, HomologyAction):
         monkeypatch.setattr(cls, "__init__", refuse)
     calls = []
     solve = rational.solve_congruences

@@ -15,6 +15,9 @@ from slittori.torus import (
     Lattice,
     TorusPoint,
     _trace_lattice,
+    canonical_entries,
+    entries_are_identity,
+    entries_fix_beta,
     in_region_E,
     involution_minus_id,
     involution_theta,
@@ -353,7 +356,7 @@ def test_trace_rational_matches_stepping():
             final, _, action = oracle.trace_word(z, w, record_points=False)
             x1, y1, traced = trace_rational(W, x, y, w.syllables)
             assert P(Fraction(x1, W), Fraction(y1, W)) == final
-            assert traced == action
+            assert traced == action.m.entries()
 
 
 def test_trace_rational_rejects_bad_lattices():
@@ -397,6 +400,63 @@ def test_homology_action_canonical_sign():
     assert not HomologyAction(IntMat2(1, 1, 0, 1)).fixes_beta
     assert HomologyAction(IntMat2(0, -1, 1, 0)).m == IntMat2(0, 1, -1, 0)
     assert HomologyAction(IntMat2(0, 1, -1, 3)).m == IntMat2(0, 1, -1, 3)
-    for det_not_unit in ((2, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0), (-1, 2, 1, 0)):
+    for det_not_unit in ((2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 1, 1), (0, 0, 0, 0), (-1, 2, 1, 0)):
         with pytest.raises(ValueError):
             HomologyAction(IntMat2(*det_not_unit))
+        with pytest.raises(ValueError, match="det"):
+            canonical_entries(*det_not_unit)
+
+
+def test_action_rules_on_identity_and_h_minus_powers():
+    """The shared rules on +-I and +-(h-)^k: each sign has the one
+    canonical form, every power fixes beta and only k = 0 is the identity.
+    diag(1, -1) and the h+ powers are neither."""
+    for k in range(-3, 4):
+        for sign in (1, -1):
+            e = (sign, 0, sign * k, sign)
+            assert canonical_entries(*e) == (1, 0, k, 1)
+            assert entries_fix_beta(*e)
+            assert entries_are_identity(*e) == (k == 0)
+            assert HomologyAction(IntMat2(*e)).h_minus_exponent == k
+        if k:
+            assert canonical_entries(-1, -k, 0, -1) == (1, k, 0, 1)
+            assert not entries_fix_beta(1, k, 0, 1) and not entries_are_identity(1, k, 0, 1)
+    for e in ((1, 0, 0, -1), (-1, 0, 0, 1), (1, 0, 2, -1)):
+        assert canonical_entries(*e)[0] == 1
+        assert not entries_fix_beta(*e) and not entries_are_identity(*e)
+    assert canonical_entries(0, -1, 1, 0) == (0, 1, -1, 0)
+
+
+def test_homology_action_agrees_with_the_rules():
+    """On seeded random unimodular matrices (shear products, times -1,
+    theta or omega), HomologyAction stores the canonical entries and its
+    properties give the verdicts of the rules, which agree with the
+    definitions written out on the canonical matrix."""
+    rng = random.Random(20)
+    factors = (H_PLUS, H_MINUS, THETA, IntMat2(0, 1, -1, 0), IntMat2(-1, 0, 0, -1))
+    hits = {"identity": 0, "beta": 0}
+    for _ in range(400):
+        m = IntMat2(1, 0, 0, 1)
+        for _ in range(rng.randrange(4)):
+            m = m * rng.choice(factors)
+        if rng.random() < 0.3:  # +-(h-)^k, so both verdicts are often true
+            k, sign = rng.randrange(-4, 5), rng.choice((1, -1))
+            m = IntMat2(sign, 0, sign * k, sign)
+        e = m.entries()
+        canon = canonical_entries(*e)
+        assert canon in (e, tuple(-v for v in e))
+        assert next(v for v in canon if v) > 0
+        a, b, c, d = canon
+        action = HomologyAction(m)
+        assert action.m.entries() == canon
+        identity = (a, b, c, d) == (1, 0, 0, 1)
+        beta = a == 1 and b == 0 and d == 1
+        for verdict, rule, want in (
+            (action.is_identity, entries_are_identity, identity),
+            (action.fixes_beta, entries_fix_beta, beta),
+        ):
+            assert verdict == rule(*e) == rule(*canon) == want
+        assert action.h_minus_exponent == (c if beta else None)
+        hits["identity"] += identity
+        hits["beta"] += beta
+    assert min(hits.values()) > 20, hits
