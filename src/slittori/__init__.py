@@ -25,13 +25,13 @@ from .words import (
     THETA,
 )
 from .torus import (
-    ActionTrace,
-    HomologyAction,
     TorusPoint,
+    canonical_entries,
+    entries_are_identity,
+    entries_fix_beta,
     in_region_E,
     involution_minus_id,
     involution_theta,
-    involution_theta_action,
     m_sequence,
     trace_word,
 )

@@ -39,7 +39,7 @@ from .flow import (
 )
 from .irrational import DEFAULT_A_MIN, DEFAULT_BUDGET, direction_stream_irrational
 from .rational import RationalParam, direction_stream, fixing_word
-from .torus import TorusPoint, trace_word
+from .torus import TorusPoint, entries_are_identity, entries_fix_beta, trace_word
 from .words import GenWord
 
 FORMAT_VERSION = 1
@@ -246,17 +246,17 @@ def cmd_action(args) -> int:
         word = fixing_word(_parse_param(args.gz, "--gz"))
     else:
         word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
-    tr = trace_word(z, word)
+    final, (a, b, c, d) = trace_word(z, word)
     _emit(
         {
             "z": z.as_json(),
             "word_digits": list(word.digits()),
-            "final": tr.final.as_json(),
-            "final_str": str(tr.final),
-            "action": list(tr.action.m.entries()),
-            "action_str": str(tr.action),
-            "is_identity": tr.action.is_identity,
-            "fixes_beta": tr.action.fixes_beta,
+            "final": final.as_json(),
+            "final_str": str(final),
+            "action": [a, b, c, d],
+            "action_str": f"+-[[{a},{b}],[{c},{d}]]",
+            "is_identity": entries_are_identity(a, b, c, d),
+            "fixes_beta": entries_fix_beta(a, b, c, d),
             "orbit_length": word.step_count,
         },
         args.output,

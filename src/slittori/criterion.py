@@ -40,8 +40,8 @@ from __future__ import annotations
 from .directions import DirectionSpec
 from .exact import ExactScalar, Frozen, Record
 from .intervals import InconclusiveIntervalError, RatInterval
-from .torus import HomologyAction, trace_word
-from .words import IDENTITY, Convergents, GenWord
+from .torus import canonical_entries, entries_fix_beta, trace_word
+from .words import IDENTITY, Convergents, GenWord, IntMat2
 
 PRECISION_BITS = 256  # starting width 2**-256 of every alpha enclosure
 _MAX_PRECISION_DOUBLINGS = 4
@@ -210,20 +210,20 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
     records: list[CheckpointRecord] = []
     y_lo, y_hi = spec.y_bounds
     bits_used = PRECISION_BITS
-    z_n, action, matrix = spec.z0, HomologyAction(IDENTITY), IDENTITY
+    z_n, action, matrix = spec.z0, IDENTITY, IDENTITY
     for n in range(1, horizon + 1):
         k = spec.checkpoint_index(n)
         spec.ensure_digits(k + 1)
         conv = spec.convergents(k)
         block = GenWord.from_digits(spec.block(n).digits)
-        tr = trace_word(z_n, block)
-        z_n, action, matrix = tr.final, action * tr.action, matrix * block.matrix()
+        z_n, entries = trace_word(z_n, block)
+        action, matrix = action * IntMat2(*entries), matrix * block.matrix()
         y_n = z_n.y
         digit_inequality = bool((ExactScalar(1) - 2 * y_n) * spec.digit(k + 1) >= 2)
         notes: list[str] = []
 
         endpoint_consistent = z_n == spec.checkpoint_point(n)
-        fixes_beta = action.fixes_beta
+        fixes_beta = entries_fix_beta(*canonical_entries(*action.entries()))
         y_in_bounds = bool(y_lo <= y_n <= y_hi)
 
         # cross-check: the strip holonomy is the word matrix applied to (1,0)

@@ -71,7 +71,8 @@ class RatInterval(Frozen):
     def reciprocal(self) -> "RatInterval":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("interval contains zero")
-        return RatInterval(1 / self.hi, 1 / self.lo)
+        one = Fraction(1)  # 1 / an int endpoint would be a float
+        return RatInterval(one / self.hi, one / self.lo)
 
     def __truediv__(self, other):
         if isinstance(other, RatInterval):

@@ -45,8 +45,7 @@ from itertools import count
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import ExactScalar, Frozen, negative, scalar
-from .torus import Coord, Lattice, TorusPoint, trace_word
-from .words import GenWord
+from .torus import Coord, Lattice, TorusPoint, _trace_lattice, canonical_entries, entries_fix_beta
 
 DEFAULT_J = (ExactScalar(1, 0, 6), ExactScalar(1, 0, 3))
 DEFAULT_A_MIN = 6
@@ -116,8 +115,9 @@ def find_block(
     z and J with :func:`_search`, one unit of ``budget`` per step, so a
     block spends exactly a + b + c + d and ``budget`` caps that sum; past
     it the search raises :class:`SearchBudgetExceededError`.  The
-    certificate is :func:`trace_word`, and a block that fails it raises
-    :class:`DerivationError` naming its digits.
+    certificate traces the digits with :func:`~slittori.torus._trace_lattice`
+    on the search's own lattice and compares integers; a block that fails
+    it raises :class:`DerivationError` naming its digits.
     """
     if d_index < 1:
         raise ValueError("d_index is 1-based")
@@ -188,13 +188,16 @@ def find_block(
             f"budget of {budget} generator applications exhausted"
         ) from None
     digits = (a, 1, 1, b, 1, 1, c, d)
-    tr = trace_word(z, GenWord.from_digits(digits))
-    if not (tr.final == lat.point(x7, y_out) and lo <= tr.final.y <= hi
-            and tr.action.fixes_beta):
+    x, (yu, yv), *action = _trace_lattice(
+        lat.W, D, lat.embed(z.x), y, zip(("h+", "h-") * 4, digits)
+    )
+    if not ((x, (yu, yv)) == (x7, y_out)
+            and not negative(yu - lu, yv - lv, D) and not negative(hu - yu, hv - yv, D)
+            and entries_fix_beta(*canonical_entries(*action))):
         raise DerivationError(f"block {digits} fails its trace certificate")
     return IrrationalBlockParams(
         a=a, b=b, c=c, d=d,
-        z_out=tr.final,
+        z_out=lat.point(x7, y_out),
         eps1=lat.scalar((x1[0] + half, x1[1])),
         eps2=lat.scalar((half - y4[0], -y4[1])),
     )

@@ -196,8 +196,7 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     Z/2q, where z is (r, s), one closed-form syllable at a time; the
     block digits are the syllable exponents directly, with no
     :class:`~slittori.words.GenWord` in between, and the verdicts are
-    read from the canonical action entries, with no matrix or
-    :class:`~slittori.torus.HomologyAction` built.
+    read from the canonical action entries, with no matrix built.
     """
     r, s, q = param.r, param.s, param.q
     period = 1 if r == 0 else 2 * q

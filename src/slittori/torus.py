@@ -15,15 +15,13 @@ and the generator's inverse otherwise.  Tracing a word g = g1 g2 ... gN
 through its elementary steps therefore computes both the orbit
 z, g1^-1 z, g2^-1 g1^-1 z, ... and the induced map g_*(g^-1 z) on the
 rank-2 anti-invariant homology, as an ordered product of per-step
-factors.  The action is only defined up to a global sign.  The rules on
-its four entries a, b, c, d are stated once, as functions:
+factors.  The action is an element of PGL(2,Z), defined only up to a
+global sign, and it has one form: its four canonical integers a, b, c, d.
+The rules on them are stated once, as functions:
 :func:`canonical_entries` (|det| = 1, and the sign that makes the first
 nonzero entry positive), :func:`entries_are_identity` and
-:func:`entries_fix_beta`.  :class:`HomologyAction` applies them to its
-matrix; a rational fixing certificate reads its verdicts from the entries
-:func:`trace_rational` hands back, with no matrix or action record built.
-A trace is an :class:`ActionTrace` (final, action): the end point and the
-action.
+:func:`entries_fix_beta`.  Every certificate and every check reads its
+verdicts from them.
 
 One integer kernel, :class:`Lattice`, implements the stepping rule.  The
 shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
@@ -43,11 +41,13 @@ after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 :func:`~slittori.exact.floor_sqrt` otherwise.  :func:`_trace_lattice`,
 on the lattice's integers W and D, is the one place that applies it,
 once per syllable, and the one place the homology action is multiplied
-out: :func:`trace_word` takes its end point and action from it,
-and so does :func:`trace_rational`, which takes integer numerators over
-an even W and builds neither a point, a :class:`Lattice` nor a matrix --
-the form :func:`slittori.rational.certify_fixing` uses on Z/2q.
-:meth:`Lattice.run` steps one unit at a time and supplies
+out.  :func:`trace_word` returns (final, entries), its end point as a
+:class:`TorusPoint` and the canonical entries of the action;
+:func:`trace_rational` takes integer numerators over an even W and builds
+neither a point, a :class:`Lattice` nor a matrix -- the form
+:func:`slittori.rational.certify_fixing` uses on Z/2q -- and
+:func:`slittori.irrational.find_block` calls :func:`_trace_lattice` on
+its search's own lattice.  :meth:`Lattice.run` steps one unit at a time and supplies
 :func:`m_sequence` and the searches and single steps of
 :mod:`slittori.irrational`, which need every intermediate point.  The
 test suite checks both against each other and against a reference that
@@ -64,7 +64,7 @@ from math import lcm
 from .exact import (
     ExactScalar, FieldMismatchError, Frozen, floor_sqrt, mod_half_open, negative, scalar,
 )
-from .words import THETA, GenWord, IntMat2
+from .words import GenWord
 
 EXCLUDED_POINTS = (
     (Fraction(0), Fraction(0)),
@@ -147,50 +147,6 @@ def entries_fix_beta(a: int, b: int, c: int, d: int) -> bool:
     the diagonal.
     """
     return b == 0 and a == d
-
-
-class HomologyAction(Frozen):
-    """An element of PGL(2,Z): a 2x2 integer matrix up to global sign.
-
-    The stored representative has its first nonzero entry positive, as
-    :func:`canonical_entries` gives it.
-    """
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: IntMat2):
-        entries = m.entries()
-        canonical = canonical_entries(*entries)
-        _set_m(self, m if canonical == entries else IntMat2(*canonical))
-
-    def __mul__(self, other: "HomologyAction") -> "HomologyAction":
-        return HomologyAction(self.m * other.m)
-
-    @property
-    def is_identity(self) -> bool:
-        return entries_are_identity(*self.m.entries())
-
-    @property
-    def fixes_beta(self) -> bool:
-        """True when the action is +-(h-)^k, i.e. maps beta to +-beta."""
-        return entries_fix_beta(*self.m.entries())
-
-    @property
-    def h_minus_exponent(self) -> int | None:
-        return self.m.c if self.fixes_beta else None
-
-    def __str__(self):
-        return f"+-{self.m}"
-
-    def __repr__(self):
-        return f"HomologyAction({self.m!r})"
-
-
-(_set_m,) = HomologyAction._setters
-
-
-class ActionTrace(Frozen):
-    __slots__ = ("final", "action")  # TorusPoint, HomologyAction
 
 
 Coord = tuple[int, int]  # (u, v), the coordinate (u + v sqrt(D))/W of a Lattice
@@ -309,20 +265,22 @@ def trace_rational(
     return x, y, canonical_entries(a, b, c, d)
 
 
-def trace_word(z: TorusPoint, word: GenWord) -> ActionTrace:
+def trace_word(
+    z: TorusPoint, word: GenWord
+) -> tuple[TorusPoint, tuple[int, int, int, int]]:
     """Trace a word through elementary inverse steps from ``z``.
 
-    The returned trace ends at ``word^-1 z`` and carries the homology
-    action of ``word`` evaluated there, as the ordered product of
-    per-step factors at the post-step points.  The factors of one
-    syllable are all powers of its generator, so they multiply to the
-    generator raised to the syllable's running count.  The end point and
-    the action come from :func:`_trace_lattice`, one closed-form step
-    per syllable.
+    Returns (final, entries): the end point ``word^-1 z`` and the
+    homology action of ``word`` evaluated there, as the ordered product
+    of per-step factors at the post-step points, in the entries
+    :func:`canonical_entries` gives.  The factors of one syllable are all
+    powers of its generator, so they multiply to the generator raised to
+    the syllable's running count.  The end point and the action come
+    from :func:`_trace_lattice`, one closed-form step per syllable.
     """
     lat = Lattice(z.x, z.y)
     x, y, *mat = _trace_lattice(lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), word.syllables)
-    return ActionTrace(final=lat.point(x, y), action=HomologyAction(IntMat2(*mat)))
+    return lat.point(x, y), canonical_entries(*mat)
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:
@@ -343,10 +301,6 @@ def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:
 
 def involution_theta(z: TorusPoint) -> TorusPoint:
     return TorusPoint(z.y, z.x)
-
-
-def involution_theta_action() -> HomologyAction:
-    return HomologyAction(THETA)
 
 
 def involution_minus_id(z: TorusPoint) -> TorusPoint:

@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # each of which fails on the mutant by itself
 Mutant = namedtuple("Mutant", "name file old new tests")
 
+# the rules on the action's canonical entries
 TORUS_RULES = "tests/test_torus.py::test_action_rules_on_identity_and_h_minus_powers"
 TORUS_AGREE = "tests/test_torus.py::test_homology_action_agrees_with_the_rules"
 TORUS_DET = "tests/test_torus.py::test_homology_action_canonical_sign"
@@ -42,6 +43,10 @@ SCALAR_OPS = "tests/test_intervals.py::test_scalar_operands_match_point_interval
 WINDOWS = "tests/test_irrational.py::test_window_searches_match_oracle"
 DIGIT_SUM = "tests/test_irrational.py::test_budget_is_the_digit_sum"
 BOUNDARY = "tests/test_irrational.py::test_budget_boundary_matches_oracle"
+CERT_FAILS = "tests/test_irrational.py::test_failed_certificate_fails_closed"
+CERT_HEIGHT = "tests/test_irrational.py::test_certificate_compares_the_traced_end_point[height]"
+RUNNING_ACTION = "tests/test_criterion.py::test_fixes_beta_reads_the_running_action"
+VERIFY_ORACLE = "tests/test_criterion.py::test_verify_matches_oracle[quarter-10]"
 
 CATALOGUE = (
     Mutant(
@@ -85,6 +90,28 @@ CATALOGUE = (
         "budget-one-step-short", "irrational.py",
         "if j > left:", "if j >= left:",
         (DIGIT_SUM,),
+    ),
+    # the trace certificate of irrational.find_block
+    Mutant(
+        "certificate-compares-only-x", "irrational.py",
+        "if not ((x, (yu, yv)) == (x7, y_out)", "if not (x == x7",
+        (CERT_HEIGHT,),
+    ),
+    Mutant(
+        "certificate-drops-fixes-beta", "irrational.py",
+        "\n            and entries_fix_beta(*canonical_entries(*action))):", "):",
+        (CERT_FAILS,),
+    ),
+    # the running products of criterion.verify
+    Mutant(
+        "verify-reads-the-block-action", "criterion.py",
+        "action, matrix = action * IntMat2(*entries),", "action, matrix = IntMat2(*entries),",
+        (RUNNING_ACTION,),
+    ),
+    Mutant(
+        "holonomy-reads-b-d", "criterion.py",
+        "if (matrix.a, matrix.c) != (qk, pk):", "if (matrix.b, matrix.d) != (qk, pk):",
+        (VERIFY_ORACLE,),
     ),
 )
 

@@ -26,7 +26,7 @@ from slittori.criterion import (
 from slittori.directions import DirectionSpec
 from slittori.exact import ExactScalar
 from slittori.intervals import RatInterval
-from slittori.torus import trace_word
+from slittori.torus import entries_fix_beta, trace_word
 from slittori.words import GenWord
 
 
@@ -45,14 +45,13 @@ def verify(
         spec.ensure_digits(k + 1)
         conv = spec.convergents(k)
         word = GenWord.from_digits(spec.digits_prefix(k))
-        tr = trace_word(spec.z0, word)
-        z_n = tr.final
+        z_n, action = trace_word(spec.z0, word)
         y_n = z_n.y
         digit_inequality = bool((ExactScalar(1) - 2 * y_n) * spec.digit(k + 1) >= 2)
         notes: list[str] = []
 
         endpoint_consistent = z_n == spec.checkpoint_point(n)
-        fixes_beta = tr.action.fixes_beta
+        fixes_beta = entries_fix_beta(*action)
         y_in_bounds = bool(y_lo <= y_n <= y_hi)
 
         # cross-check: the strip holonomy is the word matrix applied to (1,0)

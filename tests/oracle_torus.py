@@ -25,7 +25,7 @@ from slittori.irrational import (
     DerivationError,
     SearchBudgetExceededError,
 )
-from slittori.torus import HomologyAction, TorusPoint
+from slittori.torus import TorusPoint, canonical_entries, entries_fix_beta
 from slittori.words import H_MINUS, H_PLUS, IDENTITY, GenWord, IntMat2
 
 GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
@@ -144,7 +144,8 @@ def trace_quadratic_core(x, y, word, collect):
 
 
 def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True):
-    """(final, points, action) by the rational or the quadratic core."""
+    """(final, points, entries) by the rational or the quadratic core: the
+    end point, the recorded points and the canonical entries of the action."""
     if z.is_rational:
         fx, fy = z.as_fractions()
         full = lcm(fx.denominator, fy.denominator, 2)
@@ -159,7 +160,7 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True):
         x, y, mat, pts = trace_quadratic_core(z.x, z.y, word, record_points)
         final = TorusPoint(x, y)
         points = tuple(TorusPoint(px, py) for px, py in (pts or ()))
-    return final, points, HomologyAction(IntMat2(*mat))
+    return final, points, canonical_entries(*mat)
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:
@@ -283,7 +284,7 @@ def find_block(
             word = GenWord.from_digits((a, 1, 1, b, 1, 1, c, d))
             final, _, action = trace_word(z, word, record_points=False)
             z_out = TorusPoint(z7.x, y_out)
-            if final == z_out and J[0] <= final.y <= J[1] and action.fixes_beta:
+            if final == z_out and J[0] <= final.y <= J[1] and entries_fix_beta(*action):
                 return (a, b, c, d), final, eps1, eps2, bud.used
             widenings += 1
             tried_here += 1

@@ -41,14 +41,15 @@ from slittori.rational import (
     direction_stream,
 )
 from slittori.torus import (
-    HomologyAction,
     TorusPoint,
+    canonical_entries,
+    entries_fix_beta,
     in_region_E,
     involution_minus_id,
     involution_theta,
     trace_word,
 )
-from slittori.words import GenWord, THETA, check_relations
+from slittori.words import GenWord, IntMat2, THETA, check_relations
 
 import oracle_torus
 from conftest import explicit_spec
@@ -140,10 +141,10 @@ def test_criterion_4_irrational_construction():
     for n in (1, 2, 3):
         blk = spec.block(n)
         assert blk.digits[0] >= 6
-        tr = trace_word(z, GenWord.from_digits(blk.digits))
-        assert tr.final == blk.endpoint
-        assert lo <= tr.final.y <= hi
-        assert tr.action.fixes_beta
+        final, action = trace_word(z, GenWord.from_digits(blk.digits))
+        assert final == blk.endpoint
+        assert lo <= final.y <= hi
+        assert entries_fix_beta(*action)
         z = blk.endpoint
     other = direction_stream_irrational(lam, DigitRule("const", (2,)))
     assert spec.digits_prefix(8) != other.digits_prefix(8)
@@ -197,21 +198,22 @@ def test_criterion_6_homology_consistency():
 
     for _ in range(1000):  # composition law
         z, w1, w2 = rand_point(), rand_word(), rand_word()
-        t1 = trace_word(z, w1)
-        t2 = trace_word(t1.final, w2)
-        assert trace_word(z, w1 * w2).action == t1.action * t2.action
+        final1, action1 = trace_word(z, w1)
+        _, action2 = trace_word(final1, w2)
+        product = IntMat2(*action1) * IntMat2(*action2)
+        assert trace_word(z, w1 * w2)[1] == canonical_entries(*product.entries())
 
     for _ in range(1000):  # theta conjugation
         z, w = rand_point(), rand_word()
-        lhs = trace_word(involution_theta(z), w.theta_conjugate())
-        rhs = trace_word(z, w)
-        assert lhs.action == HomologyAction(THETA * rhs.action.m * THETA)
+        _, lhs = trace_word(involution_theta(z), w.theta_conjugate())
+        _, rhs = trace_word(z, w)
+        assert lhs == canonical_entries(*(THETA * IntMat2(*rhs) * THETA).entries())
 
     checked = 0  # -id symmetry on generic orbits
     while checked < 1000:
         z, w = rand_point(), rand_word()
         zm = involution_minus_id(z)
-        t, tm = trace_word(z, w), trace_word(zm, w)
+        (_, action), (_, action_m) = trace_word(z, w), trace_word(zm, w)
         (_, pts, _), (_, pts_m, _) = oracle_torus.trace_word(z, w), oracle_torus.trace_word(zm, w)
         pts = (z,) + pts + (zm,) + pts_m
         if not all(
@@ -219,7 +221,7 @@ def test_criterion_6_homology_consistency():
         ):
             continue
         checked += 1
-        assert t.action == tm.action
+        assert action == action_m
     b.done("relations + 3 x 1000 randomized identities")
 
 

@@ -284,7 +284,7 @@ def test_forged_endpoint_fails_only_its_checkpoint():
 def test_fixes_beta_reads_the_running_action():
     """The action checked at checkpoint n is that of digits 1..k_n, not
     that of block n alone."""
-    from slittori.torus import trace_word
+    from slittori.torus import entries_fix_beta, trace_word
     from slittori.words import GenWord
 
     spec = _stream("mut_action")
@@ -292,9 +292,8 @@ def test_fixes_beta_reads_the_running_action():
     assert [rec.homology_fixes_beta for rec in report.records] == [False, False, False]
     z, alone = spec.z0, []
     for n in (1, 2, 3):
-        tr = trace_word(z, GenWord.from_digits(spec.block(n).digits))
-        alone.append(tr.action.fixes_beta)
-        z = tr.final
+        z, action = trace_word(z, GenWord.from_digits(spec.block(n).digits))
+        alone.append(entries_fix_beta(*action))
     assert alone == [False, True, True]
 
 

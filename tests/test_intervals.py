@@ -35,6 +35,13 @@ def test_reciprocal_zero():
     assert iv(2, 4).reciprocal() == iv("1/4", "1/2")
 
 
+def test_reciprocal_of_int_endpoints_is_exact():
+    """Int endpoints divide to Fraction endpoints, not floats."""
+    inv = RatInterval(1, 2).reciprocal()
+    assert (type(inv.lo), type(inv.hi)) == (Fraction, Fraction)
+    assert (inv.lo, inv.hi) == (Fraction(1, 2), Fraction(1))
+
+
 def test_certified_comparisons():
     assert iv(0, 1).certified_le(1)
     assert not iv(2, 3).certified_le(1)

@@ -14,8 +14,8 @@ from slittori.irrational import (
     direction_stream_irrational,
     find_block,
 )
-from slittori.torus import ActionTrace, HomologyAction, TorusPoint, trace_word
-from slittori.words import H_PLUS, GenWord
+from slittori.torus import TorusPoint, entries_fix_beta, trace_word
+from slittori.words import H_PLUS, GenWord, IntMat2
 
 SQRT2_OVER_4 = ExactScalar(0, 1, 4, 2)
 J = (Fraction(1, 6), Fraction(1, 3))
@@ -45,10 +45,10 @@ def test_block_certificates():
         blk = spec.block(n)
         assert blk.digits[0] >= 6
         assert blk.digits[1:3] == (1, 1) and blk.digits[4:6] == (1, 1)
-        tr = trace_word(z, GenWord.from_digits(blk.digits))
-        assert tr.final == blk.endpoint
-        assert J[0] <= tr.final.y <= J[1]
-        assert tr.action.fixes_beta
+        final, action = trace_word(z, GenWord.from_digits(blk.digits))
+        assert final == blk.endpoint
+        assert J[0] <= final.y <= J[1]
+        assert entries_fix_beta(*action)
         z = blk.endpoint
 
 
@@ -84,17 +84,26 @@ def test_d_choice_produces_distinct_streams():
     assert s3.digits_prefix(16) != s1.digits_prefix(16)
 
 
+def _forge_certificates(monkeypatch, forge):
+    """Pass every trace of find_block's certificate, (x, y, a, b, c, d) on
+    the search's lattice (Z + Z sqrt(D))/W, through ``forge(W, D, x, y, a,
+    b, c, d)``; returns the list of traced digit tuples."""
+    traced = []
+    trace = irrational._trace_lattice
+
+    def forged(W, D, x, y, syllables):
+        syllables = tuple(syllables)
+        traced.append(tuple(n for _, n in syllables))
+        return forge(W, D, *trace(W, D, x, y, syllables))
+
+    monkeypatch.setattr(irrational, "_trace_lattice", forged)
+    return traced
+
+
 def _fail_certificates(monkeypatch):
     """Make every trace certificate of find_block fail, by giving its trace
-    an action that does not fix beta; returns the list of traced words."""
-    words = []
-
-    def trace(z, word):
-        words.append(word)
-        return ActionTrace(trace_word(z, word).final, HomologyAction(H_PLUS))
-
-    monkeypatch.setattr(irrational, "trace_word", trace)
-    return words
+    an action that does not fix beta; returns the list of traced digits."""
+    return _forge_certificates(monkeypatch, lambda W, D, x, y, *action: (x, y, *H_PLUS.entries()))
 
 
 def test_failed_certificate_fails_closed(monkeypatch):
@@ -106,10 +115,49 @@ def test_failed_certificate_fails_closed(monkeypatch):
         DerivationError, match=r"^block \(7, 1, 1, 12, 1, 1, 3, 2\) fails its trace certificate$"
     ):
         find_block(z)
-    assert len(words) == 1
+    assert words == [(7, 1, 1, 12, 1, 1, 3, 2)]
     with pytest.raises(DerivationError, match=r"^block \(7, 1, 1, 12, 1, 1, 3, 4\) "):
         find_block(z, d_index=2)
     assert len(words) == 2
+
+
+def _toward_middle_of_J(W, D, c):
+    """The height c moved by 1/W toward 1/4; a height in J stays there."""
+    u, v = c
+    moved = (u - 1, v) if ExactScalar(u, v, W, D) >= Fraction(1, 4) else (u + 1, v)
+    assert J[0] <= ExactScalar(*moved, W, D) <= J[1]
+    return moved
+
+
+@pytest.mark.parametrize("forge", [
+    lambda W, D, x, y, *action: (x, _toward_middle_of_J(W, D, y), *action),
+    lambda W, D, x, y, *action: ((x[0] + 1, x[1]), y, *action),
+], ids=["height", "x"])
+def test_certificate_compares_the_traced_end_point(monkeypatch, forge):
+    """A traced end point 1/W off the searched one, in either coordinate,
+    fails the certificate, even with the height still in J."""
+    z = TorusPoint(ExactScalar(0), SQRT2_OVER_4)
+    _forge_certificates(monkeypatch, forge)
+    with pytest.raises(DerivationError, match="fails its trace certificate"):
+        find_block(z)
+
+
+def test_certificate_builds_no_word_or_matrix(monkeypatch):
+    """find_block certifies on the search's lattice integers alone: with
+    the constructors of GenWord and IntMat2 and torus.trace_word made to
+    raise, every block comes back the same."""
+    from slittori import torus
+
+    starts = [TorusPoint(ExactScalar(0), lam) for lam in LAMBDAS]
+    want = [find_block(z, d_index) for z in starts for d_index in (1, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("word, matrix or trace_word used by find_block")
+
+    for cls in (GenWord, IntMat2):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(torus, "trace_word", refuse)
+    assert [find_block(z, d_index) for z in starts for d_index in (1, 2)] == want
 
 
 def test_budget_exhaustion():
@@ -122,8 +170,8 @@ def test_other_quadratic_fields():
         assert ExactScalar(0) < lam < ExactScalar(1, 0, 2)
         spec = direction_stream_irrational(lam)
         blk = spec.block(1)
-        tr = trace_word(spec.z0, GenWord.from_digits(blk.digits))
-        assert tr.action.fixes_beta and J[0] <= tr.final.y <= J[1]
+        final, action = trace_word(spec.z0, GenWord.from_digits(blk.digits))
+        assert entries_fix_beta(*action) and J[0] <= final.y <= J[1]
 
 
 def test_chained_blocks_heights_stay_in_J():

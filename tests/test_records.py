@@ -34,7 +34,7 @@ from slittori.flow import (
 from slittori.intervals import RatInterval
 from slittori.irrational import IrrationalBlockParams
 from slittori.rational import Block, CongruencePair, FixingCertificate, RationalParam
-from slittori.torus import ActionTrace, HomologyAction, TorusPoint
+from slittori.torus import TorusPoint
 from slittori.words import GenWord, IntMat2
 
 P = TorusPoint(ExactScalar(1, 0, 4), ExactScalar(1, 0, 3))
@@ -45,7 +45,6 @@ FROZEN = {
     IntMat2: (("a", "b", "c", "d"), lambda: (1, 2, 3, 5)),
     GenWord: (("syllables",), lambda: ((("h+", 2), ("h-", 1)),)),
     TorusPoint: (("x", "y"), lambda: (ExactScalar(1, 0, 4), ExactScalar(1, 0, 3))),
-    ActionTrace: (("final", "action"), lambda: (P, HomologyAction(IntMat2(1, 0, 2, 1)))),
     BlockRecord: (("index", "digits", "endpoint", "meta"), lambda: (1, (1,) * 8, P, {"n_k": 1})),
     RatInterval: (("lo", "hi"), lambda: (Fraction(1, 3), Fraction(1, 2))),
     RationalParam: (("r", "s", "q"), lambda: (1, 3, 4)),
@@ -121,7 +120,6 @@ VALUES = {
     IntMat2: (1, 2, 3, 6),
     GenWord: ((("h+", 2), ("h-", 2)),),
     TorusPoint: (ExactScalar(1, 0, 4), ExactScalar(-1, 0, 3)),
-    ActionTrace: (P, HomologyAction(IntMat2(1, 0, 3, 1))),
     BlockRecord: (1, (1,) * 8, P, {"n_k": 2}),
     RatInterval: (Fraction(1, 3), Fraction(2, 3)),
     RationalParam: (1, 3, 5),
@@ -148,7 +146,7 @@ def ids(classes):
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 22
     assert set(VALUES) == set(FROZEN)
 
 
@@ -165,7 +163,6 @@ def test_positional_and_keyword_construction_agree(cls):
 # frozen records with their own __init__ that FROZEN does not list
 OWN_INIT_CASES = {
     ExactScalar: (("u", "v", "w", "D"), lambda: (1, 2, 3, 5)),
-    HomologyAction: (("m",), lambda: (IntMat2(1, 0, 2, 1),)),
 }
 FROZEN_CASES = {**FROZEN, **OWN_INIT_CASES}
 
@@ -249,9 +246,6 @@ def test_reprs_keep_the_dataclass_format():
         "FixingCertificate(fixes_point=True, action_is_identity=False, h_minus_period=6)"
     )
     assert repr(IntMat2(1, -1, 0, 1)) == "IntMat2(a=1, b=-1, c=0, d=1)"
-    assert repr(HomologyAction(IntMat2(1, 0, 2, 1))) == (
-        "HomologyAction(IntMat2(a=1, b=0, c=2, d=1))"
-    )
     assert repr(DigitRule("arith", (2, 1))) == "DigitRule(kind='arith', params=(2, 1))"
     assert repr(RatInterval(Fraction(1, 3), Fraction(1, 2))) == (
         "RatInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
@@ -264,12 +258,12 @@ def test_reprs_keep_the_dataclass_format():
 # stay cheap on a hot path; every other record binds its __slots__ through
 # Record.__init__
 OWN_INIT = {
-    "ExactScalar", "TorusPoint", "HomologyAction", "GenWord", "RationalParam", "Block",
+    "ExactScalar", "TorusPoint", "GenWord", "RationalParam", "Block",
     "BlockRecord", "DigitRule", "DimensionProblem", "RatInterval",
     "CoverState", "CongruencePair", "OrbitStats", "IntMat2", "FixingCertificate",
 }
 BOUND_BY_RECORD = {
-    "ActionTrace", "IrrationalBlockParams", "CylinderStrip",
+    "IrrationalBlockParams", "CylinderStrip",
     "ValidationReport", "SurfaceModel", "StepResult", "BilliardState",
     "CheckpointRecord", "VerificationReport", "DimensionCertificate",
 }
@@ -312,14 +306,6 @@ def test_record_constructor_refuses_bad_arguments(cls):
         cls(*args[:-1])
     with pytest.raises(TypeError, match=f"missing field\\(s\\) '{fields[0]}'"):
         cls(**dict(zip(fields[1:], args[1:])))
-
-
-def test_homology_action_compares_and_hashes_by_its_matrix():
-    a = HomologyAction(IntMat2(1, 0, 2, 1))
-    b = HomologyAction(IntMat2(-1, 0, -2, -1))  # the same element of PGL(2,Z)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != HomologyAction(IntMat2(1, 0, 3, 1))
-    assert a != IntMat2(1, 0, 2, 1) and a != a.m.entries()
 
 
 def test_package_sets_no_field_through_object_setattr():

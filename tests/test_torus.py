@@ -11,7 +11,6 @@ from slittori.exact import ExactScalar, FieldMismatchError, mod_half_open
 from slittori.torus import (
     EXCLUDED_POINTS,
     ExcludedPointError,
-    HomologyAction,
     Lattice,
     TorusPoint,
     _trace_lattice,
@@ -21,7 +20,6 @@ from slittori.torus import (
     in_region_E,
     involution_minus_id,
     involution_theta,
-    involution_theta_action,
     m_sequence,
     trace_rational,
     trace_word,
@@ -77,21 +75,21 @@ def test_generator_factor_examples():
 
 def test_trace_h_plus_cubed():
     z, w = P(0, Fraction(1, 4)), GenWord.from_digits((3,))
-    tr = trace_word(z, w)
+    final, action = trace_word(z, w)
     _, points, _ = oracle.trace_word(z, w)
     assert [p.as_fractions() for p in points] == [
         (Fraction(-1, 4), Fraction(1, 4)),
         (Fraction(-1, 2), Fraction(1, 4)),
         (Fraction(1, 4), Fraction(1, 4)),
     ]
-    assert tr.action == HomologyAction(H_PLUS)
-    assert tr.final == P(Fraction(1, 4), Fraction(1, 4))
+    assert action == H_PLUS.entries()
+    assert final == P(Fraction(1, 4), Fraction(1, 4))
 
 
 def test_trace_empty_word():
     z = P(0, Fraction(1, 4))
-    tr = trace_word(z, GenWord(()))
-    assert tr.final == z and tr.action.is_identity
+    final, action = trace_word(z, GenWord(()))
+    assert final == z and entries_are_identity(*action)
 
 
 def test_m_sequence_examples():
@@ -125,10 +123,10 @@ def test_trace_matches_m_sequence():
         z = rand_point(rng)
         n = rng.randint(1, 12)
         gen = rng.choice(["h+", "h-"])
-        tr = trace_word(z, GenWord.power(gen, n))
+        _, action = trace_word(z, GenWord.power(gen, n))
         m = m_sequence(z, gen, n)[-1]
         base = H_PLUS if gen == "h+" else H_MINUS
-        assert tr.action == HomologyAction(oracle.matrix_power(base, m))
+        assert action == canonical_entries(*oracle.matrix_power(base, m).entries())
 
 
 def test_composition_law():
@@ -136,11 +134,11 @@ def test_composition_law():
     for _ in range(1000):
         z = rand_point(rng)
         w1, w2 = rand_word(rng), rand_word(rng)
-        t_all = trace_word(z, w1 * w2)
-        t1 = trace_word(z, w1)
-        t2 = trace_word(t1.final, w2)
-        assert t_all.action == t1.action * t2.action
-        assert t_all.final == t2.final
+        final, action = trace_word(z, w1 * w2)
+        final1, action1 = trace_word(z, w1)
+        final2, action2 = trace_word(final1, w2)
+        assert action == canonical_entries(*(IntMat2(*action1) * IntMat2(*action2)).entries())
+        assert final == final2
 
 
 def test_theta_conjugation():
@@ -148,9 +146,9 @@ def test_theta_conjugation():
     for _ in range(1000):
         z = rand_point(rng)
         w = rand_word(rng)
-        lhs = trace_word(involution_theta(z), w.theta_conjugate())
-        rhs = trace_word(z, w)
-        assert lhs.action == HomologyAction(THETA * rhs.action.m * THETA)
+        _, lhs = trace_word(involution_theta(z), w.theta_conjugate())
+        _, rhs = trace_word(z, w)
+        assert lhs == canonical_entries(*(THETA * IntMat2(*rhs) * THETA).entries())
 
 
 def test_minus_id_symmetry():
@@ -161,9 +159,9 @@ def test_minus_id_symmetry():
         attempts += 1
         z = rand_point(rng)
         w = rand_word(rng)
-        t = trace_word(z, w)
+        _, action = trace_word(z, w)
         zm = involution_minus_id(z)
-        tm = trace_word(zm, w)
+        _, action_m = trace_word(zm, w)
         pts = (z,) + oracle.trace_word(z, w)[1] + (zm,) + oracle.trace_word(zm, w)[1]
         generic = all(
             in_region_E(p) and abs(p.x + p.y) != ExactScalar(1, 0, 2) for p in pts
@@ -171,7 +169,7 @@ def test_minus_id_symmetry():
         if not generic:
             continue
         checked += 1
-        assert t.action == tm.action
+        assert action == action_m
     assert checked == 1000
 
 
@@ -179,7 +177,6 @@ def test_involutions():
     z = P(0, Fraction(1, 4))
     assert involution_theta(z) == P(Fraction(1, 4), 0)
     assert involution_theta(involution_theta(z)) == z
-    assert involution_theta_action() == HomologyAction(IntMat2(0, 1, 1, 0))
     assert involution_minus_id(z) == P(0, Fraction(-1, 4))
     assert involution_minus_id(P(Fraction(-1, 2), Fraction(1, 4))) == P(
         Fraction(-1, 2), Fraction(-1, 4)
@@ -252,9 +249,8 @@ def test_kernel_matches_oracle():
         for _ in range(40):
             z = rand_kernel_point(rng, D)
             w = rand_word(rng, max_syllables=6, max_exp=60)
-            tr = trace_word(z, w)
             final, points, action = oracle.trace_word(z, w)
-            assert tr.final == final and tr.action == action
+            assert trace_word(z, w) == (final, action)
             assert lattice_points(z, w) == points
             gen = rng.choice(["h+", "h-"])
             assert m_sequence(z, gen, 80) == oracle.m_sequence(z, gen, 80)
@@ -336,7 +332,7 @@ def test_closed_form_trace_matches_oracle_on_wide_coefficients():
             final, points, action = oracle.trace_word(z, w)
             x1, y1, *mat = _trace_lattice(lat.W, lat.D, x, y, w.syllables)
             assert lat.point(x1, y1) == final == lattice_points(z, w)[-1] == points[-1]
-            assert HomologyAction(IntMat2(*mat)) == action
+            assert canonical_entries(*mat) == action
 
 
 def test_trace_rational_matches_stepping():
@@ -356,7 +352,7 @@ def test_trace_rational_matches_stepping():
             final, _, action = oracle.trace_word(z, w, record_points=False)
             x1, y1, traced = trace_rational(W, x, y, w.syllables)
             assert P(Fraction(x1, W), Fraction(y1, W)) == final
-            assert traced == action.m.entries()
+            assert traced == action
 
 
 def test_trace_rational_rejects_bad_lattices():
@@ -393,16 +389,15 @@ def test_orbit_through_puncture_fails_closed():
 
 
 def test_homology_action_canonical_sign():
-    a = HomologyAction(IntMat2(-1, 0, -3, -1))
-    assert a.m == IntMat2(1, 0, 3, 1)
-    assert a.fixes_beta and a.h_minus_exponent == 3
-    assert HomologyAction(IntMat2(-1, 0, 0, -1)).is_identity
-    assert not HomologyAction(IntMat2(1, 1, 0, 1)).fixes_beta
-    assert HomologyAction(IntMat2(0, -1, 1, 0)).m == IntMat2(0, 1, -1, 0)
-    assert HomologyAction(IntMat2(0, 1, -1, 3)).m == IntMat2(0, 1, -1, 3)
+    """The action's one form is its canonical entries: the sign that makes
+    the first nonzero entry positive, and only for |det| = 1."""
+    assert canonical_entries(-1, 0, -3, -1) == (1, 0, 3, 1)
+    assert entries_fix_beta(1, 0, 3, 1)
+    assert entries_are_identity(*canonical_entries(-1, 0, 0, -1))
+    assert not entries_fix_beta(*canonical_entries(1, 1, 0, 1))
+    assert canonical_entries(0, -1, 1, 0) == (0, 1, -1, 0)
+    assert canonical_entries(0, 1, -1, 3) == (0, 1, -1, 3)
     for det_not_unit in ((2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 1, 1), (0, 0, 0, 0), (-1, 2, 1, 0)):
-        with pytest.raises(ValueError):
-            HomologyAction(IntMat2(*det_not_unit))
         with pytest.raises(ValueError, match="det"):
             canonical_entries(*det_not_unit)
 
@@ -417,7 +412,6 @@ def test_action_rules_on_identity_and_h_minus_powers():
             assert canonical_entries(*e) == (1, 0, k, 1)
             assert entries_fix_beta(*e)
             assert entries_are_identity(*e) == (k == 0)
-            assert HomologyAction(IntMat2(*e)).h_minus_exponent == k
         if k:
             assert canonical_entries(-1, -k, 0, -1) == (1, k, 0, 1)
             assert not entries_fix_beta(1, k, 0, 1) and not entries_are_identity(1, k, 0, 1)
@@ -429,9 +423,10 @@ def test_action_rules_on_identity_and_h_minus_powers():
 
 def test_homology_action_agrees_with_the_rules():
     """On seeded random unimodular matrices (shear products, times -1,
-    theta or omega), HomologyAction stores the canonical entries and its
-    properties give the verdicts of the rules, which agree with the
-    definitions written out on the canonical matrix."""
+    theta or omega), canonical_entries gives +-the entries with the first
+    nonzero one positive, and the rules give the same verdict on the raw
+    and the canonical entries, which agrees with the definitions written
+    out on the canonical matrix."""
     rng = random.Random(20)
     factors = (H_PLUS, H_MINUS, THETA, IntMat2(0, 1, -1, 0), IntMat2(-1, 0, 0, -1))
     hits = {"identity": 0, "beta": 0}
@@ -447,16 +442,10 @@ def test_homology_action_agrees_with_the_rules():
         assert canon in (e, tuple(-v for v in e))
         assert next(v for v in canon if v) > 0
         a, b, c, d = canon
-        action = HomologyAction(m)
-        assert action.m.entries() == canon
         identity = (a, b, c, d) == (1, 0, 0, 1)
         beta = a == 1 and b == 0 and d == 1
-        for verdict, rule, want in (
-            (action.is_identity, entries_are_identity, identity),
-            (action.fixes_beta, entries_fix_beta, beta),
-        ):
-            assert verdict == rule(*e) == rule(*canon) == want
-        assert action.h_minus_exponent == (c if beta else None)
+        for rule, want in ((entries_are_identity, identity), (entries_fix_beta, beta)):
+            assert rule(*e) == rule(*canon) == want
         hits["identity"] += identity
         hits["beta"] += beta
     assert min(hits.values()) > 20, hits
