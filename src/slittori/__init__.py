@@ -37,8 +37,6 @@ from .torus import (
 )
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .rational import (
-    Block,
-    CongruencePair,
     RationalParam,
     block_for,
     certify_fixing,

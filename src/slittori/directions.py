@@ -173,7 +173,7 @@ class DirectionSpec:
         self.ensure_digits(k)
         return self._conv
 
-    def alpha_enclosure(self, bits: int = 256, min_digits: int = 0) -> RatInterval:
+    def alpha_enclosure(self, bits: int, min_digits: int = 0) -> RatInterval:
         """Rational interval around the stream's value, width <= 2**-bits
         when the stream can supply enough digits.
 

@@ -154,7 +154,9 @@ class ExactScalar(Frozen):
             u, v, w, D = u.u, u.v, u.w, u.D
         elif isinstance(u, Fraction) and v == 0 and w == 1 and D == 0:
             u, v, w, D = u.numerator, 0, u.denominator, 0
-        u, v, w, D = int(u), int(v), int(w), int(D)
+        if not (isinstance(u, int) and isinstance(v, int) and isinstance(w, int)
+                and isinstance(D, int)):
+            raise TypeError(f"components must be ints, got {u!r}, {v!r}, {w!r}, {D!r}")
         if w == 0:
             raise ZeroDivisionError("denominator w must be nonzero")
         if w < 0:

@@ -110,6 +110,19 @@ class ValidationReport(Frozen):
         }
 
 
+# the one report every model carries: build_surface refuses a parameter
+# whose closed loops or cone points give any other values
+VALIDATION = ValidationReport(
+    deck_weights=DECK_WEIGHTS,
+    horizontal_core_shifts=DECK_WEIGHTS,
+    vertical_shifts=(0, 0),
+    crossing_loop_shift=0,
+    geometric_agreement=True,
+    cone_turns=(1, 1),
+    area=2,
+)
+
+
 class SurfaceModel(Frozen):
     # beta_x: x-position of the vertical cycle used for counting
     __slots__ = ("zx", "zy", "beta_x", "validation")
@@ -330,7 +343,7 @@ def build_surface(z) -> SurfaceModel:
 
     beta_x = (abs(zx) + _HALF) / 2  # also clear of the slit's x-extent
     y_core = (abs(zy) + _HALF) / 2
-    probe = SurfaceModel(zx=zx, zy=zy, beta_x=beta_x, validation=None)
+    model = SurfaceModel(zx=zx, zy=zy, beta_x=beta_x, validation=VALIDATION)
     # the horizontal core and a vertical loop on each sheet, which must shift
     # by +1 / -1 (anti-invariant) and by 0, and a loop that crosses the slit
     # on both sheets, which must shift by 0: at height zy/2, strictly inside
@@ -343,28 +356,20 @@ def build_surface(z) -> SurfaceModel:
         loops.append((CoverState(0, zx / 2, -_HALF), 0, 1))
     shifts, geo_ok = [], True
     for start, dx, dy in loops:
-        shift, segs = _run_closed(probe, start, dx, dy)
+        shift, segs = _run_closed(model, start, dx, dy)
         shifts.append(shift)
-        geo_ok &= _beta_crossings(probe, segs) == shift
-    if shifts != [1, -1, 0, 0, 0] or not geo_ok:
+        geo_ok &= _beta_crossings(model, segs) == shift
+    v = VALIDATION
+    expected = [*v.horizontal_core_shifts, *v.vertical_shifts, v.crossing_loop_shift]
+    if shifts != expected or not geo_ok:
         raise DegenerateSlitError(f"deck rule {DECK_WEIGHTS} fails the closed-curve constraints")
-    turns_plus = _cone_turns(zx, zy, True)
-    turns_minus = _cone_turns(zx, zy, False)
-    if turns_plus != 1 or turns_minus != 1:
+    turns = (_cone_turns(zx, zy, True), _cone_turns(zx, zy, False))
+    if turns != v.cone_turns:
         raise DegenerateSlitError(
-            f"cone-angle audit failed: {turns_plus}, {turns_minus} slit "
+            f"cone-angle audit failed: {turns[0]}, {turns[1]} slit "
             "crossings per circuit (expected 1 = angle 4*pi)"
         )
-    report = ValidationReport(
-        deck_weights=DECK_WEIGHTS,
-        horizontal_core_shifts=tuple(shifts[:2]),
-        vertical_shifts=tuple(shifts[2:4]),
-        crossing_loop_shift=shifts[4],
-        geometric_agreement=geo_ok,
-        cone_turns=(turns_plus, turns_minus),
-        area=2,
-    )
-    return SurfaceModel(zx=zx, zy=zy, beta_x=beta_x, validation=report)
+    return model
 
 
 # ---------------------------------------------------------------------------

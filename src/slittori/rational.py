@@ -75,28 +75,6 @@ class RationalParam(Frozen):
 _set_r, _set_s, _set_q = RationalParam._setters
 
 
-class CongruencePair(Frozen):
-    """Block exponents.
-
-    The parity case is the parameter's: odd when r or s is odd, else even.
-    Odd case: single pair (a, b); ``a2`` is None.
-    Even case: ``b = |s|`` plus two shear exponents, ``a`` entering as
-    the rightmost syllable (a s = q-1-r mod 2q) and ``a2`` inside
-    (a2 s = q-1+r mod 2q); they coincide exactly when r = 0, which is
-    the only case the single-exponent textbook form covers.
-    """
-
-    __slots__ = ("a", "b", "a2")
-
-    def __init__(self, a: int, b: int, a2: int | None = None):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_a2(self, a2)
-
-
-_set_a, _set_b, _set_a2 = CongruencePair._setters
-
-
 class CongruenceError(RuntimeError):
     """A congruence without solution; impossible for valid input."""
 
@@ -118,11 +96,18 @@ def _least_solution(s: int, rhs: int, mod: int) -> int:
     return a
 
 
-def solve_congruences(param: RationalParam) -> CongruencePair:
-    """The least positive solutions of the defining congruences.
+def solve_congruences(param: RationalParam) -> tuple[int, int, int | None]:
+    """The block exponents ``(a, b, a2)``: the least positive solutions of
+    the defining congruences.
 
-    Odd case:  0 < a, b <= 2q,  r + a s = -q (mod 2q),  b s + s - q = r (mod 2q).
-    Even case: b = |s|,  a s = q-1-r (mod 2q),  a2 s = q-1+r (mod 2q).
+    The parity case is the parameter's: odd when r or s is odd, else even.
+
+    Odd case:  0 < a, b <= 2q,  r + a s = -q (mod 2q),  b s + s - q = r (mod 2q);
+    ``a2`` is None.
+    Even case: b = |s| plus two shear exponents, ``a`` entering as the
+    rightmost syllable (a s = q-1-r mod 2q) and ``a2`` inside
+    (a2 s = q-1+r mod 2q); they coincide exactly when r = 0, which is the
+    only case the single-exponent textbook form covers.
 
     The solution is unique in range when s is odd; for even s,
     gcd(s, 2q) = 2 gives two solutions and the smaller is taken.  A
@@ -134,37 +119,24 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
         r, s = -r, -s
     mod = 2 * q
     if r % 2 or s % 2:  # odd case
-        return CongruencePair(_least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod))
-    return CongruencePair(
-        _least_solution(s, q - 1 - r, mod), s, _least_solution(s, q - 1 + r, mod)
-    )
+        return _least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod), None
+    return _least_solution(s, q - 1 - r, mod), s, _least_solution(s, q - 1 + r, mod)
 
 
-class Block(Frozen):
-    __slots__ = ("digits",)
-
-    def __init__(self, digits: tuple[int, ...]):
-        if len(digits) != 7:
-            raise ValueError("block must have 7 digits")
-        if min(digits) < 1:
-            raise ValueError("block digits must be positive")
-        _set_digits(self, digits)
-
-
-(_set_digits,) = Block._setters
-
-
-def block_for(param: RationalParam) -> Block:
-    pair = solve_congruences(param)  # solved for the reduced parameter; q is unchanged by it
-    q, a, b, a2 = param.q, pair.a, pair.b, pair.a2
+def block_for(param: RationalParam) -> tuple[int, ...]:
+    """The seven digits of B(z), each at least 1 (b = |s| >= 2 in the even
+    case); the certificate trace, ``GenWord`` and ``BlockRecord`` each
+    refuse a digit below 1 on their own."""
+    a, b, a2 = solve_congruences(param)  # for the reduced parameter; q is unchanged by it
+    q = param.q
     if a2 is None:  # odd case
-        return Block((2 * q + b, 1, 1, 2 * q + a + b, 1, 1, a))
-    return Block((2 * q + a2, b - 1, b + 1, 2 * q + a + a2, b - 1, b + 1, a))
+        return (2 * q + b, 1, 1, 2 * q + a + b, 1, 1, a)
+    return (2 * q + a2, b - 1, b + 1, 2 * q + a + a2, b - 1, b + 1, a)
 
 
 def fixing_word(param: RationalParam) -> GenWord:
     """The alternating 7-syllable word with the block digits as exponents."""
-    return GenWord.from_digits(block_for(param).digits)
+    return GenWord.from_digits(block_for(param))
 
 
 _BLOCK_GENERATORS = ("h+", "h-", "h+", "h-", "h+", "h-", "h+")  # of the 7 digits, in order
@@ -200,7 +172,7 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     """
     r, s, q = param.r, param.s, param.q
     period = 1 if r == 0 else 2 * q
-    word = zip(_BLOCK_GENERATORS, block_for(param).digits)
+    word = zip(_BLOCK_GENERATORS, block_for(param))
     x, y, action = trace_rational(2 * q, r, s, word)
     x_h, y_h, action_h = trace_rational(2 * q, r, s, (("h-", period),))
     period_ok = (x_h, y_h) == (r, s) and entries_fix_beta(*action_h)
@@ -211,9 +183,8 @@ class NkRuleError(ValueError):
     """A free digit violates the 2q-multiple constraint."""
 
 
-
 def _rational_blocks(param: RationalParam, nk: DigitRule) -> Iterator[BlockRecord]:
-    block = block_for(param).digits
+    block = block_for(param)
     z = param.point()
     for k in count(1):
         n_k = nk.value(k)

@@ -47,6 +47,18 @@ CERT_FAILS = "tests/test_irrational.py::test_failed_certificate_fails_closed"
 CERT_HEIGHT = "tests/test_irrational.py::test_certificate_compares_the_traced_end_point[height]"
 RUNNING_ACTION = "tests/test_criterion.py::test_fixes_beta_reads_the_running_action"
 VERIFY_ORACLE = "tests/test_criterion.py::test_verify_matches_oracle[quarter-10]"
+BLOCKS = "tests/test_rational.py::test_block_examples"
+EVEN_BLOCKS = "tests/test_rational.py::test_even_case_closed_form_r_zero"
+ACCEPT_BLOCKS = "tests/test_acceptance.py::test_criterion_1_block_reproduction"
+SCAN = "tests/test_rational.py::test_congruences_match_scan"
+CERT_ORACLE = "tests/test_rational.py::test_certificate_matches_oracle"
+CERT_EXAMPLES = "tests/test_rational.py::test_certify_examples"
+KERNEL = "tests/test_torus.py::test_kernel_matches_oracle"
+BAD_SYLLABLE = "tests/test_torus.py::test_trace_rational_rejects_bad_syllables[syllable2]"
+ZERO_DIGIT = "tests/test_rational.py::test_zero_digit_is_refused_by_every_consumer"
+FLOORS = "tests/test_exact.py::test_floor_against_mpmath"
+DET_INCREMENTAL = "tests/test_words.py::test_determinant_identity_incremental_matches_full_check"
+FORGED = "tests/test_forged_specs.py::test_forged_rational_specs_fail_closed"
 
 CATALOGUE = (
     Mutant(
@@ -112,6 +124,65 @@ CATALOGUE = (
         "holonomy-reads-b-d", "criterion.py",
         "if (matrix.a, matrix.c) != (qk, pk):", "if (matrix.b, matrix.d) != (qk, pk):",
         (VERIFY_ORACLE,),
+    ),
+    # the closed-form block of rational.block_for and its congruences
+    Mutant(
+        "odd-block-first-digit-reads-a", "rational.py",
+        "return (2 * q + b, 1, 1,", "return (2 * q + a, 1, 1,",
+        (BLOCKS, ACCEPT_BLOCKS),
+    ),
+    Mutant(
+        "even-block-b-minus-1-reads-b", "rational.py",
+        "return (2 * q + a2, b - 1,", "return (2 * q + a2, b,",
+        (BLOCKS, EVEN_BLOCKS, ACCEPT_BLOCKS),
+    ),
+    Mutant(
+        "least-solution-may-be-0", "rational.py",
+        "% step or step", "% step",
+        (SCAN,),
+    ),
+    Mutant(
+        "negative-s-not-flipped", "rational.py",
+        "    if s < 0:\n        r, s = -r, -s\n", "",
+        (SCAN,),
+    ),
+    Mutant(
+        "h-minus-period-q", "rational.py",
+        "period = 1 if r == 0 else 2 * q", "period = 1 if r == 0 else q",
+        (CERT_ORACLE, CERT_EXAMPLES),
+    ),
+    # the closed-form syllable of torus._trace_lattice and its floor
+    Mutant(
+        "wrap-goes-the-other-way", "torus.py",
+        "xu += k * W", "xu -= k * W",
+        (KERNEL,),
+    ),
+    Mutant(
+        "running-count-reads-k-for-abs-k", "torus.py",
+        "m = n - 2 * abs(k)\n            b, d", "m = n - 2 * k\n            b, d",
+        (KERNEL,),
+    ),
+    Mutant(
+        "floor-of-negative-sqrt-is-ceiling", "exact.py",
+        "return s if v > 0 else -s - 1", "return s if v > 0 else -s",
+        (KERNEL, FLOORS),
+    ),
+    Mutant(
+        "zero-exponent-traced", "torus.py",
+        "        if n < 1:\n            raise ValueError(f\"exponent must be positive",
+        "        if n < 0:\n            raise ValueError(f\"exponent must be positive",
+        (BAD_SYLLABLE, ZERO_DIGIT),
+    ),
+    Mutant(
+        "determinant-check-one-index-late", "words.py",
+        "range(self._det_checked + 1,", "range(self._det_checked + 2,",
+        (DET_INCREMENTAL,),
+    ),
+    # the spec-file loader of cli.load_spec
+    Mutant(
+        "spec-file-not-compared-with-rebuild", "cli.py",
+        "if key in data and _json_text(value) != _json_text(data[key]):", "if False:",
+        (FORGED,),
     ),
 )
 

@@ -17,7 +17,6 @@ from math import gcd
 import oracle_torus
 from slittori.rational import (
     CongruenceError,
-    CongruencePair,
     FixingCertificate,
     RationalParam,
     fixing_word,
@@ -26,7 +25,7 @@ from slittori.torus import entries_are_identity, entries_fix_beta
 from slittori.words import GenWord
 
 
-def solve_congruences(param: RationalParam) -> CongruencePair:
+def solve_congruences(param: RationalParam) -> tuple[int, int, int | None]:
     param = param.reduced()
     r, s, q = param.r, param.s, param.q
     mod = 2 * q
@@ -36,12 +35,12 @@ def solve_congruences(param: RationalParam) -> CongruencePair:
         sols_b = [b for b in range(1, mod + 1) if (b * s + s - q - r) % mod == 0]
         if len(sols_a) != expected or len(sols_b) != expected:
             raise CongruenceError(f"odd-case congruences for {param} gave {sols_a}, {sols_b}")
-        return CongruencePair(sols_a[0], sols_b[0])
+        return sols_a[0], sols_b[0], None
     sols_a = [a for a in range(1, mod + 1) if (a * s - (q - 1 - r)) % mod == 0]
     sols_a2 = [a for a in range(1, mod + 1) if (a * s - (q - 1 + r)) % mod == 0]
     if len(sols_a) != expected or len(sols_a2) != expected:
         raise CongruenceError(f"even-case congruences for {param} gave {sols_a}, {sols_a2}")
-    return CongruencePair(sols_a[0], abs(s), sols_a2[0])
+    return sols_a[0], abs(s), sols_a2[0]
 
 
 def certify_fixing(param: RationalParam) -> FixingCertificate:

@@ -76,7 +76,7 @@ def test_criterion_1_block_reproduction():
     }
     for lam, digits in cases.items():
         param = RationalParam.from_barrier_length(lam)
-        assert block_for(param).digits == digits, lam
+        assert block_for(param) == digits, lam
     b.done("B(1/4), B(1/6), B(1/3) exact")
 
 

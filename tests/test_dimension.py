@@ -245,7 +245,7 @@ def test_rational_theorem_sweep():
     ]
     assert len(lambdas) == 386
     for lam in lambdas:
-        digits = block_for(RationalParam.from_barrier_length(lam)).digits
+        digits = block_for(RationalParam.from_barrier_length(lam))
         cert = dimension_certificate(DimensionProblem(digits, 1, 0))
         assert cert.exceeds_target, lam
         assert cert.image_disjointness_checked == 64, lam

@@ -62,6 +62,21 @@ def test_normalization():
     assert ExactScalar(3, 2, 1, 1).as_tuple() == (5, 0, 1, 0)  # sqrt(1) folds
     assert ExactScalar(1, 1, -2, 2).as_tuple() == (-1, -1, 2, 2)
     assert ExactScalar(0, 5, 10, 0).as_tuple() == (0, 0, 1, 0)  # D=0 forces v=0
+    # the two one-argument forms
+    assert ExactScalar(Fraction(3, 6)).as_tuple() == (1, 0, 2, 0)
+    assert ExactScalar(ExactScalar(1, 1, 2, 2)).as_tuple() == (1, 1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.5,), (Fraction(1, 2), 0, 3), (Fraction(3, 2), 1, 2, 2), (1, 2.0), (1, 0, Fraction(2))],
+    ids=["float", "fraction-over-w", "fraction-with-sqrt", "float-v", "fraction-w"],
+)
+def test_non_integer_components_are_refused(args):
+    """A component that is not an int raises instead of being truncated:
+    these once gave 0, 0, (1 + sqrt 2)/2, 1 and 1/2."""
+    with pytest.raises(TypeError):
+        ExactScalar(*args)
 
 
 def test_round_trip_add_sub():

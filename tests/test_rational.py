@@ -11,7 +11,6 @@ from slittori.directions import DigitRule, DigitStreamExhaustedError
 from slittori.exact import ExactScalar
 from slittori.irrational import direction_stream_irrational
 from slittori.rational import (
-    Block,
     CongruenceError,
     NkRuleError,
     RationalParam,
@@ -57,12 +56,9 @@ def test_from_barrier_length():
 
 def test_congruence_examples():
     assert solve_congruences(RationalParam(0, 1, 2)) == solve_congruences(barrier("1/4"))
-    pair = solve_congruences(RationalParam(0, 1, 2))
-    assert (pair.a, pair.b, pair.a2) == (2, 1, None)
-    pair = solve_congruences(RationalParam(1, 1, 2))
-    assert (pair.a, pair.b) == (1, 2)
-    pair = solve_congruences(RationalParam(0, 2, 3))
-    assert (pair.a, pair.b, pair.a2) == (1, 2, 1)
+    assert solve_congruences(RationalParam(0, 1, 2)) == (2, 1, None)
+    assert solve_congruences(RationalParam(1, 1, 2)) == (1, 2, None)
+    assert solve_congruences(RationalParam(0, 2, 3)) == (1, 2, 1)
 
 
 def test_congruences_match_scan():
@@ -99,16 +95,14 @@ def test_r_zero_odd_case_closed_form():
         for p in range(1, q):
             if gcd(p, q) != 1 or p % 2 == 0:
                 continue
-            pair = solve_congruences(RationalParam(0, p, q))
-            assert (pair.a, pair.b) == (q, q - 1)
-            block = block_for(RationalParam(0, p, q))
-            assert block.digits == (3 * q - 1, 1, 1, 4 * q - 1, 1, 1, q)
+            assert solve_congruences(RationalParam(0, p, q)) == (q, q - 1, None)
+            assert block_for(RationalParam(0, p, q)) == (3 * q - 1, 1, 1, 4 * q - 1, 1, 1, q)
 
 
 def test_block_examples():
-    assert block_for(barrier("1/4")).digits == (5, 1, 1, 7, 1, 1, 2)
-    assert block_for(barrier("1/6")).digits == (8, 1, 1, 11, 1, 1, 3)
-    assert block_for(barrier("1/3")).digits == (7, 1, 3, 8, 1, 3, 1)
+    assert block_for(barrier("1/4")) == (5, 1, 1, 7, 1, 1, 2)
+    assert block_for(barrier("1/6")) == (8, 1, 1, 11, 1, 1, 3)
+    assert block_for(barrier("1/3")) == (7, 1, 3, 8, 1, 3, 1)
 
 
 def test_even_case_closed_form_r_zero():
@@ -118,7 +112,7 @@ def test_even_case_closed_form_r_zero():
             if gcd(p, q) != 1:
                 continue
             a = next(a for a in range(1, q + 1) if (a * p + 1) % q == 0)
-            assert block_for(RationalParam(0, p, q)).digits == (
+            assert block_for(RationalParam(0, p, q)) == (
                 2 * q + a, p - 1, p + 1, 2 * q + 2 * a, p - 1, p + 1, a
             )
 
@@ -179,12 +173,31 @@ def test_certificate_builds_no_word_lattice_or_point(monkeypatch):
 
 def test_perturbed_block_fails_both_certificates(monkeypatch):
     for param in (barrier("1/4"), barrier("1/3"), RationalParam(1, 1, 2), RationalParam(-3, 5, 7)):
-        good = block_for(param).digits
+        good = block_for(param)
         for i in range(7):
             digits = good[:i] + (good[i] + 1,) + good[i + 1:]
-            monkeypatch.setattr(rational, "block_for", lambda _, d=digits: Block(d))
+            monkeypatch.setattr(rational, "block_for", lambda _, d=digits: d)
             new, old = certify_fixing(param), oracle.certify_fixing(param)
             assert not new.ok and new == old, (param, digits)
+            monkeypatch.undo()
+
+
+def test_zero_digit_is_refused_by_every_consumer(monkeypatch):
+    """block_for's tuple carries no check of its own: a 0 digit forced
+    into it at any place makes each consumer raise ValueError -- the
+    certificate's trace, fixing_word's GenWord and the stream's
+    BlockRecord."""
+    for param in (barrier("1/4"), barrier("1/3"), RationalParam(1, 1, 2)):
+        good = block_for(param)
+        for i in range(7):
+            digits = good[:i] + (0,) + good[i + 1:]
+            monkeypatch.setattr(rational, "block_for", lambda _, d=digits: d)
+            with pytest.raises(ValueError, match="exponent must be positive"):
+                certify_fixing(param)
+            with pytest.raises(ValueError, match="exponent must be positive"):
+                fixing_word(param)
+            with pytest.raises(ValueError, match="digits must be positive"):
+                next(rational._rational_blocks(param, DigitRule("const", (4,))))
             monkeypatch.undo()
 
 
@@ -201,7 +214,7 @@ def test_negative_s_reduction():
 def test_first_digit_dominates_height():
     for param in all_params(10):
         red = param.reduced()
-        digits = block_for(param).digits
+        digits = block_for(param)
         q, s = red.q, red.s
         assert digits[0] > 2 * q
         # 2q >= 2/(1 - 2 (s/2q)) = 2q/(q - s) whenever s <= q - 1

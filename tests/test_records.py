@@ -33,7 +33,7 @@ from slittori.flow import (
 )
 from slittori.intervals import RatInterval
 from slittori.irrational import IrrationalBlockParams
-from slittori.rational import Block, CongruencePair, FixingCertificate, RationalParam
+from slittori.rational import FixingCertificate, RationalParam
 from slittori.torus import TorusPoint
 from slittori.words import GenWord, IntMat2
 
@@ -48,8 +48,6 @@ FROZEN = {
     BlockRecord: (("index", "digits", "endpoint", "meta"), lambda: (1, (1,) * 8, P, {"n_k": 1})),
     RatInterval: (("lo", "hi"), lambda: (Fraction(1, 3), Fraction(1, 2))),
     RationalParam: (("r", "s", "q"), lambda: (1, 3, 4)),
-    CongruencePair: (("a", "b", "a2"), lambda: (1, 2, 3)),
-    Block: (("digits",), lambda: ((2, 1, 1, 3, 1, 1, 2),)),
     FixingCertificate: (
         ("fixes_point", "action_is_identity", "h_minus_period"),
         lambda: (True, False, 6),
@@ -123,8 +121,6 @@ VALUES = {
     BlockRecord: (1, (1,) * 8, P, {"n_k": 2}),
     RatInterval: (Fraction(1, 3), Fraction(2, 3)),
     RationalParam: (1, 3, 5),
-    CongruencePair: (1, 2, None),
-    Block: ((2, 1, 1, 3, 1, 1, 3),),
     FixingCertificate: (True, False, 1),
     DigitRule: ("arith", (2, 2)),
     IrrationalBlockParams: (7, 3, 2, 5, P, ExactScalar(1, 0, 10), ExactScalar(1, 0, 30)),
@@ -146,7 +142,7 @@ def ids(classes):
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 20
     assert set(VALUES) == set(FROZEN)
 
 
@@ -206,8 +202,6 @@ def test_value_record_compares_and_hashes_by_fields(cls):
 
 
 def test_defaults():
-    assert CongruencePair(1, 2).a2 is None
-    assert CongruencePair(a=1, b=2, a2=None) == CongruencePair(1, 2)
     problem = DimensionProblem((1, 1, 1))
     assert (problem.b, problem.c) == (1, 0)
     assert DimensionProblem(block=(1, 1, 1), b=1, c=0).continuant_table == problem.continuant_table
@@ -258,9 +252,9 @@ def test_reprs_keep_the_dataclass_format():
 # stay cheap on a hot path; every other record binds its __slots__ through
 # Record.__init__
 OWN_INIT = {
-    "ExactScalar", "TorusPoint", "GenWord", "RationalParam", "Block",
+    "ExactScalar", "TorusPoint", "GenWord", "RationalParam",
     "BlockRecord", "DigitRule", "DimensionProblem", "RatInterval",
-    "CoverState", "CongruencePair", "OrbitStats", "IntMat2", "FixingCertificate",
+    "CoverState", "OrbitStats", "IntMat2", "FixingCertificate",
 }
 BOUND_BY_RECORD = {
     "IrrationalBlockParams", "CylinderStrip",
@@ -285,6 +279,7 @@ def test_own_init_inventory():
     classes = _record_classes() - {Frozen}
     own = {c.__name__ for c in classes if "__init__" in vars(c)}
     assert own == OWN_INIT
+    assert len(OWN_INIT) == 12
     assert {c.__name__ for c in classes} - own == BOUND_BY_RECORD
     assert set(RECORDS) <= classes
 
