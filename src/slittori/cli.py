@@ -54,13 +54,13 @@ class _Parser(argparse.ArgumentParser):
     like every other bad input (subparsers inherit this class).
 
     A value that starts with a minus sign and a digit, such as ``-3,5,7``,
-    ``-1/4,1/4``, ``-1:1:4:2`` or ``-3/10``, is read as an argument, not as
-    an option, so it may follow its flag after a space.
+    ``-1,-1,3``, ``-1/4,1/4``, ``-1:1:4:2`` or ``-3/10``, is read as an
+    argument, not as an option, so it may follow its flag after a space.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d[\d,/:.]*\Z")
+        self._negative_number_matcher = re.compile(r"-\.?\d[\d,/:.-]*\Z")
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")

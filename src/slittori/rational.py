@@ -8,10 +8,10 @@ coprime to ``q``, the seven-digit block
 
 spells an alternating h+-leading word g_z that fixes both the surface
 M(z) and, up to sign, the homology class beta.  The exponents a, b are
-the least solutions of small linear congruences, found with one modular
-inverse each.  Certification never trusts the construction: the word is
-traced and the certificate records whether the endpoint returns to z and
-the traced action is +-identity.
+the least solutions of two linear congruences modulo 2q, found with one
+modular inverse per parameter.  Certification never trusts the
+construction: the word is traced and the certificate records whether the
+endpoint returns to z and the traced action is +-identity.
 
 For the barrier picture itself z = (0, lambda) with lambda = p/2q, the
 odd case reduces to a = q, b = q-1, i.e. the block
@@ -27,7 +27,8 @@ from math import gcd
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import Frozen
-from .torus import TorusPoint, entries_are_identity, entries_fix_beta, trace_rational
+from .torus import TorusPoint, _trace_lattice, canonical_entries, trace_rational
+from .torus import entries_are_identity, entries_fix_beta
 from .words import GenWord
 
 
@@ -79,21 +80,26 @@ class CongruenceError(RuntimeError):
     """A congruence without solution; impossible for valid input."""
 
 
-def _least_solution(s: int, rhs: int, mod: int) -> int:
-    """The least a in 1..mod with a s = rhs (mod mod).
+def _least_solutions(s: int, mod: int, rhs1: int, rhs2: int) -> tuple[int, int]:
+    """The least a in 1..mod with a s = rhs (mod mod), for rhs1 and rhs2.
 
     With g = gcd(s, mod) a solution exists exactly when g divides rhs, and
     the solutions are one residue modulo mod/g, so the least one is that
-    residue's representative in 1..mod/g.
+    residue's representative in 1..mod/g; g and 1/(s/g) mod mod/g serve both.
+    As g divides a s, a s - rhs is a multiple of g only when rhs is, so the
+    re-check of each solution also catches a congruence without one.
     """
     g = gcd(s, mod)
-    if rhs % g:
-        raise CongruenceError(f"{s} a = {rhs} (mod {mod}) has no solution")
     step = mod // g
-    a = (rhs // g) * pow(s // g, -1, step) % step or step
-    if (a * s - rhs) % mod:
+    inv = pow(s // g, -1, step)
+    a1 = rhs1 // g * inv % step or step
+    a2 = rhs2 // g * inv % step or step
+    if (a1 * s - rhs1) % mod or (a2 * s - rhs2) % mod:
+        a, rhs = (a1, rhs1) if (a1 * s - rhs1) % mod else (a2, rhs2)
+        if rhs % g:
+            raise CongruenceError(f"{s} a = {rhs} (mod {mod}) has no solution")
         raise CongruenceError(f"{a} does not solve {s} a = {rhs} (mod {mod})")
-    return a
+    return a1, a2
 
 
 def solve_congruences(param: RationalParam) -> tuple[int, int, int | None]:
@@ -119,8 +125,9 @@ def solve_congruences(param: RationalParam) -> tuple[int, int, int | None]:
         r, s = -r, -s
     mod = 2 * q
     if r % 2 or s % 2:  # odd case
-        return _least_solution(s, -q - r, mod), _least_solution(s, q + r - s, mod), None
-    return _least_solution(s, q - 1 - r, mod), s, _least_solution(s, q - 1 + r, mod)
+        return (*_least_solutions(s, mod, -q - r, q + r - s), None)
+    a, a2 = _least_solutions(s, mod, q - 1 - r, q - 1 + r)
+    return a, s, a2
 
 
 def block_for(param: RationalParam) -> tuple[int, ...]:
@@ -137,9 +144,6 @@ def block_for(param: RationalParam) -> tuple[int, ...]:
 def fixing_word(param: RationalParam) -> GenWord:
     """The alternating 7-syllable word with the block digits as exponents."""
     return GenWord.from_digits(block_for(param))
-
-
-_BLOCK_GENERATORS = ("h+", "h-", "h+", "h-", "h+", "h-", "h+")  # of the 7 digits, in order
 
 
 class FixingCertificate(Frozen):
@@ -166,16 +170,17 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     invariant under every power) and 2q otherwise; the returned period
     is itself re-verified by a trace.  Both traces run on the lattice
     Z/2q, where z is (r, s), one closed-form syllable at a time; the
-    block digits are the syllable exponents directly, with no
-    :class:`~slittori.words.GenWord` in between, and the verdicts are
-    read from the canonical action entries, with no matrix built.
+    block digits are the exponents of an h+-leading word as they are,
+    with no :class:`~slittori.words.GenWord` in between, and the verdicts
+    are read from the canonical action entries, with no matrix built.
     """
     r, s, q = param.r, param.s, param.q
-    period = 1 if r == 0 else 2 * q
-    word = zip(_BLOCK_GENERATORS, block_for(param))
-    x, y, action = trace_rational(2 * q, r, s, word)
-    x_h, y_h, action_h = trace_rational(2 * q, r, s, (("h-", period),))
-    period_ok = (x_h, y_h) == (r, s) and entries_fix_beta(*action_h)
+    W = 2 * q
+    period = 1 if r == 0 else W
+    # trace_rational checks the start once, and the period trace reuses it
+    x, y, action = trace_rational(W, r, s, "h+", block_for(param))
+    (x_h, _), (y_h, _), a, b, c, d = _trace_lattice(W, 0, (r, 0), (s, 0), "h-", (period,))
+    period_ok = (x_h, y_h) == (r, s) and entries_fix_beta(*canonical_entries(a, b, c, d))
     return FixingCertificate((x, y) == (r, s) and period_ok, entries_are_identity(*action), period)
 
 

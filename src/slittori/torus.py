@@ -35,13 +35,15 @@ A whole syllable g^n has a closed form.  With moving coordinate t0 and
 fixed coordinate f in lattice units, every step moves by -f with
 |f| <= W/2, so it wraps at most once, and every wrap of the syllable
 goes the same way (by +W when f > 0, by -W when f < 0).  So with
-t = t0 - n f and k = -floor((t + W/2)/W) the syllable ends at t + k W
+t = t0 - n f and k = floor((t + W/2)/W) the syllable ends at t - k W
 after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 ``u // W`` for rational t and takes one
 :func:`~slittori.exact.floor_sqrt` otherwise.  :func:`_trace_lattice`,
 on the lattice's integers W and D, is the one place that applies it,
 once per syllable, and the one place the homology action is multiplied
-out.  :func:`trace_word` returns (final, entries), its end point as a
+out.  Every word it traces alternates, so it takes the leading generator
+and the exponents, and flips the generator after each syllable.
+:func:`trace_word` returns (final, entries), its end point as a
 :class:`TorusPoint` and the canonical entries of the action;
 :func:`trace_rational` takes integer numerators over an even W and builds
 neither a point, a :class:`Lattice` nor a matrix -- the form
@@ -217,51 +219,53 @@ class Lattice:
 
 
 def _trace_lattice(
-    W: int, D: int, x: Coord, y: Coord, syllables
+    W: int, D: int, x: Coord, y: Coord, leading: str, exponents
 ) -> tuple[Coord, Coord, int, int, int, int]:
-    """Trace ``syllables`` from (x, y) on the lattice (Z + Z sqrt(D))/W, one
-    closed-form syllable at a time: the end point and the entries a, b, c, d
-    of the homology action, before sign canonicalisation.  The floor of
-    t + W/2 = u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D)).
-    A generator other than h+ and h-, or an exponent below 1, raises
-    :class:`ValueError`."""
+    """Trace the word with ``exponents``, generators alternating from
+    ``leading``, from (x, y) on the lattice (Z + Z sqrt(D))/W, one closed-form
+    syllable at a time: the end point and the entries a, b, c, d of the
+    homology action, before sign canonicalisation.  The floor of t + W/2 =
+    u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D)).  A leading
+    generator other than h+ and h-, or an exponent below 1, raises ValueError."""
+    if leading != "h+" and leading != "h-":
+        raise ValueError(f"unknown generator {leading!r}")
+    plus = leading == "h+"
     half = W // 2
     (xu, xv), (yu, yv) = x, y
     a, b, c, d = 1, 0, 0, 1
-    for gen, n in syllables:
+    for n in exponents:
         if n < 1:
             raise ValueError(f"exponent must be positive, got {n}")
-        if gen == "h+":
+        if plus:
             xu, xv = xu - n * yu, xv - n * yv
-            k = -((xu + half + floor_sqrt(xv, D) if xv else xu + half) // W)
-            xu += k * W
-            m = n - 2 * abs(k)
+            k = (xu + half + floor_sqrt(xv, D) if xv else xu + half) // W
+            xu -= k * W
+            m = n - 2 * k if k > 0 else n + 2 * k
             b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
-        elif gen == "h-":
-            yu, yv = yu - n * xu, yv - n * xv
-            k = -((yu + half + floor_sqrt(yv, D) if yv else yu + half) // W)
-            yu += k * W
-            m = n - 2 * abs(k)
-            a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
         else:
-            raise ValueError(f"unknown generator {gen!r}")
+            yu, yv = yu - n * xu, yv - n * xv
+            k = (yu + half + floor_sqrt(yv, D) if yv else yu + half) // W
+            yu -= k * W
+            m = n - 2 * k if k > 0 else n + 2 * k
+            a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
+        plus = not plus
     return (xu, xv), (yu, yv), a, b, c, d
 
 
 def trace_rational(
-    W: int, x: int, y: int, syllables
+    W: int, x: int, y: int, leading: str, exponents
 ) -> tuple[int, int, tuple[int, int, int, int]]:
-    """Trace ``syllables`` from the rational point (x/W, y/W), one
-    closed-form syllable at a time, without building a point or a matrix:
-    the end point's numerators over W and the entries of the homology
-    action there, as :func:`canonical_entries` gives them.
+    """Trace the word with ``exponents`` led by ``leading`` from the rational
+    point (x/W, y/W), one closed-form syllable at a time, without building a
+    point or a matrix: the end point's numerators over W and the entries of
+    the homology action there, as :func:`canonical_entries` gives them.
 
     W is even and x, y lie in [-W/2, W/2).
     """
     half = W // 2
     if W < 2 or W % 2 or not (-half <= x < half and -half <= y < half):
         raise ValueError(f"({x}, {y})/{W} is not a point of [-1/2, 1/2)^2 over an even W")
-    (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (x, 0), (y, 0), syllables)
+    (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (x, 0), (y, 0), leading, exponents)
     return x, y, canonical_entries(a, b, c, d)
 
 
@@ -279,7 +283,10 @@ def trace_word(
     from :func:`_trace_lattice`, one closed-form step per syllable.
     """
     lat = Lattice(z.x, z.y)
-    x, y, *mat = _trace_lattice(lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), word.syllables)
+    leading = word.syllables[0][0] if word.syllables else "h+"
+    x, y, *mat = _trace_lattice(
+        lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), leading, word.digits()
+    )
     return lat.point(x, y), canonical_entries(*mat)
 
 

@@ -54,6 +54,7 @@ SCAN = "tests/test_rational.py::test_congruences_match_scan"
 CERT_ORACLE = "tests/test_rational.py::test_certificate_matches_oracle"
 CERT_EXAMPLES = "tests/test_rational.py::test_certify_examples"
 KERNEL = "tests/test_torus.py::test_kernel_matches_oracle"
+SYLLABLE_ORACLE = "tests/test_torus.py::test_kernel_matches_syllable_oracle"
 BAD_SYLLABLE = "tests/test_torus.py::test_trace_rational_rejects_bad_syllables[syllable2]"
 ZERO_DIGIT = "tests/test_rational.py::test_zero_digit_is_refused_by_every_consumer"
 FLOORS = "tests/test_exact.py::test_floor_against_mpmath"
@@ -138,7 +139,7 @@ CATALOGUE = (
     ),
     Mutant(
         "least-solution-may-be-0", "rational.py",
-        "% step or step", "% step",
+        "a1 = rhs1 // g * inv % step or step", "a1 = rhs1 // g * inv % step",
         (SCAN,),
     ),
     Mutant(
@@ -148,19 +149,35 @@ CATALOGUE = (
     ),
     Mutant(
         "h-minus-period-q", "rational.py",
-        "period = 1 if r == 0 else 2 * q", "period = 1 if r == 0 else q",
+        "period = 1 if r == 0 else W", "period = 1 if r == 0 else q",
         (CERT_ORACLE, CERT_EXAMPLES),
+    ),
+    Mutant(
+        "h-minus-period-led-by-h-plus", "rational.py",
+        '"h-", (period,))', '"h+", (period,))',
+        (CERT_ORACLE, CERT_EXAMPLES),
+    ),
+    Mutant(
+        "shared-inverse-mod-2q", "rational.py",
+        "inv = pow(s // g, -1, step)", "inv = pow(s // g, -1, mod)",
+        (SCAN,),
     ),
     # the closed-form syllable of torus._trace_lattice and its floor
     Mutant(
         "wrap-goes-the-other-way", "torus.py",
-        "xu += k * W", "xu -= k * W",
-        (KERNEL,),
+        "xu -= k * W", "xu += k * W",
+        (KERNEL, SYLLABLE_ORACLE),
     ),
     Mutant(
         "running-count-reads-k-for-abs-k", "torus.py",
-        "m = n - 2 * abs(k)\n            b, d", "m = n - 2 * k\n            b, d",
-        (KERNEL,),
+        "m = n - 2 * k if k > 0 else n + 2 * k\n            b, d",
+        "m = n - 2 * k\n            b, d",
+        (KERNEL, SYLLABLE_ORACLE),
+    ),
+    Mutant(
+        "alternation-toggle-dropped", "torus.py",
+        "        plus = not plus\n", "",
+        (KERNEL, SYLLABLE_ORACLE),
     ),
     Mutant(
         "floor-of-negative-sqrt-is-ceiling", "exact.py",

@@ -9,6 +9,10 @@ the search budget spent.  ``in_region_S``, ``apply_generator_inverse`` and
 ``generator_homology_factor`` are the per-step rule it is built from.
 ``word_matrix`` multiplies a word's matrix out of generator powers, the
 reference for the closed-form :meth:`~slittori.words.GenWord.matrix`.
+``_trace_lattice`` applies the closed-form syllable rule to
+(generator, exponent) pairs, one generator test per syllable: the
+reference for the library kernel, which takes a leading generator and
+the exponents of an alternating word.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from slittori.exact import ExactScalar, mod_half_open, scalar
+from slittori.exact import ExactScalar, floor_sqrt, mod_half_open, scalar
 from slittori.irrational import (
     DEFAULT_A_MIN,
     DEFAULT_BUDGET,
@@ -25,7 +29,7 @@ from slittori.irrational import (
     DerivationError,
     SearchBudgetExceededError,
 )
-from slittori.torus import TorusPoint, canonical_entries, entries_fix_beta
+from slittori.torus import Coord, TorusPoint, canonical_entries, entries_fix_beta
 from slittori.words import H_MINUS, H_PLUS, IDENTITY, GenWord, IntMat2
 
 GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
@@ -89,6 +93,38 @@ def generator_homology_factor(z_after: TorusPoint, gen: str) -> IntMat2:
     """The per-step homology factor, evaluated at the post-step point."""
     m = GEN_MATRIX[gen]
     return m if in_region_S(z_after) else m.inverse()
+
+
+def _trace_lattice(
+    W: int, D: int, x: Coord, y: Coord, syllables
+) -> tuple[Coord, Coord, int, int, int, int]:
+    """Trace ``syllables`` from (x, y) on the lattice (Z + Z sqrt(D))/W, one
+    closed-form syllable at a time: the end point and the entries a, b, c, d
+    of the homology action, before sign canonicalisation.  The floor of
+    t + W/2 = u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D)).
+    A generator other than h+ and h-, or an exponent below 1, raises
+    :class:`ValueError`."""
+    half = W // 2
+    (xu, xv), (yu, yv) = x, y
+    a, b, c, d = 1, 0, 0, 1
+    for gen, n in syllables:
+        if n < 1:
+            raise ValueError(f"exponent must be positive, got {n}")
+        if gen == "h+":
+            xu, xv = xu - n * yu, xv - n * yv
+            k = -((xu + half + floor_sqrt(xv, D) if xv else xu + half) // W)
+            xu += k * W
+            m = n - 2 * abs(k)
+            b, d = b + m * a, d + m * c  # right-multiply by (h+)^m
+        elif gen == "h-":
+            yu, yv = yu - n * xu, yv - n * xv
+            k = -((yu + half + floor_sqrt(yv, D) if yv else yu + half) // W)
+            yu += k * W
+            m = n - 2 * abs(k)
+            a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return (xu, xv), (yu, yv), a, b, c, d
 
 
 def trace_rational_core(ix, iy, full, word, collect):

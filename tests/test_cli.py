@@ -268,6 +268,7 @@ def test_readme_prose_names_only_existing_flags():
             "billiard", "--lambda", "1/4", "--x", "-3/10", "--y", "1/10",
             "--vx", "-7/10", "--vy", "2/5",
         ],
+        ["build", "--z-rational", "-1,-1,3", "--nk", "const:6"],
     ],
 )
 def test_negative_value_after_flag(capsys, argv):

@@ -1,7 +1,8 @@
-"""Forged rational spec files fail closed.
+"""Forged spec files fail closed.
 
-Three spec files written by ``build`` are edited one structured change at
-a time: a digit or an endpoint coefficient moved by one, a block dropped,
+Four spec files written by ``build``, three rational and one for the
+quadratic lambda = sqrt(2)/4, are edited one structured change at a time:
+a digit or an endpoint coefficient moved by one, a block dropped,
 duplicated or swapped, a provenance field changed, a JSON value given
 another type, or the text truncated.  Each edited file goes through
 ``verify --horizon 2`` in-process.  The run must either exit 2 with a
@@ -19,6 +20,7 @@ SEEDS = {
     "quarter": ["--lambda", "1/4", "--nk", "const:1", "--blocks", "3"],
     "arith": ["--z-rational", "-3,5,7", "--nk", "arith:14,0", "--blocks", "2"],
     "sixth-list": ["--lambda", "1/6", "--nk", "list:1,2,3", "--blocks", "3"],
+    "sqrt2-quarter": ["--lambda=0:1:4:2", "--blocks", "2"],
 }
 PER_KIND = 34  # of each of the six kinds of edit, about 200 files in all
 
@@ -65,22 +67,31 @@ def _reordered(items):
             yield f"{i}, {j} swapped", swapped
 
 
-def _provenance_changes(prov):
+def _provenance_changes(prov, blocks):
     for key, value in prov.items():
         if isinstance(value, bool):
             yield (key,), not value
+        elif key == "budget":
+            # any budget that covers every block's digit sum a + b + c + d
+            # is a true build input of the same stream; one below the
+            # largest sum is not
+            yield (key,), max(sum(b["digits"]) - 4 for b in blocks) - 1
         elif isinstance(value, int):
             yield (key,), value + 1
             yield (key,), value - 1
         elif isinstance(value, str):
             yield (key,), "irrational" if value == "rational" else "rational"
-    rule = prov["nk_rule"]
-    for kind in ("default", "const", "arith", "list"):
-        if kind != rule["kind"]:
-            yield ("nk_rule", "kind"), kind
-    for i, v in enumerate(rule["params"]):
-        yield ("nk_rule", "params", i), v + 1
-        yield ("nk_rule", "params", i), v - 1
+        elif isinstance(value, list):  # the coefficients of an irrational lambda
+            for i, v in enumerate(value):
+                yield (key, i), v + 1
+                yield (key, i), v - 1
+        else:  # a digit rule, nk_rule or d_choices
+            for kind in ("default", "const", "arith", "list"):
+                if kind != value["kind"]:
+                    yield (key, "kind"), kind
+            for i, v in enumerate(value["params"]):
+                yield (key, "params", i), v + 1
+                yield (key, "params", i), v - 1
 
 
 def _edits(doc, text):
@@ -107,7 +118,7 @@ def _edits(doc, text):
     prefix = doc["digit_prefix"]
     for what, runs in _reordered([prefix[i:i + 8] for i in range(0, len(prefix), 8)]):
         add("block", f"digit_prefix runs {what}", {**doc, "digit_prefix": sum(runs, [])})
-    for path, new in _provenance_changes(doc["provenance"]):
+    for path, new in _provenance_changes(doc["provenance"], doc["blocks"]):
         add("provenance", f"provenance {path} = {new!r}", _replaced(doc, ("provenance",) + path, new))
     for path, value in _leaves(doc):
         if path:

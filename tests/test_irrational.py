@@ -91,10 +91,9 @@ def _forge_certificates(monkeypatch, forge):
     traced = []
     trace = irrational._trace_lattice
 
-    def forged(W, D, x, y, syllables):
-        syllables = tuple(syllables)
-        traced.append(tuple(n for _, n in syllables))
-        return forge(W, D, *trace(W, D, x, y, syllables))
+    def forged(W, D, x, y, leading, exponents):
+        traced.append(tuple(exponents))
+        return forge(W, D, *trace(W, D, x, y, leading, exponents))
 
     monkeypatch.setattr(irrational, "_trace_lattice", forged)
     return traced

@@ -83,9 +83,10 @@ def test_congruences_build_no_second_param(monkeypatch):
 
 
 def test_congruence_without_solution_fails_closed():
-    with pytest.raises(CongruenceError):
-        rational._least_solution(2, 1, 6)  # 2a = 1 (mod 6)
-    assert rational._least_solution(2, 4, 6) == 2  # least of 2 and 5
+    for rhs in ((1, 4), (4, 1)):  # 2a = 1 (mod 6), first or second
+        with pytest.raises(CongruenceError, match=r"^2 a = 1 \(mod 6\) has no solution$"):
+            rational._least_solutions(2, 6, *rhs)
+    assert rational._least_solutions(2, 6, 4, 2) == (2, 1)  # least of 2 and 5, of 1 and 4
 
 
 def test_r_zero_odd_case_closed_form():

@@ -287,9 +287,9 @@ def closed_form_syllable(lat, moving, fixed, n):
     read from _trace_lattice on the one-syllable words (h+)^n and (h-)^n:
     the action of g^n from the identity is the generator to the power m,
     so m is its b entry for h+ and its c entry for h-."""
-    x, _, a, m, c, d = _trace_lattice(lat.W, lat.D, moving, fixed, (("h+", n),))
+    x, _, a, m, c, d = _trace_lattice(lat.W, lat.D, moving, fixed, "h+", (n,))
     assert (a, c, d) == (1, 0, 1)
-    _, y, a, b, m_minus, d = _trace_lattice(lat.W, lat.D, fixed, moving, (("h-", n),))
+    _, y, a, b, m_minus, d = _trace_lattice(lat.W, lat.D, fixed, moving, "h-", (n,))
     assert (a, b, d) == (1, 0, 1) and (y, m_minus) == (x, m)
     return x, m
 
@@ -330,9 +330,28 @@ def test_closed_form_trace_matches_oracle_on_wide_coefficients():
             z = lat.point(x, y)
             w = rand_word(rng, max_syllables=6, max_exp=30)
             final, points, action = oracle.trace_word(z, w)
-            x1, y1, *mat = _trace_lattice(lat.W, lat.D, x, y, w.syllables)
+            x1, y1, *mat = _trace_lattice(lat.W, lat.D, x, y, w.syllables[0][0], w.digits())
             assert lat.point(x1, y1) == final == lattice_points(z, w)[-1] == points[-1]
             assert canonical_entries(*mat) == action
+
+
+def test_kernel_matches_syllable_oracle():
+    """_trace_lattice on a leading generator and exponents against the
+    syllable-form oracle on the same seeded alternating words: both leading
+    generators, rational points and three quadratic fields, and exponents
+    up to 50 W, which wrap many times in one syllable."""
+    rng = random.Random(67)
+    for D in (0, 2, 3, 5):
+        for w in (2, 6, 40, 1001):
+            lat = Lattice(ExactScalar(1, 0, w), *([ExactScalar(0, 1, 1, D)] if D else []))
+            for _ in range(25):
+                x, y = rand_coord(rng, lat, rng.choice((0, 64))), rand_coord(rng, lat)
+                leading = rng.choice(("h+", "h-"))
+                exponents = tuple(rng.randint(1, 50 * lat.W) for _ in range(rng.randint(1, 9)))
+                syllables = GenWord.from_digits(exponents, leading).syllables
+                assert _trace_lattice(lat.W, lat.D, x, y, leading, exponents) == (
+                    oracle._trace_lattice(lat.W, lat.D, x, y, syllables)
+                ), (lat.W, lat.D, x, y, leading, exponents)
 
 
 def test_trace_rational_matches_stepping():
@@ -350,7 +369,7 @@ def test_trace_rational_matches_stepping():
                     continue
             w = rand_word(rng, max_syllables=7, max_exp=min(3 * W, 120))
             final, _, action = oracle.trace_word(z, w, record_points=False)
-            x1, y1, traced = trace_rational(W, x, y, w.syllables)
+            x1, y1, traced = trace_rational(W, x, y, w.syllables[0][0], w.digits())
             assert P(Fraction(x1, W), Fraction(y1, W)) == final
             assert traced == action
 
@@ -358,16 +377,18 @@ def test_trace_rational_matches_stepping():
 def test_trace_rational_rejects_bad_lattices():
     for W, x, y in ((3, 0, 1), (0, 0, 0), (6, 3, 0), (6, 0, -4)):
         with pytest.raises(ValueError):
-            trace_rational(W, x, y, (("h+", 1),))
+            trace_rational(W, x, y, "h+", (1,))
 
 
 @pytest.mark.parametrize("syllable", [("hx", 3), ("h+", -2), ("h-", 0)])
 def test_trace_rational_rejects_bad_syllables(syllable):
-    """An unknown generator or an exponent below 1 fails closed, alone and
-    after a valid syllable, instead of tracing as h- or a negative count."""
-    for word in ((syllable,), (("h+", 1), syllable)):
+    """An unknown leading generator or an exponent below 1 fails closed,
+    alone and after a valid exponent, instead of tracing as h- or a
+    negative count."""
+    leading, n = syllable
+    for exponents in ((n,), (1, n)):
         with pytest.raises(ValueError):
-            trace_rational(6, 1, 2, word)
+            trace_rational(6, 1, 2, leading, exponents)
 
 
 def test_mixed_fields_fail_closed():
