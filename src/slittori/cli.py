@@ -104,15 +104,18 @@ def _parse_point(text: str) -> TorusPoint:
 
 
 def _parse_word(text: str) -> GenWord:
-    syllables = []
+    """``gen[:exp],...`` with generators h+ and h- that alternate."""
+    gens, digits = [], []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ":" in chunk:
-            gen, exp = chunk.split(":")
-            syllables.append((gen.strip(), int(exp)))
-        else:
-            syllables.append((chunk, 1))
-    return GenWord(tuple(syllables))
+        gen, exp = chunk.split(":") if ":" in chunk else (chunk, 1)
+        gen = gen.strip()
+        if gen != "h+" and gen != "h-":
+            raise ValueError(f"unknown generator {gen!r}")
+        if gens and gen == gens[-1]:
+            raise ValueError("syllables must alternate generators")
+        gens.append(gen)
+        digits.append(int(exp))
+    return GenWord(gens[0], tuple(digits))
 
 
 def _parse_rule(text: str) -> DigitRule:
@@ -250,7 +253,7 @@ def cmd_action(args) -> int:
     _emit(
         {
             "z": z.as_json(),
-            "word_digits": list(word.digits()),
+            "word_digits": list(word.digits),
             "final": final.as_json(),
             "final_str": str(final),
             "action": [a, b, c, d],

@@ -41,7 +41,10 @@ class DigitRule(Frozen):
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str = "default", params: tuple[int, ...] = ()):
-        params = tuple(int(v) for v in params)
+        params = tuple(params)
+        for v in params:
+            if not isinstance(v, int):
+                raise TypeError(f"digit rule parameter must be an int, got {v!r}")
         if kind == "default":
             ok = not params
         elif kind == "const":

@@ -280,12 +280,12 @@ def trace_word(
     :func:`canonical_entries` gives.  The factors of one syllable are all
     powers of its generator, so they multiply to the generator raised to
     the syllable's running count.  The end point and the action come
-    from :func:`_trace_lattice`, one closed-form step per syllable.
+    from :func:`_trace_lattice`, one closed-form step per syllable, which
+    takes the word's ``leading`` generator and ``digits`` as they are.
     """
     lat = Lattice(z.x, z.y)
-    leading = word.syllables[0][0] if word.syllables else "h+"
     x, y, *mat = _trace_lattice(
-        lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), leading, word.digits()
+        lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), word.leading, word.digits
     )
     return lat.point(x, y), canonical_entries(*mat)
 

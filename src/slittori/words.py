@@ -6,7 +6,8 @@ The shear generators are
 
 with the quarter-turn ``omega = [[0,1],[-1,0]]`` and the diagonal swap
 ``theta = [[0,1],[1,0]]``.  Words are strictly alternating products of
-powers of h+ and h-; an h+-leading word with digit list (a1, ..., ak)
+powers of h+ and h-, so a word is its leading generator and its digit
+list, the exponents in order; an h+-leading word with digits (a1, ..., ak)
 is the matrix product (h+)^a1 (h-)^a2 ... read left to right, and for
 even k its matrix is [[q_k, q_{k-1}], [p_k, p_{k-1}]] in terms of the
 convergents p_i/q_i of [0; a1, ..., ak].
@@ -91,85 +92,66 @@ def check_relations() -> tuple[bool, list[str]]:
     return (not failures, failures)
 
 
-_OTHER = {"h+": "h-", "h-": "h+"}
-
-
 class GenWord(Frozen):
     """Alternating word in the generators h+ and h-.
 
-    ``syllables`` is a tuple of (generator, exponent) pairs with
-    positive exponents and strictly alternating generators.
+    ``leading`` is the first generator, ``"h+"`` or ``"h-"``, and
+    ``digits`` the positive int exponents in order; the generators
+    alternate from ``leading``.  The empty word is led by ``"h+"``, so
+    that it has one form.
     """
 
-    __slots__ = ("syllables",)
+    __slots__ = ("leading", "digits")
 
-    def __init__(self, syllables: tuple[tuple[str, int], ...]):
-        prev = None
-        for gen, exp in syllables:
-            if gen not in ("h+", "h-"):
-                raise ValueError(f"unknown generator {gen!r}")
-            if exp < 1:
-                raise ValueError(f"exponent must be positive, got {exp}")
-            if gen == prev:
-                raise ValueError("syllables must alternate generators")
-            prev = gen
-        _set_syllables(self, syllables)
+    def __init__(self, leading: str, digits: tuple[int, ...]):
+        if leading != "h+" and leading != "h-":
+            raise ValueError(f"unknown generator {leading!r}")
+        for n in digits:
+            if not isinstance(n, int):
+                raise TypeError(f"exponent must be an int, got {n!r}")
+            if n < 1:
+                raise ValueError(f"exponent must be positive, got {n}")
+        _set_leading(self, leading if digits else "h+")
+        _set_digits(self, digits)
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], leading: str = "h+") -> "GenWord":
         """Word (h+)^a1 (h-)^a2 ... from a digit list."""
-        gen = leading
-        syl = []
-        for d in digits:
-            syl.append((gen, int(d)))
-            gen = _OTHER[gen]
-        return cls(tuple(syl))
-
-    @classmethod
-    def power(cls, gen: str, n: int) -> "GenWord":
-        return cls(((gen, n),))
-
-    def digits(self) -> tuple[int, ...]:
-        return tuple(exp for _, exp in self.syllables)
-
-    def __len__(self) -> int:
-        return len(self.syllables)
+        return cls(leading, tuple(digits))
 
     @property
     def step_count(self) -> int:
-        return sum(exp for _, exp in self.syllables)
+        return sum(self.digits)
 
     def __mul__(self, other: "GenWord") -> "GenWord":
         """Concatenation, merging the seam syllable when generators match."""
-        if not self.syllables:
+        left, right = self.digits, other.digits
+        if not left:
             return other
-        if not other.syllables:
+        if not right:
             return self
-        left, right = list(self.syllables), list(other.syllables)
-        if left[-1][0] == right[0][0]:
-            gen, e1 = left.pop()
-            _, e2 = right[0]
-            right[0] = (gen, e1 + e2)
-        return GenWord(tuple(left + right))
+        # a word of odd length ends on its leading generator
+        if (len(left) % 2 == 1) == (self.leading == other.leading):
+            left, right = left[:-1], (left[-1] + right[0],) + right[1:]
+        return GenWord(self.leading, left + right)
 
     def matrix(self) -> IntMat2:
         a, b, c, d = 1, 0, 0, 1
-        for gen, n in self.syllables:
-            if gen == "h+":
+        plus = self.leading == "h+"
+        for n in self.digits:
+            if plus:
                 b, d = b + n * a, d + n * c  # right-multiply by (h+)^n
             else:
                 a, c = a + n * b, c + n * d  # right-multiply by (h-)^n
+            plus = not plus
         return IntMat2(a, b, c, d)
 
     def theta_conjugate(self) -> "GenWord":
         """The word theta * w * theta^-1, i.e. h+ and h- exchanged."""
-        return GenWord(tuple((_OTHER[g], e) for g, e in self.syllables))
-
-    def __str__(self):
-        return " ".join(f"{g}^{e}" if e > 1 else g for g, e in self.syllables)
+        return GenWord("h-" if self.leading == "h+" else "h+", self.digits)
 
 
-(_set_syllables,) = GenWord._setters
+_set_leading, _set_digits = GenWord._setters
 
 
 class Convergents:
@@ -190,7 +172,8 @@ class Convergents:
 
     def extend(self, digits: Iterable[int]) -> None:
         for d in digits:
-            d = int(d)
+            if not isinstance(d, int):
+                raise TypeError(f"continued-fraction digit must be an int, got {d!r}")
             if d < 1:
                 raise ValueError(f"continued-fraction digit must be >= 1, got {d}")
             self._digits.append(d)

@@ -60,6 +60,10 @@ ZERO_DIGIT = "tests/test_rational.py::test_zero_digit_is_refused_by_every_consum
 FLOORS = "tests/test_exact.py::test_floor_against_mpmath"
 DET_INCREMENTAL = "tests/test_words.py::test_determinant_identity_incremental_matches_full_check"
 FORGED = "tests/test_forged_specs.py::test_forged_rational_specs_fail_closed"
+WORD_VALIDATION = "tests/test_words.py::test_word_validation"
+WORD_MATRIX = "tests/test_words.py::test_word_matrix_examples"
+WORD_SEAM = "tests/test_words.py::test_word_concat_merges_seam"
+CLI_ALTERNATION = "tests/test_cli.py::test_action_word_pinned[h+:2,h+:1]"
 
 CATALOGUE = (
     Mutant(
@@ -194,6 +198,33 @@ CATALOGUE = (
         "determinant-check-one-index-late", "words.py",
         "range(self._det_checked + 1,", "range(self._det_checked + 2,",
         (DET_INCREMENTAL,),
+    ),
+    # the (leading, digits) form of words.GenWord and the CLI's word parser
+    Mutant(
+        "word-leading-unchecked", "words.py",
+        'if leading != "h+" and leading != "h-":', "if False:",
+        (WORD_VALIDATION,),
+    ),
+    Mutant(
+        "word-zero-exponent", "words.py",
+        "if n < 1:", "if n < 0:",
+        (WORD_VALIDATION,),
+    ),
+    Mutant(
+        "word-matrix-toggle-dropped", "words.py",
+        "            plus = not plus\n", "",
+        (WORD_MATRIX,),
+    ),
+    Mutant(
+        "word-seam-parity-inverted", "words.py",
+        "if (len(left) % 2 == 1) == (self.leading == other.leading):",
+        "if (len(left) % 2 == 1) != (self.leading == other.leading):",
+        (WORD_SEAM,),
+    ),
+    Mutant(
+        "word-alternation-unchecked", "cli.py",
+        "if gens and gen == gens[-1]:", "if False:",
+        (CLI_ALTERNATION,),
     ),
     # the spec-file loader of cli.load_spec
     Mutant(

@@ -49,7 +49,7 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     final, _, action = oracle_torus.trace_word(z, word, record_points=False)
     period = 1 if param.r == 0 else 2 * param.q
     final_h, _, action_h = oracle_torus.trace_word(
-        z, GenWord.power("h-", period), record_points=False
+        z, GenWord.from_digits((period,), "h-"), record_points=False
     )
     period_ok = final_h == z and entries_fix_beta(*action_h)
     return FixingCertificate(

@@ -12,7 +12,9 @@ reference for the closed-form :meth:`~slittori.words.GenWord.matrix`.
 ``_trace_lattice`` applies the closed-form syllable rule to
 (generator, exponent) pairs, one generator test per syllable: the
 reference for the library kernel, which takes a leading generator and
-the exponents of an alternating word.
+the exponents of an alternating word.  ``syllables_of`` rebuilds those
+pairs from a word's leading generator and digits, for every reference
+here that steps a word syllable by syllable.
 """
 
 from __future__ import annotations
@@ -64,10 +66,20 @@ def matrix_power(m: IntMat2, n: int) -> IntMat2:
     return result
 
 
+def syllables_of(word: GenWord) -> tuple[tuple[str, int], ...]:
+    """The word's (generator, exponent) pairs, alternating from its leading one."""
+    other = {"h+": "h-", "h-": "h+"}
+    gen, out = word.leading, []
+    for exp in word.digits:
+        out.append((gen, exp))
+        gen = other[gen]
+    return tuple(out)
+
+
 def word_matrix(word: GenWord) -> IntMat2:
     """The word's matrix as the product of its syllables' generator powers."""
     m = IDENTITY
-    for gen, exp in word.syllables:
+    for gen, exp in syllables_of(word):
         m = m * matrix_power(GEN_MATRIX[gen], exp)
     return m
 
@@ -131,7 +143,7 @@ def trace_rational_core(ix, iy, full, word, collect):
     half = full // 2
     a, b, c, d = 1, 0, 0, 1
     pts = [] if collect else None
-    for gen, exp in word.syllables:
+    for gen, exp in syllables_of(word):
         if gen == "h+":
             for _ in range(exp):
                 ix = (ix - iy + half) % full - half
@@ -157,7 +169,7 @@ def trace_quadratic_core(x, y, word, collect):
     a, b, c, d = 1, 0, 0, 1
     pts = [] if collect else None
     lo, hi = ExactScalar(-1, 0, 2), ExactScalar(1, 0, 2)
-    for gen, exp in word.syllables:
+    for gen, exp in syllables_of(word):
         if gen == "h+":
             for _ in range(exp):
                 x = mod_half_open(x - y)

@@ -54,6 +54,41 @@ def test_action_excluded_point_fails(capsys):
     assert "error" in json.loads(err)
 
 
+# --word text -> (word_digits, final_str, action, orbit_length) at z = (0, 1/4)
+ACTION_WORDS = {
+    "h+": ([1], "(-1/4, 1/4)", [1, 1, 0, 1], 1),
+    "h-:2,h+": ([2, 1], "(-1/4, 1/4)", [1, 1, 2, 3], 3),
+    "h+:3, h-:1": ([3, 1], "(1/4, 0)", [2, 1, 1, 1], 4),
+}
+# --word text with one fault -> the error it exits 2 with
+BAD_WORDS = {
+    "h+:2,h+:1": "ValueError: syllables must alternate generators",
+    "h-,h-": "ValueError: syllables must alternate generators",
+    "x:1": "ValueError: unknown generator 'x'",
+    "": "ValueError: unknown generator ''",
+    "h+:0": "ValueError: exponent must be positive, got 0",
+    "h+:": "ValueError: invalid literal for int() with base 10: ''",
+    "h+:2:3": "ValueError: too many values to unpack (expected 2)",
+}
+
+
+@pytest.mark.parametrize("word", list(ACTION_WORDS) + list(BAD_WORDS))
+def test_action_word_pinned(capsys, word):
+    """``action --word`` traces each accepted word to its pinned output and
+    refuses each single-fault word with exit 2, an empty stdout and one
+    JSON line naming the fault."""
+    code, out, err = run(capsys, "action", "--z", "0,1/4", f"--word={word}")
+    if word in ACTION_WORDS:
+        doc = json.loads(out)
+        assert code == 0 and err == ""
+        assert (doc["word_digits"], doc["final_str"], doc["action"], doc["orbit_length"]) == (
+            ACTION_WORDS[word]
+        )
+    else:
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and json.loads(err) == {"error": BAD_WORDS[word]}
+
+
 def test_build_verify_roundtrip(tmp_path, capsys):
     spec_path = tmp_path / "d.json"
     code, out, _ = run(

@@ -326,7 +326,7 @@ def test_trace_work_is_linear_in_horizon(stream, horizon, monkeypatch):
     monkeypatch.setattr(criterion, "trace_word", counted)
     spec = _stream(stream)
     assert verify(spec, horizon).overall
-    assert [len(word) for word in traced] == [8] * horizon
+    assert [len(word.digits) for word in traced] == [8] * horizon
     assert sum(word.step_count for word in traced) == sum(spec.digits_prefix(8 * horizon))
 
 

@@ -43,7 +43,7 @@ VALIDATION = ValidationReport((1, 1), (0, 0), (1, 1), 1, True, (1, 1), 1)
 # class -> (field names in constructor order, a function giving fresh field values)
 FROZEN = {
     IntMat2: (("a", "b", "c", "d"), lambda: (1, 2, 3, 5)),
-    GenWord: (("syllables",), lambda: ((("h+", 2), ("h-", 1)),)),
+    GenWord: (("leading", "digits"), lambda: ("h+", (2, 1))),
     TorusPoint: (("x", "y"), lambda: (ExactScalar(1, 0, 4), ExactScalar(1, 0, 3))),
     BlockRecord: (("index", "digits", "endpoint", "meta"), lambda: (1, (1,) * 8, P, {"n_k": 1})),
     RatInterval: (("lo", "hi"), lambda: (Fraction(1, 3), Fraction(1, 2))),
@@ -116,7 +116,7 @@ RECORDS = {**FROZEN, **MUTABLE}
 # frozen record -> field values differing from FROZEN's in the last field
 VALUES = {
     IntMat2: (1, 2, 3, 6),
-    GenWord: ((("h+", 2), ("h-", 2)),),
+    GenWord: ("h+", (2, 2)),
     TorusPoint: (ExactScalar(1, 0, 4), ExactScalar(-1, 0, 3)),
     BlockRecord: (1, (1,) * 8, P, {"n_k": 2}),
     RatInterval: (Fraction(1, 3), Fraction(2, 3)),

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from oracle_torus import word_matrix
+from slittori.dimension import DimensionProblem
+from slittori.directions import DigitRule
 from slittori.words import (
     GenWord,
     H_MINUS,
@@ -86,11 +88,24 @@ def test_bad_digits_rejected():
         Convergents((-1,))
 
 
+def test_digits_that_are_not_ints_are_refused():
+    """A float digit raises TypeError instead of being truncated to the
+    int below it, which would certify the continuants of other digits."""
+    with pytest.raises(TypeError):
+        DimensionProblem((1.5, 1, 1))
+    with pytest.raises(TypeError):
+        Convergents((2.9,))
+    with pytest.raises(TypeError):
+        DigitRule("const", (2.5,))
+    with pytest.raises(TypeError):
+        GenWord.from_digits((2.7, 1))
+
+
 def test_word_matrix_examples():
     assert GenWord.from_digits((1, 1)).matrix() == IntMat2(2, 1, 1, 1)
     w = GenWord.from_digits((5, 1, 1, 7, 1, 1, 2, 1))
     assert w.matrix() == IntMat2(625, 448, 113, 81)
-    assert GenWord(()).matrix() == IDENTITY
+    assert GenWord.from_digits(()).matrix() == IDENTITY
 
 
 def test_even_words_match_convergent_matrices():
@@ -141,18 +156,16 @@ def test_mutated_generator_breaks_relations():
 
 def test_word_validation():
     with pytest.raises(ValueError):
-        GenWord((("h+", 2), ("h+", 1)))
+        GenWord("h+", (0,))
     with pytest.raises(ValueError):
-        GenWord((("h+", 0),))
-    with pytest.raises(ValueError):
-        GenWord((("x", 1),))
+        GenWord("x", (1,))
 
 
 def test_word_concat_merges_seam():
     w1 = GenWord.from_digits((2, 3))
     w2 = GenWord.from_digits((4, 1), leading="h-")
     merged = w1 * w2
-    assert merged.syllables == (("h+", 2), ("h-", 7), ("h+", 1))
+    assert (merged.leading, merged.digits) == ("h+", (2, 7, 1))
     assert merged.matrix() == w1.matrix() * w2.matrix()
 
 
@@ -163,7 +176,7 @@ def test_theta_conjugate():
 
 
 def test_matrix_pow_and_inverse():
-    assert GenWord.power("h+", 5).matrix() == IntMat2(1, 5, 0, 1)
+    assert GenWord.from_digits((5,), "h+").matrix() == IntMat2(1, 5, 0, 1)
     assert (H_MINUS * H_MINUS).inverse() == IntMat2(1, 0, -2, 1)
     assert H_PLUS * H_PLUS.inverse() == IDENTITY
     m = IntMat2(2, 1, 1, 1)
