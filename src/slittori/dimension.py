@@ -86,9 +86,6 @@ class DimensionProblem(Frozen):
         conv, m = Convergents(block), len(block)
         super().__init__(block, b, c, (conv.p(m), conv.p(m - 1), conv.q(m), conv.q(m - 1)))
 
-    def continuants(self) -> tuple[int, int]:
-        return self.continuant_table[2:]
-
     @property
     def coefficients(self) -> tuple[int, int]:
         """(A, B) = (b q_m, q_m (c + 1) + q_{m-1}): d^{1/2}_{b l + c} = 1/(A l + B)."""
@@ -183,12 +180,6 @@ def e_upper_bound() -> Fraction:
     """
     head = sum(Fraction(1, math.factorial(k)) for k in range(13))
     return head + Fraction(1, math.factorial(12) * 12)
-
-
-def exact_sqrt_partial_sum(problem: DimensionProblem, u: int) -> Fraction:
-    """sum_{l=1..u} d^{1/2}_{b l + c} as an exact rational."""
-    A, B = problem.coefficients
-    return sum((Fraction(1, A * l + B) for l in range(1, u + 1)), Fraction(0))
 
 
 def _exact_str(q: Fraction) -> str:

@@ -3,10 +3,9 @@
 An :class:`ExactScalar` represents ``(u + v*sqrt(D)) / w`` with integer
 ``u, v``, positive integer ``w`` and squarefree ``D >= 0``.  With ``v = 0``
 this is an ordinary rational, so the class covers every coordinate the
-rest of the package needs: torus coordinates, slit lengths, window
-endpoints and the epsilon margins of the block searches.  All
-comparisons, signs and floors are computed exactly -- there is no
-floating point anywhere on this path.
+rest of the package needs: torus coordinates, slit lengths and window
+endpoints.  All comparisons, signs and floors are computed exactly --
+there is no floating point anywhere on this path.
 
 Scalars with different radicands can be combined only when at least one
 of them is rational; anything else raises :class:`FieldMismatchError`.
@@ -182,10 +181,6 @@ class ExactScalar(Frozen):
     def from_fraction(cls, q) -> "ExactScalar":
         q = Fraction(q)
         return cls(q.numerator, 0, q.denominator, 0)
-
-    @classmethod
-    def sqrt(cls, D: int) -> "ExactScalar":
-        return cls(0, 1, 1, D)
 
     # -- queries ------------------------------------------------------
 

@@ -21,28 +21,20 @@ class InconclusiveIntervalError(ArithmeticError):
 
 
 class RatInterval(Frozen):
+    """The closed interval [lo, hi] with int or Fraction endpoints."""
+
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Fraction, hi: Fraction):
+    def __init__(self, lo: int | Fraction, hi: int | Fraction):
+        if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):
+            raise TypeError(f"interval endpoints must be int or Fraction, got {lo!r}, {hi!r}")
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         _set_lo(self, lo)
         _set_hi(self, hi)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     # A scalar operand (int or Fraction) enters each endpoint directly; a
     # product by k takes two products, in the order the sign of k gives.
-
-    def __add__(self, other):
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
-        k = _scalar(other)
-        return RatInterval(self.lo + k, self.hi + k)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RatInterval(-self.hi, -self.lo)
@@ -53,10 +45,6 @@ class RatInterval(Frozen):
         k = _scalar(other)
         return RatInterval(self.lo - k, self.hi - k)
 
-    def __rsub__(self, other):
-        k = _scalar(other)
-        return RatInterval(k - self.hi, k - self.lo)
-
     def __mul__(self, other):
         if isinstance(other, RatInterval):
             cands = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
@@ -65,8 +53,6 @@ class RatInterval(Frozen):
         if k < 0:
             return RatInterval(self.hi * k, self.lo * k)
         return RatInterval(self.lo * k, self.hi * k)
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "RatInterval":
         if self.lo <= 0 <= self.hi:
@@ -79,19 +65,12 @@ class RatInterval(Frozen):
             return self * other.reciprocal()
         return self * Fraction(1, _scalar(other))
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * _scalar(other)
-
     def __abs__(self):
         if self.lo >= 0:
             return self
         if self.hi <= 0:
             return -self
         return RatInterval(Fraction(0), max(-self.lo, self.hi))
-
-    def contains(self, q) -> bool:
-        q = Fraction(q)
-        return self.lo <= q <= self.hi
 
     # -- certified comparisons ---------------------------------------
     # Three-way answers: True / False are certain; an interval that
@@ -119,9 +98,6 @@ class RatInterval(Frozen):
     def certified_abs_le(self, bound) -> bool:
         a = abs(self)
         return a.certified_le(bound)
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
 
 
 _set_lo, _set_hi = RatInterval._setters

@@ -61,8 +61,8 @@ class DerivationError(RuntimeError):
 
 
 class IrrationalBlockParams(Frozen):
-    # a, b, c, d: ints; z_out: TorusPoint; eps1, eps2: ExactScalar
-    __slots__ = ("a", "b", "c", "d", "z_out", "eps1", "eps2")
+    # a, b, c, d: ints; z_out: TorusPoint
+    __slots__ = ("a", "b", "c", "d", "z_out")
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -193,12 +193,7 @@ def find_block(
             and not negative(yu - lu, yv - lv, D) and not negative(hu - yu, hv - yv, D)
             and entries_fix_beta(*canonical_entries(*action))):
         raise DerivationError(f"block {digits} fails its trace certificate")
-    return IrrationalBlockParams(
-        a=a, b=b, c=c, d=d,
-        z_out=lat.point(x7, y_out),
-        eps1=lat.scalar((x1[0] + half, x1[1])),
-        eps2=lat.scalar((half - y4[0], -y4[1])),
-    )
+    return IrrationalBlockParams(a, b, c, d, lat.point(x7, y_out))
 
 
 def _irrational_blocks(z0: TorusPoint, choices: DigitRule, budget: int) -> Iterator[BlockRecord]:

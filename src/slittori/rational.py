@@ -27,7 +27,7 @@ from math import gcd
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import Frozen
-from .torus import TorusPoint, _trace_lattice, canonical_entries, trace_rational
+from .torus import TorusPoint, _trace_lattice, canonical_entries
 from .torus import entries_are_identity, entries_fix_beta
 from .words import GenWord
 
@@ -168,20 +168,23 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     Never raises on failure; a failing certificate is the caller's
     acceptance gate.  The h- period is 1 when r = 0 (the height is then
     invariant under every power) and 2q otherwise; the returned period
-    is itself re-verified by a trace.  Both traces run on the lattice
-    Z/2q, where z is (r, s), one closed-form syllable at a time; the
-    block digits are the exponents of an h+-leading word as they are,
-    with no :class:`~slittori.words.GenWord` in between, and the verdicts
-    are read from the canonical action entries, with no matrix built.
+    is itself re-verified by a trace.  Both traces call
+    :func:`~slittori.torus._trace_lattice` on the lattice Z/2q, where z is
+    (r, s), one closed-form syllable at a time; the block digits are the
+    exponents of an h+-leading word as they are, with no
+    :class:`~slittori.words.GenWord` in between, and the verdicts are read
+    from the canonical action entries, with no matrix built.  The start
+    needs no check: :class:`RationalParam` makes q >= 1 and |r|, |s| < q,
+    so W = 2q is even and r and s lie in [-W/2, W/2).
     """
     r, s, q = param.r, param.s, param.q
     W = 2 * q
     period = 1 if r == 0 else W
-    # trace_rational checks the start once, and the period trace reuses it
-    x, y, action = trace_rational(W, r, s, "h+", block_for(param))
+    (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (r, 0), (s, 0), "h+", block_for(param))
+    fixes_identity = entries_are_identity(*canonical_entries(a, b, c, d))
     (x_h, _), (y_h, _), a, b, c, d = _trace_lattice(W, 0, (r, 0), (s, 0), "h-", (period,))
     period_ok = (x_h, y_h) == (r, s) and entries_fix_beta(*canonical_entries(a, b, c, d))
-    return FixingCertificate((x, y) == (r, s) and period_ok, entries_are_identity(*action), period)
+    return FixingCertificate((x, y) == (r, s) and period_ok, fixes_identity, period)
 
 
 class NkRuleError(ValueError):

@@ -43,13 +43,13 @@ on the lattice's integers W and D, is the one place that applies it,
 once per syllable, and the one place the homology action is multiplied
 out.  Every word it traces alternates, so it takes the leading generator
 and the exponents, and flips the generator after each syllable.
-:func:`trace_word` returns (final, entries), its end point as a
-:class:`TorusPoint` and the canonical entries of the action;
-:func:`trace_rational` takes integer numerators over an even W and builds
-neither a point, a :class:`Lattice` nor a matrix -- the form
-:func:`slittori.rational.certify_fixing` uses on Z/2q -- and
-:func:`slittori.irrational.find_block` calls :func:`_trace_lattice` on
-its search's own lattice.  :meth:`Lattice.run` steps one unit at a time and supplies
+:func:`trace_word`, the one adapter from a :class:`TorusPoint` and a
+:class:`~slittori.words.GenWord`, returns (final, entries), its end point
+as a :class:`TorusPoint` and the canonical entries of the action;
+:func:`slittori.rational.certify_fixing` calls :func:`_trace_lattice` on
+Z/2q and :func:`slittori.irrational.find_block` on its search's own
+lattice, each with its own integers, building neither a point nor a
+matrix.  :meth:`Lattice.run` steps one unit at a time and supplies
 :func:`m_sequence` and the searches and single steps of
 :mod:`slittori.irrational`, which need every intermediate point.  The
 test suite checks both against each other and against a reference that
@@ -104,9 +104,6 @@ class TorusPoint(Frozen):
     @property
     def is_rational(self) -> bool:
         return self.x.is_rational and self.y.is_rational
-
-    def as_fractions(self) -> tuple[Fraction, Fraction]:
-        return (self.x.as_fraction(), self.y.as_fraction())
 
     def as_json(self) -> list[list[int]]:
         return [self.x.as_json(), self.y.as_json()]
@@ -250,23 +247,6 @@ def _trace_lattice(
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
         plus = not plus
     return (xu, xv), (yu, yv), a, b, c, d
-
-
-def trace_rational(
-    W: int, x: int, y: int, leading: str, exponents
-) -> tuple[int, int, tuple[int, int, int, int]]:
-    """Trace the word with ``exponents`` led by ``leading`` from the rational
-    point (x/W, y/W), one closed-form syllable at a time, without building a
-    point or a matrix: the end point's numerators over W and the entries of
-    the homology action there, as :func:`canonical_entries` gives them.
-
-    W is even and x, y lie in [-W/2, W/2).
-    """
-    half = W // 2
-    if W < 2 or W % 2 or not (-half <= x < half and -half <= y < half):
-        raise ValueError(f"({x}, {y})/{W} is not a point of [-1/2, 1/2)^2 over an even W")
-    (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (x, 0), (y, 0), leading, exponents)
-    return x, y, canonical_entries(a, b, c, d)
 
 
 def trace_word(

@@ -26,12 +26,6 @@ class IntMat2(Frozen):
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: int, b: int, c: int, d: int):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
-
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
@@ -42,9 +36,6 @@ class IntMat2(Frozen):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __neg__(self) -> "IntMat2":
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
 
     def inverse(self) -> "IntMat2":
         det = self.det()
@@ -57,11 +48,6 @@ class IntMat2(Frozen):
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def __str__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
-
-_set_a, _set_b, _set_c, _set_d = IntMat2._setters
 
 IDENTITY = IntMat2(1, 0, 0, 1)
 H_PLUS = IntMat2(1, 1, 0, 1)
@@ -183,9 +169,6 @@ class Convergents:
     @property
     def digits(self) -> tuple[int, ...]:
         return tuple(self._digits)
-
-    def __len__(self) -> int:
-        return len(self._digits)
 
     def p(self, k: int) -> int:
         if k < -1 or k > len(self._digits):

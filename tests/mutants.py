@@ -10,9 +10,11 @@ First the named tests must pass on the unmutated ``src/``.  Then, for each
 entry, the runner copies ``src/`` to a temporary directory, replaces the
 entry's old text (which must occur exactly once in its file) with the new
 text there, and runs the entry's tests with ``PYTHONPATH`` set to the
-copy.  It prints one ``killed`` or ``survived`` line per entry and exits 1
-when a mutant survives or cannot be applied.  The file name keeps pytest
-from collecting it, so it is not part of the test suite.
+copy.  It prints one ``killed``, ``survived`` or ``not run`` line per
+entry and exits 1 unless every mutant is killed.  A pytest run that takes
+longer than ``PYTEST_TIMEOUT_S`` is stopped and its entry reads ``not run:
+timed out``.  The file name keeps pytest from collecting it, so it is not
+part of the test suite.
 
 A change that breaks a rule in a scratch copy to check its tests adds the
 mutation here instead (DeMillo, Lipton and Sayward, "Hints on test data
@@ -64,6 +66,14 @@ WORD_VALIDATION = "tests/test_words.py::test_word_validation"
 WORD_MATRIX = "tests/test_words.py::test_word_matrix_examples"
 WORD_SEAM = "tests/test_words.py::test_word_concat_merges_seam"
 CLI_ALTERNATION = "tests/test_cli.py::test_action_word_pinned[h+:2,h+:1]"
+FORGED_ENDPOINT = "tests/test_criterion.py::test_forged_endpoint_fails_only_its_checkpoint"
+FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
+FLOW_LATTICE_ORACLE = "tests/test_flow.py::test_simulate_matches_lattice_oracle"
+INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
+
+# seconds one pytest run may take; a mutant that stops a loop from
+# advancing is reported as not run instead of hanging the catalogue
+PYTEST_TIMEOUT_S = 300
 
 CATALOGUE = (
     Mutant(
@@ -226,6 +236,42 @@ CATALOGUE = (
         "if gens and gen == gens[-1]:", "if False:",
         (CLI_ALTERNATION,),
     ),
+    # the event clocks and sampling of flow._simulate_loop
+    Mutant(
+        "flow-top-period-off-by-one", "flow.py",
+        "top_period = _exact_div(Lq, p)", "top_period = _exact_div(Lq, p) + 1",
+        (FLOW_LATTICE_ORACLE,),
+    ),
+    Mutant(
+        "flow-no-slit-solve-after-top-reset", "flow.py",
+        '                solve = True\n                if kind != "top_edge":',
+        '                if kind != "top_edge":\n                    solve = True',
+        (FLOW_ORACLE,),
+    ),
+    Mutant(
+        "flow-corner-read-as-right-edge", "flow.py",
+        'e, kind = t_right, "corner"', 'e, kind = t_right, "right_edge"',
+        (FLOW_ORACLE,),
+    ),
+    Mutant(
+        "flow-sample-at-segment-end-moved-on", "flow.py",
+        "while m_clock <= e_clock:", "while m_clock < e_clock:",
+        (FLOW_LATTICE_ORACLE,),
+    ),
+    # criterion.verify traces from its own running point
+    Mutant(
+        "verify-traces-from-the-stored-endpoint", "criterion.py",
+        "z_n, entries = trace_word(z_n, block)",
+        "z_n, entries = trace_word(spec.checkpoint_point(n - 1) if n > 1 else spec.z0, block)",
+        (FORGED_ENDPOINT,),
+    ),
+    # the endpoint types of intervals.RatInterval
+    Mutant(
+        "interval-endpoint-type-unchecked", "intervals.py",
+        "if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):",
+        "if False:",
+        (INTERVAL_TYPES,),
+    ),
     # the spec-file loader of cli.load_spec
     Mutant(
         "spec-file-not-compared-with-rebuild", "cli.py",
@@ -235,11 +281,16 @@ CATALOGUE = (
 )
 
 
-def pytest_exit(src: Path, tests) -> int:
-    """The exit code of pytest running ``tests`` against the package in ``src``."""
+def pytest_exit(src: Path, tests) -> int | None:
+    """The exit code of pytest running ``tests`` against the package in
+    ``src``, or None when the run takes longer than ``PYTEST_TIMEOUT_S``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+    try:
+        run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=PYTEST_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return run.returncode
 
 
 def outcome(mutant: Mutant) -> str:
@@ -253,6 +304,8 @@ def outcome(mutant: Mutant) -> str:
             return f"not applied: old text occurs {text.count(mutant.old)} times"
         path.write_text(text.replace(mutant.old, mutant.new))
         code = pytest_exit(src, mutant.tests)
+    if code is None:
+        return "not run: timed out"
     if code == 1:
         return "killed"
     return "survived" if code == 0 else f"not run: pytest exit {code}"
@@ -266,8 +319,8 @@ def main(names: list[str]) -> int:
         return 2
     chosen = [known[n] for n in names] or list(CATALOGUE)
     tests = sorted({t for m in chosen for t in m.tests})
-    if pytest_exit(ROOT / "src", tests):
-        print("the named tests fail on the unmutated source", file=sys.stderr)
+    if pytest_exit(ROOT / "src", tests) != 0:
+        print("the named tests fail or time out on the unmutated source", file=sys.stderr)
         return 2
     failed = 0
     for mutant in chosen:

@@ -195,7 +195,7 @@ def trace_word(z: TorusPoint, word: GenWord, record_points: bool = True):
     """(final, points, entries) by the rational or the quadratic core: the
     end point, the recorded points and the canonical entries of the action."""
     if z.is_rational:
-        fx, fy = z.as_fractions()
+        fx, fy = z.x.as_fraction(), z.y.as_fraction()
         full = lcm(fx.denominator, fy.denominator, 2)
         ix = fx.numerator * (full // fx.denominator)
         iy = fy.numerator * (full // fy.denominator)

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import oracle_torus as oracle
+from oracle_dimension import exact_sqrt_partial_sum
 from slittori.cli import _build_parser, load_spec, main, spec_from_provenance, spec_to_dict
 from slittori.criterion import verify
-from slittori.dimension import DimensionProblem, dimension_certificate, exact_sqrt_partial_sum
+from slittori.dimension import DimensionProblem, dimension_certificate
 from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
 from slittori.flow import OrbitStats, simulate, slope_from_spec

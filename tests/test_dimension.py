@@ -16,7 +16,6 @@ from slittori.dimension import (
     contraction_bound,
     dimension_certificate,
     divergence_minorant,
-    exact_sqrt_partial_sum,
     moran_sum,
     solve_su,
     sqrt_contraction,
@@ -36,7 +35,7 @@ MORAN_PROBLEMS = (
 
 def _moran_coefficients(problem):
     """(A, B) with d_{b l + c}^s = (A l + B)^(-2 s)."""
-    qm, qm1 = problem.continuants()
+    qm, qm1 = problem.continuant_table[2:]
     return problem.b * qm, qm * (problem.c + 1) + qm1
 
 
@@ -85,7 +84,7 @@ def test_sqrt_contraction_is_exact_root():
 
 
 def test_toy_partial_sums_exceed_one_before_100():
-    s = exact_sqrt_partial_sum(TOY, 100)
+    s = oracle.exact_sqrt_partial_sum(TOY, 100)
     assert s > 1  # sum of 1/(3l+5) over l <= 100
 
 
@@ -144,11 +143,11 @@ def test_minorant_termwise():
 
 
 def test_exact_prefix_matches_direct_summation():
-    # exact rational partial sums agree with term-by-term construction
+    # the oracle's exact partial sums agree with term-by-term construction
     total = Fraction(0)
     for l in range(1, 101):
         total += Fraction(1, 448 * (l + 1) + 177)
-    assert exact_sqrt_partial_sum(QUARTER, 100) == total
+    assert oracle.exact_sqrt_partial_sum(QUARTER, 100) == total
 
 
 def test_image_disjointness():
@@ -166,7 +165,7 @@ def test_divergence_witness_integer_recheck():
     """u* = (A+B) 3^A for the barrier block, rechecked with plain integers:
     A(u*+1)+B reaches 3^A (A+B), and 3 exceeds a bound on e."""
     a, b0 = 448, 625  # A = b q_m, B = q_m (c+1) + q_{m-1} for 5,1,1,7,1,1,2
-    assert QUARTER.continuants() == (448, 177)
+    assert QUARTER.continuant_table[2:] == (448, 177)
     assert QUARTER.coefficients == (a, b0)
     u = (a + b0) * 3**a
     assert a * (u + 1) + b0 >= 3**a * (a + b0)

@@ -42,7 +42,7 @@ def test_alpha_enclosure_tightens():
     )
     wide = spec.alpha_enclosure(16)
     tight = spec.alpha_enclosure(256)
-    assert tight.width <= Fraction(1, 2**256)
+    assert tight.hi - tight.lo <= Fraction(1, 2**256)
     assert wide.lo <= tight.lo and tight.hi <= wide.hi
 
 

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 import oracle_torus as oracle
 from oracle_torus import in_region_S
 from slittori import irrational
+from slittori.criterion import verify
 from slittori.directions import DigitRule
 from slittori.exact import ExactScalar, FieldMismatchError, mod_half_open
 from slittori.irrational import (
@@ -54,14 +56,18 @@ def test_block_certificates():
 
 def test_block_region_crosschecks():
     # the traced orbit must visit the regions the window search promises:
-    # after the first long shear run the next four single steps alternate
-    # outside/inside S, and every traced coordinate is irrational
+    # the a and b runs end inside their windows, after the first long shear
+    # run the next four single steps alternate outside/inside S, and every
+    # traced coordinate is irrational
     z = TorusPoint(ExactScalar(0), SQRT2_OVER_4)
     blk = find_block(z)
     a, b = blk.a, blk.b
     _, pts, _ = oracle.trace_word(z, GenWord.from_digits(blk.digits))
-    z2, z3 = pts[a], pts[a + 1]
-    z5, z6 = pts[a + 2 + b], pts[a + 3 + b]
+    z1, z2, z3 = pts[a - 1], pts[a], pts[a + 1]
+    z4, z5, z6 = pts[a + 1 + b], pts[a + 2 + b], pts[a + 3 + b]
+    half = ExactScalar(1, 0, 2)
+    assert 0 < z1.x + half < min(z.y, half - z.y) / 2  # eps1 inside its window
+    assert 0 < half - z4.y < min(-z3.x, half + z3.x) / 2  # eps2 inside its window
     assert not in_region_S(z2)
     assert in_region_S(z3)
     assert z3.x.sign() < 0
@@ -69,8 +75,6 @@ def test_block_region_crosschecks():
     assert in_region_S(z6)
     for p in pts:
         assert not p.x.is_rational and not p.y.is_rational
-    assert 0 < blk.eps1 < (1 - 2 * SQRT2_OVER_4) / 2 + SQRT2_OVER_4 / 2  # inside window
-    assert blk.eps2.sign() > 0
 
 
 def test_d_choice_produces_distinct_streams():
@@ -298,10 +302,10 @@ def test_budget_boundary_matches_oracle():
     for lam in LAMBDAS:
         z = TorusPoint(ExactScalar(0), lam)
         for d_index in (1, 2):
-            digits, z_out, eps1, eps2, used = oracle.find_block(z, d_index=d_index)
+            digits, z_out, _, _, used = oracle.find_block(z, d_index=d_index)
             blk = find_block(z, d_index=d_index, budget=used)
             assert (blk.a, blk.b, blk.c, blk.d) == digits
-            assert (blk.z_out, blk.eps1, blk.eps2) == (z_out, eps1, eps2)
+            assert blk.z_out == z_out
             with pytest.raises(SearchBudgetExceededError):
                 find_block(z, d_index=d_index, budget=used - 1)
 
@@ -310,3 +314,40 @@ def test_mixed_fields_fail_closed_in_search():
     z = TorusPoint(ExactScalar(0, 1, 8, 3), SQRT2_OVER_4)
     with pytest.raises(FieldMismatchError):
         find_block(z)
+
+
+def _sweep_lambdas():
+    """Every lambda = (u + v sqrt(D))/w in (0, 1/2) with D in {2, 3, 5, 6, 7,
+    10, 11, 13}, w <= 12 and 1 <= |v| <= 2, each once, in a fixed order."""
+    zero, half = ExactScalar(0), ExactScalar(1, 0, 2)
+    found = set()
+    for D in (2, 3, 5, 6, 7, 10, 11, 13):
+        for w in range(1, 13):
+            for v in (-2, -1, 1, 2):
+                root = isqrt(v * v * D)  # |v| sqrt(D) lies in (root, root + 1)
+                for u in range(-root - 1, w + root + 2):
+                    lam = ExactScalar(u, v, w, D)
+                    if zero < lam < half:
+                        found.add(lam.as_tuple())
+    return sorted(found)
+
+
+def test_builder_sweep_slice_verifies_or_exhausts_budget():
+    """A seeded slice of the builder sweep: three blocks at budget 20,000
+    and verify at horizon 3 either verify every hypothesis or run out of
+    budget; no lambda raises anything else or fails a check."""
+    lambdas = _sweep_lambdas()
+    assert len(lambdas) > 1000
+    outcomes = set()
+    for u, v, w, D in random.Random(26).sample(lambdas, 60):
+        lam = ExactScalar(u, v, w, D)
+        try:
+            spec = direction_stream_irrational(lam, budget=20_000)
+            spec.block(3)
+            overall = verify(spec, 3).overall  # it reads the first digit of block 4
+        except SearchBudgetExceededError:
+            outcomes.add("budget")
+            continue
+        assert overall, lam
+        outcomes.add("verified")
+    assert outcomes == {"verified", "budget"}

@@ -53,10 +53,7 @@ FROZEN = {
         lambda: (True, False, 6),
     ),
     DigitRule: (("kind", "params"), lambda: ("arith", (2, 1))),
-    IrrationalBlockParams: (
-        ("a", "b", "c", "d", "z_out", "eps1", "eps2"),
-        lambda: (7, 3, 2, 5, P, ExactScalar(1, 0, 10), ExactScalar(1, 0, 20)),
-    ),
+    IrrationalBlockParams: (("a", "b", "c", "d", "z_out"), lambda: (7, 3, 2, 5, P)),
     CylinderStrip: (("k", "v", "area"), lambda: (1, (2, 3), ExactScalar(1, 0, 2))),
     DimensionProblem: (("block", "b", "c"), lambda: ((1, 2, 1), 2, 1)),
     CoverState: (("sheet", "x", "y", "deck"), lambda: (1, Fraction(1, 4), Fraction(-1, 8), 2)),
@@ -123,7 +120,7 @@ VALUES = {
     RationalParam: (1, 3, 5),
     FixingCertificate: (True, False, 1),
     DigitRule: ("arith", (2, 2)),
-    IrrationalBlockParams: (7, 3, 2, 5, P, ExactScalar(1, 0, 10), ExactScalar(1, 0, 30)),
+    IrrationalBlockParams: (7, 3, 2, 5, TorusPoint(ExactScalar(1, 0, 4), ExactScalar(-1, 0, 3))),
     CylinderStrip: (1, (2, 3), ExactScalar(1, 0, 3)),
     DimensionProblem: ((1, 2, 1), 2, 2),
     CoverState: (1, Fraction(1, 4), Fraction(-1, 8), 3),
@@ -247,17 +244,16 @@ def test_reprs_keep_the_dataclass_format():
 
 
 # records that write their own __init__ -- to check or normalise fields, to
-# give a default that the package uses, to zero counters, or (IntMat2 on
-# every matrix product, FixingCertificate on every rational certificate) to
-# stay cheap on a hot path; every other record binds its __slots__ through
-# Record.__init__
+# give a default that the package uses, to zero counters, or
+# (FixingCertificate on every rational certificate) to stay cheap on a hot
+# path; every other record binds its __slots__ through Record.__init__
 OWN_INIT = {
     "ExactScalar", "TorusPoint", "GenWord", "RationalParam",
     "BlockRecord", "DigitRule", "DimensionProblem", "RatInterval",
-    "CoverState", "OrbitStats", "IntMat2", "FixingCertificate",
+    "CoverState", "OrbitStats", "FixingCertificate",
 }
 BOUND_BY_RECORD = {
-    "IrrationalBlockParams", "CylinderStrip",
+    "IntMat2", "IrrationalBlockParams", "CylinderStrip",
     "ValidationReport", "SurfaceModel", "StepResult", "BilliardState",
     "CheckpointRecord", "VerificationReport", "DimensionCertificate",
 }
@@ -279,7 +275,7 @@ def test_own_init_inventory():
     classes = _record_classes() - {Frozen}
     own = {c.__name__ for c in classes if "__init__" in vars(c)}
     assert own == OWN_INIT
-    assert len(OWN_INIT) == 12
+    assert len(OWN_INIT) == 11
     assert {c.__name__ for c in classes} - own == BOUND_BY_RECORD
     assert set(RECORDS) <= classes
 

@@ -21,7 +21,6 @@ from slittori.torus import (
     involution_minus_id,
     involution_theta,
     m_sequence,
-    trace_rational,
     trace_word,
 )
 from slittori.words import GenWord, H_PLUS, H_MINUS, IntMat2, THETA
@@ -77,7 +76,7 @@ def test_trace_h_plus_cubed():
     z, w = P(0, Fraction(1, 4)), GenWord.from_digits((3,))
     final, action = trace_word(z, w)
     _, points, _ = oracle.trace_word(z, w)
-    assert [p.as_fractions() for p in points] == [
+    assert [(p.x.as_fraction(), p.y.as_fraction()) for p in points] == [
         (Fraction(-1, 4), Fraction(1, 4)),
         (Fraction(-1, 2), Fraction(1, 4)),
         (Fraction(1, 4), Fraction(1, 4)),
@@ -355,8 +354,9 @@ def test_kernel_matches_syllable_oracle():
 
 
 def test_trace_rational_matches_stepping():
-    """trace_rational on integer numerators against the reference stepping
-    one unit at a time from the same rational point."""
+    """The kernel on a rational lattice (D = 0), from integer numerators
+    over W, against the reference stepping one unit at a time from the same
+    rational point."""
     rng = random.Random(61)
     for W in (4, 6, 40, 2002):  # every point of Z/2 is a puncture
         for _ in range(40):
@@ -369,15 +369,12 @@ def test_trace_rational_matches_stepping():
                     continue
             w = rand_word(rng, max_syllables=7, max_exp=min(3 * W, 120))
             final, _, action = oracle.trace_word(z, w, record_points=False)
-            x1, y1, traced = trace_rational(W, x, y, w.leading, w.digits)
+            (x1, v1), (y1, v2), *traced = _trace_lattice(
+                W, 0, (x, 0), (y, 0), w.leading, w.digits
+            )
+            assert v1 == v2 == 0
             assert P(Fraction(x1, W), Fraction(y1, W)) == final
-            assert traced == action
-
-
-def test_trace_rational_rejects_bad_lattices():
-    for W, x, y in ((3, 0, 1), (0, 0, 0), (6, 3, 0), (6, 0, -4)):
-        with pytest.raises(ValueError):
-            trace_rational(W, x, y, "h+", (1,))
+            assert canonical_entries(*traced) == action
 
 
 @pytest.mark.parametrize("syllable", [("hx", 3), ("h+", -2), ("h-", 0)])
@@ -388,7 +385,7 @@ def test_trace_rational_rejects_bad_syllables(syllable):
     leading, n = syllable
     for exponents in ((n,), (1, n)):
         with pytest.raises(ValueError):
-            trace_rational(6, 1, 2, leading, exponents)
+            _trace_lattice(6, 0, (1, 0), (2, 0), leading, exponents)
 
 
 def test_mixed_fields_fail_closed():

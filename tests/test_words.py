@@ -39,7 +39,7 @@ def test_convergents_extended_block_and_det():
 
 def _identity_at_every_index(c):
     return all(
-        c.p(k - 1) * c.q(k) - c.p(k) * c.q(k - 1) == (-1) ** k for k in range(len(c) + 1)
+        c.p(k - 1) * c.q(k) - c.p(k) * c.q(k - 1) == (-1) ** k for k in range(len(c.digits) + 1)
     )
 
 
@@ -52,14 +52,14 @@ def test_determinant_identity_incremental_matches_full_check():
         c, checked = Convergents(), -1
         for _ in range(rng.randint(1, 8)):
             c.extend(rng.randint(1, 10**rng.randint(1, 12)) for _ in range(rng.randint(0, 6)))
-            if rng.random() < 0.15 and len(c) > checked:
-                k = rng.randint(checked + 1, len(c))
+            if rng.random() < 0.15 and len(c.digits) > checked:
+                k = rng.randint(checked + 1, len(c.digits))
                 table = rng.choice((c._p, c._q))
                 table[k + rng.randint(0, 1)] += rng.choice((-1, 1))
             holds = c.determinant_identity_holds()
             assert holds == _identity_at_every_index(c)
             if holds:
-                checked = len(c)
+                checked = len(c.digits)
 
 
 def test_determinant_identity_catches_a_new_corrupted_entry():
