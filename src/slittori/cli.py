@@ -339,7 +339,8 @@ def cmd_simulate(args) -> int:
         with open(args.output, "w") as fh:
             stats.write_csv(fh)
     summary = stats.summary()
-    summary["precision_bits"] = SLOPE_PRECISION_BITS
+    if args.spec is not None:  # the slope is the spec's convergent within 2**-bits
+        summary["precision_bits"] = SLOPE_PRECISION_BITS
     summary["deck_rule"] = model.validation.as_dict()
     _emit(summary)
     return 0 if not stats.terminated_early else 1

@@ -21,33 +21,33 @@ explicit cycle representative); a parameter that fails any of them is
 refused.
 
 One event rule (``_event_rule``) finds the next edge, corner or slit
-event; ``step_flow`` and the builder's closed-curve validation step
-through it, and its slit half (``_slit_rule``, with the cone-point,
-along-the-line and coincidence checks) is the one slit solve, which
-``simulate`` calls too.  Positions, directions and event times are
-exact.  Validation and ``step_flow`` accept a quadratic-field parameter
-(ExactScalar) as well as a rational one and run the rule on those
-scalars.  ``simulate`` needs a rational parameter and a rational slope,
-and runs on an integer lattice: one common denominator per ray turns
-every position and event time into an integer (``_simulate_loop`` gives
-the argument), and a division that leaves a remainder raises
-LatticeExactnessError instead of rounding.  On the lattice the edge
-events are two clocks with integral periods, L for the right edge and
-Lq/p for the top edge; the slit is solved only after an edge reset,
-because one straight piece meets the slit segment at most once, and the
-samples of an event segment (s, e] are those with
+event, with the cone-point, along-the-line and coincidence checks;
+``step_flow`` and the builder's closed-curve validation step through it.
+Positions, directions and event times are exact.  Validation and
+``step_flow`` accept a quadratic-field parameter (ExactScalar) as well
+as a rational one and run the rule on those scalars.  ``simulate`` needs
+a rational parameter and a rational slope, and runs on an integer
+lattice: one common denominator per ray turns every position and event
+time into an integer (``_simulate_loop`` gives the argument), and a
+division that leaves a remainder raises LatticeExactnessError instead
+of rounding.  On the lattice the events come from three clocks.  The
+edge clocks have integral periods, L for the right edge and Lq/p for the
+top edge.  The slit clock holds the integer time at which the current
+straight piece meets the slit's line and the integer that places the
+crossing on it; it starts as an exact quotient and moves by integer
+steps at each edge reset, so the rule's slit checks take comparisons
+only.  The samples of an event segment (s, e] are those with
 m ds_num L <= e ds_den, bracketed by a running sample clock.  A
 direction stream is simulated through an exact convergent of its digit
 expansion, chosen so the enclosure of the true slope is narrower than
-``2**-SLOPE_PRECISION_BITS``; the simulated orbit is then an exactly computed
-orbit of that nearby rational direction, with no positional drift at
-all.
+``2**-SLOPE_PRECISION_BITS``; the simulated orbit is then an exactly
+computed orbit of that nearby rational direction, with no positional
+drift at all.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .directions import PERIOD, DigitStreamExhaustedError, DirectionSpec
@@ -138,73 +138,52 @@ class StepResult(Frozen):
     __slots__ = ("state", "advance", "event")
 
 
-def _slit_rule(zx, zy, dx, dy, div=operator.truediv):
-    """The slit half of the next-event rule in direction (dx, dy), built once per ray.
+def _event_rule(zx, zy, dx, dy):
+    """The next-event rule of the flow in direction (dx, dy), built once per ray.
 
-    Returns ``slit_time(x, y, s)``: the parameter length from the cell
-    position (x, y) to the slit crossing when it comes strictly before the
-    edge event at length s (None: no edge event), else None.  The crossing
-    solves (x, y) + s (dx, dy) = t z: with det = dy zx - dx zy,
+    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
+    from the cell position (x, y) to the next right-edge, top-edge, corner
+    or slit event.  The edge times are (1/2 - x) / dx and (1/2 - y) / dy
+    (no division for dx = 1).  The slit crossing solves
+    (x, y) + s (dx, dy) = t z: with det = dy zx - dx zy,
     s = (zy x - zx y) / det and t = (dy x - dx y) / det.  Whether |t| <= 1
     (and whether t = +-1, a cone point) is decided by comparing
-    |dy x - dx y| with |det|, so t is never divided out.  The crossing
-    time is one ``div``: true division for Fraction and ExactScalar
-    parameters in the unit cell, ``_exact_div`` on the integer lattice of
-    ``simulate``.  A ray through a cone point, along the slit line or
-    crossing the slit exactly at the edge event raises SingularOrbitError.
+    |dy x - dx y| with |det|, so t is never divided out.  A ray through a
+    cone point, along the slit line or crossing the slit exactly at the
+    edge event raises SingularOrbitError.
     """
     det = dy * zx - dx * zy
     adet = abs(det)
     nadet = -adet
     crossing, det_pos = det != 0, det > 0
+    right, unit_dx, top = dx > 0, dx == 1, dy > 0
 
-    def slit_time(x, y, s):
+    def next_event(x, y):
+        s = kind = None
+        if right:
+            s, kind = (_HALF - x if unit_dx else (_HALF - x) / dx), "right_edge"
+        if top:
+            s_t = (_HALF - y) / dy
+            if s is None or s_t < s:
+                s, kind = s_t, "top_edge"
+            elif s_t == s:
+                kind = "corner"
         if crossing:
             num = zy * x - zx * y
-            if (num > 0) if det_pos else (num < 0):  # s > 0
+            if (num > 0) if det_pos else (num < 0):  # the crossing is ahead
                 u = dy * x - dx * y
                 if nadet <= u <= adet:
                     if u == adet or u == nadet:
                         raise SingularOrbitError("orbit hits a cone point")
-                    s_c = div(num, det)
+                    s_c = num / det
                     if s is None or s_c < s:
-                        return s_c
+                        return s_c, "slit"
                     if s_c == s:
                         raise SingularOrbitError(
                             "slit crossing coincides with an edge event"
                         )
         elif x * zy == y * zx:
             raise SingularOrbitError("orbit runs along the slit line")
-        return None
-
-    return slit_time
-
-
-def _event_rule(zx, zy, dx, dy, hx=_HALF, hy=_HALF, div=operator.truediv):
-    """The next-event rule of the flow in direction (dx, dy), built once per ray.
-
-    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
-    from the cell position (x, y) to the next right-edge, top-edge, corner
-    or slit event, in the cell [-hx, hx) x [-hy, hy).  The edge times are
-    (hx - x) / dx and (hy - y) / dy, each one ``div`` (none for dx = 1);
-    the slit time is ``_slit_rule``'s.
-    """
-    slit_time = _slit_rule(zx, zy, dx, dy, div)
-    right, unit_dx, top = dx > 0, dx == 1, dy > 0
-
-    def next_event(x, y):
-        s = kind = None
-        if right:
-            s, kind = (hx - x if unit_dx else div(hx - x, dx)), "right_edge"
-        if top:
-            s_t = div(hy - y, dy)
-            if s is None or s_t < s:
-                s, kind = s_t, "top_edge"
-            elif s_t == s:
-                kind = "corner"
-        s_c = slit_time(x, y, s)
-        if s_c is not None:
-            return s_c, "slit"
         if s is None:
             raise SingularOrbitError("zero direction")
         return s, kind
@@ -555,37 +534,49 @@ def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T)
 
 def _simulate_loop(model, slope, T, start, stats, event_log=None):
     """Run the flow on an integer lattice with one denominator per ray,
-    driven by three absolute clocks.
+    driven by three event clocks and a sample clock.
 
     Scale x and the advance s by L (``_lattice_denominator``) and y by
     L q.  The ray becomes (1, p), the cell [-L/2, L/2) x [-Lq/2, Lq/2)
-    and the slit endpoint (zx L, zy L q), all integers.  X and Y below
-    are the scaled x and y, and s, e and every clock are lattice times
-    (advances scaled by L) counted from the start.  Every event time is an
-    integer:
+    and the slit endpoint (ZX, ZY) = (zx L, zy L q), all integers.  X and
+    Y below are the scaled x and y, and s, e and every clock are lattice
+    times (advances scaled by L) counted from the start.  Every event time
+    is an integer:
 
     * right edge: L/2 - X is an integer, as L is even;
     * top edge: Lq/2 - Y stays a multiple of p.  Y starts as y0 L q, a
       multiple of p because L is; it moves by S p, and resets to -Lq/2,
       also a multiple of p;
-    * slit: with det = p zx L - zy L q = L detn / zd, the numerator
-      zy L q X - zx L Y starts as (L^2 q / zd)(zyn x0 - zxn y0), a
-      multiple of det because L / |detn| clears x0 and y0.  It changes by
-      -det S per advance, and edge resets (X by -L, Y by -Lq) change it
-      by multiples of det, because |detn| divides L;
+    * slit: with det = p ZX - ZY = L detn / zd, the straight piece through
+      (X, Y) meets the slit's line at the time t_line = s + (ZY X - ZX Y)
+      / det and the slit parameter u / det, where u = p X - Y; both stay
+      constant as the ray advances.  t_line starts as
+      L q (zyn x0 - zxn y0) / detn, an integer because L / |detn| clears
+      x0 and y0.  A right-edge reset (X by -L) adds
+      -ZY L / det = -zyn q L / detn to t_line and -p L to u, and a
+      top-edge reset (Y by -Lq) adds ZX Lq / det = zxn L q / detn and Lq:
+      integers, because |detn| divides L;
     * the final cut T L is an integer, because den T divides L.
 
-    So the edge events need no solving after the first: the right-edge
-    clock ``t_right`` advances by its period L at each right-edge or
-    corner event, and the top-edge clock ``t_top`` by its period Lq/p at
-    each top-edge or corner event; ``_exact_div`` checks the first top
-    time at the start and the period at the first top reset.  A straight
-    piece between two edge resets meets the slit segment at most once, so
-    the slit clock ``t_slit`` is solved by ``_slit_rule`` (with its
-    cone-point, along-the-line and coincidence checks) only at the start
-    and after an edge reset, and cleared by the crossing.  Every slit time
-    is an ``_exact_div``, which raises LatticeExactnessError rather than
-    floor.
+    So no event needs a division after the start: the right-edge clock
+    ``t_right`` advances by its period L at each right-edge or corner
+    event, the top-edge clock ``t_top`` by its period Lq/p at each
+    top-edge or corner event, and the slit clock (t_line, u) by the steps
+    above.  The position is read off two more integers, X = x_base + s
+    and Y = y_base + p s, whose bases move by -L and -Lq at the resets;
+    it is formed only for a segment that holds a sample and for the
+    event log.  ``_exact_div`` checks the first top time, t_line and its two
+    steps at the start and the top period at the first top reset, and
+    raises LatticeExactnessError rather than floor.  A straight piece
+    between two edge resets meets the slit segment at most once, so the
+    slit is decided only at the start and after an edge reset, for the
+    next edge time e, by comparisons: with the crossing ahead
+    (s < t_line), |u| = |det| is a cone point, and for |u| < |det| the
+    crossing is the slit event ``t_slit`` = t_line when t_line < e and a
+    coincidence when t_line = e.  The crossing clears ``t_slit``.  For
+    det = 0 the ray is parallel to the slit: t_line holds the numerator
+    ZY X - ZX Y itself (constant along the ray, with the steps -ZY L and
+    ZX Lq), and the ray runs along the slit line when it is 0.
 
     Sample m sits at time m ds, which is the lattice time m ds_num L /
     ds_den; a segment (s, e] holds the samples with
@@ -602,7 +593,7 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     Lq = L * q
     hx, hy = L // 2, Lq // 2
     x_reset, y_reset = -hx, -hy  # the left and bottom edge
-    slit_time = _slit_rule(_scale(model.zx, L), _scale(model.zy, Lq), 1, p, _exact_div)
+    zx, zy = _scale(model.zx, L), _scale(model.zy, Lq)
     w = DECK_WEIGHTS
     X, Y = _scale(x0, L), _scale(y0, Lq)
     sheet, deck = start.sheet, start.deck
@@ -611,8 +602,16 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     # with p = 0 there is no top edge: a time past every right-edge time
     t_top = _exact_div(hy - Y, p) if p else s_total + L
     top_period = None
+    det = p * zx - zy
+    adet = abs(det)
+    nadet = -adet
+    u, u_dx = p * X - Y, -p * L
+    # t_line and its right and top reset steps; the numerators for det = 0
+    line = (zy * X - zx * Y, -zy * L, zx * Lq)
+    t_line, line_dx, line_dy = (_exact_div(v, det) for v in line) if det else line
     t_slit = None
     solve = True  # the start, or (X, Y) moved by an edge reset
+    x_base, y_base = X, Y
     slope_f = float(slope)
     ds = DEFAULT_SAMPLE_SPACING
     ds_f = float(ds)
@@ -639,9 +638,19 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
             else:
                 e, kind = t_right, "corner"
             if solve:
-                c = slit_time(X, Y, e - s)
-                t_slit = None if c is None else s + c
                 solve = False
+                if det:
+                    if s < t_line and nadet <= u <= adet:
+                        if u == adet or u == nadet:
+                            raise SingularOrbitError("orbit hits a cone point")
+                        if t_line < e:
+                            t_slit = t_line
+                        elif t_line == e:
+                            raise SingularOrbitError(
+                                "slit crossing coincides with an edge event"
+                            )
+                elif t_line == 0:
+                    raise SingularOrbitError("orbit runs along the slit line")
             if t_slit is not None:
                 e, kind = t_slit, "slit"
             if e >= s_total:
@@ -650,6 +659,8 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
             # samples in (s, e]
             e_clock = e * ds_den
             if m_clock <= e_clock:
+                X = x_base + s
+                Y = y_base + p * s
                 x_f = -0.5 if X == x_reset else X / L
                 y_f = -0.5 if Y == y_reset else Y / Lq
                 s_f = s / L
@@ -682,13 +693,10 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
                 else:
                     overflow += m - m_seg
 
-            d = e - s
-            X += d
-            Y += d * p
             if event_log is not None:
                 event_log.write(
                     f"{Fraction(e, L)},{kind},{sheet},"
-                    f"{Fraction(X, L)},{Fraction(Y, Lq)},{deck}\n"
+                    f"{Fraction(x_base + e, L)},{Fraction(y_base + p * e, Lq)},{deck}\n"
                 )
             s = e
             if kind == "slit":
@@ -697,16 +705,20 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
             elif kind != "partial":
                 solve = True
                 if kind != "top_edge":  # right edge or corner
-                    X = x_reset
+                    x_base -= L
                     t_right += L
+                    t_line += line_dx
+                    u += u_dx
                     deck += w[sheet]
                     if deck == 0:
                         zero_returns += 1
                 if kind != "right_edge":  # top edge or corner
-                    Y = y_reset
+                    y_base -= Lq
                     if top_period is None:
                         top_period = _exact_div(Lq, p)
                     t_top += top_period
+                    t_line += line_dy
+                    u += Lq
     except SingularOrbitError as exc:
         stats.terminated_early = True
         stats.termination_reason = str(exc)

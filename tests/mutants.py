@@ -69,6 +69,8 @@ CLI_ALTERNATION = "tests/test_cli.py::test_action_word_pinned[h+:2,h+:1]"
 FORGED_ENDPOINT = "tests/test_criterion.py::test_forged_endpoint_fails_only_its_checkpoint"
 FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
 FLOW_LATTICE_ORACLE = "tests/test_flow.py::test_simulate_matches_lattice_oracle"
+FLOW_SINGULAR = "tests/test_flow.py::test_simulate_singular_orbit_flagged"
+FLOW_BOUNDED = "tests/test_flow.py::test_event_count_is_bounded"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
 
 # seconds one pytest run may take; a mutant that stops a loop from
@@ -252,6 +254,32 @@ CATALOGUE = (
         "flow-corner-read-as-right-edge", "flow.py",
         'e, kind = t_right, "corner"', 'e, kind = t_right, "right_edge"',
         (FLOW_ORACLE,),
+    ),
+    Mutant(
+        "flow-slit-line-right-step-dropped", "flow.py",
+        "t_line += line_dx", "pass",
+        (FLOW_LATTICE_ORACLE,),
+    ),
+    Mutant(
+        "flow-slit-parameter-top-step-dropped", "flow.py",
+        "u += Lq", "pass",
+        (FLOW_LATTICE_ORACLE,),
+    ),
+    Mutant(
+        "flow-slit-cone-test-dropped", "flow.py",
+        "                        if u == adet or u == nadet:",
+        "                        if False:",
+        (FLOW_SINGULAR,),
+    ),
+    Mutant(
+        "flow-slit-edge-coincidence-dropped", "flow.py",
+        "elif t_line == e:", "elif False:",
+        (FLOW_ORACLE,),
+    ),
+    Mutant(
+        "flow-slit-clock-not-cleared", "flow.py",
+        "sheet = 1 - sheet\n                t_slit = None", "sheet = 1 - sheet",
+        (FLOW_BOUNDED,),
     ),
     Mutant(
         "flow-sample-at-segment-end-moved-on", "flow.py",

@@ -10,9 +10,11 @@ rule on Fractions; ``slittori.flow`` now runs it on a scaled integer
 lattice, and the two must produce identical statistics and event logs.
 
 ``_lattice_simulate_loop`` is the earlier lattice loop, which calls the
-whole event rule at every event and finds each event's samples by a floor
-division; ``slittori.flow`` now drives the lattice by edge and slit clocks
-and a running sample clock, and the two must agree exactly as well.
+whole event rule at every event (``_lattice_event_rule``, the event rule
+with the lattice's half-widths and exact division) and finds each event's
+samples by a floor division; ``slittori.flow`` now drives the lattice by
+edge and slit clocks and a running sample clock, and the two must agree
+exactly as well.
 
 ``_run_closed_by_steps`` is the earlier closed-orbit loop of the surface
 validation, which calls ``step_flow`` (a new event rule and state records)
@@ -171,8 +173,48 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     stats.total_advance = str(s_done)
 
 
+def _lattice_event_rule(zx, zy, dx, dy, hx, hy):
+    """``flow._event_rule`` in the cell [-hx, hx) x [-hy, hy), with every
+    division an ``_exact_div``: the per-event rule of the earlier lattice
+    loop, which raises LatticeExactnessError where a quotient is not an
+    integer."""
+    det = dy * zx - dx * zy
+    adet = abs(det)
+    right, top = dx > 0, dy > 0
+
+    def next_event(x, y):
+        s = kind = None
+        if right:
+            s, kind = _exact_div(hx - x, dx), "right_edge"
+        if top:
+            s_t = _exact_div(hy - y, dy)
+            if s is None or s_t < s:
+                s, kind = s_t, "top_edge"
+            elif s_t == s:
+                kind = "corner"
+        if det != 0:
+            num = zy * x - zx * y
+            if (num > 0) if det > 0 else (num < 0):  # the crossing is ahead
+                u = dy * x - dx * y
+                if -adet <= u <= adet:
+                    if abs(u) == adet:
+                        raise SingularOrbitError("orbit hits a cone point")
+                    s_c = _exact_div(num, det)
+                    if s is None or s_c < s:
+                        return s_c, "slit"
+                    if s_c == s:
+                        raise SingularOrbitError("slit crossing coincides with an edge event")
+        elif x * zy == y * zx:
+            raise SingularOrbitError("orbit runs along the slit line")
+        if s is None:
+            raise SingularOrbitError("zero direction")
+        return s, kind
+
+    return next_event
+
+
 def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
-    """Run ``_event_rule`` on an integer lattice with one denominator per ray.
+    """Run ``_lattice_event_rule`` on an integer lattice with one denominator per ray.
 
     Scale x and the advance s by L (``_lattice_denominator``) and y by
     L q.  The ray becomes (1, p), the cell [-L/2, L/2) x [-Lq/2, Lq/2)
@@ -202,9 +244,7 @@ def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
     L = _lattice_denominator(slope, model.zx, model.zy, x0, y0, T)
     Lq = L * q
     hx, hy = L // 2, Lq // 2
-    next_event = _event_rule(
-        _scale(model.zx, L), _scale(model.zy, Lq), 1, p, hx, hy, _exact_div
-    )
+    next_event = _lattice_event_rule(_scale(model.zx, L), _scale(model.zy, Lq), 1, p, hx, hy)
     w = DECK_WEIGHTS
     X, Y = _scale(x0, L), _scale(y0, Lq)
     sheet, deck = start.sheet, start.deck

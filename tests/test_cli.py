@@ -647,7 +647,9 @@ def test_simulate_slope_flag(capsys):
         "--start", "0,-1/2,1/8,0",
     )
     assert code == 0
-    assert json.loads(out)["slope"] == [1, 3]
+    summary = json.loads(out)
+    assert summary["slope"] == [1, 3]
+    assert "precision_bits" not in summary  # an exact slope takes no enclosure
 
 
 def test_simulate_T_parsed_exactly(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import oracle_dimension as oracle
 from slittori.dimension import (
+    EXACT_PREFIX_U,
     SU_TOL,
     U_DIRECT_CAP,
     U_NUMERIC,
@@ -84,8 +85,13 @@ def test_sqrt_contraction_is_exact_root():
 
 
 def test_toy_partial_sums_exceed_one_before_100():
-    s = oracle.exact_sqrt_partial_sum(TOY, 100)
-    assert s > 1  # sum of 1/(3l+5) over l <= 100
+    # the direct route stops its exact prefix at the first sum of
+    # 1/(3l+5) over l <= u that exceeds 1
+    cert = dimension_certificate(TOY)
+    u = cert.exact_prefix_u
+    terms = [Fraction(1, 3 * l + 5) for l in range(1, u + 1)]
+    assert u < 100 and cert.route == "direct" and cert.u_used == u
+    assert cert.exact_prefix_sum == sum(terms) > 1 >= sum(terms[:-1])
 
 
 def test_solve_su_residual_and_monotone():
@@ -143,11 +149,13 @@ def test_minorant_termwise():
 
 
 def test_exact_prefix_matches_direct_summation():
-    # the oracle's exact partial sums agree with term-by-term construction
+    # the certificate's exact prefix sum agrees with term-by-term construction
+    cert = dimension_certificate(QUARTER)
+    assert cert.exact_prefix_u == EXACT_PREFIX_U
     total = Fraction(0)
-    for l in range(1, 101):
+    for l in range(1, EXACT_PREFIX_U + 1):
         total += Fraction(1, 448 * (l + 1) + 177)
-    assert oracle.exact_sqrt_partial_sum(QUARTER, 100) == total
+    assert cert.exact_prefix_sum == total
 
 
 def test_image_disjointness():

@@ -377,6 +377,30 @@ def test_event_times_strictly_increase(quarter_model, quarter_slope):
         assert sink.last == 300 and not stats.terminated_early
 
 
+def test_event_count_is_bounded(quarter_model):
+    """A short ``simulate`` has a bounded number of events: the sink fails
+    past the bound, so a loop that stops advancing fails at once instead
+    of running on.
+
+    Over T = 50 at slope 1/3 there are at most 51 right-edge and 18
+    top-edge events, one slit crossing per straight piece between them,
+    and the final cut: at most 69 + 70 + 1 = 140 rows.
+    """
+
+    class BoundedLog:
+        rows = slits = 0
+
+        def write(self, row):
+            self.rows += 1
+            self.slits += row.split(",")[1] == "slit"
+            assert self.rows <= 140, row
+
+    sink = BoundedLog()
+    stats = simulate(quarter_model, Fraction(1, 3), 50,
+                     start=CoverState(0, -H, Fraction(1, 7), 0), event_log=sink)
+    assert not stats.terminated_early and sink.slits > 0
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -573,10 +597,11 @@ def test_simulate_matches_oracle():
 
 def test_lattice_rule_fails_closed(monkeypatch):
     """A wrong common denominator raises LatticeExactnessError, never floors."""
+    import oracle_flow as oracle
     from slittori import flow
 
-    # the rule itself: (hy - y) / p = 7 / 2 is not an integer
-    rule = flow._event_rule(0, 4, 1, 2, 10, 7, flow._exact_div)
+    # the per-event lattice rule: (hy - y) / p = 7 / 2 is not an integer
+    rule = oracle._lattice_event_rule(0, 4, 1, 2, 10, 7)
     with pytest.raises(flow.LatticeExactnessError):
         rule(0, 0)
     assert issubclass(flow.LatticeExactnessError, RuntimeError)
