@@ -454,7 +454,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         return _fail(str(exc), 2)
-    except (ValueError, ZeroDivisionError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", 2)
 
 

@@ -37,7 +37,12 @@ straight piece meets the slit's line and the integer that places the
 crossing on it; it starts as an exact quotient and moves by integer
 steps at each edge reset, so the rule's slit checks take comparisons
 only.  The samples of an event segment (s, e] are those with
-m ds_num L <= e ds_den, bracketed by a running sample clock.  A
+m ds_num L <= e ds_den, bracketed by a running sample clock.  Each
+sample is binned from its exact torus position, (x0 + 1/2 + m ds,
+y0 + 1/2 + slope m ds) mod 1, in floats; ``_bin_error_bound`` proves a
+bound delta on their error and on that of the pinned per-segment
+formula, and a sample within 2 delta of a bin edge falls back to the
+pinned formula, so every bin is the pinned formula's.  A
 direction stream is simulated through an exact convergent of its digit
 expansion, chosen so the enclosure of the true slope is narrower than
 ``2**-SLOPE_PRECISION_BITS``; the simulated orbit is then an exactly
@@ -532,6 +537,43 @@ def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T)
     return base * (p or 1) * (abs(detn) or 1)
 
 
+def _bin_error_bound(grid: int, slope: Fraction, T: Fraction) -> float:
+    """delta = grid (1 + slope) (T + 2) 2**-51, a bound on how far either
+    float evaluation of a sample's bin coordinates in ``_simulate_loop``
+    strays from the exact value.
+
+    Sample m sits at time t = m ds <= T, and its exact bin coordinates are
+    v = (x0 + 1/2 + t) grid and w = (y0 + 1/2 + slope t) grid, reduced mod
+    grid.  With u = 2**-53, a correctly rounded operation with result r
+    errs by at most |r| u; terms of order u**2 are left out below.
+
+    * Fast: fl(fl(A) + m fl(B)) with A = (x0 + 1/2) grid < grid and
+      B = ds grid (slope ds grid for w).  fl(A) errs by grid u; fl(B) by
+      B u, which m scales to t grid u (slope t grid u for w); the product
+      and the sum round by as much again and by (grid + slope t grid) u.
+      So w errs by at most grid (2 + 3 slope T) u, and v by the same with
+      slope 1.  m is an exact float, as m <= T / ds + 1 < 2**53 wherever
+      delta < 1/4 (a larger delta leaves no fractional part more than
+      2 delta from 0 and 1, so every sample falls back).  ``%`` by grid
+      is exact.
+    * Pinned: from the segment start's x_c and time sigma <= t, on one
+      straight piece, so seg = t - sigma <= 1 and slope seg <= 1.
+      fl(x_c), fl(sigma) and fl(m fl(ds)) err by u/2, T u and 2 T u, so
+      fl(seg) by (3 T + 1) u; adding x_f, adding 0.5 and scaling by grid
+      give grid (3 T + 4) u for v.  For w, fl(slope) errs by slope u, so
+      the product by slope (3 T + 1) u + 2 u, and the rest as for v:
+      grid (slope (3 T + 1) + 5) u.
+
+    All four are at most grid (1 + slope) (3 T + 5) u, and delta =
+    grid (1 + slope) (4 T + 8) u leaves grid (1 + slope) (T + 3) u for the
+    order-u**2 terms and for the rounding of delta itself.  So if a fast
+    coordinate's fractional part lies more than 2 delta from 0 and from 1,
+    the exact value and the pinned float both lie strictly inside the
+    fast bin: the pinned formula gives the same bin, with no clamp.
+    """
+    return grid * (1 + float(slope)) * (float(T) + 2) * 2.0**-51
+
+
 def _simulate_loop(model, slope, T, start, stats, event_log=None):
     """Run the flow on an integer lattice with one denominator per ray,
     driven by three event clocks and a sample clock.
@@ -582,10 +624,23 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     ds_den; a segment (s, e] holds the samples with
     m ds_num L <= e ds_den, so the sample clock m ds_num L runs as a sum
     and no floor division is needed (t = 0 falls in the first segment).
-    Samples read X / L, Y / (L q) and s / L at the segment start (-0.5
-    at a reset coordinate); Python's int true division is correctly
-    rounded, so these equal ``float`` of the Fractions bit for bit.  The
-    event log and ``total_advance`` are formatted from Fraction(s, L).
+
+    A sample's bins are those of the pinned per-segment formula: from the
+    segment start's x = X / L, y = Y / (L q) and s / L (-0.5 at a reset
+    coordinate; Python's int true division is correctly rounded, so these
+    equal ``float`` of the Fractions bit for bit), x + (m ds - s / L) and
+    y + slope (m ds - s / L) are scaled to the grid, truncated and
+    clamped.  The loop reaches the same bins faster from m alone: the
+    cell position of sample m is (x0 + 1/2 + m ds, y0 + 1/2 + slope m ds)
+    mod 1, as an edge wraps by 1 and a slit crossing moves no point, so
+    vx = (fl((x0 + 1/2) grid) + m fl(ds grid)) mod grid, vy likewise with
+    slope ds, and the bins int(vx), int(vy).  Both evaluations stray from
+    the exact value by at most delta (``_bin_error_bound``), so when both
+    fractional parts lie more than 2 delta from 0 and from 1 the pinned
+    formula lands in the same bins and is skipped.  Otherwise (a sample
+    on or next to a bin edge, such as the sample that ends a segment at
+    an edge event) the pinned formula runs, with its clamps.  The event
+    log and ``total_advance`` are formatted from Fraction(s, L).
     """
     x0, y0 = Fraction(start.x), Fraction(start.y)
     p, q = slope.numerator, slope.denominator
@@ -618,6 +673,12 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     ds_den, ds_L = ds.denominator, ds.numerator * L
     grid = stats.grid
     top_cell = grid - 1
+    # the fast bins vx = (ax + m bx) mod grid, vy = (ay + m by) mod grid
+    ax, ay = float((x0 + _HALF) * grid), float((y0 + _HALF) * grid)
+    bx, by = float(ds * grid), float(slope * ds * grid)
+    delta = _bin_error_bound(grid, slope, T)
+    lo, hi = 2 * delta, 1 - 2 * delta
+    grid_f, floor = float(grid), math.floor  # floor is int() here, as vx, vy >= 0
     m = 0  # next sample index (sample times are m * ds, t = 0 included)
     m_clock = 0  # m * ds_L
     # sample indices of the T/4, T/2 and T snapshots, then one past every sample
@@ -625,6 +686,7 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     snaps.append(snaps[-1] + 1)
     next_snap = snaps[0]
     cells = stats.cell_counts
+    rows = cells[sheet]
     deck_counts = stats.deck_counts
     N = stats.deck_window
     overflow = zero_returns = 0
@@ -659,25 +721,29 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
             # samples in (s, e]
             e_clock = e * ds_den
             if m_clock <= e_clock:
-                X = x_base + s
-                Y = y_base + p * s
-                x_f = -0.5 if X == x_reset else X / L
-                y_f = -0.5 if Y == y_reset else Y / Lq
-                s_f = s / L
-                rows = cells[sheet]
                 m_seg = m
                 while m_clock <= e_clock:
-                    seg = m * ds_f - s_f
-                    i = int((x_f + seg + 0.5) * grid)
-                    j = int((y_f + slope_f * seg + 0.5) * grid)
-                    if i > top_cell:
-                        i = top_cell
-                    elif i < 0:
-                        i = 0
-                    if j > top_cell:
-                        j = top_cell
-                    elif j < 0:
-                        j = 0
+                    vx = (ax + m * bx) % grid_f
+                    vy = (ay + m * by) % grid_f
+                    i, j = floor(vx), floor(vy)
+                    fx, fy = vx - i, vy - j
+                    if not (lo < fx < hi and lo < fy < hi):
+                        # near a bin edge: the pinned formula from the anchor
+                        X = x_base + s
+                        Y = y_base + p * s
+                        x_f = -0.5 if X == x_reset else X / L
+                        y_f = -0.5 if Y == y_reset else Y / Lq
+                        seg = m * ds_f - s / L
+                        i = int((x_f + seg + 0.5) * grid)
+                        j = int((y_f + slope_f * seg + 0.5) * grid)
+                        if i > top_cell:
+                            i = top_cell
+                        elif i < 0:
+                            i = 0
+                        if j > top_cell:
+                            j = top_cell
+                        elif j < 0:
+                            j = 0
                     rows[i][j] += 1
                     if m >= next_snap:
                         stats.samples = m + 1
@@ -702,6 +768,7 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
             if kind == "slit":
                 sheet = 1 - sheet
                 t_slit = None
+                rows = cells[sheet]
             elif kind != "partial":
                 solve = True
                 if kind != "top_edge":  # right edge or corner

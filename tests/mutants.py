@@ -71,6 +71,8 @@ FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
 FLOW_LATTICE_ORACLE = "tests/test_flow.py::test_simulate_matches_lattice_oracle"
 FLOW_SINGULAR = "tests/test_flow.py::test_simulate_singular_orbit_flagged"
 FLOW_BOUNDED = "tests/test_flow.py::test_event_count_is_bounded"
+FLOW_BIN_BOUND = "tests/test_flow.py::test_bin_error_bound_holds"
+FLOW_BIN_EDGES = "tests/test_flow.py::test_simulate_bins_on_bin_edges_match_oracle"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
 
 # seconds one pytest run may take; a mutant that stops a loop from
@@ -285,6 +287,29 @@ CATALOGUE = (
         "flow-sample-at-segment-end-moved-on", "flow.py",
         "while m_clock <= e_clock:", "while m_clock < e_clock:",
         (FLOW_LATTICE_ORACLE,),
+    ),
+    # the fast sample bins of flow._simulate_loop and their fallback
+    Mutant(
+        "flow-bin-margin-dropped", "flow.py",
+        "lo, hi = 2 * delta, 1 - 2 * delta", "lo, hi = 0, 1",
+        (FLOW_BIN_EDGES,),
+    ),
+    Mutant(
+        "flow-bin-upper-margin-dropped", "flow.py",
+        "lo < fx < hi and lo < fy < hi", "lo < fx and lo < fy",
+        (FLOW_BIN_EDGES,),
+    ),
+    Mutant(
+        "flow-bin-fallback-clamp-dropped", "flow.py",
+        "                        if i > top_cell:\n                            i = top_cell\n"
+        "                        elif i < 0:",
+        "                        if i < 0:",
+        (FLOW_LATTICE_ORACLE,),
+    ),
+    Mutant(
+        "flow-bin-error-bound-shrunk", "flow.py",
+        "(float(T) + 2) * 2.0**-51", "(float(T) + 2) * 2.0**-53",
+        (FLOW_BIN_BOUND,),
     ),
     # criterion.verify traces from its own running point
     Mutant(

@@ -181,6 +181,27 @@ def test_argument_errors_exit_two_with_json(capsys):
     assert json.loads(err)["error"] == "--z-rational expects r,s,q got '1,2'"
 
 
+# inputs beyond the float range, which a float conversion refuses; 2**1024
+# is the least integer that float() refuses
+HUGE = str(2**1024)
+OVERFLOW_ARGV = {
+    "simulate-slope": ["simulate", "--slope", "1e400", "--z", "0,1/4", "--T", "10"],
+    "simulate-T": ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "1e400"],
+    "dimension-block": ["dimension", "--block", f"{HUGE},1,1"],
+    "dimension-prog": ["dimension", "--block", "1,1,1", "--prog", f"{HUGE},0"],
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_ARGV))
+def test_overflow_exits_two_with_json(capsys, case):
+    """An OverflowError fails closed like any other refused input: exit 2,
+    an empty stdout and one JSON line on stderr."""
+    code, out, err = run(capsys, *OVERFLOW_ARGV[case])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("OverflowError: ")
+
+
 # every subcommand's options: flags by their spellings, positionals by name
 CLI_OPTIONS = {
     "action": ["--z", "--word", "--gz", "--gz-lambda", "-o/--output"],

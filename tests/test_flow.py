@@ -661,3 +661,104 @@ def test_simulate_matches_lattice_oracle():
             assert diff is None, (case, diff, rows[diff:diff + 1], want_rows[diff:diff + 1])
             assert not got.terminated_early, case
             assert "\n1009," in log.getvalue(), case
+
+
+def test_bin_error_bound_holds(quarter_slope):
+    """Both float evaluations of a sample's bin coordinates in ``simulate``
+    lie within ``flow._bin_error_bound`` of the exact coordinates.
+
+    Seeded rays at grid 3, 8 and 1024, slope 0, slopes above 1 and a
+    32-bit convergent, with T up to 1e6 (the first and last samples of
+    each ray).  The exact coordinates ((x0 + 1/2 + t) grid and
+    (y0 + 1/2 + slope t) grid at t = m ds) are Fractions.  The fast float
+    is fl(A) + m fl(B) as the loop forms it; the pinned one is the loop's
+    per-segment formula from the last edge event before t.  The loop also
+    anchors at slit crossings, which move no point: the exact value is the
+    same and the bound's proof covers any anchor on the straight piece.
+    Some samples lie exactly on a bin edge (counted with Fractions), where
+    no float can decide the bin and the loop runs the pinned formula, and
+    the largest error comes within a factor 64 of delta, so a smaller
+    delta would fail here.
+    """
+    from slittori.flow import DEFAULT_SAMPLE_SPACING as ds
+
+    rng = random.Random(28)
+    ds_f = float(ds)
+    on_edge = checked = 0
+    worst = Fraction(0)
+
+    def last_edge(c0, rate, t):  # time of the last edge event before t, or 0
+        k = math.ceil(c0 + H + rate * t) - 1  # edges passed strictly before t
+        return (k - c0 - H) / rate if rate and k >= 1 else Fraction(0)
+
+    slopes = (Fraction(0), Fraction(355, 113), Fraction(rng.randint(13, 40), rng.randint(1, 12)),
+              quarter_slope)
+    for grid in (3, 8, 1024):
+        for slope in slopes:
+            for T in (Fraction(rng.randint(50, 400), rng.randint(1, 3)), Fraction(10**6)):
+                x0 = -H if rng.random() < 0.5 else Fraction(rng.randrange(-50, 50), 100)
+                y0 = Fraction(rng.randrange(-500, 500), 1000)
+                delta = flow._bin_error_bound(grid, slope, T)
+                ax, ay = float((x0 + H) * grid), float((y0 + H) * grid)
+                bx, by = float(ds * grid), float(slope * ds * grid)
+                slope_f = float(slope)
+                last = math.floor(T / ds)
+                ends = {*range(min(last, 150) + 1), *range(max(0, last - 150), last + 1)}
+                for m in sorted(ends):
+                    t = m * ds
+                    sigma = max(last_edge(x0, 1, t), last_edge(y0, slope, t))
+                    x_c, y_c = mod_half_open(x0 + sigma), mod_half_open(y0 + slope * sigma)
+                    seg = m * ds_f - float(sigma)
+                    pairs = (
+                        (ax + m * bx, (x0 + H + t) * grid),
+                        (ay + m * by, (y0 + H + slope * t) * grid),
+                        ((float(x_c) + seg + 0.5) * grid, (x_c + H + t - sigma) * grid),
+                        ((float(y_c) + slope_f * seg + 0.5) * grid,
+                         (y_c + H + slope * (t - sigma)) * grid),
+                    )
+                    for got, exact in pairs:
+                        err = abs(Fraction(got) - exact)
+                        assert err <= delta, (grid, slope, T, x0, y0, m, got, exact)
+                        worst = max(worst, err / Fraction(delta))
+                    on_edge += any(exact.denominator == 1 for _, exact in pairs[:2])
+                    checked += 1
+    assert on_edge > 0 and checked > on_edge, (on_edge, checked)
+    assert worst > Fraction(1, 64), float(worst)
+
+
+def test_simulate_bins_on_bin_edges_match_oracle(quarter_model):
+    """Samples exactly on a bin edge get the bins of the per-segment
+    formula.
+
+    At grid 64, slopes a/3 and a/9 and start heights on the 1/192 lattice
+    put some samples exactly on a horizontal bin edge, where the loop's
+    fast float fl(A) + m fl(B) is inexact and may fall on either side of
+    the edge.  Starts at x0 = k/7 - 1/2 keep the fast x coordinate off
+    every vertical bin edge.  The loop must run the pinned formula on
+    those samples, as the per-event lattice loop of ``oracle_flow`` does on
+    every sample.  The samples on a bin edge whose fast float is inexact
+    are counted with Fractions.
+    """
+    import oracle_flow as oracle
+    from slittori.flow import DEFAULT_SAMPLE_SPACING as ds
+    from slittori.flow import OrbitStats
+
+    rng = random.Random(2801)
+    grid, inexact = 64, 0
+    for _ in range(16):
+        slope = Fraction(rng.randint(1, 20), rng.choice((3, 9)))
+        y0 = Fraction(rng.randrange(3 * grid), 3 * grid) - H
+        start = CoverState(rng.randrange(2), Fraction(rng.randrange(1, 7), 7) - H, y0, 0)
+        T = Fraction(rng.randint(100, 200))
+        got = simulate(quarter_model, slope, T, grid=grid, start=start)
+        want = OrbitStats(grid=grid, deck_window=16, slope=(slope.numerator, slope.denominator),
+                          start=(start.sheet, str(start.x), str(start.y), start.deck))
+        oracle._lattice_simulate_loop(quarter_model, slope, T, start, want)
+        case = (slope, T, start)
+        assert got.summary() == want.summary(), case
+        assert got.cell_counts == want.cell_counts, case
+        ay, by = float((y0 + H) * grid), float(slope * ds * grid)
+        for m in range(math.floor(T / ds) + 1):
+            vy = (y0 + H + slope * m * ds) * grid
+            inexact += vy.denominator == 1 and Fraction(ay + m * by) != vy
+    assert inexact >= 10, inexact
