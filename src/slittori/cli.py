@@ -13,15 +13,27 @@ Scalars on the command line are either ``p/q`` strings or ``u:v:w:D``
 (meaning ``(u + v*sqrt(D))/w``).  All outputs are JSON (stats are CSV)
 with fixed field order, so identical flags reproduce identical bytes.
 Exit codes: 0 success / check passed, 1 check failed, 2 bad input.
+
+The command line is read against one table, ``COMMANDS``: for each
+command its help line, its function and its arguments (spellings, dest,
+type, default, whether required, exclusive group, help).  ``parse_args``
+reads it as argparse would, without importing argparse: a flag takes its
+value as the next argument, after ``=`` (``--lambda=1/4``) or, for a
+one-letter flag, attached (``-oout.json``); a long flag may be shortened
+to a unique prefix (``--lam``); a repeated flag keeps its last value; a
+value that starts with ``-`` and a digit (``-3/10``, ``-1,-1,3``) is a
+value, not a flag; ``--`` makes every later argument a value.  Errors
+carry argparse's text and exit 2; ``-h``/``--help`` prints the usage
+from the same table and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .criterion import verify
 from .dimension import DimensionProblem, dimension_certificate
@@ -49,23 +61,6 @@ class CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors raise CliError, so they exit 2 with a JSON message
-    like every other bad input (subparsers inherit this class).
-
-    A value that starts with a minus sign and a digit, such as ``-3,5,7``,
-    ``-1,-1,3``, ``-1/4,1/4``, ``-1:1:4:2`` or ``-3/10``, is read as an
-    argument, not as an option, so it may follow its flag after a space.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d[\d,/:.-]*\Z")
-
-    def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
-
-
 def _emit(obj: dict, path: str | None = None) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if path:
@@ -85,7 +80,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise CliError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -388,70 +383,280 @@ def cmd_billiard(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="slittori", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("action", help="trace a word at a point")
-    pa.add_argument("--z", required=True, help="point as x,y")
-    word = pa.add_mutually_exclusive_group(required=True)
-    word.add_argument("--word", help="word as h+:5,h-:1,...")
-    word.add_argument("--gz", help="fixing word of r,s,q")
-    word.add_argument("--gz-lambda", dest="gz_lambda", help="fixing word of lambda=p/q")
-    pa.add_argument("-o", "--output")
-    pa.set_defaults(func=cmd_action)
 
-    pb = sub.add_parser("build", help="build a direction spec")
-    param = pb.add_mutually_exclusive_group(required=True)
-    param.add_argument("--lambda", dest="lam", help="barrier ratio: p/q or u:v:w:D")
-    param.add_argument("--z-rational", dest="z_rational", help="parameter as r,s,q")
-    pb.add_argument("--nk", default="const:1", help="free digits: const:M | arith:B,C | list:...")
-    pb.add_argument("--d-choices", dest="d_choices", default="default")
-    pb.add_argument("--blocks", type=_positive_int, default=3)
-    pb.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    pb.add_argument("-o", "--output")
-    pb.set_defaults(func=cmd_build)
+# ---------------------------------------------------------------------------
+# the command line
 
-    pv = sub.add_parser("verify", help="verify criterion hypotheses")
-    pv.add_argument("spec")
-    pv.add_argument("--horizon", type=int, default=3)
-    pv.add_argument("-o", "--output")
-    pv.set_defaults(func=cmd_verify)
 
-    pd = sub.add_parser("dimension", help="dimension lower-bound certificate")
-    pd.add_argument("--block", required=True, help="digits, e.g. 1,1,1")
-    pd.add_argument("--prog", default="1,0", help="progression b,c")
-    pd.add_argument("-o", "--output")
-    pd.set_defaults(func=cmd_dimension)
+class _Arg:
+    """One argument of a command: a positional (one spelling, no dash) or a
+    flag (its spellings joined by ``/``, as ``-o/--output``).  ``dest`` is
+    the field of ``args`` it sets: the last spelling, its dashes turned into
+    underscores, unless given.  ``type`` converts the text (None keeps it).
+    A required positional takes exactly one value, an optional one at most
+    one.  Of the flags that share a ``group``, exactly one must be given."""
 
-    ps = sub.add_parser("simulate", help="flow statistics")
-    ps.add_argument("spec", nargs="?")
-    ps.add_argument("--slope", help="rational slope p/q (with --z)")
-    ps.add_argument("--z", help="surface parameter x,y (with --slope)")
-    ps.add_argument("--T", default="1e6")
-    ps.add_argument("--grid", type=int, default=8)
-    ps.add_argument("--deck", type=int, default=16)
-    ps.add_argument("--start", help="sheet,x,y,deck")
-    ps.add_argument("--dump-events", dest="dump_events", help="event-point CSV path")
-    ps.add_argument("-o", "--output", help="stats CSV path")
-    ps.set_defaults(func=cmd_simulate)
+    __slots__ = ("name", "spellings", "dest", "type", "default", "required", "group", "help")
 
-    pq = sub.add_parser("billiard", help="billiard <-> cover correspondence")
-    pq.add_argument("--lambda", dest="lam", required=True)
-    pq.add_argument("--x", required=True)
-    pq.add_argument("--y", required=True)
-    pq.add_argument("--vx")
-    pq.add_argument("--vy")
-    pq.add_argument("--theta-deg", dest="theta_deg", type=float)
-    pq.add_argument("-o", "--output")
-    pq.set_defaults(func=cmd_billiard)
-    return p
+    def __init__(self, name, help, *, type=None, default=None, required=False, group=None,
+                 dest=None):
+        self.name, self.spellings, self.help = name, name.split("/"), help
+        self.dest = dest or self.spellings[-1].lstrip("-").replace("-", "_")
+        self.type, self.default, self.required, self.group = type, default, required, group
+
+
+def _output(help="output JSON path (stdout too)"):
+    return _Arg("-o/--output", help)
+
+
+_HELP = _Arg("-h/--help", "print this help and exit")
+
+# command -> (help line, function, arguments in usage order)
+COMMANDS = {
+    "action": ("trace a word at a point", cmd_action, (
+        _Arg("--z", "point as x,y", required=True),
+        _Arg("--word", "word as h+:5,h-:1,...", group="word"),
+        _Arg("--gz", "fixing word of r,s,q", group="word"),
+        _Arg("--gz-lambda", "fixing word of lambda=p/q", group="word"),
+        _output(),
+    )),
+    "build": ("build a direction spec", cmd_build, (
+        _Arg("--lambda", "barrier ratio: p/q or u:v:w:D", group="param", dest="lam"),
+        _Arg("--z-rational", "parameter as r,s,q", group="param"),
+        _Arg("--nk", "free digits: const:M | arith:B,C | list:...", default="const:1"),
+        _Arg("--d-choices", "final digits of irrational blocks, same forms", default="default"),
+        _Arg("--blocks", "blocks to write", type=_positive_int, default=3),
+        _Arg("--budget", "search steps per irrational block", type=_positive_int,
+             default=DEFAULT_BUDGET),
+        _output(),
+    )),
+    "verify": ("verify criterion hypotheses", cmd_verify, (
+        _Arg("spec", "spec file", required=True),
+        _Arg("--horizon", "checkpoints to verify", type=int, default=3),
+        _output(),
+    )),
+    "dimension": ("dimension lower-bound certificate", cmd_dimension, (
+        _Arg("--block", "digits, e.g. 1,1,1", required=True),
+        _Arg("--prog", "progression b,c", default="1,0"),
+        _output(),
+    )),
+    "simulate": ("flow statistics", cmd_simulate, (
+        _Arg("spec", "spec file (or --slope with --z)"),
+        _Arg("--slope", "rational slope p/q (with --z)"),
+        _Arg("--z", "surface parameter x,y (with --slope)"),
+        _Arg("--T", "flow time, an exact rational", default="1e6"),
+        _Arg("--grid", "cells per side", type=int, default=8),
+        _Arg("--deck", "deck bins", type=int, default=16),
+        _Arg("--start", "sheet,x,y,deck"),
+        _Arg("--dump-events", "event-point CSV path"),
+        _output("stats CSV path"),
+    )),
+    "billiard": ("billiard <-> cover correspondence", cmd_billiard, (
+        _Arg("--lambda", "barrier length p/q or u:v:w:D", required=True, dest="lam"),
+        _Arg("--x", "position x", required=True),
+        _Arg("--y", "position y", required=True),
+        _Arg("--vx", "velocity x (with --vy)"),
+        _Arg("--vy", "velocity y (with --vx)"),
+        _Arg("--theta-deg", "direction angle in degrees", type=float),
+        _output(),
+    )),
+}
+
+# a value that starts like a flag but reads as an argument: -3/10, -1,-1,3
+_NEGATIVE = re.compile(r"-\.?\d[\d,/:.-]*\Z")
+
+
+def _option(text: str, flags: dict, prog: str):
+    """None when ``text`` is a value, else (its _Arg, or None when no flag
+    matches; the spelling; the value attached by ``=`` or to a one-letter
+    flag, or None).  A long flag may be shortened to a unique prefix."""
+    if text[:1] != "-":
+        return None
+    if text in flags:
+        return flags[text], text, None
+    if len(text) == 1:
+        return None
+    flag, eq, value = text.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if text[1] == "-":
+        found = [(flags[f], f, value if eq else None) for f in flags if f.startswith(flag)]
+    else:
+        found = [(flags[text[:2]], text[:2], text[2:])] if text[:2] in flags else []
+    if len(found) > 1:
+        matches = ", ".join(f for _, f, _ in found)
+        raise CliError(f"{prog}: ambiguous option: {text} could match {matches}")
+    if found:
+        return found[0]
+    if _NEGATIVE.match(text) or " " in text:
+        return None
+    return None, text, None
+
+
+def _check_help(flag: str, attached, flags: dict, value_follows: bool, prog: str) -> None:
+    """Refuse a value attached to ``-h`` or ``--help`` (``--help=x``,
+    ``-hx``), as argparse does; letters that are flags pass (``-hh``, and
+    ``-ho`` when a value follows for ``-o``)."""
+    while attached is not None:
+        letter = "-" + attached[:1]
+        if flag[1] == "-" or letter not in flags:
+            raise CliError(f"{prog}: argument -h/--help: ignored explicit argument {attached!r}")
+        flag, attached = letter, attached[1:] or None
+        if flags[flag] is not _HELP:
+            if attached is None and not value_follows:
+                raise CliError(f"{prog}: argument {flags[flag].name}: expected one argument")
+            return
+
+
+def _convert(arg: _Arg, text: str, prog: str):
+    if arg.type is None:
+        return text
+    try:
+        return arg.type(text)
+    except CliError as exc:
+        message = str(exc)
+    except (TypeError, ValueError):
+        message = f"invalid {arg.type.__name__} value: {text!r}"
+    raise CliError(f"{prog}: argument {arg.name}: {message}")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        lines = [f"usage: slittori {{{','.join(COMMANDS)}}} ...", "", "commands:"]
+        lines += [f"  {name:<10} {helpline}" for name, (helpline, _, _) in COMMANDS.items()]
+        return "\n".join(lines + ["", "slittori <command> -h lists the command's options."]) + "\n"
+    helpline, _, table = COMMANDS[command]
+    words, rows, done = [], [], set()
+    for arg in table:
+        value = "" if arg.name[0] != "-" else f" {arg.dest.upper()}"
+        shown = arg.spellings[-1] + value
+        rows.append(f"  {arg.name + value:<28} {arg.help}"
+                    + (f" (default: {arg.default})" if arg.default is not None else ""))
+        if arg.group is None:
+            words.append(shown if arg.required else f"[{shown}]")
+        elif arg.group not in done:
+            done.add(arg.group)
+            members = [f"{a.spellings[-1]} {a.dest.upper()}" for a in table if a.group == arg.group]
+            words.append(f"({' | '.join(members)})")
+    rows.append(f"  {'-h/--help':<28} {_HELP.help}")
+    return "\n".join([f"usage: slittori {command} {' '.join(words)}", "", helpline, "", *rows]) + "\n"
+
+
+def _parse_command(command: str, argv: list[str]):
+    """The fields that ``argv`` gives the command's arguments and the texts
+    it did not use, or None once ``-h`` has printed the help."""
+    prog = f"slittori {command}"
+    table = COMMANDS[command][2]
+    flags = {"-h": _HELP, "--help": _HELP}
+    positional = None
+    for arg in table:
+        if arg.name[0] == "-":
+            flags.update(dict.fromkeys(arg.spellings, arg))
+        else:
+            positional = arg
+    # each text is a value "A", the first "--" ("-"; every text after it is
+    # a value) or an option; two blanks end the list
+    kinds = []
+    for i, text in enumerate(argv):
+        if text == "--":
+            kinds += ["-"] + ["A"] * (len(argv) - i - 1)
+            break
+        kinds.append(_option(text, flags, prog) or "A")
+    kinds += ["", ""]
+
+    fields = {arg.dest: arg.default for arg in table}
+    seen, groups, unused = set(), {}, []
+    i = 0
+    while i < len(argv):
+        kind = kinds[i]
+        if kind == "-" or kind == "A":
+            if positional is None or positional in seen:
+                unused.append(argv[i])
+                i += 1
+                continue
+            # a positional takes the next value; "--" before or after it drops
+            j = i + (kind == "-")
+            if kinds[j] == "A":
+                fields[positional.dest] = argv[j]
+            elif positional.required:
+                unused += argv[i:]
+                break
+            i = j + 1 + (kinds[j + 1] == "-")
+            seen.add(positional)
+            continue
+        arg, flag, attached = kind
+        if arg is None:
+            unused.append(argv[i])
+            i += 1
+            continue
+        if arg is _HELP:
+            _check_help(flag, attached, flags, kinds[i + 1] == "A", prog)
+            sys.stdout.write(_usage(command))
+            return None
+        if attached is not None:
+            text, i = attached, i + 1
+        else:
+            if kinds[i + 1] != "A":
+                raise CliError(f"{prog}: argument {arg.name}: expected one argument")
+            text, i = argv[i + 1], i + 2
+        value = _convert(arg, text, prog)
+        if arg.group is not None:
+            other = groups.setdefault(arg.group, arg)
+            if other is not arg:
+                raise CliError(f"{prog}: argument {arg.name}: not allowed with argument {other.name}")
+        fields[arg.dest] = value
+        seen.add(arg)
+
+    missing = [arg.name for arg in table if arg.required and arg not in seen]
+    if missing:
+        raise CliError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    for arg in table:
+        if arg.group is not None and arg.group not in groups:
+            names = " ".join(a.name for a in table if a.group == arg.group)
+            raise CliError(f"{prog}: one of the arguments {names} is required")
+    return fields, unused
+
+
+def parse_args(argv: list[str]):
+    """``args`` for ``argv`` (``command``, one field per argument of the
+    command and ``func``), or None once ``-h`` has printed the help."""
+    flags = {"-h": _HELP, "--help": _HELP}
+    unused = []
+    for i, text in enumerate(argv):
+        kind = None if text == "--" else _option(text, flags, "slittori")
+        if kind is None:
+            break
+        arg, flag, attached = kind
+        if arg is None:
+            unused.append(text)
+            continue
+        _check_help(flag, attached, flags, False, "slittori")
+        sys.stdout.write(_usage(None))
+        return None
+    else:
+        raise CliError("slittori: the following arguments are required: command")
+    command = argv[i]
+    if command == "--" and i + 1 == len(argv):
+        raise CliError("slittori: the following arguments are required: command")
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise CliError(f"slittori: argument command: invalid choice: {command!r} "
+                       f"(choose from {choices})")
+    parsed = _parse_command(command, argv[i + 1:])
+    if parsed is None:
+        return None
+    fields, more = parsed
+    unused += more
+    if unused:
+        raise CliError(f"slittori: unrecognized arguments: {' '.join(unused)}")
+    return SimpleNamespace(command=command, **fields, func=COMMANDS[command][1])
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return 0 if args is None else args.func(args)
     except CliError as exc:
         return _fail(str(exc), 2)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

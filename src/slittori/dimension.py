@@ -293,6 +293,9 @@ def dimension_certificate(problem: DimensionProblem) -> DimensionCertificate:
     n = 2 * A * (A + B - 1) // (A + B)  # floor(2x)
     feasible = top.bit_length() >= A and top * 1000**n >= (A + B) * 1648**n
     direct_cap = U_DIRECT_CAP if feasible else 0
+    # the divergence route is known now, so an input too large for floats
+    # fails here, before the exact prefix sum
+    achieved_su = None if feasible else solve_su(problem, U_NUMERIC)
     num, den, u_hit = 0, 1, None  # the running sum num/den, reduced once at the end
     prefix_u, prefix = 0, (num, den)
     for l in range(1, max(direct_cap, EXACT_PREFIX_U) + 1):
@@ -328,7 +331,7 @@ def dimension_certificate(problem: DimensionProblem) -> DimensionCertificate:
         problem=problem,
         target=TARGET,
         route=route,
-        achieved_su=solve_su(problem, u_used),
+        achieved_su=solve_su(problem, u_used) if achieved_su is None else achieved_su,
         u_used=u_used,
         exceeds_target=exceeds,
         sqrt_sum_at_u=total if u_hit is not None else None,

@@ -74,6 +74,12 @@ FLOW_BOUNDED = "tests/test_flow.py::test_event_count_is_bounded"
 FLOW_BIN_BOUND = "tests/test_flow.py::test_bin_error_bound_holds"
 FLOW_BIN_EDGES = "tests/test_flow.py::test_simulate_bins_on_bin_edges_match_oracle"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
+NEGATIVE_VALUE = "tests/test_cli.py::test_negative_value_after_flag[argv0]"
+PARSE_CONFLICT = "tests/test_cli.py::test_table_parser_matches_argparse[conflict]"
+PARSE_REQUIRED = "tests/test_cli.py::test_table_parser_matches_argparse[required-missing]"
+PARSE_TYPE = "tests/test_cli.py::test_table_parser_matches_argparse[type-int]"
+PARSE_EQ = "tests/test_cli.py::test_table_parser_matches_argparse[eq-long]"
+PARSE_PREFIX = "tests/test_cli.py::test_table_parser_matches_argparse[prefix-ambiguous]"
 
 # seconds one pytest run may take; a mutant that stops a loop from
 # advancing is reported as not run instead of hanging the catalogue
@@ -324,6 +330,38 @@ CATALOGUE = (
         "if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):",
         "if False:",
         (INTERVAL_TYPES,),
+    ),
+    # the option table's parser in cli.parse_args
+    Mutant(
+        "cli-negative-value-read-as-flag", "cli.py",
+        'if _NEGATIVE.match(text) or " " in text:', 'if " " in text:',
+        (NEGATIVE_VALUE,),
+    ),
+    Mutant(
+        "cli-exclusive-group-unchecked", "cli.py",
+        "if other is not arg:", "if False:",
+        (PARSE_CONFLICT,),
+    ),
+    Mutant(
+        "cli-required-flag-unchecked", "cli.py",
+        'if missing:\n        raise CliError(f"{prog}: the following',
+        'if False:\n        raise CliError(f"{prog}: the following',
+        (PARSE_REQUIRED,),
+    ),
+    Mutant(
+        "cli-type-conversion-skipped", "cli.py",
+        "    if arg.type is None:\n        return text", "    if True:\n        return text",
+        (PARSE_TYPE,),
+    ),
+    Mutant(
+        "cli-eq-split-dropped", "cli.py",
+        'flag, eq, value = text.partition("=")', 'flag, eq, value = text, "", None',
+        (PARSE_EQ,),
+    ),
+    Mutant(
+        "cli-ambiguous-prefix-takes-first", "cli.py",
+        "if len(found) > 1:", "if False:",
+        (PARSE_PREFIX,),
     ),
     # the spec-file loader of cli.load_spec
     Mutant(

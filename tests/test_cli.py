@@ -1,5 +1,7 @@
-import argparse
+import ast
+import importlib.util
 import inspect
+import io
 import json
 import os
 import re
@@ -7,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -14,8 +17,17 @@ from pathlib import Path
 import pytest
 
 import oracle_torus as oracle
+from oracle_cli import build_parser
 from oracle_dimension import exact_sqrt_partial_sum
-from slittori.cli import _build_parser, load_spec, main, spec_from_provenance, spec_to_dict
+from slittori.cli import (
+    COMMANDS,
+    CliError,
+    load_spec,
+    main,
+    parse_args,
+    spec_from_provenance,
+    spec_to_dict,
+)
 from slittori.criterion import verify
 from slittori.dimension import DimensionProblem, dimension_certificate
 from slittori.directions import DigitRule
@@ -24,6 +36,9 @@ from slittori.flow import OrbitStats, simulate, slope_from_spec
 from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational, find_block
 from slittori.rational import RationalParam, direction_stream
 from slittori.torus import trace_word
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -136,34 +151,47 @@ def test_budget_round_trips_through_spec_file(tmp_path):
     assert spec_from_provenance(prov).block(3).digits == spec.block(3).digits
 
 
+# argument lists that exit 2 with a JSON error
+BAD_ARGV = [
+    ["verify", "x.json", "--horizon", "abc"],
+    ["action", "--z", "0,1/4", "--gz-lambda", "1/4", "--precision", "256"],
+    ["dimension"],
+    ["dimension", "--block", "1,1,1", "--prog", "1"],
+    ["build", "--lambda", "1/4", "--blocks", "0"],
+    ["build", "--lambda", "1/4", "--blocks", "-1"],
+    ["build", "--lambda", "1/4", "--budget", "-5"],
+    ["build", "--lambda", "1/4", "--budget", "0"],
+    ["action", "--z", "0,1/4", "--gz", "1,2"],
+    ["build", "--z-rational", "1,2"],
+    ["action", "--z", "0,1/4", "--gz", "--word", "h+"],
+    ["action", "--z", "0,1/4", "--word", "h+", "-x"],
+    [],
+    ["billiard", "--lambda=3/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+    ["billiard", "--lambda", "0", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+    ["billiard", "--lambda", "-1/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+    ["billiard", "--lambda", "1:1:2:2", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
+    # conflicting inputs: neither one is silently ignored
+    ["action", "--z", "0,1/4", "--word", "h+:3", "--gz-lambda", "1/4"],
+    ["simulate", str(GOLDEN / "build_quarter.json"), "--slope", "1/3", "--z", "0,1/5"],
+    [
+        "billiard", "--lambda", "1/4", "--x", "3/10", "--y", "1/10",
+        "--vx", "1", "--vy", "1", "--theta-deg", "30",
+    ],
+    ["build", "--lambda", "1/4", "--z-rational", "0,1,4"],
+]
+
+
+# the flags of the enclosure precisions and the dimension truncations
+REMOVED_FLAG_ARGV = [
+    ["verify", str(GOLDEN / "build_quarter.json"), "--precision", "256"],
+    ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10", "--precision", "32"],
+    ["dimension", "--block", "1,1,1", "--u-cap", "10000"],
+    ["dimension", "--block", "1,1,1", "--u-numeric", "1000000"],
+]
+
+
 def test_argument_errors_exit_two_with_json(capsys):
-    for argv in (
-        ["verify", "x.json", "--horizon", "abc"],
-        ["action", "--z", "0,1/4", "--gz-lambda", "1/4", "--precision", "256"],
-        ["dimension"],
-        ["dimension", "--block", "1,1,1", "--prog", "1"],
-        ["build", "--lambda", "1/4", "--blocks", "0"],
-        ["build", "--lambda", "1/4", "--blocks", "-1"],
-        ["build", "--lambda", "1/4", "--budget", "-5"],
-        ["build", "--lambda", "1/4", "--budget", "0"],
-        ["action", "--z", "0,1/4", "--gz", "1,2"],
-        ["build", "--z-rational", "1,2"],
-        ["action", "--z", "0,1/4", "--gz", "--word", "h+"],
-        ["action", "--z", "0,1/4", "--word", "h+", "-x"],
-        [],
-        ["billiard", "--lambda=3/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
-        ["billiard", "--lambda", "0", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
-        ["billiard", "--lambda", "-1/4", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
-        ["billiard", "--lambda", "1:1:2:2", "--x", "3/10", "--y", "1/10", "--vx", "1", "--vy", "1"],
-        # conflicting inputs: neither one is silently ignored
-        ["action", "--z", "0,1/4", "--word", "h+:3", "--gz-lambda", "1/4"],
-        ["simulate", str(GOLDEN / "build_quarter.json"), "--slope", "1/3", "--z", "0,1/5"],
-        [
-            "billiard", "--lambda", "1/4", "--x", "3/10", "--y", "1/10",
-            "--vx", "1", "--vy", "1", "--theta-deg", "30",
-        ],
-        ["build", "--lambda", "1/4", "--z-rational", "0,1,4"],
-    ):
+    for argv in BAD_ARGV:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "error" in json.loads(err), argv
@@ -239,21 +267,8 @@ def test_large_radicand_fails_closed(tmp_path, capsys):
         assert "radicand" in json.loads(err)["error"], argv
 
 
-def _subparsers() -> dict:
-    parser = _build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return commands.choices
-
-
 def test_cli_option_inventory():
-    found = {
-        name: [
-            "/".join(a.option_strings) or a.dest
-            for a in sub._actions
-            if not isinstance(a, argparse._HelpAction)
-        ]
-        for name, sub in _subparsers().items()
-    }
+    found = {name: [arg.name for arg in table] for name, (_, _, table) in COMMANDS.items()}
     assert found == CLI_OPTIONS
     flags = [o for opts in found.values() for o in opts if o.startswith("-")]
     assert (len(flags), sum(map(len, found.values())) - len(flags)) == (32, 2)
@@ -278,11 +293,11 @@ def test_library_option_inventory():
     assert found == LIBRARY_OPTIONS
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = ROOT / "README.md"
 
 
-def test_readme_commands_parse():
-    # every documented command line must still parse; nothing is executed
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``slittori`` line in README's sh blocks."""
     readme = README.read_text()
     lines = [
         line.strip()
@@ -290,20 +305,25 @@ def test_readme_commands_parse():
         for line in block.splitlines()
         if line.startswith("slittori ")
     ]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_commands_parse():
+    # every documented command line must still parse; nothing is executed
+    lines = _readme_commands()
     assert len(lines) == 13
-    parser = _build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+    for argv in lines:
+        parse_args(argv)
 
 
 def test_readme_prose_names_only_existing_flags():
-    """Every flag that README.md names in inline code exists: in the named
-    subcommand's parser for `<command> --flag`, in some subcommand's
-    parser for a bare `--flag`."""
+    """Every flag that README.md names in inline code exists: among the
+    named subcommand's flags for `<command> --flag`, among some
+    subcommand's flags for a bare `--flag`."""
     prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
     flags = {
-        name: {o for a in sub._actions for o in a.option_strings}
-        for name, sub in _subparsers().items()
+        name: {"-h", "--help", *(s for arg in table for s in arg.spellings)}
+        for name, (_, _, table) in COMMANDS.items()
     }
     every = set().union(*flags.values())
     named = 0
@@ -313,6 +333,188 @@ def test_readme_prose_names_only_existing_flags():
             assert flag in known, span
             named += 1
     assert named >= 20  # the prose names flags; the pattern found them
+
+
+def _bench_commands() -> dict:
+    """id -> arguments of every CLI op in one round of each bench workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return {
+        f"bench-{name}-{k}": op.argv
+        for name, workload in module.WORKLOADS.items()
+        if not workload.in_process
+        for k, op in enumerate(workload(Path("work")).round(0, 0))
+    }
+
+
+# argument lists that spell the same thing differently, or nearly
+SPELLINGS = {
+    "eq-long": ["build", "--lambda=1/4", "--blocks=2", "--nk=const:2"],
+    "eq-short": ["build", "--lambda", "1/4", "-o=x.json"],
+    "eq-empty": ["action", "--z=", "--word="],
+    "attached-short": ["build", "--lambda", "1/4", "-ox.json"],
+    "attached-short-eq": ["build", "--lambda", "1/4", "-ox=y"],
+    "eq-negative": ["billiard", "--lambda", "1/4", "--x=-3/10", "--y", "1/10", "--vx=-7/10",
+                    "--vy", "2/5"],
+    "prefix-unique": ["build", "--lam", "1/4", "--bl", "2", "--bu=50", "--out", "x.json"],
+    "prefix-unique-eq": ["dimension", "--bl=1,1,1", "--pr=1,0"],
+    "prefix-of-longer-flag": ["build", "--z", "1,1,2"],
+    "exact-before-prefix": ["action", "--z", "0,1/4", "--gz", "1,1,2"],
+    "prefix-ambiguous": ["build", "--b", "2", "--lambda", "1/4"],
+    "prefix-ambiguous-eq": ["simulate", "--d=4", "--slope", "1/3", "--z", "0,1/4"],
+    "prefix-ambiguous-help": ["verify", "x.json", "--h"],
+    "prefix-ambiguous-late": ["build", "--blocks", "x", "--b", "2"],
+    "prefix-dashes-only": ["build", "--=x"],
+    "three-dashes": ["build", "---lambda", "1/4"],
+    "repeat-last-wins": ["dimension", "--block", "1,1,1", "--block", "1,2,1", "--prog", "2,0",
+                         "--prog", "1,0"],
+    "repeat-group-flag": ["action", "--z", "0,1/4", "--word", "h+", "--word", "h-"],
+    "negative-after-space": ["build", "--z-rational", "-1,-1,3", "--nk", "const:6"],
+    "negative-point": ["simulate", "--slope", "1/3", "--z", "-1/4,1/4", "--start", "0,-1/2,1/8,0"],
+    "negative-decimal": ["billiard", "--lambda", "1/4", "--x", "-.5", "--y", "-1.25",
+                         "--theta-deg", "-30"],
+    "negative-quadratic": ["build", "--lambda", "-1:1:8:5", "--d-choices", "const:1"],
+    "negative-int": ["verify", "x.json", "--horizon", "-2"],
+    "negative-not-a-number": ["billiard", "--lambda", "1/4", "--x", "-3e1", "--y", "1"],
+    "value-with-space": ["action", "--z", "0,1/4", "--word", "-h+ 3"],
+    "value-dash": ["verify", "-"],
+    "value-empty": ["verify", ""],
+    "type-int": ["verify", "x.json", "--horizon", "5"],
+    "type-int-spaces": ["simulate", "--grid", " 4 ", "--slope", "1/3", "--z", "0,1/4"],
+    "type-int-refused": ["simulate", "--grid", "four", "--slope", "1/3", "--z", "0,1/4"],
+    "type-float": ["billiard", "--lambda", "1/4", "--x", "0", "--y", "1/8", "--theta-deg", "1e1"],
+    "type-float-refused": ["billiard", "--lambda", "1/4", "--x", "0", "--y", "1", "--theta-deg",
+                           "north"],
+    "type-positive-int-refused": ["build", "--lambda", "1/4", "--budget", "x"],
+    "conflict": ["build", "--z-rational", "1,1,2", "--lambda", "1/4"],
+    "conflict-after-type-error": ["build", "--z-rational", "1,1,2", "--blocks", "0", "--lambda", "1"],
+    "required-missing": ["billiard", "--x", "1"],
+    "required-all-missing": ["billiard"],
+    "required-group-missing": ["action", "--z", "0,1/4"],
+    "required-before-group": ["action"],
+    "required-positional-missing": ["verify", "--horizon", "2"],
+    "value-missing": ["verify", "x.json", "--horizon"],
+    "value-missing-before-flag": ["action", "--z", "--word", "h+"],
+    "value-missing-before-short": ["build", "--lambda", "-o", "x.json"],
+    "extra-positional": ["verify", "a.json", "b.json"],
+    "extra-positional-simulate": ["simulate", "a.json", "b.json", "--T", "5"],
+    "extra-positional-middle": ["verify", "--horizon", "2", "a.json", "b.json", "--output", "c"],
+    "extra-positional-none-taken": ["dimension", "--block", "1,1,1", "extra"],
+    "unknown-flags-in-order": ["verify", "a", "-x", "b", "--horizon", "3", "--y", "c"],
+    "unknown-before-command": ["--foo", "dimension", "--block", "1,1,1"],
+    "unknown-before-bad-command": ["--foo", "dimension"],
+    "unknown-only": ["--foo"],
+    "short-unknown-before-command": ["-x", "verify", "a.json"],
+    "negative-as-command": ["-5", "verify"],
+    "command-unknown": ["bogus"],
+    "command-case": ["Verify", "a.json"],
+    "command-empty": [""],
+    "command-unknown-then-help": ["bogus", "-h"],
+    "separator-only": ["--"],
+    "separator-before-command": ["--", "verify", "a.json"],
+    "separator-before-positional": ["verify", "--", "x.json"],
+    "separator-after-positional": ["verify", "x.json", "--"],
+    "separator-twice": ["verify", "--", "--", "x.json"],
+    "separator-then-flag": ["verify", "a.json", "--", "--horizon", "3"],
+    "separator-as-flag-value": ["verify", "x.json", "--horizon", "--", "3"],
+    "separator-after-flag-value": ["verify", "x.json", "--horizon", "5", "--"],
+    "separator-alone-after-flags": ["simulate", "--T", "1", "--"],
+    "separator-no-positional": ["action", "--z", "0,1/4", "--word", "h+", "--"],
+    "separator-no-value": ["verify", "--"],
+    "separator-optional-positional": ["simulate", "--", "x.json"],
+    "separator-after-optional-positional": ["simulate", "x.json", "--", "y.json"],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-prefix": ["--he"],
+    "help-after-unknown": ["--foo", "-h"],
+    "help-attached-unknown": ["-hx"],
+    "help-attached-help": ["-hh"],
+    "help-command": ["simulate", "-h"],
+    "help-command-prefix": ["simulate", "--he"],
+    "help-command-long-eq": ["action", "--help=x"],
+    "help-command-eq-empty": ["action", "-h="],
+    "help-command-attached-unknown": ["action", "-hx"],
+    "help-command-attached-help": ["action", "-hh"],
+    "help-command-attached-flag": ["action", "-ho"],
+    "help-command-attached-flag-value": ["action", "-ho", "x.json"],
+    "help-command-attached-flag-attached": ["action", "-hox.json"],
+    "help-after-type-error": ["verify", "x.json", "--horizon", "x", "-h"],
+    "help-before-type-error": ["verify", "x.json", "-h", "--horizon", "x"],
+    "help-before-missing": ["billiard", "--help"],
+    **{f"help-{name}": [name, "-h"] for name in COMMANDS},
+}
+
+
+def _corpus() -> dict:
+    """id -> arguments: README's commands, the bench workloads' commands,
+    the refused argument lists above and the spellings."""
+    corpus = {f"readme-{k}": argv for k, argv in enumerate(_readme_commands())}
+    corpus.update(_bench_commands())
+    corpus.update({f"bad-{k}": argv for k, argv in enumerate(BAD_ARGV)})
+    corpus.update({f"removed-{k}": argv for k, argv in enumerate(REMOVED_FLAG_ARGV)})
+    corpus.update({f"overflow-{case}": argv for case, argv in OVERFLOW_ARGV.items()})
+    corpus.update(SPELLINGS)
+    return corpus
+
+
+CORPUS = _corpus()
+ORACLE = build_parser()
+
+
+def _verdict(parse, argv: list[str]) -> tuple:
+    """("ok", the fields of args), ("error", its text) or ("help", whether
+    it printed something) for one parse of ``argv``."""
+    printed = io.StringIO()
+    try:
+        with redirect_stdout(printed):
+            args = parse(list(argv))
+    except CliError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:  # argparse after printing its help
+        assert exc.code == 0
+        args = None
+    if args is None:
+        return "help", printed.getvalue() != ""
+    return "ok", vars(args)
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=key) for key, argv in CORPUS.items()])
+def test_table_parser_matches_argparse(argv):
+    """The option table reads every argument list as the argparse tree of
+    ``tests/oracle_cli.py`` does: the same fields and ``func``, the same
+    error text, or help printed by both."""
+    assert _verdict(parse_args, argv) == _verdict(ORACLE.parse_args, argv)
+
+
+def test_attached_separator_is_a_value(capsys):
+    """``--flag=--`` and ``-o--`` give the flag the text ``--``.  argparse
+    dropped that text and set the field to an empty list, which the
+    command then failed on with a traceback, so the oracle corpus leaves
+    these spellings out."""
+    assert parse_args(["dimension", "--block=--"]).block == "--"
+    assert parse_args(["build", "--lambda", "1/4", "-o--"]).output == "--"
+    code, out, err = run(capsys, "dimension", "--block=--")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("ValueError: ")
+
+
+def test_corpus_covers_every_verdict():
+    verdicts = {_verdict(parse_args, argv)[0] for argv in CORPUS.values()}
+    assert verdicts == {"ok", "error", "help"}
+    assert sum(key.startswith("readme-") for key in CORPUS) == 13
+    assert sum(key.startswith("bench-") for key in CORPUS) >= 20
+
+
+def test_help_exits_zero_with_usage_on_stdout(capsys):
+    for argv in (["-h"], *([name, "--help"] for name in COMMANDS)):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert out.startswith("usage: slittori "), argv
+    _, out, _ = run(capsys, "build", "-h")
+    for arg in COMMANDS["build"][2]:
+        assert arg.spellings[-1] in out
 
 
 @pytest.mark.parametrize(
@@ -343,14 +545,24 @@ def test_negative_value_after_flag(capsys, argv):
 def test_import_path_loads_no_dataclasses_inspect_or_typing():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    # the modules that bench/tracer.py wraps, read from its source
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse((ROOT / "bench" / "tracer.py").read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "").endswith("_SPANS")
+    }
+    traced = sorted({entry[0] for entries in tables.values() for entry in entries})
+    assert len(traced) >= 8
     probe = (
         "import sys, slittori.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'locale'}"
+        " & set(sys.modules))); "
+        f"print(sorted(set({traced!r}) - set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_import_does_not_load_numpy():
@@ -394,8 +606,6 @@ def test_verify_failing_spec_exits_one(tmp_path, capsys):
     assert code == 2  # deterministic rebuild disagrees with the file
     assert "disagree" in json.loads(err)["error"]
 
-
-GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.mark.parametrize(
@@ -698,12 +908,7 @@ def test_simulate_start_needs_four_fields(capsys):
 def test_removed_numeric_flags_exit_two(capsys):
     """The enclosure precisions and the dimension truncations are module
     constants; their former flags are unknown arguments."""
-    for argv in (
-        ["verify", str(GOLDEN / "build_quarter.json"), "--precision", "256"],
-        ["simulate", "--slope", "1/3", "--z", "0,1/4", "--T", "10", "--precision", "32"],
-        ["dimension", "--block", "1,1,1", "--u-cap", "10000"],
-        ["dimension", "--block", "1,1,1", "--u-numeric", "1000000"],
-    ):
+    for argv in REMOVED_FLAG_ARGV:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         error = json.loads(err)["error"]
