@@ -188,8 +188,8 @@ def find_block(
             f"budget of {budget} generator applications exhausted"
         ) from None
     digits = (a, 1, 1, b, 1, 1, c, d)
-    x, (yu, yv), *action = _trace_lattice(lat.W, D, lat.embed(z.x), y, "h+", digits)
-    if not ((x, (yu, yv)) == (x7, y_out)
+    xu, xv, yu, yv, *action = _trace_lattice(lat.W, D, *lat.embed(z.x), *y, "h+", digits)
+    if not ((xu, xv) == x7 and (yu, yv) == y_out
             and not negative(yu - lu, yv - lv, D) and not negative(hu - yu, hv - yv, D)
             and entries_fix_beta(*canonical_entries(*action))):
         raise DerivationError(f"block {digits} fails its trace certificate")

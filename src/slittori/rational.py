@@ -33,11 +33,17 @@ from .words import GenWord
 
 
 class RationalParam(Frozen):
-    """z = (r/2q, s/2q) with |r|, |s| < q, s nonzero and coprime to q."""
+    """z = (r/2q, s/2q) with |r|, |s| < q, s nonzero and coprime to q.
+
+    A field that is not an ``int`` raises :class:`TypeError` naming it."""
 
     __slots__ = ("r", "s", "q")
 
     def __init__(self, r: int, s: int, q: int):
+        if not (isinstance(r, int) and isinstance(s, int) and isinstance(q, int)):
+            for name, v in (("r", r), ("s", s), ("q", q)):
+                if not isinstance(v, int):
+                    raise TypeError(f"{name} must be an int, got {v!r}")
         if q < 1:
             raise ValueError("q must be positive")
         if not (abs(r) < q and abs(s) < q):
@@ -170,7 +176,8 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     invariant under every power) and 2q otherwise; the returned period
     is itself re-verified by a trace.  Both traces call
     :func:`~slittori.torus._trace_lattice` on the lattice Z/2q, where z is
-    (r, s), one closed-form syllable at a time; the block digits are the
+    the flat integers r, 0, s, 0, one closed-form syllable at a time, and
+    compare the integers it returns with r and s; the block digits are the
     exponents of an h+-leading word as they are, with no
     :class:`~slittori.words.GenWord` in between, and the verdicts are read
     from the canonical action entries, with no matrix built.  The start
@@ -180,11 +187,11 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     r, s, q = param.r, param.s, param.q
     W = 2 * q
     period = 1 if r == 0 else W
-    (x, _), (y, _), a, b, c, d = _trace_lattice(W, 0, (r, 0), (s, 0), "h+", block_for(param))
+    x, _, y, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h+", block_for(param))
     fixes_identity = entries_are_identity(*canonical_entries(a, b, c, d))
-    (x_h, _), (y_h, _), a, b, c, d = _trace_lattice(W, 0, (r, 0), (s, 0), "h-", (period,))
-    period_ok = (x_h, y_h) == (r, s) and entries_fix_beta(*canonical_entries(a, b, c, d))
-    return FixingCertificate((x, y) == (r, s) and period_ok, fixes_identity, period)
+    x_h, _, y_h, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h-", (period,))
+    period_ok = x_h == r and y_h == s and entries_fix_beta(*canonical_entries(a, b, c, d))
+    return FixingCertificate(x == r and y == s and period_ok, fixes_identity, period)
 
 
 class NkRuleError(ValueError):

@@ -42,7 +42,10 @@ after |k| wraps, and its running count is m = n - 2|k|.  The floor is
 on the lattice's integers W and D, is the one place that applies it,
 once per syllable, and the one place the homology action is multiplied
 out.  Every word it traces alternates, so it takes the leading generator
-and the exponents, and flips the generator after each syllable.
+and the exponents, and flips the generator after each syllable.  It
+takes the start as four flat integers xu, xv, yu, yv and returns the
+flat tuple (xu, xv, yu, yv, a, b, c, d), the form :meth:`Lattice.run`
+yields, so a caller that holds integers packs no coordinate pairs.
 :func:`trace_word`, the one adapter from a :class:`TorusPoint` and a
 :class:`~slittori.words.GenWord`, returns (final, entries), its end point
 as a :class:`TorusPoint` and the canonical entries of the action;
@@ -216,19 +219,20 @@ class Lattice:
 
 
 def _trace_lattice(
-    W: int, D: int, x: Coord, y: Coord, leading: str, exponents
-) -> tuple[Coord, Coord, int, int, int, int]:
+    W: int, D: int, xu: int, xv: int, yu: int, yv: int, leading: str, exponents
+) -> tuple[int, int, int, int, int, int, int, int]:
     """Trace the word with ``exponents``, generators alternating from
-    ``leading``, from (x, y) on the lattice (Z + Z sqrt(D))/W, one closed-form
-    syllable at a time: the end point and the entries a, b, c, d of the
-    homology action, before sign canonicalisation.  The floor of t + W/2 =
+    ``leading``, from the point x = (xu + xv sqrt(D))/W, y = (yu + yv sqrt(D))/W
+    of the lattice (Z + Z sqrt(D))/W, one closed-form syllable at a time.
+    Returns the flat tuple (xu, xv, yu, yv, a, b, c, d): the end point in
+    the same integers and the entries a, b, c, d of the homology action,
+    before sign canonicalisation.  The floor of t + W/2 =
     u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D)).  A leading
     generator other than h+ and h-, or an exponent below 1, raises ValueError."""
     if leading != "h+" and leading != "h-":
         raise ValueError(f"unknown generator {leading!r}")
     plus = leading == "h+"
     half = W // 2
-    (xu, xv), (yu, yv) = x, y
     a, b, c, d = 1, 0, 0, 1
     for n in exponents:
         if n < 1:
@@ -246,7 +250,7 @@ def _trace_lattice(
             m = n - 2 * k if k > 0 else n + 2 * k
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
         plus = not plus
-    return (xu, xv), (yu, yv), a, b, c, d
+    return xu, xv, yu, yv, a, b, c, d
 
 
 def trace_word(
@@ -264,10 +268,10 @@ def trace_word(
     takes the word's ``leading`` generator and ``digits`` as they are.
     """
     lat = Lattice(z.x, z.y)
-    x, y, *mat = _trace_lattice(
-        lat.W, lat.D, lat.embed(z.x), lat.embed(z.y), word.leading, word.digits
+    xu, xv, yu, yv, *mat = _trace_lattice(
+        lat.W, lat.D, *lat.embed(z.x), *lat.embed(z.y), word.leading, word.digits
     )
-    return lat.point(x, y), canonical_entries(*mat)
+    return lat.point((xu, xv), (yu, yv)), canonical_entries(*mat)
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:

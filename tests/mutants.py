@@ -11,10 +11,12 @@ entry, the runner copies ``src/`` to a temporary directory, replaces the
 entry's old text (which must occur exactly once in its file) with the new
 text there, and runs the entry's tests with ``PYTHONPATH`` set to the
 copy.  It prints one ``killed``, ``survived`` or ``not run`` line per
-entry and exits 1 unless every mutant is killed.  A pytest run that takes
-longer than ``PYTEST_TIMEOUT_S`` is stopped and its entry reads ``not run:
-timed out``.  The file name keeps pytest from collecting it, so it is not
-part of the test suite.
+entry and exits 1 unless every mutant is killed.  An entry listed as
+equivalent, with the reason no input tells it from the source, must
+survive instead, and its line reads ``equivalent`` and the reason.  A
+pytest run that takes longer than ``PYTEST_TIMEOUT_S`` is stopped and its
+entry reads ``not run: timed out``.  The file name keeps pytest from
+collecting it, so it is not part of the test suite.
 
 A change that breaks a rule in a scratch copy to check its tests adds the
 mutation here instead (DeMillo, Lipton and Sayward, "Hints on test data
@@ -34,8 +36,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # file is relative to src/slittori; tests are pytest node ids from the root,
-# each of which fails on the mutant by itself
-Mutant = namedtuple("Mutant", "name file old new tests")
+# each of which fails on the mutant by itself.  An equivalent mutant gives
+# the reason no input can tell it from the source; its tests must pass on it
+Mutant = namedtuple("Mutant", "name file old new tests equivalent", defaults=(None,))
 
 # the rules on the action's canonical entries
 TORUS_RULES = "tests/test_torus.py::test_action_rules_on_identity_and_h_minus_powers"
@@ -55,6 +58,7 @@ ACCEPT_BLOCKS = "tests/test_acceptance.py::test_criterion_1_block_reproduction"
 SCAN = "tests/test_rational.py::test_congruences_match_scan"
 CERT_ORACLE = "tests/test_rational.py::test_certificate_matches_oracle"
 CERT_EXAMPLES = "tests/test_rational.py::test_certify_examples"
+PARAM_TYPES = "tests/test_rational.py::test_param_fields_must_be_ints[r-args1]"
 KERNEL = "tests/test_torus.py::test_kernel_matches_oracle"
 SYLLABLE_ORACLE = "tests/test_torus.py::test_kernel_matches_syllable_oracle"
 BAD_SYLLABLE = "tests/test_torus.py::test_trace_rational_rejects_bad_syllables[syllable2]"
@@ -128,11 +132,68 @@ CATALOGUE = (
         "if j > left:", "if j >= left:",
         (DIGIT_SUM,),
     ),
+    Mutant(
+        "a-window-closed-at-zero", "irrational.py",
+        "negative(-eu, -v, D)", "not negative(eu, v, D)",
+        (WINDOWS,),
+    ),
+    Mutant(
+        "a-window-closed-at-its-width", "irrational.py",
+        "negative(2 * eu - w1u, 2 * v - w1v, D)", "not negative(w1u - 2 * eu, w1v - 2 * v, D)",
+        (WINDOWS,),
+    ),
+    Mutant(
+        "b-window-closed-at-zero", "irrational.py",
+        "negative(-eu, v, D)", "not negative(eu, -v, D)",
+        (WINDOWS,),
+        equivalent="Lattice.run wraps every coordinate into [-1/2, 1/2), so eps2 = 1/2 - y4 > 0 "
+        "at every step of the b search",
+    ),
+    Mutant(
+        "b-window-closed-at-its-width", "irrational.py",
+        "negative(2 * eu - w2u, -2 * v - w2v, D)", "not negative(w2u - 2 * eu, 2 * v + w2v, D)",
+        (WINDOWS,),
+    ),
+    Mutant(
+        "d-window-open-at-low-end", "irrational.py",
+        "not negative(u - lu, v - lv, D) and", "negative(lu - u, lv - v, D) and",
+        (WINDOWS,),
+    ),
+    Mutant(
+        "d-window-open-at-high-end", "irrational.py",
+        "and not negative(hu - u, hv - v, D)", "and negative(u - hu, v - hv, D)",
+        (WINDOWS,),
+    ),
+    Mutant(
+        "a-window-count-may-be-zero", "irrational.py",
+        "m > 0 and negative(-eu, -v, D)", "m >= 0 and negative(-eu, -v, D)",
+        (WINDOWS, BOUNDARY),
+        equivalent="from x0 >= -1/2, j steps of size y wrap n <= eps1 + j y < j/2 times "
+        "(eps1 < (1/2 - y)/2), so m = j - 2n > 0 at every a-window hit",
+    ),
+    *(
+        Mutant(
+            f"{stage}-search-left-{'plus' if k > 0 else 'minus'}-one", "irrational.py",
+            f"{left}, {rest}", f"{left} {'+' if k > 0 else '-'} 1, {rest}",
+            (WINDOWS, DIGIT_SUM),
+        )
+        for stage, left, rest in (
+            ("b", "budget - a", "in_b)"),
+            ("c", "budget - a - b", "in_c)"),
+            ("d", "budget - a - b - c", "in_d, d_index)"),
+        )
+        for k in (1, -1)
+    ),
     # the trace certificate of irrational.find_block
     Mutant(
         "certificate-compares-only-x", "irrational.py",
-        "if not ((x, (yu, yv)) == (x7, y_out)", "if not (x == x7",
+        "if not ((xu, xv) == x7 and (yu, yv) == y_out", "if not ((xu, xv) == x7",
         (CERT_HEIGHT,),
+    ),
+    Mutant(
+        "certificate-unpacks-y-into-x", "irrational.py",
+        "xu, xv, yu, yv, *action = _trace_lattice(", "xu, yu, xv, yv, *action = _trace_lattice(",
+        (DIGIT_SUM,),
     ),
     Mutant(
         "certificate-drops-fixes-beta", "irrational.py",
@@ -170,6 +231,24 @@ CATALOGUE = (
         "negative-s-not-flipped", "rational.py",
         "    if s < 0:\n        r, s = -r, -s\n", "",
         (SCAN,),
+    ),
+    Mutant(
+        "fixing-trace-unpacks-v-as-y", "rational.py",
+        'x, _, y, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h+"',
+        'x, y, _, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h+"',
+        (CERT_ORACLE,),
+    ),
+    Mutant(
+        "period-trace-unpacks-y-as-x", "rational.py",
+        "x_h, _, y_h, _, a, b, c, d = _trace_lattice(",
+        "y_h, _, x_h, _, a, b, c, d = _trace_lattice(",
+        (CERT_ORACLE,),
+    ),
+    Mutant(
+        "param-field-type-unchecked", "rational.py",
+        "if not (isinstance(r, int) and isinstance(s, int) and isinstance(q, int)):",
+        "if False:",
+        (PARAM_TYPES,),
     ),
     Mutant(
         "h-minus-period-q", "rational.py",
@@ -413,12 +492,21 @@ def main(names: list[str]) -> int:
     if pytest_exit(ROOT / "src", tests) != 0:
         print("the named tests fail or time out on the unmutated source", file=sys.stderr)
         return 2
-    failed = 0
+    failed = equivalent = 0
     for mutant in chosen:
         result = outcome(mutant)
-        failed += result != "killed"
-        print(f"{result:10} {mutant.name}", flush=True)
-    print(f"{len(chosen) - failed} of {len(chosen)} killed")
+        line = mutant.name
+        if mutant.equivalent:
+            # a kill would disprove the reason, so only survival passes
+            if result == "survived":
+                result, equivalent = "equivalent", equivalent + 1
+            else:
+                result += " although listed as equivalent"
+            line += f": {mutant.equivalent}"
+        failed += result not in ("killed", "equivalent")
+        print(f"{result:10} {line}", flush=True)
+    killed = len(chosen) - failed - equivalent
+    print(f"{killed} of {len(chosen)} killed, {equivalent} equivalent")
     return 1 if failed else 0
 
 

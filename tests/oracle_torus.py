@@ -31,7 +31,7 @@ from slittori.irrational import (
     DerivationError,
     SearchBudgetExceededError,
 )
-from slittori.torus import Coord, TorusPoint, canonical_entries, entries_fix_beta
+from slittori.torus import TorusPoint, canonical_entries, entries_fix_beta
 from slittori.words import H_MINUS, H_PLUS, IDENTITY, GenWord, IntMat2
 
 GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
@@ -108,16 +108,16 @@ def generator_homology_factor(z_after: TorusPoint, gen: str) -> IntMat2:
 
 
 def _trace_lattice(
-    W: int, D: int, x: Coord, y: Coord, syllables
-) -> tuple[Coord, Coord, int, int, int, int]:
-    """Trace ``syllables`` from (x, y) on the lattice (Z + Z sqrt(D))/W, one
-    closed-form syllable at a time: the end point and the entries a, b, c, d
-    of the homology action, before sign canonicalisation.  The floor of
+    W: int, D: int, xu: int, xv: int, yu: int, yv: int, syllables
+) -> tuple[int, int, int, int, int, int, int, int]:
+    """Trace ``syllables`` from x = (xu + xv sqrt(D))/W, y = (yu + yv sqrt(D))/W
+    on the lattice (Z + Z sqrt(D))/W, one closed-form syllable at a time:
+    the flat tuple (xu, xv, yu, yv, a, b, c, d) of the end point and the
+    entries of the homology action, before sign canonicalisation.  The floor of
     t + W/2 = u + W/2 + v sqrt(D) is the integer u + W/2 + floor(v sqrt(D)).
     A generator other than h+ and h-, or an exponent below 1, raises
     :class:`ValueError`."""
     half = W // 2
-    (xu, xv), (yu, yv) = x, y
     a, b, c, d = 1, 0, 0, 1
     for gen, n in syllables:
         if n < 1:
@@ -136,7 +136,7 @@ def _trace_lattice(
             a, c = a + m * b, c + m * d  # right-multiply by (h-)^m
         else:
             raise ValueError(f"unknown generator {gen!r}")
-    return (xu, xv), (yu, yv), a, b, c, d
+    return xu, xv, yu, yv, a, b, c, d
 
 
 def trace_rational_core(ix, iy, full, word, collect):

@@ -8,10 +8,14 @@ An intended change of output must regenerate them, from the repository root:
 (``verify_sqrt2_h4.json`` reads ``build_sqrt2.json``, so regenerate that first.)
 """
 
+import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
+import slittori
 from slittori.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -35,13 +39,83 @@ CASES = {
 }
 
 
+# the simulate commands, keyed by the golden file of their stdout; the
+# quarter run's -o and --dump-events write SIMULATE_FILES, by their golden
+# names, into the working directory
+SIMULATE = {
+    "simulate_quarter.json": [
+        "simulate", str(GOLDEN / "build_quarter.json"), "--T", "200",
+        "--start", "0,-1/2,1/83,0", "-o", "simulate_quarter.csv",
+        "--dump-events", "simulate_quarter_events.csv",
+    ],
+    "simulate_cone.json": ["simulate", "--slope", "1/2", "--z", "0,1/4", "--T", "1000"],
+}
+SIMULATE_FILES = ("simulate_quarter.csv", "simulate_quarter_events.csv")
+
+# run in the other interpreter: every command through cli.main in one
+# process, from a scratch directory that -o and --dump-events write into;
+# prints {name: [exit code, stdout, stderr]} as JSON
+CHILD = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+os.chdir(sys.argv[2])
+from slittori.cli import main
+out = {}
+for name, argv in json.loads(sys.argv[3]).items():
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out[name] = [code, stdout.getvalue(), stderr.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def _interpreter(name: str) -> str:
+    """The executable that ``name`` on PATH runs; skips when ``name`` is
+    absent or does not run as that version (a version manager's shim for
+    a version it does not select)."""
+    path = shutil.which(name)
+    if path is None:
+        pytest.skip(f"{name} not on PATH")
+    probe = subprocess.run(
+        [path, "-c", "import sys; print('python%d.%d' % sys.version_info[:2], sys.executable)"],
+        capture_output=True, text=True,
+    )
+    version, _, executable = probe.stdout.strip().partition(" ")
+    if probe.returncode != 0 or version != name:
+        pytest.skip(f"{name} on PATH does not run as {name}")
+    return executable
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_golden_bytes_on_other_interpreters(name, tmp_path):
+    """Every golden command, simulate with its -o and --dump-events files
+    and the cone case included, gives the same bytes and exit code on each
+    supported interpreter found on PATH (requires-python is >= 3.10)."""
+    src = str(Path(slittori.__file__).resolve().parent.parent)
+    commands = {**CASES, **SIMULATE}
+    run = subprocess.run(
+        [_interpreter(name), "-c", CHILD, src, str(tmp_path), json.dumps(commands)],
+        capture_output=True, text=True, env={"PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    for golden in commands:
+        code, out, err = results[golden]
+        want = 1 if golden == "simulate_cone.json" else 0
+        assert (code, err) == (want, ""), (golden, err)
+        assert out.encode() == (GOLDEN / golden).read_bytes(), golden
+    for golden in SIMULATE_FILES:
+        assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
-def test_golden_simulate(tmp_path, capsys):
+def test_golden_simulate(tmp_path, monkeypatch, capsys):
     """``simulate`` stdout, stats CSV, event dump and exit codes.
 
     Regenerate from the repository root with
@@ -54,20 +128,16 @@ def test_golden_simulate(tmp_path, capsys):
         PYTHONPATH=src python -m slittori.cli simulate --slope 1/2 --z 0,1/4 \\
             --T 1000 > tests/data/golden/simulate_cone.json   # exits 1
     """
-    csv, events = tmp_path / "stats.csv", tmp_path / "events.csv"
-    argv = [
-        "simulate", str(GOLDEN / "build_quarter.json"), "--T", "200",
-        "--start", "0,-1/2,1/83,0", "-o", str(csv), "--dump-events", str(events),
-    ]
-    assert main(argv) == 0
+    monkeypatch.chdir(tmp_path)  # -o and --dump-events write here
+    assert main(SIMULATE["simulate_quarter.json"]) == 0
     out = capsys.readouterr()
     assert out.out.encode() == (GOLDEN / "simulate_quarter.json").read_bytes()
     assert out.err == ""
-    assert csv.read_bytes() == (GOLDEN / "simulate_quarter.csv").read_bytes()
-    assert events.read_bytes() == (GOLDEN / "simulate_quarter_events.csv").read_bytes()
+    for name in SIMULATE_FILES:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     # a cone-point hit terminates the orbit: stats still printed, exit 1
-    assert main(["simulate", "--slope", "1/2", "--z", "0,1/4", "--T", "1000"]) == 1
+    assert main(SIMULATE["simulate_cone.json"]) == 1
     out = capsys.readouterr()
     assert out.out.encode() == (GOLDEN / "simulate_cone.json").read_bytes()
     assert '"termination_reason": "orbit hits a cone point"' in out.out

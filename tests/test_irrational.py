@@ -89,15 +89,18 @@ def test_d_choice_produces_distinct_streams():
 
 
 def _forge_certificates(monkeypatch, forge):
-    """Pass every trace of find_block's certificate, (x, y, a, b, c, d) on
-    the search's lattice (Z + Z sqrt(D))/W, through ``forge(W, D, x, y, a,
-    b, c, d)``; returns the list of traced digit tuples."""
+    """Pass every trace of find_block's certificate, (xu, xv, yu, yv, a, b,
+    c, d) on the search's lattice (Z + Z sqrt(D))/W, through ``forge(W, D,
+    x, y, a, b, c, d)`` with x = (xu, xv) and y = (yu, yv); returns the
+    list of traced digit tuples."""
     traced = []
     trace = irrational._trace_lattice
 
-    def forged(W, D, x, y, leading, exponents):
+    def forged(W, D, xu, xv, yu, yv, leading, exponents):
         traced.append(tuple(exponents))
-        return forge(W, D, *trace(W, D, x, y, leading, exponents))
+        xu, xv, yu, yv, *action = trace(W, D, xu, xv, yu, yv, leading, exponents)
+        (xu, xv), (yu, yv), *action = forge(W, D, (xu, xv), (yu, yv), *action)
+        return xu, xv, yu, yv, *action
 
     monkeypatch.setattr(irrational, "_trace_lattice", forged)
     return traced
@@ -249,24 +252,45 @@ def _search_hits(lat, moving, fixed, hit, with_m, left=SEARCH_CAP, n=3):
     return out
 
 
+def _window_ends(lat, ends):
+    """The coordinates of those ``ends`` that lie on the lattice; a window
+    end off it is met by no orbit point."""
+    coords = []
+    for end in ends:
+        try:
+            coords.append(lat.embed(end))
+        except ValueError:
+            continue
+    return coords
+
+
 def test_window_searches_match_oracle(monkeypatch):
     # every search of find_block is re-run with its own window test, from
-    # its own start and from starts whose k-th step lands on its hit (a, b)
-    # or on either end of J (d); each must give the first three candidates
-    # of the oracle's search and the budget spent on each
+    # its own start and from starts whose k-th step lands on its hit (a, b),
+    # on an end of its window that lies on the lattice (a, b) or on either
+    # end of J (d); each must give the first three candidates of the
+    # oracle's search and the budget spent on each.  The height
+    # (sqrt(3) - 1)/3, with an odd denominator, puts the far ends of the a
+    # and b windows of its block on the lattice
     rng = random.Random(53)
     budget = irrational.DEFAULT_BUDGET
-    for block in _spy_searches(monkeypatch, _starts(rng)):
+    half = ExactScalar(1, 0, 2)
+    odd_height = TorusPoint(ExactScalar(0), ExactScalar(-1, 1, 3, 3))
+    for block in _spy_searches(monkeypatch, _starts(rng) + [odd_height]):
         (a, a_prime, x1), (b, b_prime, y4), (c, _, _), _ = (call[-1] for call in block)
         lat = block[0][0]
         assert [call[3] for call in block] == [
             budget, budget - a, budget - a - b, budget - a - b - c
         ]
+        y, x3 = lat.scalar(block[0][2]), -lat.scalar(block[1][2])
+        a_ends = _window_ends(lat, [-half, min(y, half - y) * half - half])
+        b_ends = _window_ends(lat, [half - min(x3, half - x3) * half])
         searches = [
             # (oracle search from (moving, fixed), whether it reports m, landing points)
-            (lambda mv, fx, bud: oracle.a_candidates(TorusPoint(mv, fx), 6, bud), True, [x1]),
+            (lambda mv, fx, bud: oracle.a_candidates(TorusPoint(mv, fx), 6, bud), True,
+             [x1, *a_ends]),
             (lambda mv, fx, bud: oracle.b_candidates(TorusPoint(fx, mv), a_prime, bud),
-             True, [y4]),
+             True, [y4, *b_ends]),
             (lambda mv, fx, bud: oracle.c_candidates(TorusPoint(mv, fx), b_prime - a_prime, bud),
              False, []),
             (lambda mv, fx, bud: oracle.d_candidates(TorusPoint(fx, mv), J, bud),

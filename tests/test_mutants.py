@@ -1,7 +1,8 @@
 """The mutation catalogue of ``tests/mutants.py`` stays applicable: every
-entry's old text occurs exactly once in its file, and every test it names
-is a test function of the file it names.  Nothing is mutated or run here;
-``python tests/mutants.py`` runs the catalogue itself."""
+entry's old text occurs exactly once in its file, an entry listed as
+equivalent among them, and every test it names is a test function of the
+file it names.  Nothing is mutated or run here; ``python tests/mutants.py``
+runs the catalogue itself."""
 
 import ast
 

@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -45,6 +47,22 @@ def test_param_validation():
         RationalParam(0, 2, 4)  # gcd(s, q) != 1
     with pytest.raises(ValueError):
         RationalParam.from_barrier_length(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("field, args", [
+    ("r", (0.5, 1, 2)),
+    ("r", (Fraction(0), 1, 3)),
+    ("s", (0, 1.0, 3)),
+    ("s", (0, Fraction(1), 3)),
+    ("q", (0, 1, 3.0)),
+    ("q", (0, 1, "3")),
+])
+def test_param_fields_must_be_ints(field, args):
+    """A float, Fraction or str field raises TypeError naming the field: a
+    float r used to reach the congruences, and a Fraction r certified and
+    then broke the stream's JSON provenance."""
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got "):
+        RationalParam(*args)
 
 
 def test_from_barrier_length():
@@ -140,8 +158,26 @@ def test_certify_exhaustive_small_q():
         assert certify_fixing(param).ok, param
 
 
+def sampled_params(q_max, per_q, rng):
+    """``per_q`` seeded parameters for each q <= q_max: r = 0 with s > 0,
+    r = 0 with s < 0, and the rest with r != 0 and s of either sign."""
+    for q in range(2, q_max + 1):
+        units = [s for s in range(1, q) if gcd(s, q) == 1]
+        nonzero_r = [r for r in range(-q + 1, q) if r != 0]
+        yield RationalParam(0, rng.choice(units), q)
+        yield RationalParam(0, -rng.choice(units), q)
+        for _ in range(per_q - 2):
+            yield RationalParam(rng.choice(nonzero_r), rng.choice((-1, 1)) * rng.choice(units), q)
+
+
 def test_certificate_matches_oracle():
-    for param in all_params(20):
+    """Every parameter with q <= 14, and a seeded sample of 343 with q <= 50,
+    the range of the benchmark's rational sweep: both parity cases, each with
+    r = 0 and r != 0 and with s of both signs."""
+    sample = list(sampled_params(50, 7, random.Random(83)))
+    cases = {((p.r % 2, p.s % 2) == (0, 0), p.r == 0, p.s < 0) for p in sample}
+    assert cases == {(e, z, n) for e in (False, True) for z in (False, True) for n in (False, True)}
+    for param in chain(all_params(14), sample):
         assert certify_fixing(param) == oracle.certify_fixing(param), param
 
 

@@ -286,11 +286,11 @@ def closed_form_syllable(lat, moving, fixed, n):
     read from _trace_lattice on the one-syllable words (h+)^n and (h-)^n:
     the action of g^n from the identity is the generator to the power m,
     so m is its b entry for h+ and its c entry for h-."""
-    x, _, a, m, c, d = _trace_lattice(lat.W, lat.D, moving, fixed, "h+", (n,))
+    xu, xv, _, _, a, m, c, d = _trace_lattice(lat.W, lat.D, *moving, *fixed, "h+", (n,))
     assert (a, c, d) == (1, 0, 1)
-    _, y, a, b, m_minus, d = _trace_lattice(lat.W, lat.D, fixed, moving, "h-", (n,))
-    assert (a, b, d) == (1, 0, 1) and (y, m_minus) == (x, m)
-    return x, m
+    _, _, yu, yv, a, b, m_minus, d = _trace_lattice(lat.W, lat.D, *fixed, *moving, "h-", (n,))
+    assert (a, b, d) == (1, 0, 1) and (yu, yv, m_minus) == (xu, xv, m)
+    return (xu, xv), m
 
 
 def test_syllable_closed_form_matches_stepping():
@@ -329,8 +329,8 @@ def test_closed_form_trace_matches_oracle_on_wide_coefficients():
             z = lat.point(x, y)
             w = rand_word(rng, max_syllables=6, max_exp=30)
             final, points, action = oracle.trace_word(z, w)
-            x1, y1, *mat = _trace_lattice(lat.W, lat.D, x, y, w.leading, w.digits)
-            assert lat.point(x1, y1) == final == lattice_points(z, w)[-1] == points[-1]
+            xu, xv, yu, yv, *mat = _trace_lattice(lat.W, lat.D, *x, *y, w.leading, w.digits)
+            assert lat.point((xu, xv), (yu, yv)) == final == lattice_points(z, w)[-1] == points[-1]
             assert canonical_entries(*mat) == action
 
 
@@ -348,8 +348,8 @@ def test_kernel_matches_syllable_oracle():
                 leading = rng.choice(("h+", "h-"))
                 exponents = tuple(rng.randint(1, 50 * lat.W) for _ in range(rng.randint(1, 9)))
                 syllables = oracle.syllables_of(GenWord.from_digits(exponents, leading))
-                assert _trace_lattice(lat.W, lat.D, x, y, leading, exponents) == (
-                    oracle._trace_lattice(lat.W, lat.D, x, y, syllables)
+                assert _trace_lattice(lat.W, lat.D, *x, *y, leading, exponents) == (
+                    oracle._trace_lattice(lat.W, lat.D, *x, *y, syllables)
                 ), (lat.W, lat.D, x, y, leading, exponents)
 
 
@@ -369,9 +369,7 @@ def test_trace_rational_matches_stepping():
                     continue
             w = rand_word(rng, max_syllables=7, max_exp=min(3 * W, 120))
             final, _, action = oracle.trace_word(z, w, record_points=False)
-            (x1, v1), (y1, v2), *traced = _trace_lattice(
-                W, 0, (x, 0), (y, 0), w.leading, w.digits
-            )
+            x1, v1, y1, v2, *traced = _trace_lattice(W, 0, x, 0, y, 0, w.leading, w.digits)
             assert v1 == v2 == 0
             assert P(Fraction(x1, W), Fraction(y1, W)) == final
             assert canonical_entries(*traced) == action
@@ -385,7 +383,7 @@ def test_trace_rational_rejects_bad_syllables(syllable):
     leading, n = syllable
     for exponents in ((n,), (1, n)):
         with pytest.raises(ValueError):
-            _trace_lattice(6, 0, (1, 0), (2, 0), leading, exponents)
+            _trace_lattice(6, 0, 1, 0, 2, 0, leading, exponents)
 
 
 def test_mixed_fields_fail_closed():
