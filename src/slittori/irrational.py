@@ -154,13 +154,13 @@ def find_block(
         _require_irrational(x3[1], "x3")
 
         # b: eps2 = 1/2 - y4 must lie in (0, window), window = min(-x3, 1/2 + x3)/2;
-        # in lattice units W * eps2 = eu - v sqrt(D) and 2W * window = w2u + w2v sqrt(D)
+        # in lattice units W * eps2 = eu - v sqrt(D) and 2W * window = w2u + w2v sqrt(D);
+        # eps2 > 0 is implied here: Lattice.run keeps every height below 1/2
         w2u, w2v = _half_min(lat, (-x3[0], -x3[1]))
 
         def in_b(j, m, u, v):
             eu = half - u
-            return (m > a_prime and negative(-eu, v, D)
-                    and negative(2 * eu - w2u, -2 * v - w2v, D))
+            return m > a_prime and negative(2 * eu - w2u, -2 * v - w2v, D)
 
         b, b_prime, y4 = _search(lat, y2, x3, budget - a, in_b)
         x5, m = _step(lat, x3, y4)

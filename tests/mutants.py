@@ -143,13 +143,6 @@ CATALOGUE = (
         (WINDOWS,),
     ),
     Mutant(
-        "b-window-closed-at-zero", "irrational.py",
-        "negative(-eu, v, D)", "not negative(eu, -v, D)",
-        (WINDOWS,),
-        equivalent="Lattice.run wraps every coordinate into [-1/2, 1/2), so eps2 = 1/2 - y4 > 0 "
-        "at every step of the b search",
-    ),
-    Mutant(
         "b-window-closed-at-its-width", "irrational.py",
         "negative(2 * eu - w2u, -2 * v - w2v, D)", "not negative(w2u - 2 * eu, 2 * v + w2v, D)",
         (WINDOWS,),

@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 import pytest
@@ -158,10 +157,10 @@ def test_certify_exhaustive_small_q():
         assert certify_fixing(param).ok, param
 
 
-def sampled_params(q_max, per_q, rng):
-    """``per_q`` seeded parameters for each q <= q_max: r = 0 with s > 0,
-    r = 0 with s < 0, and the rest with r != 0 and s of either sign."""
-    for q in range(2, q_max + 1):
+def sampled_params(q_min, q_max, per_q, rng):
+    """``per_q`` seeded parameters for each q in [q_min, q_max]: r = 0 with
+    s > 0, r = 0 with s < 0, and the rest with r != 0 and s of either sign."""
+    for q in range(q_min, q_max + 1):
         units = [s for s in range(1, q) if gcd(s, q) == 1]
         nonzero_r = [r for r in range(-q + 1, q) if r != 0]
         yield RationalParam(0, rng.choice(units), q)
@@ -171,13 +170,18 @@ def sampled_params(q_max, per_q, rng):
 
 
 def test_certificate_matches_oracle():
-    """Every parameter with q <= 14, and a seeded sample of 343 with q <= 50,
-    the range of the benchmark's rational sweep: both parity cases, each with
-    r = 0 and r != 0 and with s of both signs."""
-    sample = list(sampled_params(50, 7, random.Random(83)))
+    for param in all_params(20):
+        assert certify_fixing(param) == oracle.certify_fixing(param), param
+
+
+def test_certificate_matches_oracle_sampled_up_to_q_50():
+    """A seeded sample of 300 parameters with 21 <= q <= 50, past the
+    exhaustive test and up to the range of the benchmark's rational sweep:
+    both parity cases, each with r = 0 and r != 0 and with s of both signs."""
+    sample = list(sampled_params(21, 50, 10, random.Random(83)))
     cases = {((p.r % 2, p.s % 2) == (0, 0), p.r == 0, p.s < 0) for p in sample}
     assert cases == {(e, z, n) for e in (False, True) for z in (False, True) for n in (False, True)}
-    for param in chain(all_params(14), sample):
+    for param in sample:
         assert certify_fixing(param) == oracle.certify_fixing(param), param
 
 
