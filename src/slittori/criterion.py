@@ -40,7 +40,7 @@ from __future__ import annotations
 from .directions import DirectionSpec
 from .exact import ExactScalar, Frozen, Record
 from .intervals import InconclusiveIntervalError, RatInterval
-from .torus import canonical_entries, entries_fix_beta, trace_word
+from .torus import entries_fix_beta, trace_word
 from .words import IDENTITY, Convergents, GenWord, IntMat2
 
 PRECISION_BITS = 256  # starting width 2**-256 of every alpha enclosure
@@ -223,7 +223,7 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
         notes: list[str] = []
 
         endpoint_consistent = z_n == spec.checkpoint_point(n)
-        fixes_beta = entries_fix_beta(*canonical_entries(*action.entries()))
+        fixes_beta = entries_fix_beta(*action.entries())
         y_in_bounds = bool(y_lo <= y_n <= y_hi)
 
         # cross-check: the strip holonomy is the word matrix applied to (1,0)

@@ -35,7 +35,8 @@ class DigitRule(Frozen):
     ``default`` is 1, ``const`` (M,) is M, ``arith`` (B, C) is B n + C and
     ``list`` gives its n-th entry, raising
     :class:`DigitStreamExhaustedError` past its end.  Every value is a
-    positive integer.
+    positive integer, and a parameter that is not an ``int`` (a ``bool``
+    included) raises :class:`TypeError`.
     """
 
     __slots__ = ("kind", "params")
@@ -43,7 +44,7 @@ class DigitRule(Frozen):
     def __init__(self, kind: str = "default", params: tuple[int, ...] = ()):
         params = tuple(params)
         for v in params:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise TypeError(f"digit rule parameter must be an int, got {v!r}")
         if kind == "default":
             ok = not params

@@ -395,16 +395,23 @@ class OrbitStats(Record):
 
     def current_discrepancy(self) -> float:
         """Total-variation distance between the sampled cell distribution
-        and the uniform one; 0 = equidistributed, 1 = fully concentrated."""
+        and the uniform one; 0 = equidistributed, 1 = fully concentrated.
+        Each distinct count's term is computed once, then added per cell
+        in cell order, so the sum is the float of the per-cell sum."""
         if self.samples == 0:
             return 1.0
         g = self.grid
         target = 1.0 / (2 * g * g)
+        term = {}
         total = 0.0
-        for sheet in range(2):
-            for row in self.cell_counts[sheet]:
+        for sheet in self.cell_counts:
+            for row in sheet:
                 for count in row:
-                    total += abs(count / self.samples - target)
+                    try:
+                        total += term[count]
+                    except KeyError:
+                        term[count] = abs(count / self.samples - target)
+                        total += term[count]
         return total / 2.0
 
     def summary(self) -> dict:

@@ -45,7 +45,7 @@ from itertools import count
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import ExactScalar, Frozen, negative, scalar
-from .torus import Coord, Lattice, TorusPoint, _trace_lattice, canonical_entries, entries_fix_beta
+from .torus import Coord, Lattice, TorusPoint, _trace_lattice, entries_fix_beta
 
 DEFAULT_J = (ExactScalar(1, 0, 6), ExactScalar(1, 0, 3))
 DEFAULT_A_MIN = 6
@@ -191,7 +191,7 @@ def find_block(
     xu, xv, yu, yv, *action = _trace_lattice(lat.W, D, *lat.embed(z.x), *y, "h+", digits)
     if not ((xu, xv) == x7 and (yu, yv) == y_out
             and not negative(yu - lu, yv - lv, D) and not negative(hu - yu, hv - yv, D)
-            and entries_fix_beta(*canonical_entries(*action))):
+            and entries_fix_beta(*action)):
         raise DerivationError(f"block {digits} fails its trace certificate")
     return IrrationalBlockParams(a, b, c, d, lat.point(x7, y_out))
 
@@ -218,8 +218,14 @@ def direction_stream_irrational(
     """Digit stream [0; a1,1,1,b1,1,1,c1,d1, a2, ...] for z0 = (0, lambda).
 
     ``lam`` must be a quadratic irrational in (0, 1/2); rational values
-    belong to the rational builder and are rejected.
+    belong to the rational builder and are rejected, and so is a
+    ``budget`` that the spec loader would refuse: not an ``int`` (a
+    ``bool`` included) or below 1.
     """
+    if type(budget) is not int:
+        raise TypeError(f"budget must be an int, got {budget!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     lam = scalar(lam)
     if lam.is_rational:
         raise ValueError("rational barrier length: use the rational builder")

@@ -27,22 +27,22 @@ from math import gcd
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import Frozen
-from .torus import TorusPoint, _trace_lattice, canonical_entries
-from .torus import entries_are_identity, entries_fix_beta
+from .torus import TorusPoint, _trace_lattice, entries_are_identity, entries_fix_beta
 from .words import GenWord
 
 
 class RationalParam(Frozen):
     """z = (r/2q, s/2q) with |r|, |s| < q, s nonzero and coprime to q.
 
-    A field that is not an ``int`` raises :class:`TypeError` naming it."""
+    A field that is not an ``int``, a ``bool`` included, raises
+    :class:`TypeError` naming it."""
 
     __slots__ = ("r", "s", "q")
 
     def __init__(self, r: int, s: int, q: int):
-        if not (isinstance(r, int) and isinstance(s, int) and isinstance(q, int)):
+        if not (type(r) is int and type(s) is int and type(q) is int):
             for name, v in (("r", r), ("s", s), ("q", q)):
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise TypeError(f"{name} must be an int, got {v!r}")
         if q < 1:
             raise ValueError("q must be positive")
@@ -86,28 +86,6 @@ class CongruenceError(RuntimeError):
     """A congruence without solution; impossible for valid input."""
 
 
-def _least_solutions(s: int, mod: int, rhs1: int, rhs2: int) -> tuple[int, int]:
-    """The least a in 1..mod with a s = rhs (mod mod), for rhs1 and rhs2.
-
-    With g = gcd(s, mod) a solution exists exactly when g divides rhs, and
-    the solutions are one residue modulo mod/g, so the least one is that
-    residue's representative in 1..mod/g; g and 1/(s/g) mod mod/g serve both.
-    As g divides a s, a s - rhs is a multiple of g only when rhs is, so the
-    re-check of each solution also catches a congruence without one.
-    """
-    g = gcd(s, mod)
-    step = mod // g
-    inv = pow(s // g, -1, step)
-    a1 = rhs1 // g * inv % step or step
-    a2 = rhs2 // g * inv % step or step
-    if (a1 * s - rhs1) % mod or (a2 * s - rhs2) % mod:
-        a, rhs = (a1, rhs1) if (a1 * s - rhs1) % mod else (a2, rhs2)
-        if rhs % g:
-            raise CongruenceError(f"{s} a = {rhs} (mod {mod}) has no solution")
-        raise CongruenceError(f"{a} does not solve {s} a = {rhs} (mod {mod})")
-    return a1, a2
-
-
 def solve_congruences(param: RationalParam) -> tuple[int, int, int | None]:
     """The block exponents ``(a, b, a2)``: the least positive solutions of
     the defining congruences.
@@ -121,19 +99,29 @@ def solve_congruences(param: RationalParam) -> tuple[int, int, int | None]:
     (a2 s = q-1+r mod 2q); they coincide exactly when r = 0, which is the
     only case the single-exponent textbook form covers.
 
-    The solution is unique in range when s is odd; for even s,
-    gcd(s, 2q) = 2 gives two solutions and the smaller is taken.  A
-    congruence without solution raises :class:`CongruenceError`.  For
-    s < 0 they are solved for the reduced parameter -z.
+    Each congruence reads x s = rhs (mod 2q).  With g = gcd(s, 2q), 1 or
+    2 (s is coprime to q), a solution exists exactly when g divides rhs,
+    and the solutions are one residue modulo 2q/g, whose representative
+    in 1..2q/g is the least; g and 1/(s/g) mod 2q/g serve both
+    congruences.  The re-check of each solution fails exactly when g does
+    not divide rhs, and raises :class:`CongruenceError`.  For s < 0 they
+    are solved for the reduced parameter -z.
     """
     r, s, q = param.r, param.s, param.q
     if s < 0:
         r, s = -r, -s
     mod = 2 * q
-    if r % 2 or s % 2:  # odd case
-        return (*_least_solutions(s, mod, -q - r, q + r - s), None)
-    a, a2 = _least_solutions(s, mod, q - 1 - r, q - 1 + r)
-    return a, s, a2
+    odd = r % 2 or s % 2
+    rhs1, rhs2 = (-q - r, q + r - s) if odd else (q - 1 - r, q - 1 + r)
+    g = gcd(s, mod)
+    step = mod // g
+    inv = pow(s // g, -1, step)
+    a1 = rhs1 // g * inv % step or step
+    a2 = rhs2 // g * inv % step or step
+    if (a1 * s - rhs1) % mod or (a2 * s - rhs2) % mod:
+        rhs = rhs1 if (a1 * s - rhs1) % mod else rhs2
+        raise CongruenceError(f"{s} a = {rhs} (mod {mod}) has no solution")
+    return (a1, a2, None) if odd else (a1, s, a2)
 
 
 def block_for(param: RationalParam) -> tuple[int, ...]:
@@ -180,17 +168,18 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     compare the integers it returns with r and s; the block digits are the
     exponents of an h+-leading word as they are, with no
     :class:`~slittori.words.GenWord` in between, and the verdicts are read
-    from the canonical action entries, with no matrix built.  The start
-    needs no check: :class:`RationalParam` makes q >= 1 and |r|, |s| < q,
-    so W = 2q is even and r and s lie in [-W/2, W/2).
+    from the raw action entries it returns, with no matrix built and no
+    sign canonicalised.  The start needs no check: :class:`RationalParam`
+    makes q >= 1 and |r|, |s| < q, so W = 2q is even and r and s lie in
+    [-W/2, W/2).
     """
     r, s, q = param.r, param.s, param.q
     W = 2 * q
     period = 1 if r == 0 else W
     x, _, y, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h+", block_for(param))
-    fixes_identity = entries_are_identity(*canonical_entries(a, b, c, d))
+    fixes_identity = entries_are_identity(a, b, c, d)
     x_h, _, y_h, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h-", (period,))
-    period_ok = x_h == r and y_h == s and entries_fix_beta(*canonical_entries(a, b, c, d))
+    period_ok = x_h == r and y_h == s and entries_fix_beta(a, b, c, d)
     return FixingCertificate(x == r and y == s and period_ok, fixes_identity, period)
 
 

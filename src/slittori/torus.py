@@ -16,12 +16,13 @@ through its elementary steps therefore computes both the orbit
 z, g1^-1 z, g2^-1 g1^-1 z, ... and the induced map g_*(g^-1 z) on the
 rank-2 anti-invariant homology, as an ordered product of per-step
 factors.  The action is an element of PGL(2,Z), defined only up to a
-global sign, and it has one form: its four canonical integers a, b, c, d.
-The rules on them are stated once, as functions:
+global sign.  The rules on its four integers a, b, c, d are stated once,
+as functions.  :func:`entries_are_identity` and :func:`entries_fix_beta`
+are exact on any integer entries, of either sign, so every certificate
+and every check reads its verdicts from the raw entries;
 :func:`canonical_entries` (|det| = 1, and the sign that makes the first
-nonzero entry positive), :func:`entries_are_identity` and
-:func:`entries_fix_beta`.  Every certificate and every check reads its
-verdicts from them.
+nonzero entry positive) is the form in which entries are printed or
+compared.
 
 One integer kernel, :class:`Lattice`, implements the stepping rule.  The
 shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
@@ -138,17 +139,16 @@ def canonical_entries(a: int, b: int, c: int, d: int) -> tuple[int, int, int, in
 
 
 def entries_are_identity(a: int, b: int, c: int, d: int) -> bool:
-    """True when the unimodular entries are +-I, the identity of PGL(2,Z)."""
-    return b == 0 and c == 0 and a == d
+    """True exactly when the integer entries, of either sign and of any
+    determinant, are +-I, the identity of PGL(2,Z)."""
+    return b == 0 and c == 0 and a == d and a * a == 1
 
 
 def entries_fix_beta(a: int, b: int, c: int, d: int) -> bool:
-    """True when the unimodular entries are +-(h-)^k, i.e. map beta to +-beta.
-
-    With b = 0 the determinant is a d = +-1, so a = d leaves only +-1 on
-    the diagonal.
-    """
-    return b == 0 and a == d
+    """True exactly when the integer entries, of either sign and of any
+    determinant, are +-(h-)^k, i.e. map beta to +-beta: with b = 0 and
+    a = d, a a = 1 is det = 1."""
+    return b == 0 and a == d and a * a == 1
 
 
 Coord = tuple[int, int]  # (u, v), the coordinate (u + v sqrt(D))/W of a Lattice

@@ -40,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the reason no input can tell it from the source; its tests must pass on it
 Mutant = namedtuple("Mutant", "name file old new tests equivalent", defaults=(None,))
 
-# the rules on the action's canonical entries
+# the rules on the action's entries
+TORUS_EXACT = "tests/test_torus.py::test_rules_are_exact_on_any_integer_entries"
 TORUS_RULES = "tests/test_torus.py::test_action_rules_on_identity_and_h_minus_powers"
 TORUS_AGREE = "tests/test_torus.py::test_homology_action_agrees_with_the_rules"
 TORUS_DET = "tests/test_torus.py::test_homology_action_canonical_sign"
@@ -59,6 +60,9 @@ SCAN = "tests/test_rational.py::test_congruences_match_scan"
 CERT_ORACLE = "tests/test_rational.py::test_certificate_matches_oracle"
 CERT_EXAMPLES = "tests/test_rational.py::test_certify_examples"
 PARAM_TYPES = "tests/test_rational.py::test_param_fields_must_be_ints[r-args1]"
+PARAM_BOOL = "tests/test_rational.py::test_param_fields_must_be_ints[r-args6]"
+BUDGET_BOOL = "tests/test_irrational.py::test_stream_budget_must_be_an_int[True]"
+RULE_BOOL = "tests/test_directions.py::test_digit_rule_parameters_must_be_ints[params0]"
 KERNEL = "tests/test_torus.py::test_kernel_matches_oracle"
 SYLLABLE_ORACLE = "tests/test_torus.py::test_kernel_matches_syllable_oracle"
 BAD_SYLLABLE = "tests/test_torus.py::test_trace_rational_rejects_bad_syllables[syllable2]"
@@ -102,13 +106,24 @@ CATALOGUE = (
     ),
     Mutant(
         "fixes-beta-reads-c", "torus.py",
-        "return b == 0 and a == d", "return c == 0 and a == d",
-        (TORUS_RULES, TORUS_AGREE),
+        "return b == 0 and a == d and a * a == 1", "return c == 0 and a == d and a * a == 1",
+        (TORUS_RULES, TORUS_AGREE, TORUS_EXACT),
     ),
     Mutant(
         "identity-without-a-equals-d", "torus.py",
-        "return b == 0 and c == 0 and a == d", "return b == 0 and c == 0",
-        (TORUS_RULES, TORUS_AGREE),
+        "return b == 0 and c == 0 and a == d and a * a == 1",
+        "return b == 0 and c == 0 and a * a == 1",
+        (TORUS_RULES, TORUS_AGREE, TORUS_EXACT),
+    ),
+    Mutant(
+        "identity-without-unit-diagonal", "torus.py",
+        "c == 0 and a == d and a * a == 1", "c == 0 and a == d",
+        (TORUS_EXACT,),
+    ),
+    Mutant(
+        "fixes-beta-without-unit-diagonal", "torus.py",
+        "return b == 0 and a == d and a * a == 1", "return b == 0 and a == d",
+        (TORUS_EXACT,),
     ),
     Mutant(
         "negative-scalar-product-endpoints", "intervals.py",
@@ -126,6 +141,11 @@ CATALOGUE = (
         "b-window-closed-at-a-prime", "irrational.py",
         "m > a_prime and", "m >= a_prime and",
         (WINDOWS,),
+    ),
+    Mutant(
+        "stream-budget-takes-bool-as-int", "irrational.py",
+        "if type(budget) is not int:", "if not isinstance(budget, int):",
+        (BUDGET_BOOL,),
     ),
     Mutant(
         "budget-one-step-short", "irrational.py",
@@ -190,7 +210,7 @@ CATALOGUE = (
     ),
     Mutant(
         "certificate-drops-fixes-beta", "irrational.py",
-        "\n            and entries_fix_beta(*canonical_entries(*action))):", "):",
+        "\n            and entries_fix_beta(*action)):", "):",
         (CERT_FAILS,),
     ),
     # the running products of criterion.verify
@@ -239,9 +259,20 @@ CATALOGUE = (
     ),
     Mutant(
         "param-field-type-unchecked", "rational.py",
-        "if not (isinstance(r, int) and isinstance(s, int) and isinstance(q, int)):",
+        "if not (type(r) is int and type(s) is int and type(q) is int):",
         "if False:",
-        (PARAM_TYPES,),
+        (PARAM_TYPES, PARAM_BOOL),
+    ),
+    Mutant(
+        "param-takes-bool-as-int", "rational.py",
+        "if not (type(r) is int and type(s) is int and type(q) is int):",
+        "if not (isinstance(r, int) and isinstance(s, int) and isinstance(q, int)):",
+        (PARAM_BOOL,),
+    ),
+    Mutant(
+        "parity-case-read-from-s-alone", "rational.py",
+        "odd = r % 2 or s % 2", "odd = s % 2",
+        (SCAN,),
     ),
     Mutant(
         "h-minus-period-q", "rational.py",
@@ -395,6 +426,12 @@ CATALOGUE = (
         "z_n, entries = trace_word(z_n, block)",
         "z_n, entries = trace_word(spec.checkpoint_point(n - 1) if n > 1 else spec.z0, block)",
         (FORGED_ENDPOINT,),
+    ),
+    # the parameter types of directions.DigitRule
+    Mutant(
+        "digit-rule-takes-bool-as-int", "directions.py",
+        "if type(v) is not int:", "if not isinstance(v, int):",
+        (RULE_BOOL,),
     ),
     # the endpoint types of intervals.RatInterval
     Mutant(

@@ -4,15 +4,16 @@ At every checkpoint k_n = 8 n this ``verify`` rebuilds the word of the
 first k_n digits, traces it from the surface parameter ``spec.z0`` and
 multiplies the word's matrix out of generator powers
 (``oracle_torus.word_matrix``), so its trace work grows as the square of
-the horizon.  Every other check is the library's own helper, applied in
-the same order.  The library's :func:`slittori.criterion.verify`, which
+the horizon.  It reads the running action with the verdict rule of
+``oracle_torus``; every other check is the library's own helper, applied
+in the same order.  The library's :func:`slittori.criterion.verify`, which
 carries its orbit, action and matrix from one checkpoint to the next,
 must give the same ``as_dict()``.
 """
 
 from __future__ import annotations
 
-from oracle_torus import word_matrix
+from oracle_torus import entries_fix_beta, word_matrix
 from slittori.criterion import (
     PRECISION_BITS,
     CheckpointRecord,
@@ -26,7 +27,7 @@ from slittori.criterion import (
 from slittori.directions import DirectionSpec
 from slittori.exact import ExactScalar
 from slittori.intervals import RatInterval
-from slittori.torus import entries_fix_beta, trace_word
+from slittori.torus import trace_word
 from slittori.words import GenWord
 
 

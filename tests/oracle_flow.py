@@ -19,6 +19,10 @@ exactly as well.
 ``_run_closed_by_steps`` is the earlier closed-orbit loop of the surface
 validation, which calls ``step_flow`` (a new event rule and state records)
 at every event; ``flow._run_closed`` builds the rule once per loop.
+
+``current_discrepancy`` is the earlier total-variation sum, which divides
+once per cell; ``OrbitStats.current_discrepancy`` computes each distinct
+count's term once, and the two must give the same float.
 """
 
 from __future__ import annotations
@@ -340,3 +344,18 @@ def _run_closed_by_steps(model, state, dx, dy):
         if (cur.sheet, cur.x, cur.y) == start:
             return cur.deck - state.deck, segments
     raise RuntimeError("orbit did not close within the event budget")
+
+
+def current_discrepancy(stats) -> float:
+    """Total-variation distance between the sampled cell distribution and
+    the uniform one, one term per cell."""
+    if stats.samples == 0:
+        return 1.0
+    g = stats.grid
+    target = 1.0 / (2 * g * g)
+    total = 0.0
+    for sheet in range(2):
+        for row in stats.cell_counts[sheet]:
+            for count in row:
+                total += abs(count / stats.samples - target)
+    return total / 2.0

@@ -4,8 +4,8 @@
 parity case from r and s, scans 1..2q for every block exponent and checks
 that each congruence has exactly gcd(s, 2q) solutions there.  ``certify_fixing``
 traces the fixing word and the h- period step by step with the reference
-tracer of ``oracle_torus`` and compares ``TorusPoint`` endpoints and
-canonical action entries.  The library's closed-form congruences and
+tracer of ``oracle_torus`` and reads the canonical action entries with
+that module's verdict rules.  The library's closed-form congruences and
 lattice-integer certificate (:mod:`slittori.rational`) must agree with them
 on every parameter.
 """
@@ -21,7 +21,6 @@ from slittori.rational import (
     RationalParam,
     fixing_word,
 )
-from slittori.torus import entries_are_identity, entries_fix_beta
 from slittori.words import GenWord
 
 
@@ -51,9 +50,9 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     final_h, _, action_h = oracle_torus.trace_word(
         z, GenWord.from_digits((period,), "h-"), record_points=False
     )
-    period_ok = final_h == z and entries_fix_beta(*action_h)
+    period_ok = final_h == z and oracle_torus.entries_fix_beta(*action_h)
     return FixingCertificate(
         fixes_point=(final == z) and period_ok,
-        action_is_identity=entries_are_identity(*action),
+        action_is_identity=oracle_torus.entries_are_identity(*action),
         h_minus_period=period,
     )

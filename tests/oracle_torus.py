@@ -14,7 +14,10 @@ reference for the closed-form :meth:`~slittori.words.GenWord.matrix`.
 reference for the library kernel, which takes a leading generator and
 the exponents of an alternating word.  ``syllables_of`` rebuilds those
 pairs from a word's leading generator and digits, for every reference
-here that steps a word syllable by syllable.
+here that steps a word syllable by syllable.  ``entries_are_identity``
+and ``entries_fix_beta`` are the verdict rules as first written, on the
+canonical entries only: the reference for the library's rules, which
+are exact on any integer entries.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from slittori.irrational import (
     DerivationError,
     SearchBudgetExceededError,
 )
-from slittori.torus import TorusPoint, canonical_entries, entries_fix_beta
+from slittori.torus import TorusPoint, canonical_entries
 from slittori.words import H_MINUS, H_PLUS, IDENTITY, GenWord, IntMat2
 
 GEN_MATRIX = {"h+": H_PLUS, "h-": H_MINUS}
@@ -51,6 +54,19 @@ class Budget:
             raise SearchBudgetExceededError(
                 f"budget of {self.limit} generator applications exhausted"
             )
+
+
+def entries_are_identity(a: int, b: int, c: int, d: int) -> bool:
+    """+-I: the canonical entries (|det| = 1, or ValueError) are 1, 0, 0, 1."""
+    a, b, c, d = canonical_entries(a, b, c, d)
+    return b == 0 and c == 0 and a == d
+
+
+def entries_fix_beta(a: int, b: int, c: int, d: int) -> bool:
+    """+-(h-)^k: the canonical entries (|det| = 1, or ValueError) have
+    b = 0 and a = d, which with a d = +-1 leaves +-1 on the diagonal."""
+    a, b, c, d = canonical_entries(a, b, c, d)
+    return b == 0 and a == d
 
 
 def matrix_power(m: IntMat2, n: int) -> IntMat2:

@@ -128,6 +128,23 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     assert verify(load_spec(str(spec_path)), 3).as_dict() == verify(spec_mem, 3).as_dict()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: direction_stream(RationalParam(1, 1, 3), DigitRule("const", (6,))),
+    lambda: direction_stream(RationalParam(2, -1, 3), DigitRule("arith", (6, 12))),
+    lambda: direction_stream(RationalParam(0, 2, 5), DigitRule("list", (1, 2, 3))),
+    lambda: direction_stream_irrational(
+        ExactScalar(0, 1, 4, 2), DigitRule("list", (2, 1)), budget=10**5
+    ),
+], ids=["rational-const", "rational-reduced-arith", "rational-list", "irrational-list"])
+def test_library_built_streams_reload(tmp_path, build):
+    """Every stream the library builds writes a spec file that the loader
+    takes back and rebuilds to the same file."""
+    written = spec_to_dict(build(), 2)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(written))
+    assert spec_to_dict(load_spec(str(path)), 2) == written
+
+
 def test_budget_round_trips_through_spec_file(tmp_path):
     # budget enough for blocks 1 and 2 of lambda = sqrt(2)/4, not for block 3
     lam = ExactScalar(0, 1, 4, 2)

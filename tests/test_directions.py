@@ -66,3 +66,13 @@ def test_one_digit_rule_for_both_builders():
     ]:
         with pytest.raises(ValueError):
             DigitRule(kind, params)
+
+
+@pytest.mark.parametrize("params", [(True,), (1, False), (2.0,), ("3",)])
+def test_digit_rule_parameters_must_be_ints(params):
+    """A bool parameter raises TypeError like any other non-int: a
+    const rule of (True,) used to write a JSON true that the spec loader
+    refuses."""
+    kind = "const" if len(params) == 1 else "arith"
+    with pytest.raises(TypeError, match="^digit rule parameter must be an int, got "):
+        DigitRule(kind, params)

@@ -762,3 +762,26 @@ def test_simulate_bins_on_bin_edges_match_oracle(quarter_model):
             vy = (y0 + H + slope * m * ds) * grid
             inexact += vy.denominator == 1 and Fraction(ay + m * by) != vy
     assert inexact >= 10, inexact
+
+
+@pytest.mark.parametrize("grid, samples", [(3, 0), (3, 40), (8, 500), (64, 30_000), (1024, 50_000)])
+def test_discrepancy_matches_the_per_cell_sum(grid, samples):
+    """current_discrepancy, with one term per distinct count, is the same
+    float as the sum of every cell's own term in cell order, on seeded
+    count grids; an empty grid gives 1."""
+    import oracle_flow as oracle
+    from slittori.flow import OrbitStats
+
+    rng = random.Random(grid * 7 + samples)
+    stats = OrbitStats(grid=grid, deck_window=4, slope=(1, 2), start=(0, "0", "0", 0))
+    cells = stats.cell_counts
+    for _ in range(samples):
+        # a few heavy cells beside a uniform spread, so counts repeat and differ
+        if rng.random() < 0.2:
+            cells[0][0][rng.randrange(min(grid, 3))] += 1
+        else:
+            cells[rng.randrange(2)][rng.randrange(grid)][rng.randrange(grid)] += 1
+    stats.samples = samples
+    want = oracle.current_discrepancy(stats)
+    assert stats.current_discrepancy() == want
+    assert (want == 1.0) == (samples == 0)

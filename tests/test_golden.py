@@ -9,6 +9,7 @@ An intended change of output must regenerate them, from the repository root:
 """
 
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -71,27 +72,31 @@ print(json.dumps(out))
 
 
 def _interpreter(name: str) -> str:
-    """The executable that ``name`` on PATH runs; skips when ``name`` is
-    absent or does not run as that version (a version manager's shim for
-    a version it does not select)."""
-    path = shutil.which(name)
-    if path is None:
-        pytest.skip(f"{name} not on PATH")
-    probe = subprocess.run(
-        [path, "-c", "import sys; print('python%d.%d' % sys.version_info[:2], sys.executable)"],
-        capture_output=True, text=True,
-    )
-    version, _, executable = probe.stdout.strip().partition(" ")
-    if probe.returncode != 0 or version != name:
-        pytest.skip(f"{name} on PATH does not run as {name}")
-    return executable
+    """The executable that runs as ``name``: ``name`` on PATH, or else a
+    pyenv install ``$PYENV_ROOT/versions/X.Y.*/bin/pythonX.Y`` (under
+    ``~/.pyenv`` when ``PYENV_ROOT`` is unset).  Skips when none of them
+    runs as that version (a version manager's shim for a version it does
+    not select, and no install behind it)."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [shutil.which(name)]
+    candidates += sorted(root.glob(f"versions/{name.removeprefix('python')}.*/bin/{name}"))
+    for path in filter(None, candidates):
+        probe = subprocess.run(
+            [path, "-c", "import sys; print('python%d.%d' % sys.version_info[:2], sys.executable)"],
+            capture_output=True, text=True,
+        )
+        version, _, executable = probe.stdout.strip().partition(" ")
+        if probe.returncode == 0 and version == name:
+            return executable
+    pytest.skip(f"neither {name} on PATH nor one under {root}/versions runs as {name}")
 
 
 @pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
 def test_golden_bytes_on_other_interpreters(name, tmp_path):
     """Every golden command, simulate with its -o and --dump-events files
     and the cone case included, gives the same bytes and exit code on each
-    supported interpreter found on PATH (requires-python is >= 3.10)."""
+    supported interpreter found on PATH or as a pyenv install
+    (requires-python is >= 3.10)."""
     src = str(Path(slittori.__file__).resolve().parent.parent)
     commands = {**CASES, **SIMULATE}
     run = subprocess.run(

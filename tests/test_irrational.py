@@ -166,6 +166,20 @@ def test_certificate_builds_no_word_or_matrix(monkeypatch):
     assert [find_block(z, d_index) for z in starts for d_index in (1, 2)] == want
 
 
+@pytest.mark.parametrize("budget", [True, 1000.0, "1000", None])
+def test_stream_budget_must_be_an_int(budget):
+    """A bool budget used to write a JSON true that the spec loader
+    refuses; it raises TypeError like any other non-int."""
+    with pytest.raises(TypeError, match="^budget must be an int, got "):
+        direction_stream_irrational(SQRT2_OVER_4, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_stream_budget_must_be_positive(budget):
+    with pytest.raises(ValueError, match="^budget must be positive"):
+        direction_stream_irrational(SQRT2_OVER_4, budget=budget)
+
+
 def test_budget_exhaustion():
     with pytest.raises(SearchBudgetExceededError):
         find_block(TorusPoint(ExactScalar(0), SQRT2_OVER_4), budget=5)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -55,11 +56,15 @@ def test_param_validation():
     ("s", (0, Fraction(1), 3)),
     ("q", (0, 1, 3.0)),
     ("q", (0, 1, "3")),
+    ("r", (True, 1, 3)),
+    ("s", (0, True, 3)),
+    ("q", (0, 1, True)),
 ])
 def test_param_fields_must_be_ints(field, args):
-    """A float, Fraction or str field raises TypeError naming the field: a
-    float r used to reach the congruences, and a Fraction r certified and
-    then broke the stream's JSON provenance."""
+    """A float, Fraction, str or bool field raises TypeError naming the
+    field: a float r used to reach the congruences, and a Fraction r
+    certified and then broke the stream's JSON provenance, as a bool r
+    did by writing a JSON true that the spec loader refuses."""
     with pytest.raises(TypeError, match=f"^{field} must be an int, got "):
         RationalParam(*args)
 
@@ -99,11 +104,23 @@ def test_congruences_build_no_second_param(monkeypatch):
         assert solve_congruences(param) == want, param
 
 
+def forged_param(r, s, q) -> RationalParam:
+    """A parameter that skips the validation, to reach a congruence that
+    no valid one has."""
+    param = object.__new__(RationalParam)
+    for setter, value in zip(RationalParam._setters, (r, s, q)):
+        setter(param, value)
+    return param
+
+
 def test_congruence_without_solution_fails_closed():
-    for rhs in ((1, 4), (4, 1)):  # 2a = 1 (mod 6), first or second
-        with pytest.raises(CongruenceError, match=r"^2 a = 1 \(mod 6\) has no solution$"):
-            rational._least_solutions(2, 6, *rhs)
-    assert rational._least_solutions(2, 6, 4, 2) == (2, 1)  # least of 2 and 5, of 1 and 4
+    # s not coprime to q: 2a = 1 (mod 4) in the even case, 3a = -4 (mod 6) in the odd one
+    for param, text in ((forged_param(0, 2, 2), "2 a = 1 (mod 4)"),
+                        (forged_param(1, 3, 3), "3 a = -4 (mod 6)")):
+        with pytest.raises(CongruenceError, match=f"^{re.escape(text)} has no solution$"):
+            solve_congruences(param)
+    # 2a = 0 and 2a = 4 (mod 6): the least of 3 and 6, and of 2 and 5
+    assert solve_congruences(RationalParam(2, 2, 3)) == (3, 2, 2)
 
 
 def test_r_zero_odd_case_closed_form():
@@ -208,6 +225,28 @@ def test_certificate_builds_no_word_lattice_or_point(monkeypatch):
         calls.clear()
         assert certify_fixing(param) == want, param
         assert len(calls) == 1, param
+
+
+def test_certificate_runs_the_kernel_twice(monkeypatch):
+    """certify_fixing calls the kernel once for the block, h+ leading, and
+    once for the h- period, both on Z/2q from the flat integers r, 0, s, 0."""
+    calls = []
+    trace = rational._trace_lattice
+
+    def spy(*args):
+        calls.append(args)
+        return trace(*args)
+
+    monkeypatch.setattr(rational, "_trace_lattice", spy)
+    for param in (barrier("1/4"), barrier("1/3"), RationalParam(1, 1, 2), RationalParam(-3, 5, 7)):
+        calls.clear()
+        assert certify_fixing(param).ok
+        r, s, W = param.r, param.s, 2 * param.q
+        period = 1 if r == 0 else W
+        assert calls == [
+            (W, 0, r, 0, s, 0, "h+", block_for(param)),
+            (W, 0, r, 0, s, 0, "h-", (period,)),
+        ], param
 
 
 def test_perturbed_block_fails_both_certificates(monkeypatch):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import isqrt
 
 import pytest
@@ -465,3 +465,52 @@ def test_homology_action_agrees_with_the_rules():
         hits["identity"] += identity
         hits["beta"] += beta
     assert min(hits.values()) > 20, hits
+
+
+def test_rules_are_exact_on_any_integer_entries():
+    """On every integer matrix with entries in [-3, 3], unimodular or not,
+    each rule holds exactly when |det| = 1 and the rule as first written
+    (``oracle_torus``: canonicalise, then test) holds."""
+    hits = {"identity": 0, "beta": 0, "not unimodular": 0}
+    for e in product(range(-3, 4), repeat=4):
+        a, b, c, d = e
+        unit = abs(a * d - b * c) == 1
+        identity = unit and oracle.entries_are_identity(*e)
+        beta = unit and oracle.entries_fix_beta(*e)
+        assert entries_are_identity(*e) == identity, e
+        assert entries_fix_beta(*e) == beta, e
+        hits["identity"] += identity
+        hits["beta"] += beta
+        hits["not unimodular"] += not unit and b == 0 and a == d
+    assert hits == {"identity": 2, "beta": 14, "not unimodular": 35}, hits
+
+
+def test_non_unimodular_action_is_a_failed_verdict(monkeypatch):
+    """A kernel that returned the entries 2 I, of det 4, fails each
+    verdict that reads them instead of raising: the fixing certificate is
+    not ok, find_block raises DerivationError, and verify records
+    fixes_beta false at every checkpoint."""
+    from slittori import criterion, irrational, rational
+    from slittori.criterion import verify
+    from slittori.directions import DigitRule
+    from slittori.irrational import DerivationError, find_block
+    from slittori.rational import FixingCertificate, RationalParam, certify_fixing, direction_stream
+
+    def forged(*args):
+        return (*_trace_lattice(*args)[:4], 2, 0, 0, 2)
+
+    param = RationalParam.from_barrier_length(Fraction(1, 4))
+    spec = direction_stream(param, DigitRule("const", (1,)))
+    monkeypatch.setattr(rational, "_trace_lattice", forged)
+    assert certify_fixing(param) == FixingCertificate(False, False, 1)
+    monkeypatch.setattr(irrational, "_trace_lattice", forged)
+    with pytest.raises(DerivationError, match="fails its trace certificate"):
+        find_block(TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2)))
+    # verify reads its action from trace_word, whose canonical entries
+    # refuse a det of 4 with ValueError, so the forgery goes in there
+    trace = criterion.trace_word
+    monkeypatch.setattr(criterion, "trace_word", lambda z, w: (trace(z, w)[0], (2, 0, 0, 2)))
+    report = verify(spec, 2)
+    assert [rec.homology_fixes_beta for rec in report.records] == [False, False]
+    assert all(rec.endpoint_consistent for rec in report.records)
+    assert not report.overall
