@@ -51,7 +51,7 @@ from .flow import (
 )
 from .irrational import DEFAULT_A_MIN, DEFAULT_BUDGET, direction_stream_irrational
 from .rational import RationalParam, direction_stream, fixing_word
-from .torus import TorusPoint, entries_are_identity, entries_fix_beta, trace_word
+from .torus import TorusPoint, canonical_entries, entries_are_identity, entries_fix_beta, trace_word
 from .words import GenWord
 
 FORMAT_VERSION = 1
@@ -244,7 +244,8 @@ def cmd_action(args) -> int:
         word = fixing_word(_parse_param(args.gz, "--gz"))
     else:
         word = fixing_word(RationalParam.from_barrier_length(Fraction(args.gz_lambda)))
-    final, (a, b, c, d) = trace_word(z, word)
+    final, entries = trace_word(z, word)
+    a, b, c, d = canonical_entries(*entries)
     _emit(
         {
             "z": z.as_json(),

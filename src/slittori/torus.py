@@ -21,8 +21,8 @@ as functions.  :func:`entries_are_identity` and :func:`entries_fix_beta`
 are exact on any integer entries, of either sign, so every certificate
 and every check reads its verdicts from the raw entries;
 :func:`canonical_entries` (|det| = 1, and the sign that makes the first
-nonzero entry positive) is the form in which entries are printed or
-compared.
+nonzero entry positive) is the form in which the ``action`` command
+prints them and in which two actions are compared.
 
 One integer kernel, :class:`Lattice`, implements the stepping rule.  The
 shear orbit of z = (x0, y0) stays in the Z-module spanned by 1, x0 and y0,
@@ -49,7 +49,7 @@ flat tuple (xu, xv, yu, yv, a, b, c, d), the form :meth:`Lattice.run`
 yields, so a caller that holds integers packs no coordinate pairs.
 :func:`trace_word`, the one adapter from a :class:`TorusPoint` and a
 :class:`~slittori.words.GenWord`, returns (final, entries), its end point
-as a :class:`TorusPoint` and the canonical entries of the action;
+as a :class:`TorusPoint` and the raw entries of the action;
 :func:`slittori.rational.certify_fixing` calls :func:`_trace_lattice` on
 Z/2q and :func:`slittori.irrational.find_block` on its search's own
 lattice, each with its own integers, building neither a point nor a
@@ -260,18 +260,20 @@ def trace_word(
 
     Returns (final, entries): the end point ``word^-1 z`` and the
     homology action of ``word`` evaluated there, as the ordered product
-    of per-step factors at the post-step points, in the entries
-    :func:`canonical_entries` gives.  The factors of one syllable are all
-    powers of its generator, so they multiply to the generator raised to
-    the syllable's running count.  The end point and the action come
-    from :func:`_trace_lattice`, one closed-form step per syllable, which
-    takes the word's ``leading`` generator and ``digits`` as they are.
+    of per-step factors at the post-step points, in the raw entries the
+    kernel returns: the verdict rules read them as they are, and
+    :func:`canonical_entries` gives the form to print or compare.  The
+    factors of one syllable are all powers of its generator, so they
+    multiply to the generator raised to the syllable's running count.
+    The end point and the action come from :func:`_trace_lattice`, one
+    closed-form step per syllable, which takes the word's ``leading``
+    generator and ``digits`` as they are.
     """
     lat = Lattice(z.x, z.y)
-    xu, xv, yu, yv, *mat = _trace_lattice(
+    xu, xv, yu, yv, a, b, c, d = _trace_lattice(
         lat.W, lat.D, *lat.embed(z.x), *lat.embed(z.y), word.leading, word.digits
     )
-    return lat.point((xu, xv), (yu, yv)), canonical_entries(*mat)
+    return lat.point((xu, xv), (yu, yv)), (a, b, c, d)
 
 
 def m_sequence(z: TorusPoint, gen: str, n_max: int) -> list[int]:

@@ -57,6 +57,8 @@ BLOCKS = "tests/test_rational.py::test_block_examples"
 EVEN_BLOCKS = "tests/test_rational.py::test_even_case_closed_form_r_zero"
 ACCEPT_BLOCKS = "tests/test_acceptance.py::test_criterion_1_block_reproduction"
 SCAN = "tests/test_rational.py::test_congruences_match_scan"
+NO_SOLUTION = "tests/test_rational.py::test_congruence_without_solution_fails_closed"
+FORGED_KERNEL = "tests/test_torus.py::test_non_unimodular_action_is_a_failed_verdict"
 CERT_ORACLE = "tests/test_rational.py::test_certificate_matches_oracle"
 CERT_EXAMPLES = "tests/test_rational.py::test_certify_examples"
 PARAM_TYPES = "tests/test_rational.py::test_param_fields_must_be_ints[r-args1]"
@@ -74,6 +76,7 @@ WORD_VALIDATION = "tests/test_words.py::test_word_validation"
 WORD_MATRIX = "tests/test_words.py::test_word_matrix_examples"
 WORD_SEAM = "tests/test_words.py::test_word_concat_merges_seam"
 CLI_ALTERNATION = "tests/test_cli.py::test_action_word_pinned[h+:2,h+:1]"
+CLI_ACTION_SIGN = "tests/test_cli.py::test_action_word_pinned[h+:2,h-:3]"
 FORGED_ENDPOINT = "tests/test_criterion.py::test_forged_endpoint_fails_only_its_checkpoint"
 FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
 FLOW_LATTICE_ORACLE = "tests/test_flow.py::test_simulate_matches_lattice_oracle"
@@ -124,6 +127,17 @@ CATALOGUE = (
         "fixes-beta-without-unit-diagonal", "torus.py",
         "return b == 0 and a == d and a * a == 1", "return b == 0 and a == d",
         (TORUS_EXACT,),
+    ),
+    Mutant(
+        "trace-word-canonicalises", "torus.py",
+        "return lat.point((xu, xv), (yu, yv)), (a, b, c, d)",
+        "return lat.point((xu, xv), (yu, yv)), canonical_entries(a, b, c, d)",
+        (FORGED_KERNEL,),
+    ),
+    Mutant(
+        "action-prints-raw-entries", "cli.py",
+        "a, b, c, d = canonical_entries(*entries)", "a, b, c, d = entries",
+        (CLI_ACTION_SIGN,),
     ),
     Mutant(
         "negative-scalar-product-endpoints", "intervals.py",
@@ -234,6 +248,16 @@ CATALOGUE = (
         "even-block-b-minus-1-reads-b", "rational.py",
         "return (2 * q + a2, b - 1,", "return (2 * q + a2, b,",
         (BLOCKS, EVEN_BLOCKS, ACCEPT_BLOCKS),
+    ),
+    Mutant(
+        "no-solution-names-rhs1", "rational.py",
+        "rhs = rhs1 if (a1 * s - rhs1) % mod else rhs2", "rhs = rhs1",
+        (NO_SOLUTION,),
+    ),
+    Mutant(
+        "no-solution-names-rhs2", "rational.py",
+        "rhs = rhs1 if (a1 * s - rhs1) % mod else rhs2", "rhs = rhs2",
+        (NO_SOLUTION,),
     ),
     Mutant(
         "least-solution-may-be-0", "rational.py",

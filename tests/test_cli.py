@@ -75,6 +75,7 @@ ACTION_WORDS = {
     "h+": ([1], "(-1/4, 1/4)", [1, 1, 0, 1], 1),
     "h-:2,h+": ([2, 1], "(-1/4, 1/4)", [1, 1, 2, 3], 3),
     "h+:3, h-:1": ([3, 1], "(1/4, 0)", [2, 1, 1, 1], 4),
+    "h+:2,h-:3": ([2, 3], "(-1/2, -1/4)", [1, -2, 1, -1], 5),  # traced as -1, 2, -1, 1
 }
 # --word text with one fault -> the error it exits 2 with
 BAD_WORDS = {

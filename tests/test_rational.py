@@ -114,9 +114,13 @@ def forged_param(r, s, q) -> RationalParam:
 
 
 def test_congruence_without_solution_fails_closed():
-    # s not coprime to q: 2a = 1 (mod 4) in the even case, 3a = -4 (mod 6) in the odd one
-    for param, text in ((forged_param(0, 2, 2), "2 a = 1 (mod 4)"),
-                        (forged_param(1, 3, 3), "3 a = -4 (mod 6)")):
+    # s not coprime to q; the error names the first congruence that fails
+    for param, text in (
+        (forged_param(0, 2, 2), "2 a = 1 (mod 4)"),  # even, both right-hand sides 1
+        (forged_param(1, 3, 3), "3 a = -4 (mod 6)"),  # odd, -4 and 1: both fail
+        (forged_param(2, 6, 3), "6 a = 4 (mod 6)"),  # even, 0 and 4: only the second fails
+        (forged_param(-2, 6, 3), "6 a = 4 (mod 6)"),  # even, 4 and 0: only the first fails
+    ):
         with pytest.raises(CongruenceError, match=f"^{re.escape(text)} has no solution$"):
             solve_congruences(param)
     # 2a = 0 and 2a = 4 (mod 6): the least of 3 and 6, and of 2 and 5

@@ -136,7 +136,8 @@ def test_composition_law():
         final, action = trace_word(z, w1 * w2)
         final1, action1 = trace_word(z, w1)
         final2, action2 = trace_word(final1, w2)
-        assert action == canonical_entries(*(IntMat2(*action1) * IntMat2(*action2)).entries())
+        composed = IntMat2(*action1) * IntMat2(*action2)
+        assert canonical_entries(*action) == canonical_entries(*composed.entries())
         assert final == final2
 
 
@@ -147,7 +148,7 @@ def test_theta_conjugation():
         w = rand_word(rng)
         _, lhs = trace_word(involution_theta(z), w.theta_conjugate())
         _, rhs = trace_word(z, w)
-        assert lhs == canonical_entries(*(THETA * IntMat2(*rhs) * THETA).entries())
+        assert canonical_entries(*lhs) == canonical_entries(*(THETA * IntMat2(*rhs) * THETA).entries())
 
 
 def test_minus_id_symmetry():
@@ -249,7 +250,8 @@ def test_kernel_matches_oracle():
             z = rand_kernel_point(rng, D)
             w = rand_word(rng, max_syllables=6, max_exp=60)
             final, points, action = oracle.trace_word(z, w)
-            assert trace_word(z, w) == (final, action)
+            traced, entries = trace_word(z, w)
+            assert (traced, canonical_entries(*entries)) == (final, action)
             assert lattice_points(z, w) == points
             gen = rng.choice(["h+", "h-"])
             assert m_sequence(z, gen, 80) == oracle.m_sequence(z, gen, 80)
@@ -490,7 +492,7 @@ def test_non_unimodular_action_is_a_failed_verdict(monkeypatch):
     verdict that reads them instead of raising: the fixing certificate is
     not ok, find_block raises DerivationError, and verify records
     fixes_beta false at every checkpoint."""
-    from slittori import criterion, irrational, rational
+    from slittori import irrational, rational, torus
     from slittori.criterion import verify
     from slittori.directions import DigitRule
     from slittori.irrational import DerivationError, find_block
@@ -506,10 +508,7 @@ def test_non_unimodular_action_is_a_failed_verdict(monkeypatch):
     monkeypatch.setattr(irrational, "_trace_lattice", forged)
     with pytest.raises(DerivationError, match="fails its trace certificate"):
         find_block(TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2)))
-    # verify reads its action from trace_word, whose canonical entries
-    # refuse a det of 4 with ValueError, so the forgery goes in there
-    trace = criterion.trace_word
-    monkeypatch.setattr(criterion, "trace_word", lambda z, w: (trace(z, w)[0], (2, 0, 0, 2)))
+    monkeypatch.setattr(torus, "_trace_lattice", forged)  # verify reads it through trace_word
     report = verify(spec, 2)
     assert [rec.homology_fixes_beta for rec in report.records] == [False, False]
     assert all(rec.endpoint_consistent for rec in report.records)
