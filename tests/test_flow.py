@@ -663,6 +663,72 @@ def test_simulate_matches_lattice_oracle():
             assert "\n1009," in log.getvalue(), case
 
 
+def test_simulate_matches_billiard_oracle():
+    """``simulate`` is the barrier billiard, checked against the exact table
+    of ``oracle_billiard``, which does no unfolding.
+
+    Every event row maps to the table point (deck + w x, |y|), with
+    w = 1 on sheet 0 and -1 on sheet 1 (the unfolded x runs against the
+    table's on sheet 1); it must be the billiard's position at the
+    row's time, and w the sign of the billiard's vx on arrival there.
+    ``deck_zero_returns`` must count the billiard's entries into the
+    barrier period [-1/2, 1/2].  An orbit that stops at a cone point must
+    meet a barrier tip on its next straight piece, within one time unit
+    of its last row, and a complete orbit must meet none up to T.
+
+    The rays are one flow-cli-shaped ray per lambda (the spec's 32-bit
+    convergent, a left-edge start at a height with denominator 1,000,003,
+    either sheet, deck -3..3, fractional T) and small-denominator slopes
+    aimed at a barrier tip after a few wraps.
+    """
+    import oracle_billiard
+
+    rng = random.Random(10)
+    rays = []
+    for lam in ("1/4", "1/6", "1/3", "3/10"):
+        spec = direction_stream(RationalParam.from_barrier_length(Fraction(lam)), DigitRule())
+        y0 = Fraction(rng.randrange(1, 1_000_003), 1_000_003) - H
+        start = CoverState(rng.randrange(2), -H, y0, rng.randrange(-3, 4))
+        T = Fraction(rng.randint(500, 800), 2)
+        rays.append((Fraction(lam), slope_from_spec(spec), T, start))
+    for _ in range(8):
+        lam = Fraction(rng.randint(1, 5), 12)
+        slope = Fraction(rng.randint(0, 6), rng.randint(1, 6))
+        n, sgn = rng.randint(0, 3), rng.choice((1, -1))
+        y0 = mod_half_open(sgn * lam - (n + H) * slope)  # the tip sgn lam after n wraps
+        rays.append((lam, slope, Fraction(n + 2), CoverState(rng.randrange(2), -H, y0, 0)))
+
+    weights = (1, -1)  # written out, not read from flow.DECK_WEIGHTS
+    stopped = returns = 0
+    for lam, slope, T, start in rays:
+        case = (lam, slope, T, start)
+        log = io.StringIO()
+        stats = simulate(build_surface((Fraction(0), lam)), slope, T, start=start, event_log=log)
+        w = weights[start.sheet]
+        table = oracle_billiard.Billiard(lam, start.deck + w * start.x, abs(start.y), w,
+                                         slope if start.y >= 0 else -slope)
+        for row in log.getvalue().splitlines():
+            t, _kind, sheet, x, y, deck = row.split(",")
+            w = weights[int(sheet)]
+            table.run_to(Fraction(t))
+            assert table.vx_in == w, (case, row)
+            assert (table.x, table.y) == (int(deck) + w * Fraction(x), abs(Fraction(y))), (case, row)
+        t_last = Fraction(stats.total_advance)
+        if stats.terminated_early:
+            assert stats.termination_reason == "orbit hits a cone point", case
+            with pytest.raises(oracle_billiard.TipHit) as hit:
+                table.run_to(t_last + 1)
+            assert t_last < hit.value.t < t_last + 1, case
+            stopped += 1
+        else:
+            assert t_last == T, case
+            table.run_to(T)
+        # an entry at T itself comes after the final cut
+        assert stats.deck_zero_returns == sum(t < T for t in table.entries), case
+        returns += stats.deck_zero_returns
+    assert 0 < stopped < len(rays) and returns > 0, (stopped, returns)
+
+
 def test_bin_error_bound_holds(quarter_slope):
     """Both float evaluations of a sample's bin coordinates in ``simulate``
     lie within ``flow._bin_error_bound`` of the exact coordinates.
