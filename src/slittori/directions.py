@@ -13,7 +13,6 @@ records.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .exact import ExactScalar, Frozen, scalar
 from .intervals import RatInterval
@@ -181,12 +180,18 @@ class DirectionSpec:
         """Rational interval around the stream's value, width <= 2**-bits
         when the stream can supply enough digits.
 
-        A finite stream that runs out early still yields its best
-        enclosure (consecutive convergents of every cached digit), as
-        long as it covers ``min_digits``; downstream certified
-        comparisons decide whether that is conclusive.
+        The bracket of the first k digits, between the convergents
+        p_{k-1}/q_{k-1} and p_k/q_k, has width exactly 1 / (q_{k-1} q_k) by
+        the determinant identity, so the loop takes k = max(2, min_digits),
+        then k + 8, ... up to the first k with q_{k-1} q_k >= 2**bits,
+        comparing integers only, and builds the two Fractions of the bracket
+        it returns.  A finite stream that runs out early still yields its
+        best enclosure (consecutive convergents of every cached digit), as
+        long as it covers ``min_digits``; downstream certified comparisons
+        decide whether that is conclusive.
         """
-        target = Fraction(1, 1 << bits)
+        need = 1 << bits
+        conv = self._conv
         k = max(2, min_digits)
         while True:
             try:
@@ -195,8 +200,8 @@ class DirectionSpec:
                 k = len(self._digits)
                 if k < max(2, min_digits):
                     raise
-                return RatInterval(*self._conv.bracket(k))
-            lo, hi = self._conv.bracket(k)
-            if hi - lo <= target:
-                return RatInterval(lo, hi)
+                break
+            if conv.q(k - 1) * conv.q(k) >= need:
+                break
             k += PERIOD
+        return RatInterval(*conv.bracket(k))

@@ -27,7 +27,8 @@ Positions, directions and event times are exact.  Validation and
 ``step_flow`` accept a quadratic-field parameter (ExactScalar) as well
 as a rational one and run the rule on those scalars.  ``simulate`` needs
 a rational parameter and a rational slope, and runs on an integer
-lattice: one common denominator per ray turns every position and event
+lattice: one common denominator per ray, which the sample spacing's
+denominator divides too, turns every position, event time and sample
 time into an integer (``_simulate_loop`` gives the argument), and a
 division that leaves a remainder raises LatticeExactnessError instead
 of rounding.  On the lattice the events come from three clocks.  The
@@ -36,13 +37,15 @@ top edge.  The slit clock holds the integer time at which the current
 straight piece meets the slit's line and the integer that places the
 crossing on it; it starts as an exact quotient and moves by integer
 steps at each edge reset, so the rule's slit checks take comparisons
-only.  The samples of an event segment (s, e] are those with
-m ds_num L <= e ds_den, bracketed by a running sample clock.  Each
-sample is binned from its exact torus position, (x0 + 1/2 + m ds,
-y0 + 1/2 + slope m ds) mod 1, in floats; ``_bin_error_bound`` proves a
-bound delta on their error and on that of the pinned per-segment
-formula, and a sample within 2 delta of a bin edge falls back to the
-pinned formula, so every bin is the pinned formula's.  A
+only.  The loop takes one straight piece (edge reset to edge reset) per
+pass, with its at most one slit crossing inside, and the samples come
+from a sample clock that steps by the integer ds L.  Each sample is
+binned from its exact torus position, (x0 + 1/2 + m ds,
+y0 + 1/2 + slope m ds) mod 1, on two integer bin clocks;
+``_bin_error_bound`` proves a bound delta on the error of the pinned
+per-segment float formula, and only a sample whose exact position lies
+within delta of a bin edge runs that formula, so every bin is the
+pinned formula's.  A
 direction stream is simulated through an exact convergent of its digit
 expansion, chosen so the enclosure of the true slope is narrower than
 ``2**-SLOPE_PRECISION_BITS``; the simulated orbit is then an exactly
@@ -483,10 +486,11 @@ def simulate(
     snapshotted at T/4, T/2 and T.  Event times and positions are exact
     integers on a lattice with one common denominator for the ray (the
     per-event advances sum to exactly T), kept by edge, slit and sample
-    clocks (``_simulate_loop``); only the per-sample cell
-    assignment is evaluated in floats, re-anchored to the exact position
-    at every event, which keeps the statistics deterministic and
-    drift-free.  ``grid`` above ``MAX_GRID`` or ``deck_window`` above
+    clocks (``_simulate_loop``).  Each sample's cell comes from exact
+    integer bin clocks, and only a sample within a float error bound of a
+    bin edge takes its cell from a float formula re-anchored to the exact
+    position at the last event, which keeps the statistics deterministic
+    and drift-free.  ``grid`` above ``MAX_GRID`` or ``deck_window`` above
     ``MAX_DECK_WINDOW`` raises ValueError before any counter is allocated.
     """
     slope = Fraction(slope)
@@ -533,64 +537,77 @@ def _scale(v: Fraction, k: int) -> int:
 def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T) -> int:
     """The common denominator L of a ``simulate`` ray (see ``_simulate_loop``).
 
-    With slope p/q, slit endpoint (zxn, zyn)/zd and detn = p zxn - q zyn,
-    L = lcm(2, den x0, den y0, den T, zd) * p * |detn|, taking 1 for p or
-    detn when it is 0.
+    With slope p/q, slit endpoint (zxn, zyn)/zd, detn = p zxn - q zyn and
+    the sample spacing ds = ``DEFAULT_SAMPLE_SPACING``,
+    L = lcm(2, den x0, den y0, den T, zd, den ds) * p * |detn|, taking 1
+    for p or detn when it is 0.
     """
     p, q = slope.numerator, slope.denominator
     zd = math.lcm(zx.denominator, zy.denominator)
     detn = int((p * zx - q * zy) * zd)
-    base = math.lcm(2, x0.denominator, y0.denominator, T.denominator, zd)
+    base = math.lcm(
+        2, x0.denominator, y0.denominator, T.denominator, zd, DEFAULT_SAMPLE_SPACING.denominator
+    )
     return base * (p or 1) * (abs(detn) or 1)
 
 
 def _bin_error_bound(grid: int, slope: Fraction, T: Fraction) -> float:
-    """delta = grid (1 + slope) (T + 2) 2**-51, a bound on how far either
-    float evaluation of a sample's bin coordinates in ``_simulate_loop``
-    strays from the exact value.
+    """delta = grid (1 + slope) (T + 2) 2**-51, a bound on how far the
+    pinned float evaluation of a sample's bin coordinates in
+    ``_simulate_loop`` strays from the exact value.
 
-    Sample m sits at time t = m ds <= T, and its exact bin coordinates are
-    v = (x0 + 1/2 + t) grid and w = (y0 + 1/2 + slope t) grid, reduced mod
-    grid.  With u = 2**-53, a correctly rounded operation with result r
-    errs by at most |r| u; terms of order u**2 are left out below.
+    Sample m sits at time t = m ds <= T.  The pinned formula starts from
+    the cell position (x_c, y_c) of an anchor at time sigma <= t on the
+    same straight piece, so seg = t - sigma <= 1 and slope seg <= 1; its
+    exact bin coordinates are (x_c + 1/2 + seg) grid and
+    (y_c + 1/2 + slope seg) grid.  With u = 2**-53, a correctly rounded
+    operation with result r errs by at most |r| u; terms of order u**2
+    are left out below.  fl(x_c), fl(sigma) and fl(m fl(ds)) err by u/2,
+    T u and 2 T u, so fl(seg) by (3 T + 1) u; adding x_f, adding 0.5 and
+    scaling by grid give grid (3 T + 4) u for x.  For y, fl(slope) errs
+    by slope u, so the product by slope (3 T + 1) u + 2 u, and the rest
+    as for x: grid (slope (3 T + 1) + 5) u.
 
-    * Fast: fl(fl(A) + m fl(B)) with A = (x0 + 1/2) grid < grid and
-      B = ds grid (slope ds grid for w).  fl(A) errs by grid u; fl(B) by
-      B u, which m scales to t grid u (slope t grid u for w); the product
-      and the sum round by as much again and by (grid + slope t grid) u.
-      So w errs by at most grid (2 + 3 slope T) u, and v by the same with
-      slope 1.  m is an exact float, as m <= T / ds + 1 < 2**53 wherever
-      delta < 1/4 (a larger delta leaves no fractional part more than
-      2 delta from 0 and 1, so every sample falls back).  ``%`` by grid
-      is exact.
-    * Pinned: from the segment start's x_c and time sigma <= t, on one
-      straight piece, so seg = t - sigma <= 1 and slope seg <= 1.
-      fl(x_c), fl(sigma) and fl(m fl(ds)) err by u/2, T u and 2 T u, so
-      fl(seg) by (3 T + 1) u; adding x_f, adding 0.5 and scaling by grid
-      give grid (3 T + 4) u for v.  For w, fl(slope) errs by slope u, so
-      the product by slope (3 T + 1) u + 2 u, and the rest as for v:
-      grid (slope (3 T + 1) + 5) u.
-
-    All four are at most grid (1 + slope) (3 T + 5) u, and delta =
+    Both are at most grid (1 + slope) (3 T + 5) u, and delta =
     grid (1 + slope) (4 T + 8) u leaves grid (1 + slope) (T + 3) u for the
-    order-u**2 terms and for the rounding of delta itself.  So if a fast
-    coordinate's fractional part lies more than 2 delta from 0 and from 1,
-    the exact value and the pinned float both lie strictly inside the
-    fast bin: the pinned formula gives the same bin, with no clamp.
+    order-u**2 terms and for the rounding of delta itself.  m is an exact
+    float, as m <= T / ds + 1 < 2**53 wherever delta < 1/2 (a larger
+    delta leaves no fractional part more than delta from 0 and 1, so
+    every sample takes the pinned formula).  So if an exact coordinate's
+    fractional part lies more than delta from 0 and from 1, the pinned
+    float lies strictly inside the same bin, and its clamp does nothing.
     """
     return grid * (1 + float(slope)) * (float(T) + 2) * 2.0**-51
 
 
+def _bin_clock(a: Fraction, b: Fraction, grid: int, delta: float):
+    """The integer clock of the bin coordinate (a + m b) grid mod grid of
+    sample m, for 0 <= a < 1 and b >= 0.
+
+    Returns (i, f, di, df, den, lo): sample 0's bin i and fractional part
+    f / den, the step di + df / den with di reduced mod grid, and the
+    least integer lo > delta den, so a fractional part f / den lies more
+    than delta from 0 and from 1 exactly when lo <= f <= den - lo.
+    """
+    a, b = a * grid, b * grid
+    den = math.lcm(a.denominator, b.denominator)
+    i, f = divmod(a.numerator * (den // a.denominator), den)
+    di, df = divmod(b.numerator * (den // b.denominator), den)
+    num, dd = delta.as_integer_ratio()
+    return i, f, di % grid, df, den, num * den // dd + 1
+
+
 def _simulate_loop(model, slope, T, start, stats, event_log=None):
     """Run the flow on an integer lattice with one denominator per ray,
-    driven by three event clocks and a sample clock.
+    one straight piece per pass, driven by event clocks, a sample clock
+    and two bin clocks.
 
     Scale x and the advance s by L (``_lattice_denominator``) and y by
     L q.  The ray becomes (1, p), the cell [-L/2, L/2) x [-Lq/2, Lq/2)
     and the slit endpoint (ZX, ZY) = (zx L, zy L q), all integers.  X and
     Y below are the scaled x and y, and s, e and every clock are lattice
-    times (advances scaled by L) counted from the start.  Every event time
-    is an integer:
+    times (advances scaled by L) counted from the start.  Every event and
+    sample time is an integer:
 
     * right edge: L/2 - X is an integer, as L is even;
     * top edge: Lq/2 - Y stays a multiple of p.  Y starts as y0 L q, a
@@ -605,49 +622,58 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
       -ZY L / det = -zyn q L / detn to t_line and -p L to u, and a
       top-edge reset (Y by -Lq) adds ZX Lq / det = zxn L q / detn and Lq:
       integers, because |detn| divides L;
-    * the final cut T L is an integer, because den T divides L.
+    * the final cut T L is an integer, because den T divides L;
+    * sample m sits at m ds L, a multiple of the integer ds L, because
+      den ds divides L.
 
     So no event needs a division after the start: the right-edge clock
-    ``t_right`` advances by its period L at each right-edge or corner
-    event, the top-edge clock ``t_top`` by its period Lq/p at each
-    top-edge or corner event, and the slit clock (t_line, u) by the steps
-    above.  The position is read off two more integers, X = x_base + s
-    and Y = y_base + p s, whose bases move by -L and -Lq at the resets;
-    it is formed only for a segment that holds a sample and for the
-    event log.  ``_exact_div`` checks the first top time, t_line and its two
-    steps at the start and the top period at the first top reset, and
-    raises LatticeExactnessError rather than floor.  A straight piece
-    between two edge resets meets the slit segment at most once, so the
-    slit is decided only at the start and after an edge reset, for the
-    next edge time e, by comparisons: with the crossing ahead
-    (s < t_line), |u| = |det| is a cone point, and for |u| < |det| the
-    crossing is the slit event ``t_slit`` = t_line when t_line < e and a
-    coincidence when t_line = e.  The crossing clears ``t_slit``.  For
-    det = 0 the ray is parallel to the slit: t_line holds the numerator
-    ZY X - ZX Y itself (constant along the ray, with the steps -ZY L and
-    ZX Lq), and the ray runs along the slit line when it is 0.
+    ``t_right`` advances by its period L at each right-edge reset, the
+    top-edge clock ``t_top`` by its period Lq/p at each top-edge reset (a
+    corner is both), the slit clock (t_line, u) by the steps above, and
+    the sample clock ``m_clock`` by ds L per sample.  The position is
+    read off two more integers, X = x_base + s and Y = y_base + p s, whose
+    bases move by -L and -Lq at the resets; it is formed only for the
+    pinned formula and the event log.  ``_exact_div`` checks the first
+    top time, the top period, t_line and its two steps at the start, and
+    raises LatticeExactnessError rather than floor.
 
-    Sample m sits at time m ds, which is the lattice time m ds_num L /
-    ds_den; a segment (s, e] holds the samples with
-    m ds_num L <= e ds_den, so the sample clock m ds_num L runs as a sum
-    and no floor division is needed (t = 0 falls in the first segment).
+    Each pass walks one straight piece, from s to its edge event e (the
+    earlier of the two edge clocks, both at a corner), cut at T L.  A
+    straight piece meets the slit segment at most once, so its crossing
+    is decided at the start of the piece, by comparisons: with the
+    crossing ahead (s < t_line), |u| = |det| is a cone point, and for
+    |u| < |det| the crossing is a slit event at t_line when t_line < e
+    and a coincidence when t_line = e.  A slit event before the cut
+    splits the piece: its samples up to t_line go to the old sheet, the
+    sheet flips, and the rest go to the new one.  The deck is constant on
+    a piece, so the piece's samples enter the deck histogram at once.
+    For det = 0 the ray is parallel to the slit: t_line holds the
+    numerator ZY X - ZX Y itself (constant along the ray, with the steps
+    -ZY L and ZX Lq), and the ray runs along the slit line when it is 0.
+    A segment (s, b] holds the samples with m_clock <= b (t = 0 falls in
+    the first segment).
 
     A sample's bins are those of the pinned per-segment formula: from the
     segment start's x = X / L, y = Y / (L q) and s / L (-0.5 at a reset
     coordinate; Python's int true division is correctly rounded, so these
     equal ``float`` of the Fractions bit for bit), x + (m ds - s / L) and
     y + slope (m ds - s / L) are scaled to the grid, truncated and
-    clamped.  The loop reaches the same bins faster from m alone: the
+    clamped.  The loop reaches the same bins exactly from m alone: the
     cell position of sample m is (x0 + 1/2 + m ds, y0 + 1/2 + slope m ds)
-    mod 1, as an edge wraps by 1 and a slit crossing moves no point, so
-    vx = (fl((x0 + 1/2) grid) + m fl(ds grid)) mod grid, vy likewise with
-    slope ds, and the bins int(vx), int(vy).  Both evaluations stray from
-    the exact value by at most delta (``_bin_error_bound``), so when both
-    fractional parts lie more than 2 delta from 0 and from 1 the pinned
-    formula lands in the same bins and is skipped.  Otherwise (a sample
-    on or next to a bin edge, such as the sample that ends a segment at
-    an edge event) the pinned formula runs, with its clamps.  The event
-    log and ``total_advance`` are formatted from Fraction(s, L).
+    mod 1, as an edge wraps by 1 and a slit crossing moves no point.  Its
+    bin coordinates run on two integer clocks (``_bin_clock``), each a
+    bin and the numerator of its fractional part; a sample adds the step,
+    carries 1 into the bin when the fractional part passes 1, and
+    subtracts grid once when the bin passes grid - 1.  Off the bin edges
+    the pinned formula's exact value, taken from an anchor on the same
+    piece, is the clock's, and its float strays from it by at most delta
+    (``_bin_error_bound``); so when both exact fractional parts lie more
+    than delta from 0 and from 1 it lands in the clocks' bins and is
+    skipped.  Otherwise (a
+    sample on or next to a bin edge, such as one at an edge event, whose
+    clamp keeps the cell before the reset) the pinned formula runs, with
+    its clamps.  The event log and ``total_advance`` are formatted from
+    Fraction(s, L).
     """
     x0, y0 = Fraction(start.x), Fraction(start.y)
     p, q = slope.numerator, slope.denominator
@@ -661,9 +687,10 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     sheet, deck = start.sheet, start.deck
     s, s_total = 0, _scale(T, L)
     t_right = hx - X
-    # with p = 0 there is no top edge: a time past every right-edge time
-    t_top = _exact_div(hy - Y, p) if p else s_total + L
-    top_period = None
+    if p:
+        t_top, top_period = _exact_div(hy - Y, p), _exact_div(Lq, p)
+    else:  # no top edge: a time past every right-edge time
+        t_top, top_period = s_total + L, None
     det = p * zx - zy
     adet = abs(det)
     nadet = -adet
@@ -671,23 +698,18 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     # t_line and its right and top reset steps; the numerators for det = 0
     line = (zy * X - zx * Y, -zy * L, zx * Lq)
     t_line, line_dx, line_dy = (_exact_div(v, det) for v in line) if det else line
-    t_slit = None
-    solve = True  # the start, or (X, Y) moved by an edge reset
     x_base, y_base = X, Y
-    slope_f = float(slope)
     ds = DEFAULT_SAMPLE_SPACING
-    ds_f = float(ds)
-    ds_den, ds_L = ds.denominator, ds.numerator * L
+    ds_f, slope_f = float(ds), float(slope)
+    m_step = _scale(ds, L)
+    m = m_clock = 0  # the next sample's index and lattice time m ds L
     grid = stats.grid
     top_cell = grid - 1
-    # the fast bins vx = (ax + m bx) mod grid, vy = (ay + m by) mod grid
-    ax, ay = float((x0 + _HALF) * grid), float((y0 + _HALF) * grid)
-    bx, by = float(ds * grid), float(slope * ds * grid)
     delta = _bin_error_bound(grid, slope, T)
-    lo, hi = 2 * delta, 1 - 2 * delta
-    grid_f, floor = float(grid), math.floor  # floor is int() here, as vx, vy >= 0
-    m = 0  # next sample index (sample times are m * ds, t = 0 included)
-    m_clock = 0  # m * ds_L
+    i, fx, di, dfx, den_x, lo_x = _bin_clock(x0 + _HALF, ds, grid, delta)
+    j, fy, dj, dfy, den_y, lo_y = _bin_clock(y0 + _HALF, slope * ds, grid, delta)
+    di_carry, dj_carry = di + 1, dj + 1
+    hi_x, hi_y = den_x - lo_x, den_y - lo_y
     # sample indices of the T/4, T/2 and T snapshots, then one past every sample
     snaps = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
     snaps.append(snaps[-1] + 1)
@@ -699,59 +721,47 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     overflow = zero_returns = 0
 
     try:
-        while s < s_total:
-            if t_right < t_top:
-                e, kind = t_right, "right_edge"
-            elif t_top < t_right:
-                e, kind = t_top, "top_edge"
-            else:
-                e, kind = t_right, "corner"
-            if solve:
-                solve = False
-                if det:
-                    if s < t_line and nadet <= u <= adet:
-                        if u == adet or u == nadet:
-                            raise SingularOrbitError("orbit hits a cone point")
-                        if t_line < e:
-                            t_slit = t_line
-                        elif t_line == e:
-                            raise SingularOrbitError(
-                                "slit crossing coincides with an edge event"
-                            )
-                elif t_line == 0:
-                    raise SingularOrbitError("orbit runs along the slit line")
-            if t_slit is not None:
-                e, kind = t_slit, "slit"
-            if e >= s_total:
-                e, kind = s_total, "partial"
+        while True:
+            # the straight piece from s to its edge event e, cut at s_total
+            right, top = t_right <= t_top, t_top <= t_right
+            e = t_right if right else t_top
+            end = e if e < s_total else s_total
+            bound = end  # the piece's slit event instead, if it has one before the cut
+            if det:
+                if s < t_line and nadet <= u <= adet:
+                    if u == adet or u == nadet:
+                        raise SingularOrbitError("orbit hits a cone point")
+                    if t_line == e:
+                        raise SingularOrbitError("slit crossing coincides with an edge event")
+                    if t_line < end:
+                        bound = t_line
+            elif t_line == 0:
+                raise SingularOrbitError("orbit runs along the slit line")
 
-            # samples in (s, e]
-            e_clock = e * ds_den
-            if m_clock <= e_clock:
-                m_seg = m
-                while m_clock <= e_clock:
-                    vx = (ax + m * bx) % grid_f
-                    vy = (ay + m * by) % grid_f
-                    i, j = floor(vx), floor(vy)
-                    fx, fy = vx - i, vy - j
-                    if not (lo < fx < hi and lo < fy < hi):
-                        # near a bin edge: the pinned formula from the anchor
+            m_piece = m
+            while True:
+                # samples in (s, bound]
+                while m_clock <= bound:
+                    if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:
+                        rows[i][j] += 1
+                    else:
+                        # within delta of a bin edge: the pinned formula from the anchor
                         X = x_base + s
                         Y = y_base + p * s
                         x_f = -0.5 if X == x_reset else X / L
                         y_f = -0.5 if Y == y_reset else Y / Lq
                         seg = m * ds_f - s / L
-                        i = int((x_f + seg + 0.5) * grid)
-                        j = int((y_f + slope_f * seg + 0.5) * grid)
-                        if i > top_cell:
-                            i = top_cell
-                        elif i < 0:
-                            i = 0
-                        if j > top_cell:
-                            j = top_cell
-                        elif j < 0:
-                            j = 0
-                    rows[i][j] += 1
+                        pi = int((x_f + seg + 0.5) * grid)
+                        pj = int((y_f + slope_f * seg + 0.5) * grid)
+                        if pi > top_cell:
+                            pi = top_cell
+                        elif pi < 0:
+                            pi = 0
+                        if pj > top_cell:
+                            pj = top_cell
+                        elif pj < 0:
+                            pj = 0
+                        rows[pi][pj] += 1
                     if m >= next_snap:
                         stats.samples = m + 1
                         while m >= snaps[0]:
@@ -760,39 +770,62 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
                             stats.snapshot_samples.append(m + 1)
                         next_snap = snaps[0]
                     m += 1
-                    m_clock += ds_L
-                if -N <= deck <= N:
-                    deck_counts[deck + N] += m - m_seg
-                else:
-                    overflow += m - m_seg
+                    m_clock += m_step
+                    fx += dfx
+                    if fx >= den_x:
+                        fx -= den_x
+                        i += di_carry
+                    else:
+                        i += di
+                    if i >= grid:
+                        i -= grid
+                    fy += dfy
+                    if fy >= den_y:
+                        fy -= den_y
+                        j += dj_carry
+                    else:
+                        j += dj
+                    if j >= grid:
+                        j -= grid
 
-            if event_log is not None:
-                event_log.write(
-                    f"{Fraction(e, L)},{kind},{sheet},"
-                    f"{Fraction(x_base + e, L)},{Fraction(y_base + p * e, Lq)},{deck}\n"
-                )
-            s = e
-            if kind == "slit":
+                if event_log is not None:
+                    if bound != end:
+                        kind = "slit"
+                    elif e >= s_total:
+                        kind = "partial"
+                    else:
+                        kind = "corner" if right and top else "right_edge" if right else "top_edge"
+                    event_log.write(
+                        f"{Fraction(bound, L)},{kind},{sheet},"
+                        f"{Fraction(x_base + bound, L)},{Fraction(y_base + p * bound, Lq)},{deck}\n"
+                    )
+                if bound == end:
+                    break
+                # the slit event: the rest of the piece runs on the other sheet
+                s, bound = bound, end
                 sheet = 1 - sheet
-                t_slit = None
                 rows = cells[sheet]
-            elif kind != "partial":
-                solve = True
-                if kind != "top_edge":  # right edge or corner
-                    x_base -= L
-                    t_right += L
-                    t_line += line_dx
-                    u += u_dx
-                    deck += w[sheet]
-                    if deck == 0:
-                        zero_returns += 1
-                if kind != "right_edge":  # top edge or corner
-                    y_base -= Lq
-                    if top_period is None:
-                        top_period = _exact_div(Lq, p)
-                    t_top += top_period
-                    t_line += line_dy
-                    u += Lq
+
+            if -N <= deck <= N:
+                deck_counts[deck + N] += m - m_piece
+            else:
+                overflow += m - m_piece
+            s = end
+            if e >= s_total:  # the final cut
+                break
+            if right:
+                x_base -= L
+                t_right += L
+                t_line += line_dx
+                u += u_dx
+                deck += w[sheet]
+                if deck == 0:
+                    zero_returns += 1
+            if top:
+                y_base -= Lq
+                t_top += top_period
+                t_line += line_dy
+                u += Lq
     except SingularOrbitError as exc:
         stats.terminated_early = True
         stats.termination_reason = str(exc)

@@ -84,6 +84,9 @@ FLOW_SINGULAR = "tests/test_flow.py::test_simulate_singular_orbit_flagged"
 FLOW_BOUNDED = "tests/test_flow.py::test_event_count_is_bounded"
 FLOW_BIN_BOUND = "tests/test_flow.py::test_bin_error_bound_holds"
 FLOW_BIN_EDGES = "tests/test_flow.py::test_simulate_bins_on_bin_edges_match_oracle"
+FLOW_BIN_CLOCKS = "tests/test_flow.py::test_bin_clocks_match_oracle"
+FLOW_BILLIARD = "tests/test_flow.py::test_simulate_matches_billiard_oracle"
+ENCLOSURE = "tests/test_directions.py::test_alpha_enclosure_matches_oracle"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
 NEGATIVE_VALUE = "tests/test_cli.py::test_negative_value_after_flag[argv0]"
 PARSE_CONFLICT = "tests/test_cli.py::test_table_parser_matches_argparse[conflict]"
@@ -376,18 +379,18 @@ CATALOGUE = (
     # the event clocks and sampling of flow._simulate_loop
     Mutant(
         "flow-top-period-off-by-one", "flow.py",
-        "top_period = _exact_div(Lq, p)", "top_period = _exact_div(Lq, p) + 1",
+        "_exact_div(Lq, p)", "_exact_div(Lq, p) + 1",
         (FLOW_LATTICE_ORACLE,),
     ),
     Mutant(
-        "flow-no-slit-solve-after-top-reset", "flow.py",
-        '                solve = True\n                if kind != "top_edge":',
-        '                if kind != "top_edge":\n                    solve = True',
+        "flow-slit-line-top-step-dropped", "flow.py",
+        "t_line += line_dy", "pass",
         (FLOW_ORACLE,),
     ),
     Mutant(
         "flow-corner-read-as-right-edge", "flow.py",
-        'e, kind = t_right, "corner"', 'e, kind = t_right, "right_edge"',
+        "right, top = t_right <= t_top, t_top <= t_right",
+        "right, top = t_right <= t_top, t_top < t_right",
         (FLOW_ORACLE,),
     ),
     Mutant(
@@ -402,47 +405,80 @@ CATALOGUE = (
     ),
     Mutant(
         "flow-slit-cone-test-dropped", "flow.py",
-        "                        if u == adet or u == nadet:",
-        "                        if False:",
+        'if u == adet or u == nadet:\n                        raise SingularOrbitError("orbit hits'
+        ' a cone point")\n                    if t_line == e:',
+        'if False:\n                        raise SingularOrbitError("orbit hits'
+        ' a cone point")\n                    if t_line == e:',
         (FLOW_SINGULAR,),
     ),
     Mutant(
         "flow-slit-edge-coincidence-dropped", "flow.py",
-        "elif t_line == e:", "elif False:",
+        "if t_line == e:", "if False:",
         (FLOW_ORACLE,),
     ),
     Mutant(
-        "flow-slit-clock-not-cleared", "flow.py",
-        "sheet = 1 - sheet\n                t_slit = None", "sheet = 1 - sheet",
+        "flow-piece-not-resumed-after-slit", "flow.py",
+        "s, bound = bound, end", "s = bound",
         (FLOW_BOUNDED,),
     ),
     Mutant(
+        "flow-sheet-unflipped-after-slit", "flow.py",
+        "                sheet = 1 - sheet\n", "",
+        (FLOW_BILLIARD,),
+    ),
+    Mutant(
         "flow-sample-at-segment-end-moved-on", "flow.py",
-        "while m_clock <= e_clock:", "while m_clock < e_clock:",
+        "while m_clock <= bound:", "while m_clock < bound:",
         (FLOW_LATTICE_ORACLE,),
     ),
-    # the fast sample bins of flow._simulate_loop and their fallback
+    Mutant(
+        "flow-sample-step-off-by-one", "flow.py",
+        "m_step = _scale(ds, L)", "m_step = _scale(ds, L) + 1",
+        (FLOW_LATTICE_ORACLE,),
+    ),
+    # the integer bin clocks of flow._simulate_loop and their fallback
+    Mutant(
+        "flow-bin-clock-carry-dropped", "flow.py",
+        "i += di_carry", "i += di",
+        (FLOW_ORACLE,),
+    ),
+    Mutant(
+        "flow-bin-clock-step-not-reduced", "flow.py",
+        "di % grid, df, den,", "di, df, den,",
+        (FLOW_BIN_CLOCKS,),
+    ),
+    Mutant(
+        "flow-bin-delta-fallback-dropped", "flow.py",
+        "if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:", "if True:",
+        (FLOW_LATTICE_ORACLE,),
+    ),
     Mutant(
         "flow-bin-margin-dropped", "flow.py",
-        "lo, hi = 2 * delta, 1 - 2 * delta", "lo, hi = 0, 1",
-        (FLOW_BIN_EDGES,),
+        "den, num * den // dd + 1", "den, 1",
+        (FLOW_BIN_CLOCKS,),
     ),
     Mutant(
         "flow-bin-upper-margin-dropped", "flow.py",
-        "lo < fx < hi and lo < fy < hi", "lo < fx and lo < fy",
-        (FLOW_BIN_EDGES,),
+        "lo_x <= fx <= hi_x and lo_y <= fy <= hi_y", "lo_x <= fx and lo_y <= fy",
+        (FLOW_BIN_CLOCKS,),
     ),
     Mutant(
         "flow-bin-fallback-clamp-dropped", "flow.py",
-        "                        if i > top_cell:\n                            i = top_cell\n"
-        "                        elif i < 0:",
-        "                        if i < 0:",
+        "                        if pi > top_cell:\n                            pi = top_cell\n"
+        "                        elif pi < 0:",
+        "                        if pi < 0:",
         (FLOW_LATTICE_ORACLE,),
     ),
     Mutant(
         "flow-bin-error-bound-shrunk", "flow.py",
-        "(float(T) + 2) * 2.0**-51", "(float(T) + 2) * 2.0**-53",
+        "(float(T) + 2) * 2.0**-51", "(float(T) + 2) * 2.0**-54",
         (FLOW_BIN_BOUND,),
+    ),
+    # the integer stopping test of directions.DirectionSpec.alpha_enclosure
+    Mutant(
+        "enclosure-reads-q-k-alone", "directions.py",
+        "conv.q(k - 1) * conv.q(k) >= need", "conv.q(k) >= need",
+        (ENCLOSURE,),
     ),
     # criterion.verify traces from its own running point
     Mutant(

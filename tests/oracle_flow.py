@@ -13,8 +13,8 @@ lattice, and the two must produce identical statistics and event logs.
 whole event rule at every event (``_lattice_event_rule``, the event rule
 with the lattice's half-widths and exact division) and finds each event's
 samples by a floor division; ``slittori.flow`` now drives the lattice by
-edge and slit clocks and a running sample clock, and the two must agree
-exactly as well.
+edge and slit clocks, one straight piece per pass, with an integer sample
+clock and integer bin clocks, and the two must agree exactly as well.
 
 ``_run_closed_by_steps`` is the earlier closed-orbit loop of the surface
 validation, which calls ``step_flow`` (a new event rule and state records)

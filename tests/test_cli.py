@@ -967,10 +967,14 @@ def test_simulate_needs_rational_parameter(capsys):
 def test_lattice_exactness_error_exits_two(monkeypatch, capsys):
     from slittori import flow
 
+    # an L without the factor p = 3 of the slope leaves the top-edge period
+    # L q / p a fraction
     orig = flow._lattice_denominator
-    monkeypatch.setattr(flow, "_lattice_denominator", lambda *a: orig(*a) // 2)
+    monkeypatch.setattr(
+        flow, "_lattice_denominator", lambda slope, *a: orig(slope, *a) // slope.numerator
+    )
     code, out, err = run(
-        capsys, "simulate", "--slope", "2/3", "--z", "0,1/4", "--T", "10",
+        capsys, "simulate", "--slope", "3/5", "--z", "0,1/4", "--T", "10",
         "--start", "0,-1/2,1/8,0",
     )
     assert code == 2 and out == ""
