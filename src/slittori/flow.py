@@ -39,15 +39,13 @@ crossing on it; it starts as an exact quotient and moves by integer
 steps at each edge reset, so the rule's slit checks take comparisons
 only.  The loop takes one straight piece (edge reset to edge reset) per
 pass, with its at most one slit crossing inside, and the samples come
-from a sample clock that steps by the integer ds L.  Each sample is
-binned from its exact torus position, (x0 + 1/2 + m ds,
-y0 + 1/2 + slope m ds) mod 1, on two integer bin clocks;
-``_bin_error_bound`` proves a bound delta on the error of the pinned
-per-segment float formula, and only a sample whose exact position lies
-within delta of a bin edge runs that formula, so every bin is the
-pinned formula's.  A
-direction stream is simulated through an exact convergent of its digit
-expansion, chosen so the enclosure of the true slope is narrower than
+from a sample clock that steps by the integer ds L.  Each sample counts
+in the half-open grid cell that holds its exact torus position,
+(x0 + 1/2 + m ds, y0 + 1/2 + slope m ds) mod 1, read off two integer
+bin clocks; a sample at an edge event counts in the cell before the
+reset.  No sample is binned in floats.  A direction stream is simulated
+through an exact convergent of its digit expansion, chosen so the
+enclosure of the true slope is narrower than
 ``2**-SLOPE_PRECISION_BITS``; the simulated orbit is then an exactly
 computed orbit of that nearby rational direction, with no positional
 drift at all.
@@ -466,6 +464,9 @@ DEFAULT_SAMPLE_SPACING = Fraction(1009, 1024)
 # 2 grid^2 cell counters and 2 deck_window + 1 deck bins
 MAX_GRID = 1024
 MAX_DECK_WINDOW = 1 << 20
+# least slope or T ``simulate`` refuses: no float reaches it, and an orbit
+# that long would not finish
+MAX_MAGNITUDE = 1 << 1024
 
 
 def simulate(
@@ -486,12 +487,15 @@ def simulate(
     snapshotted at T/4, T/2 and T.  Event times and positions are exact
     integers on a lattice with one common denominator for the ray (the
     per-event advances sum to exactly T), kept by edge, slit and sample
-    clocks (``_simulate_loop``).  Each sample's cell comes from exact
-    integer bin clocks, and only a sample within a float error bound of a
-    bin edge takes its cell from a float formula re-anchored to the exact
-    position at the last event, which keeps the statistics deterministic
-    and drift-free.  ``grid`` above ``MAX_GRID`` or ``deck_window`` above
-    ``MAX_DECK_WINDOW`` raises ValueError before any counter is allocated.
+    clocks (``_simulate_loop``).  Each sample counts in the half-open cell
+    [k/grid, (k+1)/grid) on each axis that holds its exact position, read
+    off integer bin clocks, except that a sample exactly at an edge event
+    counts in the cell before the reset (grid - 1 on the axis that
+    wraps); so the statistics are exact, deterministic and drift-free.
+    ``grid`` above ``MAX_GRID`` or ``deck_window`` above
+    ``MAX_DECK_WINDOW`` raises ValueError before any counter is allocated,
+    and a slope or T of ``MAX_MAGNITUDE`` (2**1024, past every float) or
+    more raises OverflowError before the lattice is formed.
     """
     slope = Fraction(slope)
     if slope < 0:
@@ -499,6 +503,8 @@ def simulate(
     T = Fraction(T)
     if T <= 0 or grid < 1 or deck_window < 0:
         raise ValueError("T, grid, deck window must be positive")
+    if slope >= MAX_MAGNITUDE or T >= MAX_MAGNITUDE:
+        raise OverflowError("a slope or T of 2**1024 or more is refused")
     if grid > MAX_GRID or deck_window > MAX_DECK_WINDOW:
         raise ValueError(
             f"grid above {MAX_GRID} or deck window above {MAX_DECK_WINDOW} is refused"
@@ -551,50 +557,18 @@ def _lattice_denominator(slope: Fraction, zx: Fraction, zy: Fraction, x0, y0, T)
     return base * (p or 1) * (abs(detn) or 1)
 
 
-def _bin_error_bound(grid: int, slope: Fraction, T: Fraction) -> float:
-    """delta = grid (1 + slope) (T + 2) 2**-51, a bound on how far the
-    pinned float evaluation of a sample's bin coordinates in
-    ``_simulate_loop`` strays from the exact value.
-
-    Sample m sits at time t = m ds <= T.  The pinned formula starts from
-    the cell position (x_c, y_c) of an anchor at time sigma <= t on the
-    same straight piece, so seg = t - sigma <= 1 and slope seg <= 1; its
-    exact bin coordinates are (x_c + 1/2 + seg) grid and
-    (y_c + 1/2 + slope seg) grid.  With u = 2**-53, a correctly rounded
-    operation with result r errs by at most |r| u; terms of order u**2
-    are left out below.  fl(x_c), fl(sigma) and fl(m fl(ds)) err by u/2,
-    T u and 2 T u, so fl(seg) by (3 T + 1) u; adding x_f, adding 0.5 and
-    scaling by grid give grid (3 T + 4) u for x.  For y, fl(slope) errs
-    by slope u, so the product by slope (3 T + 1) u + 2 u, and the rest
-    as for x: grid (slope (3 T + 1) + 5) u.
-
-    Both are at most grid (1 + slope) (3 T + 5) u, and delta =
-    grid (1 + slope) (4 T + 8) u leaves grid (1 + slope) (T + 3) u for the
-    order-u**2 terms and for the rounding of delta itself.  m is an exact
-    float, as m <= T / ds + 1 < 2**53 wherever delta < 1/2 (a larger
-    delta leaves no fractional part more than delta from 0 and 1, so
-    every sample takes the pinned formula).  So if an exact coordinate's
-    fractional part lies more than delta from 0 and from 1, the pinned
-    float lies strictly inside the same bin, and its clamp does nothing.
-    """
-    return grid * (1 + float(slope)) * (float(T) + 2) * 2.0**-51
-
-
-def _bin_clock(a: Fraction, b: Fraction, grid: int, delta: float):
+def _bin_clock(a: Fraction, b: Fraction, grid: int):
     """The integer clock of the bin coordinate (a + m b) grid mod grid of
     sample m, for 0 <= a < 1 and b >= 0.
 
-    Returns (i, f, di, df, den, lo): sample 0's bin i and fractional part
-    f / den, the step di + df / den with di reduced mod grid, and the
-    least integer lo > delta den, so a fractional part f / den lies more
-    than delta from 0 and from 1 exactly when lo <= f <= den - lo.
+    Returns (i, f, di, df, den): sample 0's bin i and fractional part
+    f / den, and the step di + df / den with di reduced mod grid.
     """
     a, b = a * grid, b * grid
     den = math.lcm(a.denominator, b.denominator)
     i, f = divmod(a.numerator * (den // a.denominator), den)
     di, df = divmod(b.numerator * (den // b.denominator), den)
-    num, dd = delta.as_integer_ratio()
-    return i, f, di % grid, df, den, num * den // dd + 1
+    return i, f, di % grid, df, den
 
 
 def _simulate_loop(model, slope, T, start, stats, event_log=None):
@@ -633,7 +607,7 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     the sample clock ``m_clock`` by ds L per sample.  The position is
     read off two more integers, X = x_base + s and Y = y_base + p s, whose
     bases move by -L and -Lq at the resets; it is formed only for the
-    pinned formula and the event log.  ``_exact_div`` checks the first
+    event log.  ``_exact_div`` checks the first
     top time, the top period, t_line and its two steps at the start, and
     raises LatticeExactnessError rather than floor.
 
@@ -653,34 +627,24 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     A segment (s, b] holds the samples with m_clock <= b (t = 0 falls in
     the first segment).
 
-    A sample's bins are those of the pinned per-segment formula: from the
-    segment start's x = X / L, y = Y / (L q) and s / L (-0.5 at a reset
-    coordinate; Python's int true division is correctly rounded, so these
-    equal ``float`` of the Fractions bit for bit), x + (m ds - s / L) and
-    y + slope (m ds - s / L) are scaled to the grid, truncated and
-    clamped.  The loop reaches the same bins exactly from m alone: the
-    cell position of sample m is (x0 + 1/2 + m ds, y0 + 1/2 + slope m ds)
-    mod 1, as an edge wraps by 1 and a slit crossing moves no point.  Its
-    bin coordinates run on two integer clocks (``_bin_clock``), each a
-    bin and the numerator of its fractional part; a sample adds the step,
-    carries 1 into the bin when the fractional part passes 1, and
-    subtracts grid once when the bin passes grid - 1.  Off the bin edges
-    the pinned formula's exact value, taken from an anchor on the same
-    piece, is the clock's, and its float strays from it by at most delta
-    (``_bin_error_bound``); so when both exact fractional parts lie more
-    than delta from 0 and from 1 it lands in the clocks' bins and is
-    skipped.  Otherwise (a
-    sample on or next to a bin edge, such as one at an edge event, whose
-    clamp keeps the cell before the reset) the pinned formula runs, with
-    its clamps.  The event log and ``total_advance`` are formatted from
-    Fraction(s, L).
+    A sample counts in the half-open cell [k/grid, (k+1)/grid) on each
+    axis that holds its exact cell position, (x0 + 1/2 + m ds,
+    y0 + 1/2 + slope m ds) mod 1, as an edge wraps by 1 and a slit
+    crossing moves no point.  Its bin coordinates run on two integer
+    clocks (``_bin_clock``), each a bin and the numerator of its
+    fractional part; a sample adds the step, carries 1 into the bin when
+    the fractional part passes 1, and subtracts grid once when the bin
+    passes grid - 1.  The one exception is a sample at its piece's own
+    edge event (m_clock = e): it lies on the edge that the reset wraps to
+    0, and it counts in the cell before the reset, grid - 1 on x at a
+    right edge, on y at a top edge and on both at a corner.  The event
+    log and ``total_advance`` are formatted from Fraction(s, L).
     """
     x0, y0 = Fraction(start.x), Fraction(start.y)
     p, q = slope.numerator, slope.denominator
     L = _lattice_denominator(slope, model.zx, model.zy, x0, y0, T)
     Lq = L * q
     hx, hy = L // 2, Lq // 2
-    x_reset, y_reset = -hx, -hy  # the left and bottom edge
     zx, zy = _scale(model.zx, L), _scale(model.zy, Lq)
     w = DECK_WEIGHTS
     X, Y = _scale(x0, L), _scale(y0, Lq)
@@ -700,16 +664,13 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
     t_line, line_dx, line_dy = (_exact_div(v, det) for v in line) if det else line
     x_base, y_base = X, Y
     ds = DEFAULT_SAMPLE_SPACING
-    ds_f, slope_f = float(ds), float(slope)
     m_step = _scale(ds, L)
     m = m_clock = 0  # the next sample's index and lattice time m ds L
     grid = stats.grid
     top_cell = grid - 1
-    delta = _bin_error_bound(grid, slope, T)
-    i, fx, di, dfx, den_x, lo_x = _bin_clock(x0 + _HALF, ds, grid, delta)
-    j, fy, dj, dfy, den_y, lo_y = _bin_clock(y0 + _HALF, slope * ds, grid, delta)
+    i, fx, di, dfx, den_x = _bin_clock(x0 + _HALF, ds, grid)
+    j, fy, dj, dfy, den_y = _bin_clock(y0 + _HALF, slope * ds, grid)
     di_carry, dj_carry = di + 1, dj + 1
-    hi_x, hi_y = den_x - lo_x, den_y - lo_y
     # sample indices of the T/4, T/2 and T snapshots, then one past every sample
     snaps = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
     snaps.append(snaps[-1] + 1)
@@ -742,26 +703,10 @@ def _simulate_loop(model, slope, T, start, stats, event_log=None):
             while True:
                 # samples in (s, bound]
                 while m_clock <= bound:
-                    if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:
-                        rows[i][j] += 1
+                    if m_clock == e:  # on the piece's edge: the cell before the reset
+                        rows[top_cell if right else i][top_cell if top else j] += 1
                     else:
-                        # within delta of a bin edge: the pinned formula from the anchor
-                        X = x_base + s
-                        Y = y_base + p * s
-                        x_f = -0.5 if X == x_reset else X / L
-                        y_f = -0.5 if Y == y_reset else Y / Lq
-                        seg = m * ds_f - s / L
-                        pi = int((x_f + seg + 0.5) * grid)
-                        pj = int((y_f + slope_f * seg + 0.5) * grid)
-                        if pi > top_cell:
-                            pi = top_cell
-                        elif pi < 0:
-                            pi = 0
-                        if pj > top_cell:
-                            pj = top_cell
-                        elif pj < 0:
-                            pj = 0
-                        rows[pi][pj] += 1
+                        rows[i][j] += 1
                     if m >= next_snap:
                         stats.samples = m + 1
                         while m >= snaps[0]:

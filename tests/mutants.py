@@ -82,9 +82,9 @@ FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
 FLOW_LATTICE_ORACLE = "tests/test_flow.py::test_simulate_matches_lattice_oracle"
 FLOW_SINGULAR = "tests/test_flow.py::test_simulate_singular_orbit_flagged"
 FLOW_BOUNDED = "tests/test_flow.py::test_event_count_is_bounded"
-FLOW_BIN_BOUND = "tests/test_flow.py::test_bin_error_bound_holds"
 FLOW_BIN_EDGES = "tests/test_flow.py::test_simulate_bins_on_bin_edges_match_oracle"
 FLOW_BIN_CLOCKS = "tests/test_flow.py::test_bin_clocks_match_oracle"
+FLOW_EDGE_SAMPLES = "tests/test_flow.py::test_edge_samples_by_hand"
 FLOW_BILLIARD = "tests/test_flow.py::test_simulate_matches_billiard_oracle"
 ENCLOSURE = "tests/test_directions.py::test_alpha_enclosure_matches_oracle"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
@@ -436,7 +436,7 @@ CATALOGUE = (
         "m_step = _scale(ds, L)", "m_step = _scale(ds, L) + 1",
         (FLOW_LATTICE_ORACLE,),
     ),
-    # the integer bin clocks of flow._simulate_loop and their fallback
+    # the integer bin clocks of flow._simulate_loop and the edge-event sample
     Mutant(
         "flow-bin-clock-carry-dropped", "flow.py",
         "i += di_carry", "i += di",
@@ -444,35 +444,24 @@ CATALOGUE = (
     ),
     Mutant(
         "flow-bin-clock-step-not-reduced", "flow.py",
-        "di % grid, df, den,", "di, df, den,",
+        "di % grid, df, den", "di, df, den",
         (FLOW_BIN_CLOCKS,),
     ),
     Mutant(
-        "flow-bin-delta-fallback-dropped", "flow.py",
-        "if lo_x <= fx <= hi_x and lo_y <= fy <= hi_y:", "if True:",
-        (FLOW_LATTICE_ORACLE,),
+        "flow-bin-edge-sample-counted-below", "flow.py",
+        "if fy >= den_y:", "if fy > den_y:",
+        (FLOW_BIN_EDGES,),
     ),
     Mutant(
-        "flow-bin-margin-dropped", "flow.py",
-        "den, num * den // dd + 1", "den, 1",
-        (FLOW_BIN_CLOCKS,),
+        "flow-edge-sample-counted-in-wrapped-cell", "flow.py",
+        "if m_clock == e:", "if False:",
+        (FLOW_EDGE_SAMPLES,),
     ),
     Mutant(
-        "flow-bin-upper-margin-dropped", "flow.py",
-        "lo_x <= fx <= hi_x and lo_y <= fy <= hi_y", "lo_x <= fx and lo_y <= fy",
-        (FLOW_BIN_CLOCKS,),
-    ),
-    Mutant(
-        "flow-bin-fallback-clamp-dropped", "flow.py",
-        "                        if pi > top_cell:\n                            pi = top_cell\n"
-        "                        elif pi < 0:",
-        "                        if pi < 0:",
-        (FLOW_LATTICE_ORACLE,),
-    ),
-    Mutant(
-        "flow-bin-error-bound-shrunk", "flow.py",
-        "(float(T) + 2) * 2.0**-51", "(float(T) + 2) * 2.0**-54",
-        (FLOW_BIN_BOUND,),
+        "flow-edge-sample-roles-swapped", "flow.py",
+        "rows[top_cell if right else i][top_cell if top else j]",
+        "rows[top_cell if top else i][top_cell if right else j]",
+        (FLOW_EDGE_SAMPLES,),
     ),
     # the integer stopping test of directions.DirectionSpec.alpha_enclosure
     Mutant(

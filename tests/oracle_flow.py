@@ -8,6 +8,12 @@ divides to get the slit parameter t.
 ``_simulate_loop`` is the earlier ``simulate`` loop, which runs the event
 rule on Fractions; ``slittori.flow`` now runs it on a scaled integer
 lattice, and the two must produce identical statistics and event logs.
+Both oracle loops bin a sample by the per-segment formula
+(``_anchored_bins``): from the exact cell position at the segment's
+start, advanced to the sample's time in Fractions, with the bin at the
+segment's closing edge event clamped to grid - 1.  ``slittori.flow``
+reads the same bins off two integer bin clocks that never look at a
+segment, so the two derivations stay independent.
 
 ``_lattice_simulate_loop`` is the earlier lattice loop, which calls the
 whole event rule at every event (``_lattice_event_rule``, the event rule
@@ -96,6 +102,18 @@ def _next_event(model, state, dx, dy):
     return s_min, kind
 
 
+def _anchored_bins(x, y, seg, slope, grid):
+    """The bins of the cell point (x, y) + seg (1, slope) of one segment,
+    floor((v + 1/2) grid) per coordinate v, in exact Fractions.  A segment
+    ends at or before its edge event, so v + 1/2 lies in [0, 1] and is 1
+    only at that event, whose bin is clamped to the cell before the
+    reset, grid - 1."""
+    top = grid - 1
+    i = math.floor((x + seg + _HALF) * grid)
+    j = math.floor((y + slope * seg + _HALF) * grid)
+    return min(i, top), min(j, top)
+
+
 def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     half = _HALF
     next_event = _event_rule(model.zx, model.zy, 1, slope)
@@ -103,8 +121,6 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
     x, y = Fraction(start.x), Fraction(start.y)
     sheet, deck = start.sheet, start.deck
     s_done = Fraction(0)
-    slope_f = float(slope)
-    ds_f = float(ds)
     grid = stats.grid
     m = 0  # next sample index (sample times are m * ds, t = 0 included)
     snapshot_ms = [_ceil_div(T / 4 / ds), _ceil_div(T / 2 / ds), _ceil_div(T / ds)]
@@ -123,34 +139,19 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
 
             # samples in (s_done, s_end] (plus t = 0 on the first segment)
             hi = math.floor(s_end / ds)
-            if m <= hi:
-                x_f, y_f = float(x), float(y)
-                s_done_f = float(s_done)
-                while m <= hi:
-                    seg = m * ds_f - s_done_f
-                    xs = x_f + seg
-                    ys = y_f + slope_f * seg
-                    i = int((xs + 0.5) * grid)
-                    j = int((ys + 0.5) * grid)
-                    if i > grid - 1:
-                        i = grid - 1
-                    elif i < 0:
-                        i = 0
-                    if j > grid - 1:
-                        j = grid - 1
-                    elif j < 0:
-                        j = 0
-                    cells[sheet][i][j] += 1
-                    if -N <= deck <= N:
-                        deck_counts[deck + N] += 1
-                    else:
-                        stats.deck_overflow += 1
-                    stats.samples += 1
-                    while snap_i < 3 and m >= snapshot_ms[snap_i]:
-                        stats.discrepancy.append(stats.current_discrepancy())
-                        stats.snapshot_samples.append(stats.samples)
-                        snap_i += 1
-                    m += 1
+            while m <= hi:
+                i, j = _anchored_bins(x, y, m * ds - s_done, slope, grid)
+                cells[sheet][i][j] += 1
+                if -N <= deck <= N:
+                    deck_counts[deck + N] += 1
+                else:
+                    stats.deck_overflow += 1
+                stats.samples += 1
+                while snap_i < 3 and m >= snapshot_ms[snap_i]:
+                    stats.discrepancy.append(stats.current_discrepancy())
+                    stats.snapshot_samples.append(stats.samples)
+                    snap_i += 1
+                m += 1
 
             # apply the event exactly
             x = x + s_adv
@@ -238,10 +239,10 @@ def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
     * the final cut T L is an integer, because den T divides L.
 
     ``_exact_div`` checks this at every event and raises
-    LatticeExactnessError rather than floor.  Samples read X / L,
-    Y / (L q) and S / L; Python's int true division is correctly
-    rounded, so these equal ``float`` of the Fractions bit for bit.  The
-    event log and ``total_advance`` are formatted from Fraction(S, L).
+    LatticeExactnessError rather than floor.  Samples are binned by
+    ``_anchored_bins`` from the segment start Fraction(X, L),
+    Fraction(Y, L q) at time Fraction(S, L).  The event log and
+    ``total_advance`` are formatted from Fraction(S, L).
     """
     x0, y0 = Fraction(start.x), Fraction(start.y)
     p, q = slope.numerator, slope.denominator
@@ -253,9 +254,7 @@ def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
     X, Y = _scale(x0, L), _scale(y0, Lq)
     sheet, deck = start.sheet, start.deck
     s_done, s_total = 0, _scale(T, L)
-    slope_f = float(slope)
     ds = DEFAULT_SAMPLE_SPACING
-    ds_f = float(ds)
     ds_den, ds_L = ds.denominator, ds.numerator * L  # ds L = ds_L / ds_den
     grid = stats.grid
     m = 0  # next sample index (sample times are m * ds, t = 0 included)
@@ -276,22 +275,9 @@ def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
             # samples in (s_done, s_end] (plus t = 0 on the first segment)
             hi = s_end * ds_den // ds_L
             if m <= hi:
-                x_f, y_f = X / L, Y / Lq
-                s_done_f = s_done / L
+                x, y, s = Fraction(X, L), Fraction(Y, Lq), Fraction(s_done, L)
                 while m <= hi:
-                    seg = m * ds_f - s_done_f
-                    xs = x_f + seg
-                    ys = y_f + slope_f * seg
-                    i = int((xs + 0.5) * grid)
-                    j = int((ys + 0.5) * grid)
-                    if i > grid - 1:
-                        i = grid - 1
-                    elif i < 0:
-                        i = 0
-                    if j > grid - 1:
-                        j = grid - 1
-                    elif j < 0:
-                        j = 0
+                    i, j = _anchored_bins(x, y, m * ds - s, slope, grid)
                     cells[sheet][i][j] += 1
                     if -N <= deck <= N:
                         deck_counts[deck + N] += 1

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,19 @@ def test_simulate_refuses_grid_and_deck_above_cap(quarter_model, monkeypatch):
     for kwargs in ({"grid": flow.MAX_GRID + 1}, {"deck_window": flow.MAX_DECK_WINDOW + 1}):
         with pytest.raises(ValueError, match="is refused"):
             simulate(quarter_model, Fraction(1, 3), 10, **kwargs)
+
+
+@pytest.mark.parametrize("slope, T", [
+    (Fraction(1, 3), Fraction(10**400)),
+    (Fraction(10**400), Fraction(10)),
+    (Fraction(1, 3), Fraction(2**1024)),
+])
+def test_simulate_refuses_a_slope_or_T_past_every_float(quarter_model, slope, T):
+    # an orbit that long would never finish, so it is refused before it starts
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="2\\*\\*1024 or more is refused"):
+        simulate(quarter_model, slope, T)
+    assert time.perf_counter() - start < 1
 
 
 def _reference_slope(spec, precision_bits):
@@ -597,7 +611,7 @@ def test_simulate_matches_oracle():
 
 def test_bin_clocks_match_oracle():
     """``simulate`` on its integer bin clocks against the Fraction loop of
-    ``oracle_flow``, whose bins all come from the pinned per-segment
+    ``oracle_flow``, whose bins all come from the exact per-segment
     formula: summary, cell counts, deck counts and event log on 230 seeded
     rays.
 
@@ -605,18 +619,20 @@ def test_bin_clocks_match_oracle():
     with slope 0, slopes of 1 and above, small slopes and fractional T;
     rays aimed at a cone point or along the slit line; rays whose start
     height puts one sample 10**-20 below or above a horizontal bin edge,
-    where the pinned float may land across the edge from the exact value;
-    and left-edge starts at grid 1024, where every sample's x coordinate
-    lies on a bin edge.  The tallies check that each case was exercised,
-    and that on some near-edge ray the pinned bins are not the exact ones,
-    so a loop that skipped the pinned formula there would fail.
+    where a float may land across the edge from the exact value; and
+    left-edge starts at grid 1024, where every sample's x coordinate lies
+    on a bin edge.  The tallies check that each case was exercised, and
+    that on some near-edge ray a float evaluation of the bin rows,
+    fl(A) + m fl(B) (the loop's bins before its integer bin clocks), is
+    not the exact one, so a loop that binned those samples in floats
+    would fail.
     """
     import oracle_flow as oracle
     from slittori.flow import DEFAULT_SAMPLE_SPACING as ds
     from slittori.flow import OrbitStats
 
     rng = random.Random(3232)
-    seen = {"rays": 0, "grids": set(), "steep": 0, "slope0": 0, "reasons": set(), "pinned": 0}
+    seen = {"rays": 0, "grids": set(), "steep": 0, "slope0": 0, "reasons": set(), "floats": 0}
 
     def check(model, slope, T, start, grid=8, deck_window=16):
         log, want_log = io.StringIO(), io.StringIO()
@@ -689,14 +705,14 @@ def test_bin_clocks_match_oracle():
         x0 = Fraction(rng.randrange(1, 7), 7) - H  # clear of the vertical bin edges
         start = CoverState(rng.randrange(2), x0, y0, 0)
         got = check(quarter, slope, m * ds + Fraction(rng.randint(1, 8), 3), start, grid=grid)
-        # the pinned formula's bin rows against the exact ones, floor(v) of
-        # each sample's exact height v: no sample meets an edge event here
-        exact = [0] * grid
+        # float bin rows against the exact ones, floor(v) of each sample's
+        # exact height v: no sample meets an edge event here
+        a, b = float((y0 + H) * grid), float(slope * ds * grid)
+        exact, floats = [0] * grid, [0] * grid
         for k in range(got.samples):
             exact[math.floor((y0 + H + slope * k * ds) * grid) % grid] += 1
-        pinned = [sum(rows[i][j] for rows in got.cell_counts for i in range(grid))
-                  for j in range(grid)]
-        seen["pinned"] += pinned != exact
+            floats[math.floor(a + k * b) % grid] += 1
+        seen["floats"] += floats != exact
 
     spec = direction_stream(RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule())
     for slope in (slope_from_spec(spec), Fraction(7, 5)):
@@ -705,7 +721,7 @@ def test_bin_clocks_match_oracle():
         check(quarter, slope, Fraction(rng.randint(60, 120), 2), start, grid=1024)
 
     assert seen["rays"] >= 200 and seen["grids"] == {3, 8, 64, 1024}, seen
-    assert seen["steep"] and seen["slope0"] and seen["pinned"], seen
+    assert seen["steep"] and seen["slope0"] and seen["floats"], seen
     assert {"", "orbit hits a cone point", "orbit runs along the slit line"} <= seen["reasons"]
 
 
@@ -790,10 +806,22 @@ def test_simulate_matches_billiard_oracle():
     meet a barrier tip on its next straight piece, within one time unit
     of its last row, and a complete orbit must meet none up to T.
 
+    Every sample's cell must be that of the table point at its time
+    t = m ds, for m ds up to the last row's time.  The point maps back to
+    the cover cell by hand: sheet 0 where the arrival vx is +1, and the
+    cell position shifted by 1/2 is ((vx x + 1/2) mod 1, (+-y + 1/2) mod 1)
+    with the sign of vy (of the start height for slope 0).  Each coordinate
+    counts in its half-open grid bin, or in grid - 1 where it is 0 at
+    t > 0 (with a nonzero slope for y): there the table sits on a
+    half-integer x or on the wall y = 1/2, the unfolded orbit's edge
+    event.  The cells must equal ``cell_counts`` exactly.
+
     The rays are one flow-cli-shaped ray per lambda (the spec's 32-bit
     convergent, a left-edge start at a height with denominator 1,000,003,
-    either sheet, deck -3..3, fractional T) and small-denominator slopes
-    aimed at a barrier tip after a few wraps.
+    either sheet, deck -3..3, fractional T), small-denominator slopes
+    aimed at a barrier tip after a few wraps, and the three rays of
+    ``test_edge_samples_by_hand`` whose second sample meets a right-edge,
+    top-edge and corner event (the only edge-event samples here).
     """
     import oracle_billiard
 
@@ -811,16 +839,25 @@ def test_simulate_matches_billiard_oracle():
         n, sgn = rng.randint(0, 3), rng.choice((1, -1))
         y0 = mod_half_open(sgn * lam - (n + H) * slope)  # the tip sgn lam after n wraps
         rays.append((lam, slope, Fraction(n + 2), CoverState(rng.randrange(2), -H, y0, 0)))
+    ds, grid = flow.DEFAULT_SAMPLE_SPACING, 8
+    # sample 1 at a right-edge, a top-edge and a corner event
+    quarter = Fraction(1, 4)
+    rays += [
+        (quarter, Fraction(0), ds, CoverState(0, H - ds, Fraction(-3, 8), 0)),
+        (quarter, Fraction(1), ds, CoverState(0, Fraction(0), H - ds, 0)),
+        (quarter, Fraction(2), ds, CoverState(0, H - ds, Fraction(-482, 1024), 0)),
+    ]
 
     weights = (1, -1)  # written out, not read from flow.DECK_WEIGHTS
-    stopped = returns = 0
+    stopped = returns = edge_events = 0
     for lam, slope, T, start in rays:
         case = (lam, slope, T, start)
         log = io.StringIO()
         stats = simulate(build_surface((Fraction(0), lam)), slope, T, start=start, event_log=log)
         w = weights[start.sheet]
-        table = oracle_billiard.Billiard(lam, start.deck + w * start.x, abs(start.y), w,
-                                         slope if start.y >= 0 else -slope)
+        at_start = (lam, start.deck + w * start.x, abs(start.y), w,
+                    slope if start.y >= 0 else -slope)
+        table = oracle_billiard.Billiard(*at_start)
         for row in log.getvalue().splitlines():
             t, _kind, sheet, x, y, deck = row.split(",")
             w = weights[int(sheet)]
@@ -840,92 +877,52 @@ def test_simulate_matches_billiard_oracle():
         # an entry at T itself comes after the final cut
         assert stats.deck_zero_returns == sum(t < T for t in table.entries), case
         returns += stats.deck_zero_returns
-    assert 0 < stopped < len(rays) and returns > 0, (stopped, returns)
 
-
-def test_bin_error_bound_holds(quarter_slope):
-    """The pinned float evaluation of a sample's bin coordinates in
-    ``simulate`` lies within ``flow._bin_error_bound`` of the exact
-    coordinates.
-
-    Seeded rays at grid 3, 8 and 1024, slope 0, slopes above 1 and a
-    32-bit convergent, with T up to 1e6 (the first and last samples of
-    each ray).  The pinned float is the loop's per-segment formula from
-    the last edge event before t = m ds, and the exact coordinates
-    ((x_c + 1/2 + t - sigma) grid and (y_c + 1/2 + slope (t - sigma)) grid
-    from that event's cell position (x_c, y_c) and time sigma) are
-    Fractions.  The loop also anchors at slit crossings, which move no
-    point: the exact value is the same and the bound's proof covers any
-    anchor on the straight piece.  Some samples lie exactly on a bin edge
-    (counted with Fractions), where no float can decide the bin, and the
-    largest error comes within a factor 8 of delta, so a delta 8 times
-    smaller would fail here.
-    """
-    from slittori.flow import DEFAULT_SAMPLE_SPACING as ds
-
-    rng = random.Random(28)
-    ds_f = float(ds)
-    on_edge = checked = 0
-    worst = Fraction(0)
-
-    def last_edge(c0, rate, t):  # time of the last edge event before t, or 0
-        k = math.ceil(c0 + H + rate * t) - 1  # edges passed strictly before t
-        return (k - c0 - H) / rate if rate and k >= 1 else Fraction(0)
-
-    slopes = (Fraction(0), Fraction(355, 113), Fraction(rng.randint(13, 40), rng.randint(1, 12)),
-              quarter_slope)
-    for grid in (3, 8, 1024):
-        for slope in slopes:
-            for T in (Fraction(rng.randint(50, 400), rng.randint(1, 3)), Fraction(10**6)):
-                x0 = -H if rng.random() < 0.5 else Fraction(rng.randrange(-50, 50), 100)
-                y0 = Fraction(rng.randrange(-500, 500), 1000)
-                delta = flow._bin_error_bound(grid, slope, T)
-                slope_f = float(slope)
-                last = math.floor(T / ds)
-                ends = {*range(min(last, 150) + 1), *range(max(0, last - 150), last + 1)}
-                for m in sorted(ends):
-                    t = m * ds
-                    sigma = max(last_edge(x0, 1, t), last_edge(y0, slope, t))
-                    x_c, y_c = mod_half_open(x0 + sigma), mod_half_open(y0 + slope * sigma)
-                    seg = m * ds_f - float(sigma)
-                    pairs = (
-                        ((float(x_c) + seg + 0.5) * grid, (x_c + H + t - sigma) * grid),
-                        ((float(y_c) + slope_f * seg + 0.5) * grid,
-                         (y_c + H + slope * (t - sigma)) * grid),
-                    )
-                    for got, exact in pairs:
-                        err = abs(Fraction(got) - exact)
-                        assert err <= delta, (grid, slope, T, x0, y0, m, got, exact)
-                        worst = max(worst, err / Fraction(delta))
-                    on_edge += any(exact.denominator == 1 for _, exact in pairs)
-                    checked += 1
-    assert on_edge > 0 and checked > on_edge, (on_edge, checked)
-    assert worst > Fraction(1, 8), float(worst)
+        table, flat_sign = oracle_billiard.Billiard(*at_start), 1 if start.y >= 0 else -1
+        cells = [[[0] * grid for _ in range(grid)] for _ in range(2)]
+        # an orbit stopped on its first straight piece takes no sample, not even t = 0
+        for m in range(math.floor(t_last / ds) + 1 if t_last else 0):
+            table.run_to(m * ds)
+            u = (table.vx_in * table.x + H) % 1
+            v = (((table.vy > 0) - (table.vy < 0) or flat_sign) * table.y + H) % 1
+            at_x, at_y = m and u == 0, m and slope and v == 0
+            i = grid - 1 if at_x else math.floor(u * grid)
+            j = grid - 1 if at_y else math.floor(v * grid)
+            cells[weights.index(table.vx_in)][i][j] += 1
+            edge_events += bool(at_x or at_y)
+        assert cells == stats.cell_counts, case
+    assert 0 < stopped < len(rays) and returns > 0 and edge_events == 3, (
+        stopped, returns, edge_events)
 
 
 def test_simulate_bins_on_bin_edges_match_oracle(quarter_model):
-    """Samples exactly on a bin edge get the bins of the per-segment
-    formula.
+    """A sample exactly on a bin edge counts in the cell above the edge,
+    and a sample at a top-edge event in the cell below it, grid - 1.
 
-    At grid 64, slopes a/3 and a/9 and start heights on the 1/192 lattice
-    put some samples exactly on a horizontal bin edge, where a float such
-    as fl(A) + m fl(B) (the loop's bins before its integer bin clocks) is
-    inexact and may fall on either side of the edge.  Starts at
-    x0 = k/7 - 1/2 keep the x coordinate off every vertical bin edge.  The
-    loop must run the pinned formula on those samples, as the per-event
-    lattice loop of ``oracle_flow`` does on every sample.  The samples on
-    a bin edge whose float fl(A) + m fl(B) is inexact are counted with
-    Fractions.
+    At grid 64, slopes a/3 and a/9 put some samples exactly on a
+    horizontal bin edge: from start heights on the 1/192 lattice, or from
+    heights that put sample m0 at a top-edge event, whose later samples
+    lie on a bin edge when 48 or 144 divides a (m - m0).  Starts at
+    x0 = k/7 - 1/2 keep the x coordinate off every vertical bin edge.  ``simulate`` must match the exact lattice
+    loop of ``oracle_flow``, and its bin rows must be floor(v) mod grid of
+    each sample's exact scaled height v, or grid - 1 where v is a positive
+    multiple of grid.  On some samples exactly on an interior edge a float
+    fl(A) + m fl(B) (the loop's bins before its integer bin clocks) is
+    inexact and may fall on either side of the edge; those samples and the
+    edge events are counted with Fractions.
     """
     import oracle_flow as oracle
     from slittori.flow import DEFAULT_SAMPLE_SPACING as ds
     from slittori.flow import OrbitStats
 
     rng = random.Random(2801)
-    grid, inexact = 64, 0
-    for _ in range(16):
+    grid, inexact, events = 64, 0, 0
+    for n in range(16):
         slope = Fraction(rng.randint(1, 20), rng.choice((3, 9)))
-        y0 = Fraction(rng.randrange(3 * grid), 3 * grid) - H
+        if n % 2:
+            y0 = Fraction(rng.randrange(3 * grid), 3 * grid) - H
+        else:
+            y0 = mod_half_open(H - slope * rng.randint(1, 60) * ds)
         start = CoverState(rng.randrange(2), Fraction(rng.randrange(1, 7), 7) - H, y0, 0)
         T = Fraction(rng.randint(100, 200))
         got = simulate(quarter_model, slope, T, grid=grid, start=start)
@@ -936,10 +933,64 @@ def test_simulate_bins_on_bin_edges_match_oracle(quarter_model):
         assert got.summary() == want.summary(), case
         assert got.cell_counts == want.cell_counts, case
         ay, by = float((y0 + H) * grid), float(slope * ds * grid)
-        for m in range(math.floor(T / ds) + 1):
+        rows = [0] * grid
+        for m in range(got.samples):
             vy = (y0 + H + slope * m * ds) * grid
+            at_event = m > 0 and vy % grid == 0
+            rows[grid - 1 if at_event else math.floor(vy) % grid] += 1
+            events += at_event
             inexact += vy.denominator == 1 and Fraction(ay + m * by) != vy
-    assert inexact >= 10, inexact
+        assert rows == [sum(sheet[i][j] for sheet in got.cell_counts for i in range(grid))
+                        for j in range(grid)], case
+    assert inexact >= 10 and events > 0, (inexact, events)
+
+
+def _occupied(stats):
+    return {(sheet, i, j): count for sheet, rows in enumerate(stats.cell_counts)
+            for i, row in enumerate(rows) for j, count in enumerate(row) if count}
+
+
+def test_edge_samples_by_hand(quarter_model):
+    """Hand-computed cells at grid 8 of samples on a bin edge and at an
+    edge event.
+
+    A flow-cli ray (lambda = 1/4, default digit rule, a left-edge start
+    at height 193705/2000006 on sheet 0, deck -1) puts sample 384 at
+    x + 1/2 = 384 ds - 378 = 3/8, exactly on the edge between x cells 2
+    and 3, and at the scaled height 552.06 (y cell 0); the float formula
+    of earlier versions rounded it into cell 2.  Cutting the ray just
+    before that sample and at it leaves the sample's cell as the
+    difference.
+
+    Then three rays of two samples, with ds = 1009/1024 and the quarter
+    slit, each with sample 1 at an edge event, which counts in the cell
+    before the reset:
+
+    * slope 0 from (1/2 - ds, -3/8): sample 0 at x + 1/2 = 15/1024 and
+      exactly on the y edge 1/8, cell (0, 1); sample 1 at the right edge,
+      (7, 1), not the wrapped (0, 1);
+    * slope 1 from (0, 1/2 - ds): sample 0 in (4, 0), on the x edge 1/2;
+      a right-edge reset at t = 1/2, then sample 1 at the top edge with
+      x + 1/2 = 497/1024, (3, 7), not the wrapped (3, 0);
+    * slope 2 from (1/2 - ds, -482/1024): sample 0 in (0, 0); a top-edge
+      reset at x = 0, off the slit, then sample 1 at the corner, (7, 7).
+    """
+    ds = flow.DEFAULT_SAMPLE_SPACING
+    spec = direction_stream(RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule())
+    start = CoverState(0, -H, Fraction(193705, 2000006), -1)
+    model, slope = build_surface(spec.z0), slope_from_spec(spec)
+    before = _occupied(simulate(model, slope, 383 * ds + ds / 2, start=start))
+    at = _occupied(simulate(model, slope, 384 * ds, start=start))
+    moved = {cell: n - before.get(cell, 0) for cell, n in at.items() if n != before.get(cell, 0)}
+    assert moved == {(0, 3, 0): 1}
+
+    cases = [
+        (Fraction(0), CoverState(0, H - ds, Fraction(-3, 8), 0), {(0, 0, 1): 1, (0, 7, 1): 1}),
+        (Fraction(1), CoverState(0, Fraction(0), H - ds, 0), {(0, 4, 0): 1, (0, 3, 7): 1}),
+        (Fraction(2), CoverState(0, H - ds, Fraction(-482, 1024), 0), {(0, 0, 0): 1, (0, 7, 7): 1}),
+    ]
+    for slope, start, want in cases:
+        assert _occupied(simulate(quarter_model, slope, ds, start=start)) == want, slope
 
 
 @pytest.mark.parametrize("grid, samples", [(3, 0), (3, 40), (8, 500), (64, 30_000), (1024, 50_000)])
