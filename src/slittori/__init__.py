@@ -66,7 +66,6 @@ from .flow import (
     cover_to_billiard,
     simulate,
     slope_from_spec,
-    step_flow,
 )
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from .dimension import DimensionProblem, dimension_certificate
 from .directions import DigitRule, DirectionSpec
 from .exact import ExactScalar, parse_scalar
 from .flow import (
+    DECK_RULE,
     SLOPE_PRECISION_BITS,
     BilliardState,
     CoverState,
@@ -337,7 +338,7 @@ def cmd_simulate(args) -> int:
     summary = stats.summary()
     if args.spec is not None:  # the slope is the spec's convergent within 2**-bits
         summary["precision_bits"] = SLOPE_PRECISION_BITS
-    summary["deck_rule"] = model.validation.as_dict()
+    summary["deck_rule"] = DECK_RULE
     _emit(summary)
     return 0 if not stats.terminated_early else 1
 

@@ -11,32 +11,45 @@ The infinite cyclic cover that models the barrier billiard unwinds the
 horizontal direction with *opposite* orientation on the two sheets: a
 rightward wrap through the vertical edge shifts the deck index by +1 on
 sheet 0 and by -1 on sheet 1.  That rule is the constant
-``DECK_WEIGHTS``, and every stepper and both billiard maps read it from
-there only; the surface model carries the slit, the counting cycle and
-the validation report.  The builder validates the rule against
-closed-geodesic constraints (horizontal core shifts by +-1, vertical
-closed geodesics shift by 0, and every traced closed curve must agree
-with an independent geometric count of signed crossings through an
-explicit cycle representative); a parameter that fails any of them is
-refused.
+``DECK_WEIGHTS``; ``simulate`` and both billiard maps read it from there
+only.  ``DECK_RULE`` records the values the surface's closed loops and
+cone points take under it, and every admissible z (z != 0, both
+coordinates in the open interval (-1/2, 1/2), rational or in Q(sqrt D))
+forces the same values, so ``build_surface`` checks only its input:
 
-One event rule (``_event_rule``) finds the next edge, corner or slit
-event, with the cone-point, along-the-line and coincidence checks;
-``step_flow`` and the builder's closed-curve validation step through it.
-Positions, directions and event times are exact.  Validation and
-``step_flow`` accept a quadratic-field parameter (ExactScalar) as well
-as a rational one and run the rule on those scalars.  ``simulate`` needs
-a rational parameter and a rational slope, and runs on an integer
-lattice: one common denominator per ray, which the sample spacing's
-denominator divides too, turns every position, event time and sample
-time into an integer (``_simulate_loop`` gives the argument), and a
+* the horizontal core on each sheet, at y = (|zy| + 1/2)/2, lies above
+  every slit point (|y| <= |zy|) and below the edge, so one pass meets
+  one right edge and no slit, and shifts the deck by DECK_WEIGHTS[sheet];
+* the loop at height zy/2 (zy != 0) meets the slit's line at t = 1/2,
+  x = zx/2, inside the slit and off the edges, so it crosses the slit
+  once per pass and closes after one pass on each sheet, with one right
+  edge on each: w0 + w1 = 0.  For a flat slit the loop is the vertical one
+  at x = zx/2, which crosses the slit at t = 1/2 in the same way;
+* a vertical loop meets top edges only, never a right edge, so it
+  shifts by 0 and crosses no vertical cycle;
+* the vertical cycle at x = (|zx| + 1/2)/2 lies right of every slit
+  point, so each horizontal pass crosses it on the sheet of its right
+  edge and counts DECK_WEIGHTS[sheet] as that edge does: each loop's
+  signed crossings equal its shift (the geometric agreement);
+* a small diamond around +z or -z, inside the square and short of the
+  other endpoint, meets the slit once, because the slit runs from its
+  centre out of it: one sheet swap per circuit, cone angle 4*pi;
+* the area is that of two unit squares, 2.
+
+``tests/oracle_flow.py`` traces these loops event by event, and the
+tests compare its results with ``DECK_RULE`` on a seeded sweep of slits.
+
+``simulate`` needs a rational parameter and a rational slope, and runs
+on an integer lattice: one common denominator per ray, which the sample
+spacing's denominator divides too, turns every position, event time and
+sample time into an integer (``_simulate_loop`` gives the argument), and a
 division that leaves a remainder raises LatticeExactnessError instead
 of rounding.  On the lattice the events come from three clocks.  The
 edge clocks have integral periods, L for the right edge and Lq/p for the
 top edge.  The slit clock holds the integer time at which the current
 straight piece meets the slit's line and the integer that places the
 crossing on it; it starts as an exact quotient and moves by integer
-steps at each edge reset, so the rule's slit checks take comparisons
+steps at each edge reset, so the slit checks take comparisons
 only.  The loop takes one straight piece (edge reset to edge reset) per
 pass, with its at most one slit crossing inside, and the samples come
 from a sample clock that steps by the integer ds L.  Each sample counts
@@ -62,8 +75,6 @@ from .exact import ExactScalar, Frozen, Record, mod_half_open
 _HALF = Fraction(1, 2)
 # deck shift of a rightward vertical-edge crossing on sheet 0 and sheet 1
 DECK_WEIGHTS = (1, -1)
-# events _run_closed follows before it gives up on a closed orbit
-MAX_CLOSED_EVENTS = 10000
 # a spec's slope is its convergent within 2**-SLOPE_PRECISION_BITS
 SLOPE_PRECISION_BITS = 32
 
@@ -98,218 +109,32 @@ class CoverState(Frozen):
 _set_sheet, _set_x, _set_y, _set_deck = CoverState._setters
 
 
-class ValidationReport(Frozen):
-    __slots__ = (
-        "deck_weights", "horizontal_core_shifts", "vertical_shifts", "crossing_loop_shift",
-        "geometric_agreement", "cone_turns", "area",
-    )
-
-    def as_dict(self) -> dict:
-        return {
-            "deck_weights": list(self.deck_weights),
-            "horizontal_core_shifts": list(self.horizontal_core_shifts),
-            "vertical_shifts": list(self.vertical_shifts),
-            "crossing_loop_shift": self.crossing_loop_shift,
-            "geometric_agreement": self.geometric_agreement,
-            "cone_turns": list(self.cone_turns),
-            "area": self.area,
-        }
-
-
-# the one report every model carries: build_surface refuses a parameter
-# whose closed loops or cone points give any other values
-VALIDATION = ValidationReport(
-    deck_weights=DECK_WEIGHTS,
-    horizontal_core_shifts=DECK_WEIGHTS,
-    vertical_shifts=(0, 0),
-    crossing_loop_shift=0,
-    geometric_agreement=True,
-    cone_turns=(1, 1),
-    area=2,
-)
+# what ``simulate`` prints under "deck_rule": the deck rule and the values
+# every admissible slit's closed loops and cone points take under it (the
+# module docstring gives the proof)
+DECK_RULE = {
+    "deck_weights": list(DECK_WEIGHTS),
+    "horizontal_core_shifts": list(DECK_WEIGHTS),
+    "vertical_shifts": [0, 0],
+    "crossing_loop_shift": 0,
+    "geometric_agreement": True,
+    "cone_turns": [1, 1],
+    "area": 2,
+}
 
 
 class SurfaceModel(Frozen):
-    # beta_x: x-position of the vertical cycle used for counting
-    __slots__ = ("zx", "zy", "beta_x", "validation")
-
-
-# ---------------------------------------------------------------------------
-# event stepping
-
-
-class StepResult(Frozen):
-    # advance: parameter length of this step;
-    # event: "right_edge" | "top_edge" | "corner" | "slit" | "partial"
-    __slots__ = ("state", "advance", "event")
-
-
-def _event_rule(zx, zy, dx, dy):
-    """The next-event rule of the flow in direction (dx, dy), built once per ray.
-
-    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
-    from the cell position (x, y) to the next right-edge, top-edge, corner
-    or slit event.  The edge times are (1/2 - x) / dx and (1/2 - y) / dy
-    (no division for dx = 1).  The slit crossing solves
-    (x, y) + s (dx, dy) = t z: with det = dy zx - dx zy,
-    s = (zy x - zx y) / det and t = (dy x - dx y) / det.  Whether |t| <= 1
-    (and whether t = +-1, a cone point) is decided by comparing
-    |dy x - dx y| with |det|, so t is never divided out.  A ray through a
-    cone point, along the slit line or crossing the slit exactly at the
-    edge event raises SingularOrbitError.
-    """
-    det = dy * zx - dx * zy
-    adet = abs(det)
-    nadet = -adet
-    crossing, det_pos = det != 0, det > 0
-    right, unit_dx, top = dx > 0, dx == 1, dy > 0
-
-    def next_event(x, y):
-        s = kind = None
-        if right:
-            s, kind = (_HALF - x if unit_dx else (_HALF - x) / dx), "right_edge"
-        if top:
-            s_t = (_HALF - y) / dy
-            if s is None or s_t < s:
-                s, kind = s_t, "top_edge"
-            elif s_t == s:
-                kind = "corner"
-        if crossing:
-            num = zy * x - zx * y
-            if (num > 0) if det_pos else (num < 0):  # the crossing is ahead
-                u = dy * x - dx * y
-                if nadet <= u <= adet:
-                    if u == adet or u == nadet:
-                        raise SingularOrbitError("orbit hits a cone point")
-                    s_c = num / det
-                    if s is None or s_c < s:
-                        return s_c, "slit"
-                    if s_c == s:
-                        raise SingularOrbitError(
-                            "slit crossing coincides with an edge event"
-                        )
-        elif x * zy == y * zx:
-            raise SingularOrbitError("orbit runs along the slit line")
-        if s is None:
-            raise SingularOrbitError("zero direction")
-        return s, kind
-
-    return next_event
-
-
-def _land(kind, sheet, x, y, deck):
-    """(sheet, x, y, deck) after the event ``kind`` at the cell point (x, y).
-
-    Every event lands back in [-1/2, 1/2)^2: an edge event resets its
-    coordinate to -1/2, and the other one (or a slit point t z) is inside.
-    """
-    if kind == "slit":
-        return 1 - sheet, x, y, deck
-    if kind in ("right_edge", "corner"):
-        x = -_HALF
-        deck += DECK_WEIGHTS[sheet]
-    if kind in ("top_edge", "corner"):
-        y = -_HALF
-    return sheet, x, y, deck
-
-
-def step_flow(
-    model: SurfaceModel, state: CoverState, dx, dy, max_advance=None
-) -> StepResult:
-    """Advance to the next boundary/slit event (or by max_advance if sooner)."""
-    if dx < 0 or dy < 0 or (dx == 0 and dy == 0):
-        raise ValueError("direction must be nonzero with nonnegative components")
-    s, kind = _event_rule(model.zx, model.zy, dx, dy)(state.x, state.y)
-    if max_advance is not None and max_advance < s:
-        nx, ny = state.x + max_advance * dx, state.y + max_advance * dy
-        return StepResult(
-            CoverState(state.sheet, nx, ny, state.deck), max_advance, "partial"
-        )
-    landed = _land(kind, state.sheet, state.x + s * dx, state.y + s * dy, state.deck)
-    return StepResult(CoverState(*landed), s, kind)
-
-
-def _run_closed(model: SurfaceModel, state: CoverState, dx, dy):
-    """Flow until the (sheet, position) returns to the start.
-
-    Returns (deck_shift, segments) where segments are
-    (sheet, x0, y0, x1, y1) pieces of the orbit in cell coordinates.
-    The event rule is built once for the whole loop.
-    """
-    next_event = _event_rule(model.zx, model.zy, dx, dy)
-    sheet, x, y, deck = state.sheet, state.x, state.y, state.deck
-    start = (sheet, x, y)
-    segments = []
-    for _ in range(MAX_CLOSED_EVENTS):
-        s, kind = next_event(x, y)
-        x1, y1 = x + s * dx, y + s * dy
-        segments.append((sheet, x, y, x1, y1))
-        sheet, x, y, deck = _land(kind, sheet, x1, y1, deck)
-        if (sheet, x, y) == start:
-            return deck - state.deck, segments
-    raise RuntimeError("orbit did not close within the event budget")
-
-
-def _beta_crossings(model: SurfaceModel, segments) -> int:
-    """Signed crossings of the counting cycle: the vertical circle at
-    x = beta_x, oriented so sheet 0 counts +1 per rightward crossing and
-    sheet 1 counts -1 (the cycle is anti-invariant under the sheet swap).
-    """
-    total = 0
-    xb = model.beta_x
-    for sheet, x0, _y0, x1, _y1 in segments:
-        if x0 < xb <= x1:
-            total += 1 if sheet == 0 else -1
-        elif x1 < xb <= x0:
-            total -= 1 if sheet == 0 else -1
-    return total
-
-
-# ---------------------------------------------------------------------------
-# build + validation
-
-
-def _cone_turns(zx, zy, at_plus: bool) -> int:
-    """Sheet swaps per circuit of a small diamond around a slit endpoint.
-
-    One swap per circuit means the endpoint needs two circuits to close
-    up, i.e. cone angle 4*pi.
-    """
-    ex, ey = (zx, zy) if at_plus else (-zx, -zy)
-    margins = [
-        _HALF - abs(ex) if abs(ex) < _HALF else _HALF,
-        _HALF - abs(ey) if abs(ey) < _HALF else _HALF,
-        abs(ex) + abs(ey),
-    ]
-    delta = min(margins) * Fraction(1, 4)
-    corners = [
-        (ex + delta, ey),
-        (ex, ey + delta),
-        (ex - delta, ey),
-        (ex, ey - delta),
-    ]
-    crossings = 0
-    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
-        # segment (a, b) against slit segment (-z, z): solve
-        # a + u (b - a) = t z, u in [0,1), t in [-1, 1]
-        ux, uy = bx - ax, by - ay
-        det = ux * zy - uy * zx
-        if det == 0:
-            continue
-        t = (ux * ay - uy * ax) / det
-        u = (zx * ay - zy * ax) / det
-        if 0 <= u < 1 and -1 < t < 1:
-            crossings += 1
-    return crossings
+    __slots__ = ("zx", "zy")
 
 
 def build_surface(z) -> SurfaceModel:
-    """Validated surface model for a parameter z = (x, y).
+    """Surface model for a parameter z = (x, y).
 
-    ``z`` may be a TorusPoint or a pair of scalars.  The deck rule
-    ``DECK_WEIGHTS`` is checked against the closed-curve constraints and
-    the cone angles are audited; a parameter that fails any check raises
-    DegenerateSlitError.
+    ``z`` may be a TorusPoint or a pair of scalars, rational or quadratic;
+    a rational ExactScalar becomes a Fraction.  Coinciding slit endpoints
+    (z = 0) and an endpoint outside the open square raise
+    DegenerateSlitError.  Every other z gives the loop values of
+    ``DECK_RULE`` (see the module docstring), so nothing is traced here.
     """
     if hasattr(z, "x") and hasattr(z, "y"):
         zx, zy = z.x, z.y
@@ -325,36 +150,7 @@ def build_surface(z) -> SurfaceModel:
         raise DegenerateSlitError(
             "slit endpoint on the square edge is not supported by the simulator"
         )
-
-    beta_x = (abs(zx) + _HALF) / 2  # also clear of the slit's x-extent
-    y_core = (abs(zy) + _HALF) / 2
-    model = SurfaceModel(zx=zx, zy=zy, beta_x=beta_x, validation=VALIDATION)
-    # the horizontal core and a vertical loop on each sheet, which must shift
-    # by +1 / -1 (anti-invariant) and by 0, and a loop that crosses the slit
-    # on both sheets, which must shift by 0: at height zy/2, strictly inside
-    # the slit's height range and off-center (at x = zx/2 for a flat slit)
-    loops = [(CoverState(sheet, -_HALF, y_core), 1, 0) for sheet in (0, 1)]
-    loops += [(CoverState(sheet, beta_x, -_HALF), 0, 1) for sheet in (0, 1)]
-    if zy != 0:
-        loops.append((CoverState(0, -_HALF, zy / 2), 1, 0))
-    else:
-        loops.append((CoverState(0, zx / 2, -_HALF), 0, 1))
-    shifts, geo_ok = [], True
-    for start, dx, dy in loops:
-        shift, segs = _run_closed(model, start, dx, dy)
-        shifts.append(shift)
-        geo_ok &= _beta_crossings(model, segs) == shift
-    v = VALIDATION
-    expected = [*v.horizontal_core_shifts, *v.vertical_shifts, v.crossing_loop_shift]
-    if shifts != expected or not geo_ok:
-        raise DegenerateSlitError(f"deck rule {DECK_WEIGHTS} fails the closed-curve constraints")
-    turns = (_cone_turns(zx, zy, True), _cone_turns(zx, zy, False))
-    if turns != v.cone_turns:
-        raise DegenerateSlitError(
-            f"cone-angle audit failed: {turns[0]}, {turns[1]} slit "
-            "crossings per circuit (expected 1 = angle 4*pi)"
-        )
-    return model
+    return SurfaceModel(zx=zx, zy=zy)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +601,7 @@ def billiard_to_cover(b: BilliardState, lam) -> tuple[CoverState, tuple]:
     deck index is the barrier period containing the physical x.  The
     deck generator translates sheet ``s`` by ``DECK_WEIGHTS[s]`` (+1 on
     sheet 0, -1 on sheet 1, where the unfolded coordinate is -x), the
-    edge rule the surface validation checks.
+    edge rule behind ``DECK_RULE``.
     """
     if not (0 < lam < _HALF):
         raise ValueError("barrier length ratio must lie in (0, 1/2)")

@@ -86,6 +86,7 @@ FLOW_BIN_EDGES = "tests/test_flow.py::test_simulate_bins_on_bin_edges_match_orac
 FLOW_BIN_CLOCKS = "tests/test_flow.py::test_bin_clocks_match_oracle"
 FLOW_EDGE_SAMPLES = "tests/test_flow.py::test_edge_samples_by_hand"
 FLOW_BILLIARD = "tests/test_flow.py::test_simulate_matches_billiard_oracle"
+FLOW_DECK = "tests/test_flow.py::test_deck_anti_invariance"
 ENCLOSURE = "tests/test_directions.py::test_alpha_enclosure_matches_oracle"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
 NEGATIVE_VALUE = "tests/test_cli.py::test_negative_value_after_flag[argv0]"
@@ -420,6 +421,16 @@ CATALOGUE = (
         "flow-piece-not-resumed-after-slit", "flow.py",
         "s, bound = bound, end", "s = bound",
         (FLOW_BOUNDED,),
+    ),
+    Mutant(
+        "flow-deck-weight-flipped-in-loop", "flow.py",
+        "deck += w[sheet]", "deck -= w[sheet]",
+        (FLOW_DECK,),
+    ),
+    Mutant(
+        "flow-slit-half-length-halved", "flow.py",
+        "_scale(model.zy, Lq)", "_scale(model.zy, Lq) // 2",
+        (FLOW_BILLIARD,),
     ),
     Mutant(
         "flow-sheet-unflipped-after-slit", "flow.py",

@@ -1,14 +1,27 @@
 """Reference flow code, kept as oracles for ``tests/test_flow.py``.
 
-``slittori.flow`` finds the next event with one precomputed rule per ray
-(``flow._event_rule``).  ``_slit_crossing`` and ``_next_event`` below are
-the earlier generic version, which builds a candidate list per call and
-divides to get the slit parameter t.
+``_event_rule`` is the per-event rule of the flow: built once per ray,
+it gives the next edge, corner or slit event from a cell point, with
+the cone-point, along-the-line and coincidence checks, in exact
+Fractions or ExactScalars, and ``_land`` applies the event.
+``slittori.flow`` no longer steps event by event; ``simulate`` runs on
+integer clocks.  ``_slit_crossing`` and ``_next_event`` below are the
+earlier generic version of the rule, which builds a candidate list per
+call and divides to get the slit parameter t.
 
-``_simulate_loop`` is the earlier ``simulate`` loop, which runs the event
-rule on Fractions; ``slittori.flow`` now runs it on a scaled integer
-lattice, and the two must produce identical statistics and event logs.
-Both oracle loops bin a sample by the per-segment formula
+``closed_loop_validation`` is the surface validation that
+``flow.build_surface`` once ran on every parameter: ``_run_closed``
+traces five closed loops with ``_event_rule``, ``_beta_crossings``
+counts their signed crossings of a vertical cycle and ``_cone_turns``
+the sheet swaps around each slit endpoint.  Every admissible slit gives
+``flow.DECK_RULE`` (the module docstring of ``slittori.flow`` proves
+it), and the tests check that on a sweep of rational and quadratic
+slits.
+
+``_simulate_loop`` is the earlier ``simulate`` loop, which runs
+``_event_rule`` on Fractions; ``slittori.flow`` now runs on a scaled
+integer lattice, and the two must produce identical statistics and
+event logs.  Both oracle loops bin a sample by the per-segment formula
 (``_anchored_bins``): from the exact cell position at the segment's
 start, advanced to the sample's time in Fractions, with the bin at the
 segment's closing edge event clamped to grid - 1.  ``slittori.flow``
@@ -21,10 +34,6 @@ with the lattice's half-widths and exact division) and finds each event's
 samples by a floor division; ``slittori.flow`` now drives the lattice by
 edge and slit clocks, one straight piece per pass, with an integer sample
 clock and integer bin clocks, and the two must agree exactly as well.
-
-``_run_closed_by_steps`` is the earlier closed-orbit loop of the surface
-validation, which calls ``step_flow`` (a new event rule and state records)
-at every event; ``flow._run_closed`` builds the rule once per loop.
 
 ``current_discrepancy`` is the earlier total-variation sum, which divides
 once per cell; ``OrbitStats.current_discrepancy`` computes each distinct
@@ -40,17 +49,85 @@ from slittori.exact import ExactScalar
 from slittori.flow import (
     DECK_WEIGHTS,
     DEFAULT_SAMPLE_SPACING,
-    MAX_CLOSED_EVENTS,
     SingularOrbitError,
     _ceil_div,
-    _event_rule,
     _exact_div,
     _lattice_denominator,
     _scale,
-    step_flow,
 )
 
 _HALF = Fraction(1, 2)
+# events _run_closed follows before it gives up on a closed orbit
+MAX_CLOSED_EVENTS = 10000
+
+
+def _event_rule(zx, zy, dx, dy):
+    """The next-event rule of the flow in direction (dx, dy), built once per ray.
+
+    Returns ``next_event(x, y) -> (s, kind)``: the parameter length s > 0
+    from the cell position (x, y) to the next right-edge, top-edge, corner
+    or slit event.  The edge times are (1/2 - x) / dx and (1/2 - y) / dy
+    (no division for dx = 1).  The slit crossing solves
+    (x, y) + s (dx, dy) = t z: with det = dy zx - dx zy,
+    s = (zy x - zx y) / det and t = (dy x - dx y) / det.  Whether |t| <= 1
+    (and whether t = +-1, a cone point) is decided by comparing
+    |dy x - dx y| with |det|, so t is never divided out.  A ray through a
+    cone point, along the slit line or crossing the slit exactly at the
+    edge event raises SingularOrbitError.
+    """
+    det = dy * zx - dx * zy
+    adet = abs(det)
+    nadet = -adet
+    crossing, det_pos = det != 0, det > 0
+    right, unit_dx, top = dx > 0, dx == 1, dy > 0
+
+    def next_event(x, y):
+        s = kind = None
+        if right:
+            s, kind = (_HALF - x if unit_dx else (_HALF - x) / dx), "right_edge"
+        if top:
+            s_t = (_HALF - y) / dy
+            if s is None or s_t < s:
+                s, kind = s_t, "top_edge"
+            elif s_t == s:
+                kind = "corner"
+        if crossing:
+            num = zy * x - zx * y
+            if (num > 0) if det_pos else (num < 0):  # the crossing is ahead
+                u = dy * x - dx * y
+                if nadet <= u <= adet:
+                    if u == adet or u == nadet:
+                        raise SingularOrbitError("orbit hits a cone point")
+                    s_c = num / det
+                    if s is None or s_c < s:
+                        return s_c, "slit"
+                    if s_c == s:
+                        raise SingularOrbitError(
+                            "slit crossing coincides with an edge event"
+                        )
+        elif x * zy == y * zx:
+            raise SingularOrbitError("orbit runs along the slit line")
+        if s is None:
+            raise SingularOrbitError("zero direction")
+        return s, kind
+
+    return next_event
+
+
+def _land(kind, sheet, x, y, deck):
+    """(sheet, x, y, deck) after the event ``kind`` at the cell point (x, y).
+
+    Every event lands back in [-1/2, 1/2)^2: an edge event resets its
+    coordinate to -1/2, and the other one (or a slit point t z) is inside.
+    """
+    if kind == "slit":
+        return 1 - sheet, x, y, deck
+    if kind in ("right_edge", "corner"):
+        x = -_HALF
+        deck += DECK_WEIGHTS[sheet]
+    if kind in ("top_edge", "corner"):
+        y = -_HALF
+    return sheet, x, y, deck
 
 
 def _sign(v) -> int:
@@ -179,7 +256,7 @@ def _simulate_loop(model, slope, T, start, ds, stats, event_log=None):
 
 
 def _lattice_event_rule(zx, zy, dx, dy, hx, hy):
-    """``flow._event_rule`` in the cell [-hx, hx) x [-hy, hy), with every
+    """``_event_rule`` in the cell [-hx, hx) x [-hy, hy), with every
     division an ``_exact_div``: the per-event rule of the earlier lattice
     loop, which raises LatticeExactnessError where a quotient is not an
     integer."""
@@ -317,19 +394,108 @@ def _lattice_simulate_loop(model, slope, T, start, stats, event_log=None):
     stats.total_advance = str(Fraction(s_done, L))
 
 
-def _run_closed_by_steps(model, state, dx, dy):
-    start = (state.sheet, state.x, state.y)
+def _run_closed(zx, zy, sheet, x, y, dx, dy):
+    """Flow from the cell point (x, y) on ``sheet`` in the direction
+    (dx, dy) until the sheet and position return to the start.
+
+    Returns (deck_shift, segments) where segments are
+    (sheet, x0, y0, x1, y1) pieces of the orbit in cell coordinates.
+    """
+    next_event = _event_rule(zx, zy, dx, dy)
+    start = (sheet, x, y)
+    deck = 0
     segments = []
-    cur = state
     for _ in range(MAX_CLOSED_EVENTS):
-        res = step_flow(model, cur, dx, dy)
-        segments.append(
-            (cur.sheet, cur.x, cur.y, cur.x + res.advance * dx, cur.y + res.advance * dy)
-        )
-        cur = res.state
-        if (cur.sheet, cur.x, cur.y) == start:
-            return cur.deck - state.deck, segments
+        s, kind = next_event(x, y)
+        x1, y1 = x + s * dx, y + s * dy
+        segments.append((sheet, x, y, x1, y1))
+        sheet, x, y, deck = _land(kind, sheet, x1, y1, deck)
+        if (sheet, x, y) == start:
+            return deck, segments
     raise RuntimeError("orbit did not close within the event budget")
+
+
+def _beta_crossings(beta_x, segments) -> int:
+    """Signed crossings of the counting cycle: the vertical circle at
+    x = beta_x, oriented so sheet 0 counts +1 per rightward crossing and
+    sheet 1 counts -1 (the cycle is anti-invariant under the sheet swap).
+    """
+    total = 0
+    for sheet, x0, _y0, x1, _y1 in segments:
+        if x0 < beta_x <= x1:
+            total += 1 if sheet == 0 else -1
+        elif x1 < beta_x <= x0:
+            total -= 1 if sheet == 0 else -1
+    return total
+
+
+def _cone_turns(zx, zy, at_plus: bool) -> int:
+    """Sheet swaps per circuit of a small diamond around a slit endpoint.
+
+    One swap per circuit means the endpoint needs two circuits to close
+    up, i.e. cone angle 4*pi.
+    """
+    ex, ey = (zx, zy) if at_plus else (-zx, -zy)
+    margins = [
+        _HALF - abs(ex) if abs(ex) < _HALF else _HALF,
+        _HALF - abs(ey) if abs(ey) < _HALF else _HALF,
+        abs(ex) + abs(ey),
+    ]
+    delta = min(margins) * Fraction(1, 4)
+    corners = [
+        (ex + delta, ey),
+        (ex, ey + delta),
+        (ex - delta, ey),
+        (ex, ey - delta),
+    ]
+    crossings = 0
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        # segment (a, b) against slit segment (-z, z): solve
+        # a + u (b - a) = t z, u in [0,1), t in [-1, 1]
+        ux, uy = bx - ax, by - ay
+        det = ux * zy - uy * zx
+        if det == 0:
+            continue
+        t = (ux * ay - uy * ax) / det
+        u = (zx * ay - zy * ax) / det
+        if 0 <= u < 1 and -1 < t < 1:
+            crossings += 1
+    return crossings
+
+
+def closed_loop_validation(zx, zy) -> dict:
+    """The surface validation that traced closed loops, in the form of
+    ``flow.DECK_RULE``.
+
+    The horizontal core and a vertical loop on each sheet, and a loop that
+    crosses the slit on both sheets (at height zy/2, or vertical at
+    x = zx/2 for a flat slit), are traced with ``_run_closed``; each
+    shift is compared with the signed crossings of the vertical cycle at
+    x = (|zx| + 1/2)/2, and a diamond around each slit endpoint counts its
+    sheet swaps.
+    """
+    beta_x = (abs(zx) + _HALF) / 2  # also clear of the slit's x-extent
+    y_core = (abs(zy) + _HALF) / 2
+    loops = [((sheet, -_HALF, y_core), 1, 0) for sheet in (0, 1)]
+    loops += [((sheet, beta_x, -_HALF), 0, 1) for sheet in (0, 1)]
+    if zy != 0:
+        loops.append(((0, -_HALF, zy / 2), 1, 0))
+    else:
+        loops.append(((0, zx / 2, -_HALF), 0, 1))
+    shifts, geo_ok = [], True
+    for start, dx, dy in loops:
+        shift, segments = _run_closed(zx, zy, *start, dx, dy)
+        shifts.append(shift)
+        geo_ok &= _beta_crossings(beta_x, segments) == shift
+    return {
+        "deck_weights": list(DECK_WEIGHTS),
+        "horizontal_core_shifts": shifts[:2],
+        "vertical_shifts": shifts[2:4],
+        "crossing_loop_shift": shifts[4],
+        "geometric_agreement": geo_ok,
+        "cone_turns": [_cone_turns(zx, zy, True), _cone_turns(zx, zy, False)],
+        "area": 2,
+    }
 
 
 def current_discrepancy(stats) -> float:

@@ -23,6 +23,7 @@ from slittori.dimension import (
 from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
 from slittori.flow import (
+    DECK_RULE,
     BilliardState,
     CoverState,
     billiard_to_cover,
@@ -30,8 +31,6 @@ from slittori.flow import (
     cover_to_billiard,
     simulate,
     slope_from_spec,
-    _beta_crossings,
-    _run_closed,
 )
 from slittori.irrational import direction_stream_irrational
 from slittori.rational import (
@@ -231,12 +230,19 @@ def test_criterion_7_simulator_validation():
     model = build_surface(TorusPoint.of(0, Fraction(1, 4)))
 
     # deck rules: horizontal core +-1, vertical 0, geometric agreement
-    v = model.validation
-    assert v.horizontal_core_shifts == (1, -1)
-    assert v.vertical_shifts == (0, 0)
-    assert v.geometric_agreement and v.cone_turns == (1, 1)
-    shift, segs = _run_closed(model, CoverState(0, Fraction(-1, 2), Fraction(3, 8)), 1, 0)
-    assert shift == 1 == _beta_crossings(model, segs)
+    v = DECK_RULE
+    assert v["horizontal_core_shifts"] == [1, -1]
+    assert v["vertical_shifts"] == [0, 0]
+    assert v["geometric_agreement"] and v["cone_turns"] == [1, 1]
+    # simulate's own deck counting: the sheet-0 core closes through one
+    # rightward edge crossing with deck +1
+    log = io.StringIO()
+    core = CoverState(0, Fraction(-1, 2), Fraction(3, 8))
+    simulate(model, Fraction(0), Fraction(3, 2), start=core, event_log=log)
+    rows = [row.split(",") for row in log.getvalue().splitlines()]
+    crossings = sum(v["deck_weights"][int(r[2])] for r in rows if r[1] == "right_edge")
+    assert (rows[-1][2], rows[-1][4]) == ("0", "3/8")
+    assert int(rows[-1][5]) == 1 == crossings
 
     # billiard round trip on 10^4 states
     rng = random.Random(7)

@@ -10,6 +10,7 @@ from slittori import flow
 from slittori.directions import DigitRule
 from slittori.exact import ExactScalar, mod_half_open
 from slittori.flow import (
+    DECK_RULE,
     BilliardState,
     CoverState,
     DegenerateSlitError,
@@ -19,9 +20,6 @@ from slittori.flow import (
     cover_to_billiard,
     simulate,
     slope_from_spec,
-    step_flow,
-    _run_closed,
-    _beta_crossings,
 )
 from slittori.irrational import direction_stream_irrational
 from slittori.rational import RationalParam, direction_stream
@@ -44,27 +42,31 @@ def quarter_slope():
 
 
 def test_build_validation_vertical_slit(quarter_model):
-    v = quarter_model.validation
-    assert v.deck_weights == (1, -1)
-    assert v.horizontal_core_shifts == (1, -1)
-    assert v.vertical_shifts == (0, 0)
-    assert v.crossing_loop_shift == 0
-    assert v.geometric_agreement
-    assert v.cone_turns == (1, 1)
-    assert v.area == 2
+    # the values ``simulate`` prints under "deck_rule", in this order
+    assert (quarter_model.zx, quarter_model.zy) == (0, Fraction(1, 4))
+    assert list(DECK_RULE.items()) == [
+        ("deck_weights", [1, -1]),
+        ("horizontal_core_shifts", [1, -1]),
+        ("vertical_shifts", [0, 0]),
+        ("crossing_loop_shift", 0),
+        ("geometric_agreement", True),
+        ("cone_turns", [1, 1]),
+        ("area", 2),
+    ]
 
 
 def test_build_validation_diagonal_slit():
+    # rational ExactScalar coordinates become Fractions
     m = build_surface(TorusPoint.of(Fraction(1, 4), Fraction(1, 4)))
-    assert m.validation.deck_weights == (1, -1)
-    assert m.validation.cone_turns == (1, 1)
     assert (m.zx, m.zy) == (Fraction(1, 4), Fraction(1, 4))
+    assert type(m.zx) is Fraction and type(m.zy) is Fraction
 
 
 def test_build_quadratic_parameter():
-    m = build_surface(TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2)))
-    assert m.validation.deck_weights == (1, -1)
-    assert m.validation.cone_turns == (1, 1)
+    zy = ExactScalar(0, 1, 4, 2)
+    m = build_surface(TorusPoint(ExactScalar(0), zy))
+    assert type(m.zx) is Fraction and m.zx == 0
+    assert m.zy == zy and not m.zy.is_rational
 
 
 def test_build_rejects_edge_and_degenerate():
@@ -74,97 +76,153 @@ def test_build_rejects_edge_and_degenerate():
         build_surface((Fraction(0), Fraction(0)))
 
 
-def test_build_refuses_the_opposite_deck_rule(monkeypatch):
-    # the closed-curve constraints, not the constant, decide the deck rule
+def test_closed_loops_give_the_deck_rule():
+    """The closed-loop validation of ``oracle_flow``, which traces the
+    loops event by event, gives ``DECK_RULE`` on every slit that
+    ``build_surface`` accepts: a seeded sweep of 200 rational and
+    quadratic z with vertical, flat, diagonal, near-edge and generic
+    slits (the proof is in ``slittori.flow``'s docstring)."""
+    import oracle_flow as oracle
+
+    rng = random.Random(3434)
+
+    def rational():
+        d = rng.randint(2, 60)
+        n = (d - 1) // 2
+        return Fraction(rng.randint(-n, n), d)
+
+    def quadratic(D):
+        while True:
+            v = ExactScalar(rng.randint(-30, 30), rng.choice((-1, 1)) * rng.randint(1, 20),
+                            rng.randint(2, 80), D)
+            if -H < v < H:
+                return v
+
+    def near_edge(D):
+        sign = rng.choice((1, -1))
+        if D:  # 1/2 - (sqrt D - 1)/k, inside by less than 2/k
+            k = rng.randint(100, 10**6)
+            return sign * (H - ExactScalar(-1, 1, k, D))
+        return sign * (H - Fraction(1, rng.randint(100, 10**6)))
+
+    def nonzero(draw):
+        while True:
+            v = draw()
+            if v != 0:
+                return v
+
+    zs = {"vertical": [], "flat": [], "diagonal": [], "near-edge": [], "generic": []}
+    for n in range(40):
+        D = (0, 2, 3, 5)[n % 4]
+        coord = (lambda: quadratic(D)) if D else rational
+        zs["vertical"].append((Fraction(0), nonzero(coord)))
+        zs["flat"].append((nonzero(coord), Fraction(0)))
+        v = nonzero(coord)
+        zs["diagonal"].append((v, rng.choice((1, -1)) * v))
+        edge, other = near_edge(D), coord()
+        zs["near-edge"].append((edge, other) if n % 2 else (other, edge))
+        zs["generic"].append((coord(), nonzero(coord)))
+    for kind, cases in zs.items():
+        for z in cases:
+            model = build_surface(z)
+            assert oracle.closed_loop_validation(model.zx, model.zy) == DECK_RULE, (kind, z)
+    assert sum(map(len, zs.values())) == 200
+
+
+def _loop_shifts(model):
+    """The shifts of ``DECK_RULE``'s horizontal loops as ``simulate`` runs
+    them at slope 0: each horizontal core from the left edge through its
+    closing right edge (T = 3/2) and, for zy != 0, the loop at height
+    zy/2 through its two slit crossings and two right edges, cut at
+    T = 9/4, before its next crossing at x = zx/2 > -1/4.  The last event
+    row gives the sheet, height and deck after the closing edge; a loop
+    that does not return to its sheet and height gives None."""
+    runs = [(CoverState(sheet, -H, (abs(model.zy) + H) / 2), Fraction(3, 2)) for sheet in (0, 1)]
+    if model.zy:
+        runs.append((CoverState(0, -H, model.zy / 2), Fraction(9, 4)))
+    shifts = []
+    for start, T in runs:
+        log = io.StringIO()
+        stats = simulate(model, Fraction(0), T, start=start, event_log=log)
+        _t, _kind, sheet, _x, y, deck = log.getvalue().splitlines()[-1].split(",")
+        closed = not stats.terminated_early and (int(sheet), Fraction(y)) == (start.sheet, start.y)
+        shifts.append(int(deck) if closed else None)
+    return shifts
+
+
+def test_deck_anti_invariance(monkeypatch):
+    """``simulate``'s own deck counting gives ``DECK_RULE``'s horizontal
+    core shifts, +1 on sheet 0 and -1 on sheet 1, and the crossing loop's
+    shift w0 + w1 = 0, on seeded rational slits: vertical, diagonal, with
+    negative zx, and flat (cores only).  With the opposite deck rule the
+    check fails."""
+    rng = random.Random(34)
+
+    def coord():
+        d = rng.randint(3, 40)
+        return Fraction(rng.randint(1, (d - 1) // 2), d)
+
+    zs = [(Fraction(0), Fraction(1, 4))]
+    for _ in range(5):
+        a, b = coord(), coord()
+        zs += [(Fraction(0), rng.choice((1, -1)) * a), (a, rng.choice((1, -1)) * a),
+               (-a, rng.choice((1, -1)) * b), (rng.choice((1, -1)) * a, Fraction(0))]
+    rule = DECK_RULE["horizontal_core_shifts"] + [DECK_RULE["crossing_loop_shift"]]
+    models = [build_surface(z) for z in zs]
+    for model in models:
+        shifts = _loop_shifts(model)
+        assert shifts == rule[:len(shifts)] and len(shifts) == (3 if model.zy else 2), model
     monkeypatch.setattr(flow, "DECK_WEIGHTS", (-1, 1))
-    for z in (TorusPoint.of(0, Fraction(1, 4)), TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2))):
-        with pytest.raises(DegenerateSlitError, match=r"^deck rule \(-1, 1\) fails"):
-            build_surface(z)
+    for model in models:
+        assert _loop_shifts(model)[:2] == [-1, 1] != rule[:2], model
 
 
 def test_horizontal_orbit_above_slit_closes(quarter_model):
-    st = CoverState(0, -H, Fraction(3, 8))
-    res = step_flow(quarter_model, st, 1, 0)
-    assert res.event == "right_edge" and res.advance == 1
-    assert res.state == CoverState(0, -H, Fraction(3, 8), 1)  # closed, deck +1
+    log = io.StringIO()
+    start = CoverState(0, -H, Fraction(3, 8))
+    simulate(quarter_model, Fraction(0), Fraction(3, 2), start=start, event_log=log)
+    assert log.getvalue() == "1,right_edge,0,1/2,3/8,0\n3/2,partial,0,0,3/8,1\n"  # closed, deck +1
 
 
-def test_vertical_orbit_avoiding_slit(quarter_model):
-    st = CoverState(0, Fraction(1, 4), -H)
-    res = step_flow(quarter_model, st, 0, 1)
-    assert res.event == "top_edge" and res.advance == 1
-    assert res.state == CoverState(0, Fraction(1, 4), -H, 0)
+def test_vertical_orbit_avoiding_slit():
+    # the reference validation's vertical loop: one top edge, deck unchanged
+    import oracle_flow as oracle
+
+    shift, segments = oracle._run_closed(0, Fraction(1, 4), 0, Fraction(1, 4), -H, 0, 1)
+    assert (shift, segments) == (0, [(0, Fraction(1, 4), -H, Fraction(1, 4), H)])
 
 
 def test_slit_crossing_swaps_sheet(quarter_model):
-    st = CoverState(0, -H, Fraction(0))
-    res = step_flow(quarter_model, st, 1, Fraction(1, 8))
-    assert res.event == "slit"
-    assert res.state.sheet == 1
-    assert res.state.x == 0 and res.state.y == Fraction(1, 16)
+    log = io.StringIO()
+    start = CoverState(0, -H, Fraction(0))
+    simulate(quarter_model, Fraction(1, 8), Fraction(3, 4), start=start, event_log=log)
+    assert log.getvalue() == "1/2,slit,0,0,1/16,0\n3/4,partial,1,1/4,3/32,0\n"
 
 
 def test_cone_point_hit_flagged(quarter_model):
-    st = CoverState(0, -H, Fraction(0))
-    with pytest.raises(SingularOrbitError):
-        step_flow(quarter_model, st, 1, H)  # aims exactly at the slit tip
+    # the tip z on the second straight piece, on sheet 1: the orbit stops
+    # at that piece's start, after its samples so far
+    log = io.StringIO()
+    start = CoverState(0, -H, Fraction(-1, 4))
+    stats = simulate(quarter_model, Fraction(1, 3), 10, start=start, event_log=log)
+    assert stats.terminated_early and stats.termination_reason == "orbit hits a cone point"
+    assert stats.total_advance == "1" and stats.samples == 2
+    assert log.getvalue() == "1/2,slit,0,0,-1/12,0\n1,right_edge,1,1/2,1/12,0\n"
 
 
-def test_run_along_slit_flagged(quarter_model):
-    st = CoverState(0, Fraction(0), Fraction(3, 8))
-    with pytest.raises(SingularOrbitError):
-        step_flow(quarter_model, st, 0, 1)
-
-
-def test_deck_anti_invariance(quarter_model):
-    shift0, segs0 = _run_closed(quarter_model, CoverState(0, -H, Fraction(3, 8)), 1, 0)
-    shift1, segs1 = _run_closed(quarter_model, CoverState(1, -H, Fraction(3, 8)), 1, 0)
-    assert shift0 == 1 and shift1 == -1
-    assert _beta_crossings(quarter_model, segs0) == 1
-    assert _beta_crossings(quarter_model, segs1) == -1
-
-
-def test_run_closed_matches_stepping_oracle(monkeypatch):
-    """``_run_closed`` builds the event rule once per loop and gives the
-    same deck shift and segments as the loop over ``step_flow`` it
-    replaced, on every validation loop of rational and quadratic slits."""
-    import oracle_flow as oracle
-
-    models = [
-        build_surface(TorusPoint.of(0, Fraction(1, 4))),
-        build_surface(TorusPoint.of(Fraction(1, 4), Fraction(1, 4))),
-        build_surface((Fraction(-1, 5), Fraction(2, 7))),
-        build_surface((Fraction(1, 3), Fraction(0))),
-        build_surface(TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2))),
-        build_surface(TorusPoint(ExactScalar(1, 0, 4), ExactScalar(0, 1, 8, 3))),
-    ]
-    built = []
-    rule = flow._event_rule
-    monkeypatch.setattr(flow, "_event_rule", lambda *a: built.append(a) or rule(*a))
-    loops = 0
-    for model in models:
-        y_core = (abs(model.zy) + H) / 2
-        starts = [(CoverState(sheet, -H, y_core), 1, 0) for sheet in (0, 1)]
-        starts += [(CoverState(sheet, model.beta_x, -H), 0, 1) for sheet in (0, 1)]
-        if model.zy != 0:
-            starts.append((CoverState(0, -H, model.zy / 2), 1, 0))
-        else:
-            starts.append((CoverState(0, model.zx / 2, -H), 0, 1))
-        starts.append((CoverState(1, -H, Fraction(1, 7)), 1, Fraction(2, 3)))
-        for start, dx, dy in starts:
-            before = len(built)
-            got = _run_closed(model, start, dx, dy)
-            assert len(built) == before + 1
-            assert got == oracle._run_closed_by_steps(model, start, dx, dy), (model, start)
-            loops += 1
-    assert loops == 36
+def test_run_along_slit_flagged():
+    flat = build_surface((Fraction(1, 4), Fraction(0)))
+    stats = simulate(flat, Fraction(0), 10, start=CoverState(0, -H, Fraction(0)))
+    assert stats.terminated_early and stats.termination_reason == "orbit runs along the slit line"
+    assert stats.samples == 0 and stats.total_advance == "0"
 
 
 def test_partial_advance(quarter_model):
-    st = CoverState(0, -H, Fraction(3, 8))
-    res = step_flow(quarter_model, st, 1, 0, max_advance=Fraction(1, 4))
-    assert res.event == "partial"
-    assert res.state.x == Fraction(-1, 4)
+    log = io.StringIO()
+    start = CoverState(0, -H, Fraction(3, 8))
+    stats = simulate(quarter_model, Fraction(0), Fraction(1, 4), start=start, event_log=log)
+    assert log.getvalue() == "1/4,partial,0,-1/4,3/8,0\n"
+    assert stats.total_advance == "1/4"
 
 
 def test_billiard_round_trip_bulk():
@@ -193,18 +251,25 @@ def test_billiard_map_errors():
         billiard_to_cover(BilliardState(Fraction(1, 3), Fraction(1, 4), 0, 0), Fraction(1, 4))
 
 
+def _event_rows(model, state, direction, T):
+    """``simulate``'s event rows for the cover state and canonical
+    direction (dx, dy), dx > 0, up to the x-extent T."""
+    log = io.StringIO()
+    simulate(model, Fraction(direction[1]) / direction[0], T, start=state, event_log=log)
+    return [row.split(",") for row in log.getvalue().splitlines()]
+
+
 def test_billiard_reflection_matches_cover_flow(quarter_model):
     # top-wall bounce: billiard state before the wall, flowed through it
     # on the cover, maps back to the reflected billiard state
     lam = Fraction(1, 4)
     b = BilliardState(Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
     state, direction = billiard_to_cover(b, lam)
-    adv = Fraction(0)
     target = Fraction(1, 4)  # enough to cross y = 1/2 in the billiard
-    while adv < target:
-        res = step_flow(quarter_model, state, direction[0], direction[1], max_advance=target - adv)
-        state, adv = res.state, adv + res.advance
-    back = cover_to_billiard(state, direction)
+    rows = _event_rows(quarter_model, state, direction, target * direction[0])
+    assert [row[1] for row in rows] == ["top_edge", "partial"]
+    _t, _kind, sheet, x, y, deck = rows[-1]
+    back = cover_to_billiard(CoverState(int(sheet), Fraction(x), Fraction(y), int(deck)), direction)
     # manual billiard flow with the same parameter: position advances by
     # s * (vx, vy); the top wall y = 1/2 is reached at s = 1/8, then vy flips
     s_wall = (Fraction(1, 2) - b.y) / b.vy
@@ -219,14 +284,11 @@ def test_barrier_hit_is_sheet_swap(quarter_model):
     lam = Fraction(1, 4)
     b = BilliardState(Fraction(9, 10), Fraction(1, 10), 1, Fraction(1, 10))
     state, direction = billiard_to_cover(b, lam)
-    # flow until past the barrier; the cover orbit must swap sheets once
-    res = step_flow(quarter_model, state, direction[0], direction[1])
-    events = [res.event]
-    while res.event != "slit":
-        res = step_flow(quarter_model, res.state, direction[0], direction[1])
-        events.append(res.event)
-    assert res.state.sheet == 1 - state.sheet
-    back = cover_to_billiard(res.state, direction)
+    # flow until past the barrier; the cover orbit swaps sheets at its first event
+    rows = _event_rows(quarter_model, state, direction, Fraction(1, 5))
+    (_t, kind, sheet, x, y, deck), after = rows[0], rows[1]
+    assert kind == "slit" and int(sheet) == state.sheet and int(after[2]) == 1 - state.sheet
+    back = cover_to_billiard(CoverState(1 - state.sheet, Fraction(x), Fraction(y), int(deck)), direction)
     assert back.vx == -1  # reflected off the barrier
     assert back.x == 1  # at the barrier line
 
@@ -433,13 +495,12 @@ def test_event_rule_matches_oracle():
     from types import SimpleNamespace
 
     import oracle_flow as oracle
-    from slittori.flow import _event_rule
 
     rng = random.Random(404)
     seen = {}
 
     def check(zx, zy, x, y, dx, dy):
-        got = _outcome(lambda: _event_rule(zx, zy, dx, dy)(x, y))
+        got = _outcome(lambda: oracle._event_rule(zx, zy, dx, dy)(x, y))
         want = _outcome(
             lambda: oracle._next_event(
                 SimpleNamespace(zx=zx, zy=zy), SimpleNamespace(x=x, y=y), dx, dy

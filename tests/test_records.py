@@ -27,9 +27,7 @@ from slittori.flow import (
     BilliardState,
     CoverState,
     OrbitStats,
-    StepResult,
     SurfaceModel,
-    ValidationReport,
 )
 from slittori.intervals import RatInterval
 from slittori.irrational import IrrationalBlockParams
@@ -38,7 +36,6 @@ from slittori.torus import TorusPoint
 from slittori.words import GenWord, IntMat2
 
 P = TorusPoint(ExactScalar(1, 0, 4), ExactScalar(1, 0, 3))
-VALIDATION = ValidationReport((1, 1), (0, 0), (1, 1), 1, True, (1, 1), 1)
 
 # class -> (field names in constructor order, a function giving fresh field values)
 FROZEN = {
@@ -57,21 +54,7 @@ FROZEN = {
     CylinderStrip: (("k", "v", "area"), lambda: (1, (2, 3), ExactScalar(1, 0, 2))),
     DimensionProblem: (("block", "b", "c"), lambda: ((1, 2, 1), 2, 1)),
     CoverState: (("sheet", "x", "y", "deck"), lambda: (1, Fraction(1, 4), Fraction(-1, 8), 2)),
-    ValidationReport: (
-        (
-            "deck_weights", "horizontal_core_shifts", "vertical_shifts",
-            "crossing_loop_shift", "geometric_agreement", "cone_turns", "area",
-        ),
-        lambda: ((1, -1), (1, 0), (0, 1), 2, True, (3, 3), 2),
-    ),
-    SurfaceModel: (
-        ("zx", "zy", "beta_x", "validation"),
-        lambda: (Fraction(0), Fraction(1, 4), Fraction(0), VALIDATION),
-    ),
-    StepResult: (
-        ("state", "advance", "event"),
-        lambda: (CoverState(0, Fraction(0), Fraction(1, 8)), Fraction(1, 2), "slit"),
-    ),
+    SurfaceModel: (("zx", "zy"), lambda: (Fraction(0), Fraction(1, 4))),
     BilliardState: (
         ("x", "y", "vx", "vy"),
         lambda: (Fraction(3, 2), Fraction(1, 10), Fraction(-7, 10), Fraction(2, 5)),
@@ -124,12 +107,7 @@ VALUES = {
     CylinderStrip: (1, (2, 3), ExactScalar(1, 0, 3)),
     DimensionProblem: ((1, 2, 1), 2, 2),
     CoverState: (1, Fraction(1, 4), Fraction(-1, 8), 3),
-    ValidationReport: ((1, -1), (1, 0), (0, 1), 2, True, (3, 3), 3),
-    SurfaceModel: (
-        Fraction(0), Fraction(1, 4), Fraction(0),
-        ValidationReport((1, 1), (0, 0), (1, 1), 1, True, (1, 1), 2),
-    ),
-    StepResult: (CoverState(0, Fraction(0), Fraction(1, 8)), Fraction(1, 2), "edge"),
+    SurfaceModel: (Fraction(0), Fraction(1, 3)),
     BilliardState: (Fraction(3, 2), Fraction(1, 10), Fraction(-7, 10), Fraction(1, 5)),
 }
 
@@ -139,7 +117,7 @@ def ids(classes):
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 18
     assert set(VALUES) == set(FROZEN)
 
 
@@ -254,7 +232,7 @@ OWN_INIT = {
 }
 BOUND_BY_RECORD = {
     "IntMat2", "IrrationalBlockParams", "CylinderStrip",
-    "ValidationReport", "SurfaceModel", "StepResult", "BilliardState",
+    "SurfaceModel", "BilliardState",
     "CheckpointRecord", "VerificationReport", "DimensionCertificate",
 }
 
@@ -280,7 +258,7 @@ def test_own_init_inventory():
     assert set(RECORDS) <= classes
 
 
-BOUND = [StepResult, VerificationReport]  # one frozen, one mutable
+BOUND = [BilliardState, VerificationReport]  # one frozen, one mutable
 
 
 @pytest.mark.parametrize("cls", BOUND, ids=ids(BOUND))

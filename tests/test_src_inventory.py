@@ -23,7 +23,6 @@ PACKAGE = ROOT / "src" / "slittori"
 KEEP = {
     "dimension.contraction_bound": "exported",
     "torus.m_sequence": "exported",
-    "flow.step_flow": "exported",
     "dimension.divergence_minorant": "acceptance",
     "torus.in_region_E": "acceptance",
     "torus.involution_theta": "acceptance",
