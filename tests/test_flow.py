@@ -150,12 +150,9 @@ def _loop_shifts(model):
     return shifts
 
 
-def test_deck_anti_invariance(monkeypatch):
-    """``simulate``'s own deck counting gives ``DECK_RULE``'s horizontal
-    core shifts, +1 on sheet 0 and -1 on sheet 1, and the crossing loop's
-    shift w0 + w1 = 0, on seeded rational slits: vertical, diagonal, with
-    negative zx, and flat (cores only).  With the opposite deck rule the
-    check fails."""
+def _deck_rule_models():
+    """Seeded rational slits: vertical, diagonal, with negative zx, and
+    flat (cores only)."""
     rng = random.Random(34)
 
     def coord():
@@ -167,14 +164,36 @@ def test_deck_anti_invariance(monkeypatch):
         a, b = coord(), coord()
         zs += [(Fraction(0), rng.choice((1, -1)) * a), (a, rng.choice((1, -1)) * a),
                (-a, rng.choice((1, -1)) * b), (rng.choice((1, -1)) * a, Fraction(0))]
+    return [build_surface(z) for z in zs]
+
+
+def test_deck_anti_invariance():
+    """``simulate``'s own deck counting gives ``DECK_RULE``'s horizontal
+    core shifts, +1 on sheet 0 and -1 on sheet 1, and the crossing loop's
+    shift w0 + w1 = 0, on the seeded rational slits."""
     rule = DECK_RULE["horizontal_core_shifts"] + [DECK_RULE["crossing_loop_shift"]]
-    models = [build_surface(z) for z in zs]
-    for model in models:
+    for model in _deck_rule_models():
         shifts = _loop_shifts(model)
         assert shifts == rule[:len(shifts)] and len(shifts) == (3 if model.zy else 2), model
+
+
+def test_build_refuses_the_opposite_deck_rule(monkeypatch):
+    """The closed curves, not the constant, decide the deck rule: with the
+    opposite rule (-1, 1) the cores ``simulate`` runs on surfaces from
+    ``build_surface`` contradict ``DECK_RULE``, and so does the reference
+    closed-loop validation on a quadratic slit, which ``simulate`` does
+    not take."""
+    import oracle_flow as oracle
+
+    rule = DECK_RULE["horizontal_core_shifts"]
     monkeypatch.setattr(flow, "DECK_WEIGHTS", (-1, 1))
-    for model in models:
-        assert _loop_shifts(model)[:2] == [-1, 1] != rule[:2], model
+    for model in _deck_rule_models():
+        assert _loop_shifts(model)[:2] == [-1, 1] != rule, model
+    monkeypatch.setattr(oracle, "DECK_WEIGHTS", (-1, 1))
+    for z in (TorusPoint.of(0, Fraction(1, 4)), TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2))):
+        model = build_surface(z)
+        report = oracle.closed_loop_validation(model.zx, model.zy)
+        assert report["horizontal_core_shifts"] == [-1, 1] != rule, z
 
 
 def test_horizontal_orbit_above_slit_closes(quarter_model):
