@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from .criterion import verify
 from .dimension import DimensionProblem, dimension_certificate
 from .directions import DigitRule, DirectionSpec
-from .exact import ExactScalar, parse_scalar
+from .exact import ExactScalar, parse_scalar, to_json
 from .flow import (
     DECK_RULE,
     SLOPE_PRECISION_BITS,
@@ -123,13 +123,15 @@ def _parse_rule(text: str) -> DigitRule:
 # spec files
 
 
-def _block_json(rec) -> dict:
-    return {
-        "index": rec.index,
-        "digits": list(rec.digits),
-        "endpoint": rec.endpoint.as_json(),
-        "meta": rec.meta,
-    }
+def _stored_fields(spec: DirectionSpec, n_blocks: int, n_digits: int) -> dict:
+    """The fields a spec file stores for the stream's first ``n_blocks``
+    blocks and ``n_digits`` digits, as JSON."""
+    return to_json({
+        "z0": spec.z0,
+        "y_bounds": spec.y_bounds,
+        "blocks": [spec.block(n) for n in range(1, n_blocks + 1)],
+        "digit_prefix": spec.digits_prefix(n_digits),
+    })
 
 
 def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
@@ -137,10 +139,7 @@ def spec_to_dict(spec: DirectionSpec, blocks: int) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "provenance": spec.provenance,
-        "z0": spec.z0.as_json(),
-        "y_bounds": [b.as_json() for b in spec.y_bounds],
-        "blocks": [_block_json(spec.block(n)) for n in range(1, blocks + 1)],
-        "digit_prefix": list(spec.cached_digits),
+        **_stored_fields(spec, blocks, len(spec.cached_digits)),
     }
 
 
@@ -217,17 +216,10 @@ def load_spec(path: str) -> DirectionSpec:
     # stored field, compared as JSON text, where 1.0 differs from 1 and 0
     # from false (the blocks are pulled anyway to rebuild the digits); a
     # provenance may leave out the keys that have defaults
-    n_digits = len(data.get("digit_prefix", []))
-    n_blocks = len(data.get("blocks", []))
-    rebuilt = {
-        "provenance": {key: spec.provenance[key] for key in stored},
-        "digit_prefix": list(spec.digits_prefix(n_digits)),
-        "blocks": [_block_json(spec.block(n)) for n in range(1, n_blocks + 1)],
-        "z0": spec.z0.as_json(),
-        "y_bounds": [b.as_json() for b in spec.y_bounds],
-    }
-    for key, value in rebuilt.items():
-        if key in data and _json_text(value) != _json_text(data[key]):
+    rebuilt = _stored_fields(spec, len(data.get("blocks", [])), len(data.get("digit_prefix", [])))
+    rebuilt["provenance"] = {key: spec.provenance[key] for key in stored}
+    for key in ("provenance", "digit_prefix", "blocks", "z0", "y_bounds"):
+        if key in data and _json_text(rebuilt[key]) != _json_text(data[key]):
             name = {"digit_prefix": "digits", "provenance": "provenance fields"}.get(key, key)
             raise CliError(f"spec file {name} disagree with deterministic rebuild")
     return spec
@@ -284,7 +276,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     report = verify(spec, args.horizon)
-    _emit(report.as_dict(), args.output)
+    _emit(report.as_json(), args.output)
     return 0 if report.overall else 1
 
 
@@ -296,7 +288,7 @@ def cmd_dimension(args) -> int:
     b, c = (int(v) for v in prog)
     problem = DimensionProblem(block, b, c)
     cert = dimension_certificate(problem)
-    _emit(cert.as_dict(), args.output)
+    _emit(cert.as_json(), args.output)
     return 0 if cert.exceeds_target else 1
 
 
@@ -335,7 +327,7 @@ def cmd_simulate(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             stats.write_csv(fh)
-    summary = stats.summary()
+    summary = stats.as_json()
     if args.spec is not None:  # the slope is the spec's convergent within 2**-bits
         summary["precision_bits"] = SLOPE_PRECISION_BITS
     summary["deck_rule"] = DECK_RULE
@@ -362,29 +354,14 @@ def cmd_billiard(args) -> int:
     back = cover_to_billiard(state, direction)
     _emit(
         {
-            "billiard": {"x": str(b.x), "y": str(b.y), "vx": str(b.vx), "vy": str(b.vy)},
-            "cover": {
-                "sheet": state.sheet,
-                "x": str(state.x),
-                "y": str(state.y),
-                "deck": state.deck,
-                "direction": [str(direction[0]), str(direction[1])],
-            },
-            "round_trip": {
-                "x": str(back.x),
-                "y": str(back.y),
-                "vx": str(back.vx),
-                "vy": str(back.vy),
-            },
-            "round_trip_identical": (
-                back.x == b.x and back.y == b.y and back.vx == b.vx and back.vy == b.vy
-            ),
+            "billiard": b.as_json(),
+            "cover": {**state.as_json(), "direction": to_json(direction)},
+            "round_trip": back.as_json(),
+            "round_trip_identical": back == b,
         },
         args.output,
     )
     return 0
-
-
 
 
 # ---------------------------------------------------------------------------

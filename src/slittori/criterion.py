@@ -38,7 +38,7 @@ precision a few times before recording the check as failed with an
 from __future__ import annotations
 
 from .directions import DirectionSpec
-from .exact import ExactScalar, Frozen, Record
+from .exact import ExactScalar, Frozen, Record, to_json
 from .intervals import InconclusiveIntervalError, RatInterval
 from .torus import entries_fix_beta, trace_word
 from .words import IDENTITY, Convergents, GenWord, IntMat2
@@ -52,17 +52,8 @@ class CylinderStrip(Frozen):
 
     __slots__ = ("k", "v", "area")  # int, (q_k, p_k), ExactScalar
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "v": [self.v[0], self.v[1]],
-            "area": self.area.as_json(),
-            "area_float": float(self.area),
-        }
-
-
-def _interval_json(iv: RatInterval) -> list[str]:
-    return [str(iv.lo), str(iv.hi)]
+    def as_json(self) -> dict:
+        return {**super().as_json(), "area_float": float(self.area)}
 
 
 def masur_structural(conv: Convergents, k: int, alpha: RatInterval) -> bool:
@@ -147,24 +138,8 @@ class CheckpointRecord(Record):
             and self.wedge_bounded
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "z": self.z.as_json(),
-            "endpoint_consistent": self.endpoint_consistent,
-            "homology_fixes_beta": self.homology_fixes_beta,
-            "y_in_bounds": self.y_in_bounds,
-            "digit_inequality": self.digit_inequality,
-            "sigma_bounded": self.sigma_bounded,
-            "sigma_route": self.sigma_route,
-            "wedge_bounded": self.wedge_bounded,
-            "wedge_route": self.wedge_route,
-            "strip": self.strip.as_dict() if self.strip else None,
-            "wedge_ratio": _interval_json(self.wedge_ratio) if self.wedge_ratio else None,
-            "notes": self.notes,
-            "ok": self.ok,
-        }
+    def as_json(self) -> dict:
+        return {**super().as_json(), "ok": self.ok}
 
 
 class VerificationReport(Record):
@@ -174,14 +149,14 @@ class VerificationReport(Record):
     def overall(self) -> bool:
         return len(self.records) == self.horizon and all(r.ok for r in self.records)
 
-    def as_dict(self) -> dict:
-        return {
+    def as_json(self) -> dict:
+        return to_json({
             "overall": self.overall,
             "horizon": self.horizon,
             "precision_bits": self.precision_bits,
             "provenance": self.provenance,
-            "checkpoints": [r.as_dict() for r in self.records],
-        }
+            "checkpoints": self.records,
+        })
 
 
 def _with_precision_retry(fn, bits: int):

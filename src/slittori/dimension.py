@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from decimal import Decimal
 from fractions import Fraction
 
-from .exact import Frozen, Record
+from .exact import Frozen, Record, to_json
 from .words import Convergents
 
 _HEAD_TERMS = 64  # Moran-sum terms added directly before the Euler-Maclaurin tail
@@ -182,13 +181,6 @@ def e_upper_bound() -> Fraction:
     return head + Fraction(1, math.factorial(12) * 12)
 
 
-def _exact_str(q: Fraction) -> str:
-    """``str(q)`` for any size: Decimal prints integers without the
-    interpreter's cap on int-to-str digits, which stays on for parsing."""
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
-
-
 class DimensionCertificate(Record):
     # route: "direct" or "divergence"; witness: a dict on the divergence
     # route only, emitted as is, and None on the direct route
@@ -198,31 +190,29 @@ class DimensionCertificate(Record):
         "su_monotone_samples", "image_disjointness_checked", "divergence_note", "witness",
     )
 
-    def as_dict(self) -> dict:
+    def as_json(self) -> dict:
         d = {
-            "block": list(self.problem.block),
+            "block": self.problem.block,
             "progression": [self.problem.b, self.problem.c],
-            "target": str(self.target),
+            "target": self.target,
             "route": self.route,
             "exceeds_target": self.exceeds_target,
             "achieved_su": self.achieved_su,
             "u_used": self.u_used,
-            "sqrt_sum_at_u": (
-                _exact_str(self.sqrt_sum_at_u) if self.sqrt_sum_at_u is not None else None
-            ),
+            "sqrt_sum_at_u": self.sqrt_sum_at_u,
             "exact_prefix": {
                 "u": self.exact_prefix_u,
-                "sum": _exact_str(self.exact_prefix_sum),
+                "sum": self.exact_prefix_sum,
                 "sum_float": float(self.exact_prefix_sum),
             },
             "minorant_verified_terms": self.minorant_verified_terms,
-            "su_monotone_samples": [[u, s] for u, s in self.su_monotone_samples],
+            "su_monotone_samples": self.su_monotone_samples,
             "image_disjointness_checked": self.image_disjointness_checked,
             "divergence_note": self.divergence_note,
         }
         if self.witness is not None:
             d["divergence_witness"] = self.witness
-        return d
+        return to_json(d)
 
 
 def check_image_disjointness(problem: DimensionProblem, u: int) -> int:

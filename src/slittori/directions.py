@@ -70,9 +70,6 @@ class DigitRule(Frozen):
             return p[n - 1]
         return p[0] if p else 1
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "DigitRule":
         return cls(d["kind"], d["params"])

@@ -14,6 +14,7 @@ Values are immutable and hashable.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt
@@ -35,7 +36,9 @@ class Record:
     fields writes its own ``__init__``, which passes them on to this one
     or, on a hot path, sets them through the slot descriptors' setters in
     ``cls._setters``, unpacked once per class at module level
-    (``_set_lo, _set_hi = RatInterval._setters``).
+    (``_set_lo, _set_hi = RatInterval._setters``).  Its JSON form,
+    ``as_json()``, is the object of its fields in slot order, each value
+    through :func:`to_json`.
     """
 
     __slots__ = ()
@@ -65,6 +68,32 @@ class Record:
         if missing:
             raise TypeError(f"{cls.__name__}() missing field(s) {', '.join(map(repr, missing))}")
         return args + tuple(kwargs[name] for name in rest)
+
+    def as_json(self) -> dict:
+        return {name: to_json(getattr(self, name)) for name in self.__slots__}
+
+
+def exact_str(q) -> str:
+    """``str(q)`` of an int or Fraction, for any size: Decimal prints
+    integers without the interpreter's cap on int-to-str digits, which
+    stays on for parsing."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def to_json(value):
+    """The JSON form of a value: a record's ``as_json()``, a Fraction's
+    :func:`exact_str`, a tuple or list element by element, a dict value by
+    value, and any other value as it is."""
+    if isinstance(value, Record):
+        return value.as_json()
+    if isinstance(value, Fraction):
+        return exact_str(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    return value
 
 
 class Frozen(Record):
@@ -153,8 +182,7 @@ class ExactScalar(Frozen):
             u, v, w, D = u.u, u.v, u.w, u.D
         elif isinstance(u, Fraction) and v == 0 and w == 1 and D == 0:
             u, v, w, D = u.numerator, 0, u.denominator, 0
-        if not (isinstance(u, int) and isinstance(v, int) and isinstance(w, int)
-                and isinstance(D, int)):
+        if not (type(u) is int and type(v) is int and type(w) is int and type(D) is int):
             raise TypeError(f"components must be ints, got {u!r}, {v!r}, {w!r}, {D!r}")
         if w == 0:
             raise ZeroDivisionError("denominator w must be nonzero")

@@ -211,7 +211,8 @@ class OrbitStats(Record):
                         total += term[count]
         return total / 2.0
 
-    def summary(self) -> dict:
+    def as_json(self) -> dict:
+        """The ``simulate`` summary, in its own key order; :meth:`write_csv` writes the counts."""
         return {
             "samples": self.samples,
             "slope": [self.slope[0], self.slope[1]],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Frozen
+from .exact import Frozen, exact_str
 
 
 class InconclusiveIntervalError(ArithmeticError):
@@ -32,6 +32,9 @@ class RatInterval(Frozen):
             raise ValueError(f"empty interval [{lo}, {hi}]")
         _set_lo(self, lo)
         _set_hi(self, hi)
+
+    def as_json(self) -> list[str]:
+        return [exact_str(self.lo), exact_str(self.hi)]
 
     # A scalar operand (int or Fraction) enters each endpoint directly; a
     # product by k takes two products, in the order the sign of k gives.

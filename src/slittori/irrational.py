@@ -236,7 +236,7 @@ def direction_stream_irrational(
     provenance = {
         "type": "irrational",
         "lambda": lam.as_json(),
-        "d_choices": choices.as_dict(),
+        "d_choices": choices.as_json(),
         "a_min": DEFAULT_A_MIN,
         "budget": budget,
     }

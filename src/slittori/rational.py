@@ -223,7 +223,7 @@ def direction_stream(param: RationalParam, nk: DigitRule) -> DirectionSpec:
         "s": param.s,
         "q": param.q,
         "reduced": reduced != param,
-        "nk_rule": nk.as_dict(),
+        "nk_rule": nk.as_json(),
     }
     return DirectionSpec(
         z0=reduced.point(),

@@ -93,7 +93,7 @@ class GenWord(Frozen):
         if leading != "h+" and leading != "h-":
             raise ValueError(f"unknown generator {leading!r}")
         for n in digits:
-            if not isinstance(n, int):
+            if type(n) is not int:
                 raise TypeError(f"exponent must be an int, got {n!r}")
             if n < 1:
                 raise ValueError(f"exponent must be positive, got {n}")
@@ -158,7 +158,7 @@ class Convergents:
 
     def extend(self, digits: Iterable[int]) -> None:
         for d in digits:
-            if not isinstance(d, int):
+            if type(d) is not int:
                 raise TypeError(f"continued-fraction digit must be an int, got {d!r}")
             if d < 1:
                 raise ValueError(f"continued-fraction digit must be >= 1, got {d}")

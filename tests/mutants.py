@@ -65,6 +65,12 @@ PARAM_TYPES = "tests/test_rational.py::test_param_fields_must_be_ints[r-args1]"
 PARAM_BOOL = "tests/test_rational.py::test_param_fields_must_be_ints[r-args6]"
 BUDGET_BOOL = "tests/test_irrational.py::test_stream_budget_must_be_an_int[True]"
 RULE_BOOL = "tests/test_directions.py::test_digit_rule_parameters_must_be_ints[params0]"
+SCALAR_BOOL = "tests/test_exact.py::test_bool_components_are_refused[args0]"
+WORD_BOOL = "tests/test_words.py::test_bool_exponents_are_refused"
+DIGIT_BOOL = "tests/test_words.py::test_bool_digits_are_refused"
+JSON_BIG = "tests/test_exact.py::test_records_print_fractions_of_any_size"
+GOLDEN_BUILD = "tests/test_golden.py::test_golden_output[build_quarter.json]"
+GOLDEN_VERIFY = "tests/test_golden.py::test_golden_output[verify_sqrt2_h4.json]"
 KERNEL = "tests/test_torus.py::test_kernel_matches_oracle"
 SYLLABLE_ORACLE = "tests/test_torus.py::test_kernel_matches_syllable_oracle"
 BAD_SYLLABLE = "tests/test_torus.py::test_trace_rational_rejects_bad_syllables[syllable2]"
@@ -493,6 +499,44 @@ CATALOGUE = (
         "if type(v) is not int:", "if not isinstance(v, int):",
         (RULE_BOOL,),
     ),
+    # the component and digit types of exact.ExactScalar, words.GenWord and
+    # words.Convergents
+    Mutant(
+        "scalar-takes-bool-as-int", "exact.py",
+        "type(u) is int and", "isinstance(u, int) and",
+        (SCALAR_BOOL,),
+    ),
+    Mutant(
+        "word-takes-bool-as-int", "words.py",
+        "if type(n) is not int:", "if not isinstance(n, int):",
+        (WORD_BOOL,),
+    ),
+    Mutant(
+        "convergents-take-bool-as-int", "words.py",
+        "if type(d) is not int:", "if not isinstance(d, int):",
+        (DIGIT_BOOL,),
+    ),
+    # the JSON rule of exact.Record and exact.to_json
+    Mutant(
+        "json-fraction-by-str", "exact.py",
+        "return exact_str(value)", "return str(value)",
+        (JSON_BIG,),
+    ),
+    Mutant(
+        "record-json-skips-a-slot", "exact.py",
+        "for name in self.__slots__}", "for name in self.__slots__[1:]}",
+        (GOLDEN_BUILD,),
+    ),
+    Mutant(
+        "record-json-reorders-slots", "exact.py",
+        "for name in self.__slots__}", "for name in reversed(self.__slots__)}",
+        (GOLDEN_BUILD,),
+    ),
+    Mutant(
+        "checkpoint-json-drops-ok", "criterion.py",
+        'return {**super().as_json(), "ok": self.ok}', "return super().as_json()",
+        (GOLDEN_VERIFY,),
+    ),
     # the endpoint types of intervals.RatInterval
     Mutant(
         "interval-endpoint-type-unchecked", "intervals.py",
@@ -535,7 +579,8 @@ CATALOGUE = (
     # the spec-file loader of cli.load_spec
     Mutant(
         "spec-file-not-compared-with-rebuild", "cli.py",
-        "if key in data and _json_text(value) != _json_text(data[key]):", "if False:",
+        "if key in data and _json_text(rebuilt[key]) != _json_text(data[key]):",
+        "if False:",
         (FORGED,),
     ),
 )

@@ -70,7 +70,7 @@ class Billiard:
                 self.vy = -self.vy
             if s == s_line:
                 if k % 2:
-                    if (k + self.vx) // 2 == 0:
+                    if k == -self.vx:  # x = -1/2 moving right or x = 1/2 moving left
                         self.entries.append(self.t)
                 elif self.y < self.lam:
                     self.vx = -self.vx

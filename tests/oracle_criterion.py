@@ -8,7 +8,7 @@ the horizon.  It reads the running action with the verdict rule of
 ``oracle_torus``; every other check is the library's own helper, applied
 in the same order.  The library's :func:`slittori.criterion.verify`, which
 carries its orbit, action and matrix from one checkpoint to the next,
-must give the same ``as_dict()``.
+must give the same ``as_json()``.
 """
 
 from __future__ import annotations

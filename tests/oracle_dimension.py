@@ -7,7 +7,7 @@ loops, and the divergence witness is the least integer u* with
 A (u* + 1) + B >= E**A (A + B) for E = 27183/10000, computed exactly.
 ``slittori.dimension`` decides the route before summing and emits a
 symbolic witness; apart from ``divergence_witness`` the two certificates'
-``as_dict()`` must be equal.  Keep A small here: E**A is computed exactly.
+``as_json()`` must be equal.  Keep A small here: E**A is computed exactly.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -31,7 +33,7 @@ from slittori.cli import (
 from slittori.criterion import verify
 from slittori.dimension import DimensionProblem, dimension_certificate
 from slittori.directions import DigitRule
-from slittori.exact import ExactScalar
+from slittori.exact import ExactScalar, parse_scalar
 from slittori.flow import OrbitStats, simulate, slope_from_spec
 from slittori.irrational import SearchBudgetExceededError, direction_stream_irrational, find_block
 from slittori.rational import RationalParam, direction_stream
@@ -126,7 +128,7 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     spec_mem = direction_stream(
         RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
-    assert verify(load_spec(str(spec_path)), 3).as_dict() == verify(spec_mem, 3).as_dict()
+    assert verify(load_spec(str(spec_path)), 3).as_json() == verify(spec_mem, 3).as_json()
 
 
 @pytest.mark.parametrize("build", [
@@ -1001,6 +1003,82 @@ def test_billiard_theta_degrees(capsys):
     doc = json.loads(out)
     assert doc["round_trip_identical"] is True
     assert doc["cover"]["sheet"] == 0
+
+
+def test_billiard_command_matches_billiard_oracle(capsys):
+    """The ``billiard`` command's cover state is the billiard's own state,
+    checked with the exact table of ``oracle_billiard``.
+
+    The printed cover state is read by the table's unfolding rule: the
+    point (deck + w x, |y|) and the velocity (w dx, +-dy), with w = 1 on
+    sheet 0 and -1 on sheet 1 and the sign of vy from the cell height.
+    That must give back the input state, which the command's round trip
+    must print too, and call identical off the walls.  On a wall (y = 0
+    or 1/2) the cell height is half-open, so vy may come back flipped,
+    which is the same billiard state: the table run from both states must
+    reach the same point at T = 3, or the same barrier tip.  The deck must be the barrier period
+    that the table from the input state is in a time 1/100 later, also
+    from the half-open cell edge of a half-integer x on either sheet.
+
+    The states are seeded, plus the edge and wall cases written out, on
+    lambda = 1/4 and on sqrt(2)/4, where the table runs on ExactScalar.
+    """
+    import oracle_billiard
+
+    half, eps, T = Fraction(1, 2), Fraction(1, 100), 3
+    weights = (1, -1)  # written out, not read from flow.DECK_WEIGHTS
+    edges = [  # sheet 1 and sheet 0 on the cell edge, then the two walls
+        (Fraction(5, 2), Fraction(1, 3), Fraction(-3), Fraction(2)),
+        (Fraction(-3, 2), Fraction(1, 3), Fraction(3), Fraction(-2)),
+        (Fraction(-7, 2), half, Fraction(-1), Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(0), Fraction(2), Fraction(-1)),
+    ]
+    rng = random.Random(35)
+    for lam_text in ("1/4", "0:1:4:2"):
+        lam = parse_scalar(lam_text)
+        num = Fraction if lam.is_rational else ExactScalar.from_fraction
+        table_lam = lam.as_fraction() if lam.is_rational else lam
+        states = list(edges)
+        while len(states) < 24:
+            x = Fraction(rng.randint(-40, 40), rng.choice((2, 3, 4, 6, 12)))
+            y = Fraction(rng.randint(0, 12), 24)
+            if x.denominator == 1 and y < lam:
+                continue  # a point of a barrier
+            vx = Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+            states.append((x, y, vx, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+        for x, y, vx, vy in states:
+            case = (lam_text, x, y, vx, vy)
+            code, out, _ = run(capsys, "billiard", f"--lambda={lam_text}", f"--x={x}",
+                               f"--y={y}", f"--vx={vx}", f"--vy={vy}")
+            assert code == 0, case
+            doc = json.loads(out)
+            cover = doc["cover"]
+            w = weights[cover["sheet"]]
+            cx, cy = Fraction(cover["x"]), Fraction(cover["y"])
+            dx, dy = (Fraction(v) for v in cover["direction"])
+            assert -half <= cx < half and -half <= cy < half, case
+            read = (cover["deck"] + w * cx, abs(cy), w * dx, dy if cy >= 0 else -dy)
+            on_wall = y in (0, half)
+            assert read[:3] == (x, y, vx), case
+            assert read[3] == vy or (on_wall and read[3] == -vy), case
+            assert doc["billiard"] == dict(zip(("x", "y", "vx", "vy"), map(str, (x, y, vx, vy))))
+            assert doc["round_trip"] == dict(zip(("x", "y", "vx", "vy"), map(str, read))), case
+            if not on_wall:  # a wall state's identical flag is left open
+                assert doc["round_trip_identical"] is True, case
+
+            tables = [oracle_billiard.Billiard(table_lam, num(px), num(py), num(pvx / abs(vx)),
+                                               num(pvy / abs(vx)))
+                      for px, py, pvx, pvy in ((x, y, vx, vy), read)]
+            tables[0].run_to(num(eps))
+            assert math.floor(tables[0].x + half) == cover["deck"], case
+            ends = []
+            for table in tables:
+                try:
+                    table.run_to(num(T))
+                    ends.append((table.x, table.y, table.vx, table.vy))
+                except oracle_billiard.TipHit as hit:
+                    ends.append(("tip", hit.t))
+            assert ends[0] == ends[1], case
 
 
 def test_spec_file_shape(tmp_path, capsys):

@@ -119,12 +119,12 @@ def test_verify_irrational(sqrt2_spec):
 def test_reports_monotone(quarter_spec):
     r2 = verify(quarter_spec, 2)
     r4 = verify(quarter_spec, 4)
-    assert [r.as_dict() for r in r2.records] == [r.as_dict() for r in r4.records[:2]]
+    assert [r.as_json() for r in r2.records] == [r.as_json() for r in r4.records[:2]]
     assert r4.overall
 
 
 def test_report_serialization(quarter_spec):
-    d = verify(quarter_spec, 1).as_dict()
+    d = verify(quarter_spec, 1).as_json()
     assert d["overall"] is True
     assert d["horizon"] == 1
     rec = d["checkpoints"][0]
@@ -352,5 +352,5 @@ def test_verify_matches_oracle(stream, horizon):
     import oracle_criterion
 
     spec = _stream(stream)
-    expected = oracle_criterion.verify(_stream(stream), horizon).as_dict()
-    assert verify(spec, horizon).as_dict() == expected
+    expected = oracle_criterion.verify(_stream(stream), horizon).as_json()
+    assert verify(spec, horizon).as_json() == expected

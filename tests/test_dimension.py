@@ -182,10 +182,10 @@ def test_divergence_witness_integer_recheck():
     assert e_hi < Fraction(271828183, 10**8) < 3
     cert = dimension_certificate(QUARTER)
     assert cert.route == "divergence" and cert.exceeds_target
-    assert cert.as_dict()["divergence_witness"] == {
+    assert cert.as_json()["divergence_witness"] == {
         "u": "(A+B)*base^A", "base": "3", "A": a, "B": b0,
     }
-    assert "divergence_witness" not in dimension_certificate(TOY).as_dict()
+    assert "divergence_witness" not in dimension_certificate(TOY).as_json()
 
 
 def test_divergence_witness_below_e_fails_closed(monkeypatch, capsys):
@@ -231,8 +231,8 @@ def test_certificate_matches_oracle(problem, cap, monkeypatch):
     import slittori.dimension as dim
 
     monkeypatch.setattr(dim, "U_DIRECT_CAP", cap)
-    new = dimension_certificate(problem).as_dict()
-    old = oracle.dimension_certificate(problem, u_direct_cap=cap).as_dict()
+    new = dimension_certificate(problem).as_json()
+    old = oracle.dimension_certificate(problem, u_direct_cap=cap).as_json()
     assert ("divergence_witness" in new) == ("divergence_witness" in old) == (
         new["route"] == "divergence"
     )
@@ -256,5 +256,5 @@ def test_rational_theorem_sweep():
         cert = dimension_certificate(DimensionProblem(digits, 1, 0))
         assert cert.exceeds_target, lam
         assert cert.image_disjointness_checked == 64, lam
-        json.dumps(cert.as_dict())
+        json.dumps(cert.as_json())
     assert time.perf_counter() - t0 < 35.0

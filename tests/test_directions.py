@@ -55,9 +55,9 @@ def test_one_digit_rule_for_both_builders():
     ]
     for rule, values in rules:
         assert [rule.value(n) for n in (1, 2, 3)] == values
-        again = DigitRule.from_dict(rule.as_dict())
+        again = DigitRule.from_dict(rule.as_json())
         assert (again.kind, again.params) == (rule.kind, rule.params)
-    assert DigitRule().as_dict() == {"kind": "default", "params": []}
+    assert DigitRule().as_json() == {"kind": "default", "params": []}
     with pytest.raises(DigitStreamExhaustedError):
         DigitRule("list", (2, 1, 6)).value(4)
     for kind, params in [

@@ -5,7 +5,8 @@ from math import floor
 import mpmath
 import pytest
 
-from slittori.exact import ExactScalar, FieldMismatchError, mod_half_open, parse_scalar
+from slittori.exact import ExactScalar, FieldMismatchError, mod_half_open, parse_scalar, to_json
+from slittori.flow import BilliardState
 
 
 def mp_value(s: ExactScalar):
@@ -77,6 +78,27 @@ def test_non_integer_components_are_refused(args):
     these once gave 0, 0, (1 + sqrt 2)/2, 1 and 1/2."""
     with pytest.raises(TypeError):
         ExactScalar(*args)
+
+
+@pytest.mark.parametrize("args", [(True,), (1, True, 1, 2), (1, 0, True), (1, 1, 2, True)])
+def test_bool_components_are_refused(args):
+    """A bool is refused like any other non-int: ExactScalar(True) once
+    printed as [true, 0, 1, 0]."""
+    with pytest.raises(TypeError, match="^components must be ints"):
+        ExactScalar(*args)
+
+
+def test_records_print_fractions_of_any_size():
+    """A record prints each Fraction field by ``exact_str``, with no cap on
+    its digits: ``str`` of an int of more than 4300 digits raises under
+    the interpreter's int-to-str limit."""
+    digits = "1" + "0" * 4999 + "1"
+    big = Fraction(10**5000 + 1, 3)
+    state = BilliardState(big, Fraction(1, 4), -big, Fraction(2))
+    assert state.as_json() == {
+        "x": f"{digits}/3", "y": "1/4", "vx": f"-{digits}/3", "vy": "2",
+    }
+    assert to_json([(big, 1), {"k": None}]) == [[f"{digits}/3", 1], {"k": None}]
 
 
 def test_round_trip_add_sub():

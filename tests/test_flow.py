@@ -397,7 +397,7 @@ def test_simulate_csv_row_count(quarter_model, quarter_slope):
 def test_simulate_deterministic(quarter_model, quarter_slope):
     s1 = simulate(quarter_model, quarter_slope, 3000)
     s2 = simulate(quarter_model, quarter_slope, 3000)
-    assert s1.summary() == s2.summary()
+    assert s1.as_json() == s2.as_json()
     b1, b2 = io.StringIO(), io.StringIO()
     s1.write_csv(b1)
     s2.write_csv(b2)
@@ -589,7 +589,7 @@ def test_simulate_matches_oracle():
     the cell, T = 7/2 and other fractional T, a small deck window (deck
     overflow), and starts aimed at a cone point, along the slit line, and
     (on a model whose slit leaves the cell) at a slit/edge coincidence.
-    ``summary()`` includes the termination reason.  The tallies at the end
+    ``as_json()`` includes the termination reason.  The tallies at the end
     check that each of these cases was exercised.
     """
     from types import SimpleNamespace
@@ -610,7 +610,7 @@ def test_simulate_matches_oracle():
         )
         oracle._simulate_loop(model, slope, T, start, DEFAULT_SAMPLE_SPACING, want, want_log)
         case = (model.zx, model.zy, slope, T, start)
-        assert got.summary() == want.summary(), case
+        assert got.as_json() == want.as_json(), case
         assert got.cell_counts == want.cell_counts, case
         assert got.deck_counts == want.deck_counts, case
         assert log.getvalue() == want_log.getvalue(), case
@@ -724,7 +724,7 @@ def test_bin_clocks_match_oracle():
         )
         oracle._simulate_loop(model, slope, T, start, ds, want, want_log)
         case = (model.zx, model.zy, slope, T, start, grid)
-        assert got.summary() == want.summary(), case
+        assert got.as_json() == want.as_json(), case
         assert got.cell_counts == want.cell_counts, case
         assert got.deck_counts == want.deck_counts, case
         assert log.getvalue() == want_log.getvalue(), case
@@ -859,7 +859,7 @@ def test_simulate_matches_lattice_oracle():
             )
             oracle._lattice_simulate_loop(model, slope, Fraction(T), start, want, want_log)
             case = (lam, T, start)
-            assert got.summary() == want.summary(), case
+            assert got.as_json() == want.as_json(), case
             assert got.cell_counts == want.cell_counts, case
             assert got.deck_counts == want.deck_counts, case
             # the first differing row, not a diff of two 14k-row logs
@@ -1010,7 +1010,7 @@ def test_simulate_bins_on_bin_edges_match_oracle(quarter_model):
                           start=(start.sheet, str(start.x), str(start.y), start.deck))
         oracle._lattice_simulate_loop(quarter_model, slope, T, start, want)
         case = (slope, T, start)
-        assert got.summary() == want.summary(), case
+        assert got.as_json() == want.as_json(), case
         assert got.cell_counts == want.cell_counts, case
         ay, by = float((y0 + H) * grid), float(slope * ds * grid)
         rows = [0] * grid

@@ -229,6 +229,19 @@ def _starts(rng, per_lambda=2):
     return starts
 
 
+def _odd_heights(rng):
+    """For the field of each lambda of LAMBDAS, the start (0, y) at the
+    first seeded height y = (u + v sqrt(D))/w in (0, 1/2) with an odd w."""
+    starts = []
+    for lam in LAMBDAS:
+        y = ExactScalar(0)
+        while not 0 < y < Fraction(1, 2):
+            w = rng.randrange(3, 17, 2)
+            y = ExactScalar(rng.randint(-w, w), rng.choice((1, -1, 2)), w, lam.D)
+        starts.append(TorusPoint(ExactScalar(0), y))
+    return starts
+
+
 def _spy_searches(monkeypatch, starts):
     """Run find_block from each start with a spy on ``irrational._search``;
     per block, its four searches as (lat, moving, fixed, left, hit, found)."""
@@ -283,14 +296,16 @@ def test_window_searches_match_oracle(monkeypatch):
     # its own start and from starts whose k-th step lands on its hit (a, b),
     # on an end of its window that lies on the lattice (a, b) or on either
     # end of J (d); each must give the first three candidates of the
-    # oracle's search and the budget spent on each.  The height
-    # (sqrt(3) - 1)/3, with an odd denominator, puts the far ends of the a
-    # and b windows of its block on the lattice
+    # oracle's search and the budget spent on each.  Heights with an odd
+    # denominator, (sqrt(3) - 1)/3 and one seeded height in each field of
+    # LAMBDAS, put the far ends of the a and b windows of their blocks on
+    # the lattice
     rng = random.Random(53)
     budget = irrational.DEFAULT_BUDGET
     half = ExactScalar(1, 0, 2)
-    odd_height = TorusPoint(ExactScalar(0), ExactScalar(-1, 1, 3, 3))
-    for block in _spy_searches(monkeypatch, _starts(rng) + [odd_height]):
+    odd = [TorusPoint(ExactScalar(0), ExactScalar(-1, 1, 3, 3))] + _odd_heights(random.Random(59))
+    starts = _starts(rng) + odd
+    for i, block in enumerate(_spy_searches(monkeypatch, starts)):
         (a, a_prime, x1), (b, b_prime, y4), (c, _, _), _ = (call[-1] for call in block)
         lat = block[0][0]
         assert [call[3] for call in block] == [
@@ -299,6 +314,8 @@ def test_window_searches_match_oracle(monkeypatch):
         y, x3 = lat.scalar(block[0][2]), -lat.scalar(block[1][2])
         a_ends = _window_ends(lat, [-half, min(y, half - y) * half - half])
         b_ends = _window_ends(lat, [half - min(x3, half - x3) * half])
+        if i >= len(starts) - len(odd):
+            assert (len(a_ends), len(b_ends)) == (2, 1), starts[i]
         searches = [
             # (oracle search from (moving, fixed), whether it reports m, landing points)
             (lambda mv, fx, bud: oracle.a_candidates(TorusPoint(mv, fx), 6, bud), True,

@@ -101,6 +101,24 @@ def test_digits_that_are_not_ints_are_refused():
         GenWord.from_digits((2.7, 1))
 
 
+def test_bool_exponents_are_refused():
+    """A bool exponent raises TypeError like any other non-int."""
+    with pytest.raises(TypeError, match="^exponent must be an int"):
+        GenWord("h+", (True, 2))
+    with pytest.raises(TypeError, match="^exponent must be an int"):
+        GenWord("h-", (3, False))
+
+
+def test_bool_digits_are_refused():
+    """A bool digit raises TypeError like any other non-int:
+    DimensionProblem((True, 1, 1)) once gave a certificate whose block
+    printed as [true, 1, 1]."""
+    for make in (lambda: Convergents([True, 2]), lambda: Convergents((1,)).extend([True]),
+                 lambda: DimensionProblem((True, 1, 1))):
+        with pytest.raises(TypeError, match="^continued-fraction digit must be an int"):
+            make()
+
+
 def test_word_matrix_examples():
     assert GenWord.from_digits((1, 1)).matrix() == IntMat2(2, 1, 1, 1)
     w = GenWord.from_digits((5, 1, 1, 7, 1, 1, 2, 1))
