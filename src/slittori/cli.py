@@ -62,8 +62,22 @@ class CliError(Exception):
     pass
 
 
+def _any_digits(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with Python's cap on the digits of an int and
+    str conversion lifted, and restored afterwards (spec files and reports
+    carry orbit coordinates of any size; Python before 3.10.7 has no cap)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn(*args, **kwargs)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(obj: dict, path: str | None = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _any_digits(json.dumps, obj, indent=2) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -193,7 +207,7 @@ def spec_from_provenance(prov: dict) -> DirectionSpec:
 
 
 def _json_text(value) -> str:
-    return json.dumps(value, sort_keys=True)
+    return _any_digits(json.dumps, value, sort_keys=True)
 
 
 def load_spec(path: str) -> DirectionSpec:
@@ -201,7 +215,7 @@ def load_spec(path: str) -> DirectionSpec:
     optional = {"blocks": list, "digit_prefix": list, "z0": object, "y_bounds": object}
     fields = {"format_version": int, "provenance": object, **optional}
     with open(path) as fh:
-        data = _object(json.load(fh), fields, "spec file", optional=tuple(optional))
+        data = _object(_any_digits(json.load, fh), fields, "spec file", optional=tuple(optional))
     unknown = [key for key in data if key not in fields]
     if unknown:
         raise CliError(f"spec file has unknown keys {', '.join(unknown)}")
@@ -352,12 +366,14 @@ def cmd_billiard(args) -> int:
     lam_frac = lam.as_fraction() if lam.is_rational else lam
     state, direction = billiard_to_cover(b, lam_frac)
     back = cover_to_billiard(state, direction)
+    # on a wall the state and its reflection, vy flipped, are one billiard state
+    reflected = BilliardState(b.x, b.y, b.vx, -b.vy) if b.y in (0, Fraction(1, 2)) else b
     _emit(
         {
             "billiard": b.as_json(),
             "cover": {**state.as_json(), "direction": to_json(direction)},
             "round_trip": back.as_json(),
-            "round_trip_identical": back == b,
+            "round_trip_identical": back in (b, reflected),
         },
         args.output,
     )

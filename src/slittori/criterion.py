@@ -21,18 +21,19 @@ intervals:
   * the four renormalization-matrix entries
         q_k (q_k alpha - p_k),  q_k (q_{k-1} alpha - p_{k-1}),
         p_k / (alpha q_k),      p_{k-1} / (alpha q_k)
-    all lie in [-1, 1]  (interval route, with the even-index
-    convergent bracketing as a structural fallback);
+    all lie in [-1, 1], by the mediant lemma of ``masur_structural``
+    on the convergent table's integers, with no enclosure of alpha;
   * the strip wedge bound |q_k alpha - p_k| <= (1 - 2 y_n) / (2 q_k)
     (direct interval route; the digit inequality implies it through
     |q_k alpha - p_k| < 1/(a_{k_n+1} q_k), recorded as a second route).
 
-The value alpha is never materialized as a float: every alpha-dependent
-check runs on an exact rational enclosure obtained by digit truncation,
-first of width at most 2**-``PRECISION_BITS``.  When an enclosure is too
-wide to decide a comparison the verifier retries with a doubled
-precision a few times before recording the check as failed with an
-"inconclusive" note; the report gives the largest precision it used.
+The value alpha is never materialized as a float: the wedge bound runs
+on an exact rational enclosure obtained by digit truncation, first of
+width at most 2**-``PRECISION_BITS``.  When an enclosure is too wide to
+decide it and the digit inequality does not imply it, the verifier
+retries with a doubled precision a few times before recording the check
+as failed with an "inconclusive" note; the report gives the largest
+precision it used.
 """
 
 from __future__ import annotations
@@ -56,66 +57,51 @@ class CylinderStrip(Frozen):
         return {**super().as_json(), "area_float": float(self.area)}
 
 
-def masur_structural(conv: Convergents, k: int, alpha: RatInterval) -> bool:
-    """Structural route for the matrix-entry bounds.
+def masur_structural(conv: Convergents, k: int) -> bool:
+    """The mediant lemma: for even k >= 2, every alpha whose first k + 1
+    digits are the table's has its four matrix entries in [-1, 1].
 
-    For even k the convergent bracketing p_k/q_k < alpha < p_{k-1}/q_{k-1}
-    (together with the determinant identity and q_{k-1} <= q_k) forces
-    all four entries into [-1, 1]; this checks exactly those facts.
+    Such an alpha is (p_k x + p_{k-1}) / (q_k x + q_{k-1}) with x >= 1, and
+    by the determinant identity p_{k-1} q_k - p_k q_{k-1} = 1 it decreases
+    in x, so it lies in [p_k/q_k, (p_k + p_{k-1})/(q_k + q_{k-1})] and
+    e1 = q_k / (q_k x + q_{k-1}) in [0, q_k/(q_k + q_{k-1})],
+    e2 = -q_k x / (q_k x + q_{k-1}) in [-1, 0), e3 in (0, 1] and
+    e4 in (0, p_{k-1}/p_k], inside [-1, 1] as q_{k-1} <= q_k and
+    p_{k-1} <= p_k.  (At k = 0, e4 = 1/alpha > 1; for odd k, e3 > 1; the
+    bracket [p_k/q_k, p_{k-1}/q_{k-1}] alone allows e1 up to q_k/q_{k-1}.)
     """
-    if k % 2 != 0 or k < 2:
+    if k % 2 != 0 or k < 2 or len(conv.digits) <= k:
         return False
     if not conv.determinant_identity_holds():
         return False
-    lo_ok = alpha.lo >= conv.value(k)
-    hi_ok = alpha.hi <= conv.value(k - 1)
-    return lo_ok and hi_ok and conv.q(k - 1) <= conv.q(k)
-
-
-def masur_entries(conv: Convergents, k: int, alpha: RatInterval) -> list[RatInterval]:
-    qk, pk = conv.q(k), conv.p(k)
-    qk1, pk1 = conv.q(k - 1), conv.p(k - 1)
-    e1 = (alpha * qk - pk) * qk
-    e2 = (alpha * qk1 - pk1) * qk
-    inv_aqk = (alpha * qk).reciprocal()
-    e3 = inv_aqk * pk
-    e4 = inv_aqk * pk1
-    return [e1, e2, e3, e4]
+    return conv.q(k - 1) <= conv.q(k) and conv.p(k - 1) <= conv.p(k)
 
 
 def wedge_threshold(y: ExactScalar, qk: int) -> ExactScalar:
     return (ExactScalar(1) - 2 * y) / (2 * qk)
 
 
-def _sigma_at(spec: DirectionSpec, conv: Convergents, k: int, bits: int):
-    """(bounded, route) of the four matrix-entry bounds at enclosure ``bits``."""
-    alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-    structural = masur_structural(conv, k, alpha)
-    try:
-        interval_ok = all(e.certified_abs_le(1) for e in masur_entries(conv, k, alpha))
-    except InconclusiveIntervalError:
-        if structural:
-            return True, "structural"
-        raise
-    if interval_ok:
-        return True, "interval+structural" if structural else "interval"
-    return structural, "structural" if structural else "none"
-
-
 def _wedge_at(spec: DirectionSpec, conv: Convergents, k: int, threshold,
-              digit_inequality: bool, bits: int):
-    """(bounded, route, |q_k alpha - p_k|) of the wedge bound at ``bits``."""
-    alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-    wedge = abs(alpha * conv.q(k) - conv.p(k))
-    try:
-        direct = wedge.certified_le(threshold)
-    except InconclusiveIntervalError:
-        if digit_inequality:
+              digit_inequality: bool, notes: list):
+    """(bounded, route, wedge_ratio, precision) of the wedge bound, doubling
+    the enclosure's precision from ``PRECISION_BITS`` while no route
+    decides it; then the last inconclusive message goes to ``notes``."""
+    for attempt in range(_MAX_PRECISION_DOUBLINGS):
+        bits = PRECISION_BITS << attempt
+        alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
+        wedge = abs(alpha * conv.q(k) - conv.p(k))
+        try:
+            bounded = wedge.certified_le(threshold)
+            route = ("direct+implied" if digit_inequality else "direct") if bounded else "none"
+        except InconclusiveIntervalError as exc:
+            if not digit_inequality:
+                note = str(exc)
+                continue
             # |q alpha - p| < 1/(a_{k+1} q) <= threshold
-            return True, "implied", wedge
-        raise
-    route = "direct+implied" if (direct and digit_inequality) else "direct"
-    return direct, route if direct else "none", wedge
+            bounded, route = True, "implied"
+        return bounded, route, wedge / RatInterval(*threshold.enclosure(PRECISION_BITS)), bits
+    notes.append(f"wedge inconclusive: {note}")
+    return False, "inconclusive", None, bits
 
 
 class CheckpointRecord(Record):
@@ -159,21 +145,6 @@ class VerificationReport(Record):
         })
 
 
-def _with_precision_retry(fn, bits: int):
-    """Run fn(bits), doubling bits on inconclusive intervals.
-
-    Returns the result (None when every attempt was inconclusive), the
-    last precision tried and the last inconclusive note."""
-    current = bits
-    for _ in range(_MAX_PRECISION_DOUBLINGS):
-        try:
-            return fn(current), current, None
-        except InconclusiveIntervalError as exc:
-            tried, note = current, str(exc)
-            current *= 2
-    return None, tried, note
-
-
 def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
     """Check every hypothesis at checkpoints 1..horizon.
 
@@ -207,29 +178,11 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
             notes.append("holonomy/convergent mismatch")
             endpoint_consistent = False
 
-        sigma_result, bits_sigma, note = _with_precision_retry(
-            lambda b: _sigma_at(spec, conv, k, b), PRECISION_BITS
+        sigma_ok = masur_structural(conv, k)
+        wedge_ok, wedge_route, wedge_ratio, bits = _wedge_at(
+            spec, conv, k, wedge_threshold(y_n, qk), digit_inequality, notes
         )
-        bits_used = max(bits_used, bits_sigma)
-        if sigma_result is None:
-            sigma_ok, sigma_route = False, "inconclusive"
-            notes.append(f"sigma inconclusive: {note}")
-        else:
-            sigma_ok, sigma_route = sigma_result
-
-        threshold = wedge_threshold(y_n, qk)
-        wedge_result, bits_wedge, note = _with_precision_retry(
-            lambda b: _wedge_at(spec, conv, k, threshold, digit_inequality, b),
-            PRECISION_BITS,
-        )
-        bits_used = max(bits_used, bits_wedge)
-        if wedge_result is None:
-            wedge_ok, wedge_route, wedge_ratio = False, "inconclusive", None
-            notes.append(f"wedge inconclusive: {note}")
-        else:
-            wedge_ok, wedge_route, wedge_iv = wedge_result
-            thr_iv = RatInterval(*threshold.enclosure(PRECISION_BITS))
-            wedge_ratio = wedge_iv / thr_iv
+        bits_used = max(bits_used, bits)
 
         strip = (
             CylinderStrip(k=1, v=(qk, pk), area=ExactScalar(1) - 2 * y_n)
@@ -246,7 +199,7 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
                 y_in_bounds=y_in_bounds,
                 digit_inequality=digit_inequality,
                 sigma_bounded=sigma_ok,
-                sigma_route=sigma_route,
+                sigma_route="structural" if sigma_ok else "none",
                 wedge_bounded=wedge_ok,
                 wedge_route=wedge_route,
                 strip=strip,

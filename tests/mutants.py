@@ -84,6 +84,12 @@ WORD_SEAM = "tests/test_words.py::test_word_concat_merges_seam"
 CLI_ALTERNATION = "tests/test_cli.py::test_action_word_pinned[h+:2,h+:1]"
 CLI_ACTION_SIGN = "tests/test_cli.py::test_action_word_pinned[h+:2,h-:3]"
 FORGED_ENDPOINT = "tests/test_criterion.py::test_forged_endpoint_fails_only_its_checkpoint"
+SIGMA_ODD_K = "tests/test_criterion.py::test_masur_structural_rejects_odd_k"
+SIGMA_LOW_K = "tests/test_criterion.py::test_masur_structural_refuses_k_below_two"
+SIGMA_NEXT_DIGIT = "tests/test_criterion.py::test_masur_structural_needs_the_next_digit"
+WEDGE_RETRY = "tests/test_criterion.py::test_precision_retry_reports_last_precision_tried"
+BILLIARD_CMD = "tests/test_cli.py::test_billiard_command_matches_billiard_oracle"
+JSON_DIGITS = "tests/test_cli.py::test_json_past_the_int_digit_cap"
 FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
 FLOW_LATTICE_ORACLE = "tests/test_flow.py::test_simulate_matches_lattice_oracle"
 FLOW_SINGULAR = "tests/test_flow.py::test_simulate_singular_orbit_flagged"
@@ -247,6 +253,30 @@ CATALOGUE = (
         "holonomy-reads-b-d", "criterion.py",
         "if (matrix.a, matrix.c) != (qk, pk):", "if (matrix.b, matrix.d) != (qk, pk):",
         (VERIFY_ORACLE,),
+    ),
+    # the mediant lemma of criterion.masur_structural; at k = 0 the test
+    # p_{k-1} <= p_k refuses too (p_{-1} = 1 > p_0 = 0), so the k floor is
+    # killed by a negative k, where the table has no index k - 1
+    Mutant(
+        "sigma-parity-dropped", "criterion.py",
+        "if k % 2 != 0 or k < 2 or", "if k < 2 or",
+        (SIGMA_ODD_K,),
+    ),
+    Mutant(
+        "sigma-k-floor-dropped", "criterion.py",
+        "if k % 2 != 0 or k < 2 or", "if k % 2 != 0 or",
+        (SIGMA_LOW_K,),
+    ),
+    Mutant(
+        "sigma-next-digit-not-required", "criterion.py",
+        " or len(conv.digits) <= k:", ":",
+        (SIGMA_NEXT_DIGIT,),
+    ),
+    # the precision doubling of criterion._wedge_at
+    Mutant(
+        "wedge-retry-stops-doubling", "criterion.py",
+        "bits = PRECISION_BITS << attempt", "bits = PRECISION_BITS",
+        (WEDGE_RETRY,),
     ),
     # the closed-form block of rational.block_for and its congruences
     Mutant(
@@ -575,6 +605,23 @@ CATALOGUE = (
         "cli-ambiguous-prefix-takes-first", "cli.py",
         "if len(found) > 1:", "if False:",
         (PARSE_PREFIX,),
+    ),
+    # the billiard command's round trip, up to the wall reflection
+    Mutant(
+        "billiard-wall-reflection-ignored", "cli.py",
+        '"round_trip_identical": back in (b, reflected),', '"round_trip_identical": back == b,',
+        (BILLIARD_CMD,),
+    ),
+    # cli._any_digits lifts the int/str digit cap and restores it
+    Mutant(
+        "json-digit-cap-kept", "cli.py",
+        "sys.set_int_max_str_digits(0)", "None",
+        (JSON_DIGITS,),
+    ),
+    Mutant(
+        "json-digit-cap-not-restored", "cli.py",
+        "sys.set_int_max_str_digits(limit)", "None",
+        (JSON_DIGITS,),
     ),
     # the spec-file loader of cli.load_spec
     Mutant(

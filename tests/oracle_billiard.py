@@ -36,7 +36,7 @@ class Billiard:
         self.lam, self.x, self.y, self.vx, self.vy = lam, x, y, vx, vy
         self.t = 0 * lam
         self.half = (self.t + 1) / 2
-        self.vx_in = vx
+        self.vx_in, self.vy_in = vx, vy
         self.entries = []  # times of entering the period [-1/2, 1/2]
 
     def _move(self, s) -> None:
@@ -46,8 +46,8 @@ class Billiard:
 
     def run_to(self, t_end) -> None:
         """Flow to time ``t_end``, applying every reflection and entry up to
-        and at ``t_end``; ``vx_in`` keeps the vx of the arrival there.  A
-        barrier tip on the way raises TipHit."""
+        and at ``t_end``; ``vx_in`` and ``vy_in`` keep the velocity of the
+        arrival there.  A barrier tip on the way raises TipHit."""
         half = self.half
         while True:
             # the next line x = k/2 ahead: a barrier line for even k
@@ -61,7 +61,7 @@ class Billiard:
                 s_wall = None
             s = s_line if s_wall is None or s_line < s_wall else s_wall
             rest = t_end - self.t
-            self.vx_in = self.vx
+            self.vx_in, self.vy_in = self.vx, self.vy
             if rest < s:
                 self._move(rest)
                 return

@@ -9,37 +9,68 @@ the horizon.  It reads the running action with the verdict rule of
 in the same order.  The library's :func:`slittori.criterion.verify`, which
 carries its orbit, action and matrix from one checkpoint to the next,
 must give the same ``as_json()``.
+
+The matrix-entry bounds are recorded by the library's mediant lemma,
+``masur_structural``; wherever it holds, this verifier also asserts the
+interval route the lemma replaced: ``masur_entries`` on an enclosure of
+alpha, doubling its precision while a comparison is inconclusive
+(``sigma_entries_bounded``), must certify all four entries within [-1, 1].
 """
 
 from __future__ import annotations
 
 from oracle_torus import entries_fix_beta, word_matrix
+from slittori import criterion
 from slittori.criterion import (
-    PRECISION_BITS,
     CheckpointRecord,
     CylinderStrip,
     VerificationReport,
-    _sigma_at,
     _wedge_at,
-    _with_precision_retry,
+    masur_structural,
     wedge_threshold,
 )
 from slittori.directions import DirectionSpec
 from slittori.exact import ExactScalar
-from slittori.intervals import RatInterval
+from slittori.intervals import InconclusiveIntervalError, RatInterval
 from slittori.torus import trace_word
-from slittori.words import GenWord
+from slittori.words import Convergents, GenWord
+
+MAX_PRECISION_DOUBLINGS = 4
 
 
-def verify(
-    spec: DirectionSpec,
-    horizon: int,
-    precision_bits: int = PRECISION_BITS,
-) -> VerificationReport:
+def masur_entries(conv: Convergents, k: int, alpha: RatInterval) -> list[RatInterval]:
+    """The four matrix entries q_k (q_k alpha - p_k), q_k (q_{k-1} alpha -
+    p_{k-1}), p_k / (alpha q_k) and p_{k-1} / (alpha q_k) on an enclosure."""
+    qk, pk = conv.q(k), conv.p(k)
+    qk1, pk1 = conv.q(k - 1), conv.p(k - 1)
+    e1 = (alpha * qk - pk) * qk
+    e2 = (alpha * qk1 - pk1) * qk
+    inv_aqk = (alpha * qk).reciprocal()
+    e3 = inv_aqk * pk
+    e4 = inv_aqk * pk1
+    return [e1, e2, e3, e4]
+
+
+def sigma_entries_bounded(spec: DirectionSpec, conv: Convergents, k: int, bits: int):
+    """(bounded, note) of the interval route: whether ``masur_entries``
+    certify within [-1, 1], doubling ``bits`` on an inconclusive comparison;
+    bounded is None, with the last inconclusive message as the note, when
+    every try is inconclusive."""
+    for attempt in range(MAX_PRECISION_DOUBLINGS):
+        alpha = spec.alpha_enclosure(bits << attempt, min_digits=k + 2)
+        try:
+            return all(e.certified_abs_le(1) for e in masur_entries(conv, k, alpha)), None
+        except InconclusiveIntervalError as exc:
+            note = str(exc)
+    return None, note
+
+
+def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     records: list[CheckpointRecord] = []
     y_lo, y_hi = spec.y_bounds
+    precision_bits = criterion.PRECISION_BITS
     bits_used = precision_bits
     for n in range(1, horizon + 1):
         k = spec.checkpoint_index(n)
@@ -62,29 +93,16 @@ def verify(
             notes.append("holonomy/convergent mismatch")
             endpoint_consistent = False
 
-        sigma_result, bits_sigma, note = _with_precision_retry(
-            lambda b: _sigma_at(spec, conv, k, b), precision_bits
-        )
-        bits_used = max(bits_used, bits_sigma)
-        if sigma_result is None:
-            sigma_ok, sigma_route = False, "inconclusive"
-            notes.append(f"sigma inconclusive: {note}")
-        else:
-            sigma_ok, sigma_route = sigma_result
+        sigma_ok = masur_structural(conv, k)
+        if sigma_ok:
+            bounded, note = sigma_entries_bounded(spec, conv, k, precision_bits)
+            assert bounded is not None, f"checkpoint {n}: sigma inconclusive: {note}"
+            assert bounded, f"checkpoint {n}: the lemma holds, the interval entries exceed 1"
 
-        threshold = wedge_threshold(y_n, qk)
-        wedge_result, bits_wedge, note = _with_precision_retry(
-            lambda b: _wedge_at(spec, conv, k, threshold, digit_inequality, b),
-            precision_bits,
+        wedge_ok, wedge_route, wedge_ratio, bits_wedge = _wedge_at(
+            spec, conv, k, wedge_threshold(y_n, qk), digit_inequality, notes
         )
         bits_used = max(bits_used, bits_wedge)
-        if wedge_result is None:
-            wedge_ok, wedge_route, wedge_ratio = False, "inconclusive", None
-            notes.append(f"wedge inconclusive: {note}")
-        else:
-            wedge_ok, wedge_route, wedge_iv = wedge_result
-            thr_iv = RatInterval(*threshold.enclosure(max(64, precision_bits)))
-            wedge_ratio = wedge_iv / thr_iv
 
         strip = (
             CylinderStrip(k=1, v=(qk, pk), area=ExactScalar(1) - 2 * y_n)
@@ -101,7 +119,7 @@ def verify(
                 y_in_bounds=y_in_bounds,
                 digit_inequality=digit_inequality,
                 sigma_bounded=sigma_ok,
-                sigma_route=sigma_route,
+                sigma_route="structural" if sigma_ok else "none",
                 wedge_bounded=wedge_ok,
                 wedge_route=wedge_route,
                 strip=strip,

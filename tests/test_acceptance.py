@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from slittori.criterion import masur_entries, masur_structural, verify
+from slittori.criterion import masur_structural, verify
 from slittori.dimension import (
     DimensionProblem,
     dimension_certificate,
@@ -52,6 +52,7 @@ from slittori.words import GenWord, IntMat2, THETA, check_relations
 
 import oracle_torus
 from conftest import explicit_spec
+from oracle_criterion import masur_entries
 
 
 class Budget:
@@ -113,7 +114,7 @@ def test_criterion_3_verification_and_faults():
         conv = spec.convergents(8 * n)
         assert all(e.certified_abs_le(1) for e in masur_entries(conv, 8 * n, alpha))
     # parity violation breaks the structural route
-    assert not masur_structural(spec.convergents(8), 7, alpha)
+    assert not masur_structural(spec.convergents(8), 7)
 
     # fault injection: each mutation flips exactly the matching boolean
     z14 = TorusPoint.of(0, Fraction(1, 4))

@@ -1013,10 +1013,10 @@ def test_billiard_command_matches_billiard_oracle(capsys):
     point (deck + w x, |y|) and the velocity (w dx, +-dy), with w = 1 on
     sheet 0 and -1 on sheet 1 and the sign of vy from the cell height.
     That must give back the input state, which the command's round trip
-    must print too, and call identical off the walls.  On a wall (y = 0
-    or 1/2) the cell height is half-open, so vy may come back flipped,
-    which is the same billiard state: the table run from both states must
-    reach the same point at T = 3, or the same barrier tip.  The deck must be the barrier period
+    must print too, and call identical.  On a wall (y = 0 or 1/2) the cell
+    height is half-open, so vy may come back flipped, which is the same
+    billiard state, also called identical: the table run from both states
+    must reach the same point at T = 3, or the same barrier tip.  The deck must be the barrier period
     that the table from the input state is in a time 1/100 later, also
     from the half-open cell edge of a half-integer x on either sheet.
 
@@ -1063,8 +1063,7 @@ def test_billiard_command_matches_billiard_oracle(capsys):
             assert read[3] == vy or (on_wall and read[3] == -vy), case
             assert doc["billiard"] == dict(zip(("x", "y", "vx", "vy"), map(str, (x, y, vx, vy))))
             assert doc["round_trip"] == dict(zip(("x", "y", "vx", "vy"), map(str, read))), case
-            if not on_wall:  # a wall state's identical flag is left open
-                assert doc["round_trip_identical"] is True, case
+            assert doc["round_trip_identical"] is True, case
 
             tables = [oracle_billiard.Billiard(table_lam, num(px), num(py), num(pvx / abs(vx)),
                                                num(pvy / abs(vx)))
@@ -1090,3 +1089,34 @@ def test_spec_file_shape(tmp_path, capsys):
     assert doc["provenance"]["nk_rule"] == {"kind": "arith", "params": [6, 0]}
     assert doc["digit_prefix"][:8] == [8, 1, 1, 11, 1, 1, 3, 6]
     assert doc["y_bounds"][0] == [1, 0, 6, 0]
+
+
+def test_json_past_the_int_digit_cap(capsys, tmp_path):
+    """Spec files and reports carry ints of any size: ``_emit`` prints a
+    5000-digit int, and a spec file with one in z0 is parsed and compared
+    with the rebuild, so it fails there (exit 2), not at the parse.  The
+    caller's cap on int/str digits is the same after both."""
+    from slittori import cli
+
+    digits = "9" * 5000
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        cli._emit({"u": 10 ** 5000 - 1})
+        assert capsys.readouterr().out == '{\n  "u": ' + digits + "\n}\n"
+        assert sys.get_int_max_str_digits() == 4321
+
+        path = tmp_path / "spec.json"
+        assert main(["build", "--lambda", "1/4", "--nk", "const:1", "--blocks", "1",
+                     "-o", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        assert doc["z0"][0] == [0, 0, 1, 0]
+        doc["z0"] = "Z0"
+        path.write_text(json.dumps(doc).replace('"Z0"', f"[[{digits}, 0, 1, 0], [1, 0, 4, 0]]"))
+        code, out, err = run(capsys, "verify", str(path), "--horizon", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "spec file z0 disagree with deterministic rebuild"}
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(before)

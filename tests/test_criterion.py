@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from slittori.criterion import masur_entries, masur_structural, verify, wedge_threshold
+from slittori.criterion import masur_structural, verify, wedge_threshold
 from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
 from slittori.rational import RationalParam, direction_stream
 from slittori.torus import TorusPoint
+from slittori.words import Convergents
 
 from conftest import explicit_spec
+from oracle_criterion import masur_entries
 
 QUARTER_BLOCK = (5, 1, 1, 7, 1, 1, 2, 1)
 Z14 = lambda: TorusPoint.of(0, Fraction(1, 4))
@@ -76,14 +78,77 @@ def test_masur_entries_quarter(quarter_spec):
         assert e.certified_abs_le(1)
     # |q8 (q7 a - p7)| = 625 |448 a - 81| is close to but below 1
     assert abs(entries[1]).lo > Fraction(8, 10)
-    assert masur_structural(conv, 8, alpha)
+    assert masur_structural(conv, 8)
     assert all(rec.sigma_bounded for rec in verify(quarter_spec, 2).records)
 
 
 def test_masur_structural_rejects_odd_k(quarter_spec):
     conv = quarter_spec.convergents(8)
-    alpha = quarter_spec.alpha_enclosure(256, min_digits=10)
-    assert not masur_structural(conv, 7, alpha)
+    assert not masur_structural(conv, 7)
+
+
+def _entries_at(conv, k, alpha):
+    """The four matrix entries at an exact rational alpha."""
+    qk, pk, qk1, pk1 = conv.q(k), conv.p(k), conv.q(k - 1), conv.p(k - 1)
+    return (qk * (qk * alpha - pk), qk * (qk1 * alpha - pk1),
+            pk / (alpha * qk), pk1 / (alpha * qk))
+
+
+def test_masur_structural_refuses_k_below_two():
+    """At k = 0 the entry p_{-1} / (alpha q_0) is 1/alpha > 1, so the lemma
+    needs k >= 2; a negative k, where the table has no index k - 1, is
+    refused too, not an IndexError."""
+    conv = Convergents((2, 3, 1, 4, 1))
+    alpha = conv.value(5)
+    assert _entries_at(conv, 0, alpha)[3] == 1 / alpha > 1
+    for k in (0, -2):
+        assert masur_structural(conv, k) is False
+    assert masur_structural(conv, 2) and masur_structural(conv, 4)
+
+
+def test_masur_structural_needs_the_next_digit():
+    """The lemma reads x = [a_{k+1}; ...] >= 1, so a table that stops at
+    digit k does not certify checkpoint k."""
+    digits = (5, 1, 1, 7, 1, 1, 2, 1)
+    assert not masur_structural(Convergents(digits), 8)
+    assert masur_structural(Convergents(digits + (1,)), 8)
+
+
+def test_mediant_lemma_holds_at_both_ends():
+    """On seeded even-length prefixes the four entries, exact at both ends
+    of [p_k/q_k, (p_k + p_{k-1})/(q_k + q_{k-1})], lie in [-1, 1] (each
+    entry is monotone in alpha there, so they do on the whole interval),
+    at the ends the docstring gives, and every alpha with the k + 1 digits
+    lies in the interval."""
+    import random
+
+    rng = random.Random(36)
+    for _ in range(400):
+        k = 2 * rng.randint(1, 12)
+        digits = tuple(rng.choice((1, 1, 2, 3, rng.randint(1, 60))) for _ in range(k + 1))
+        conv = Convergents(digits)
+        assert masur_structural(conv, k), digits
+        qk, pk, qk1, pk1 = conv.q(k), conv.p(k), conv.q(k - 1), conv.p(k - 1)
+        lo, hi = Fraction(pk, qk), Fraction(pk + pk1, qk + qk1)
+        e_lo, e_hi = _entries_at(conv, k, lo), _entries_at(conv, k, hi)
+        assert e_lo == (0, -1, 1, Fraction(pk1, pk)), digits
+        assert e_hi[:2] == (Fraction(qk, qk + qk1), Fraction(-qk, qk + qk1)), digits
+        assert all(-1 <= e <= 1 for e in e_lo + e_hi), digits
+        tail = Convergents(digits + tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 4))))
+        assert lo <= tail.value() <= hi, digits
+
+
+def test_convergent_bracket_alone_admits_e1_above_one():
+    """The bracket [p_k/q_k, p_{k-1}/q_{k-1}] that masur_structural once
+    tested alpha against does not bound e1: digits (1, 1) at k = 2 give the
+    bracket [1/2, 1], and alpha = 9/10 in it has e1 = 8/5.  The mediant 2/3
+    excludes 9/10, whose digits are (1, 9)."""
+    conv = Convergents((1, 1, 1))
+    assert (conv.value(2), conv.value(1)) == (Fraction(1, 2), 1)
+    assert _entries_at(conv, 2, Fraction(9, 10))[0] == Fraction(8, 5)
+    assert Fraction(conv.p(2) + conv.p(1), conv.q(2) + conv.q(1)) == Fraction(2, 3)
+    assert Convergents((1, 9)).value() == Fraction(9, 10)
+    assert masur_structural(conv, 2)
 
 
 def test_wedge_check_values(quarter_spec):
@@ -206,13 +271,9 @@ def test_verdicts_do_not_depend_on_starting_precision(stream, monkeypatch):
     assert len(records) == 3 and all(ok for *_, ok in records)
 
 
-def _verify_forced_inconclusive(spec, monkeypatch):
-    """verify(spec, 1) with every certified comparison inconclusive
-    and the structural sigma route closed: the report and the precisions
-    alpha_enclosure was asked for, in order."""
-    from slittori import criterion
+def _recording_enclosures(monkeypatch):
+    """The precisions ``alpha_enclosure`` is asked for, in order, from now on."""
     from slittori.directions import DirectionSpec
-    from slittori.intervals import InconclusiveIntervalError, RatInterval
 
     asked = []
     enclosure = DirectionSpec.alpha_enclosure
@@ -221,22 +282,42 @@ def _verify_forced_inconclusive(spec, monkeypatch):
         asked.append(bits)
         return enclosure(self, bits, min_digits)
 
+    monkeypatch.setattr(DirectionSpec, "alpha_enclosure", recording)
+    return asked
+
+
+def test_precision_retry_reports_last_precision_tried(monkeypatch):
+    """With every wedge comparison inconclusive and the digit inequality
+    failing, so that the implied route is closed, the wedge check doubles
+    the precision three times and the report names the last precision
+    tried, not one doubling more."""
+    from slittori.intervals import InconclusiveIntervalError, RatInterval
+
     def undecided(self, bound):
         raise InconclusiveIntervalError("forced")
 
-    monkeypatch.setattr(DirectionSpec, "alpha_enclosure", recording)
+    spec = _stream("mut_digit")
+    asked = _recording_enclosures(monkeypatch)
     monkeypatch.setattr(RatInterval, "certified_le", undecided)
-    monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
-    monkeypatch.setattr(criterion, "masur_structural", lambda conv, k, alpha: False)
-    return verify(spec, 1), asked
-
-
-def test_precision_retry_reports_last_precision_tried(quarter_spec, monkeypatch):
-    """When every retry is inconclusive the report names the last precision
-    tried, 256 doubled three times, not one doubling more."""
-    report, asked = _verify_forced_inconclusive(quarter_spec, monkeypatch)
-    assert asked == [256, 512, 1024, 2048, 256]  # four sigma tries, one wedge
+    report = verify(spec, 1)
+    rec = report.records[0]
+    assert asked == [256, 512, 1024, 2048]
     assert report.precision_bits == 2048
+    assert not rec.digit_inequality and not rec.wedge_bounded
+    assert (rec.wedge_route, rec.wedge_ratio) == ("inconclusive", None)
+    assert rec.notes == ["wedge inconclusive: forced"]
+    assert rec.sigma_bounded and rec.sigma_route == "structural"
+
+
+@pytest.mark.parametrize("stream, horizon", [("quarter", 6), ("sqrt2", 4)])
+def test_one_enclosure_per_checkpoint(stream, horizon, monkeypatch):
+    """The sigma check reads no enclosure, so where the wedge decides at
+    the starting precision verify asks for one enclosure per checkpoint."""
+    spec = _stream(stream)
+    asked = _recording_enclosures(monkeypatch)
+    report = verify(spec, horizon)
+    assert report.overall and report.precision_bits == 256
+    assert asked == [256] * horizon
 
 
 def _stream(name):
@@ -330,21 +411,21 @@ def test_trace_work_is_linear_in_horizon(stream, horizon, monkeypatch):
     assert sum(word.step_count for word in traced) == sum(spec.digits_prefix(8 * horizon))
 
 
-@pytest.mark.parametrize(
-    "stream, horizon",
-    [
-        ("quarter", 10),
-        ("sixth_arith", 16),
-        ("sqrt2", 4),
-        ("sqrt2", 16),
-        ("sqrt2", 40),
-        ("sqrt3_d2", 16),
-        ("mut_digit", 1),
-        ("mut_y", 1),
-        ("mut_endpoint", 3),
-        ("mut_action", 3),
-    ],
-)
+ORACLE_CASES = [
+    ("quarter", 10),
+    ("sixth_arith", 16),
+    ("sqrt2", 4),
+    ("sqrt2", 16),
+    ("sqrt2", 40),
+    ("sqrt3_d2", 16),
+    ("mut_digit", 1),
+    ("mut_y", 1),
+    ("mut_endpoint", 3),
+    ("mut_action", 3),
+]
+
+
+@pytest.mark.parametrize("stream, horizon", ORACLE_CASES)
 def test_verify_matches_oracle(stream, horizon):
     """The block-by-block verifier against the reference that re-traces
     the whole prefix at every checkpoint and multiplies the word matrix
@@ -354,3 +435,33 @@ def test_verify_matches_oracle(stream, horizon):
     spec = _stream(stream)
     expected = oracle_criterion.verify(_stream(stream), horizon).as_json()
     assert verify(spec, horizon).as_json() == expected
+
+
+def test_lemma_agrees_with_interval_entries():
+    """Differential test of the mediant lemma against the interval route it
+    replaced: wherever ``masur_structural`` holds, the oracle's interval
+    entries certify within [-1, 1] on a 2**-256 enclosure of alpha.  The
+    streams are those of ``test_verify_matches_oracle`` and seeded barrier
+    streams whose free digits follow a ``list`` rule."""
+    import random
+
+    import oracle_criterion
+
+    rng = random.Random(3602)
+    cases = [(_stream(name), min(horizon, 16)) for name, horizon in ORACLE_CASES]
+    for _ in range(16):
+        lam = Fraction(rng.randint(1, 12), rng.randint(25, 60))
+        rule = DigitRule("list", tuple(rng.choice((1, 2, 5, rng.randint(1, 400))) for _ in range(40)))
+        cases.append((direction_stream(RationalParam.from_barrier_length(lam), rule), 6))
+    checked = 0
+    for spec, horizon in cases:
+        for n in range(1, horizon + 1):
+            k = spec.checkpoint_index(n)
+            spec.ensure_digits(k + 1)
+            conv = spec.convergents(k)
+            assert masur_structural(conv, k), (spec.provenance, n)
+            alpha = spec.alpha_enclosure(256, min_digits=k + 2)
+            entries = oracle_criterion.masur_entries(conv, k, alpha)
+            assert all(e.certified_abs_le(1) for e in entries), (spec.provenance, n)
+            checked += 1
+    assert checked == sum(h for _, h in cases)

@@ -881,6 +881,9 @@ def test_simulate_matches_billiard_oracle():
     w = 1 on sheet 0 and -1 on sheet 1 (the unfolded x runs against the
     table's on sheet 1); it must be the billiard's position at the
     row's time, and w the sign of the billiard's vx on arrival there.
+    The billiard's vy on arrival there must be the slope with the sign of
+    the row's cell height (negative at height 0, where the table meets
+    the floor), which the position check, on |y|, leaves open.
     ``deck_zero_returns`` must count the billiard's entries into the
     barrier period [-1/2, 1/2].  An orbit that stops at a cone point must
     meet a barrier tip on its next straight piece, within one time unit
@@ -929,7 +932,7 @@ def test_simulate_matches_billiard_oracle():
     ]
 
     weights = (1, -1)  # written out, not read from flow.DECK_WEIGHTS
-    stopped = returns = edge_events = 0
+    stopped = returns = edge_events = vy_rows = 0
     for lam, slope, T, start in rays:
         case = (lam, slope, T, start)
         log = io.StringIO()
@@ -944,6 +947,9 @@ def test_simulate_matches_billiard_oracle():
             table.run_to(Fraction(t))
             assert table.vx_in == w, (case, row)
             assert (table.x, table.y) == (int(deck) + w * Fraction(x), abs(Fraction(y))), (case, row)
+            # vy on the piece that reaches the row has the sign of the cell height
+            assert table.vy_in == (slope if Fraction(y) > 0 else -slope), (case, row)
+            vy_rows += 1
         t_last = Fraction(stats.total_advance)
         if stats.terminated_early:
             assert stats.termination_reason == "orbit hits a cone point", case
@@ -971,8 +977,8 @@ def test_simulate_matches_billiard_oracle():
             cells[weights.index(table.vx_in)][i][j] += 1
             edge_events += bool(at_x or at_y)
         assert cells == stats.cell_counts, case
-    assert 0 < stopped < len(rays) and returns > 0 and edge_events == 3, (
-        stopped, returns, edge_events)
+    assert 0 < stopped < len(rays) and returns > 0 and edge_events == 3 and vy_rows > 0, (
+        stopped, returns, edge_events, vy_rows)
 
 
 def test_simulate_bins_on_bin_edges_match_oracle(quarter_model):

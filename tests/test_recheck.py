@@ -15,7 +15,9 @@ a_{k+1} (1 - 2 y_n) >= 2.  The recomputation uses neither
 bug that the verifier and its oracle share shows here.
 
 Each verdict is compared only where the mpmath margin exceeds its error
-bound.  alpha is the convergent p_m / q_m of a prefix ``EXTRA`` digits
+bound.  ``verify`` decides the four entries by its mediant lemma, with no
+alpha, so wherever mpmath decides them they must all lie in [-1, 1] and
+the record must read ``sigma_bounded``.  alpha is the convergent p_m / q_m of a prefix ``EXTRA`` digits
 past the last checkpoint, off the stream's value by less than 1 / q_m^2.
 Every mpmath operation adds a relative error of about 10^-300.
 """
@@ -100,7 +102,8 @@ def test_verify_agrees_with_mpmath(name):
             bounded = [decided(1 - abs(e), err) for e, err in zip(entries, errs)]
             if False in bounded or None not in bounded:
                 checked["sigma"] += 1
-                assert ("interval" in rec.sigma_route) == all(bounded), (n, rec.sigma_route)
+                assert all(bounded), (n, bounded)
+                assert rec.sigma_bounded, (n, rec.sigma_route)
 
             wedge = abs(q[k] * alpha - p[k])
             err_wedge = q[k] * (eps + rounding)

@@ -30,6 +30,7 @@ KEEP = {
     "words.check_relations": "acceptance",
     "words.GenWord.theta_conjugate": "acceptance",
     "intervals.RatInterval.certified_ge": "bench",
+    "intervals.RatInterval.certified_abs_le": "bench",
     "directions.DirectionSpec.cached_blocks": "bench",
 }
 
