@@ -13,6 +13,17 @@ modular inverse per parameter.  Certification never trusts the
 construction: the word is traced and the certificate records whether the
 endpoint returns to z and the traced action is +-identity.
 
+The certificate also names the h- period n (1 when r = 0, else 2q); its
+multiples, the free digits of a stream, fix z and beta by the
+
+Period lemma.  (h-)^n fixes z, and beta up to sign, exactly when
+n r = 0 (mod 2q).  Proof: in units of 1/2q, z = (r, s) with r, s in
+[-q, q).  Each step of (h-)^-1 keeps x = r and moves y to y - r wrapped
+into [-q, q), so after n steps y is the representative of s - n r, which
+is s exactly when 2q divides n r.  Each step contributes h- or its
+inverse to the action, so it is (h-)^m, with entries (1, 0, m, 1), which
+fixes beta for every m.
+
 For the barrier picture itself z = (0, lambda) with lambda = p/2q, the
 odd case reduces to a = q, b = q-1, i.e. the block
 (3q-1, 1, 1, 4q-1, 1, 1, q).
@@ -27,7 +38,7 @@ from math import gcd
 
 from .directions import BlockRecord, DigitRule, DirectionSpec
 from .exact import Frozen
-from .torus import TorusPoint, _trace_lattice, entries_are_identity, entries_fix_beta
+from .torus import TorusPoint, _trace_lattice, entries_are_identity
 from .words import GenWord
 
 
@@ -141,6 +152,14 @@ def fixing_word(param: RationalParam) -> GenWord:
 
 
 class FixingCertificate(Frozen):
+    """What :func:`certify_fixing` found at z = (r/2q, s/2q).
+
+    ``fixes_point``: the traced block returns z to itself, and so does
+    (h-)^n, n = ``h_minus_period``, by the period lemma's n r = 0 (mod 2q).
+    ``action_is_identity``: the block's traced action is +-I.
+    ``h_minus_period``: n, 1 when r = 0 and 2q otherwise, whose multiples
+    are the free digits n_k a stream admits.  ``ok`` is the first two."""
+
     __slots__ = ("fixes_point", "action_is_identity", "h_minus_period")
 
     def __init__(self, fixes_point: bool, action_is_identity: bool, h_minus_period: int):
@@ -160,27 +179,28 @@ def certify_fixing(param: RationalParam) -> FixingCertificate:
     """Trace the fixing word at z and report what it actually does.
 
     Never raises on failure; a failing certificate is the caller's
-    acceptance gate.  The h- period is 1 when r = 0 (the height is then
-    invariant under every power) and 2q otherwise; the returned period
-    is itself re-verified by a trace.  Both traces call
-    :func:`~slittori.torus._trace_lattice` on the lattice Z/2q, where z is
-    the flat integers r, 0, s, 0, one closed-form syllable at a time, and
-    compare the integers it returns with r and s; the block digits are the
-    exponents of an h+-leading word as they are, with no
-    :class:`~slittori.words.GenWord` in between, and the verdicts are read
-    from the raw action entries it returns, with no matrix built and no
-    sign canonicalised.  The start needs no check: :class:`RationalParam`
-    makes q >= 1 and |r|, |s| < q, so W = 2q is even and r and s lie in
-    [-W/2, W/2).
+    acceptance gate.  The block is traced by one
+    :func:`~slittori.torus._trace_lattice` call on the lattice Z/2q, where
+    z is the flat integers r, 0, s, 0, one closed-form syllable at a time,
+    and the end point it returns is compared with r and s; the block
+    digits are the exponents of an h+-leading word as they are, with no
+    :class:`~slittori.words.GenWord` in between, and the identity verdict
+    is read from the raw action entries it returns, with no matrix built
+    and no sign canonicalised.  The start needs no check:
+    :class:`RationalParam` makes q >= 1 and |r|, |s| < q, so W = 2q is
+    even and r and s lie in [-W/2, W/2).
+
+    The h- period n (1 when r = 0, else 2q) is certified by the module's
+    period lemma, with no trace: (h-)^n fixes z and beta exactly when
+    n r = 0 (mod 2q), as it leaves x = r, moves y to s - n r (mod 2q) and
+    acts as a power of h-.
     """
     r, s, q = param.r, param.s, param.q
     W = 2 * q
     period = 1 if r == 0 else W
     x, _, y, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h+", block_for(param))
-    fixes_identity = entries_are_identity(a, b, c, d)
-    x_h, _, y_h, _, a, b, c, d = _trace_lattice(W, 0, r, 0, s, 0, "h-", (period,))
-    period_ok = x_h == r and y_h == s and entries_fix_beta(a, b, c, d)
-    return FixingCertificate(x == r and y == s and period_ok, fixes_identity, period)
+    fixes_point = x == r and y == s and period * r % W == 0
+    return FixingCertificate(fixes_point, entries_are_identity(a, b, c, d), period)
 
 
 class NkRuleError(ValueError):

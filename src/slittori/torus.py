@@ -50,8 +50,8 @@ yields, so a caller that holds integers packs no coordinate pairs.
 :func:`trace_word`, the one adapter from a :class:`TorusPoint` and a
 :class:`~slittori.words.GenWord`, returns (final, entries), its end point
 as a :class:`TorusPoint` and the raw entries of the action;
-:func:`slittori.rational.certify_fixing` calls :func:`_trace_lattice` on
-Z/2q and :func:`slittori.irrational.find_block` on its search's own
+:func:`slittori.rational.certify_fixing` calls :func:`_trace_lattice`
+once, on Z/2q, and :func:`slittori.irrational.find_block` on its search's own
 lattice, each with its own integers, building neither a point nor a
 matrix.  :meth:`Lattice.run` steps one unit at a time and supplies
 :func:`m_sequence` and the searches and single steps of

@@ -316,10 +316,9 @@ CATALOGUE = (
         (CERT_ORACLE,),
     ),
     Mutant(
-        "period-trace-unpacks-y-as-x", "rational.py",
-        "x_h, _, y_h, _, a, b, c, d = _trace_lattice(",
-        "y_h, _, x_h, _, a, b, c, d = _trace_lattice(",
-        (CERT_ORACLE,),
+        "period-congruence-reads-s", "rational.py",
+        "period * r % W", "period * s % W",
+        (CERT_EXAMPLES,),
     ),
     Mutant(
         "param-field-type-unchecked", "rational.py",
@@ -344,9 +343,9 @@ CATALOGUE = (
         (CERT_ORACLE, CERT_EXAMPLES),
     ),
     Mutant(
-        "h-minus-period-led-by-h-plus", "rational.py",
-        '"h-", (period,))', '"h+", (period,))',
-        (CERT_ORACLE, CERT_EXAMPLES),
+        "h-minus-period-one", "rational.py",
+        "period = 1 if r == 0 else W", "period = 1 if r == 0 else 1",
+        (CERT_EXAMPLES,),
     ),
     Mutant(
         "shared-inverse-mod-2q", "rational.py",

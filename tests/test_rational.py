@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import oracle_rational as oracle
+import oracle_torus
 import slittori.rational as rational
 from slittori.cli import main
 from slittori.directions import DigitRule, DigitStreamExhaustedError
@@ -23,6 +24,7 @@ from slittori.rational import (
     solve_congruences,
 )
 from slittori.torus import TorusPoint, entries_are_identity, trace_word
+from slittori.words import GenWord
 
 
 def barrier(lam) -> RationalParam:
@@ -231,9 +233,10 @@ def test_certificate_builds_no_word_lattice_or_point(monkeypatch):
         assert len(calls) == 1, param
 
 
-def test_certificate_runs_the_kernel_twice(monkeypatch):
-    """certify_fixing calls the kernel once for the block, h+ leading, and
-    once for the h- period, both on Z/2q from the flat integers r, 0, s, 0."""
+def test_certificate_runs_the_kernel_once(monkeypatch):
+    """certify_fixing calls the kernel once, for the block, h+ leading, on
+    Z/2q from the flat integers r, 0, s, 0; the h- period is the
+    congruence of the period lemma, with no trace."""
     calls = []
     trace = rational._trace_lattice
 
@@ -246,11 +249,42 @@ def test_certificate_runs_the_kernel_twice(monkeypatch):
         calls.clear()
         assert certify_fixing(param).ok
         r, s, W = param.r, param.s, 2 * param.q
-        period = 1 if r == 0 else W
-        assert calls == [
-            (W, 0, r, 0, s, 0, "h+", block_for(param)),
-            (W, 0, r, 0, s, 0, "h-", (period,)),
-        ], param
+        assert calls == [(W, 0, r, 0, s, 0, "h+", block_for(param))], param
+
+
+def test_period_congruence_is_the_traced_verdict():
+    """The period lemma: for every parameter with q <= 12 and every n in
+    1..4q, n r = 0 (mod 2q) exactly when the reference's step-by-step
+    trace of (h-)^n from z = (r, s) on Z/2q ends at z with an action that
+    fixes beta.  Every n is checked, not only the period, and both
+    verdicts occur."""
+    seen = set()
+    for param in all_params(12):
+        r, s, W = param.r, param.s, 2 * param.q
+        for n in range(1, 2 * W + 1):
+            x, y, action, _ = oracle_torus.trace_rational_core(
+                r, s, W, GenWord.from_digits((n,), "h-"), False
+            )
+            traced = (x, y) == (r, s) and oracle_torus.entries_fix_beta(*action)
+            assert (n * r % W == 0) == traced, (param, n)
+            seen.add(traced)
+    assert seen == {False, True}
+
+
+def test_first_digit_clears_the_height_on_every_parameter_up_to_q_50():
+    """The digit inequality of the rational theorem: B_1 (1 - |s|/q) >= 2
+    for all 102,534 parameters with q <= 50.  The least margin
+    B_1 (1 - |s|/q) / 2 is exactly 101/100, at (r, s, q) = (-48, -49, 50)
+    and at (48, 49, 50), the reduced parameter with the same block."""
+    margins = {
+        p: Fraction(block_for(p)[0] * (p.q - abs(p.s)), 2 * p.q) for p in all_params(50)
+    }
+    assert len(margins) == 102_534
+    least = min(margins.values())
+    assert least == Fraction(101, 100)
+    assert [p for p, m in margins.items() if m == least] == [
+        RationalParam(-48, -49, 50), RationalParam(48, 49, 50)
+    ]
 
 
 def test_perturbed_block_fails_both_certificates(monkeypatch):

@@ -490,7 +490,9 @@ def test_rules_are_exact_on_any_integer_entries():
 def test_non_unimodular_action_is_a_failed_verdict(monkeypatch):
     """A kernel that returned the entries 2 I, of det 4, fails each
     verdict that reads them instead of raising: the fixing certificate is
-    not ok, find_block raises DerivationError, and verify records
+    not ok (its end point, which the forged kernel leaves right, still
+    returns to z, and the h- period is the congruence, read from no
+    entries), find_block raises DerivationError, and verify records
     fixes_beta false at every checkpoint."""
     from slittori import irrational, rational, torus
     from slittori.criterion import verify
@@ -504,7 +506,7 @@ def test_non_unimodular_action_is_a_failed_verdict(monkeypatch):
     param = RationalParam.from_barrier_length(Fraction(1, 4))
     spec = direction_stream(param, DigitRule("const", (1,)))
     monkeypatch.setattr(rational, "_trace_lattice", forged)
-    assert certify_fixing(param) == FixingCertificate(False, False, 1)
+    assert certify_fixing(param) == FixingCertificate(True, False, 1)
     monkeypatch.setattr(irrational, "_trace_lattice", forged)
     with pytest.raises(DerivationError, match="fails its trace certificate"):
         find_block(TorusPoint(ExactScalar(0), ExactScalar(0, 1, 4, 2)))
