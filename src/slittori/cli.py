@@ -25,10 +25,19 @@ value that starts with ``-`` and a digit (``-3/10``, ``-1,-1,3``) is a
 value, not a flag; ``--`` makes every later argument a value.  Errors
 carry argparse's text and exit 2; ``-h``/``--help`` prints the usage
 from the same table and exits 0.
+
+The process entry is ``run``: ``python -m slittori.cli`` and the
+``slittori`` script call it.  It runs ``gc.freeze()`` once the imports are
+done, before the command is parsed, so the collector's later passes (the
+full ones at interpreter exit included) skip the objects the imports left,
+which live until exit anyway.  ``main(argv)`` never freezes: tests and
+library callers run it many times in one long-lived process, where a
+freeze would keep any cyclic garbage of each call for good.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -648,6 +657,12 @@ def parse_args(argv: list[str]):
     return SimpleNamespace(command=command, **fields, func=COMMANDS[command][1])
 
 
+def run() -> None:
+    """Freeze the import-time heap, run the command line, exit with its code."""
+    gc.freeze()
+    sys.exit(main())
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
@@ -659,4 +674,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -107,6 +107,8 @@ PARSE_REQUIRED = "tests/test_cli.py::test_table_parser_matches_argparse[required
 PARSE_TYPE = "tests/test_cli.py::test_table_parser_matches_argparse[type-int]"
 PARSE_EQ = "tests/test_cli.py::test_table_parser_matches_argparse[eq-long]"
 PARSE_PREFIX = "tests/test_cli.py::test_table_parser_matches_argparse[prefix-ambiguous]"
+ENTRY_FREEZES = "tests/test_cli.py::test_process_entry_freezes_before_the_command"
+MAIN_UNFROZEN = "tests/test_cli.py::test_main_leaves_the_heap_unfrozen"
 
 # seconds one pytest run may take; a mutant that stops a loop from
 # advancing is reported as not run instead of hanging the catalogue
@@ -628,6 +630,18 @@ CATALOGUE = (
         "if key in data and _json_text(rebuilt[key]) != _json_text(data[key]):",
         "if False:",
         (FORGED,),
+    ),
+    # the process entry freezes the import-time heap; main never does
+    Mutant(
+        "entry-does-not-freeze", "cli.py",
+        "    gc.freeze()\n    sys.exit(main())", "    sys.exit(main())",
+        (ENTRY_FREEZES,),
+    ),
+    Mutant(
+        "main-freezes", "cli.py",
+        "    gc.freeze()\n    sys.exit(main())\n\n\ndef main(argv=None) -> int:\n",
+        "    sys.exit(main())\n\n\ndef main(argv=None) -> int:\n    gc.freeze()\n",
+        (MAIN_UNFROZEN,),
     ),
 )
 

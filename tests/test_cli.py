@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib.util
 import inspect
 import io
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import oracle_torus as oracle
+import slittori
 from oracle_cli import build_parser
 from oracle_dimension import exact_sqrt_partial_sum
 from slittori.cli import (
@@ -40,6 +42,8 @@ from slittori.rational import RationalParam, direction_stream
 from slittori.torus import trace_word
 
 ROOT = Path(__file__).resolve().parent.parent
+# the sources under test, which a child interpreter imports
+SRC = str(Path(slittori.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -563,8 +567,7 @@ def test_negative_value_after_flag(capsys, argv):
 
 
 def test_import_path_loads_no_dataclasses_inspect_or_typing():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=SRC)
     # the modules that bench/tracer.py wraps, read from its source
     tables = {
         node.targets[0].id: ast.literal_eval(node.value)
@@ -586,13 +589,70 @@ def test_import_path_loads_no_dataclasses_inspect_or_typing():
 
 
 def test_import_does_not_load_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=SRC)
     probe = "import sys, slittori.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _entry(*args, cwd=None):
+    """Run ``python args`` with the tested sources on the import path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+# runs the rest of its arguments as ``python -m slittori.cli`` would, and
+# writes to stderr, as the process ends, the freeze count at the first
+# call of the entry's main
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+seen = []
+def probe(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main" \\
+            and frame.f_globals.get("__name__") == "__main__":
+        seen.append(gc.get_freeze_count())
+        sys.setprofile(None)
+atexit.register(lambda: sys.stderr.write(f"freeze count at main: {seen}"))
+sys.setprofile(probe)
+runpy.run_module("slittori.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_before_the_command():
+    """``python -m slittori.cli`` has frozen the import-time heap when
+    ``main`` starts, and the ``slittori`` script runs the same entry."""
+    out = _entry("-c", FREEZE_PROBE, "action", "--z", "0,1/4", "--gz-lambda", "1/4")
+    assert out.returncode == 0
+    assert out.stdout == (GOLDEN / "action_quarter.json").read_text()
+    counts = ast.literal_eval(out.stderr.removeprefix("freeze count at main: "))
+    assert len(counts) == 1 and counts[0] > 0, out.stderr
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'slittori = "slittori.cli:run"' in pyproject.split("[project.scripts]")[1]
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    """``main`` itself never freezes: in a long-lived process each call's
+    cyclic garbage must stay collectable."""
+    before = gc.get_freeze_count()
+    assert run(capsys, "action", "--z", "0,1/4", "--gz-lambda", "1/4")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["action", "--z", "0,0", "--gz-lambda", "1/4"], "ExcludedPointError: "),
+    (["verify", "missing.json"], "FileNotFoundError: "),
+], ids=["puncture", "missing-spec"])
+def test_process_entry_errors_exit_two_with_one_json_line(argv, error, tmp_path):
+    """Refused input through the process entry: exit 2, nothing on stdout
+    and one JSON line on stderr, no traceback."""
+    out = _entry("-m", "slittori.cli", *argv, cwd=tmp_path)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["error"].startswith(error)
 
 
 def test_build_deterministic_bytes(tmp_path, capsys):

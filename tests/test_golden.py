@@ -12,6 +12,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ import slittori
 from slittori.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+# the sources under test, which a child interpreter imports
+SRC = str(Path(slittori.__file__).resolve().parent.parent)
 
 CASES = {
     "build_quarter.json": ["build", "--lambda", "1/4", "--nk", "const:1", "--blocks", "3"],
@@ -97,10 +100,9 @@ def test_golden_bytes_on_other_interpreters(name, tmp_path):
     and the cone case included, gives the same bytes and exit code on each
     supported interpreter found on PATH or as a pyenv install
     (requires-python is >= 3.10)."""
-    src = str(Path(slittori.__file__).resolve().parent.parent)
     commands = {**CASES, **SIMULATE}
     run = subprocess.run(
-        [_interpreter(name), "-c", CHILD, src, str(tmp_path), json.dumps(commands)],
+        [_interpreter(name), "-c", CHILD, SRC, str(tmp_path), json.dumps(commands)],
         capture_output=True, text=True, env={"PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert run.returncode == 0, run.stderr
@@ -111,6 +113,26 @@ def test_golden_bytes_on_other_interpreters(name, tmp_path):
         assert (code, err) == (want, ""), (golden, err)
         assert out.encode() == (GOLDEN / golden).read_bytes(), golden
     for golden in SIMULATE_FILES:
+        assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
+@pytest.mark.parametrize("name", sorted({**CASES, **SIMULATE}))
+def test_golden_bytes_through_the_process_entry(name, tmp_path):
+    """``python -m slittori.cli``, the process entry that freezes the heap
+    before the command runs, gives each golden's stdout bytes and exit code
+    (1 for the cone case), an empty stderr and simulate's -o and
+    --dump-events files."""
+    argv = {**CASES, **SIMULATE}[name]
+    run = subprocess.run(
+        [sys.executable, "-m", "slittori.cli", *argv],
+        capture_output=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    want = 1 if name == "simulate_cone.json" else 0
+    assert (run.returncode, run.stderr) == (want, b"")
+    assert run.stdout == (GOLDEN / name).read_bytes()
+    files = SIMULATE_FILES if name == "simulate_quarter.json" else ()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for golden in files:
         assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
