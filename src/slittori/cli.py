@@ -14,17 +14,19 @@ Scalars on the command line are either ``p/q`` strings or ``u:v:w:D``
 with fixed field order, so identical flags reproduce identical bytes.
 Exit codes: 0 success / check passed, 1 check failed, 2 bad input.
 
-The command line is read against one table, ``COMMANDS``: for each
+The command line has one grammar, the table ``COMMANDS``: for each
 command its help line, its function and its arguments (spellings, dest,
 type, default, whether required, exclusive group, help).  ``parse_args``
-reads it as argparse would, without importing argparse: a flag takes its
+reads a plain line (the command, then each flag once and in full) from
+the table itself; every other line goes to an argparse parser built from
+the same table and imported only then, so a long flag may be shortened
+to a unique prefix (``--lam``), a repeated flag keeps its last value and
+``--`` makes every later argument a value.  Either way a flag takes its
 value as the next argument, after ``=`` (``--lambda=1/4``) or, for a
-one-letter flag, attached (``-oout.json``); a long flag may be shortened
-to a unique prefix (``--lam``); a repeated flag keeps its last value; a
-value that starts with ``-`` and a digit (``-3/10``, ``-1,-1,3``) is a
-value, not a flag; ``--`` makes every later argument a value.  Errors
-carry argparse's text and exit 2; ``-h``/``--help`` prints the usage
-from the same table and exits 0.
+one-letter flag, attached (``-oout.json``), and a value that starts with
+``-`` and a digit (``-3/10``, ``-1,-1,3``) is a value, not a flag.
+Errors carry argparse's text and exit 2; ``-h``/``--help`` prints the
+usage from the same table and exits 0.
 
 The process entry is ``run``: ``python -m slittori.cli`` and the
 ``slittori`` script call it.  It runs ``gc.freeze()`` once the imports are
@@ -37,8 +39,10 @@ freeze would keep any cyclic garbage of each call for good.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -414,8 +418,6 @@ def _output(help="output JSON path (stdout too)"):
     return _Arg("-o/--output", help)
 
 
-_HELP = _Arg("-h/--help", "print this help and exit")
-
 # command -> (help line, function, arguments in usage order)
 COMMANDS = {
     "action": ("trace a word at a point", cmd_action, (
@@ -471,60 +473,6 @@ COMMANDS = {
 _NEGATIVE = re.compile(r"-\.?\d[\d,/:.-]*\Z")
 
 
-def _option(text: str, flags: dict, prog: str):
-    """None when ``text`` is a value, else (its _Arg, or None when no flag
-    matches; the spelling; the value attached by ``=`` or to a one-letter
-    flag, or None).  A long flag may be shortened to a unique prefix."""
-    if text[:1] != "-":
-        return None
-    if text in flags:
-        return flags[text], text, None
-    if len(text) == 1:
-        return None
-    flag, eq, value = text.partition("=")
-    if eq and flag in flags:
-        return flags[flag], flag, value
-    if text[1] == "-":
-        found = [(flags[f], f, value if eq else None) for f in flags if f.startswith(flag)]
-    else:
-        found = [(flags[text[:2]], text[:2], text[2:])] if text[:2] in flags else []
-    if len(found) > 1:
-        matches = ", ".join(f for _, f, _ in found)
-        raise CliError(f"{prog}: ambiguous option: {text} could match {matches}")
-    if found:
-        return found[0]
-    if _NEGATIVE.match(text) or " " in text:
-        return None
-    return None, text, None
-
-
-def _check_help(flag: str, attached, flags: dict, value_follows: bool, prog: str) -> None:
-    """Refuse a value attached to ``-h`` or ``--help`` (``--help=x``,
-    ``-hx``), as argparse does; letters that are flags pass (``-hh``, and
-    ``-ho`` when a value follows for ``-o``)."""
-    while attached is not None:
-        letter = "-" + attached[:1]
-        if flag[1] == "-" or letter not in flags:
-            raise CliError(f"{prog}: argument -h/--help: ignored explicit argument {attached!r}")
-        flag, attached = letter, attached[1:] or None
-        if flags[flag] is not _HELP:
-            if attached is None and not value_follows:
-                raise CliError(f"{prog}: argument {flags[flag].name}: expected one argument")
-            return
-
-
-def _convert(arg: _Arg, text: str, prog: str):
-    if arg.type is None:
-        return text
-    try:
-        return arg.type(text)
-    except CliError as exc:
-        message = str(exc)
-    except (TypeError, ValueError):
-        message = f"invalid {arg.type.__name__} value: {text!r}"
-    raise CliError(f"{prog}: argument {arg.name}: {message}")
-
-
 def _usage(command: str | None) -> str:
     if command is None:
         lines = [f"usage: slittori {{{','.join(COMMANDS)}}} ...", "", "commands:"]
@@ -543,124 +491,136 @@ def _usage(command: str | None) -> str:
             done.add(arg.group)
             members = [f"{a.spellings[-1]} {a.dest.upper()}" for a in table if a.group == arg.group]
             words.append(f"({' | '.join(members)})")
-    rows.append(f"  {'-h/--help':<28} {_HELP.help}")
+    rows.append(f"  {'-h/--help':<28} print this help and exit")
     return "\n".join([f"usage: slittori {command} {' '.join(words)}", "", helpline, "", *rows]) + "\n"
 
 
-def _parse_command(command: str, argv: list[str]):
-    """The fields that ``argv`` gives the command's arguments and the texts
-    it did not use, or None once ``-h`` has printed the help."""
-    prog = f"slittori {command}"
-    table = COMMANDS[command][2]
-    flags = {"-h": _HELP, "--help": _HELP}
-    positional = None
-    for arg in table:
-        if arg.name[0] == "-":
-            flags.update(dict.fromkeys(arg.spellings, arg))
-        else:
-            positional = arg
-    # each text is a value "A", the first "--" ("-"; every text after it is
-    # a value) or an option; two blanks end the list
-    kinds = []
-    for i, text in enumerate(argv):
-        if text == "--":
-            kinds += ["-"] + ["A"] * (len(argv) - i - 1)
-            break
-        kinds.append(_option(text, flags, prog) or "A")
-    kinds += ["", ""]
+def _is_value(text: str) -> bool:
+    """Whether ``text`` reads as a value: it does not start with ``-``, or
+    ``_NEGATIVE`` matches it."""
+    return text[:1] != "-" or _NEGATIVE.match(text) is not None
 
-    fields = {arg.dest: arg.default for arg in table}
-    seen, groups, unused = set(), {}, []
-    i = 0
-    while i < len(argv):
-        kind = kinds[i]
-        if kind == "-" or kind == "A":
-            if positional is None or positional in seen:
-                unused.append(argv[i])
-                i += 1
-                continue
-            # a positional takes the next value; "--" before or after it drops
-            j = i + (kind == "-")
-            if kinds[j] == "A":
-                fields[positional.dest] = argv[j]
-            elif positional.required:
-                unused += argv[i:]
-                break
-            i = j + 1 + (kinds[j + 1] == "-")
-            seen.add(positional)
-            continue
-        arg, flag, attached = kind
-        if arg is None:
-            unused.append(argv[i])
-            i += 1
-            continue
-        if arg is _HELP:
-            _check_help(flag, attached, flags, kinds[i + 1] == "A", prog)
-            sys.stdout.write(_usage(command))
+
+def _plain(argv: list[str]):
+    """``args`` for a plain line, None for any other line.  A plain line is
+    a command, then flags spelled in full (``--flag value``,
+    ``--flag=value``, ``-ovalue``), each given once, and at most one
+    positional value; each value converts by its flag's type, every
+    required argument is given and exactly one flag of each group."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, table = COMMANDS[argv[0]]
+    flags = {spelling: arg for arg in table if arg.name[0] == "-" for spelling in arg.spellings}
+    positional = [arg for arg in table if arg.name[0] != "-"]
+    given = {}
+    rest = iter(argv[1:])
+    for text in rest:
+        flag, eq, value = text.partition("=")
+        if _is_value(text):
+            if not positional:
+                return None
+            arg, value = positional.pop(), text
+        elif text in flags:
+            arg, value = flags[text], next(rest, "-")  # "-", no value, when none is left
+            if not _is_value(value):
+                return None
+        elif eq and flag in flags:
+            arg = flags[flag]
+        elif text[:2] in flags:  # a one-letter flag with its value attached
+            arg, value = flags[text[:2]], text[2:]
+        else:
             return None
-        if attached is not None:
-            text, i = attached, i + 1
-        else:
-            if kinds[i + 1] != "A":
-                raise CliError(f"{prog}: argument {arg.name}: expected one argument")
-            text, i = argv[i + 1], i + 2
-        value = _convert(arg, text, prog)
-        if arg.group is not None:
-            other = groups.setdefault(arg.group, arg)
-            if other is not arg:
-                raise CliError(f"{prog}: argument {arg.name}: not allowed with argument {other.name}")
-        fields[arg.dest] = value
-        seen.add(arg)
-
-    missing = [arg.name for arg in table if arg.required and arg not in seen]
-    if missing:
-        raise CliError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+        if arg in given:
+            return None
+        try:
+            given[arg] = value if arg.type is None else arg.type(value)
+        except (CliError, TypeError, ValueError):
+            return None
     for arg in table:
-        if arg.group is not None and arg.group not in groups:
-            names = " ".join(a.name for a in table if a.group == arg.group)
-            raise CliError(f"{prog}: one of the arguments {names} is required")
-    return fields, unused
+        if arg.required and arg not in given:
+            return None
+        if arg.group is not None and sum(a.group == arg.group for a in given) != 1:
+            return None
+    fields = {arg.dest: given.get(arg, arg.default) for arg in table}
+    return SimpleNamespace(command=argv[0], **fields, func=func)
+
+
+@functools.cache
+def _argparse():
+    """The argparse parser of ``COMMANDS``, built once per process, which
+    reads every line that is not plain.  Its errors raise CliError, ``-h`` prints ``_usage``, a text
+    that ``_NEGATIVE`` matches is a value, ``--flag=--`` and ``-o--`` give
+    the flag the text ``--`` (argparse itself drops it) and a type's
+    CliError names its flag, as an ArgumentTypeError would."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, command=None, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.command = command
+            self._negative_number_matcher = _NEGATIVE
+
+        def error(self, message):
+            raise CliError(f"{self.prog}: {message}")
+
+        def print_help(self, file=None):
+            sys.stdout.write(_usage(self.command))
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:
+                return self._get_value(action, "--")
+            return super()._get_values(action, arg_strings)
+
+        def _get_value(self, action, text):
+            try:
+                return super()._get_value(action, text)
+            except CliError as exc:
+                raise argparse.ArgumentError(action, str(exc)) from None
+
+    top = Parser(prog="slittori")
+    commands = top.add_subparsers(dest="command", required=True, prog="slittori")
+    for command, (_, func, table) in COMMANDS.items():
+        parser = commands.add_parser(command, command=command)
+        parser.set_defaults(func=func)
+        groups = {}
+        for arg in table:
+            if arg.name[0] != "-":
+                parser.add_argument(arg.name, nargs=None if arg.required else "?")
+                continue
+            if arg.group is not None and arg.group not in groups:
+                groups[arg.group] = parser.add_mutually_exclusive_group(required=True)
+            groups.get(arg.group, parser).add_argument(
+                *arg.spellings, dest=arg.dest, type=arg.type, default=arg.default,
+                required=arg.required,
+            )
+    return top
 
 
 def parse_args(argv: list[str]):
     """``args`` for ``argv`` (``command``, one field per argument of the
     command and ``func``), or None once ``-h`` has printed the help."""
-    flags = {"-h": _HELP, "--help": _HELP}
-    unused = []
-    for i, text in enumerate(argv):
-        kind = None if text == "--" else _option(text, flags, "slittori")
-        if kind is None:
-            break
-        arg, flag, attached = kind
-        if arg is None:
-            unused.append(text)
-            continue
-        _check_help(flag, attached, flags, False, "slittori")
-        sys.stdout.write(_usage(None))
+    args = _plain(argv)
+    if args is not None:
+        return args
+    try:
+        return _argparse().parse_args(argv)
+    except SystemExit:  # -h has printed the help
         return None
-    else:
-        raise CliError("slittori: the following arguments are required: command")
-    command = argv[i]
-    if command == "--" and i + 1 == len(argv):
-        raise CliError("slittori: the following arguments are required: command")
-    if command not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        raise CliError(f"slittori: argument command: invalid choice: {command!r} "
-                       f"(choose from {choices})")
-    parsed = _parse_command(command, argv[i + 1:])
-    if parsed is None:
-        return None
-    fields, more = parsed
-    unused += more
-    if unused:
-        raise CliError(f"slittori: unrecognized arguments: {' '.join(unused)}")
-    return SimpleNamespace(command=command, **fields, func=COMMANDS[command][1])
 
 
 def run() -> None:
-    """Freeze the import-time heap, run the command line, exit with its code."""
+    """Freeze the import-time heap, run the command line, exit with its code.
+    Output that cannot be flushed (a full disk, a closed pipe) fails closed
+    with exit 2 and one JSON line."""
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes again at exit, and exits 120 if that fails
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = _fail(f"{type(exc).__name__}: {exc}")
+    sys.exit(code)
 
 
 def main(argv=None) -> int:

@@ -96,7 +96,7 @@ class TorusPoint(Frozen):
         if x.is_rational and y.is_rational:
             pair = (x.as_fraction(), y.as_fraction())
             if pair in EXCLUDED_POINTS:
-                raise ExcludedPointError(f"{pair} is a puncture")
+                raise ExcludedPointError(f"({x}, {y}) is a puncture")
         _set_x(self, x)
         _set_y(self, y)
 

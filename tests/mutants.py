@@ -101,12 +101,20 @@ FLOW_BILLIARD = "tests/test_flow.py::test_simulate_matches_billiard_oracle"
 FLOW_DECK = "tests/test_flow.py::test_deck_anti_invariance"
 ENCLOSURE = "tests/test_directions.py::test_alpha_enclosure_matches_oracle"
 INTERVAL_TYPES = "tests/test_intervals.py::test_endpoints_must_be_int_or_fraction[float-hi]"
-NEGATIVE_VALUE = "tests/test_cli.py::test_negative_value_after_flag[argv0]"
 PARSE_CONFLICT = "tests/test_cli.py::test_table_parser_matches_argparse[conflict]"
 PARSE_REQUIRED = "tests/test_cli.py::test_table_parser_matches_argparse[required-missing]"
 PARSE_TYPE = "tests/test_cli.py::test_table_parser_matches_argparse[type-int]"
-PARSE_EQ = "tests/test_cli.py::test_table_parser_matches_argparse[eq-long]"
-PARSE_PREFIX = "tests/test_cli.py::test_table_parser_matches_argparse[prefix-ambiguous]"
+PARSE_TYPE_TEXT = (
+    "tests/test_cli.py::test_table_parser_matches_argparse[type-positive-int-refused]"
+)
+PLAIN_NEGATIVE = "tests/test_cli_grammar.py::test_plain_reads_its_grammar[negative-after-space]"
+PLAIN_EQ = "tests/test_cli_grammar.py::test_plain_reads_its_grammar[eq-long]"
+PLAIN_PREFIX = "tests/test_cli_grammar.py::test_plain_declines_every_other_line[prefix]"
+PLAIN_DASH = "tests/test_cli_grammar.py::test_plain_declines_every_other_line[dash-value]"
+ARGPARSE_NEGATIVE = "tests/test_cli_grammar.py::test_argparse_reads_negative_values[prefix]"
+SEPARATOR_TYPE = "tests/test_cli_grammar.py::test_attached_separator_reaches_the_type"
+HELP_BYTES = "tests/test_cli_grammar.py::test_help_bytes_are_pinned"
+FULL_DISK = "tests/test_cli_grammar.py::test_full_disk_fails_closed[flush]"
 ENTRY_FREEZES = "tests/test_cli.py::test_process_entry_freezes_before_the_command"
 MAIN_UNFROZEN = "tests/test_cli.py::test_main_leaves_the_heap_unfrozen"
 
@@ -575,37 +583,64 @@ CATALOGUE = (
         "if False:",
         (INTERVAL_TYPES,),
     ),
-    # the option table's parser in cli.parse_args
+    # cli._plain, which reads a plain line from the option table
     Mutant(
         "cli-negative-value-read-as-flag", "cli.py",
-        'if _NEGATIVE.match(text) or " " in text:', 'if " " in text:',
-        (NEGATIVE_VALUE,),
+        'return text[:1] != "-" or _NEGATIVE.match(text) is not None', 'return text[:1] != "-"',
+        (PLAIN_NEGATIVE,),
     ),
     Mutant(
         "cli-exclusive-group-unchecked", "cli.py",
-        "if other is not arg:", "if False:",
+        "sum(a.group == arg.group for a in given) != 1",
+        "sum(a.group == arg.group for a in given) < 1",
         (PARSE_CONFLICT,),
     ),
     Mutant(
         "cli-required-flag-unchecked", "cli.py",
-        'if missing:\n        raise CliError(f"{prog}: the following',
-        'if False:\n        raise CliError(f"{prog}: the following',
+        "if arg.required and arg not in given:", "if False:",
         (PARSE_REQUIRED,),
     ),
     Mutant(
         "cli-type-conversion-skipped", "cli.py",
-        "    if arg.type is None:\n        return text", "    if True:\n        return text",
+        "given[arg] = value if arg.type is None else arg.type(value)", "given[arg] = value",
         (PARSE_TYPE,),
     ),
     Mutant(
         "cli-eq-split-dropped", "cli.py",
         'flag, eq, value = text.partition("=")', 'flag, eq, value = text, "", None',
-        (PARSE_EQ,),
+        (PLAIN_EQ,),
     ),
     Mutant(
-        "cli-ambiguous-prefix-takes-first", "cli.py",
-        "if len(found) > 1:", "if False:",
-        (PARSE_PREFIX,),
+        "plain-accepts-a-prefix", "cli.py",
+        "elif text in flags:",
+        "elif (text := next((f for f in flags if f.startswith(text)), text)) in flags:",
+        (PLAIN_PREFIX,),
+    ),
+    Mutant(
+        "plain-takes-a-dash-value", "cli.py",
+        "if not _is_value(value):", "if False:",
+        (PLAIN_DASH,),
+    ),
+    # cli._argparse, which reads every other line
+    Mutant(
+        "argparse-reads-negative-value-as-flag", "cli.py",
+        "self._negative_number_matcher = _NEGATIVE", "pass",
+        (ARGPARSE_NEGATIVE,),
+    ),
+    Mutant(
+        "separator-value-dropped", "cli.py",
+        'if action.option_strings and arg_strings == ["--"]:', "if False:",
+        (SEPARATOR_TYPE,),
+    ),
+    Mutant(
+        "argparse-type-error-loses-its-flag", "cli.py",
+        "raise argparse.ArgumentError(action, str(exc)) from None", "raise",
+        (PARSE_TYPE_TEXT,),
+    ),
+    Mutant(
+        "argparse-prints-its-own-help", "cli.py",
+        "def print_help(self, file=None):", "def _unused_print_help(self, file=None):",
+        (HELP_BYTES,),
     ),
     # the billiard command's round trip, up to the wall reflection
     Mutant(
@@ -634,13 +669,19 @@ CATALOGUE = (
     # the process entry freezes the import-time heap; main never does
     Mutant(
         "entry-does-not-freeze", "cli.py",
-        "    gc.freeze()\n    sys.exit(main())", "    sys.exit(main())",
+        "    gc.freeze()\n    code = main()", "    code = main()",
         (ENTRY_FREEZES,),
+    ),
+    # the process entry fails closed when its output cannot be flushed
+    Mutant(
+        "flush-failure-not-caught", "cli.py",
+        "    except OSError as exc:\n", "    except ValueError as exc:\n",
+        (FULL_DISK,),
     ),
     Mutant(
         "main-freezes", "cli.py",
-        "    gc.freeze()\n    sys.exit(main())\n\n\ndef main(argv=None) -> int:\n",
-        "    sys.exit(main())\n\n\ndef main(argv=None) -> int:\n    gc.freeze()\n",
+        "def main(argv=None) -> int:\n    try:",
+        "def main(argv=None) -> int:\n    gc.freeze()\n    try:",
         (MAIN_UNFROZEN,),
     ),
 )
