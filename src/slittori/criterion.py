@@ -10,8 +10,7 @@ number, so each block word starts with h+ and ends with h-: the word of
 the first k_n digits is the product of the block words, with no seam
 syllable merged, and by the composition law the running products are
 the action and matrix of that whole word.  So each digit is traced once.
-At every checkpoint it checks, exactly or with certified rational
-intervals:
+At every checkpoint it checks, exactly and with no enclosure of alpha:
 
   * the traced homology action fixes beta up to sign (a power of h-);
   * the traced endpoint equals the builder's recorded checkpoint;
@@ -21,31 +20,48 @@ intervals:
   * the four renormalization-matrix entries
         q_k (q_k alpha - p_k),  q_k (q_{k-1} alpha - p_{k-1}),
         p_k / (alpha q_k),      p_{k-1} / (alpha q_k)
-    all lie in [-1, 1], by the mediant lemma of ``masur_structural``
-    on the convergent table's integers, with no enclosure of alpha;
-  * the strip wedge bound |q_k alpha - p_k| <= (1 - 2 y_n) / (2 q_k)
-    (direct interval route; the digit inequality implies it through
-    |q_k alpha - p_k| < 1/(a_{k_n+1} q_k), recorded as a second route).
+    all lie in [-1, 1], by the mediant lemma of ``masur_structural``;
+  * the strip wedge bound |q_k alpha - p_k| <= (1 - 2 y_n) / (2 q_k), by
+    the wedge lemma.
 
-The value alpha is never materialized as a float: the wedge bound runs
-on an exact rational enclosure obtained by digit truncation, first of
-width at most 2**-``PRECISION_BITS``.  When an enclosure is too wide to
-decide it and the digit inequality does not imply it, the verifier
-retries with a doubled precision a few times before recording the check
-as failed with an "inconclusive" note; the report gives the largest
-precision it used.
+The wedge lemma.  For the complete quotient x = [a_{k+1}; a_{k+2}, ...],
+q_k alpha - p_k = 1 / (q_k x + q_{k-1}) at the even k, and 1 - 2 y_n > 0,
+so the wedge holds exactly when x >= t = 2 / (1 - 2 y_n) - q_{k-1}/q_k > 0.
+Write x_i = [a_{k+1+i}; ...] = a + 1/x_{i+1} with a = a_{k+1+i} and x_{i+1}
+in [1, oo], infinite past the end of a finite stream; from t_0 = t, let
+c = floor(t_i), one exact floor in Q(sqrt D):
+
+  * a > c gives x_i >= c + 1 > t_i;
+  * a < c - 1, or a = c - 1 and t_i != c, gives x_i <= a + 1 < t_i;
+  * otherwise a <= t_i <= a + 1: x_i - t_i = 1/x_{i+1} - 1/t_{i+1} with
+    t_{i+1} = 1/(t_i - a) in [1, oo], and depth i + 1 decides, flipped;
+  * an infinite t_i is above x_i, unless the stream has ended: then x_i
+    is infinite, above t_i or equal to it.
+
+So x >= t exactly when x_i = t_i, or x_i > t_i at an even depth, or
+x_i < t_i at an odd one.  The comparison stops where the continued
+fractions of x and t differ, or within two digits of the end of a
+rational t's; at ``WEDGE_DEPTH`` tail digits, which only an x agreeing
+with t that far reaches, it fails closed with a note.  The digit
+inequality is depth 0 (a_{k+1} >= 2 / (1 - 2 y_n) > t gives a > c): there
+no t is computed and the route reads "direct+implied", elsewhere "direct"
+or "none".  A record keeps the tail digits read as ``wedge_digits``, and
+as ``wedge_ratio`` the wedge over its bound on x's bracket from block n + 1.
 """
 
 from __future__ import annotations
 
-from .directions import DirectionSpec
+from fractions import Fraction
+from math import floor
+
+from .directions import PERIOD, DigitStreamExhaustedError, DirectionSpec
 from .exact import ExactScalar, Frozen, Record, to_json
-from .intervals import InconclusiveIntervalError, RatInterval
+from .intervals import RatInterval
 from .torus import entries_fix_beta, trace_word
 from .words import IDENTITY, Convergents, GenWord, IntMat2
 
-PRECISION_BITS = 256  # starting width 2**-256 of every alpha enclosure
-_MAX_PRECISION_DOUBLINGS = 4
+WEDGE_DEPTH = 64  # tail digits the wedge comparison reads before it fails closed
+_RATIO_BITS = 64  # outward rounding of wedge_ratio's factors 2/(1 - 2 y_n) and q_{k-1}/q_k
 
 
 class CylinderStrip(Frozen):
@@ -77,40 +93,45 @@ def masur_structural(conv: Convergents, k: int) -> bool:
     return conv.q(k - 1) <= conv.q(k) and conv.p(k - 1) <= conv.p(k)
 
 
-def wedge_threshold(y: ExactScalar, qk: int) -> ExactScalar:
-    return (ExactScalar(1) - 2 * y) / (2 * qk)
-
-
-def _wedge_at(spec: DirectionSpec, conv: Convergents, k: int, threshold,
-              digit_inequality: bool, notes: list):
-    """(bounded, route, wedge_ratio, precision) of the wedge bound, doubling
-    the enclosure's precision from ``PRECISION_BITS`` while no route
-    decides it; then the last inconclusive message goes to ``notes``."""
-    for attempt in range(_MAX_PRECISION_DOUBLINGS):
-        bits = PRECISION_BITS << attempt
-        alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
-        wedge = abs(alpha * conv.q(k) - conv.p(k))
+def _quotient_ge(spec: DirectionSpec, k: int, t: ExactScalar, notes: list):
+    """(x >= t, tail digits read) for x = [a_{k+1}; a_{k+2}, ...], by the
+    wedge lemma; an infinite t_i is None."""
+    for i in range(WEDGE_DEPTH):
+        even = i % 2 == 0  # x > t iff x_i > t_i at even depth, x_i < t_i at odd
         try:
-            bounded = wedge.certified_le(threshold)
-            route = ("direct+implied" if digit_inequality else "direct") if bounded else "none"
-        except InconclusiveIntervalError as exc:
-            if not digit_inequality:
-                note = str(exc)
-                continue
-            # |q alpha - p| < 1/(a_{k+1} q) <= threshold
-            bounded, route = True, "implied"
-        return bounded, route, wedge / RatInterval(*threshold.enclosure(PRECISION_BITS)), bits
-    notes.append(f"wedge inconclusive: {note}")
-    return False, "inconclusive", None, bits
+            a = spec.digit(k + 1 + i)
+        except DigitStreamExhaustedError:  # x_i is infinite
+            return t is None or even, i
+        if t is None:  # x_i < t_i
+            return not even, i + 1
+        c = floor(t)
+        if a > c or a < c - 1 or (a == c - 1 and t != c):
+            return (a > c) == even, i + 1
+        t = None if t == a else 1 / (t - a)
+    notes.append(f"wedge undecided: x and t agree in {WEDGE_DEPTH} tail digits")
+    return False, WEDGE_DEPTH
+
+
+def _wedge_ratio(tail: tuple, r_num: int, r_den: int, ceiling: ExactScalar) -> RatInterval:
+    """``ceiling`` / (x + r), r = ``r_num`` / ``r_den``, for x from [``tail``]
+    to [``tail``, 1]; ``ceiling`` >= 1 and r are rounded outward, which moves
+    each end by a relative 2**-62 at most, as x + r >= 1."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    for a in tail:
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    x_lo, x_hi = sorted((Fraction(p1, q1), Fraction(p1 + p0, q1 + q0)))
+    c_lo, c_hi = ceiling.enclosure(_RATIO_BITS)
+    r = Fraction((r_num << _RATIO_BITS) // r_den, 1 << _RATIO_BITS)  # r rounded down
+    return RatInterval(c_lo / (x_hi + r + Fraction(1, 1 << _RATIO_BITS)), c_hi / (x_lo + r))
 
 
 class CheckpointRecord(Record):
-    # z: TorusPoint; *_route: str; strip: CylinderStrip or None;
-    # wedge_ratio: RatInterval or None; notes: list of str
+    # z: TorusPoint; *_route: str; wedge_digits: int; strip: CylinderStrip
+    # or None; wedge_ratio: RatInterval; notes: list of str
     __slots__ = (
         "n", "k", "z", "endpoint_consistent", "homology_fixes_beta", "y_in_bounds",
         "digit_inequality", "sigma_bounded", "sigma_route", "wedge_bounded",
-        "wedge_route", "strip", "wedge_ratio", "notes",
+        "wedge_route", "wedge_digits", "strip", "wedge_ratio", "notes",
     )
 
     @property
@@ -129,7 +150,7 @@ class CheckpointRecord(Record):
 
 
 class VerificationReport(Record):
-    __slots__ = ("horizon", "precision_bits", "records", "provenance")  # records: CheckpointRecords
+    __slots__ = ("horizon", "records", "provenance")  # records: CheckpointRecords
 
     @property
     def overall(self) -> bool:
@@ -139,7 +160,6 @@ class VerificationReport(Record):
         return to_json({
             "overall": self.overall,
             "horizon": self.horizon,
-            "precision_bits": self.precision_bits,
             "provenance": self.provenance,
             "checkpoints": self.records,
         })
@@ -155,17 +175,17 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
         raise ValueError("horizon must be >= 1")
     records: list[CheckpointRecord] = []
     y_lo, y_hi = spec.y_bounds
-    bits_used = PRECISION_BITS
     z_n, action, matrix = spec.z0, IDENTITY, IDENTITY
     for n in range(1, horizon + 1):
         k = spec.checkpoint_index(n)
-        spec.ensure_digits(k + 1)
-        conv = spec.convergents(k)
+        conv = spec.convergents(k + PERIOD)  # block n + 1 holds a_{k+1}
         block = GenWord.from_digits(spec.block(n).digits)
         z_n, entries = trace_word(z_n, block)
         action, matrix = action * IntMat2(*entries), matrix * block.matrix()
         y_n = z_n.y
-        digit_inequality = bool((ExactScalar(1) - 2 * y_n) * spec.digit(k + 1) >= 2)
+        area = ExactScalar(1) - 2 * y_n
+        ceiling = 2 / area  # the digit inequality's bound on a_{k+1}
+        digit_inequality = spec.digit(k + 1) >= ceiling
         notes: list[str] = []
 
         endpoint_consistent = z_n == spec.checkpoint_point(n)
@@ -173,22 +193,17 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
         y_in_bounds = bool(y_lo <= y_n <= y_hi)
 
         # cross-check: the strip holonomy is the word matrix applied to (1,0)
-        qk, pk = conv.q(k), conv.p(k)
+        qk, pk, qk1 = conv.q(k), conv.p(k), conv.q(k - 1)
         if (matrix.a, matrix.c) != (qk, pk):
             notes.append("holonomy/convergent mismatch")
             endpoint_consistent = False
 
         sigma_ok = masur_structural(conv, k)
-        wedge_ok, wedge_route, wedge_ratio, bits = _wedge_at(
-            spec, conv, k, wedge_threshold(y_n, qk), digit_inequality, notes
-        )
-        bits_used = max(bits_used, bits)
-
-        strip = (
-            CylinderStrip(k=1, v=(qk, pk), area=ExactScalar(1) - 2 * y_n)
-            if fixes_beta
-            else None
-        )
+        if digit_inequality:  # a_{k+1} >= 2 / (1 - 2 y_n) > t: the lemma's depth 0
+            wedge_ok, wedge_digits, wedge_route = True, 1, "direct+implied"
+        else:
+            wedge_ok, wedge_digits = _quotient_ge(spec, k, ceiling - Fraction(qk1, qk), notes)
+            wedge_route = "direct" if wedge_ok else "none"
         records.append(
             CheckpointRecord(
                 n=n,
@@ -202,14 +217,10 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
                 sigma_route="structural" if sigma_ok else "none",
                 wedge_bounded=wedge_ok,
                 wedge_route=wedge_route,
-                strip=strip,
-                wedge_ratio=wedge_ratio,
+                wedge_digits=wedge_digits,
+                strip=CylinderStrip(k=1, v=(qk, pk), area=area) if fixes_beta else None,
+                wedge_ratio=_wedge_ratio(spec.block(n + 1).digits, qk1, qk, ceiling),
                 notes=notes,
             )
         )
-    return VerificationReport(
-        horizon=horizon,
-        precision_bits=bits_used,
-        records=records,
-        provenance=spec.provenance,
-    )
+    return VerificationReport(horizon=horizon, records=records, provenance=spec.provenance)

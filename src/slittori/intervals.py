@@ -4,9 +4,10 @@ Endpoints are ``fractions.Fraction``, so every operation here is exact
 and the outward-rounding contract is satisfied trivially: the true
 value of any expression is contained in the computed interval, with no
 rounding step that could lose containment.  "Precision" enters only
-when an interval is first created by truncating a digit stream; the
-width of that enclosure starts at the constants
-``criterion.PRECISION_BITS`` and ``flow.SLOPE_PRECISION_BITS``.
+when an interval is first created by truncating a digit stream, to
+2**-``flow.SLOPE_PRECISION_BITS`` in ``flow``.  ``criterion`` encloses
+nothing: its wedge lemma reads the complete quotient's tail digits, one
+exact floor each, and records how many it read.
 """
 
 from __future__ import annotations

@@ -87,7 +87,10 @@ FORGED_ENDPOINT = "tests/test_criterion.py::test_forged_endpoint_fails_only_its_
 SIGMA_ODD_K = "tests/test_criterion.py::test_masur_structural_rejects_odd_k"
 SIGMA_LOW_K = "tests/test_criterion.py::test_masur_structural_refuses_k_below_two"
 SIGMA_NEXT_DIGIT = "tests/test_criterion.py::test_masur_structural_needs_the_next_digit"
-WEDGE_RETRY = "tests/test_criterion.py::test_precision_retry_reports_last_precision_tried"
+WEDGE_ODD_DEPTH = "tests/test_criterion.py::test_wedge_flips_its_sense_at_odd_depth"
+WEDGE_FLOOR = "tests/test_criterion.py::test_wedge_reads_the_floor_of_t"
+WEDGE_INTEGRAL_T = "tests/test_criterion.py::test_wedge_at_an_integral_t_i"
+WEDGE_FORGED_HOLDS = "tests/test_criterion.py::test_digit_mutation_flips_only_digit_inequality"
 BILLIARD_CMD = "tests/test_cli.py::test_billiard_command_matches_billiard_oracle"
 JSON_DIGITS = "tests/test_cli.py::test_json_past_the_int_digit_cap"
 FLOW_ORACLE = "tests/test_flow.py::test_simulate_matches_oracle"
@@ -282,11 +285,27 @@ CATALOGUE = (
         " or len(conv.digits) <= k:", ":",
         (SIGMA_NEXT_DIGIT,),
     ),
-    # the precision doubling of criterion._wedge_at
+    # the wedge lemma of criterion._quotient_ge; the forged checkpoint
+    # of the last entry fails the digit inequality, and the wedge holds there
     Mutant(
-        "wedge-retry-stops-doubling", "criterion.py",
-        "bits = PRECISION_BITS << attempt", "bits = PRECISION_BITS",
-        (WEDGE_RETRY,),
+        "wedge-sense-not-flipped-at-odd-depth", "criterion.py",
+        "return (a > c) == even, i + 1", "return a > c, i + 1",
+        (WEDGE_ODD_DEPTH,),
+    ),
+    Mutant(
+        "wedge-floor-off-by-one", "criterion.py",
+        "c = floor(t)", "c = floor(t) + 1",
+        (WEDGE_FLOOR,),
+    ),
+    Mutant(
+        "wedge-integral-t-branch-reversed", "criterion.py",
+        "return not even, i + 1", "return even, i + 1",
+        (WEDGE_INTEGRAL_T,),
+    ),
+    Mutant(
+        "wedge-threshold-drops-q-ratio", "criterion.py",
+        "ceiling - Fraction(qk1, qk), notes)", "ceiling, notes)",
+        (WEDGE_FORGED_HOLDS,),
     ),
     # the closed-form block of rational.block_for and its congruences
     Mutant(

@@ -15,19 +15,31 @@ The matrix-entry bounds are recorded by the library's mediant lemma,
 interval route the lemma replaced: ``masur_entries`` on an enclosure of
 alpha, doubling its precision while a comparison is inconclusive
 (``sigma_entries_bounded``), must certify all four entries within [-1, 1].
+
+The wedge is recorded by the library's comparison of the complete quotient
+with its threshold, ``criterion._quotient_ge``, at every checkpoint
+(the library takes the digit inequality as the comparison's depth 0 and
+runs it only where that fails), and ``wedge_ratio`` by
+``criterion._wedge_ratio``; at every checkpoint this verifier also asserts
+that the interval route the comparison replaced, ``wedge_at``, gives the
+same verdict.  ``wedge_at`` encloses alpha to 2**-``PRECISION_BITS`` and
+doubles the bits, at most three times, while the enclosure is too wide to
+decide the bound and the digit inequality does not imply it; when every
+try is too wide it records the check as failed, with an "inconclusive" note.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from oracle_torus import entries_fix_beta, word_matrix
-from slittori import criterion
 from slittori.criterion import (
     CheckpointRecord,
     CylinderStrip,
     VerificationReport,
-    _wedge_at,
+    _quotient_ge,
+    _wedge_ratio,
     masur_structural,
-    wedge_threshold,
 )
 from slittori.directions import DirectionSpec
 from slittori.exact import ExactScalar
@@ -35,7 +47,35 @@ from slittori.intervals import InconclusiveIntervalError, RatInterval
 from slittori.torus import trace_word
 from slittori.words import Convergents, GenWord
 
+PRECISION_BITS = 256  # starting width 2**-256 of every alpha enclosure
 MAX_PRECISION_DOUBLINGS = 4
+
+
+def wedge_threshold(y: ExactScalar, qk: int) -> ExactScalar:
+    return (ExactScalar(1) - 2 * y) / (2 * qk)
+
+
+def wedge_at(spec: DirectionSpec, conv: Convergents, k: int, threshold,
+             digit_inequality: bool, notes: list):
+    """(bounded, route, wedge_ratio, precision) of the wedge bound, doubling
+    the enclosure's precision from ``PRECISION_BITS`` while no route
+    decides it; then the last inconclusive message goes to ``notes``."""
+    for attempt in range(MAX_PRECISION_DOUBLINGS):
+        bits = PRECISION_BITS << attempt
+        alpha = spec.alpha_enclosure(bits, min_digits=k + 2)
+        wedge = abs(alpha * conv.q(k) - conv.p(k))
+        try:
+            bounded = wedge.certified_le(threshold)
+            route = ("direct+implied" if digit_inequality else "direct") if bounded else "none"
+        except InconclusiveIntervalError as exc:
+            if not digit_inequality:
+                note = str(exc)
+                continue
+            # |q alpha - p| < 1/(a_{k+1} q) <= threshold
+            bounded, route = True, "implied"
+        return bounded, route, wedge / RatInterval(*threshold.enclosure(PRECISION_BITS)), bits
+    notes.append(f"wedge inconclusive: {note}")
+    return False, "inconclusive", None, bits
 
 
 def masur_entries(conv: Convergents, k: int, alpha: RatInterval) -> list[RatInterval]:
@@ -70,8 +110,6 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
         raise ValueError("horizon must be >= 1")
     records: list[CheckpointRecord] = []
     y_lo, y_hi = spec.y_bounds
-    precision_bits = criterion.PRECISION_BITS
-    bits_used = precision_bits
     for n in range(1, horizon + 1):
         k = spec.checkpoint_index(n)
         spec.ensure_digits(k + 1)
@@ -95,14 +133,17 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
 
         sigma_ok = masur_structural(conv, k)
         if sigma_ok:
-            bounded, note = sigma_entries_bounded(spec, conv, k, precision_bits)
+            bounded, note = sigma_entries_bounded(spec, conv, k, PRECISION_BITS)
             assert bounded is not None, f"checkpoint {n}: sigma inconclusive: {note}"
             assert bounded, f"checkpoint {n}: the lemma holds, the interval entries exceed 1"
 
-        wedge_ok, wedge_route, wedge_ratio, bits_wedge = _wedge_at(
-            spec, conv, k, wedge_threshold(y_n, qk), digit_inequality, notes
-        )
-        bits_used = max(bits_used, bits_wedge)
+        ceiling = 2 / (ExactScalar(1) - 2 * y_n)
+        t = ceiling - Fraction(conv.q(k - 1), qk)
+        wedge_ok, wedge_digits = _quotient_ge(spec, k, t, notes)
+        wedge_route = ("direct+implied" if digit_inequality else "direct") if wedge_ok else "none"
+        interval_ok = wedge_at(spec, conv, k, wedge_threshold(y_n, qk), digit_inequality, [])[0]
+        assert interval_ok == wedge_ok, f"checkpoint {n}: the quotient and the interval differ"
+        wedge_ratio = _wedge_ratio(spec.block(n + 1).digits, conv.q(k - 1), qk, ceiling)
 
         strip = (
             CylinderStrip(k=1, v=(qk, pk), area=ExactScalar(1) - 2 * y_n)
@@ -122,14 +163,10 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
                 sigma_route="structural" if sigma_ok else "none",
                 wedge_bounded=wedge_ok,
                 wedge_route=wedge_route,
+                wedge_digits=wedge_digits,
                 strip=strip,
                 wedge_ratio=wedge_ratio,
                 notes=notes,
             )
         )
-    return VerificationReport(
-        horizon=horizon,
-        precision_bits=bits_used,
-        records=records,
-        provenance=spec.provenance,
-    )
+    return VerificationReport(horizon=horizon, records=records, provenance=spec.provenance)

@@ -126,13 +126,61 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["overall"] is True
-    assert report["precision_bits"] >= 256
+    assert "precision_bits" not in report  # the wedge reads digits, not an enclosure
+    assert [cp["wedge_digits"] for cp in report["checkpoints"]] == [1, 1, 1]
 
     # file-loaded verification equals in-memory verification
     spec_mem = direction_stream(
         RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
     )
     assert verify(load_spec(str(spec_path)), 3).as_json() == verify(spec_mem, 3).as_json()
+
+
+VERDICTS = ("endpoint_consistent", "homology_fixes_beta", "y_in_bounds", "digit_inequality",
+            "sigma_bounded", "wedge_bounded", "ok")
+
+
+# the (lambda, J, H) rows of the benchmark's irrational-cli workload, then
+# the quarter spec; each build writes three blocks
+@pytest.mark.parametrize("build, horizon", [
+    (["--lambda=0:1:4:2", "--d-choices", "const:1"], 16),
+    (["--lambda=0:1:6:3", "--d-choices", "const:2"], 4),
+    (["--lambda=-1:1:8:5", "--d-choices", "const:1"], 8),
+    (["--lambda=0:1:10:6", "--d-choices", "const:2"], 8),
+    (["--lambda=0:1:8:7", "--d-choices", "const:1"], 4),
+    (["--lambda", "1/4", "--nk", "const:1"], 8),
+], ids=["sqrt2", "sqrt3", "sqrt5", "sqrt6", "sqrt7", "quarter"])
+def test_verify_reads_no_block_past_the_next(tmp_path, capsys, monkeypatch, build, horizon):
+    """verify reads a_{k+1}, and the wedge's tail digits, from block H + 1
+    and pulls no block past it; the loaded spec holds the file's three."""
+    path = tmp_path / "spec.json"
+    assert run(capsys, "build", *build, "-o", str(path))[0] == 0
+    loaded = []
+
+    def loading(name):
+        loaded.append(load_spec(name))
+        return loaded[-1]
+
+    monkeypatch.setattr("slittori.cli.load_spec", loading)
+    code, out, _ = run(capsys, "verify", str(path), "--horizon", str(horizon))
+    assert code == 0 and json.loads(out)["overall"] is True
+    assert loaded[0].cached_blocks == max(3, horizon + 1)
+
+
+def test_verify_of_a_finite_list_stream(tmp_path, capsys):
+    """The free-digit list of this spec ends after three blocks.  At H = 2
+    the wedge compares the finite tail of block 3, and every check holds;
+    at H = 3 there is no digit a_25 to check, and verify fails closed."""
+    path = tmp_path / "list.json"
+    build = ["build", "--lambda", "1/4", "--nk", "list:1,1,1", "--blocks", "3", "-o", str(path)]
+    assert run(capsys, *build)[0] == 0
+    code, out, _ = run(capsys, "verify", str(path), "--horizon", "2")
+    assert code == 0
+    checkpoints = json.loads(out)["checkpoints"]
+    assert [[cp[v] for v in VERDICTS] for cp in checkpoints] == [[True] * len(VERDICTS)] * 2
+    code, out, err = run(capsys, "verify", str(path), "--horizon", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("DigitStreamExhaustedError: ")
 
 
 @pytest.mark.parametrize("build", [

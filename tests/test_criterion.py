@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from slittori.criterion import masur_structural, verify, wedge_threshold
+from slittori.criterion import masur_structural, verify
 from slittori.directions import DigitRule
 from slittori.exact import ExactScalar
 from slittori.rational import RationalParam, direction_stream
@@ -10,7 +10,7 @@ from slittori.torus import TorusPoint
 from slittori.words import Convergents
 
 from conftest import explicit_spec
-from oracle_criterion import masur_entries
+from oracle_criterion import masur_entries, wedge_threshold
 
 QUARTER_BLOCK = (5, 1, 1, 7, 1, 1, 2, 1)
 Z14 = lambda: TorusPoint.of(0, Fraction(1, 4))
@@ -152,7 +152,10 @@ def test_convergent_bracket_alone_admits_e1_above_one():
 
 
 def test_wedge_check_values(quarter_spec):
-    assert verify(quarter_spec, 1).records[0].wedge_bounded
+    """The first tail digit decides the wedge, and the reference's interval
+    route, on the threshold it compares with, agrees."""
+    rec = verify(quarter_spec, 1).records[0]
+    assert rec.wedge_bounded and (rec.wedge_route, rec.wedge_digits) == ("direct+implied", 1)
     conv = quarter_spec.convergents(8)
     alpha = quarter_spec.alpha_enclosure(256, min_digits=10)
     wedge = abs(alpha * conv.q(8) - conv.p(8))
@@ -171,6 +174,129 @@ def test_wedge_mutation_fails():
     assert not rec.digit_inequality
     assert not rec.wedge_bounded
     assert rec.sigma_bounded and rec.homology_fixes_beta and rec.y_in_bounds
+
+
+def _quarter_tail(tail, goes_on=True):
+    """The quarter block, then ``tail`` as block 2, then the quarter block
+    again if the stream ``goes_on``.  At checkpoint 1, y = 1/4 and
+    t = 4 - q_7/q_8 = 4 - 448/625 = 2052/625 = [3; 3, 1, 1, 7, 1, 1, 5]."""
+    return explicit_spec(Z14(), Y14, [QUARTER_BLOCK, tail] + [QUARTER_BLOCK] * goes_on)
+
+
+def _wedge(spec):
+    """(wedge_bounded, wedge_digits) at checkpoint 1."""
+    rec = verify(spec, 1).records[0]
+    return rec.wedge_bounded, rec.wedge_digits
+
+
+def test_wedge_flips_its_sense_at_odd_depth():
+    """A tail (3, 1, ...) meets floor(t) = 3 at depth 0; at depth 1 it is
+    below t_1 = 625/177, so x > t and the wedge holds, although a_9 = 3 < 4
+    fails the digit inequality.  A tail (3, 4, ...) is above t_1, and the
+    wedge fails."""
+    assert _wedge(_quarter_tail((3, 1, 1, 7, 1, 1, 2, 1))) == (True, 2)
+    assert _wedge(_quarter_tail((3, 4, 1, 1, 7, 1, 1, 2))) == (False, 2)
+
+
+def test_wedge_reads_the_floor_of_t():
+    """floor(t) = 3: a first tail digit 4 is above t, 2 is below it, each
+    decided by that digit alone, and 3 goes on to the next digit."""
+    assert _wedge(_quarter_tail((4, 1, 1, 7, 1, 1, 2, 1))) == (True, 1)
+    assert _wedge(_quarter_tail((2, 1, 1, 7, 1, 1, 2, 1))) == (False, 1)
+    assert _wedge(_quarter_tail((3, 1, 1, 7, 1, 1, 2, 1)))[1] == 2
+
+
+def test_wedge_at_an_integral_t_i():
+    """A tail that follows t's digits to t_7 = 5, an integer.  With a_16 = 5
+    the stream goes on, so x_7 = 5 + 1/x_8 > t_7 at odd depth: x < t and
+    the wedge fails, which the ninth tail digit shows.  With a_16 = 4,
+    x_7 < 5 and the wedge holds; with a_16 = 6 it fails at depth 7."""
+    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 5))) == (False, 9)
+    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 4))) == (True, 9)
+    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 6))) == (False, 8)
+
+
+def test_wedge_fails_closed_at_the_depth_cap(monkeypatch):
+    """A comparison that no WEDGE_DEPTH tail digits decide records the
+    wedge as failed, with a note; here the cap is lowered to 4 on a tail
+    that t's own digits decide only at the ninth."""
+    from slittori import criterion
+
+    monkeypatch.setattr(criterion, "WEDGE_DEPTH", 4)
+    rec = verify(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 5)), 1).records[0]
+    assert (rec.wedge_bounded, rec.wedge_route, rec.wedge_digits) == (False, "none", 4)
+    assert rec.notes == ["wedge undecided: x and t agree in 4 tail digits"]
+    assert rec.sigma_bounded and rec.homology_fixes_beta and not rec.ok
+
+
+@pytest.mark.parametrize("last", [4, 5, 6])
+def test_finite_tail_is_decided_at_its_last_digit(last):
+    """A stream that ends with block 2 has the rational complete quotient
+    x = [3; 3, 1, 1, 7, 1, 1, last], and the comparison runs out of digits
+    inside it, at depth 8.  Its verdict is x >= t, computed here with
+    Fractions; at last = 5, x = t and the closed bound holds."""
+    tail = (3, 3, 1, 1, 7, 1, 1, last)
+    x = Fraction(last)
+    for a in reversed(tail[:-1]):
+        x = a + 1 / x
+    t = 4 - Fraction(448, 625)
+    assert (x == t) == (last == 5)
+    assert _wedge(_quarter_tail(tail, goes_on=False)) == (x >= t, 8)
+
+
+def _forged(base, rng):
+    """``base`` with the first digit of every block forged: 1, 2, 3, 4, the
+    real digit or a random one, so that the digit inequality often fails.
+    The blocks keep their recorded endpoints."""
+    from itertools import count
+
+    from slittori.directions import BlockRecord, DirectionSpec
+
+    def source():
+        for n in count(1):
+            rec = base.block(n)
+            first = rng.choice((1, 2, 3, 4, rec.digits[0], rng.randint(1, 60)))
+            yield BlockRecord(n, (first,) + rec.digits[1:], rec.endpoint, rec.meta)
+
+    return DirectionSpec(base.z0, base.y_bounds, base.provenance, source())
+
+
+def test_wedge_matches_interval_reference():
+    """Differential test of the wedge comparison against the interval route
+    it replaced, ``oracle_criterion.wedge_at``: the verdicts agree at every
+    checkpoint of the streams of ``test_verify_matches_oracle`` and of 400
+    seeded forged streams, on the quadratic and barrier streams of
+    ``_stream`` and on eight seeded barrier streams.  The comparison itself
+    runs at every checkpoint too, also where verify takes the digit
+    inequality as its depth 0.  Where the digit inequality fails, the wedge
+    both holds and fails."""
+    import random
+
+    import oracle_criterion
+    from slittori.criterion import _quotient_ge
+
+    rng = random.Random(4101)
+    cases = [(_stream(name), horizon) for name, horizon in ORACLE_CASES]
+    bases = [_stream(name) for name in ("sqrt2", "sqrt3_d2", "quarter", "sixth_arith")]
+    for _ in range(8):
+        lam = Fraction(rng.randint(1, 12), rng.randint(25, 60))
+        rule = DigitRule("arith", (rng.randint(1, 5), rng.randint(0, 9)))
+        bases.append(direction_stream(RationalParam.from_barrier_length(lam), rule))
+    forged = [(_forged(bases[i % len(bases)], random.Random(rng.random())), rng.randint(1, 3))
+              for i in range(400)]
+    seen = set()
+    for spec, horizon in cases + forged:
+        for rec in verify(spec, horizon).records:
+            conv = spec.convergents(rec.k)
+            threshold = wedge_threshold(rec.z.y, conv.q(rec.k))
+            bounded = oracle_criterion.wedge_at(
+                spec, conv, rec.k, threshold, rec.digit_inequality, []
+            )[0]
+            assert rec.wedge_bounded == bounded, (spec.provenance, rec.n)
+            t = 2 / (1 - 2 * rec.z.y) - Fraction(conv.q(rec.k - 1), conv.q(rec.k))
+            assert _quotient_ge(spec, rec.k, t, []) == (bounded, rec.wedge_digits)
+            seen.add((rec.digit_inequality, rec.wedge_bounded, rec.wedge_digits > 1))
+    assert {(False, True, True), (False, False, False), (True, True, False)} <= seen
 
 
 def test_verify_irrational(sqrt2_spec):
@@ -213,62 +339,54 @@ def test_horizon_validation(quarter_spec):
 @pytest.mark.parametrize("bits", [1, 256])
 @pytest.mark.parametrize("stream", ["quarter", "sixth_arith", "sqrt2"])
 def test_check_helpers_equal_verify_records(stream, bits, inconclusive, monkeypatch):
-    """verify bounds sigma and the wedge at every checkpoint, at any
-    starting precision ``criterion.PRECISION_BITS``.  (verify is the one
-    check; the name is kept from the standalone helpers it replaced.)
+    """verify bounds sigma and the wedge at every checkpoint, and the
+    reference's interval route (``oracle_criterion.wedge_at``) agrees from
+    any starting precision ``PRECISION_BITS``.  (verify is the one check;
+    the name is kept from the standalone helpers it replaced.)
 
     With ``inconclusive`` every certified interval comparison raises, as a
-    too-wide enclosure would, so the decision falls to verify's structural
-    and implied routes, which must still bound both.
+    too-wide enclosure would: verify makes none, so its records are the
+    same, and the reference falls back to its implied route.
     """
-    from slittori import criterion
+    import oracle_criterion
     from slittori.intervals import InconclusiveIntervalError, RatInterval
-    from slittori.irrational import direction_stream_irrational
 
-    def make():
-        if stream == "quarter":
-            return direction_stream(
-                RationalParam.from_barrier_length(Fraction(1, 4)), DigitRule("const", (1,))
-            )
-        if stream == "sixth_arith":
-            return direction_stream(
-                RationalParam.from_barrier_length(Fraction(1, 6)), DigitRule("arith", (2, 1))
-            )
-        return direction_stream_irrational(ExactScalar(0, 1, 4, 2))
-
+    expected = [rec.as_json() for rec in verify(_stream(stream), 3).records]
     if inconclusive:
         def undecided(self, bound):
             raise InconclusiveIntervalError("forced")
 
         monkeypatch.setattr(RatInterval, "certified_le", undecided)
         monkeypatch.setattr(RatInterval, "certified_abs_le", undecided)
-    monkeypatch.setattr(criterion, "PRECISION_BITS", bits)
-    report = verify(make(), 3)
+    monkeypatch.setattr(oracle_criterion, "PRECISION_BITS", bits)
+    spec = _stream(stream)
+    report = verify(spec, 3)
+    assert [rec.as_json() for rec in report.records] == expected
     for rec in report.records:
-        if inconclusive:
-            assert (rec.sigma_route, rec.wedge_route) == ("structural", "implied")
+        assert (rec.sigma_route, rec.wedge_route) == ("structural", "direct+implied")
         assert rec.sigma_bounded and rec.wedge_bounded
+        conv = spec.convergents(rec.k)
+        threshold = wedge_threshold(rec.z.y, conv.q(rec.k))
+        bounded, route, _, _ = oracle_criterion.wedge_at(
+            spec, conv, rec.k, threshold, rec.digit_inequality, []
+        )
+        assert bounded and route == ("implied" if inconclusive else "direct+implied")
 
 
 @pytest.mark.parametrize("stream", ["quarter", "sixth_arith", "sqrt2"])
 def test_verdicts_do_not_depend_on_starting_precision(stream, monkeypatch):
-    """Every per-record boolean is the same at starting precisions 1, 64,
-    256 and 1024: the precision only decides how many doublings a
-    comparison takes, which is why it is a constant and not an option."""
-    from slittori import criterion
+    """The reference verifier, whose interval routes must agree with the
+    mediant lemma and the wedge comparison at every checkpoint, gives the
+    same records at starting precisions 1, 64, 256 and 1024: the precision
+    only decides how many doublings an interval comparison takes."""
+    import oracle_criterion
 
-    verdicts = set()
+    reports = set()
     for bits in (1, 64, 256, 1024):
-        monkeypatch.setattr(criterion, "PRECISION_BITS", bits)
-        report = verify(_stream(stream), 3)
-        verdicts.add(tuple(
-            (r.endpoint_consistent, r.homology_fixes_beta, r.y_in_bounds,
-             r.digit_inequality, r.sigma_bounded, r.wedge_bounded, r.ok)
-            for r in report.records
-        ))
-    assert len(verdicts) == 1
-    (records,) = verdicts
-    assert len(records) == 3 and all(ok for *_, ok in records)
+        monkeypatch.setattr(oracle_criterion, "PRECISION_BITS", bits)
+        reports.add(repr(oracle_criterion.verify(_stream(stream), 3).as_json()))
+    assert len(reports) == 1
+    assert verify(_stream(stream), 3).overall
 
 
 def _recording_enclosures(monkeypatch):
@@ -287,10 +405,12 @@ def _recording_enclosures(monkeypatch):
 
 
 def test_precision_retry_reports_last_precision_tried(monkeypatch):
-    """With every wedge comparison inconclusive and the digit inequality
-    failing, so that the implied route is closed, the wedge check doubles
-    the precision three times and the report names the last precision
-    tried, not one doubling more."""
+    """With every interval comparison inconclusive and the digit inequality
+    failing, so that the implied route is closed, the reference's wedge
+    route doubles the precision three times and names the last precision
+    tried, not one doubling more.  verify decides the same checkpoint from
+    its digits, with no enclosure."""
+    import oracle_criterion
     from slittori.intervals import InconclusiveIntervalError, RatInterval
 
     def undecided(self, bound):
@@ -299,25 +419,26 @@ def test_precision_retry_reports_last_precision_tried(monkeypatch):
     spec = _stream("mut_digit")
     asked = _recording_enclosures(monkeypatch)
     monkeypatch.setattr(RatInterval, "certified_le", undecided)
-    report = verify(spec, 1)
-    rec = report.records[0]
+    rec = verify(spec, 1).records[0]
+    assert asked == []
+    assert not rec.digit_inequality and rec.wedge_bounded and rec.wedge_route == "direct"
+    conv = spec.convergents(8)
+    notes = []
+    got = oracle_criterion.wedge_at(spec, conv, 8, wedge_threshold(rec.z.y, conv.q(8)), False, notes)
     assert asked == [256, 512, 1024, 2048]
-    assert report.precision_bits == 2048
-    assert not rec.digit_inequality and not rec.wedge_bounded
-    assert (rec.wedge_route, rec.wedge_ratio) == ("inconclusive", None)
-    assert rec.notes == ["wedge inconclusive: forced"]
-    assert rec.sigma_bounded and rec.sigma_route == "structural"
+    assert got == (False, "inconclusive", None, 2048)
+    assert notes == ["wedge inconclusive: forced"]
 
 
 @pytest.mark.parametrize("stream, horizon", [("quarter", 6), ("sqrt2", 4)])
-def test_one_enclosure_per_checkpoint(stream, horizon, monkeypatch):
-    """The sigma check reads no enclosure, so where the wedge decides at
-    the starting precision verify asks for one enclosure per checkpoint."""
+def test_verify_reads_no_enclosure(stream, horizon, monkeypatch):
+    """The sigma and wedge checks read the stream's digits, so verify asks
+    for no enclosure of alpha and reads no block past block H + 1."""
     spec = _stream(stream)
     asked = _recording_enclosures(monkeypatch)
     report = verify(spec, horizon)
-    assert report.overall and report.precision_bits == 256
-    assert asked == [256] * horizon
+    assert report.overall and asked == []
+    assert spec.cached_blocks == horizon + 1
 
 
 def _stream(name):

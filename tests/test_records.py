@@ -65,16 +65,16 @@ MUTABLE = {
         (
             "n", "k", "z", "endpoint_consistent", "homology_fixes_beta", "y_in_bounds",
             "digit_inequality", "sigma_bounded", "sigma_route", "wedge_bounded",
-            "wedge_route", "strip", "wedge_ratio", "notes",
+            "wedge_route", "wedge_digits", "strip", "wedge_ratio", "notes",
         ),
         lambda: (
-            1, 8, P, True, True, True, True, True, "interval", False, "inconclusive",
+            1, 8, P, True, True, True, True, True, "structural", False, "none", 64,
             None, RatInterval(Fraction(1, 3), Fraction(1, 2)), ["a note"],
         ),
     ),
     VerificationReport: (
-        ("horizon", "precision_bits", "records", "provenance"),
-        lambda: (3, 256, [], {"type": "explicit"}),
+        ("horizon", "records", "provenance"),
+        lambda: (3, [], {"type": "explicit"}),
     ),
     DimensionCertificate: (
         (
