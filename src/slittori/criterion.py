@@ -27,26 +27,25 @@ At every checkpoint it checks, exactly and with no enclosure of alpha:
 The wedge lemma.  For the complete quotient x = [a_{k+1}; a_{k+2}, ...],
 q_k alpha - p_k = 1 / (q_k x + q_{k-1}) at the even k, and 1 - 2 y_n > 0,
 so the wedge holds exactly when x >= t = 2 / (1 - 2 y_n) - q_{k-1}/q_k > 0.
-Write x_i = [a_{k+1+i}; ...] = a + 1/x_{i+1} with a = a_{k+1+i} and x_{i+1}
-in [1, oo], infinite past the end of a finite stream; from t_0 = t, let
-c = floor(t_i), one exact floor in Q(sqrt D):
+Write x_i = [a_{k+1+i}; ...] = a + 1/x_{i+1} with a = a_{k+1+i}; the
+stream is infinite, so x_{i+1} > 1 and a < x_i < a + 1.  From t_0 = t,
+let c = floor(t_i), one exact floor in Q(sqrt D):
 
-  * a > c gives x_i >= c + 1 > t_i;
-  * a < c - 1, or a = c - 1 and t_i != c, gives x_i <= a + 1 < t_i;
-  * otherwise a <= t_i <= a + 1: x_i - t_i = 1/x_{i+1} - 1/t_{i+1} with
-    t_{i+1} = 1/(t_i - a) in [1, oo], and depth i + 1 decides, flipped;
-  * an infinite t_i is above x_i, unless the stream has ended: then x_i
-    is infinite, above t_i or equal to it.
+  * a > c or a = c = t_i gives x_i > a >= t_i; a < c gives x_i < a + 1 <= t_i;
+  * otherwise a = c < t_i < c + 1: x_i - t_i = 1/x_{i+1} - 1/t_{i+1} with
+    t_{i+1} = 1/(t_i - c) > 1, and depth i + 1 decides, flipped.
 
-So x >= t exactly when x_i = t_i, or x_i > t_i at an even depth, or
-x_i < t_i at an odd one.  The comparison stops where the continued
-fractions of x and t differ, or within two digits of the end of a
-rational t's; at ``WEDGE_DEPTH`` tail digits, which only an x agreeing
-with t that far reaches, it fails closed with a note.  The digit
-inequality is depth 0 (a_{k+1} >= 2 / (1 - 2 y_n) > t gives a > c): there
-no t is computed and the route reads "direct+implied", elsewhere "direct"
-or "none".  A record keeps the tail digits read as ``wedge_digits``, and
-as ``wedge_ratio`` the wedge over its bound on x's bracket from block n + 1.
+So x >= t exactly when, at the first depth that decides, x_i > t_i and
+the depth is even or x_i < t_i and it is odd; that depth is where the
+continued fractions of x and t differ, or a rational t's last digit.
+At ``WEDGE_DEPTH`` tail digits, which only an x agreeing with t that
+far reaches, the check fails closed with a note.  A truncated stream whose
+last digit does not decide raises ``DigitStreamExhaustedError``, as any
+read past its end does: past depth 0, t_i > 1, so x_i may lie on either
+side.  The digit inequality a_{k+1} >= 2 / (1 - 2 y_n) > t is a > c at
+depth 0, route "direct+implied"; elsewhere the route is "direct" or
+"none".  A record keeps the tail digits read as ``wedge_digits``, and as
+``wedge_ratio`` the wedge over its bound on x's bracket from block n + 1.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .directions import PERIOD, DigitStreamExhaustedError, DirectionSpec
+from .directions import PERIOD, DirectionSpec
 from .exact import ExactScalar, Frozen, Record, to_json
 from .intervals import RatInterval
 from .torus import entries_fix_beta, trace_word
@@ -95,19 +94,12 @@ def masur_structural(conv: Convergents, k: int) -> bool:
 
 def _quotient_ge(spec: DirectionSpec, k: int, t: ExactScalar, notes: list):
     """(x >= t, tail digits read) for x = [a_{k+1}; a_{k+2}, ...], by the
-    wedge lemma; an infinite t_i is None."""
+    wedge lemma."""
     for i in range(WEDGE_DEPTH):
-        even = i % 2 == 0  # x > t iff x_i > t_i at even depth, x_i < t_i at odd
-        try:
-            a = spec.digit(k + 1 + i)
-        except DigitStreamExhaustedError:  # x_i is infinite
-            return t is None or even, i
-        if t is None:  # x_i < t_i
-            return not even, i + 1
-        c = floor(t)
-        if a > c or a < c - 1 or (a == c - 1 and t != c):
-            return (a > c) == even, i + 1
-        t = None if t == a else 1 / (t - a)
+        a, c = spec.digit(k + 1 + i), floor(t)
+        if a != c or t == c:  # x_i > t_i iff a >= c
+            return (a >= c) == (i % 2 == 0), i + 1  # the sense flips at odd depth
+        t = 1 / (t - c)
     notes.append(f"wedge undecided: x and t agree in {WEDGE_DEPTH} tail digits")
     return False, WEDGE_DEPTH
 
@@ -116,10 +108,9 @@ def _wedge_ratio(tail: tuple, r_num: int, r_den: int, ceiling: ExactScalar) -> R
     """``ceiling`` / (x + r), r = ``r_num`` / ``r_den``, for x from [``tail``]
     to [``tail``, 1]; ``ceiling`` >= 1 and r are rounded outward, which moves
     each end by a relative 2**-62 at most, as x + r >= 1."""
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    for a in tail:
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-    x_lo, x_hi = sorted((Fraction(p1, q1), Fraction(p1 + p0, q1 + q0)))
+    cf, m = Convergents(tail), len(tail)  # [0; tail] = 1/[tail]
+    x_lo, x_hi = sorted((Fraction(cf.q(m), cf.p(m)),
+                         Fraction(cf.q(m) + cf.q(m - 1), cf.p(m) + cf.p(m - 1))))
     c_lo, c_hi = ceiling.enclosure(_RATIO_BITS)
     r = Fraction((r_num << _RATIO_BITS) // r_den, 1 << _RATIO_BITS)  # r rounded down
     return RatInterval(c_lo / (x_hi + r + Fraction(1, 1 << _RATIO_BITS)), c_hi / (x_lo + r))
@@ -199,11 +190,8 @@ def verify(spec: DirectionSpec, horizon: int) -> VerificationReport:
             endpoint_consistent = False
 
         sigma_ok = masur_structural(conv, k)
-        if digit_inequality:  # a_{k+1} >= 2 / (1 - 2 y_n) > t: the lemma's depth 0
-            wedge_ok, wedge_digits, wedge_route = True, 1, "direct+implied"
-        else:
-            wedge_ok, wedge_digits = _quotient_ge(spec, k, ceiling - Fraction(qk1, qk), notes)
-            wedge_route = "direct" if wedge_ok else "none"
+        wedge_ok, wedge_digits = _quotient_ge(spec, k, ceiling - Fraction(qk1, qk), notes)
+        wedge_route = ("direct+implied" if digit_inequality else "direct") if wedge_ok else "none"
         records.append(
             CheckpointRecord(
                 n=n,

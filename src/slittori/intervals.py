@@ -5,9 +5,8 @@ and the outward-rounding contract is satisfied trivially: the true
 value of any expression is contained in the computed interval, with no
 rounding step that could lose containment.  "Precision" enters only
 when an interval is first created by truncating a digit stream, to
-2**-``flow.SLOPE_PRECISION_BITS`` in ``flow``.  ``criterion`` encloses
-nothing: its wedge lemma reads the complete quotient's tail digits, one
-exact floor each, and records how many it read.
+2**-``flow.SLOPE_PRECISION_BITS`` in ``flow``; ``criterion`` encloses
+nothing, its wedge lemma reading the complete quotient's tail digits.
 """
 
 from __future__ import annotations

@@ -289,17 +289,17 @@ CATALOGUE = (
     # of the last entry fails the digit inequality, and the wedge holds there
     Mutant(
         "wedge-sense-not-flipped-at-odd-depth", "criterion.py",
-        "return (a > c) == even, i + 1", "return a > c, i + 1",
+        "return (a >= c) == (i % 2 == 0), i + 1", "return a >= c, i + 1",
         (WEDGE_ODD_DEPTH,),
     ),
     Mutant(
         "wedge-floor-off-by-one", "criterion.py",
-        "c = floor(t)", "c = floor(t) + 1",
+        "spec.digit(k + 1 + i), floor(t)", "spec.digit(k + 1 + i), floor(t) + 1",
         (WEDGE_FLOOR,),
     ),
     Mutant(
         "wedge-integral-t-branch-reversed", "criterion.py",
-        "return not even, i + 1", "return even, i + 1",
+        "(a >= c) == (i % 2 == 0)", "(a > c) == (i % 2 == 0)",
         (WEDGE_INTEGRAL_T,),
     ),
     Mutant(

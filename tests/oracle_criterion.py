@@ -17,9 +17,7 @@ alpha, doubling its precision while a comparison is inconclusive
 (``sigma_entries_bounded``), must certify all four entries within [-1, 1].
 
 The wedge is recorded by the library's comparison of the complete quotient
-with its threshold, ``criterion._quotient_ge``, at every checkpoint
-(the library takes the digit inequality as the comparison's depth 0 and
-runs it only where that fails), and ``wedge_ratio`` by
+with its threshold, ``criterion._quotient_ge``, and ``wedge_ratio`` by
 ``criterion._wedge_ratio``; at every checkpoint this verifier also asserts
 that the interval route the comparison replaced, ``wedge_at``, gives the
 same verdict.  ``wedge_at`` encloses alpha to 2**-``PRECISION_BITS`` and

@@ -169,8 +169,8 @@ def test_verify_reads_no_block_past_the_next(tmp_path, capsys, monkeypatch, buil
 
 def test_verify_of_a_finite_list_stream(tmp_path, capsys):
     """The free-digit list of this spec ends after three blocks.  At H = 2
-    the wedge compares the finite tail of block 3, and every check holds;
-    at H = 3 there is no digit a_25 to check, and verify fails closed."""
+    every check holds, the wedges decided by a_9 and a_17 alone; at H = 3
+    there is no digit a_25 to check, and verify fails closed."""
     path = tmp_path / "list.json"
     build = ["build", "--lambda", "1/4", "--nk", "list:1,1,1", "--blocks", "3", "-o", str(path)]
     assert run(capsys, *build)[0] == 0

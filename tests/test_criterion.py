@@ -207,12 +207,12 @@ def test_wedge_reads_the_floor_of_t():
 
 
 def test_wedge_at_an_integral_t_i():
-    """A tail that follows t's digits to t_7 = 5, an integer.  With a_16 = 5
-    the stream goes on, so x_7 = 5 + 1/x_8 > t_7 at odd depth: x < t and
-    the wedge fails, which the ninth tail digit shows.  With a_16 = 4,
-    x_7 < 5 and the wedge holds; with a_16 = 6 it fails at depth 7."""
-    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 5))) == (False, 9)
-    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 4))) == (True, 9)
+    """A tail that follows t's digits to t_7 = 5, an integer, where the
+    eighth tail digit decides.  With a_16 = 5 the stream goes on, so
+    x_7 = 5 + 1/x_8 > t_7 at odd depth: x < t and the wedge fails.  With
+    a_16 = 4, x_7 < 5 and the wedge holds; with a_16 = 6 it fails."""
+    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 5))) == (False, 8)
+    assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 4))) == (True, 8)
     assert _wedge(_quarter_tail((3, 3, 1, 1, 7, 1, 1, 6))) == (False, 8)
 
 
@@ -231,17 +231,38 @@ def test_wedge_fails_closed_at_the_depth_cap(monkeypatch):
 
 @pytest.mark.parametrize("last", [4, 5, 6])
 def test_finite_tail_is_decided_at_its_last_digit(last):
-    """A stream that ends with block 2 has the rational complete quotient
-    x = [3; 3, 1, 1, 7, 1, 1, last], and the comparison runs out of digits
-    inside it, at depth 8.  Its verdict is x >= t, computed here with
-    Fractions; at last = 5, x = t and the closed bound holds."""
+    """A stream that ends with block 2 has x = [3; 3, 1, 1, 7, 1, 1, last + s]
+    for whatever digits follow, with 0 < s < 1.  x is monotone in s, so
+    x - t keeps one sign on that open range when t lies outside the open
+    interval between its ends, computed here with Fractions; then the last
+    digit a_16 decides the wedge, and no digit past the stream is read."""
     tail = (3, 3, 1, 1, 7, 1, 1, last)
-    x = Fraction(last)
-    for a in reversed(tail[:-1]):
-        x = a + 1 / x
     t = 4 - Fraction(448, 625)
-    assert (x == t) == (last == 5)
-    assert _wedge(_quarter_tail(tail, goes_on=False)) == (x >= t, 8)
+
+    def x(s):
+        value = last + Fraction(s)
+        for a in reversed(tail[:-1]):
+            value = a + 1 / value
+        return value
+
+    lo, hi = sorted((x(0), x(1)))
+    assert lo >= t or hi <= t
+    assert (lo >= t) == (last == 4)
+    assert _wedge(_quarter_tail(tail, goes_on=False)) == (lo >= t, 8)
+
+
+def test_finite_tail_that_does_not_decide_raises():
+    """When the tail digits a finite stream has agree with t's, no verdict
+    holds for every continuation, and the comparison's read past the end
+    raises, as any read past a truncated stream does: with
+    t = [3; 3, 1, 1, 7, 1, 1, 5, 2], the ninth tail digit is missing."""
+    from slittori.criterion import _quotient_ge
+    from slittori.directions import DigitStreamExhaustedError
+
+    spec = _quarter_tail((3, 3, 1, 1, 7, 1, 1, 5), goes_on=False)
+    t = 1 / Convergents((3, 3, 1, 1, 7, 1, 1, 5, 2)).value()  # [0; digits] = 1/[digits]
+    with pytest.raises(DigitStreamExhaustedError):
+        _quotient_ge(spec, 8, t, [])
 
 
 def _forged(base, rng):
@@ -267,9 +288,9 @@ def test_wedge_matches_interval_reference():
     checkpoint of the streams of ``test_verify_matches_oracle`` and of 400
     seeded forged streams, on the quadratic and barrier streams of
     ``_stream`` and on eight seeded barrier streams.  The comparison itself
-    runs at every checkpoint too, also where verify takes the digit
-    inequality as its depth 0.  Where the digit inequality fails, the wedge
-    both holds and fails."""
+    gives each record's digit count too, 1 wherever the digit inequality
+    holds.  Where the digit inequality fails, the wedge both holds and
+    fails."""
     import random
 
     import oracle_criterion
@@ -295,6 +316,7 @@ def test_wedge_matches_interval_reference():
             assert rec.wedge_bounded == bounded, (spec.provenance, rec.n)
             t = 2 / (1 - 2 * rec.z.y) - Fraction(conv.q(rec.k - 1), conv.q(rec.k))
             assert _quotient_ge(spec, rec.k, t, []) == (bounded, rec.wedge_digits)
+            assert rec.wedge_digits == 1 or not rec.digit_inequality
             seen.add((rec.digit_inequality, rec.wedge_bounded, rec.wedge_digits > 1))
     assert {(False, True, True), (False, False, False), (True, True, False)} <= seen
 
